@@ -318,6 +318,64 @@ func BenchmarkArbiterPartialAllocation(b *testing.B) {
 	}
 }
 
+// BenchmarkPartialAllocation measures one whole auction, hidden payments on,
+// over bid tables from a mixed population (gangs of 1/2/4, half the apps
+// already holding GPUs, so some bidders win and most do not) — 16 bidders is
+// the contended-replay shape, 128 a shard of the serving path. benchgate
+// records it so the auction cannot quietly go back to one compile per bidder;
+// allocs/op is reported for the same reason.
+func BenchmarkPartialAllocation(b *testing.B) {
+	for _, bidders := range []int{16, 128} {
+		b.Run(fmt.Sprintf("%dbidders", bidders), func(b *testing.B) {
+			topo, _, offer := overheadFixture(32, 1)
+			var bids []core.BidTable
+			for k := 0; k < bidders; k++ {
+				var trials []*workload.Job
+				for i := 0; i < 1+k%4; i++ {
+					trials = append(trials, workload.NewJob("bench-app", i, float64(200+37*(k%11)), 1<<(k%3)))
+				}
+				id := workload.AppID(fmt.Sprintf("app-%03d", k))
+				app := workload.NewApp(id, float64(k%7), placement.Catalog()[k%len(placement.Catalog())], trials)
+				agent := core.NewAgent(topo, app, hyperparam.ForApp(app), nil)
+				current := cluster.NewAlloc()
+				if k%2 == 1 {
+					current[cluster.MachineID(k%32)] = 2
+				}
+				bids = append(bids, agent.PrepareBid(30, offer, current))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunPartialAllocation(topo, offer, bids, core.AuctionOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPrepareBid measures one agent's bid table over a 128-GPU offer as
+// the app's active-job count grows; the per-table cost must stay one job
+// ordering plus one split per row, not one ordering per row.
+func BenchmarkPrepareBid(b *testing.B) {
+	for _, jobs := range []int{8, 64} {
+		b.Run(fmt.Sprintf("%djobs", jobs), func(b *testing.B) {
+			_, agent, offer := overheadFixture(32, jobs)
+			for k, j := range agent.App.Jobs {
+				j.DoneWork = float64((k*7)%5) * 50 // repeated work-left values, interleaved
+			}
+			current := cluster.Alloc{0: 2}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bid := agent.PrepareBid(10, offer, current); len(bid.Entries) < 2 {
+					b.Fatal("bid table has no candidate rows")
+				}
+			}
+		})
+	}
+}
+
 // --- Ablations -------------------------------------------------------------
 
 // BenchmarkAblationNoHiddenPayments compares max fairness with and without

@@ -88,10 +88,12 @@ func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable 
 // batched and standalone paths must stay bit-identical.
 func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *BidValuator, entries []BidEntry) BidTable {
 	arena := v.Arena()
+	// One job context values every row: nothing below changes job state.
+	ag.Estimator.beginCall()
 	table := BidTable{App: ag.App.ID, Entries: entries}
 	table.Entries = append(table.Entries, BidEntry{
 		Alloc: arena.Sparse(),
-		Rho:   ag.Estimator.CurrentRho(now, current),
+		Rho:   ag.Estimator.rho(now, current, ag.Estimator.emptyAnchor),
 	})
 	gang := ag.typicalGangSizeWith(v)
 	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), gang)
@@ -128,7 +130,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		}
 		table.Entries = append(table.Entries, BidEntry{
 			Alloc: candidate,
-			Rho:   ag.Estimator.Rho(now, current, candidate),
+			Rho:   ag.Estimator.rho(now, current, candidate),
 		})
 	}
 	return table
@@ -197,8 +199,9 @@ func (ag *Agent) typicalGangSizeWith(v *BidValuator) int {
 // simulator uses it to drive per-job progress; a real deployment's Agent
 // would hand these to the tuner (Figure 3 step 5).
 func (ag *Agent) SplitForJobs(total cluster.Alloc) map[workload.JobID]cluster.Alloc {
-	active := ag.Estimator.activeJobs()
-	splits := ag.Estimator.splitAcrossJobs(total, active)
+	ag.Estimator.beginCall()
+	splits := ag.Estimator.splitAcrossJobs(total)
+	active := ag.Estimator.jobs
 	out := make(map[workload.JobID]cluster.Alloc, len(active))
 	for i, j := range active {
 		// The split allocations are estimator-pooled scratch; hand the

@@ -82,7 +82,7 @@ type ArbiterStats struct {
 	GPUsLeftOver       int
 	TotalAuctionTime   time.Duration
 	MaxAuctionTime     time.Duration
-	TruthfulPayments   float64 // sum of (1 − c_i) over winners
+	TruthfulPayments   float64 // sum of (1 − c_i) over winners; a bidder with an empty proportional-fair bundle has c_i = 1
 	WinnersWithNothing int
 	// Cumulative per-phase time across all rounds: ρ probes + offer
 	// selection, bid preparation, winner determination (solver + hidden
@@ -223,19 +223,18 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 		return nil, err
 	}
 
+	// Walk the bids in order, not the Winners map: TruthfulPayments is a
+	// float sum whose bits depend on the order of its terms.
 	var out []Allocation
-	bidByApp := make(map[workload.AppID]BidTable, len(bids))
 	for _, b := range bids {
-		bidByApp[b.App] = b
-	}
-	for id, alloc := range auction.Winners {
-		a.Stats.TruthfulPayments += 1 - auction.HiddenPayment[id]
+		alloc := auction.Winners[b.App]
+		a.Stats.TruthfulPayments += 1 - auction.HiddenPayment[b.App]
 		if alloc.Total() == 0 {
 			a.Stats.WinnersWithNothing++
 			continue
 		}
 		a.lastRound.Winners++
-		out = append(out, Allocation{App: id, Alloc: alloc, FromAuction: true, Rho: rhoOfWin(bidByApp[id], alloc)})
+		out = append(out, Allocation{App: b.App, Alloc: alloc, FromAuction: true, Rho: rhoOfWin(b, alloc)})
 	}
 	a.Stats.AuctionWinners += a.lastRound.Winners
 

@@ -45,6 +45,13 @@ type AuctionOptions struct {
 // proportionally fair allocation maximising the product of valuations,
 // scales every winner's allocation down by its hidden payment c_i, and
 // reports whatever is left over.
+//
+// The bids are compiled into one solver instance for the whole auction: one
+// unmasked solve gives the proportional-fair allocation, then one masked
+// re-solve per bidder whose proportional-fair bundle is non-empty gives its
+// c_i. A bidder that takes nothing constrains nobody — the market without it
+// is the market with it — so its c_i is 1 without a solve (and scaling an
+// empty bundle yields the empty bundle whatever c_i is).
 func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
 	res := AuctionResult{
 		Winners:          make(map[workload.AppID]cluster.Alloc),
@@ -65,20 +72,28 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 	for _, b := range bids {
 		bidders = append(bidders, toBidder(b))
 	}
-	full, objective, err := solver.Solve(offer, bidders, opts.Solver)
+	inst, err := solver.Compile(offer, bidders)
 	if err != nil {
 		return res, fmt.Errorf("core: proportional-fair solve: %w", err)
 	}
-	res.Objective = objective
+	defer inst.Release()
+	res.Objective = inst.Solve(opts.Solver, solver.NoSkip)
+	// Read the full solution out before the masked re-solves overwrite the
+	// instance's choices: each bidder's bundle and its log valuation.
+	full := inst.Assignment()
+	logs := make([]float64, len(bids))
+	for i, b := range bids {
+		logs[i] = math.Log(full[string(b.App)].Value)
+	}
 
 	allocated := cluster.NewAlloc()
-	for _, b := range bids {
+	for i, b := range bids {
 		id := b.App
 		pf := full[string(id)].Alloc
 		res.ProportionalFair[id] = pf
 		ci := 1.0
-		if !opts.DisableHiddenPayments {
-			ci = hiddenPayment(offer, bidders, full, string(id), opts.Solver)
+		if !opts.DisableHiddenPayments && pf.Total() > 0 {
+			ci = hiddenPayment(inst, logs, i, opts.Solver)
 		}
 		res.HiddenPayment[id] = ci
 		final := scaleAllocation(topo, pf, ci)
@@ -102,31 +117,26 @@ func toBidder(b BidTable) solver.Bidder {
 	return out
 }
 
-// hiddenPayment computes c_i for bidder id (Pseudocode 2 lines 7–8): the
+// hiddenPayment computes c_i for bidder i (Pseudocode 2 lines 7–8): the
 // ratio of the other bidders' collective valuation in the market with bidder
-// id present to their collective valuation in the market without it. The
-// ratio is at most 1; the difference is the "payment" the bidder forfeits,
-// which is what makes truthful reporting a dominant strategy.
-func hiddenPayment(offer cluster.Alloc, bidders []solver.Bidder, full solver.Assignment, id string, opts solver.Options) float64 {
-	var withLog float64
-	others := make([]solver.Bidder, 0, len(bidders)-1)
-	for _, b := range bidders {
-		if b.ID == id {
-			continue
-		}
-		others = append(others, b)
-		withLog += math.Log(full[b.ID].Value)
-	}
-	if len(others) == 0 {
+// i present (logs holds every bidder's log valuation in the full solution)
+// to their collective valuation in the market without it — inst re-solved
+// with i masked out. The ratio is at most 1; the difference is the "payment"
+// the bidder forfeits, which is what makes truthful reporting a dominant
+// strategy.
+func hiddenPayment(inst *solver.Instance, logs []float64, i int, opts solver.Options) float64 {
+	if len(logs) == 1 {
 		return 1 // a lone bidder pays nothing
 	}
-	// Use the solver's index-ordered objective rather than re-summing the
-	// assignment map: identical value, but deterministic float accumulation,
-	// so repeated auctions produce bit-identical payments.
-	_, withoutLog, err := solver.Solve(offer, others, opts)
-	if err != nil {
-		return 1
+	// Both sides are summed in bidder index order, so repeated auctions
+	// produce bit-identical payments.
+	var withLog float64
+	for j, l := range logs {
+		if j != i {
+			withLog += l
+		}
 	}
+	withoutLog := inst.Solve(opts, i)
 	ci := math.Exp(withLog - withoutLog)
 	if ci > 1 {
 		ci = 1

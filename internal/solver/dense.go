@@ -10,13 +10,13 @@
 //   - bidders are index-ordered slices, so greedy and pair-move tie-breaks
 //     are deterministic instead of map-iteration-order dependent.
 //
-// The compiled instance lives in a pooled scratch struct; a Solve call
-// borrows one, compiles, searches, copies the winning bundles into the
-// returned Assignment, and releases the scratch. The search results are
-// bit-identical to the previous map-based implementation (pinned by
-// TestDenseSolverMatchesReference): bidder ordering, per-depth bundle
-// ordering, pruning comparisons and float accumulation order are all
-// preserved; log values are computed once per bundle with the same
+// The compiled instance lives in a pooled Instance; Compile borrows one and
+// builds it, each Instance.Solve searches it (optionally with one bidder
+// masked out), Assignment copies the winning bundles out, and Release returns
+// the storage. The search results are bit-identical to the previous map-based
+// implementation (pinned by TestDenseSolverMatchesReference): bidder ordering,
+// per-depth bundle ordering, pruning comparisons and float accumulation order
+// are all preserved; log values are computed once per bundle with the same
 // math.Log the old code called per visit.
 package solver
 
@@ -44,10 +44,12 @@ type denseBundle struct {
 	tlen     int32
 }
 
-// scratch holds every slice the solver needs, reused across Solve calls via
-// scratchPool. It is single-goroutine state; concurrent Solve calls each
-// borrow their own.
-type scratch struct {
+// Instance is one compiled auction instance plus every slice the search
+// needs, recycled through scratchPool. What Compile builds (capacity, norm,
+// bundles, terms, spread, valIdx) is invariant across Solve calls; used,
+// order, maxLog and the choices are per-solve. It is single-goroutine state;
+// concurrent callers each compile their own.
+type Instance struct {
 	arena    *cluster.AllocArena
 	capacity cluster.DenseAlloc
 	used     cluster.DenseAlloc
@@ -63,6 +65,7 @@ type scratch struct {
 	spread   []float64 // bundleSpread per bidder
 	valIdx   []int32   // per-bidder value-desc local bundle order, same offsets as bundles
 
+	skip       int // bidder masked out of the current solve, or NoSkip
 	order      []int
 	maxLog     []float64
 	choice     []int
@@ -71,7 +74,7 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &scratch{arena: cluster.NewAllocArena()} },
+	New: func() any { return &Instance{arena: cluster.NewAllocArena()} },
 }
 
 // emptyAlloc is the shared zero-GPU allocation used for synthesized empty
@@ -79,9 +82,9 @@ var scratchPool = sync.Pool{
 // by the solver or the auction.
 var emptyAlloc = cluster.Alloc{}
 
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
-
-func (sc *scratch) release() {
+// Release returns the instance's storage to the pool; the instance must not
+// be used afterwards.
+func (sc *Instance) Release() {
 	sc.arena.ReleaseDense(sc.capacity)
 	sc.arena.ReleaseDense(sc.used)
 	sc.capacity, sc.used = nil, nil
@@ -101,7 +104,7 @@ func (sc *scratch) release() {
 // Solve regression test), clamps non-positive values and appends a
 // synthesized empty bundle where missing. Alloc maps are shared with the
 // caller, matching the previous behavior; the solver only reads them.
-func (sc *scratch) normalize(bidders []Bidder) {
+func (sc *Instance) normalize(bidders []Bidder) {
 	const eps = 1e-12
 	sc.norm = sc.norm[:0]
 	sc.normBundles = sc.normBundles[:0]
@@ -133,7 +136,7 @@ func (sc *scratch) normalize(bidders []Bidder) {
 }
 
 // compile builds the dense instance from the normalized bidders.
-func (sc *scratch) compile(capacity cluster.Alloc) {
+func (sc *Instance) compile(capacity cluster.Alloc) {
 	minID, maxID := 0, -1
 	scan := func(a cluster.Alloc) {
 		for m, n := range a {
@@ -229,24 +232,24 @@ func (sc *scratch) compile(capacity cluster.Alloc) {
 	}
 }
 
-func (sc *scratch) bundleAt(bidder int, local int32) *denseBundle {
+func (sc *Instance) bundleAt(bidder int, local int32) *denseBundle {
 	return &sc.bundles[sc.boff[bidder]+local]
 }
 
-func (sc *scratch) addTerms(b *denseBundle) {
+func (sc *Instance) addTerms(b *denseBundle) {
 	for _, t := range sc.terms[b.toff : b.toff+b.tlen] {
 		sc.used[t.m] += t.n
 	}
 }
 
-func (sc *scratch) subTerms(b *denseBundle) {
+func (sc *Instance) subTerms(b *denseBundle) {
 	for _, t := range sc.terms[b.toff : b.toff+b.tlen] {
 		sc.used[t.m] -= t.n
 	}
 }
 
 // fitsTerms reports whether adding the bundle to used stays within capacity.
-func (sc *scratch) fitsTerms(b *denseBundle) bool {
+func (sc *Instance) fitsTerms(b *denseBundle) bool {
 	for _, t := range sc.terms[b.toff : b.toff+b.tlen] {
 		if sc.used[t.m]+t.n > sc.capacity[t.m] {
 			return false
@@ -258,13 +261,15 @@ func (sc *scratch) fitsTerms(b *denseBundle) bool {
 // solveExact runs the same depth-first branch and bound as before, over the
 // compiled instance: bidders ordered by decreasing value spread, bundles
 // tried in descending value, suffix log bounds for pruning.
-func (sc *scratch) solveExact() {
-	nb := len(sc.norm)
+func (sc *Instance) solveExact() {
 	sc.order = sc.order[:0]
-	for i := 0; i < nb; i++ {
-		sc.order = append(sc.order, i)
+	for i := range sc.norm {
+		if i != sc.skip {
+			sc.order = append(sc.order, i)
+		}
 	}
 	order := sc.order
+	nb := len(order)
 	sort.Slice(order, func(a, b int) bool {
 		return sc.spread[order[a]] > sc.spread[order[b]]
 	})
@@ -288,7 +293,9 @@ func (sc *scratch) solveExact() {
 	haveBest := false
 	sc.choice = sc.choice[:0]
 	sc.bestChoice = sc.bestChoice[:0]
-	for i := 0; i < nb; i++ {
+	for range sc.norm {
+		// choice is depth-indexed during the search (the first nb slots) and
+		// bidder-indexed afterwards.
 		sc.choice = append(sc.choice, 0)
 		sc.bestChoice = append(sc.bestChoice, -1)
 	}
@@ -324,13 +331,16 @@ func (sc *scratch) solveExact() {
 	if !haveBest {
 		// Only possible if even all-empty is infeasible, which cannot
 		// happen; fall back to empty bundles defensively.
-		for i := 0; i < nb; i++ {
+		for i := range choice {
 			choice[i] = int(sc.emptyIdx[i])
 		}
 		return
 	}
 	for d, bi := range order {
 		choice[bi] = bestChoice[d]
+	}
+	if sc.skip >= 0 {
+		choice[sc.skip] = int(sc.emptyIdx[sc.skip]) // the masked bidder takes nothing
 	}
 }
 
@@ -340,19 +350,21 @@ func (sc *scratch) solveExact() {
 // room. Bidders are visited in index order, so tie-breaks are deterministic
 // (the old map iteration made them order-dependent; strict > comparisons
 // mean unique-maximum instances are unaffected).
-func (sc *scratch) solveGreedy(rounds int) {
+func (sc *Instance) solveGreedy(rounds int) {
 	nb := len(sc.norm)
 	sc.choice = sc.choice[:0]
 	for i := 0; i < nb; i++ {
 		sc.choice = append(sc.choice, int(sc.emptyIdx[i]))
 	}
 	choice := sc.choice
-	sc.used.Zero() // empty bundles contribute no terms
 	for r := 0; r < rounds; r++ {
 		improved := false
 		bestGain := 1e-12
 		bestBidder, bestLocal := -1, int32(-1)
 		for i := 0; i < nb; i++ {
+			if i == sc.skip {
+				continue // masked out: stays on its empty bundle
+			}
 			cur := sc.bundleAt(i, int32(choice[i]))
 			sc.subTerms(cur)
 			for local := int32(0); local < sc.boff[i+1]-sc.boff[i]; local++ {
@@ -395,12 +407,15 @@ func (sc *scratch) solveGreedy(rounds int) {
 
 // findPairMove looks for the best "bidder a upgrades while victim v falls
 // back to empty" move that improves the objective.
-func (sc *scratch) findPairMove() (a int, local int32, victim int, ok bool) {
+func (sc *Instance) findPairMove() (a int, local int32, victim int, ok bool) {
 	nb := len(sc.norm)
 	choice := sc.choice
 	bestGain := 1e-12
 	a, local, victim = -1, -1, -1
 	for i := 0; i < nb; i++ {
+		if i == sc.skip {
+			continue // a masked victim is skipped below: its bundle is empty
+		}
 		curA := sc.bundleAt(i, int32(choice[i]))
 		for v := 0; v < nb; v++ {
 			if v == i {
@@ -430,16 +445,14 @@ func (sc *scratch) findPairMove() (a int, local int32, victim int, ok bool) {
 	return a, local, victim, ok
 }
 
-// result materialises the Assignment from the per-bidder choices and returns
-// it with the index-ordered objective (deterministic, unlike the previous
-// map-order summation).
-func (sc *scratch) result() (Assignment, float64) {
+// Assignment materialises the most recent Solve's per-bidder choices; a
+// masked bidder is absent.
+func (sc *Instance) Assignment() Assignment {
 	asg := make(Assignment, len(sc.norm))
-	obj := 0.0
 	for i, b := range sc.norm {
-		local := sc.choice[i]
-		asg[b.ID] = b.Bundles[local]
-		obj += sc.bundleAt(i, int32(local)).logValue
+		if i != sc.skip {
+			asg[b.ID] = b.Bundles[sc.choice[i]]
+		}
 	}
-	return asg, obj
+	return asg
 }

@@ -118,27 +118,60 @@ func (o Options) withDefaults() Options {
 //
 // Solve never mutates the caller's bidders: normalization deep-copies each
 // bidder's bundle slice into pooled scratch storage before clamping values
-// or appending the empty row. The search itself runs on the dense compiled
-// instance (see dense.go); the sparse maps in the returned Assignment are
-// the caller's own bundle allocations, untouched.
+// or appending the empty row. It is Compile + one unmasked Instance.Solve;
+// callers that solve the same bids repeatedly (the auction's hidden
+// payments) hold the Instance instead.
 func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, error) {
-	opts = opts.withDefaults()
-	sc := getScratch()
-	defer sc.release()
-	if err := sc.validate(capacity, bidders); err != nil {
+	sc, err := Compile(capacity, bidders)
+	if err != nil {
 		return nil, 0, err
+	}
+	defer sc.Release()
+	obj := sc.Solve(opts, NoSkip)
+	return sc.Assignment(), obj, nil
+}
+
+// NoSkip is the Instance.Solve mask that leaves every bidder in the market.
+const NoSkip = -1
+
+// Compile validates the bidders against capacity, normalises them and builds
+// the dense instance (see dense.go) once. The Instance borrows pooled
+// storage: the caller owns it until Release and must not share it across
+// goroutines; concurrent auctions each compile their own.
+func Compile(capacity cluster.Alloc, bidders []Bidder) (*Instance, error) {
+	sc := scratchPool.Get().(*Instance)
+	if err := sc.validate(capacity, bidders); err != nil {
+		sc.Release()
+		return nil, err
 	}
 	sc.normalize(bidders)
 	sc.compile(capacity)
+	return sc, nil
+}
+
+// Solve runs the winner determination over the compiled bidders, leaving out
+// bidder index skip (a valid index, or NoSkip for none), and returns the objective summed in
+// bidder index order. The masked search sees exactly the bidder sequence a
+// fresh Solve over the remaining bidders would — same exact/greedy choice,
+// same search and tie-break order — so its objective and choices are
+// bit-identical to that solve's without re-validating or re-compiling.
+// Assignment reads the choices of the most recent Solve.
+func (sc *Instance) Solve(opts Options, skip int) float64 {
+	opts = opts.withDefaults()
+	sc.skip = skip
 	space := 1
 	exact := true
-	for _, b := range sc.norm {
+	for i, b := range sc.norm {
+		if i == skip {
+			continue
+		}
 		if space > opts.ExactLimit/len(b.Bundles) {
 			exact = false
 			break
 		}
 		space *= len(b.Bundles)
 	}
+	sc.used.Zero() // the previous solve's allocation; empty bundles add no terms
 	if exact && space <= opts.ExactLimit {
 		solveExactCount.Inc()
 		sc.solveExact()
@@ -146,11 +179,16 @@ func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, 
 		solveGreedyCount.Inc()
 		sc.solveGreedy(opts.LocalSearchRounds)
 	}
-	asg, obj := sc.result()
-	return asg, obj, nil
+	obj := 0.0
+	for i := range sc.norm {
+		if i != skip {
+			obj += sc.bundleAt(i, int32(sc.choice[i])).logValue
+		}
+	}
+	return obj
 }
 
-func (sc *scratch) validate(capacity cluster.Alloc, bidders []Bidder) error {
+func (sc *Instance) validate(capacity cluster.Alloc, bidders []Bidder) error {
 	if sc.seen == nil {
 		sc.seen = make(map[string]bool, len(bidders))
 	}
