@@ -6,9 +6,8 @@
 // With -shards N the daemon partitions the cluster across N arbiter shards:
 // apps are homed on shards by consistent hashing, each shard auctions its
 // own capacity slice, and leftover GPUs are re-offered cross-shard to the
-// most-starved apps. With -join the daemon additionally gossips membership
-// with peer arbiters (heartbeats on /v1/gossip, suspicion timeouts via
-// -suspect-after/-dead-after); GET /v1/shards reports both.
+// most-starved apps; GET /v1/shards reports the per-shard detail. Every shard
+// runs inside this one process.
 //
 // Observability: the protocol listener serves /metrics (Prometheus text
 // format), /healthz and /debug/rounds (the last auction rounds' phase traces
@@ -21,11 +20,9 @@
 //	arbiterd -listen :7100 -cluster testbed -f 0.8 -lease 20 -interval 30s
 //	arbiterd -listen :7100 -cluster sim -shards 4
 //	arbiterd -listen :7100 -shards 2 -debug-addr 127.0.0.1:7190
-//	arbiterd -listen :7101 -shards 4 -name arb-b -advertise http://10.0.0.2:7101 -join http://10.0.0.1:7100
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -49,13 +46,7 @@ func main() {
 		timeScale   = flag.Float64("timescale", 1, "scheduling minutes per wall-clock minute (e.g. 60 makes one real second one scheduling minute)")
 		debugAddr   = flag.String("debug-addr", "", "address for the debug listener serving /metrics, /healthz, /debug/rounds and /debug/pprof/ (empty: no pprof; metrics stay on -listen)")
 
-		shards       = flag.Int("shards", 1, "number of arbiter shards to partition the cluster across")
-		name         = flag.String("name", "", "this arbiter's gossip member name (default: the listen address)")
-		advertise    = flag.String("advertise", "", "base URL peers reach this arbiter at, e.g. http://10.0.0.1:7100 (default: http://<listen>)")
-		join         = flag.String("join", "", "base URL of any existing arbiter to join via gossip (empty: no gossip)")
-		heartbeat    = flag.Duration("heartbeat", time.Second, "gossip heartbeat interval")
-		suspectAfter = flag.Duration("suspect-after", 3*time.Second, "silence before a gossip peer is suspected")
-		deadAfter    = flag.Duration("dead-after", 10*time.Second, "silence before a gossip peer is declared dead")
+		shards = flag.Int("shards", 1, "number of arbiter shards to partition the cluster across")
 	)
 	flag.Parse()
 
@@ -73,43 +64,12 @@ func main() {
 		runAuction func(float64) (daemon.AuctionResponse, error)
 		roundTrace *daemon.RoundRing
 	)
-	if *shards > 1 || *join != "" {
+	if *shards > 1 {
 		server, err := daemon.NewShardedArbiter(topo, cfg, *shards)
 		if err != nil {
 			log.Fatalf("arbiterd: %v", err)
 		}
 		server.Clock = clock
-		if *join != "" || *name != "" {
-			memberName := *name
-			if memberName == "" {
-				memberName = *listen
-			}
-			addr := *advertise
-			if addr == "" {
-				addr = "http://" + *listen
-			}
-			member, err := daemon.NewMembership(daemon.MembershipConfig{
-				Name:              memberName,
-				Addr:              addr,
-				HeartbeatInterval: *heartbeat,
-				SuspectAfter:      *suspectAfter,
-				DeadAfter:         *deadAfter,
-			})
-			if err != nil {
-				log.Fatalf("arbiterd: %v", err)
-			}
-			server.Membership = member
-			if *join != "" {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				if err := member.Join(ctx, *join); err != nil {
-					log.Printf("arbiterd: %v (will keep gossiping)", err)
-				}
-				cancel()
-			}
-			go member.Run(context.Background())
-			log.Printf("arbiterd: gossiping as %s at %s (suspect %v, dead %v)",
-				memberName, addr, *suspectAfter, *deadAfter)
-		}
 		handler = server.Handler()
 		runAuction = server.RunAuction
 		roundTrace = server.RoundTrace()

@@ -13,7 +13,6 @@ import (
 	"themis/internal/core"
 	"themis/internal/hyperparam"
 	"themis/internal/rpc"
-	"themis/internal/shard"
 	"themis/internal/telemetry"
 )
 
@@ -29,11 +28,6 @@ type (
 	// ShardedArbiter partitions the cluster across N arbiter shards behind
 	// the same HTTP protocol surface; see NewShardedArbiter.
 	ShardedArbiter = rpc.ShardedArbiterServer
-	// Membership is the gossip/heartbeat group of a multi-arbiter
-	// deployment; attach one to a ShardedArbiter to serve /v1/gossip.
-	Membership = shard.Membership
-	// MembershipConfig tunes the gossip heartbeat and suspicion timeouts.
-	MembershipConfig = shard.MembershipConfig
 	// RoundRing traces the last auction rounds' phase spans; ArbiterServer
 	// and ShardedArbiter expose theirs via RoundTrace(), /debug/rounds
 	// serves it as JSON, and arbiterd dumps it on SIGQUIT.
@@ -114,16 +108,6 @@ func NewShardedArbiter(topo *themis.Topology, cfg ArbiterConfig, shards int) (*S
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	return s, nil
-}
-
-// NewMembership starts a gossip membership from cfg; Join it to any existing
-// member and attach it to a ShardedArbiter to serve and spread heartbeats.
-func NewMembership(cfg MembershipConfig) (*Membership, error) {
-	m, err := shard.NewMembership(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
-	return m, nil
 }
 
 // NewAgentServer builds one app's Themis Agent — answering fairness probes

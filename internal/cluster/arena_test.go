@@ -1,109 +1,9 @@
 package cluster
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
-
-func TestDenseAllocRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(16)
-		a := NewAlloc()
-		for m := 0; m < n; m++ {
-			if rng.Intn(2) == 0 {
-				a[MachineID(m)] = 1 + rng.Intn(8)
-			}
-		}
-		d, ok := a.ToDense(n)
-		if !ok {
-			t.Fatalf("in-range alloc reported out of range: %v", a)
-		}
-		back := d.ToAlloc()
-		if !a.Equal(back) || len(back) != len(a) {
-			t.Fatalf("round trip not lossless: %v -> %v -> %v", a, d, back)
-		}
-		if d.Total() != a.Total() {
-			t.Fatalf("dense total %d != sparse total %d", d.Total(), a.Total())
-		}
-	}
-}
-
-func TestDenseAllocOutOfRange(t *testing.T) {
-	a := Alloc{0: 1, 9: 2}
-	d, ok := a.ToDense(4)
-	if ok {
-		t.Fatalf("expected out-of-range report for %v over 4 machines", a)
-	}
-	if d.Total() != 1 {
-		t.Fatalf("in-range entries should still land: got %v", d)
-	}
-	// Zero entries outside the range are not an error: they carry no GPUs.
-	z := Alloc{0: 1, 9: 0}
-	if _, ok := z.ToDense(4); !ok {
-		t.Fatalf("zero entry out of range should be ignored")
-	}
-}
-
-func TestDenseAllocInPlaceOps(t *testing.T) {
-	used := DenseAlloc{1, 0, 3}
-	bun := DenseAlloc{1, 2, 0}
-	capacity := DenseAlloc{4, 2, 3}
-
-	if !used.Fits(bun, capacity) {
-		t.Fatalf("bundle should fit: used=%v bun=%v cap=%v", used, bun, capacity)
-	}
-	used.AddInPlace(bun)
-	if want := (DenseAlloc{2, 2, 3}); !equalDense(used, want) {
-		t.Fatalf("AddInPlace: got %v want %v", used, want)
-	}
-	if used.Fits(bun, capacity) {
-		t.Fatalf("bundle should no longer fit after add")
-	}
-	used.SubInPlace(bun)
-	if want := (DenseAlloc{1, 0, 3}); !equalDense(used, want) {
-		t.Fatalf("SubInPlace: got %v want %v", used, want)
-	}
-
-	var dst DenseAlloc
-	dst = used.CopyInto(dst)
-	dst[0] = 99
-	if used[0] != 1 {
-		t.Fatalf("CopyInto must not alias the source")
-	}
-}
-
-func equalDense(a, b DenseAlloc) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestAllocArenaReusesDense(t *testing.T) {
-	ar := NewAllocArena()
-	d := ar.Dense(8)
-	d[3] = 5
-	ar.ReleaseDense(d)
-	d2 := ar.Dense(4)
-	if len(d2) != 4 {
-		t.Fatalf("Dense(4) returned length %d", len(d2))
-	}
-	for i, n := range d2 {
-		if n != 0 {
-			t.Fatalf("recycled vector not zeroed at %d: %v", i, d2)
-		}
-	}
-	if &d2[0] != &d[0] {
-		t.Fatalf("expected the retired backing array to be reused")
-	}
-}
 
 func TestAllocArenaSparseLifecycle(t *testing.T) {
 	ar := NewAllocArena()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"themis/internal/cluster"
-	"themis/internal/solver"
 	"themis/internal/workload"
 )
 
@@ -97,8 +96,7 @@ type ArbiterStats struct {
 
 // RoundPhases is one auction round's phase breakdown — what OfferResources
 // just spent its time on, and what came out. The rpc layer copies it into
-// round-duration metrics and the /debug/rounds trace ring after every round;
-// experiments.ShardedLoadStudy aggregates it into its summary.
+// round-duration metrics and the /debug/rounds trace ring after every round.
 type RoundPhases struct {
 	// Probe covers the ρ probes and worst-1−f offer selection; Bid the
 	// batched bid preparation; Solve the partial-allocation auction (winner
@@ -346,10 +344,6 @@ func rhoOfWin(bid BidTable, won cluster.Alloc) float64 {
 	}
 	return best
 }
-
-// SolverOptions exposes the solver options used by the auction, for
-// benchmarks that want to compare exact and heuristic winner determination.
-func (c *Config) SolverOptions() *solver.Options { return &c.Auction.Solver }
 
 // ValuationArenaStats reports the valuator arena's sparse-map accounting
 // (maps currently lent, maps parked in the free list). Tests use it to pin

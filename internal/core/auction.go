@@ -87,6 +87,7 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 	}
 
 	allocated := cluster.NewAlloc()
+	var picker placement.Picker
 	for i, b := range bids {
 		id := b.App
 		pf := full[string(id)].Alloc
@@ -96,7 +97,7 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 			ci = hiddenPayment(inst, logs, i, opts.Solver)
 		}
 		res.HiddenPayment[id] = ci
-		final := scaleAllocation(topo, pf, ci)
+		final := scaleAllocation(&picker, topo, pf, ci)
 		res.Winners[id] = final
 		allocated = allocated.Add(final)
 	}
@@ -150,7 +151,7 @@ func hiddenPayment(inst *solver.Instance, logs []float64, i int, opts solver.Opt
 // scaleAllocation keeps a c_i fraction of a proportional-fair allocation,
 // dropping GPUs while preserving locality: the kept subset is picked
 // placement-sensitively from the original bundle.
-func scaleAllocation(topo *cluster.Topology, pf cluster.Alloc, ci float64) cluster.Alloc {
+func scaleAllocation(picker *placement.Picker, topo *cluster.Topology, pf cluster.Alloc, ci float64) cluster.Alloc {
 	total := pf.Total()
 	if total == 0 {
 		return cluster.NewAlloc()
@@ -162,7 +163,7 @@ func scaleAllocation(topo *cluster.Topology, pf cluster.Alloc, ci float64) clust
 	if keep <= 0 {
 		return cluster.NewAlloc()
 	}
-	return placement.Pick(topo, pf, cluster.NewAlloc(), keep)
+	return picker.PickInto(nil, topo, pf, nil, keep)
 }
 
 // AllocateLeftovers distributes leftover GPUs placement-sensitively among
@@ -197,6 +198,8 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 	remaining := leftover.Clone()
 	granted := make(map[workload.AppID]int)
 	rotation := 0
+	var picker placement.Picker
+	var pick cluster.Alloc // scratch: Add and Sub below copy out of it
 	for remaining.Total() > 0 {
 		progress := false
 		for k := 0; k < len(apps) && remaining.Total() > 0; k++ {
@@ -213,7 +216,7 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 				chunk = want
 			}
 			anchor := currents[id].Add(grants[id])
-			pick := placement.Pick(topo, remaining, anchor, chunk)
+			pick = picker.PickInto(pick, topo, remaining, anchor, chunk)
 			if pick.Total() == 0 {
 				continue
 			}

@@ -377,7 +377,7 @@ func TestHiddenPaymentsMatchPerBidderSolves(t *testing.T) {
 							t.Errorf("trial %d %s (empty PF): c_i %v, want 1", trial, b.App, got)
 						}
 					}
-					if w := scaleAllocation(topo, pf, want); pf.Total() > 0 && !res.Winners[b.App].Equal(w) {
+					if w := scaleAllocation(new(placement.Picker), topo, pf, want); pf.Total() > 0 && !res.Winners[b.App].Equal(w) {
 						t.Errorf("trial %d %s: winner %v, want %v", trial, b.App, res.Winners[b.App], w)
 					}
 					if pf.Total() == 0 && res.Winners[b.App].Total() != 0 {

@@ -5,9 +5,9 @@
 //
 // This package is about the *scheduling outcome* of a finished simulation.
 // Operational metrics of a *running deployment* — auction round timings, RPC
-// latencies, gossip health, served on /metrics — are internal/telemetry's
-// job; the two share no code because they answer different questions
-// ("was the schedule fair?" vs "is the daemon healthy right now?").
+// latencies, served on /metrics — are internal/telemetry's job; the two share
+// no code because they answer different questions ("was the schedule fair?"
+// vs "is the daemon healthy right now?").
 package metrics
 
 import (

@@ -8,134 +8,6 @@ import (
 	"themis/internal/cluster"
 )
 
-// Pick greedily selects up to count GPUs from the free vector in a
-// placement-sensitive manner, producing the allocation to add.
-//
-// Preference order:
-//  1. machines where anchor (the app's existing allocation) already holds
-//     GPUs — extending an allocation in place keeps its locality tight;
-//  2. machines in racks the anchor already touches;
-//  3. otherwise machines with the most free GPUs, so the picked GPUs pack
-//     into as few machines (and racks) as possible.
-//
-// This is the greedy job-level assignment of §5.2 step 4 and the leftover
-// allocation rule of §5.1 step 3. It never picks more than count GPUs and
-// never more than free allows; the result may hold fewer than count GPUs if
-// the free pool is smaller.
-func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int) cluster.Alloc {
-	picked := cluster.NewAlloc()
-	if count <= 0 {
-		return picked
-	}
-	remaining := free.Clone()
-	need := count
-
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := remaining[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		picked[m] += n
-		remaining[m] -= n
-		need -= n
-	}
-
-	// Pass 1: machines the anchor already uses, largest anchor share first.
-	for _, m := range sortedMachineIDs(anchor) {
-		take(m)
-		if need == 0 {
-			return picked
-		}
-	}
-
-	// Pass 2: machines in racks the anchor already touches.
-	anchorRacks := make(map[cluster.RackID]bool)
-	for _, m := range anchor.Machines() {
-		anchorRacks[topo.Rack(m)] = true
-	}
-	if len(anchorRacks) > 0 {
-		for _, m := range machinesByFree(remaining) {
-			if anchorRacks[topo.Rack(m)] {
-				take(m)
-				if need == 0 {
-					return picked
-				}
-			}
-		}
-	}
-
-	// Pass 3: pack into as few machines as possible, filling one fabric
-	// domain before spilling into the next. Domains the anchor already
-	// touches come first, then domains by aggregate free GPUs; within a
-	// domain, prefer the rack with the most aggregate free GPUs so
-	// multi-machine spills stay rack-local. On single-domain (flat)
-	// topologies the domain loop is a no-op and the order reduces to the
-	// pre-hierarchy rack packing.
-	anchorDomains := make(map[cluster.DomainID]bool)
-	for _, m := range anchor.Machines() {
-		anchorDomains[topo.Domain(m)] = true
-	}
-	rackFree := make(map[cluster.RackID]int)
-	domainFree := make(map[cluster.DomainID]int)
-	for m, n := range remaining {
-		if n > 0 {
-			rackFree[topo.Rack(m)] += n
-			domainFree[topo.Domain(m)] += n
-		}
-	}
-	domains := make([]cluster.DomainID, 0, len(domainFree))
-	for d := range domainFree {
-		domains = append(domains, d)
-	}
-	sort.Slice(domains, func(i, j int) bool {
-		di, dj := domains[i], domains[j]
-		if anchorDomains[di] != anchorDomains[dj] {
-			return anchorDomains[di]
-		}
-		if domainFree[di] != domainFree[dj] {
-			return domainFree[di] > domainFree[dj]
-		}
-		return di < dj
-	})
-	racks := make([]cluster.RackID, 0, len(rackFree))
-	for r := range rackFree {
-		racks = append(racks, r)
-	}
-	sort.Slice(racks, func(i, j int) bool {
-		if rackFree[racks[i]] != rackFree[racks[j]] {
-			return rackFree[racks[i]] > rackFree[racks[j]]
-		}
-		return racks[i] < racks[j]
-	})
-	for _, d := range domains {
-		for _, r := range racks {
-			for _, m := range machinesByFree(remaining) {
-				if topo.Rack(m) != r || topo.Domain(m) != d {
-					continue
-				}
-				take(m)
-				if need == 0 {
-					return picked
-				}
-			}
-		}
-	}
-	return picked
-}
-
-// PickSingleGPU picks one GPU from free, preferring machines where anchor
-// already holds GPUs (the leftover-allocation rule: place the new GPU on a
-// machine already part of the app's allocation when possible).
-func PickSingleGPU(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc) cluster.Alloc {
-	return Pick(topo, free, anchor, 1)
-}
-
 // SatisfiesMinPerMachine reports whether an allocation meets a per-machine
 // minimum: every machine used holds at least min GPUs. It implements the
 // placement constraints of §6 — allocations that violate a job's constraint
@@ -350,36 +222,14 @@ func machinesByFree(free cluster.Alloc) []cluster.MachineID {
 	return ids
 }
 
-// SplitAmongJobs partitions an app-level allocation across jobs that each
-// want up to maxPerJob GPUs, assigning GPUs to jobs in a placement-sensitive
-// manner: each job is packed onto as few machines as possible before moving
-// to the next job. jobs is the number of jobs wanting GPUs; the result has
-// one allocation per job (possibly empty), in job order.
-func SplitAmongJobs(topo *cluster.Topology, total cluster.Alloc, jobs int, maxPerJob int) []cluster.Alloc {
-	out := make([]cluster.Alloc, jobs)
-	remaining := total.Clone()
-	for j := 0; j < jobs; j++ {
-		out[j] = Pick(topo, remaining, cluster.NewAlloc(), maxPerJob)
-		var err error
-		remaining, err = remaining.Sub(out[j])
-		if err != nil {
-			// Pick never selects more than remaining holds.
-			panic("placement: SplitAmongJobs internal inconsistency: " + err.Error())
-		}
-	}
-	return out
-}
-
-// Picker is Pick with caller-owned scratch: the remaining vector, the
-// anchor/rack/domain index maps and every ordering slice are reused across
-// calls, so a steady-state valuation round picks candidates without
-// allocating. PickInto is bit-identical to Pick — same three preference
-// passes, same total-order sorts (count/free descending, ID ascending), same
-// stale-snapshot behavior in pass 2 and per-(domain,rack) recomputation in
-// pass 3 — which TestPickerMatchesPick pins on randomized topologies.
+// Picker is the placement-sensitive greedy picker with caller-owned scratch:
+// the remaining vector, the anchor/rack/domain index maps and every ordering
+// slice are reused across calls, so a steady-state valuation round picks
+// candidates without allocating (TestPickerSteadyStateAllocs). The zero value
+// is ready to use.
 //
-// A Picker is single-goroutine state; each BidValuator/RhoEstimator owns its
-// own.
+// A Picker is single-goroutine state; each BidValuator/RhoEstimator, and each
+// loop that picks repeatedly, owns its own.
 type Picker struct {
 	remaining     cluster.Alloc
 	anchorIDs     []cluster.MachineID
@@ -392,9 +242,24 @@ type Picker struct {
 	racks         []cluster.RackID
 }
 
-// PickInto is Pick writing into dst (cleared first; allocated when nil). The
-// returned allocation is dst, valid until the caller reuses it; free and
-// anchor are only read.
+// PickInto greedily selects up to count GPUs from the free vector in a
+// placement-sensitive manner, producing the allocation to add.
+//
+// Preference order:
+//  1. machines where anchor (the app's existing allocation) already holds
+//     GPUs — extending an allocation in place keeps its locality tight;
+//  2. machines in racks the anchor already touches;
+//  3. otherwise machines with the most free GPUs, so the picked GPUs pack
+//     into as few machines (and racks) as possible.
+//
+// This is the greedy job-level assignment of §5.2 step 4 and the leftover
+// allocation rule of §5.1 step 3. It never picks more than count GPUs and
+// never more than free allows; the result may hold fewer than count GPUs if
+// the free pool is smaller.
+//
+// The pick is written into dst (cleared first; allocated when nil) and
+// returned; it is valid until the caller reuses dst. free and anchor are only
+// read.
 func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, anchor cluster.Alloc, count int) cluster.Alloc {
 	if dst == nil {
 		dst = cluster.NewAlloc()
@@ -441,7 +306,7 @@ func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, ancho
 	}
 
 	// Pass 2: machines in racks the anchor already touches. The by-free
-	// order is snapshotted once, before any pass-2 take, exactly like Pick.
+	// order is snapshotted once, before any pass-2 take.
 	if p.anchorRacks == nil {
 		p.anchorRacks = make(map[cluster.RackID]bool)
 	}
@@ -462,8 +327,13 @@ func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, ancho
 		}
 	}
 
-	// Pass 3: pack into as few machines as possible, domain before rack,
-	// anchor domains first — Pick's comparators verbatim.
+	// Pass 3: pack into as few machines as possible, filling one fabric
+	// domain before spilling into the next. Domains the anchor already
+	// touches come first, then domains by aggregate free GPUs; within a
+	// domain, prefer the rack with the most aggregate free GPUs so
+	// multi-machine spills stay rack-local (the by-free order is recomputed
+	// per domain and rack). On single-domain (flat) topologies the domain
+	// loop is a no-op and the order reduces to plain rack packing.
 	if p.anchorDomains == nil {
 		p.anchorDomains = make(map[cluster.DomainID]bool)
 		p.rackFree = make(map[cluster.RackID]int)
@@ -525,6 +395,13 @@ func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, ancho
 		}
 	}
 	return dst
+}
+
+// Pick is PickInto on a throwaway Picker, returning a fresh allocation: the
+// form for one-off picks. Anything that picks in a loop owns a Picker instead.
+func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int) cluster.Alloc {
+	var p Picker
+	return p.PickInto(nil, topo, free, anchor, count)
 }
 
 // sortedByCount returns alloc's machines ordered by descending count then

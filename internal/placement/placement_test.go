@@ -170,29 +170,6 @@ func TestPickProperties(t *testing.T) {
 	}
 }
 
-func TestSplitAmongJobs(t *testing.T) {
-	topo := testTopo(t, 4, 4, 2)
-	total := cluster.Alloc{0: 4, 1: 4}
-	parts := SplitAmongJobs(topo, total, 3, 4)
-	if len(parts) != 3 {
-		t.Fatalf("got %d parts, want 3", len(parts))
-	}
-	sum := cluster.NewAlloc()
-	for _, p := range parts {
-		sum = sum.Add(p)
-	}
-	if !sum.Equal(total) {
-		t.Errorf("parts sum %v != total %v", sum, total)
-	}
-	// Each of the first two jobs should get a whole machine (packed).
-	if parts[0].Total() != 4 || len(parts[0].Machines()) != 1 {
-		t.Errorf("first job should be packed on one machine, got %v", parts[0])
-	}
-	if parts[2].Total() != 0 {
-		t.Errorf("third job should get nothing, got %v", parts[2])
-	}
-}
-
 func TestSatisfiesMaxMachines(t *testing.T) {
 	cases := []struct {
 		alloc cluster.Alloc
@@ -367,9 +344,9 @@ func TestPickConstrained(t *testing.T) {
 	}
 }
 
-// TestPickerMatchesPick pins PickInto to Pick bit-for-bit: same preference
-// ladder, same sort tie-breaks, across a reused Picker whose scratch carries
-// state between calls.
+// TestPickerMatchesPick pins scratch hygiene: a reused Picker, whose maps and
+// slices carry state between calls, picks bit-for-bit what Pick's throwaway
+// Picker does.
 func TestPickerMatchesPick(t *testing.T) {
 	topo := multiDomainTopo(t)
 	rng := rand.New(rand.NewSource(19))

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -23,8 +24,8 @@ var emptyCurrent = cluster.NewAlloc()
 
 // RemoteBidder adapts a registered remote Agent to the Arbiter's Bidder
 // interface: every call becomes an HTTP request to the agent daemon. A
-// failing or unreachable agent degrades gracefully — it reports an
-// out-of-auction ρ and an empty bid, so one dead agent never blocks the
+// failing, unreachable or lying agent degrades gracefully — it reports an
+// out-of-auction ρ and an empty bid, so one bad agent never blocks the
 // cluster's auctions.
 //
 // A RemoteBidder is immutable after construction: re-registration installs a
@@ -53,49 +54,73 @@ func (r *RemoteBidder) ctx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), timeout)
 }
 
-// toGlobal maps a shard-local allocation into the agent's global ID space.
-func (r *RemoteBidder) toGlobal(a cluster.Alloc) cluster.Alloc {
-	if r.Map == nil {
+// toGlobal maps an allocation from part's shard-local machine IDs to the
+// global ones agents reason about; a nil partition's IDs are already global
+// (the unsharded deployment).
+func toGlobal(part *shard.Partition, a cluster.Alloc) cluster.Alloc {
+	if part == nil {
 		return a
 	}
-	return r.Map.ToGlobal(a)
+	return part.ToGlobal(a)
 }
 
-// ReportRho implements core.Bidder over HTTP.
+// ReportRho implements core.Bidder over HTTP. Anything but a finite positive
+// ρ — an unreachable agent, one with nothing left to run, or one answering
+// garbage — reports the app as perfectly satisfied, so it never wins an
+// auction it cannot consume and never poisons the Arbiter's ρ sort.
 func (r *RemoteBidder) ReportRho(now float64, current cluster.Alloc) float64 {
 	ctx, cancel := r.ctx()
 	defer cancel()
-	rho, err := r.Client.ProbeRho(ctx, now, r.toGlobal(current))
-	if err != nil || rho <= 0 {
-		// An unreachable app cannot use GPUs right now: report it as
-		// perfectly satisfied so it never wins an auction it cannot consume.
+	rho, err := r.Client.ProbeRho(ctx, now, toGlobal(r.Map, current))
+	if err != nil || !finitePositive(rho) {
 		return 1
 	}
 	return rho
 }
 
+// finitePositive reports whether a remote ρ is usable: NaN fails every
+// comparison, so it is rejected by rho > 0 like zero and negatives are.
+func finitePositive(rho float64) bool { return rho > 0 && !math.IsInf(rho, 1) }
+
 // PrepareBid implements core.Bidder over HTTP. Offers cross the wire in
 // global machine IDs; the returned bid is translated back into the shard's
-// local space (entries naming machines outside the shard degrade to the
-// empty bid, like an unreachable agent).
+// local space. The answer is input from outside the process, so it is held to
+// the contract the auction checks — this app's ID whatever the agent wrote,
+// rows within the offer, an empty row, finite positive ρ — and an agent that
+// breaks it degrades to the empty bid, like an unreachable one, instead of
+// failing the round for every other bidder.
 func (r *RemoteBidder) PrepareBid(now float64, offer, current cluster.Alloc) core.BidTable {
 	ctx, cancel := r.ctx()
 	defer cancel()
 	empty := core.BidTable{App: r.AppID, Entries: []core.BidEntry{{Alloc: cluster.NewAlloc(), Rho: 1}}}
-	bid, err := r.Client.RequestBid(ctx, now, r.toGlobal(offer), r.toGlobal(current))
-	if err != nil || len(bid.Entries) == 0 {
+	bid, err := r.Client.RequestBid(ctx, now, toGlobal(r.Map, offer), toGlobal(r.Map, current))
+	if err != nil {
 		return empty
 	}
-	if r.Map != nil {
-		for i, e := range bid.Entries {
+	if !r.acceptBid(&bid, offer) {
+		clientErrors["/v1/bid"].Inc()
+		return empty
+	}
+	return bid
+}
+
+// acceptBid stamps the bid with this bidder's app, translates it into the
+// shard's local machine IDs and validates it against the (local) offer.
+func (r *RemoteBidder) acceptBid(bid *core.BidTable, offer cluster.Alloc) bool {
+	bid.App = r.AppID
+	for i, e := range bid.Entries {
+		if !finitePositive(e.Rho) {
+			return false
+		}
+		if r.Map != nil {
 			local, err := r.Map.FromGlobal(e.Alloc)
 			if err != nil {
-				return empty
+				return false
 			}
 			bid.Entries[i].Alloc = local
 		}
 	}
-	return bid
+	return bid.Validate(offer) == nil
 }
 
 // UnmetParallelism implements core.Bidder using the registered demand.
@@ -149,12 +174,15 @@ type ArbiterServer struct {
 
 	// shardLabel is the shard value on every metric series this server
 	// records: "single" for an unsharded deployment, the shard index inside
-	// a ShardedArbiterServer. tel holds the bound metric handles and ring
-	// the last rounds' phase traces; both are installed by bindTelemetry
-	// before any round can run.
+	// a ShardedArbiterServer. tel holds the metric handles bound to it and
+	// ring the last rounds' phase traces.
 	shardLabel string
 	tel        *serverTelemetry
 	ring       *telemetry.RoundRing
+	// part, when non-nil, is the capacity partition this server arbitrates
+	// inside a sharded deployment; remote bidders registered here translate
+	// offers and bids between the partition's local IDs and the global ones.
+	part *shard.Partition
 
 	// Clock returns the current scheduling time in minutes; the default uses
 	// wall-clock minutes since the server was created.
@@ -162,10 +190,6 @@ type ArbiterServer struct {
 	// AgentGang is the default leftover chunk size for registered agents
 	// that do not state one.
 	AgentGang int
-	// Part, when non-nil, is the capacity partition this server arbitrates
-	// inside a sharded deployment; remote bidders registered here translate
-	// offers and bids between the partition's local IDs and the global ones.
-	Part *shard.Partition
 
 	auctionMu sync.Mutex
 
@@ -173,41 +197,34 @@ type ArbiterServer struct {
 	state    *cluster.State
 	leases   *core.LeaseTable
 	agents   map[workload.AppID]*registeredAgent
-	auctions int // completed auction rounds; shadows arbiter.Stats.Auctions, readable under mu
+	auctions int              // completed auction rounds; shadows arbiter.Stats.Auctions, readable under mu
+	picker   placement.Picker // reconcileGrant's placement scratch
 }
 
-// NewArbiterServer builds a server around an Arbiter and its topology.
+// NewArbiterServer builds the unsharded server around an Arbiter and its
+// topology.
 func NewArbiterServer(arb *core.Arbiter) *ArbiterServer {
-	s := newArbiterServerUnbound(arb)
-	s.bindTelemetry("single")
-	return s
+	return newArbiterServer(arb, "single", nil)
 }
 
-// newArbiterServerUnbound builds the server without binding metric handles;
-// the sharded constructor uses it so a shard never registers the "single"
-// series it would immediately abandon.
-func newArbiterServerUnbound(arb *core.Arbiter) *ArbiterServer {
+// newArbiterServer builds both deployments' servers: label is the shard value
+// on the server's metric series and part the capacity partition it arbitrates
+// (nil when its machine IDs are already the global ones).
+func newArbiterServer(arb *core.Arbiter, label string, part *shard.Partition) *ArbiterServer {
 	start := time.Now()
-	s := &ArbiterServer{
-		arbiter:   arb,
-		topo:      arb.Topology(),
-		Clock:     func() float64 { return time.Since(start).Minutes() },
-		AgentGang: 4,
-		state:     cluster.NewState(arb.Topology()),
-		leases:    core.NewLeaseTable(),
-		agents:    make(map[workload.AppID]*registeredAgent),
-		ring:      telemetry.NewRoundRing(64),
+	return &ArbiterServer{
+		arbiter:    arb,
+		topo:       arb.Topology(),
+		shardLabel: label,
+		tel:        newServerTelemetry(telemetry.Default(), label),
+		ring:       telemetry.NewRoundRing(64),
+		part:       part,
+		Clock:      func() float64 { return time.Since(start).Minutes() },
+		AgentGang:  4,
+		state:      cluster.NewState(arb.Topology()),
+		leases:     core.NewLeaseTable(),
+		agents:     make(map[workload.AppID]*registeredAgent),
 	}
-	return s
-}
-
-// bindTelemetry points the server's metric handles at the given shard label.
-// NewArbiterServer binds "single"; the sharded constructor rebinds each shard
-// to its index before any round runs (rebinding later would split series
-// mid-flight).
-func (s *ArbiterServer) bindTelemetry(shard string) {
-	s.shardLabel = shard
-	s.tel = newServerTelemetry(telemetry.Default(), shard)
 }
 
 // Arbiter returns the wrapped core Arbiter; experiments read its cumulative
@@ -218,27 +235,63 @@ func (s *ArbiterServer) Arbiter() *core.Arbiter { return s.arbiter }
 // /debug/rounds serves it as JSON and arbiterd dumps it on SIGQUIT.
 func (s *ArbiterServer) RoundTrace() *telemetry.RoundRing { return s.ring }
 
-// Handler returns the HTTP handler implementing the Arbiter protocol. Every
-// protocol endpoint is instrumented with per-endpoint latency and status-class
-// counters; the handler additionally serves the operational surface —
-// /metrics (Prometheus text), /healthz and /debug/rounds (round trace ring).
+// Handler returns the HTTP handler implementing the Arbiter protocol; see
+// protocolMux for the surface.
 func (s *ArbiterServer) Handler() http.Handler {
+	return protocolMux(s.register, func() (AuctionResponse, error) { return s.RunAuction(s.Clock()) }, s.Status, s.ring)
+}
+
+// protocolMux serves the routes an unsharded and a sharded arbiter share, so
+// agents and operator tooling cannot tell which one they talk to: register,
+// auction, status and health, each instrumented with per-endpoint latency and
+// status-class counters, plus the operational surface — /metrics (Prometheus
+// text), /healthz and /debug/rounds (ring's round traces).
+func protocolMux(
+	register func(RegisterRequest) (RegisterResponse, error),
+	auction func() (AuctionResponse, error),
+	status func() StatusResponse,
+	ring *telemetry.RoundRing,
+) *http.ServeMux {
 	reg := telemetry.Default()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/register", telemetry.Instrument(reg, "/v1/register", s.handleRegister))
-	mux.HandleFunc("/v1/auction", telemetry.Instrument(reg, "/v1/auction", s.handleAuction))
-	mux.HandleFunc("/v1/status", telemetry.Instrument(reg, "/v1/status", s.handleStatus))
+	mux.HandleFunc("/v1/register", telemetry.Instrument(reg, "/v1/register", func(w http.ResponseWriter, r *http.Request) {
+		var req RegisterRequest
+		if !readJSON(w, r, &req) {
+			return
+		}
+		resp, err := register(req)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, resp)
+	}))
+	mux.HandleFunc("/v1/auction", telemetry.Instrument(reg, "/v1/auction", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+			return
+		}
+		resp, err := auction()
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, resp)
+	}))
+	mux.HandleFunc("/v1/status", telemetry.Instrument(reg, "/v1/status", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, status())
+	}))
 	mux.HandleFunc("/v1/health", telemetry.Instrument(reg, "/v1/health", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]string{"status": "ok"})
 	}))
 	mux.Handle("/metrics", telemetry.MetricsHandler(reg))
 	mux.Handle("/healthz", telemetry.HealthzHandler())
-	mux.Handle("/debug/rounds", telemetry.RoundsHandler(s.ring))
+	mux.Handle("/debug/rounds", telemetry.RoundsHandler(ring))
 	return mux
 }
 
-// RegisterBidder registers (or re-registers) an in-process Bidder — the load
-// harness's simulated agents and tests use this to drive auctions without
+// RegisterBidder registers (or re-registers) an in-process Bidder — the
+// benchmark's synthetic bidders and tests use this to drive auctions without
 // HTTP callbacks. Held GPUs and running leases survive re-registration.
 func (s *ArbiterServer) RegisterBidder(b core.Bidder) {
 	s.mu.Lock()
@@ -270,34 +323,13 @@ func (s *ArbiterServer) register(req RegisterRequest) (RegisterResponse, error) 
 			Client: client,
 			Demand: demand,
 			Gang:   s.AgentGang,
-			Map:    s.Part,
+			Map:    s.part,
 		},
 		notify: client,
 	}
 	s.tel.agents.Set(int64(len(s.agents)))
 	s.mu.Unlock()
 	return RegisterResponse{OK: true, LeaseMin: s.arbiter.Config().LeaseDuration, Updated: updated}, nil
-}
-
-func (s *ArbiterServer) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	var req RegisterRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.register(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func (s *ArbiterServer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Status())
 }
 
 // Status reports the arbiter's view of its cluster (or capacity partition).
@@ -355,27 +387,12 @@ func (s *ArbiterServer) ValidateState() error {
 	return s.state.Validate()
 }
 
-// handleAuction runs one auction round: it reclaims expired leases, offers
-// the free GPUs to the registered agents, applies the winning allocations
-// and notifies every affected agent of its new total allocation.
-func (s *ArbiterServer) handleAuction(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	now := s.Clock()
-	resp, err := s.RunAuction(now)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// RunAuction executes one auction round at the given scheduling time and
-// delivers the changed allocations to the affected agents. It is exported so
-// daemons and tests can drive auctions without HTTP. Rounds are serialised:
-// a concurrent call blocks until the in-flight round has applied its grants.
+// RunAuction executes one auction round at the given scheduling time — it
+// reclaims expired leases, offers the free GPUs to the registered agents and
+// applies the winning allocations — and delivers each affected agent its new
+// total allocation. It is exported so daemons and tests can drive auctions
+// without HTTP. Rounds are serialised: a concurrent call blocks until the
+// in-flight round has applied its grants.
 func (s *ArbiterServer) RunAuction(now float64) (AuctionResponse, error) {
 	resp, changed, err := s.auctionRound(now)
 	if err != nil {
@@ -508,7 +525,7 @@ func (s *ArbiterServer) reconcileGrant(app workload.AppID, chunk int, now float6
 	if free.Total() == 0 {
 		return cluster.NewAlloc(), nil
 	}
-	pick := placement.Pick(s.topo, free, s.state.Held(string(app)), chunk)
+	pick := s.picker.PickInto(nil, s.topo, free, s.state.Held(string(app)), chunk)
 	if pick.Total() == 0 {
 		return pick, nil
 	}
@@ -519,33 +536,27 @@ func (s *ArbiterServer) reconcileGrant(app workload.AppID, chunk int, now float6
 	return pick, nil
 }
 
-// notifyAgents delivers each changed app's new total allocation to its
-// callback. Clients and totals are snapshotted under mu; the HTTP calls run
-// outside every lock.
+// notifyAgents delivers each changed app's new total allocation, in global
+// machine IDs, to its callback.
 func (s *ArbiterServer) notifyAgents(now float64, changed map[workload.AppID]bool) {
-	if len(changed) == 0 {
-		return
-	}
-	s.mu.Lock()
-	lease := s.arbiter.Config().LeaseDuration
-	notify := make(map[workload.AppID]cluster.Alloc, len(changed))
-	clients := make(map[workload.AppID]*AgentClient, len(changed))
-	for id := range changed {
-		a, ok := s.agents[id]
-		if !ok || a.notify == nil {
-			continue
-		}
-		clients[id] = a.notify
-		notify[id] = s.state.Held(string(id))
-	}
-	s.mu.Unlock()
+	deliverChanged(now, s.arbiter.Config().LeaseDuration, changed, s.notifyClient, func(app workload.AppID) cluster.Alloc {
+		return toGlobal(s.part, s.HeldBy(app))
+	})
+}
 
-	for id, alloc := range notify {
-		if s.Part != nil {
-			alloc = s.Part.ToGlobal(alloc)
+// deliverChanged sends every changed app that registered a callback ONE
+// message carrying held(app), its new total allocation in global machine IDs,
+// leased until now+lease. client and held take their owner's lock per app;
+// the HTTP calls run outside every lock. A failed delivery is dropped; the
+// client has counted the transport failure.
+func deliverChanged(now, lease float64, changed map[workload.AppID]bool, client func(workload.AppID) *AgentClient, held func(workload.AppID) cluster.Alloc) {
+	for app := range changed {
+		c := client(app)
+		if c == nil {
+			continue // in-process bidders pull their allocation from the auction response
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = clients[id].DeliverAllocation(ctx, now, alloc, true, now+lease)
+		_ = c.DeliverAllocation(ctx, now, held(app), true, now+lease)
 		cancel()
 	}
 }

@@ -215,8 +215,8 @@ func (c *ArbiterClient) Status(ctx context.Context) (StatusResponse, error) {
 	return out, err
 }
 
-// ShardStatus fetches the per-shard detail of a sharded arbiter, including
-// membership when gossip is enabled. Unsharded arbiters return 404.
+// ShardStatus fetches the per-shard detail of a sharded arbiter. Unsharded
+// arbiters return 404.
 func (c *ArbiterClient) ShardStatus(ctx context.Context) (ShardStatusResponse, error) {
 	var out ShardStatusResponse
 	err := c.get(ctx, "/v1/shards", &out)

@@ -110,16 +110,34 @@ func TestRegisterSemantics(t *testing.T) {
 	ts := httptest.NewServer(server.Handler())
 	defer ts.Close()
 
-	// Non-POST methods are rejected outright.
-	for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodDelete} {
-		req, _ := http.NewRequest(method, ts.URL+"/v1/register", nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s /v1/register = %d, want 405", method, resp.StatusCode)
+	// Both deployments serve one protocol mux: non-POST methods are rejected
+	// outright, and the arbiter-to-arbiter endpoint removed with the
+	// membership table answers 404 rather than decoding anybody's JSON.
+	sharded, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardedTS := httptest.NewServer(sharded.Handler())
+	defer shardedTS.Close()
+	for _, base := range []string{ts.URL, shardedTS.URL} {
+		for _, probe := range []struct {
+			method, path string
+			want         int
+		}{
+			{http.MethodGet, "/v1/register", http.StatusMethodNotAllowed},
+			{http.MethodPut, "/v1/register", http.StatusMethodNotAllowed},
+			{http.MethodDelete, "/v1/register", http.StatusMethodNotAllowed},
+			{http.MethodPost, "/v1/gossip", http.StatusNotFound},
+		} {
+			req, _ := http.NewRequest(probe.method, base+probe.path, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != probe.want {
+				t.Errorf("%s %s = %d, want %d", probe.method, probe.path, resp.StatusCode, probe.want)
+			}
 		}
 	}
 

@@ -2,6 +2,10 @@ package rpc
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"themis/internal/core"
 	"themis/internal/hyperparam"
 	"themis/internal/placement"
+	"themis/internal/shard"
 	"themis/internal/workload"
 )
 
@@ -223,5 +228,78 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 	}
 	if (&RemoteBidder{}).GangSize() != 1 {
 		t.Error("zero gang should default to 1")
+	}
+
+	// Nor must a reachable agent that answers garbage: each lie degrades to
+	// "ρ = 1, empty bid" for the liar alone, on a shard (answers translated
+	// from global machine IDs) and unsharded, and the honest app's round
+	// goes through. The offer-bound, empty-row and app-ID lies used to fail
+	// RunAuction for everybody; encoding/json already refuses a NaN token.
+	topo := testTopo(t)
+	parts, err := shard.Split(topo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := parts[1]
+	first, err := part.GlobalID(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beyond := fmt.Sprintf(`{"app":"liar","rows":[{"alloc":[],"rho":9},{"alloc":[{"machine":%d,"gpus":99}],"rho":1}]}`, first)
+	for _, lie := range []struct {
+		name, rho, bid string
+		rejected       bool // the bid is refused and counted, not merely re-stamped or undecodable
+	}{
+		{"beyond-offer", `{"app":"liar","rho":9}`, beyond, true},
+		{"no-empty-row", `{"app":"liar","rho":9}`, fmt.Sprintf(`{"app":"liar","rows":[{"alloc":[{"machine":%d,"gpus":1}],"rho":1}]}`, first), true},
+		{"foreign-app-id", `{"app":"honest","rho":9}`, `{"app":"honest","rows":[{"alloc":[],"rho":9}]}`, false},
+		{"nan-rho", `{"app":"liar","rho":NaN}`, `{"app":"liar","rows":[{"alloc":[],"rho":NaN}]}`, false},
+	} {
+		t.Run(lie.name, func(t *testing.T) {
+			agent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				switch r.URL.Path {
+				case "/v1/rho":
+					io.WriteString(w, lie.rho)
+				case "/v1/bid":
+					io.WriteString(w, lie.bid)
+				default:
+					io.WriteString(w, `{"ok":true}`)
+				}
+			}))
+			defer agent.Close()
+
+			onShard := &RemoteBidder{AppID: "liar", Client: NewAgentClient(agent.URL), Demand: 4, Map: part}
+			if rho := onShard.ReportRho(0, cluster.NewAlloc()); !(rho > 0) || math.IsInf(rho, 0) {
+				t.Errorf("ρ = %v reached the arbiter's sort", rho)
+			}
+			before := clientErrors["/v1/bid"].Value()
+			bid := onShard.PrepareBid(0, cluster.Alloc{0: 4}, cluster.NewAlloc())
+			if bid.App != "liar" || bid.Validate(cluster.Alloc{0: 4}) != nil {
+				t.Errorf("bid reached the auction unvalidated: %+v", bid)
+			}
+			if got := clientErrors["/v1/bid"].Value() - before; (got == 1) != lie.rejected {
+				t.Errorf("rejection counter moved by %d, want rejected=%v", got, lie.rejected)
+			}
+
+			arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			server := NewArbiterServer(arb)
+			server.RegisterBidder(&simBidder{id: "honest", demand: 4, weight: 100})
+			if _, err := server.register(RegisterRequest{App: "liar", Callback: agent.URL, MaxParallelism: 4}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := server.RunAuction(0); err != nil {
+				t.Fatalf("one lying agent failed the round: %v", err)
+			}
+			if got := server.HeldTotalBy("honest"); got != 4 {
+				t.Errorf("honest app holds %d GPUs, want its demand 4", got)
+			}
+			if err := server.ValidateState(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -37,8 +36,8 @@ import (
 // Because auction cost is superlinear in the number of participants (one
 // solver pass per bidder for hidden payments), sharding buys more than
 // concurrency: N shards of P/N participants do ~1/N² the work of one
-// P-participant auction even on a single core. experiments.ShardedLoadStudy
-// measures this.
+// P-participant auction even on a single core; the benchmark's serve-sharded
+// workload measures such rounds.
 type ShardedArbiterServer struct {
 	topo *cluster.Topology
 	ring *shard.Ring
@@ -50,9 +49,6 @@ type ShardedArbiterServer struct {
 	// Clock returns the scheduling time in minutes; shards inherit it so the
 	// whole deployment agrees on lease expiry.
 	Clock func() float64
-	// Membership, when set, is gossiped on /v1/gossip and reported by
-	// /v1/shards; the arbiterd -join mode installs it.
-	Membership *shard.Membership
 
 	// tel holds the deployment-wide metric handles (shard-level series live
 	// on each shard's own ArbiterServer); globalRing traces the coarse
@@ -90,10 +86,8 @@ func NewShardedArbiterServer(topo *cluster.Topology, cfg core.Config, n int) (*S
 		if err != nil {
 			return nil, fmt.Errorf("rpc: shard %d arbiter: %w", i, err)
 		}
-		srv := newArbiterServerUnbound(arb)
-		srv.Part = p
+		srv := newArbiterServer(arb, strconv.Itoa(i), p)
 		srv.Clock = func() float64 { return s.Clock() }
-		srv.bindTelemetry(strconv.Itoa(i))
 		s.shards = append(s.shards, srv)
 		s.parts = append(s.parts, p)
 		name := shardName(i)
@@ -108,7 +102,7 @@ func shardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 // NumShards returns the shard count.
 func (s *ShardedArbiterServer) NumShards() int { return len(s.shards) }
 
-// Shard returns the i'th shard's server (tests and the load harness drive
+// Shard returns the i'th shard's server (tests and the benchmark drive
 // shards directly through this).
 func (s *ShardedArbiterServer) Shard(i int) *ArbiterServer { return s.shards[i] }
 
@@ -392,20 +386,9 @@ func minInt(a, b int) int {
 // total across all shards. The callback is looked up on the app's home shard
 // (the only shard remote agents register with).
 func (s *ShardedArbiterServer) deliver(now float64, changed map[workload.AppID]bool) {
-	if len(changed) == 0 {
-		return
-	}
-	lease := s.shards[0].arbiter.Config().LeaseDuration
-	for app := range changed {
-		client := s.shards[s.HomeShard(string(app))].notifyClient(app)
-		if client == nil {
-			continue
-		}
-		alloc := s.HeldGlobal(app)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = client.DeliverAllocation(ctx, now, alloc, true, now+lease)
-		cancel()
-	}
+	deliverChanged(now, s.shards[0].arbiter.Config().LeaseDuration, changed, func(app workload.AppID) *AgentClient {
+		return s.shards[s.HomeShard(string(app))].notifyClient(app)
+	}, s.HeldGlobal)
 }
 
 // Status aggregates the shards into the same StatusResponse an unsharded
@@ -430,8 +413,7 @@ func (s *ShardedArbiterServer) Status() StatusResponse {
 	return out
 }
 
-// ShardStatus reports the per-shard detail plus reconciliation telemetry and
-// the gossip membership table when one is attached.
+// ShardStatus reports the per-shard detail plus reconciliation telemetry.
 func (s *ShardedArbiterServer) ShardStatus() ShardStatusResponse {
 	s.mu.Lock()
 	out := ShardStatusResponse{Now: s.Clock(), Reconciled: s.reconciled, Rounds: s.rounds}
@@ -447,65 +429,16 @@ func (s *ShardedArbiterServer) ShardStatus() ShardStatusResponse {
 			Auctions:     st.Auctions,
 		})
 	}
-	if s.Membership != nil {
-		for _, m := range s.Membership.Members() {
-			out.Members = append(out.Members, MemberInfo{
-				Name: m.Name, Addr: m.Addr, State: string(m.State), Incarnation: m.Incarnation,
-			})
-		}
-	}
 	return out
 }
 
-// Handler serves the same protocol surface as an unsharded ArbiterServer —
-// register, auction, status, health — plus /v1/shards for per-shard detail
-// and /v1/gossip when membership is attached. Agents cannot tell whether
-// they registered with a sharded arbiter.
+// Handler serves the same protocol surface as an unsharded ArbiterServer
+// (protocolMux) plus /v1/shards for per-shard detail. Agents cannot tell
+// whether they registered with a sharded arbiter.
 func (s *ShardedArbiterServer) Handler() http.Handler {
-	reg := telemetry.Default()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/register", telemetry.Instrument(reg, "/v1/register", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-			return
-		}
-		var req RegisterRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		resp, err := s.Register(req)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, resp)
-	}))
-	mux.HandleFunc("/v1/auction", telemetry.Instrument(reg, "/v1/auction", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-			return
-		}
-		resp, err := s.RunAuction(s.Clock())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, resp)
-	}))
-	mux.HandleFunc("/v1/status", telemetry.Instrument(reg, "/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status())
-	}))
-	mux.HandleFunc("/v1/shards", telemetry.Instrument(reg, "/v1/shards", func(w http.ResponseWriter, r *http.Request) {
+	mux := protocolMux(s.Register, func() (AuctionResponse, error) { return s.RunAuction(s.Clock()) }, s.Status, s.globalRing)
+	mux.HandleFunc("/v1/shards", telemetry.Instrument(telemetry.Default(), "/v1/shards", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.ShardStatus())
 	}))
-	mux.HandleFunc("/v1/health", telemetry.Instrument(reg, "/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
-	}))
-	mux.Handle("/metrics", telemetry.MetricsHandler(reg))
-	mux.Handle("/healthz", telemetry.HealthzHandler())
-	mux.Handle("/debug/rounds", telemetry.RoundsHandler(s.globalRing))
-	if s.Membership != nil {
-		mux.Handle("/v1/gossip", s.Membership.Handler())
-	}
 	return mux
 }

@@ -118,17 +118,19 @@ func TestShardedSmokeTwoShardsHTTP(t *testing.T) {
 
 // runParity drives one unsharded arbiter and one sharded deployment over
 // identical clusters and app populations for several full-reclaim rounds,
-// returning (total granted by each, per-app L1 divergence).
-func runParity(t *testing.T, apps, demand, shards, rounds int, f float64) (int, int, int) {
+// returning (total granted by each, per-app L1 divergence). The last
+// `demanding` of the apps want `demand` GPUs each and are the most starved;
+// the rest are idle — probed every round, wanting nothing.
+func runParity(t *testing.T, apps, demanding, demand, shards, rounds int, f float64) (int, int, int) {
 	t.Helper()
 	cfg := core.Config{FairnessKnob: f, LeaseDuration: 20}
 	makeBidders := func() []*simBidder {
 		out := make([]*simBidder, apps)
 		for i := range out {
-			out[i] = &simBidder{
-				id:     workload.AppID(fmt.Sprintf("app-%02d", i)),
-				demand: demand,
-				weight: float64(100 + i),
+			out[i] = &simBidder{id: workload.AppID(fmt.Sprintf("app-%02d", i)), weight: 1}
+			if i >= apps-demanding {
+				out[i].demand = demand
+				out[i].weight = float64(100 + i)
 			}
 		}
 		return out
@@ -182,18 +184,32 @@ func runParity(t *testing.T, apps, demand, shards, rounds int, f float64) (int, 
 // TestShardedParityFullSubscription: when aggregate demand equals capacity,
 // every app can be fully satisfied, so the sharded deployment must match the
 // unsharded one EXACTLY, app by app — local auctions satisfy homed demand
-// and the reconciliation round erases any shard imbalance.
+// and the reconciliation round erases any shard imbalance. The idle-majority
+// case buries the 16 demanding apps under 384 that want nothing, with f set so
+// that only the demanding stratum bids (the paper's "worst-off fraction"):
+// the idle apps cost a probe per round and must change nothing.
 func TestShardedParityFullSubscription(t *testing.T) {
-	// 16 apps x 2 GPUs = 32 = cluster capacity.
-	single, sharded, l1 := runParity(t, 16, 2, 2, 3, 0.5)
-	if single != 32 {
-		t.Fatalf("reference granted %d of 32 with matching demand (work conservation broken)", single)
-	}
-	if sharded != single {
-		t.Errorf("sharded granted %d, single %d", sharded, single)
-	}
-	if l1 != 0 {
-		t.Errorf("per-app divergence %d GPUs at full subscription, want exact parity", l1)
+	for _, tc := range []struct {
+		name string
+		apps int
+		f    float64
+	}{
+		{"all-demanding", 16, 0.5},
+		{"idle-majority", 400, 1 - 16.0/400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// 16 apps x 2 GPUs = 32 = cluster capacity.
+			single, sharded, l1 := runParity(t, tc.apps, 16, 2, 2, 3, tc.f)
+			if single != 32 {
+				t.Fatalf("reference granted %d of 32 with matching demand (work conservation broken)", single)
+			}
+			if sharded != single {
+				t.Errorf("sharded granted %d, single %d", sharded, single)
+			}
+			if l1 != 0 {
+				t.Errorf("per-app divergence %d GPUs at full subscription, want exact parity", l1)
+			}
+		})
 	}
 }
 
@@ -203,7 +219,7 @@ func TestShardedParityFullSubscription(t *testing.T) {
 // shard's "worst 1-f fraction" is computed over its own residents, so which
 // apps win can legitimately shift at the margin.
 func TestShardedParityOversubscribed(t *testing.T) {
-	single, sharded, l1 := runParity(t, 16, 4, 2, 3, 0.5)
+	single, sharded, l1 := runParity(t, 16, 16, 4, 2, 3, 0.5)
 	if single != 32 {
 		t.Fatalf("reference granted %d of 32 (work conservation broken)", single)
 	}

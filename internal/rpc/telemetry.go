@@ -5,14 +5,14 @@ import (
 )
 
 // serverTelemetry bundles the metric handles one ArbiterServer records after
-// every auction round. Handles are created once, when the server binds its
-// shard label, so the per-round record path is pure atomic stores — it adds
-// no allocations to the zero-alloc auction hot path.
+// every auction round. Handles are created once, when the server is built,
+// so the per-round record path is pure atomic stores — it adds no allocations
+// to the zero-alloc auction hot path.
 //
 // All series carry a shard label: "single" for an unsharded deployment,
 // the shard index for shards of a ShardedArbiterServer. Registration is
-// get-or-create on the process registry, so tests and load studies that
-// build many servers share handles instead of growing the registry.
+// get-or-create on the process registry, so tests and benchmarks that build
+// many servers share handles instead of growing the registry.
 type serverTelemetry struct {
 	rounds   *telemetry.Counter
 	errors   *telemetry.Counter

@@ -161,23 +161,13 @@ type ShardInfo struct {
 	Auctions     int      `json:"auctions"`
 }
 
-// MemberInfo is one gossip member as reported by /v1/shards.
-type MemberInfo struct {
-	Name        string `json:"name"`
-	Addr        string `json:"addr"`
-	State       string `json:"state"`
-	Incarnation uint64 `json:"incarnation"`
-}
-
 // ShardStatusResponse is the sharded arbiter's per-shard detail: capacity
-// partitions, reconciliation telemetry and (when gossip is enabled) the
-// membership table.
+// partitions and reconciliation telemetry.
 type ShardStatusResponse struct {
-	Now        float64      `json:"now"`
-	Shards     []ShardInfo  `json:"shards"`
-	Reconciled int          `json:"reconciled_gpus"`
-	Rounds     int          `json:"rounds"`
-	Members    []MemberInfo `json:"members,omitempty"`
+	Now        float64     `json:"now"`
+	Shards     []ShardInfo `json:"shards"`
+	Reconciled int         `json:"reconciled_gpus"`
+	Rounds     int         `json:"rounds"`
 }
 
 // sortedKeys returns map keys in a stable order for deterministic responses.

@@ -31,6 +31,7 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 	out := make(map[workload.AppID]cluster.Alloc)
 	remaining := free.Clone()
 	demand := demandOf(view)
+	var picker placement.Picker
 	for remaining.Total() > 0 {
 		type candidate struct {
 			st    *sim.AppState
@@ -45,7 +46,7 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 			}
 			chunk := chunkFor(st, unmet)
 			anchor := st.Held.Add(out[st.App.ID])
-			alloc := placement.Pick(view.Topo, remaining, anchor, chunk)
+			alloc := picker.PickInto(nil, view.Topo, remaining, anchor, chunk)
 			if alloc.Total() == 0 {
 				continue
 			}

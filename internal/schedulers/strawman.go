@@ -42,6 +42,7 @@ func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (ma
 	remaining := free.Clone()
 	demand := demandOf(view)
 	granted := make(map[workload.AppID]bool)
+	var picker placement.Picker
 
 	for remaining.Total() > 0 {
 		var worst *sim.AppState
@@ -59,7 +60,7 @@ func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (ma
 			break
 		}
 		granted[worst.App.ID] = true
-		alloc := placement.Pick(view.Topo, remaining, worst.Held, demand[worst.App.ID])
+		alloc := picker.PickInto(nil, view.Topo, remaining, worst.Held, demand[worst.App.ID])
 		if alloc.Total() == 0 {
 			continue
 		}

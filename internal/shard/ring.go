@@ -1,12 +1,8 @@
 // Package shard partitions a Themis deployment across arbiter shards: a
-// consistent-hash ring maps every app to its home shard, Split carves the
-// cluster topology into per-shard capacity partitions, and Membership keeps
-// a lightweight HTTP gossip/heartbeat protocol (with configurable suspicion
-// timeouts) so arbiterd processes discover each other and agree on the ring.
-//
-// The package is deliberately self-contained — plain data structures plus
-// net/http — so both the in-process sharded arbiter (arbiterd -shards) and
-// the multi-process deployment (arbiterd -join) build on the same pieces.
+// consistent-hash ring maps every app to its home shard and Split carves the
+// cluster topology into per-shard capacity partitions. Every shard lives in
+// the one arbiterd process (arbiterd -shards N); the package is plain data
+// structures with no I/O.
 package shard
 
 import (
@@ -22,9 +18,9 @@ const DefaultVirtualNodes = 64
 
 // Ring is a consistent-hash ring with virtual nodes. The app→shard mapping
 // depends only on the member set and the vnode count — never on insertion
-// order — so every process that knows the same membership computes the same
-// routing. Ring is a value-style structure: not safe for concurrent mutation,
-// cheap to rebuild from a membership snapshot.
+// order — so every process that knows the shard count computes the same
+// routing. A Ring is built once and only read afterwards; it is not safe for
+// concurrent mutation.
 type Ring struct {
 	vnodes  int
 	members map[string]bool
@@ -72,23 +68,6 @@ func (r *Ring) Add(member string) {
 		r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", member, v)), owner: member})
 	}
 	r.sortPoints()
-}
-
-// Remove deletes a member; removing an unknown member is a no-op. Only the
-// keys the member owned remap (to their next point clockwise) — everything
-// else keeps its owner, the property that makes membership churn cheap.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.owner != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 func (r *Ring) sortPoints() {

@@ -296,6 +296,7 @@ func (st *AppState) splitHeld(held cluster.Alloc) map[workload.JobID]cluster.All
 		}
 	}
 	remaining := held.Clone()
+	var picker placement.Picker
 	for _, j := range order {
 		want := j.MaxParallelism
 		if want <= 0 {
@@ -307,7 +308,7 @@ func (st *AppState) splitHeld(held cluster.Alloc) map[workload.JobID]cluster.All
 			// rejected at arrival; assign it nothing meanwhile.
 			continue
 		}
-		picked := placement.Pick(st.topo, remaining, cluster.NewAlloc(), want)
+		picked := picker.PickInto(nil, st.topo, remaining, nil, want)
 		if !c.IsZero() && !placement.Satisfies(st.topo, picked, c) {
 			picked = placement.PickConstrained(st.topo, remaining, cluster.NewAlloc(), want, c)
 		}

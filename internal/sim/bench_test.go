@@ -61,6 +61,7 @@ func (benchPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[wo
 	var out map[workload.AppID]cluster.Alloc
 	remaining := free
 	left := free.Total()
+	var picker placement.Picker
 	for _, st := range view.Apps {
 		if left == 0 {
 			break
@@ -69,7 +70,7 @@ func (benchPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[wo
 		if want <= 0 {
 			continue
 		}
-		alloc := placement.Pick(view.Topo, remaining, st.Held, want)
+		alloc := picker.PickInto(nil, view.Topo, remaining, st.Held, want)
 		granted := alloc.Total()
 		if granted == 0 {
 			continue

@@ -299,19 +299,19 @@ func (s *Simulator) removeActive(st *AppState) {
 	s.activeList[last] = nil
 	s.activeList = s.activeList[:last]
 	st.activeIdx = -1
-	setMembership(&s.runningList, st, &st.runningIdx, runningIdxOf, false)
-	setMembership(&s.holdingList, st, &st.holdingIdx, holdingIdxOf, false)
+	setListed(&s.runningList, st, &st.runningIdx, runningIdxOf, false)
+	setListed(&s.holdingList, st, &st.holdingIdx, holdingIdxOf, false)
 	s.removeActiveSorted(st)
 }
 
 // runningIdxOf and holdingIdxOf select the membership index fields for
-// setMembership's swap-removal bookkeeping.
+// setListed's swap-removal bookkeeping.
 func runningIdxOf(st *AppState) *int { return &st.runningIdx }
 func holdingIdxOf(st *AppState) *int { return &st.holdingIdx }
 
-// setMembership adds st to or removes st from a swap-removal list, keeping
+// setListed adds st to or removes st from a swap-removal list, keeping
 // the per-app index (selected by idxOf) consistent for the moved element.
-func setMembership(list *[]*AppState, st *AppState, idx *int, idxOf func(*AppState) *int, want bool) {
+func setListed(list *[]*AppState, st *AppState, idx *int, idxOf func(*AppState) *int, want bool) {
 	has := *idx >= 0
 	if want == has {
 		return
@@ -338,8 +338,8 @@ func setMembership(list *[]*AppState, st *AppState, idx *int, idxOf func(*AppSta
 func (s *Simulator) appStateChanged(st *AppState) {
 	s.refreshCompletion(st)
 	st.tunerDirty = true
-	setMembership(&s.runningList, st, &st.runningIdx, runningIdxOf, len(st.runnable) > 0)
-	setMembership(&s.holdingList, st, &st.holdingIdx, holdingIdxOf, st.heldTotal > 0)
+	setListed(&s.runningList, st, &st.runningIdx, runningIdxOf, len(st.runnable) > 0)
+	setListed(&s.holdingList, st, &st.holdingIdx, holdingIdxOf, st.heldTotal > 0)
 }
 
 // insertActiveSorted adds st to the ID-sorted active slice.

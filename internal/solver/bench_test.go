@@ -40,9 +40,9 @@ func benchInstance(nBidders, nBundles int, seed int64) (cluster.Alloc, []Bidder)
 }
 
 // BenchmarkSolverGreedy measures the heuristic path at auction scale; the
-// 8-bundle tables push the search space past ExactLimit so the greedy +
-// pair-move search runs, which is where the old map-based implementation
-// spent ~2/3 of auction CPU in Clone/Sub/TotalAlloc chains.
+// 8-bundle tables push the search space past ExactLimit so the greedy search
+// runs, which is where the old map-based implementation spent ~2/3 of auction
+// CPU in Clone/Sub/TotalAlloc chains.
 func BenchmarkSolverGreedy(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		b.Run(fmt.Sprintf("bidders-%d", n), func(b *testing.B) {

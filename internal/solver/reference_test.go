@@ -44,6 +44,25 @@ func refSolve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignmen
 	return asg, asg.Objective(), nil
 }
 
+// Normalize ensures the bidder has an empty-allocation bundle and that all
+// values are positive; non-positive values are clamped to a tiny epsilon so
+// the log-objective stays finite.
+func (b *Bidder) Normalize() {
+	const eps = 1e-12
+	hasEmpty := false
+	for i := range b.Bundles {
+		if b.Bundles[i].Value < eps {
+			b.Bundles[i].Value = eps
+		}
+		if b.Bundles[i].Alloc.Total() == 0 {
+			hasEmpty = true
+		}
+	}
+	if !hasEmpty {
+		b.Bundles = append(b.Bundles, Bundle{Alloc: cluster.NewAlloc(), Value: eps})
+	}
+}
+
 func refValidate(capacity cluster.Alloc, bidders []Bidder) error {
 	seen := make(map[string]bool, len(bidders))
 	for _, b := range bidders {

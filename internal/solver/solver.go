@@ -26,7 +26,6 @@ import (
 var (
 	solveExactCount  = telemetry.Default().Counter("themis_solver_solves_total", "Winner-determination solves by mode.", telemetry.L("mode", "exact"))
 	solveGreedyCount = telemetry.Default().Counter("themis_solver_solves_total", "Winner-determination solves by mode.", telemetry.L("mode", "greedy"))
-	pairMoveCount    = telemetry.Default().Counter("themis_solver_pair_moves_total", "Pair moves applied by the greedy local search (a bidder upgrades while a victim reverts to empty).")
 )
 
 // Bundle is one row of a bidder's valuation table: an allocation and the
@@ -36,31 +35,13 @@ type Bundle struct {
 	Value float64
 }
 
-// Bidder is one participating app with its candidate bundles. Bundles must
+// Bidder is one participating app with its candidate bundles. Bundles should
 // include a zero-allocation row describing the bidder's value if it wins
-// nothing; Normalize adds one if missing.
+// nothing; the solver works on a copy with one added where missing and
+// non-positive values clamped to a tiny epsilon.
 type Bidder struct {
 	ID      string
 	Bundles []Bundle
-}
-
-// Normalize ensures the bidder has an empty-allocation bundle and that all
-// values are positive; non-positive values are clamped to a tiny epsilon so
-// the log-objective stays finite.
-func (b *Bidder) Normalize() {
-	const eps = 1e-12
-	hasEmpty := false
-	for i := range b.Bundles {
-		if b.Bundles[i].Value < eps {
-			b.Bundles[i].Value = eps
-		}
-		if b.Bundles[i].Alloc.Total() == 0 {
-			hasEmpty = true
-		}
-	}
-	if !hasEmpty {
-		b.Bundles = append(b.Bundles, Bundle{Alloc: cluster.NewAlloc(), Value: eps})
-	}
 }
 
 // Assignment maps bidder ID to the chosen bundle.
@@ -171,7 +152,7 @@ func (sc *Instance) Solve(opts Options, skip int) float64 {
 		}
 		space *= len(b.Bundles)
 	}
-	sc.used.Zero() // the previous solve's allocation; empty bundles add no terms
+	clear(sc.used) // the previous solve's allocation; empty bundles add no terms
 	if exact && space <= opts.ExactLimit {
 		solveExactCount.Inc()
 		sc.solveExact()

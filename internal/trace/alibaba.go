@@ -283,7 +283,7 @@ func importAlibabaSorted(sc *rowScanner, cols alibabaCols, scale float64, opts I
 				line, sr.start, prev)
 		}
 		prev = sr.start
-		// Membership checks run on the raw (reused-buffer) job view; clones
+		// Kept-set lookups run on the raw (reused-buffer) job view; clones
 		// and ID hashes are paid only for rows that are actually retained,
 		// so dropped rows — almost all of them on a capped import — cost no
 		// allocation.
