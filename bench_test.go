@@ -321,8 +321,8 @@ func BenchmarkArbiterPartialAllocation(b *testing.B) {
 // BenchmarkPartialAllocation measures one whole auction, hidden payments on,
 // over bid tables from a mixed population (gangs of 1/2/4, half the apps
 // already holding GPUs, so some bidders win and most do not) — 16 bidders is
-// the contended-replay shape, 128 a shard of the serving path. benchgate
-// records it so the auction cannot quietly go back to one compile per bidder;
+// the contended-replay shape, 128 a shard of the serving path. It shows at a
+// glance whether the auction has gone back to one compile per bidder;
 // allocs/op is reported for the same reason.
 func BenchmarkPartialAllocation(b *testing.B) {
 	for _, bidders := range []int{16, 128} {

@@ -57,24 +57,35 @@ func (a Alloc) Add(b Alloc) Alloc {
 
 // Sub returns a new allocation with b's GPUs removed from a. It returns an
 // error if b holds GPUs on a machine where a holds fewer. Zero entries in b
-// are skipped, mirroring Add, so the result stays canonical. The error
-// reports a's actual held count (Clone drops explicit zero entries, so the
-// cloned-out view must not be the one reported).
+// are skipped, mirroring Add, so the result stays canonical.
 func (a Alloc) Sub(b Alloc) (Alloc, error) {
 	out := a.Clone()
+	if err := out.Debit(b); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Debit is Sub in place: it removes b's GPUs from a itself, deleting the keys
+// that reach zero. On error a is left untouched. It is for a pool the caller
+// owns and has peeked into before committing; loops that pick and commit in
+// one step draw through placement.Picker instead.
+func (a Alloc) Debit(b Alloc) error {
+	for m, n := range b {
+		if n != 0 && a[m] < n {
+			return fmt.Errorf("alloc: cannot remove %d GPUs from machine %d (have %d)", n, m, a[m])
+		}
+	}
 	for m, n := range b {
 		if n == 0 {
 			continue
 		}
-		if out[m] < n {
-			return nil, fmt.Errorf("alloc: cannot remove %d GPUs from machine %d (have %d)", n, m, a[m])
-		}
-		out[m] -= n
-		if out[m] == 0 {
-			delete(out, m)
+		a[m] -= n
+		if a[m] == 0 {
+			delete(a, m)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Machines returns the machine IDs with a non-zero count, in ascending order.

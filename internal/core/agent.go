@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"themis/internal/cluster"
 	"themis/internal/estimator"
 	"themis/internal/hyperparam"
@@ -82,7 +84,7 @@ func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable 
 }
 
 // prepareBidInto is PrepareBid with caller-owned scratch: the valuator
-// provides the candidate-size, gang-count and dedup buffers, and entries is
+// provides the candidate-size and dedup buffers, and entries is
 // the (possibly recycled) backing buffer for the table rows. The candidate
 // enumeration order and the valuation math are exactly PrepareBid's — the
 // batched and standalone paths must stay bit-identical.
@@ -95,7 +97,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		Alloc: arena.Sparse(),
 		Rho:   ag.Estimator.rho(now, current, ag.Estimator.emptyAnchor),
 	})
-	gang := ag.typicalGangSizeWith(v)
+	gang := ag.GangSize()
 	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), gang)
 	maxRows := ag.MaxBidRows
 	if maxRows <= 0 {
@@ -107,7 +109,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		}
 		var candidate cluster.Alloc
 		if ag.PlacementBlind {
-			candidate = spreadCandidate(offer, size)
+			candidate = v.picker.DrawSpread(arena.Sparse(), offer.Clone(), size)
 		} else {
 			candidate = v.picker.PickInto(arena.Sparse(), ag.Estimator.Topo, offer, current, size)
 		}
@@ -136,77 +138,28 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	return table
 }
 
-// spreadCandidate picks count GPUs one machine at a time in ID order — the
-// placement-oblivious candidate generation used by the ablation benchmarks.
-func spreadCandidate(offer cluster.Alloc, count int) cluster.Alloc {
-	picked := cluster.NewAlloc()
-	remaining := offer.Clone()
-	for count > 0 && remaining.Total() > 0 {
-		progress := false
-		for _, m := range remaining.Machines() {
-			if count == 0 {
-				break
-			}
-			if remaining[m] <= 0 {
-				continue
-			}
-			picked[m]++
-			remaining[m]--
-			count--
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-	return picked
-}
-
-// GangSize returns the gang size the app's active jobs typically need (the
-// mode across active jobs, falling back to 1); the Arbiter uses it as the
-// chunk size for leftover grants.
-func (ag *Agent) GangSize() int { return ag.typicalGangSize() }
-
-// typicalGangSize returns the gang size the app's active jobs need (the mode
-// across active jobs, falling back to 1).
-func (ag *Agent) typicalGangSize() int {
-	var v BidValuator
-	return ag.typicalGangSizeWith(&v)
-}
-
-// typicalGangSizeWith is typicalGangSize over the valuator's reused tally
-// map. The mode tie-break ((count, gang) lexicographic max) is independent of
-// map iteration order, so the result is deterministic.
-func (ag *Agent) typicalGangSizeWith(v *BidValuator) int {
-	counts := v.gangCounts()
-	for _, j := range ag.App.Jobs {
-		if !j.Active() {
+// GangSize returns the gang size the app's active jobs typically need: the
+// mode across active jobs (the larger size on a tie), falling back to 1. Bid
+// tables step by it and the Arbiter uses it as the chunk size for leftover
+// grants.
+func (ag *Agent) GangSize() int {
+	jobs := ag.App.Jobs
+	best, bestN := 1, 0
+	for i, j := range jobs {
+		same := func(k *workload.Job) bool { return k.Active() && k.GangSize == j.GangSize }
+		// Count each distinct size once, at its first active job.
+		if !j.Active() || slices.ContainsFunc(jobs[:i], same) {
 			continue
 		}
-		counts[j.GangSize]++
-	}
-	best, bestN := 1, 0
-	for g, n := range counts {
-		if n > bestN || (n == bestN && g > best) {
-			best, bestN = g, n
+		n := 0
+		for _, k := range jobs[i:] {
+			if same(k) {
+				n++
+			}
+		}
+		if n > bestN || (n == bestN && j.GangSize > best) {
+			best, bestN = j.GangSize, n
 		}
 	}
 	return best
-}
-
-// SplitForJobs maps an app-level allocation onto the app's active jobs in a
-// placement-sensitive manner, honouring per-job parallelism limits. The
-// simulator uses it to drive per-job progress; a real deployment's Agent
-// would hand these to the tuner (Figure 3 step 5).
-func (ag *Agent) SplitForJobs(total cluster.Alloc) map[workload.JobID]cluster.Alloc {
-	ag.Estimator.beginCall()
-	splits := ag.Estimator.splitAcrossJobs(total)
-	active := ag.Estimator.jobs
-	out := make(map[workload.JobID]cluster.Alloc, len(active))
-	for i, j := range active {
-		// The split allocations are estimator-pooled scratch; hand the
-		// caller its own copies.
-		out[j.ID] = splits[i].Clone()
-	}
-	return out
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -188,11 +190,19 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	// Step 1: probe every app for its current ρ.
 	ps := make([]probedAgent, 0, len(agents))
 	for _, st := range agents {
-		ps = append(ps, probedAgent{state: st, rho: st.Agent.ReportRho(now, st.Current)})
+		ps = append(ps, probedAgent{state: st, id: st.Agent.ID(), rho: st.Agent.ReportRho(now, st.Current)})
 	}
 	// Step 2: sort by decreasing ρ (worst-off first) and offer to the worst
-	// 1−f fraction, always at least one app.
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].rho > ps[j].rho })
+	// 1−f fraction, always at least one app. Equal ρ — every starved app at one
+	// instant, every degraded remote bidder — falls back on the app ID, so who
+	// is offered GPUs never depends on the order the caller listed the agents
+	// in (the serving layer ranges over a map).
+	slices.SortFunc(ps, func(a, b probedAgent) int {
+		if a.rho != b.rho {
+			return cmp.Compare(b.rho, a.rho)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	n := len(ps)
 	participants := int(math.Ceil((1 - a.cfg.FairnessKnob) * float64(n)))
 	if participants < 1 {
@@ -243,15 +253,12 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	a.Stats.GPUsLeftOver += leftover.Total()
 	a.lastRound.LeftoverGPUs = leftover.Total()
 	if leftover.Total() > 0 {
-		nonParticipants := ps[participants:]
+		// Non-participants first; then, for work conservation, the auction
+		// participants absorb the rest. Each pass debits leftover (the auction
+		// result's own map), so the second sees only what is still unplaced.
 		grants := make(map[workload.AppID]cluster.Alloc)
-		for id, g := range a.grantLeftovers(leftover, nonParticipants, out) {
-			grants[id] = g
-		}
-		if remaining := subtractGrants(leftover, grants); remaining.Total() > 0 {
-			// Work conservation: let auction participants absorb the rest.
-			extra := a.grantLeftovers(remaining, bidding, out)
-			for id, g := range extra {
+		for _, candidates := range [][]probedAgent{ps[participants:], bidding} {
+			for id, g := range a.grantLeftovers(leftover, candidates, out) {
 				grants[id] = grants[id].Add(g)
 			}
 		}
@@ -281,14 +288,17 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	return out, nil
 }
 
-// probedAgent pairs an agent's state with the ρ it reported to this auction.
+// probedAgent pairs an agent's state with its ID and the ρ it reported to this
+// auction.
 type probedAgent struct {
 	state AgentState
+	id    workload.AppID
 	rho   float64
 }
 
 // grantLeftovers runs the leftover-allocation rule over a candidate set,
-// taking into account allocations already decided in this auction round.
+// taking into account allocations already decided in this auction round. The
+// grants are debited from leftover.
 func (a *Arbiter) grantLeftovers(leftover cluster.Alloc, candidates []probedAgent, decided []Allocation) map[workload.AppID]cluster.Alloc {
 	if len(candidates) == 0 || leftover.Total() == 0 {
 		return nil
@@ -301,7 +311,7 @@ func (a *Arbiter) grantLeftovers(leftover cluster.Alloc, candidates []probedAgen
 	wants := make(map[workload.AppID]int)
 	chunks := make(map[workload.AppID]int)
 	for _, c := range candidates {
-		id := c.state.Agent.ID()
+		id := c.id
 		// Most candidates at scale neither won anything this round nor have
 		// unmet demand; weed them out before they cost a merged-allocation
 		// clone and three map inserts. Candidates without a fresh win keep
@@ -319,18 +329,6 @@ func (a *Arbiter) grantLeftovers(leftover cluster.Alloc, candidates []probedAgen
 		chunks[id] = c.state.Agent.GangSize()
 	}
 	return AllocateLeftovers(a.topo, leftover, currents, wants, chunks)
-}
-
-func subtractGrants(leftover cluster.Alloc, grants map[workload.AppID]cluster.Alloc) cluster.Alloc {
-	remaining := leftover.Clone()
-	for _, g := range grants {
-		var err error
-		remaining, err = remaining.Sub(g)
-		if err != nil {
-			panic("core: leftover grants exceed leftover pool: " + err.Error())
-		}
-	}
-	return remaining
 }
 
 // rhoOfWin finds the ρ the winning app estimated for the allocation it

@@ -86,7 +86,6 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 		logs[i] = math.Log(full[string(b.App)].Value)
 	}
 
-	allocated := cluster.NewAlloc()
 	var picker placement.Picker
 	for i, b := range bids {
 		id := b.App
@@ -99,13 +98,10 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 		res.HiddenPayment[id] = ci
 		final := scaleAllocation(&picker, topo, pf, ci)
 		res.Winners[id] = final
-		allocated = allocated.Add(final)
+		if err := res.Leftover.Debit(final); err != nil {
+			return res, fmt.Errorf("core: auction allocated more than offered: %w", err)
+		}
 	}
-	leftover, err := offer.Sub(allocated)
-	if err != nil {
-		return res, fmt.Errorf("core: auction allocated more than offered: %w", err)
-	}
-	res.Leftover = leftover
 	return res, nil
 }
 
@@ -178,13 +174,11 @@ func scaleAllocation(picker *placement.Picker, topo *cluster.Topology, pf cluste
 // currents maps each candidate app to its existing allocation; wants maps it
 // to the maximum number of additional GPUs it can still use; chunks maps it
 // to the app's preferred grant granularity (its gang size — zero means one
-// GPU at a time). The function returns the per-app grants; GPUs nobody can
-// use remain unallocated.
+// GPU at a time). The function returns the per-app grants. leftover is the
+// pool the grants are drawn from: it is debited in place, so it must be the
+// caller's to change, and what it holds on return is what nobody could use.
 func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents map[workload.AppID]cluster.Alloc, wants, chunks map[workload.AppID]int) map[workload.AppID]cluster.Alloc {
 	grants := make(map[workload.AppID]cluster.Alloc)
-	if leftover.Total() == 0 || len(currents) == 0 {
-		return grants
-	}
 	apps := make([]workload.AppID, 0, len(currents))
 	for id := range currents {
 		if wants[id] > 0 {
@@ -195,14 +189,13 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 	if len(apps) == 0 {
 		return grants
 	}
-	remaining := leftover.Clone()
 	granted := make(map[workload.AppID]int)
 	rotation := 0
 	var picker placement.Picker
-	var pick cluster.Alloc // scratch: Add and Sub below copy out of it
-	for remaining.Total() > 0 {
+	var pick cluster.Alloc // scratch: Add below copies out of it
+	for len(leftover) > 0 {
 		progress := false
-		for k := 0; k < len(apps) && remaining.Total() > 0; k++ {
+		for k := 0; k < len(apps) && len(leftover) > 0; k++ {
 			id := apps[(rotation+k)%len(apps)]
 			want := wants[id] - granted[id]
 			if want <= 0 {
@@ -216,17 +209,12 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 				chunk = want
 			}
 			anchor := currents[id].Add(grants[id])
-			pick = picker.PickInto(pick, topo, remaining, anchor, chunk)
+			pick = picker.Draw(pick, topo, leftover, anchor, chunk)
 			if pick.Total() == 0 {
 				continue
 			}
 			grants[id] = grants[id].Add(pick)
 			granted[id] += pick.Total()
-			var err error
-			remaining, err = remaining.Sub(pick)
-			if err != nil {
-				panic("core: AllocateLeftovers internal inconsistency: " + err.Error())
-			}
 			rotation++
 			progress = true
 		}

@@ -105,22 +105,27 @@ func TestAgentUnmetParallelism(t *testing.T) {
 	}
 }
 
+// TestAgentSplitForJobs covers the job split an Agent values its bids with
+// (the estimator's view of placement.Picker.Split): every GPU is handed out
+// and no job exceeds its parallelism limit.
 func TestAgentSplitForJobs(t *testing.T) {
 	topo := testTopo(t, 4, 4, 2)
 	app := testApp("a", 0, placement.VGG16, 3, 100, 4)
-	ag := agentFor(topo, app)
-	split := ag.SplitForJobs(cluster.Alloc{0: 4, 1: 4})
-	total := cluster.NewAlloc()
-	for _, alloc := range split {
-		total = total.Add(alloc)
+	est := agentFor(topo, app).Estimator
+	est.beginCall()
+	shares := est.splitAcrossJobs(cluster.Alloc{0: 4, 1: 4})
+	if len(shares) != len(app.Jobs) {
+		t.Fatalf("%d shares for %d jobs", len(shares), len(app.Jobs))
 	}
-	if total.Total() != 8 {
-		t.Errorf("split total = %d, want 8", total.Total())
-	}
-	for id, alloc := range split {
-		if alloc.Total() > 4 {
-			t.Errorf("job %s got %d GPUs, above its parallelism limit", id, alloc.Total())
+	total := 0
+	for i, share := range shares {
+		total += share.Total()
+		if share.Total() > 4 {
+			t.Errorf("job %s got %d GPUs, above its parallelism limit", app.Jobs[i].ID, share.Total())
 		}
+	}
+	if total != 8 {
+		t.Errorf("split total = %d, want 8", total)
 	}
 }
 
@@ -363,14 +368,19 @@ func TestAllocateLeftovers(t *testing.T) {
 			t.Errorf("app %s granted %d above its want %d", id, g.Total(), wants[id])
 		}
 	}
+	// The grants were drawn out of the caller's pool.
+	if len(leftover) != 0 {
+		t.Errorf("pool after granting everything = %v, want empty", leftover)
+	}
 	// With no candidates, nothing is granted.
+	leftover = cluster.Alloc{0: 2, 3: 1}
 	if got := AllocateLeftovers(topo, leftover, nil, nil, nil); len(got) != 0 {
 		t.Errorf("grants with no candidates: %v", got)
 	}
 	// Wants of zero leave GPUs unallocated.
 	none := AllocateLeftovers(topo, leftover, currents, map[workload.AppID]int{"a": 0, "b": 0}, chunks)
-	if len(none) != 0 {
-		t.Errorf("grants despite zero wants: %v", none)
+	if len(none) != 0 || leftover.Total() != 3 {
+		t.Errorf("grants despite zero wants: %v (pool %v)", none, leftover)
 	}
 }
 

@@ -20,10 +20,14 @@ import (
 	"themis/internal/workload"
 )
 
-// refSplitAcrossJobs is the previous RhoEstimator.splitAcrossJobs verbatim
-// (own scratch instead of the estimator's): it re-sorts the active jobs per
-// call with the exchange sort, calling WorkLeft per comparison, and runs one
-// PickInto per job whether or not anything is left in the pool.
+// refSplitAcrossJobs is the RhoEstimator.splitAcrossJobs of before the split
+// moved behind placement.Picker.Split, verbatim (own scratch instead of the
+// estimator's): it re-sorts the active jobs per call with the exchange sort,
+// calling WorkLeft per comparison, and runs one PickInto per job whether or
+// not anything is left in the pool. One rule is the shared split's, not the
+// old estimator's: a job whose domain affinity cannot be resolved draws
+// nothing (the old code let it take pool GPUs it then valued at zero, which
+// the simulator's split never did).
 func refSplitAcrossJobs(e *RhoEstimator, total cluster.Alloc, active []*workload.Job) []cluster.Alloc {
 	out := make([]cluster.Alloc, len(active))
 	order := make([]int, len(active))
@@ -52,8 +56,13 @@ func refSplitAcrossJobs(e *RhoEstimator, total cluster.Alloc, active []*workload
 		if want <= 0 {
 			want = j.GangSize
 		}
+		c, ok := j.PlacementConstraint(e.Topo)
+		if !ok {
+			out[idx] = cluster.NewAlloc()
+			continue
+		}
 		picked := picker.PickInto(cluster.NewAlloc(), e.Topo, remaining, emptyAnchor, want)
-		if c, ok := j.PlacementConstraint(e.Topo); ok && !c.IsZero() && !placement.Satisfies(e.Topo, picked, c) {
+		if !c.IsZero() && !placement.Satisfies(e.Topo, picked, c) {
 			picked = placement.PickConstrained(e.Topo, remaining, emptyAnchor, want, c)
 		}
 		out[idx] = picked
@@ -258,16 +267,17 @@ func TestWideAppBidEquivalence(t *testing.T) {
 				v.EndRound()
 			}
 
-			// The other entry points share the context: SplitForJobs and a
-			// bare ρ probe match the reference too.
+			// The other entry points share the context: the job split itself
+			// and a bare ρ probe match the reference too.
 			for i, p := range ps {
 				ag := p.state.Agent.(*Agent)
 				total := p.state.Current.Add(want[i].Entries[len(want[i].Entries)-1].Alloc)
 				ref := refSplitAcrossJobs(ag.Estimator, total, ag.App.ActiveJobs())
-				got := ag.SplitForJobs(total)
+				ag.Estimator.beginCall()
+				got := ag.Estimator.splitAcrossJobs(total)
 				for k, j := range ag.App.ActiveJobs() {
-					if !got[j.ID].Equal(ref[k]) {
-						t.Errorf("agent %d job %s: split %v, reference %v", i, j.ID, got[j.ID], ref[k])
+					if !got[k].Equal(ref[k]) {
+						t.Errorf("agent %d job %s: split %v, reference %v", i, j.ID, got[k], ref[k])
 					}
 				}
 				ag.Estimator.Errors = nil

@@ -34,16 +34,13 @@ type RhoEstimator struct {
 	// placement sensitivity (Figure 11). Nil disables perturbation.
 	Errors *estimator.ErrorModel
 
-	// Estimator scratch, recycled across calls: the split output slice, the
-	// "remaining" map, the per-job pick maps, the aggregate total of Rho's
-	// current+extra, and the job context. Everything an estimate touches is
+	// Estimator scratch, recycled across calls: the per-job shares of the
+	// allocation being split (the picker holds the debited copy of it), the
+	// aggregate total of Rho's current+extra, and the job context. Everything an estimate touches is
 	// either caller-owned input (read only) or one of these buffers, so a
-	// steady-state ρ probe allocates nothing; SplitForJobs clones the
-	// per-job maps before handing them out. An estimator is per-app,
+	// steady-state ρ probe allocates nothing. An estimator is per-app,
 	// per-goroutine state, so plain fields suffice.
-	splitOut    []cluster.Alloc
-	splitFree   cluster.Alloc
-	splitMaps   []cluster.Alloc
+	shares      []cluster.Alloc
 	emptyAnchor cluster.Alloc
 	total       cluster.Alloc
 	picker      placement.Picker
@@ -55,68 +52,39 @@ type RhoEstimator struct {
 	// call only — job state must not change under it.
 	jobs       []*workload.Job // active jobs
 	tIdeal     float64
-	split      []jobSplit      // per active job, same indexing as jobs
-	splitOrder []int           // assignment order over jobs: least work left first
-	cons       []jobConstraint // the constrained jobs' constraints, via jobSplit.cons
-}
-
-// jobSplit is what splitting an allocation needs to know about one active job.
-type jobSplit struct {
-	workLeft float64
-	want     int // GPUs the job can use
-	cons     int // index into RhoEstimator.cons; -1 for an unconstrained job
-}
-
-// jobConstraint is a job's placement constraint resolved against Topo; ok is
-// false when it names a domain the topology does not have.
-type jobConstraint struct {
-	c  placement.Constraint
-	ok bool
+	split      []placement.SplitJob // per active job, same indexing as jobs
+	splitOrder []int                // placement.SplitOrder over split
 }
 
 // beginCall starts a valuation call: it snapshots the app's active jobs and
 // T_ID and invalidates the per-job split facts of the previous call.
 func (e *RhoEstimator) beginCall() {
 	if e.emptyAnchor == nil {
-		e.emptyAnchor, e.splitFree = cluster.NewAlloc(), cluster.NewAlloc()
+		e.emptyAnchor = cluster.NewAlloc()
 	}
 	e.jobs = e.App.AppendActiveJobs(e.jobs[:0])
 	e.tIdeal = e.TIdeal()
-	e.split, e.splitOrder = e.split[:0], e.splitOrder[:0]
+	e.split = e.split[:0]
 }
 
-// jobSplits returns the call's per-job split facts and assignment order,
-// evaluating WorkLeft and PlacementConstraint once per job on first use.
-func (e *RhoEstimator) jobSplits() ([]jobSplit, []int) {
-	if len(e.split) == len(e.jobs) {
-		return e.split, e.splitOrder
-	}
-	order := e.splitOrder[:0]
-	e.cons = e.cons[:0]
-	for i, j := range e.jobs {
-		js := jobSplit{workLeft: e.Tuner.WorkLeft(j), want: j.MaxParallelism, cons: -1}
-		if js.want <= 0 {
-			js.want = j.GangSize
+// splitAcrossJobs divides the app-level allocation among the call's active
+// jobs (placement.Picker.Split, §5.2 step 4), least work left by the tuner's
+// estimate first, and returns the per-job shares, indexed like e.split. The
+// job facts — WorkLeft and PlacementConstraint once per job — and the order
+// are evaluated by the call's first split and shared by its other rows.
+func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc) []cluster.Alloc {
+	if len(e.split) != len(e.jobs) {
+		for _, j := range e.jobs {
+			e.split = append(e.split, j.SplitJob(e.Topo, e.Tuner.WorkLeft(j)))
 		}
-		if c, ok := j.PlacementConstraint(e.Topo); !ok || !c.IsZero() {
-			js.cons = len(e.cons)
-			e.cons = append(e.cons, jobConstraint{c, ok})
-		}
-		e.split = append(e.split, js)
-		order = append(order, i)
+		e.splitOrder = placement.SplitOrder(e.splitOrder, e.split)
 	}
-	// Jobs closest to completion are assigned first. The exchange sort is
-	// kept as is (over the cached keys): it is not stable, and bid tables
-	// must not change with how ties happen to fall.
-	for i := 0; i < len(order); i++ {
-		for k := i + 1; k < len(order); k++ {
-			if e.split[order[k]].workLeft < e.split[order[i]].workLeft {
-				order[i], order[k] = order[k], order[i]
-			}
-		}
+	for len(e.shares) < len(e.jobs) {
+		e.shares = append(e.shares, cluster.NewAlloc())
 	}
-	e.splitOrder = order
-	return e.split, order
+	shares := e.shares[:len(e.jobs)]
+	e.picker.Split(shares, e.Topo, e.picker.Scratch(total), total.Total(), e.split, e.splitOrder)
+	return shares
 }
 
 // NewRhoEstimator returns an estimator for app using the given tuner for
@@ -178,25 +146,20 @@ func (e *RhoEstimator) tShared(now float64, total cluster.Alloc) float64 {
 		// of the one waiting longest.
 		return Unbounded * (1 + elapsed)
 	}
-	split := e.splitAcrossJobs(total)
+	shares := e.splitAcrossJobs(total)
 	best := math.Inf(1)
 	for idx, js := range e.split {
-		alloc := split[idx]
+		alloc := shares[idx]
 		g := alloc.Total()
-		if g == 0 {
-			continue
-		}
-		// A job whose allocation violates its placement constraint — the §6
+		// A job whose share violates its placement constraint — the §6
 		// floor/cap or a trace v2 domain/flavor affinity — has S = 0: it
 		// contributes no finish time, so a bid built on such an allocation
 		// values out at an unbounded ρ.
-		if js.cons >= 0 {
-			if jc := e.cons[js.cons]; !jc.ok || !placement.Satisfies(e.Topo, alloc, jc.c) {
-				continue
-			}
+		if g == 0 || !placement.Satisfies(e.Topo, alloc, js.Constraint) {
+			continue
 		}
 		s := e.App.Profile.SOf(e.Topo, alloc)
-		t := elapsed + js.workLeft/(float64(g)*s)
+		t := elapsed + js.WorkLeft/(float64(g)*s)
 		if t < best {
 			best = t
 		}
@@ -262,56 +225,4 @@ func (e *RhoEstimator) FinalRho(now float64, current cluster.Alloc) float64 {
 		return (e.App.FinishedAt - e.App.SubmitTime) / e.TIdeal()
 	}
 	return e.CurrentRho(now, current)
-}
-
-// splitAcrossJobs divides the app-level allocation among the call's active
-// jobs in a placement-sensitive greedy manner, honouring each job's
-// MaxParallelism (§5.2 step 4). Jobs with the least work left are assigned
-// first so the fastest-finishing job (which determines T_SH) is placed best;
-// once the pool is exhausted the remaining jobs get the empty allocation.
-func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc) []cluster.Alloc {
-	jobs, order := e.jobSplits()
-	out := e.splitOut[:0]
-	for range jobs {
-		out = append(out, nil)
-	}
-	e.splitOut = out
-	remaining := e.splitFree
-	clear(remaining)
-	for m, n := range total {
-		if n != 0 {
-			remaining[m] = n
-		}
-	}
-	for len(e.splitMaps) < len(jobs) {
-		e.splitMaps = append(e.splitMaps, cluster.NewAlloc())
-	}
-	for _, idx := range order {
-		if len(remaining) == 0 {
-			clear(e.splitMaps[idx])
-			out[idx] = e.splitMaps[idx]
-			continue
-		}
-		js := jobs[idx]
-		picked := e.picker.PickInto(e.splitMaps[idx], e.Topo, remaining, e.emptyAnchor, js.want)
-		if js.cons >= 0 {
-			if jc := e.cons[js.cons]; jc.ok && !placement.Satisfies(e.Topo, picked, jc.c) {
-				// The unconstrained pick would strand these GPUs on an unrunnable
-				// shape; re-pick constraint-aware so the bid values what the
-				// simulator's job split would actually run.
-				picked = placement.PickConstrained(e.Topo, remaining, e.emptyAnchor, js.want, jc.c)
-			}
-		}
-		out[idx] = picked
-		for m, n := range picked {
-			if remaining[m] < n {
-				panic("core: splitAcrossJobs internal inconsistency: picked exceeds remaining")
-			}
-			remaining[m] -= n
-			if remaining[m] == 0 {
-				delete(remaining, m)
-			}
-		}
-	}
-	return out
 }

@@ -9,11 +9,11 @@ import (
 
 // BidValuator batches bid-table preparation across the participants of one
 // auction round, reusing the scratch that a standalone PrepareBid call
-// allocates per app: the candidate-size set and slice, the gang-size counts,
-// the candidate dedup map, the per-participant entry buffers and the bid
-// slice itself. The Arbiter owns one valuator and runs every round's step 3
-// through it, so in steady state bid preparation recycles one round's
-// buffers into the next instead of leaving them to the collector.
+// allocates per app: the candidate-size set and slice, the per-participant
+// entry buffers and the bid slice itself. The Arbiter owns one valuator and
+// runs every round's step 3 through it, so in steady state bid preparation
+// recycles one round's buffers into the next instead of leaving them to the
+// collector.
 //
 // Batching is an optimisation only: the tables produced are bit-identical to
 // per-app PrepareBid calls (same candidate enumeration order, same float
@@ -23,7 +23,6 @@ import (
 type BidValuator struct {
 	sizeSet map[int]bool
 	sizes   []int
-	counts  map[int]int
 	bids    []BidTable
 	entries [][]BidEntry
 
@@ -121,13 +120,4 @@ func (v *BidValuator) candidateSizes(offered, unmet, gang int) []int {
 	sort.Ints(out)
 	v.sizes = out
 	return out
-}
-
-// gangCounts returns the cleared gang-size tally map.
-func (v *BidValuator) gangCounts() map[int]int {
-	if v.counts == nil {
-		v.counts = make(map[int]int)
-	}
-	clear(v.counts)
-	return v.counts
 }

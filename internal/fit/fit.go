@@ -73,7 +73,7 @@ func Fit(apps []*workload.App) (*Report, error) {
 	// Collect the observable samples in deterministic order.
 	arrivals := make([]float64, 0, len(apps))
 	var durations []float64
-	gangCounts := map[int]int{}
+	gangHist := map[int]int{}
 	jobsPerApp := make([]float64, 0, len(apps))
 	network := 0
 	jobs := 0
@@ -90,7 +90,7 @@ func Fit(apps []*workload.App) (*Report, error) {
 			jobs++
 			if j.GangSize > 0 && j.TotalWork > 0 {
 				durations = append(durations, j.TotalWork/float64(j.GangSize))
-				gangCounts[j.GangSize]++
+				gangHist[j.GangSize]++
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func Fit(apps []*workload.App) (*Report, error) {
 
 	rep.Arrival = fitArrival(arrivals, &rep.Provenance)
 	rep.Size = fitSize(durations, &rep.Provenance)
-	rep.Gangs = fitGangs(gangCounts)
+	rep.Gangs = fitGangs(gangHist)
 	if len(rep.Gangs) == 0 {
 		rep.Provenance.note("no schedulable jobs: gang population left to defaults")
 	}

@@ -88,6 +88,7 @@ type HyperBand struct {
 
 	curves   map[workload.JobID]estimator.LossCurve
 	nextRung map[workload.AppID]int
+	active   []*workload.Job // Update's snapshot: the loop kills what it ranges over
 }
 
 // NewHyperBand returns a HyperBand tuner with the given rung length in
@@ -111,7 +112,8 @@ func (*HyperBand) Name() string { return "hyperband" }
 // trials have crossed, killing the worse-converging half each time.
 func (h *HyperBand) Update(now float64, app *workload.App) {
 	for {
-		active := app.ActiveJobs()
+		h.active = app.AppendActiveJobs(h.active[:0])
+		active := h.active
 		if len(active) <= 1 {
 			return
 		}
@@ -201,6 +203,7 @@ type HyperDrive struct {
 
 	curves map[workload.JobID]estimator.LossCurve
 	class  map[workload.JobID]Classification
+	active []*workload.Job // Update's snapshot: the loop kills what it ranges over
 }
 
 // NewHyperDrive returns a HyperDrive tuner with the defaults used in the
@@ -222,7 +225,8 @@ func (*HyperDrive) Name() string { return "hyperdrive" }
 // Update implements Tuner: it reclassifies every active trial that has run
 // long enough, kills poor trials and adjusts parallelism of the rest.
 func (h *HyperDrive) Update(now float64, app *workload.App) {
-	active := app.ActiveJobs()
+	h.active = app.AppendActiveJobs(h.active[:0])
+	active := h.active
 	if len(active) <= 1 {
 		return
 	}

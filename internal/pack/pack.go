@@ -83,86 +83,43 @@ func (e *Engine) Pack(free cluster.Alloc, req Request) Plan {
 // determined by its inputs.
 func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c placement.Constraint) cluster.Alloc {
 	topo := e.tree.Topology()
-	picked := cluster.NewAlloc()
+	// The engine's policy is the order machines are offered in; the picker's
+	// Take keeps every offer within want and c. One picker per call, because
+	// an Engine may serve several goroutines.
+	var p placement.Picker
+	eligible := p.Scratch(free)
+	picked := p.Begin(nil, topo, eligible, anchor, want, c)
 	if want <= 0 {
 		return picked
-	}
-	minPer := c.MinGPUsPerMachine
-	if minPer < 1 {
-		minPer = 1
-	}
-
-	// Eligible free capacity under the constraint's domain/flavor affinity.
-	eligible := cluster.NewAlloc()
-	for m, n := range free {
-		if n > 0 && c.Admits(topo, m) {
-			eligible[m] = n
-		}
-	}
-
-	need := want
-	spreadLeft := -1 // machines the plan may still add; -1 = unbounded
-	if c.MaxMachines > 0 {
-		spreadLeft = c.MaxMachines - len(anchor.Machines())
-		if spreadLeft < 0 {
-			spreadLeft = 0
-		}
-	}
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := eligible[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		base := anchor[m] + picked[m]
-		if base+n < minPer {
-			return // would leave the machine under the per-machine floor
-		}
-		if base == 0 {
-			if spreadLeft == 0 {
-				return // a fresh machine would exceed the spread cap
-			}
-			if spreadLeft > 0 {
-				spreadLeft--
-			}
-		}
-		picked[m] += n
-		eligible[m] -= n
-		need -= n
 	}
 
 	// Step 1: extend the anchor in place — its machines first (largest share
 	// first), then the remaining machines of domains it already occupies, so
 	// a growing gang stays inside its fabric.
 	if anchor.Total() > 0 {
-		for _, m := range sortedByShare(anchor) {
-			take(m)
+		for _, m := range p.ByCount(anchor) {
+			p.Take(m)
 		}
-		if need > 0 {
+		if p.Need() > 0 {
 			anchorDomains := make(map[cluster.DomainID]bool)
 			for _, m := range anchor.Machines() {
 				anchorDomains[topo.Domain(m)] = true
 			}
-			for _, m := range machinesByFree(eligible) {
+			for _, m := range p.ByCount(eligible) {
 				if anchorDomains[topo.Domain(m)] {
-					take(m)
+					p.Take(m)
 				}
 			}
 		}
-		if need == 0 {
+		if p.Need() == 0 {
 			return picked
 		}
 	}
 
-	// Free capacity per domain, over what remains eligible.
+	// Free capacity per domain, over what remains on machines c admits.
 	domainFree := make(map[cluster.DomainID]int)
 	for m, n := range eligible {
-		if n > 0 {
+		if n > 0 && c.Admits(topo, m) {
 			domainFree[topo.Domain(m)] += n
 		}
 	}
@@ -176,7 +133,7 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 	// lowest ID), so small holes fill first and large domains stay whole.
 	var fitting []cluster.DomainID
 	for _, d := range domains {
-		if domainFree[d] >= need {
+		if domainFree[d] >= p.Need() {
 			fitting = append(fitting, d)
 		}
 	}
@@ -188,8 +145,8 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 			return fitting[i] < fitting[j]
 		})
 		for _, d := range fitting {
-			fillDomain(topo, d, eligible, take)
-			if need == 0 {
+			fillDomain(&p, topo, d, eligible)
+			if p.Need() == 0 {
 				return picked
 			}
 			// Constraints (floor/cap) may have blocked the fit; try the next
@@ -206,46 +163,20 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 		return domains[i] < domains[j]
 	})
 	for _, d := range domains {
-		fillDomain(topo, d, eligible, take)
-		if need == 0 {
+		fillDomain(&p, topo, d, eligible)
+		if p.Need() == 0 {
 			return picked
 		}
 	}
 	return picked
 }
 
-// fillDomain feeds the domain's machines to take in descending-free,
+// fillDomain offers the domain's machines to the draw in descending-free,
 // ascending-ID order.
-func fillDomain(topo *cluster.Topology, d cluster.DomainID, eligible cluster.Alloc, take func(cluster.MachineID)) {
-	for _, m := range machinesByFree(eligible) {
+func fillDomain(p *placement.Picker, topo *cluster.Topology, d cluster.DomainID, eligible cluster.Alloc) {
+	for _, m := range p.ByCount(eligible) {
 		if topo.Domain(m) == d {
-			take(m)
+			p.Take(m)
 		}
 	}
-}
-
-// sortedByShare returns alloc's machines by descending GPU count then
-// ascending ID.
-func sortedByShare(alloc cluster.Alloc) []cluster.MachineID {
-	ids := alloc.Machines()
-	sort.Slice(ids, func(i, j int) bool {
-		if alloc[ids[i]] != alloc[ids[j]] {
-			return alloc[ids[i]] > alloc[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
-// machinesByFree returns the machines with free GPUs by descending free
-// count then ascending ID.
-func machinesByFree(free cluster.Alloc) []cluster.MachineID {
-	ids := free.Machines()
-	sort.Slice(ids, func(i, j int) bool {
-		if free[ids[i]] != free[ids[j]] {
-			return free[ids[i]] > free[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
 }

@@ -3,7 +3,6 @@ package placement
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"themis/internal/cluster"
 )
@@ -131,115 +130,151 @@ func Satisfies(topo *cluster.Topology, alloc cluster.Alloc, c Constraint) bool {
 // possibly zero — when the constraint admits nothing better; callers decide
 // whether a partial gang is worth running.
 func PickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	var p Picker
 	if c.IsZero() {
-		return Pick(topo, free, anchor, count)
+		return p.PickInto(nil, topo, free, anchor, count)
 	}
-	eligible := cluster.NewAlloc()
-	for m, n := range free {
-		if n > 0 && c.Admits(topo, m) {
-			eligible[m] = n
-		}
-	}
-	minPer := c.MinGPUsPerMachine
-	if minPer < 1 {
-		minPer = 1
-	}
-	usedMachines := func(picked cluster.Alloc) int {
-		used := make(map[cluster.MachineID]bool)
-		for m, n := range anchor {
-			if n > 0 {
-				used[m] = true
-			}
-		}
-		for m, n := range picked {
-			if n > 0 {
-				used[m] = true
-			}
-		}
-		return len(used)
-	}
-	picked := cluster.NewAlloc()
-	need := count
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := eligible[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		base := anchor[m] + picked[m]
-		if base+n < minPer {
-			return // would leave the machine under the per-machine floor
-		}
-		if c.MaxMachines > 0 && base == 0 && usedMachines(picked) >= c.MaxMachines {
-			return // a fresh machine would exceed the spread cap
-		}
-		picked[m] += n
-		eligible[m] -= n
-		need -= n
-	}
-
-	// Same preference ladder as Pick: anchor machines, anchor racks, then
-	// domain-then-rack packing over the rest.
-	for _, m := range sortedMachineIDs(anchor) {
-		take(m)
-	}
-	if need > 0 {
-		anchorRacks := make(map[cluster.RackID]bool)
-		for _, m := range anchor.Machines() {
-			anchorRacks[topo.Rack(m)] = true
-		}
-		if len(anchorRacks) > 0 {
-			for _, m := range machinesByFree(eligible) {
-				if anchorRacks[topo.Rack(m)] {
-					take(m)
-				}
-			}
-		}
-	}
-	if need > 0 {
-		for _, m := range machinesByFree(eligible) {
-			take(m)
-		}
-	}
-	return picked
+	return p.drawConstrained(nil, topo, p.Scratch(free), anchor, count, c)
 }
 
-// machinesByFree returns the machines with free GPUs sorted by descending
-// free count, then ascending ID.
-func machinesByFree(free cluster.Alloc) []cluster.MachineID {
-	ids := free.Machines()
-	sort.Slice(ids, func(i, j int) bool {
-		if free[ids[i]] != free[ids[j]] {
-			return free[ids[i]] > free[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
-// Picker is the placement-sensitive greedy picker with caller-owned scratch:
-// the remaining vector, the anchor/rack/domain index maps and every ordering
-// slice are reused across calls, so a steady-state valuation round picks
-// candidates without allocating (TestPickerSteadyStateAllocs). The zero value
-// is ready to use.
+// Picker is the one way GPUs leave a pool: the placement-sensitive greedy
+// ladder of §5.2 step 4 and §5.1 step 3, its constraint-aware variant, the
+// placement-blind round-robin and the job split built on them. Every form
+// either debits a pool the caller owns (Draw, DrawSpread, Split) or reads free
+// and debits the picker's own copy of it (PickInto, PickConstrained).
 //
-// A Picker is single-goroutine state; each BidValuator/RhoEstimator, and each
-// loop that picks repeatedly, owns its own.
+// The pool copy, the anchor/rack/domain index maps and every ordering slice
+// are reused across calls, so steady-state picks allocate nothing
+// (TestPickerSteadyStateAllocs). The zero value is ready to use. A Picker is
+// single-goroutine state; each estimator, simulator and policy loop owns its
+// own.
 type Picker struct {
-	remaining     cluster.Alloc
-	anchorIDs     []cluster.MachineID
-	byFree        []cluster.MachineID
+	scratch       cluster.Alloc
+	byCount       []cluster.MachineID
 	anchorRacks   map[cluster.RackID]bool
 	anchorDomains map[cluster.DomainID]bool
 	rackFree      map[cluster.RackID]int
 	domainFree    map[cluster.DomainID]int
 	domains       []cluster.DomainID
 	racks         []cluster.RackID
+
+	// The draw in progress (Begin … Take): where GPUs come from and go to,
+	// how many are still wanted, and what the constraint still allows.
+	topo        *cluster.Topology
+	dst         cluster.Alloc
+	pool        cluster.Alloc
+	anchor      cluster.Alloc
+	need        int
+	c           Constraint
+	constrained bool
+	floor       int // per-machine GPU floor, >= 1
+	fresh       int // machines the draw may still open under the spread cap; -1 = no cap
+}
+
+// Scratch returns the picker's own copy of free: the pool for a draw that
+// must leave free untouched. It is valid until the next Scratch, PickInto or
+// PickConstrained call.
+func (p *Picker) Scratch(free cluster.Alloc) cluster.Alloc {
+	if p.scratch == nil {
+		p.scratch = cluster.NewAlloc()
+	}
+	clear(p.scratch)
+	for m, n := range free {
+		if n != 0 {
+			p.scratch[m] = n
+		}
+	}
+	return p.scratch
+}
+
+// Begin starts a draw of up to count GPUs out of pool into dst (cleared
+// first; allocated when nil) for a job anchored at anchor under c, and returns
+// dst. The draw then proceeds by Take calls in whatever machine order the
+// caller's policy prefers; Take debits pool, so pool must be the caller's to
+// change. anchor is only read.
+func (p *Picker) Begin(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	dst = reset(dst)
+	p.topo, p.dst, p.pool, p.anchor = topo, dst, pool, anchor
+	p.need = max(count, 0)
+	p.c, p.constrained = c, !c.IsZero()
+	p.floor = max(c.MinGPUsPerMachine, 1)
+	p.fresh = -1
+	if c.MaxMachines > 0 {
+		p.fresh = c.MaxMachines
+		for _, n := range anchor {
+			if n > 0 && p.fresh > 0 {
+				p.fresh--
+			}
+		}
+	}
+	return dst
+}
+
+// reset returns dst emptied, or a fresh allocation when dst is nil.
+func reset(dst cluster.Alloc) cluster.Alloc {
+	if dst == nil {
+		return cluster.NewAlloc()
+	}
+	clear(dst)
+	return dst
+}
+
+// Need returns how many GPUs the draw in progress still wants.
+func (p *Picker) Need() int { return p.need }
+
+// Take moves as many GPUs as the draw still needs from machine m of the pool
+// into dst — or none, when that would break the draw's constraint: a machine
+// outside the domain/flavor affinity, a machine left under the per-machine
+// floor, or a fresh machine beyond the spread cap. Keys the pool runs out of
+// are deleted.
+func (p *Picker) Take(m cluster.MachineID) {
+	have := p.pool[m]
+	n := min(have, p.need)
+	if n <= 0 {
+		return
+	}
+	if p.constrained {
+		if !p.c.Admits(p.topo, m) {
+			return
+		}
+		base := p.anchor[m] + p.dst[m]
+		if base+n < p.floor {
+			return
+		}
+		if base == 0 && p.fresh >= 0 {
+			if p.fresh == 0 {
+				return
+			}
+			p.fresh--
+		}
+	}
+	p.dst[m] += n
+	p.need -= n
+	if n == have {
+		delete(p.pool, m)
+	} else {
+		p.pool[m] = have - n
+	}
+}
+
+// ByCount returns a's machines ordered by descending GPU count then ascending
+// ID — the order in which a pool packs tightest and an anchor extends best.
+// The slice is valid until the next ByCount call.
+func (p *Picker) ByCount(a cluster.Alloc) []cluster.MachineID {
+	ids := p.byCount[:0]
+	for m, n := range a {
+		if n > 0 {
+			ids = append(ids, m)
+		}
+	}
+	slices.SortFunc(ids, func(x, y cluster.MachineID) int {
+		if a[x] != a[y] {
+			return cmp.Compare(a[y], a[x])
+		}
+		return cmp.Compare(x, y)
+	})
+	p.byCount = ids
+	return ids
 }
 
 // PickInto greedily selects up to count GPUs from the free vector in a
@@ -261,79 +296,78 @@ type Picker struct {
 // returned; it is valid until the caller reuses dst. free and anchor are only
 // read.
 func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, anchor cluster.Alloc, count int) cluster.Alloc {
-	if dst == nil {
-		dst = cluster.NewAlloc()
-	} else {
-		clear(dst)
-	}
-	if count <= 0 {
-		return dst
-	}
-	if p.remaining == nil {
-		p.remaining = cluster.NewAlloc()
-	}
-	clear(p.remaining)
-	remaining := p.remaining
-	for m, n := range free {
-		if n != 0 {
-			remaining[m] = n
-		}
-	}
-	need := count
+	return p.Draw(dst, topo, p.Scratch(free), anchor, count)
+}
 
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := remaining[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		dst[m] += n
-		remaining[m] -= n
-		need -= n
+// Draw is PickInto against the caller's pool: the picked GPUs are removed from
+// pool itself. A loop that hands out GPUs until the pool runs dry clones the
+// free vector once and draws from the clone.
+func (p *Picker) Draw(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int) cluster.Alloc {
+	dst = p.Begin(dst, topo, pool, anchor, count, Constraint{})
+	if p.takeNearAnchor() {
+		p.takePacked()
 	}
+	return dst
+}
 
+// drawConstrained is Draw under a constraint set: the same anchor passes, then
+// plain most-free-first packing, every take constraint-checked.
+func (p *Picker) drawConstrained(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	dst = p.Begin(dst, topo, pool, anchor, count, c)
+	if p.takeNearAnchor() {
+		for _, m := range p.ByCount(pool) {
+			p.Take(m)
+		}
+	}
+	return dst
+}
+
+// takeNearAnchor runs the ladder's first two passes and reports whether the
+// draw still needs GPUs.
+func (p *Picker) takeNearAnchor() bool {
+	if p.need == 0 {
+		return false
+	}
 	// Pass 1: machines the anchor already uses, largest anchor share first.
-	for _, m := range p.sortedByCount(anchor) {
-		take(m)
-		if need == 0 {
-			return dst
-		}
+	for _, m := range p.ByCount(p.anchor) {
+		p.Take(m)
 	}
-
+	if p.need == 0 {
+		return false
+	}
 	// Pass 2: machines in racks the anchor already touches. The by-free
 	// order is snapshotted once, before any pass-2 take.
 	if p.anchorRacks == nil {
 		p.anchorRacks = make(map[cluster.RackID]bool)
 	}
 	clear(p.anchorRacks)
-	for m, n := range anchor {
+	for m, n := range p.anchor {
 		if n > 0 {
-			p.anchorRacks[topo.Rack(m)] = true
+			p.anchorRacks[p.topo.Rack(m)] = true
 		}
 	}
 	if len(p.anchorRacks) > 0 {
-		for _, m := range p.machinesByFree(remaining) {
-			if p.anchorRacks[topo.Rack(m)] {
-				take(m)
-				if need == 0 {
-					return dst
-				}
+		for _, m := range p.ByCount(p.pool) {
+			if p.need == 0 {
+				return false
+			}
+			if p.anchorRacks[p.topo.Rack(m)] {
+				p.Take(m)
 			}
 		}
 	}
+	return p.need > 0
+}
 
-	// Pass 3: pack into as few machines as possible, filling one fabric
-	// domain before spilling into the next. Domains the anchor already
-	// touches come first, then domains by aggregate free GPUs; within a
-	// domain, prefer the rack with the most aggregate free GPUs so
-	// multi-machine spills stay rack-local (the by-free order is recomputed
-	// per domain and rack). On single-domain (flat) topologies the domain
-	// loop is a no-op and the order reduces to plain rack packing.
+// takePacked is the ladder's third pass: pack into as few machines as
+// possible, filling one fabric domain before spilling into the next. Domains
+// the anchor already touches come first, then domains by aggregate free GPUs;
+// within a domain, prefer the rack with the most aggregate free GPUs so
+// multi-machine spills stay rack-local (the by-free order is recomputed per
+// domain and rack). On single-domain (flat) topologies the domain loop is a
+// no-op and the order reduces to plain rack packing.
+func (p *Picker) takePacked() {
+	topo, pool := p.topo, p.pool
 	if p.anchorDomains == nil {
 		p.anchorDomains = make(map[cluster.DomainID]bool)
 		p.rackFree = make(map[cluster.RackID]int)
@@ -342,12 +376,12 @@ func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, ancho
 	clear(p.anchorDomains)
 	clear(p.rackFree)
 	clear(p.domainFree)
-	for m, n := range anchor {
+	for m, n := range p.anchor {
 		if n > 0 {
 			p.anchorDomains[topo.Domain(m)] = true
 		}
 	}
-	for m, n := range remaining {
+	for m, n := range pool {
 		if n > 0 {
 			p.rackFree[topo.Rack(m)] += n
 			p.domainFree[topo.Domain(m)] += n
@@ -383,18 +417,17 @@ func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, ancho
 	p.racks = racks
 	for _, d := range domains {
 		for _, r := range racks {
-			for _, m := range p.machinesByFree(remaining) {
+			for _, m := range p.ByCount(pool) {
 				if topo.Rack(m) != r || topo.Domain(m) != d {
 					continue
 				}
-				take(m)
-				if need == 0 {
-					return dst
+				p.Take(m)
+				if p.need == 0 {
+					return
 				}
 			}
 		}
 	}
-	return dst
 }
 
 // Pick is PickInto on a throwaway Picker, returning a fresh allocation: the
@@ -404,39 +437,113 @@ func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, coun
 	return p.PickInto(nil, topo, free, anchor, count)
 }
 
-// sortedByCount returns alloc's machines ordered by descending count then
-// ascending ID (sortedMachineIDs over reused scratch).
-func (p *Picker) sortedByCount(alloc cluster.Alloc) []cluster.MachineID {
-	ids := p.anchorIDs[:0]
-	for m, n := range alloc {
+// DrawSpread removes up to count GPUs from pool in a placement-blind way — one
+// GPU at a time, round-robin across machines in ID order — and returns them in
+// dst (cleared first; allocated when nil). It models schedulers that do not
+// reason about locality (Tiresias, SLAQ, the placement-blind bidding
+// ablation): their allocations straddle machines and racks.
+func (p *Picker) DrawSpread(dst, pool cluster.Alloc, count int) cluster.Alloc {
+	dst = reset(dst)
+	ids := p.byCount[:0]
+	for m, n := range pool {
 		if n > 0 {
 			ids = append(ids, m)
 		}
 	}
-	slices.SortFunc(ids, func(a, b cluster.MachineID) int {
-		if alloc[a] != alloc[b] {
-			return cmp.Compare(alloc[b], alloc[a])
+	slices.Sort(ids)
+	p.byCount = ids
+	for progress := true; count > 0 && progress; {
+		progress = false
+		for _, m := range ids {
+			have := pool[m]
+			if count == 0 || have <= 0 {
+				continue
+			}
+			dst[m]++
+			count--
+			progress = true
+			if have == 1 {
+				delete(pool, m)
+			} else {
+				pool[m] = have - 1
+			}
 		}
-		return cmp.Compare(a, b)
-	})
-	p.anchorIDs = ids
-	return ids
+	}
+	return dst
 }
 
-// machinesByFree mirrors the package function over reused scratch.
-func (p *Picker) machinesByFree(free cluster.Alloc) []cluster.MachineID {
-	ids := p.byFree[:0]
-	for m, n := range free {
-		if n > 0 {
-			ids = append(ids, m)
+// SplitJob is what the job split needs to know about one of an app's jobs.
+// The zero value takes no part in a split.
+type SplitJob struct {
+	// Want is how many GPUs the job can use; jobs wanting none (the caller's
+	// finished or killed jobs) are skipped.
+	Want int
+	// WorkLeft is the key jobs are served by, least first. It is the
+	// caller's: the estimator asks the app's tuner, the simulator reads the
+	// job's true remaining work.
+	WorkLeft float64
+	// Constraint is the job's placement constraint resolved against the
+	// topology; Unresolvable marks a job whose domain affinity names a domain
+	// the topology does not have. Such a job can never run and draws nothing.
+	Constraint   Constraint
+	Unresolvable bool
+}
+
+// SplitOrder returns (in order's storage) the indices of the jobs a split
+// serves, least work left first: the job that finishes first determines the
+// app's finish time, so it is placed best.
+func SplitOrder(order []int, jobs []SplitJob) []int {
+	order = order[:0]
+	for i := range jobs {
+		if jobs[i].Want > 0 {
+			order = append(order, i)
 		}
 	}
-	slices.SortFunc(ids, func(a, b cluster.MachineID) int {
-		if free[a] != free[b] {
-			return cmp.Compare(free[b], free[a])
+	// The exchange sort is kept as is: it is not stable, and neither bid
+	// tables nor job splits may change with how ties happen to fall.
+	for i := 0; i < len(order); i++ {
+		for k := i + 1; k < len(order); k++ {
+			if jobs[order[k]].WorkLeft < jobs[order[i]].WorkLeft {
+				order[i], order[k] = order[k], order[i]
+			}
 		}
-		return cmp.Compare(a, b)
-	})
-	p.byFree = ids
-	return ids
+	}
+	return order
+}
+
+// Split divides an app-level pool among the app's jobs greedily and
+// placement-sensitively, honouring each job's parallelism limit (§5.2 step
+// 4): jobs are served in the given order (see SplitOrder), each drawing up to
+// Want GPUs, and at most budget GPUs leave the pool in total. A job whose
+// locality-best draw violates its placement constraint hands it back and
+// draws constraint-aware instead, so GPUs it cannot use in the shape on offer
+// flow to the app's other jobs rather than being stranded on an unrunnable
+// share.
+//
+// shares is indexed like jobs; every share is cleared, then filled in place
+// (allocated when nil and the job draws). pool is debited and must be the
+// caller's to change.
+func (p *Picker) Split(shares []cluster.Alloc, topo *cluster.Topology, pool cluster.Alloc, budget int, jobs []SplitJob, order []int) {
+	for _, share := range shares {
+		clear(share)
+	}
+	for _, i := range order {
+		if budget <= 0 || len(pool) == 0 {
+			return
+		}
+		j := &jobs[i]
+		if j.Unresolvable {
+			continue
+		}
+		want := min(j.Want, budget)
+		got := p.Draw(shares[i], topo, pool, nil, want)
+		if !j.Constraint.IsZero() && !Satisfies(topo, got, j.Constraint) {
+			for m, n := range got {
+				pool[m] += n
+			}
+			got = p.drawConstrained(got, topo, pool, nil, want, j.Constraint)
+		}
+		shares[i] = got
+		budget -= got.Total()
+	}
 }

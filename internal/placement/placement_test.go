@@ -2,6 +2,8 @@ package placement
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -344,43 +346,267 @@ func TestPickConstrained(t *testing.T) {
 	}
 }
 
-// TestPickerMatchesPick pins scratch hygiene: a reused Picker, whose maps and
-// slices carry state between calls, picks bit-for-bit what Pick's throwaway
-// Picker does.
+// refPickConstrained is PickConstrained as it was before its take moved onto
+// the Picker — closures, per-call maps, an O(n) usedMachines — kept verbatim as
+// the reference for the constrained ladder's pass order.
+func refPickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	if c.IsZero() {
+		return Pick(topo, free, anchor, count)
+	}
+	byCount := func(a cluster.Alloc) []cluster.MachineID {
+		ids := a.Machines()
+		sort.Slice(ids, func(i, j int) bool {
+			if a[ids[i]] != a[ids[j]] {
+				return a[ids[i]] > a[ids[j]]
+			}
+			return ids[i] < ids[j]
+		})
+		return ids
+	}
+	eligible := cluster.NewAlloc()
+	for m, n := range free {
+		if n > 0 && c.Admits(topo, m) {
+			eligible[m] = n
+		}
+	}
+	minPer := c.MinGPUsPerMachine
+	if minPer < 1 {
+		minPer = 1
+	}
+	usedMachines := func(picked cluster.Alloc) int {
+		used := make(map[cluster.MachineID]bool)
+		for m, n := range anchor {
+			if n > 0 {
+				used[m] = true
+			}
+		}
+		for m, n := range picked {
+			if n > 0 {
+				used[m] = true
+			}
+		}
+		return len(used)
+	}
+	picked := cluster.NewAlloc()
+	need := count
+	take := func(m cluster.MachineID) {
+		if need <= 0 {
+			return
+		}
+		n := eligible[m]
+		if n <= 0 {
+			return
+		}
+		if n > need {
+			n = need
+		}
+		base := anchor[m] + picked[m]
+		if base+n < minPer {
+			return // would leave the machine under the per-machine floor
+		}
+		if c.MaxMachines > 0 && base == 0 && usedMachines(picked) >= c.MaxMachines {
+			return // a fresh machine would exceed the spread cap
+		}
+		picked[m] += n
+		eligible[m] -= n
+		need -= n
+	}
+	for _, m := range byCount(anchor) {
+		take(m)
+	}
+	if need > 0 {
+		anchorRacks := make(map[cluster.RackID]bool)
+		for _, m := range anchor.Machines() {
+			anchorRacks[topo.Rack(m)] = true
+		}
+		if len(anchorRacks) > 0 {
+			for _, m := range byCount(eligible) {
+				if anchorRacks[topo.Rack(m)] {
+					take(m)
+				}
+			}
+		}
+	}
+	if need > 0 {
+		for _, m := range byCount(eligible) {
+			take(m)
+		}
+	}
+	return picked
+}
+
+// randomPool draws a free vector and an anchor over topo; some free keys are
+// stored with a zero count, which every form of the picker must read as
+// absent.
+func randomPool(rng *rand.Rand, topo *cluster.Topology) (free, anchor cluster.Alloc) {
+	free, anchor = cluster.NewAlloc(), cluster.NewAlloc()
+	for m := 0; m < topo.NumMachines(); m++ {
+		cap := topo.Machine(cluster.MachineID(m)).NumGPUs
+		if rng.Intn(3) != 0 {
+			free[cluster.MachineID(m)] = rng.Intn(cap + 1)
+		}
+		if rng.Intn(4) == 0 {
+			anchor[cluster.MachineID(m)] = 1 + rng.Intn(cap)
+		}
+	}
+	return free, anchor
+}
+
+// randomConstraint draws a constraint set: floor, cap, domain and flavor
+// affinities, each present about half the time (the domain sometimes one the
+// topology does not have).
+func randomConstraint(rng *rand.Rand, topo *cluster.Topology) Constraint {
+	var c Constraint
+	if rng.Intn(2) == 0 {
+		c.MinGPUsPerMachine = rng.Intn(4)
+	}
+	if rng.Intn(2) == 0 {
+		c.MaxMachines = rng.Intn(4)
+	}
+	if rng.Intn(3) == 0 {
+		c.HasDomain, c.Domain = true, cluster.DomainID(rng.Intn(3))
+	}
+	if rng.Intn(4) == 0 {
+		c.Flavor = topo.Machine(cluster.MachineID(rng.Intn(topo.NumMachines()))).GPU
+	}
+	return c
+}
+
+// sameAlloc requires got and want to hold the same GPUs and the same keys.
+func sameAlloc(t *testing.T, trial int, what string, got, want cluster.Alloc) {
+	t.Helper()
+	if !got.Equal(want) || len(got) != len(want) {
+		t.Fatalf("trial %d: %s %v, want %v", trial, what, got, want)
+	}
+}
+
+// TestPickerMatchesPick pins scratch hygiene and the ladders' pass order: a
+// reused Picker, whose maps and slices carry state between calls, picks
+// bit-for-bit what Pick's throwaway Picker does, and its constrained ladder
+// what the pre-Picker PickConstrained did.
 func TestPickerMatchesPick(t *testing.T) {
 	topo := multiDomainTopo(t)
 	rng := rand.New(rand.NewSource(19))
 	var p Picker
 	dst := cluster.NewAlloc()
-	for trial := 0; trial < 500; trial++ {
-		free := cluster.NewAlloc()
-		anchor := cluster.NewAlloc()
-		for m := 0; m < topo.NumMachines(); m++ {
-			cap := topo.Machine(cluster.MachineID(m)).NumGPUs
-			if rng.Intn(3) != 0 {
-				free[cluster.MachineID(m)] = rng.Intn(cap + 1)
-			}
-			if rng.Intn(4) == 0 {
-				anchor[cluster.MachineID(m)] = 1 + rng.Intn(cap)
-			}
-		}
+	for trial := 0; trial < 2000; trial++ {
+		free, anchor := randomPool(rng, topo)
 		count := rng.Intn(12)
-		want := Pick(topo, free, anchor, count)
-		got := p.PickInto(dst, topo, free, anchor, count)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: PickInto %v != Pick %v (free=%v anchor=%v count=%d)",
-				trial, got, want, free, anchor, count)
+		sameAlloc(t, trial, "PickInto", p.PickInto(dst, topo, free, anchor, count), Pick(topo, free, anchor, count))
+
+		c := randomConstraint(rng, topo)
+		want := refPickConstrained(topo, free, anchor, count, c)
+		sameAlloc(t, trial, "PickConstrained", PickConstrained(topo, free, anchor, count, c), want)
+		if !c.IsZero() {
+			sameAlloc(t, trial, "reused constrained draw", p.drawConstrained(dst, topo, p.Scratch(free), anchor, count, c), want)
 		}
-		for m, n := range got {
-			if want[m] != n {
-				t.Fatalf("trial %d: representation differs at machine %d", trial, m)
+	}
+}
+
+// TestDrawMatchesPickIntoThenSub is the debiting form's contract: Draw picks
+// what PickInto picks and leaves the pool as Sub would — zero-valued pool keys
+// and all.
+func TestDrawMatchesPickIntoThenSub(t *testing.T) {
+	topo := multiDomainTopo(t)
+	rng := rand.New(rand.NewSource(23))
+	var p, q Picker
+	for trial := 0; trial < 2000; trial++ {
+		free, anchor := randomPool(rng, topo)
+		pool := make(cluster.Alloc, len(free))
+		for m, n := range free {
+			pool[m] = n // keeps the zero-valued keys Clone would drop
+		}
+		// Several draws from one pool, as the policies' loops make them.
+		for pool.Total() > 0 {
+			count := 1 + rng.Intn(6)
+			wantPick := q.PickInto(nil, topo, pool, anchor, count)
+			wantPool, err := pool.Sub(wantPick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := p.Draw(nil, topo, pool, anchor, count)
+			sameAlloc(t, trial, "Draw", got, wantPick)
+			if !pool.Equal(wantPool) {
+				t.Fatalf("trial %d: pool after Draw %v, want %v", trial, pool, wantPool)
+			}
+			for m, n := range pool {
+				if n == 0 && free[m] != 0 {
+					t.Fatalf("trial %d: Draw left machine %d in the pool at zero", trial, m)
+				}
+			}
+			if got.Total() == 0 {
+				break
 			}
 		}
 	}
 }
 
-// TestPickerSteadyStateAllocs pins the point of the Picker: after warmup a
-// pick allocates nothing.
+// TestDrawSpread: the placement-blind draw deals one GPU per machine per
+// round in ID order and debits the pool.
+func TestDrawSpread(t *testing.T) {
+	var p Picker
+	pool := cluster.Alloc{2: 1, 0: 3, 1: 0, 5: 2}
+	got := p.DrawSpread(nil, pool, 5)
+	if want := (cluster.Alloc{0: 2, 2: 1, 5: 2}); !got.Equal(want) {
+		t.Errorf("DrawSpread = %v, want %v", got, want)
+	}
+	if want := (cluster.Alloc{0: 1}); !pool.Equal(want) {
+		t.Errorf("pool after DrawSpread = %v, want %v", pool, want)
+	}
+	if got := p.DrawSpread(got, pool, 4); got.Total() != 1 || pool.Total() != 0 {
+		t.Errorf("over-ask drew %v leaving %v, want the last GPU and an empty pool", got, pool)
+	}
+}
+
+// TestSplit covers the job split's own rules on a hand-sized case: service
+// order, the parallelism limit, the budget, the constraint-aware re-draw, and
+// that a job whose domain cannot be resolved draws nothing.
+func TestSplit(t *testing.T) {
+	topo := multiDomainTopo(t)
+	var p Picker
+	jobs := []SplitJob{
+		{Want: 4, WorkLeft: 30},
+		{Want: 2, WorkLeft: 10, Constraint: Constraint{MinGPUsPerMachine: 2}},
+		{Want: 4, WorkLeft: 5, Unresolvable: true},
+		{}, // a finished job
+		{Want: 8, WorkLeft: 20},
+	}
+	order := SplitOrder(nil, jobs)
+	if want := []int{2, 1, 4, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("SplitOrder = %v, want %v (least work left first, finished jobs out)", order, want)
+	}
+	// Domain 0 holds more free GPUs (three singles) than domain 1 (one pair),
+	// so job 1's locality-best draw is two singles — under its floor of 2. It
+	// must hand them back and take the pair instead.
+	pool := cluster.Alloc{0: 1, 1: 1, 2: 1, 4: 2}
+	shares := make([]cluster.Alloc, len(jobs))
+	p.Split(shares, topo, pool, 5, jobs, order)
+	if shares[2].Total() != 0 {
+		t.Errorf("unresolvable job drew %v, want nothing", shares[2])
+	}
+	if shares[3].Total() != 0 {
+		t.Errorf("finished job drew %v", shares[3])
+	}
+	if want := (cluster.Alloc{4: 2}); !shares[1].Equal(want) {
+		t.Errorf("constrained job drew %v, want %v", shares[1], want)
+	}
+	if shares[4].Total() != 3 || shares[0].Total() != 0 {
+		t.Errorf("shares %v: job 4 (served before job 0) should take the remaining 3 GPUs", shares)
+	}
+	if len(pool) != 0 {
+		t.Errorf("pool after the split = %v, want empty", pool)
+	}
+
+	// The budget caps what leaves the pool, across jobs.
+	pool = cluster.Alloc{2: 4, 3: 4}
+	p.Split(shares, topo, pool, 5, jobs, order)
+	if shares[1].Total() != 2 || shares[4].Total() != 3 || pool.Total() != 3 {
+		t.Errorf("budget 5: shares %v pool %v, want 2 + 3 drawn and 3 left", shares, pool)
+	}
+}
+
+// TestPickerSteadyStateAllocs pins the point of the Picker: after warmup no
+// form of it allocates.
 func TestPickerSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -388,13 +614,27 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 	topo := multiDomainTopo(t)
 	free := cluster.Alloc{0: 4, 1: 2, 4: 4, 5: 4}
 	anchor := cluster.Alloc{0: 2}
+	c := Constraint{MinGPUsPerMachine: 2, MaxMachines: 3, Domain: 0, HasDomain: true}
+	jobs := []SplitJob{{Want: 4, WorkLeft: 2}, {Want: 4, WorkLeft: 1, Constraint: Constraint{MaxMachines: 1}}, {Want: 8, WorkLeft: 3}}
+	order := SplitOrder(nil, jobs)
+	shares := make([]cluster.Alloc, len(jobs))
 	var p Picker
-	dst := cluster.NewAlloc()
-	p.PickInto(dst, topo, free, anchor, 6)
-	allocs := testing.AllocsPerRun(100, func() {
-		p.PickInto(dst, topo, free, anchor, 6)
-	})
-	if allocs != 0 {
-		t.Fatalf("PickInto allocated %v times per run in steady state", allocs)
+	dst, pool := cluster.NewAlloc(), cluster.NewAlloc()
+	refill := func() {
+		for m, n := range free {
+			pool[m] = n
+		}
+	}
+	for name, pick := range map[string]func(){
+		"PickInto":         func() { p.PickInto(dst, topo, free, anchor, 6) },
+		"constrained":      func() { p.drawConstrained(dst, topo, p.Scratch(free), anchor, 6, c) },
+		"Draw":             func() { refill(); p.Draw(dst, topo, pool, anchor, 6) },
+		"DrawSpread":       func() { refill(); p.DrawSpread(dst, pool, 6) },
+		"SplitOrder+Split": func() { refill(); order = SplitOrder(order, jobs); p.Split(shares, topo, pool, 14, jobs, order) },
+	} {
+		pick()
+		if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
+			t.Errorf("%s allocated %v times per run in steady state", name, allocs)
+		}
 	}
 }

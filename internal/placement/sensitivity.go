@@ -11,7 +11,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"themis/internal/cluster"
 )
@@ -258,16 +257,3 @@ var (
 		},
 	}
 )
-
-// sortedMachineIDs returns alloc's machines sorted by descending GPU count
-// then ascending ID, a deterministic order for greedy packing.
-func sortedMachineIDs(alloc cluster.Alloc) []cluster.MachineID {
-	ids := alloc.Machines()
-	sort.Slice(ids, func(i, j int) bool {
-		if alloc[ids[i]] != alloc[ids[j]] {
-			return alloc[ids[i]] > alloc[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}

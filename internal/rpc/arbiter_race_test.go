@@ -201,3 +201,47 @@ func TestDaemonLeaseExpiryReclamation(t *testing.T) {
 		t.Errorf("state invariants: %v", err)
 	}
 }
+
+// offerRecorder wraps a simBidder and notes whether the round offered it GPUs
+// (asked it for a bid).
+type offerRecorder struct {
+	*simBidder
+	offered bool
+}
+
+func (b *offerRecorder) PrepareBid(now float64, offer, current cluster.Alloc) core.BidTable {
+	b.offered = true
+	return b.simBidder.PrepareBid(now, offer, current)
+}
+
+// TestOfferSetIndependentOfMapOrder: auctionRound lists the agents by ranging
+// over a map, and the Arbiter cuts the worst 1−f by ρ. Among equal-ρ agents —
+// every starved app at one instant, every degraded RemoteBidder (which
+// reports exactly 1) — the cut used to fall wherever the map's iteration
+// order put it, so who was offered GPUs differed from one process to the
+// next. Ties now break on the app ID.
+func TestOfferSetIndependentOfMapOrder(t *testing.T) {
+	topo := testTopo(t)
+	for server := 0; server < 30; server++ {
+		arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewArbiterServer(arb)
+		bidders := make([]*offerRecorder, 8)
+		for i := range bidders {
+			bidders[i] = &offerRecorder{simBidder: &simBidder{
+				id: workload.AppID(fmt.Sprintf("app-%d", i)), demand: 2, weight: 100,
+			}}
+			s.RegisterBidder(bidders[i])
+		}
+		if _, err := s.RunAuction(0); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range bidders {
+			if want := i < 4; b.offered != want {
+				t.Fatalf("server %d: app-%d offered = %t, want the four lowest IDs and only them", server, i, b.offered)
+			}
+		}
+	}
+}

@@ -32,39 +32,37 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 	remaining := free.Clone()
 	demand := demandOf(view)
 	var picker placement.Picker
-	for remaining.Total() > 0 {
-		type candidate struct {
-			st    *sim.AppState
-			alloc cluster.Alloc
-			score float64
-		}
-		var best *candidate
+	// Every app is asked what it would do with the pool before any of it is
+	// committed, so candidates are picked without debiting (into two buffers
+	// swapped as the best changes) and only the winner's pick is debited.
+	var cand, bestAlloc cluster.Alloc
+	for len(remaining) > 0 {
+		var best *sim.AppState
+		bestScore := 0.0
 		for _, st := range view.Apps {
 			unmet := demand[st.App.ID]
 			if unmet <= 0 {
 				continue
 			}
-			chunk := chunkFor(st, unmet)
 			anchor := st.Held.Add(out[st.App.ID])
-			alloc := picker.PickInto(nil, view.Topo, remaining, anchor, chunk)
-			if alloc.Total() == 0 {
+			cand = picker.PickInto(cand, view.Topo, remaining, anchor, chunkFor(st, unmet))
+			if cand.Total() == 0 {
 				continue
 			}
-			score := cluster.PlacementScore(view.Topo, anchor.Add(alloc))
-			if best == nil || score > best.score ||
-				(score == best.score && st.App.SubmitTime < best.st.App.SubmitTime) {
-				best = &candidate{st: st, alloc: alloc, score: score}
+			score := cluster.PlacementScore(view.Topo, anchor.Add(cand))
+			if best == nil || score > bestScore ||
+				(score == bestScore && st.App.SubmitTime < best.App.SubmitTime) {
+				best, bestScore = st, score
+				cand, bestAlloc = bestAlloc, cand
 			}
 		}
 		if best == nil {
 			break
 		}
-		mergeGrant(out, best.st.App.ID, best.alloc)
-		demand[best.st.App.ID] -= best.alloc.Total()
-		var err error
-		remaining, err = remaining.Sub(best.alloc)
-		if err != nil {
-			return nil, fmt.Errorf("gandiva over-allocated: %w", err)
+		mergeGrant(out, best.App.ID, bestAlloc)
+		demand[best.App.ID] -= bestAlloc.Total()
+		if err := remaining.Debit(bestAlloc); err != nil {
+			return nil, fmt.Errorf("gandiva: committing a pick: %w", err)
 		}
 	}
 	return out, nil
@@ -88,12 +86,14 @@ func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 	out := make(map[workload.AppID]cluster.Alloc)
 	remaining := free.Clone()
 	demand := demandOf(view)
+	var picker placement.Picker
+	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
 	service := make(map[workload.AppID]float64, len(view.Apps))
 	for _, st := range view.Apps {
 		service[st.App.ID] = st.AttainedService()
 	}
-	for remaining.Total() > 0 {
+	for len(remaining) > 0 {
 		// Pick the app with least attained service (counting what it has
 		// been granted this round as if already consumed, so one app does
 		// not absorb the entire pool in a single round).
@@ -111,7 +111,7 @@ func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 			break
 		}
 		chunk := chunkFor(best, demand[best.App.ID])
-		alloc := spreadPick(remaining, chunk)
+		alloc = picker.DrawSpread(alloc, remaining, chunk)
 		if alloc.Total() == 0 {
 			break
 		}
@@ -119,11 +119,6 @@ func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 		demand[best.App.ID] -= alloc.Total()
 		// Bias future picks away from this app proportionally to the grant.
 		service[best.App.ID] += float64(alloc.Total())
-		var err error
-		remaining, err = remaining.Sub(alloc)
-		if err != nil {
-			return nil, fmt.Errorf("tiresias over-allocated: %w", err)
-		}
 	}
 	return out, nil
 }
@@ -156,8 +151,10 @@ func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[wo
 	remaining := free.Clone()
 	demand := demandOf(view)
 	granted := make(map[workload.AppID]int)
+	var picker placement.Picker
+	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
-	for remaining.Total() > 0 {
+	for len(remaining) > 0 {
 		var best *sim.AppState
 		bestGain := 0.0
 		for _, st := range view.Apps {
@@ -175,18 +172,13 @@ func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[wo
 			break
 		}
 		chunk := chunkFor(best, demand[best.App.ID])
-		alloc := spreadPick(remaining, chunk)
+		alloc = picker.DrawSpread(alloc, remaining, chunk)
 		if alloc.Total() == 0 {
 			break
 		}
 		mergeGrant(out, best.App.ID, alloc)
 		demand[best.App.ID] -= alloc.Total()
 		granted[best.App.ID] += alloc.Total()
-		var err error
-		remaining, err = remaining.Sub(alloc)
-		if err != nil {
-			return nil, fmt.Errorf("slaq over-allocated: %w", err)
-		}
 	}
 	return out, nil
 }
@@ -200,7 +192,10 @@ func (s *SLAQ) lossReduction(st *sim.AppState, have, extra int) float64 {
 		window = 20
 	}
 	bestGain := 0.0
-	for _, j := range st.App.ActiveJobs() {
+	for _, j := range st.App.Jobs {
+		if !j.Active() {
+			continue
+		}
 		curve, ok := s.curves[j.ID]
 		if !ok {
 			curve = estimator.CurveForJob(j)
@@ -236,6 +231,8 @@ func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (
 	out := make(map[workload.AppID]cluster.Alloc)
 	remaining := free.Clone()
 	demand := demandOf(view)
+	var picker placement.Picker
+	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 	holding := make(map[workload.AppID]int, len(view.Apps))
 	for _, st := range view.Apps {
 		holding[st.App.ID] = st.Held.Total()
@@ -245,7 +242,7 @@ func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (
 	copy(apps, view.Apps)
 	sort.Slice(apps, func(i, j int) bool { return apps[i].App.ID < apps[j].App.ID })
 
-	for remaining.Total() > 0 {
+	for len(remaining) > 0 {
 		var best *sim.AppState
 		for _, st := range apps {
 			if demand[st.App.ID] <= 0 {
@@ -259,18 +256,13 @@ func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (
 			break
 		}
 		chunk := chunkFor(best, demand[best.App.ID])
-		alloc := spreadPick(remaining, chunk)
+		alloc = picker.DrawSpread(alloc, remaining, chunk)
 		if alloc.Total() == 0 {
 			break
 		}
 		mergeGrant(out, best.App.ID, alloc)
 		demand[best.App.ID] -= alloc.Total()
 		holding[best.App.ID] += alloc.Total()
-		var err error
-		remaining, err = remaining.Sub(alloc)
-		if err != nil {
-			return nil, fmt.Errorf("resource-fair over-allocated: %w", err)
-		}
 	}
 	return out, nil
 }

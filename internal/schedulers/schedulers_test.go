@@ -120,21 +120,27 @@ func TestAllPoliciesCompleteWorkload(t *testing.T) {
 	}
 }
 
+// TestSpreadPick covers the placement-blind draw the Tiresias, SLAQ and
+// resource-fair loops hand GPUs out with.
 func TestSpreadPick(t *testing.T) {
-	free := cluster.Alloc{0: 4, 1: 4, 2: 2}
-	got := spreadPick(free, 3)
+	var picker placement.Picker
+	pool := cluster.Alloc{0: 4, 1: 4, 2: 2}
+	got := picker.DrawSpread(nil, pool, 3)
 	if got.Total() != 3 {
 		t.Fatalf("picked %d GPUs, want 3", got.Total())
 	}
 	// Round-robin means the first three GPUs land on three different machines.
 	if len(got.Machines()) != 3 {
-		t.Errorf("spreadPick should spread across machines, got %v", got)
+		t.Errorf("DrawSpread should spread across machines, got %v", got)
 	}
-	if got := spreadPick(free, 0); !got.IsEmpty() {
+	if want := (cluster.Alloc{0: 3, 1: 3, 2: 1}); !pool.Equal(want) {
+		t.Errorf("pool after the draw = %v, want %v", pool, want)
+	}
+	if got := picker.DrawSpread(nil, pool, 0); !got.IsEmpty() {
 		t.Errorf("count 0 should pick nothing")
 	}
-	if got := spreadPick(free, 100); got.Total() != 10 {
-		t.Errorf("over-ask should cap at the pool, got %d", got.Total())
+	if got := picker.DrawSpread(nil, pool, 100); got.Total() != 7 || len(pool) != 0 {
+		t.Errorf("over-ask should drain the pool, got %d leaving %v", got.Total(), pool)
 	}
 }
 

@@ -1,7 +1,6 @@
 package schedulers
 
 import (
-	"fmt"
 	"math"
 
 	"themis/internal/cluster"
@@ -43,8 +42,9 @@ func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (ma
 	demand := demandOf(view)
 	granted := make(map[workload.AppID]bool)
 	var picker placement.Picker
+	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
-	for remaining.Total() > 0 {
+	for len(remaining) > 0 {
 		var worst *sim.AppState
 		worstRho := math.Inf(-1)
 		for _, st := range view.Apps {
@@ -60,16 +60,8 @@ func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (ma
 			break
 		}
 		granted[worst.App.ID] = true
-		alloc := picker.PickInto(nil, view.Topo, remaining, worst.Held, demand[worst.App.ID])
-		if alloc.Total() == 0 {
-			continue
-		}
+		alloc = picker.Draw(alloc, view.Topo, remaining, worst.Held, demand[worst.App.ID])
 		mergeGrant(out, worst.App.ID, alloc)
-		var err error
-		remaining, err = remaining.Sub(alloc)
-		if err != nil {
-			return nil, fmt.Errorf("strawman over-allocated: %w", err)
-		}
 	}
 	return out, nil
 }

@@ -1,45 +1,10 @@
 package schedulers
 
 import (
-	"sort"
-
 	"themis/internal/cluster"
 	"themis/internal/sim"
 	"themis/internal/workload"
 )
-
-// spreadPick selects up to count GPUs from free in a placement-blind way:
-// one GPU at a time, round-robin across machines. It models schedulers that
-// do not reason about locality (Tiresias, SLAQ) — their allocations tend to
-// straddle machines and racks.
-func spreadPick(free cluster.Alloc, count int) cluster.Alloc {
-	picked := cluster.NewAlloc()
-	if count <= 0 || free.Total() == 0 {
-		return picked
-	}
-	remaining := free.Clone()
-	machines := remaining.Machines()
-	sort.Slice(machines, func(i, j int) bool { return machines[i] < machines[j] })
-	for count > 0 && remaining.Total() > 0 {
-		progress := false
-		for _, m := range machines {
-			if count == 0 {
-				break
-			}
-			if remaining[m] <= 0 {
-				continue
-			}
-			picked[m]++
-			remaining[m]--
-			count--
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-	return picked
-}
 
 // demandOf returns how many GPUs each active app can still use, keyed by ID.
 func demandOf(view *sim.View) map[workload.AppID]int {
@@ -56,8 +21,8 @@ func demandOf(view *sim.View) map[workload.AppID]int {
 // (the app's typical gang), never exceeding the app's unmet demand.
 func chunkFor(st *sim.AppState, unmet int) int {
 	gang := 0
-	for _, j := range st.App.ActiveJobs() {
-		if j.GangSize > gang {
+	for _, j := range st.App.Jobs {
+		if j.Active() && j.GangSize > gang {
 			gang = j.GangSize
 		}
 	}

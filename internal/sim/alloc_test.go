@@ -52,7 +52,7 @@ func allocProbeSim(t testing.TB) *Simulator {
 func probeRound(t testing.TB, s *Simulator) {
 	s.processArrivals()
 	s.processFailures()
-	if err := s.expireLeases(); err != nil {
+	if err := s.expireLeases(s.dueLeases()); err != nil {
 		t.Fatal(err)
 	}
 	s.runTuners()
@@ -112,7 +112,7 @@ func TestLeasePoolRecycles(t *testing.T) {
 	}
 	// Jump past the lease horizon: expiries retire every lease into the pool.
 	s.advanceTo(s.now + 6)
-	if err := s.expireLeases(); err != nil {
+	if err := s.expireLeases(s.dueLeases()); err != nil {
 		t.Fatal(err)
 	}
 	retired := len(s.leasePool)

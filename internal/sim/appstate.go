@@ -23,8 +23,12 @@ type AppState struct {
 	// realised finish-time fairness metric.
 	TIdealAtArrival float64
 
-	topo        *cluster.Topology
-	jobAllocs   map[workload.JobID]cluster.Alloc
+	topo *cluster.Topology
+	// jobAllocs is the current job split: the GPUs assigned to each job,
+	// indexed like App.Jobs. The maps are the app's own and are refilled in
+	// place on every allocation change.
+	jobAllocs   []cluster.Alloc
+	split       *splitScratch
 	pausedUntil float64
 
 	// runnable caches the jobs that can make progress under the current job
@@ -36,9 +40,9 @@ type AppState struct {
 	// proj is the incrementally maintained projection of the app's next job
 	// completion time (+Inf when no job is runnable). It is recomputed from
 	// the runnable cache on every allocation change and after every progress
-	// integration, with the same floating-point expression the legacy
-	// per-round scan evaluated, so cached and rescanned projections are
-	// bit-identical.
+	// integration, with the same floating-point expression a full rescan
+	// evaluates (the tests' scan oracle), so cached and rescanned projections
+	// are bit-identical.
 	proj float64
 
 	// heldTotal caches Held.Total(), refreshed on every allocation change.
@@ -79,13 +83,27 @@ type runnableJob struct {
 	s   float64
 }
 
-func newAppState(app *workload.App, tuner hyperparam.Tuner, topo *cluster.Topology) *AppState {
+// splitScratch is the working set of the job split. One simulation's apps
+// share it (the simulator is single-goroutine; sweep workers each own a
+// Simulator), so what an app keeps between allocation changes is its split
+// alone.
+type splitScratch struct {
+	picker placement.Picker
+	jobs   []placement.SplitJob
+	order  []int
+	// shares receives what-if splits (usableWith, repairGrant); resplit
+	// writes the app's own jobAllocs instead.
+	shares []cluster.Alloc
+}
+
+func newAppState(app *workload.App, tuner hyperparam.Tuner, topo *cluster.Topology, split *splitScratch) *AppState {
 	st := &AppState{
 		App:        app,
 		Tuner:      tuner,
 		Held:       cluster.NewAlloc(),
 		topo:       topo,
-		jobAllocs:  make(map[workload.JobID]cluster.Alloc),
+		jobAllocs:  make([]cluster.Alloc, len(app.Jobs)),
+		split:      split,
 		proj:       math.Inf(1),
 		activeIdx:  -1,
 		runningIdx: -1,
@@ -117,7 +135,10 @@ func (st *AppState) rejectInfeasible(now float64) bool {
 		return false
 	}
 	killed := false
-	for _, j := range st.App.ActiveJobs() {
+	for _, j := range st.App.Jobs {
+		if !j.Active() {
+			continue
+		}
 		c, ok := j.PlacementConstraint(st.topo)
 		if !ok || !c.Feasible(st.topo) {
 			j.Kill(now)
@@ -180,8 +201,10 @@ func (st *AppState) PausedUntil() float64 { return st.pausedUntil }
 
 // JobAlloc returns the GPUs currently assigned to job id within the app.
 func (st *AppState) JobAlloc(id workload.JobID) cluster.Alloc {
-	if a, ok := st.jobAllocs[id]; ok {
-		return a.Clone()
+	for i, j := range st.App.Jobs {
+		if j.ID == id {
+			return st.jobAllocs[i].Clone()
+		}
 	}
 	return cluster.NewAlloc()
 }
@@ -212,11 +235,11 @@ func (st *AppState) placementScore() (score, weight float64) {
 	if st.scoreDirty {
 		st.scoreDirty = false
 		var sum, gpus float64
-		for _, j := range st.App.Jobs {
+		for i, j := range st.App.Jobs {
 			if !j.Active() {
 				continue
 			}
-			alloc := st.jobAllocs[j.ID]
+			alloc := st.jobAllocs[i]
 			g := float64(alloc.Total())
 			if g == 0 {
 				continue
@@ -237,10 +260,10 @@ func (st *AppState) placementScore() (score, weight float64) {
 // split and re-projects the app's completion time at now.
 func (st *AppState) refreshRunnable(now float64) {
 	st.runnable = st.runnable[:0]
-	for _, j := range st.App.ActiveJobs() {
-		alloc := st.jobAllocs[j.ID]
+	for i, j := range st.App.Jobs {
+		alloc := st.jobAllocs[i]
 		g := alloc.Total()
-		if g == 0 || !st.jobCanRun(j, alloc) {
+		if g == 0 || !j.Active() || !st.jobCanRun(j, alloc) {
 			continue
 		}
 		st.runnable = append(st.runnable, runnableJob{job: j, g: g, s: st.App.Profile.SOf(st.topo, alloc)})
@@ -249,8 +272,8 @@ func (st *AppState) refreshRunnable(now float64) {
 }
 
 // project recomputes the cached completion projection at time now from the
-// runnable cache. The expression mirrors nextCompletion's per-job term
-// exactly, so the cached projection is bit-identical to a full rescan.
+// runnable cache. The expression mirrors the per-job term of the tests' scan
+// oracle exactly, so the cached projection is bit-identical to a full rescan.
 func (st *AppState) project(now float64) {
 	start := now
 	if st.pausedUntil > start {
@@ -272,57 +295,33 @@ func (st *AppState) project(now float64) {
 // placement-sensitively, honouring per-job parallelism limits. Jobs nearest
 // completion are placed first (they determine the app's finish time).
 func (st *AppState) resplit() {
-	st.jobAllocs = st.splitHeld(st.Held)
+	st.splitInto(st.jobAllocs, st.split.picker.Scratch(st.Held), st.heldTotal)
 }
 
-// splitHeld computes the greedy placement-sensitive job split of an app-level
-// allocation. Jobs whose unconstrained pick violates their placement
-// constraints are re-picked constraint-aware, so GPUs a job cannot use in the
-// shape offered flow to the app's other jobs instead of being stranded on an
-// unrunnable split.
-func (st *AppState) splitHeld(held cluster.Alloc) map[workload.JobID]cluster.Alloc {
-	split := make(map[workload.JobID]cluster.Alloc)
-	active := st.App.ActiveJobs()
-	if len(active) == 0 || held.Total() == 0 {
-		return split
+// splitInto runs the job split (placement.Picker.Split, §5.2 step 4) of pool
+// over the app's jobs, least true remaining work first, handing out at most
+// budget GPUs. shares is indexed like App.Jobs; pool is debited. It returns
+// the job facts the split used, valid until the next split.
+func (st *AppState) splitInto(shares []cluster.Alloc, pool cluster.Alloc, budget int) []placement.SplitJob {
+	sc := st.split
+	sc.jobs = sc.jobs[:0]
+	for _, j := range st.App.Jobs {
+		sc.jobs = append(sc.jobs, j.SplitJob(st.topo, j.RemainingWork()))
 	}
-	order := make([]*workload.Job, len(active))
-	copy(order, active)
-	for i := 0; i < len(order); i++ {
-		for k := i + 1; k < len(order); k++ {
-			if order[k].RemainingWork() < order[i].RemainingWork() {
-				order[i], order[k] = order[k], order[i]
-			}
-		}
+	sc.order = placement.SplitOrder(sc.order, sc.jobs)
+	sc.picker.Split(shares, st.topo, pool, budget, sc.jobs, sc.order)
+	return sc.jobs
+}
+
+// whatIf splits pool like splitInto, but into the shared scratch shares
+// (valid until the next what-if) instead of the app's own job split.
+func (st *AppState) whatIf(pool cluster.Alloc, budget int) ([]cluster.Alloc, []placement.SplitJob) {
+	sc := st.split
+	for len(sc.shares) < len(st.App.Jobs) {
+		sc.shares = append(sc.shares, nil)
 	}
-	remaining := held.Clone()
-	var picker placement.Picker
-	for _, j := range order {
-		want := j.MaxParallelism
-		if want <= 0 {
-			want = j.GangSize
-		}
-		c, ok := j.PlacementConstraint(st.topo)
-		if !ok {
-			// Unresolvable domain affinity: the job can never run here and is
-			// rejected at arrival; assign it nothing meanwhile.
-			continue
-		}
-		picked := picker.PickInto(nil, st.topo, remaining, nil, want)
-		if !c.IsZero() && !placement.Satisfies(st.topo, picked, c) {
-			picked = placement.PickConstrained(st.topo, remaining, cluster.NewAlloc(), want, c)
-		}
-		if picked.Total() == 0 {
-			continue
-		}
-		split[j.ID] = picked
-		var err error
-		remaining, err = remaining.Sub(picked)
-		if err != nil {
-			panic("sim: resplit internal inconsistency: " + err.Error())
-		}
-	}
-	return split
+	shares := sc.shares[:len(st.App.Jobs)]
+	return shares, st.splitInto(shares, pool, budget)
 }
 
 // usableWith reports whether granting extra on top of the app's current
@@ -330,17 +329,13 @@ func (st *AppState) splitHeld(held cluster.Alloc) map[workload.JobID]cluster.All
 // constraints. schedule uses it to detect grants a constrained app cannot
 // convert into progress.
 func (st *AppState) usableWith(extra cluster.Alloc) bool {
-	split := st.splitHeld(st.Held.Add(extra))
-	for _, j := range st.App.ActiveJobs() {
-		alloc := split[j.ID]
-		if alloc.Total() == 0 {
-			continue
-		}
-		c, ok := j.PlacementConstraint(st.topo)
-		if !ok {
-			continue
-		}
-		if placement.Satisfies(st.topo, alloc, c) {
+	pool := st.split.picker.Scratch(st.Held)
+	for m, n := range extra {
+		pool[m] += n
+	}
+	shares, jobs := st.whatIf(pool, st.heldTotal+extra.Total())
+	for i, share := range shares {
+		if share.Total() > 0 && placement.Satisfies(st.topo, share, jobs[i].Constraint) {
 			return true
 		}
 	}
@@ -354,20 +349,25 @@ func (st *AppState) usableWith(extra cluster.Alloc) bool {
 // packer avoid machines none of the app's jobs may use. When the app has
 // exactly one active job, its full constraint set applies.
 func (st *AppState) packConstraint() placement.Constraint {
-	active := st.App.ActiveJobs()
-	if len(active) == 0 {
-		return placement.Constraint{}
-	}
-	first, ok := active[0].PlacementConstraint(st.topo)
-	if !ok {
-		return placement.Constraint{}
-	}
-	if len(active) == 1 {
-		return first
-	}
-	shared := placement.Constraint{Domain: first.Domain, HasDomain: first.HasDomain, Flavor: first.Flavor}
-	for _, j := range active[1:] {
+	var shared placement.Constraint
+	active := 0
+	for _, j := range st.App.Jobs {
+		if !j.Active() {
+			continue
+		}
 		c, ok := j.PlacementConstraint(st.topo)
+		active++
+		if active == 1 {
+			if !ok {
+				return placement.Constraint{}
+			}
+			shared = c // while it is the only active job, all of its constraint
+			continue
+		}
+		if active == 2 {
+			// From the second job on only affinities can be common ground.
+			shared = placement.Constraint{Domain: shared.Domain, HasDomain: shared.HasDomain, Flavor: shared.Flavor}
+		}
 		if !ok {
 			c = placement.Constraint{}
 		}
@@ -414,35 +414,6 @@ func (st *AppState) advance(from, to float64) bool {
 	st.tunerDirty = true
 	st.project(to)
 	return true
-}
-
-// nextCompletion returns the projected completion time of the app's
-// fastest-finishing running job, if any job is running. It recomputes the
-// projection from scratch — the legacy per-round scan the heap core's cached
-// projection replaces — and is retained for the legacy event core and as a
-// cross-check oracle for tests.
-func (st *AppState) nextCompletion(now float64) (float64, bool) {
-	start := now
-	if st.pausedUntil > start {
-		start = st.pausedUntil
-	}
-	best := math.Inf(1)
-	for _, j := range st.App.ActiveJobs() {
-		alloc := st.jobAllocs[j.ID]
-		g := alloc.Total()
-		if g == 0 || !st.jobCanRun(j, alloc) {
-			continue
-		}
-		s := st.App.Profile.SOf(st.topo, alloc)
-		t := start + j.RemainingWork()/(float64(g)*s)
-		if t < best {
-			best = t
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
 }
 
 // View is the read-only snapshot of simulator state a Policy sees when asked

@@ -1,12 +1,10 @@
 package sim
 
-// Event-core benchmarks: the same saturated-cluster workload driven through
-// the indexed-heap event core and the legacy per-round scan core, at 64/512/
-// 2048 apps. The workload uses single-trial apps and a trivial FIFO policy
-// so the measured time is dominated by the event loop itself — next-event
-// discovery, lease bookkeeping and progress integration — rather than by
-// policy or tuner work. The heap-vs-scan ratio at 2048 apps is the headline
-// number tracked by the bench trajectory.
+// Event-core benchmarks: a saturated-cluster workload driven through the
+// indexed-heap event core at 64/512/2048 apps. The workload uses single-trial
+// apps and a trivial FIFO policy so the measured time is dominated by the
+// event loop itself — next-event discovery, lease bookkeeping and progress
+// integration — rather than by policy or tuner work.
 //
 // Run with:
 //
@@ -59,37 +57,29 @@ func (benchPolicy) Name() string { return "bench-fifo" }
 
 func (benchPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[workload.AppID]cluster.Alloc, error) {
 	var out map[workload.AppID]cluster.Alloc
-	remaining := free
-	left := free.Total()
+	remaining := free.Clone()
 	var picker placement.Picker
 	for _, st := range view.Apps {
-		if left == 0 {
+		if len(remaining) == 0 {
 			break
 		}
 		want := st.UnmetDemand()
 		if want <= 0 {
 			continue
 		}
-		alloc := picker.PickInto(nil, view.Topo, remaining, st.Held, want)
-		granted := alloc.Total()
-		if granted == 0 {
+		alloc := picker.Draw(nil, view.Topo, remaining, st.Held, want)
+		if alloc.Total() == 0 {
 			continue
 		}
 		if out == nil {
 			out = make(map[workload.AppID]cluster.Alloc)
 		}
 		out[st.App.ID] = alloc
-		var err error
-		remaining, err = remaining.Sub(alloc)
-		if err != nil {
-			return nil, err
-		}
-		left -= granted
 	}
 	return out, nil
 }
 
-func benchmarkEventCore(b *testing.B, apps int, legacy bool) {
+func benchmarkEventCore(b *testing.B, apps int) {
 	topo := benchTopology(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -103,7 +93,6 @@ func benchmarkEventCore(b *testing.B, apps int, legacy bool) {
 			Policy:          benchPolicy{},
 			LeaseDuration:   20,
 			RestartOverhead: 0.5,
-			legacyScan:      legacy,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -118,17 +107,12 @@ func benchmarkEventCore(b *testing.B, apps int, legacy bool) {
 	}
 }
 
-// BenchmarkSimEventCore measures a full simulation run under both event
-// cores at increasing app counts.
+// BenchmarkSimEventCore measures a full simulation run at increasing app
+// counts.
 func BenchmarkSimEventCore(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"heap", false}, {"scan", true}} {
-		for _, apps := range []int{64, 512, 2048} {
-			b.Run(fmt.Sprintf("%s/apps-%d", mode.name, apps), func(b *testing.B) {
-				benchmarkEventCore(b, apps, mode.legacy)
-			})
-		}
+	for _, apps := range []int{64, 512, 2048} {
+		b.Run(fmt.Sprintf("heap/apps-%d", apps), func(b *testing.B) {
+			benchmarkEventCore(b, apps)
+		})
 	}
 }

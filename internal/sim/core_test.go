@@ -1,13 +1,15 @@
 package sim
 
-// Tests pinning the heap event core to the legacy scan core: both must
-// produce bit-identical results, and the forced-step (spin-guard) clamp must
-// never jump over a real event.
+// Tests pinning the heap event core to a full-rescan oracle: at every decision
+// point the leases the heap pops as due and the event times it reports must
+// equal what scanning every app and lease finds, and the forced-step
+// (spin-guard) clamp must never jump over a real event.
 
 import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"themis/internal/cluster"
@@ -32,16 +34,168 @@ func equivalenceWorkload(t *testing.T, seed int64, apps int) []*workload.App {
 	return out
 }
 
-// TestHeapCoreMatchesScanCoreExactly replays identical seeded traces under
-// both event cores and requires the full Results — per-app records, the
-// complete allocation timeline and the aggregate metrics — to be equal to
-// the last bit. The completion projections the heap caches are recomputed
-// with the same floating-point expressions the scan evaluates, so any
-// divergence, even one ulp, is a bookkeeping bug in the heap core.
+// The scan oracle: the pre-heap event core, which rediscovered the due leases
+// and the next decision point each round with full scans over pending
+// arrivals, failures, every active app's lease list and every active app's
+// completion projection recomputed from scratch. It was the simulator's
+// second core until the heap core had earned its keep; it lives on here as
+// what the heap core is checked against.
+
+// scanDueLeases returns the grant sequence numbers of the leases whose expiry
+// time has been reached, in grant order.
+func scanDueLeases(s *Simulator) []uint64 {
+	var due []uint64
+	for _, st := range s.activeList {
+		for _, l := range st.leases {
+			if l.expiry <= s.now+timeEps {
+				due = append(due, l.seq)
+			}
+		}
+	}
+	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	return due
+}
+
+// scanNextCompletion returns the projected completion time of the app's
+// fastest-finishing running job, if any job is running, recomputed from the
+// job split.
+func scanNextCompletion(st *AppState, now float64) (float64, bool) {
+	start := now
+	if st.pausedUntil > start {
+		start = st.pausedUntil
+	}
+	best := math.Inf(1)
+	for i, j := range st.App.Jobs {
+		alloc := st.jobAllocs[i]
+		g := alloc.Total()
+		if !j.Active() || g == 0 || !st.jobCanRun(j, alloc) {
+			continue
+		}
+		s := st.App.Profile.SOf(st.topo, alloc)
+		t := start + j.RemainingWork()/(float64(g)*s)
+		if t < best {
+			best = t
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, false
+	}
+	return best, true
+}
+
+// scanEventTimes returns the earliest event time and the earliest
+// strictly-future event time.
+func scanEventTimes(s *Simulator) (best, future float64) {
+	best, future = math.Inf(1), math.Inf(1)
+	note := func(t float64) {
+		best = math.Min(best, t)
+		if t > s.now {
+			future = math.Min(future, t)
+		}
+	}
+	if len(s.pending) > 0 {
+		note(s.pending[0].App.SubmitTime)
+	}
+	// The earliest pending failure or recovery.
+	next := math.Inf(1)
+	if len(s.failures) > 0 {
+		next = math.Min(next, s.failures[0].f.Time)
+	}
+	if len(s.recoveries) > 0 {
+		next = math.Min(next, s.recoveries[0].time)
+	}
+	if !math.IsInf(next, 1) && next > s.now {
+		note(next)
+	}
+	for _, st := range s.activeList {
+		for _, l := range st.leases {
+			if l.expiry > s.now {
+				note(l.expiry)
+			}
+		}
+		if t, ok := scanNextCompletion(st, s.now); ok {
+			note(t)
+		}
+	}
+	return best, future
+}
+
+// runAgainstScan drives s the way Run does and, at every decision point,
+// checks the heap core's due leases and event times against the scan oracle.
+func runAgainstScan(t *testing.T, s *Simulator) *Result {
+	t.Helper()
+	for round := 0; ; round++ {
+		if round > 1_000_000 {
+			t.Fatal("no end in sight")
+		}
+		if s.cfg.Horizon > 0 && s.now >= s.cfg.Horizon {
+			break
+		}
+		s.processArrivals()
+		s.processFailures()
+		want := scanDueLeases(s)
+		due := s.dueLeases()
+		got := make([]uint64, 0, len(due))
+		for _, l := range due {
+			got = append(got, l.seq)
+		}
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("t=%v: heap pops leases %v as due, the scan finds %v", s.now, got, want)
+		}
+		if err := s.expireLeases(due); err != nil {
+			t.Fatal(err)
+		}
+		s.runTuners()
+		s.finishApps()
+		if _, err := s.schedule(); err != nil {
+			t.Fatal(err)
+		}
+		if s.done() {
+			break
+		}
+		wantBest, wantFuture := scanEventTimes(s)
+		if best, future := s.heapEventTimes(); best != wantBest || future != wantFuture {
+			t.Fatalf("t=%v: heap sees (next, next future) event at (%v, %v), the scan at (%v, %v)",
+				s.now, best, future, wantBest, wantFuture)
+		}
+		next, _, ok := s.nextEventTime()
+		if !ok {
+			break
+		}
+		s.advanceTo(next)
+	}
+	s.finalize()
+	return s.result
+}
+
+// assertSameRun requires two Results — per-app records, the complete
+// allocation timeline and the aggregate metrics — to be equal to the last bit.
+func assertSameRun(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Apps, want.Apps) {
+		t.Errorf("%s: per-app records differ", label)
+	}
+	if !reflect.DeepEqual(got.Timeline, want.Timeline) {
+		t.Errorf("%s: allocation timelines differ", label)
+	}
+	if got.Makespan != want.Makespan || got.ClusterGPUTime != want.ClusterGPUTime || got.PeakContention != want.PeakContention {
+		t.Errorf("%s: aggregates differ: (%v,%v,%v) vs (%v,%v,%v)", label,
+			got.Makespan, got.ClusterGPUTime, got.PeakContention,
+			want.Makespan, want.ClusterGPUTime, want.PeakContention)
+	}
+}
+
+// TestHeapCoreMatchesScanCoreExactly replays seeded traces and requires the
+// heap core to agree with the scan oracle at every decision point. The
+// completion projections the heap caches are recomputed with the same
+// floating-point expressions the scan evaluates, so any divergence, even one
+// ulp, is a bookkeeping bug in the heap core. The checked replay must also
+// produce the very Result a plain Run does: the observation perturbs nothing
+// and runAgainstScan's loop is Run's.
 func TestHeapCoreMatchesScanCoreExactly(t *testing.T) {
 	topo := simTopo(t, 6, 4, 3)
 	for _, seed := range []int64{1, 7, 23, 99} {
-		run := func(legacy bool) *Result {
+		build := func() *Simulator {
 			s, err := New(Config{
 				Topology:        topo,
 				Apps:            equivalenceWorkload(t, seed, 10),
@@ -49,41 +203,25 @@ func TestHeapCoreMatchesScanCoreExactly(t *testing.T) {
 				LeaseDuration:   10,
 				RestartOverhead: 0.5,
 				Horizon:         5000,
-				legacyScan:      legacy,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+			return s
 		}
-		heap, scan := run(false), run(true)
-		if !reflect.DeepEqual(heap.Apps, scan.Apps) {
-			t.Errorf("seed %d: per-app records differ between heap and scan cores", seed)
+		plain, err := build().Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(heap.Timeline, scan.Timeline) {
-			t.Errorf("seed %d: allocation timelines differ between heap and scan cores", seed)
-		}
-		if heap.Makespan != scan.Makespan || heap.ClusterGPUTime != scan.ClusterGPUTime || heap.PeakContention != scan.PeakContention {
-			t.Errorf("seed %d: aggregates differ: heap (%v,%v,%v) vs scan (%v,%v,%v)", seed,
-				heap.Makespan, heap.ClusterGPUTime, heap.PeakContention,
-				scan.Makespan, scan.ClusterGPUTime, scan.PeakContention)
-		}
+		assertSameRun(t, "checked vs plain run", runAgainstScan(t, build()), plain)
 	}
 }
 
 // TestHeapCoreMatchesScanCoreUnderFailures exercises the revocation path —
-// lease trimming, machine offlining and recovery — under both cores.
+// lease trimming, machine offlining and recovery — against the scan oracle.
 func TestHeapCoreMatchesScanCoreUnderFailures(t *testing.T) {
 	topo := simTopo(t, 4, 4, 2)
-	failures := []Failure{
-		{Time: 8, Machine: 1, Duration: 15},
-		{Time: 20, Machine: 2, Duration: 0}, // permanent
-	}
-	run := func(legacy bool) *Result {
+	build := func() *Simulator {
 		s, err := New(Config{
 			Topology:        topo,
 			Apps:            equivalenceWorkload(t, 5, 6),
@@ -91,30 +229,26 @@ func TestHeapCoreMatchesScanCoreUnderFailures(t *testing.T) {
 			LeaseDuration:   10,
 			RestartOverhead: 0.5,
 			Horizon:         5000,
-			Failures:        failures,
-			legacyScan:      legacy,
+			Failures: []Failure{
+				{Time: 8, Machine: 1, Duration: 15},
+				{Time: 20, Machine: 2, Duration: 0}, // permanent
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return s
 	}
-	heap, scan := run(false), run(true)
-	if !reflect.DeepEqual(heap.Apps, scan.Apps) {
-		t.Error("per-app records differ between heap and scan cores under failures")
+	plain, err := build().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(heap.Timeline, scan.Timeline) {
-		t.Error("allocation timelines differ between heap and scan cores under failures")
-	}
+	assertSameRun(t, "checked vs plain run under failures", runAgainstScan(t, build()), plain)
 }
 
 // TestCachedProjectionMatchesScanOracle runs the heap core and, at every
 // policy invocation, recomputes each app's completion projection from
-// scratch (the legacy scan's oracle) and compares it with the cached value.
+// scratch (the scan oracle) and compares it with the cached value.
 func TestCachedProjectionMatchesScanOracle(t *testing.T) {
 	topo := simTopo(t, 4, 4, 2)
 	check := projectionCheckPolicy{t: t}
@@ -143,7 +277,7 @@ func (projectionCheckPolicy) Name() string { return "projection-check" }
 
 func (p projectionCheckPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[workload.AppID]cluster.Alloc, error) {
 	for _, st := range view.Apps {
-		scan, ok := st.nextCompletion(now)
+		scan, ok := scanNextCompletion(st, now)
 		switch {
 		case !ok && !math.IsInf(st.proj, 1):
 			p.t.Errorf("t=%v app %s: cached projection %v but scan sees no completion", now, st.App.ID, st.proj)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"sort"
 
 	"themis/internal/cluster"
@@ -109,20 +108,4 @@ func (st *AppState) trimLeases(m cluster.MachineID, count int) {
 		}
 		count -= take
 	}
-}
-
-// nextFailureEvent returns the earliest pending failure or recovery time
-// (used by the legacy scan core; the heap core sees the entries directly).
-func (s *Simulator) nextFailureEvent() (float64, bool) {
-	best := math.Inf(1)
-	if len(s.failures) > 0 {
-		best = math.Min(best, s.failures[0].f.Time)
-	}
-	if len(s.recoveries) > 0 {
-		best = math.Min(best, s.recoveries[0].time)
-	}
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
 }

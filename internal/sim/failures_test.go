@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"themis/internal/cluster"
@@ -140,14 +141,14 @@ func TestPlacementConstraintBlocksSpreadAllocations(t *testing.T) {
 	topo := simTopo(t, 2, 4, 2)
 	app := simApp("a", 0, placement.ResNet50, 1, 100)
 	app.Jobs[0].MinGPUsPerMachine = 4
-	st := newAppState(app, fifoTuner{}, topo)
+	st := newAppState(app, fifoTuner{}, topo, &splitScratch{})
 
 	st.onAllocationChange(0, cluster.Alloc{0: 2, 1: 2}, 0)
 	st.advance(0, 10)
 	if app.Jobs[0].DoneWork != 0 {
 		t.Errorf("constrained job progressed on a violating allocation: %v", app.Jobs[0].DoneWork)
 	}
-	if _, ok := st.nextCompletion(10); ok {
+	if !math.IsInf(st.proj, 1) {
 		t.Error("violating allocation should not produce a completion event")
 	}
 

@@ -140,11 +140,9 @@ func snapshotFrag(topo *cluster.Topology, cs *cluster.State) fragSnapshot {
 
 // appAccumulator holds in-flight per-app accounting during the run.
 type appAccumulator struct {
-	state       *AppState
 	heldGPUTime float64
 	scoreWeight float64
 	scoreSum    float64
-	arrived     bool
 }
 
 func newResult(cfg Config) *Result {
@@ -160,14 +158,14 @@ func newResult(cfg Config) *Result {
 func (r *Result) acc(st *AppState) *appAccumulator {
 	a, ok := r.records[st.App.ID]
 	if !ok {
-		a = &appAccumulator{state: st}
+		a = &appAccumulator{}
 		r.records[st.App.ID] = a
 	}
 	return a
 }
 
 func (r *Result) noteArrival(now float64, st *AppState) {
-	r.acc(st).arrived = true
+	r.acc(st)
 	r.Timeline = append(r.Timeline, AllocationEvent{Time: now, App: st.App.ID, GPUs: 0})
 }
 
@@ -236,6 +234,9 @@ func (r *Result) noteInterval(from, to float64, cs *cluster.State, active []*App
 
 // finalize converts accumulators into AppRecords at the end of the run.
 func (r *Result) finalize(now float64, apps []*AppState) {
+	if r.records == nil {
+		return // already finalized
+	}
 	r.Makespan = now
 	if w := r.fragWeight; w > 0 {
 		r.Fragmentation.MeanFreeGPUs = r.fragSumFree / w
@@ -285,6 +286,9 @@ func (r *Result) finalize(now float64, apps []*AppState) {
 		}
 		return r.Timeline[i].App < r.Timeline[j].App
 	})
+	// The accumulators have been folded into Apps; a finished Result keeps
+	// nothing of the run's working state alive.
+	r.records = nil
 }
 
 // Finished returns the records of apps that completed within the run.

@@ -82,12 +82,6 @@ type Config struct {
 	// (see the Packer interface). Nil keeps the policy's own placement — the
 	// flat model's behaviour.
 	Packer Packer
-
-	// legacyScan switches the simulator to the pre-heap event core, which
-	// rediscovers the next event each round by scanning every app and lease.
-	// It exists as the baseline for the event-core benchmarks and as an
-	// equivalence oracle in tests: both cores produce bit-identical results.
-	legacyScan bool
 }
 
 // Defaults for Config fields.
@@ -170,7 +164,8 @@ type Simulator struct {
 	keepScratch  []*event        // dueLeases non-expiry re-push buffer
 	staleScratch []*event        // heapEventTimes re-push buffer
 	idsScratch   []workload.AppID
-	viewStruct   View // reused policy-facing view (valid during Allocate only)
+	viewStruct   View         // reused policy-facing view (valid during Allocate only)
+	split        splitScratch // the job split's working set, shared by every app
 
 	now    float64
 	result *Result
@@ -203,7 +198,7 @@ func New(cfg Config) (*Simulator, error) {
 	copy(apps, cfg.Apps)
 	sort.SliceStable(apps, func(i, j int) bool { return apps[i].SubmitTime < apps[j].SubmitTime })
 	for _, a := range apps {
-		st := newAppState(a, tunerFor(a), cfg.Topology)
+		st := newAppState(a, tunerFor(a), cfg.Topology, &s.split)
 		s.apps = append(s.apps, st)
 		s.pending = append(s.pending, st)
 		s.events.push(&st.arrivalEv)
@@ -227,7 +222,7 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 		}
 		s.processArrivals()
 		s.processFailures()
-		if err := s.expireLeases(); err != nil {
+		if err := s.expireLeases(s.dueLeases()); err != nil {
 			return nil, err
 		}
 		s.runTuners()
@@ -360,10 +355,9 @@ func (s *Simulator) removeActiveSorted(st *AppState) {
 	}
 }
 
-// expireLeases returns GPUs whose leases have lapsed to the free pool.
-// Expiries due at the same instant are processed in grant order.
-func (s *Simulator) expireLeases() error {
-	due := s.dueLeases()
+// expireLeases returns the GPUs of the due leases (see dueLeases) to the free
+// pool, in the order given.
+func (s *Simulator) expireLeases(due []*lease) error {
 	for _, l := range due {
 		st := l.app
 		s.detachLease(l)
@@ -395,40 +389,29 @@ func (s *Simulator) recycleLease(l *lease) {
 	s.leasePool = append(s.leasePool, l)
 }
 
-// dueLeases collects the leases whose expiry time has been reached, sorted
-// by grant order. The heap core pops them off the event heap; the legacy
-// core rediscovers them by scanning every active app's lease list.
+// dueLeases pops the leases whose expiry time has been reached off the event
+// heap and returns them sorted by grant order.
 func (s *Simulator) dueLeases() []*lease {
 	due := s.dueScratch[:0]
-	if s.cfg.legacyScan {
-		for _, st := range s.activeList {
-			for _, l := range st.leases {
-				if l.expiry <= s.now+timeEps {
-					due = append(due, l)
-				}
-			}
+	keep := s.keepScratch[:0]
+	for {
+		e := s.events.peek()
+		if e == nil || e.time > s.now+timeEps {
+			break
 		}
-	} else {
-		keep := s.keepScratch[:0]
-		for {
-			e := s.events.peek()
-			if e == nil || e.time > s.now+timeEps {
-				break
-			}
-			s.events.pop()
-			if e.kind == evLeaseExpiry {
-				due = append(due, e.lease)
-			} else {
-				// A completion projection landing within the tolerance of
-				// now is not an expiry; leave it for the event loop.
-				keep = append(keep, e)
-			}
+		s.events.pop()
+		if e.kind == evLeaseExpiry {
+			due = append(due, e.lease)
+		} else {
+			// A completion projection landing within the tolerance of
+			// now is not an expiry; leave it for the event loop.
+			keep = append(keep, e)
 		}
-		for _, e := range keep {
-			s.events.push(e)
-		}
-		s.keepScratch = keep
 	}
+	for _, e := range keep {
+		s.events.push(e)
+	}
+	s.keepScratch = keep
 	s.dueScratch = due
 	// sort.Slice boxes its closure even over an empty slice; the guard keeps
 	// the (overwhelmingly common) no-expiry round allocation-free.
@@ -529,17 +512,14 @@ func (s *Simulator) schedule() (bool, error) {
 	// common case) never build it.
 	var leftover cluster.Alloc
 	takeLeftover := func() (cluster.Alloc, error) {
-		if leftover != nil {
-			return leftover, nil
-		}
-		l := free.Clone()
-		for _, id := range ids {
-			var err error
-			if l, err = l.Sub(grants[id]); err != nil {
-				return nil, fmt.Errorf("sim: policy %s grants exceed the free pool: %w", s.cfg.Policy.Name(), err)
+		if leftover == nil {
+			leftover = free.Clone()
+			for _, id := range ids {
+				if err := leftover.Debit(grants[id]); err != nil {
+					return nil, fmt.Errorf("sim: policy %s grants exceed the free pool: %w", s.cfg.Policy.Name(), err)
+				}
 			}
 		}
-		leftover = l
 		return leftover, nil
 	}
 	for _, id := range ids {
@@ -602,53 +582,20 @@ func (s *Simulator) repack(st *AppState, alloc, leftover cluster.Alloc) (cluster
 	return placed, rest
 }
 
-// repairGrant re-picks a grant a constrained app cannot use: drawing from the
-// grant plus the leftover pool, it assembles per-job constraint-satisfying
-// shapes (least remaining work first, like the job split) up to the granted
-// GPU budget. It returns the repaired allocation — possibly empty when no
-// usable shape exists — and the updated leftover pool.
+// repairGrant re-picks a grant a constrained app cannot use: it runs the job
+// split over the grant plus the leftover pool, capped at the granted GPU
+// budget, so every job draws a shape its constraint admits. It returns the
+// repaired allocation — possibly empty when no usable shape exists — and the
+// updated leftover pool.
 func (s *Simulator) repairGrant(st *AppState, alloc, leftover cluster.Alloc) (cluster.Alloc, cluster.Alloc) {
 	pool := alloc.Add(leftover)
-	budget := alloc.Total()
+	rest := pool.Clone()
 	repaired := cluster.NewAlloc()
-	remaining := pool.Clone()
-	order := st.App.ActiveJobs()
-	for i := 0; i < len(order); i++ {
-		for k := i + 1; k < len(order); k++ {
-			if order[k].RemainingWork() < order[i].RemainingWork() {
-				order[i], order[k] = order[k], order[i]
-			}
+	shares, _ := st.whatIf(rest, alloc.Total())
+	for _, share := range shares {
+		for m, n := range share {
+			repaired[m] += n
 		}
-	}
-	for _, j := range order {
-		if budget <= 0 {
-			break
-		}
-		c, ok := j.PlacementConstraint(st.topo)
-		if !ok {
-			continue
-		}
-		want := j.MaxParallelism
-		if want <= 0 {
-			want = j.GangSize
-		}
-		if want > budget {
-			want = budget
-		}
-		picked := placement.PickConstrained(st.topo, remaining, cluster.NewAlloc(), want, c)
-		if picked.Total() == 0 {
-			continue
-		}
-		repaired = repaired.Add(picked)
-		var err error
-		if remaining, err = remaining.Sub(picked); err != nil {
-			panic("sim: grant repair internal inconsistency: " + err.Error())
-		}
-		budget -= picked.Total()
-	}
-	rest, err := pool.Sub(repaired)
-	if err != nil {
-		panic("sim: grant repair internal inconsistency: " + err.Error())
 	}
 	if repaired.Total() > 0 && !st.usableWith(repaired) {
 		// The repair did not produce a usable shape either (the app-level
@@ -712,12 +659,7 @@ func (s *Simulator) refreshCompletion(st *AppState) {
 // jump over a strictly-future event. It reports whether the step was forced
 // and whether any event remains at all.
 func (s *Simulator) nextEventTime() (t float64, forced, ok bool) {
-	var best, future float64
-	if s.cfg.legacyScan {
-		best, future = s.scanEventTimes()
-	} else {
-		best, future = s.heapEventTimes()
-	}
+	best, future := s.heapEventTimes()
 	if math.IsInf(best, 1) {
 		return 0, false, false
 	}
@@ -764,38 +706,6 @@ func (s *Simulator) heapEventTimes() (best, future float64) {
 	s.staleScratch = stale
 	if future < best {
 		best = future
-	}
-	return best, future
-}
-
-// scanEventTimes is the legacy event core: it rediscovers the next decision
-// point each round with full scans over pending arrivals, failures, every
-// active app's lease list and every active app's completion projection
-// (recomputed from scratch via nextCompletion). Kept as the benchmark
-// baseline and the equivalence oracle for the heap core.
-func (s *Simulator) scanEventTimes() (best, future float64) {
-	best, future = math.Inf(1), math.Inf(1)
-	note := func(t float64) {
-		best = math.Min(best, t)
-		if t > s.now {
-			future = math.Min(future, t)
-		}
-	}
-	if len(s.pending) > 0 {
-		note(s.pending[0].App.SubmitTime)
-	}
-	if t, ok := s.nextFailureEvent(); ok && t > s.now {
-		note(t)
-	}
-	for _, st := range s.activeList {
-		for _, l := range st.leases {
-			if l.expiry > s.now {
-				note(l.expiry)
-			}
-		}
-		if t, ok := st.nextCompletion(s.now); ok {
-			note(t)
-		}
 	}
 	return best, future
 }

@@ -310,7 +310,7 @@ func TestTunerKillsReduceWork(t *testing.T) {
 func TestAppStateAccounting(t *testing.T) {
 	topo := simTopo(t, 2, 4, 2)
 	app := simApp("a", 0, placement.VGG16, 2, 100)
-	st := newAppState(app, fifoTuner{}, topo)
+	st := newAppState(app, fifoTuner{}, topo, &splitScratch{})
 	if st.TIdealAtArrival != 25 {
 		t.Errorf("TIdeal = %v, want 25", st.TIdealAtArrival)
 	}
@@ -340,8 +340,8 @@ func TestAppStateAccounting(t *testing.T) {
 	if app.Jobs[0].DoneWork <= 0 {
 		t.Error("no work accrued after pause")
 	}
-	if _, ok := st.nextCompletion(10.5); !ok {
-		t.Error("nextCompletion should be defined while jobs run")
+	if math.IsInf(st.proj, 1) {
+		t.Error("a completion should be projected while jobs run")
 	}
 }
 

@@ -391,7 +391,7 @@ func TestBinaryDecodeZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkBinaryTraceDecode measures streaming decode throughput over a
-// 4096-app container; benchgate guards its ns/op against BENCH_baseline.json.
+// 4096-app container.
 func BenchmarkBinaryTraceDecode(b *testing.B) {
 	enc := bigBinaryTrace(4096)
 	b.SetBytes(int64(len(enc)))

@@ -144,6 +144,22 @@ func (j *Job) PlacementConstraint(topo *cluster.Topology) (placement.Constraint,
 	return c, true
 }
 
+// SplitJob describes the job to the app-level job split
+// (placement.Picker.Split): how many GPUs it can use, its constraint resolved
+// against topo, and workLeft — the caller's estimate — as its place in the
+// queue. A finished or killed job takes no part.
+func (j *Job) SplitJob(topo *cluster.Topology, workLeft float64) placement.SplitJob {
+	if !j.Active() {
+		return placement.SplitJob{}
+	}
+	want := j.MaxParallelism
+	if want <= 0 {
+		want = j.GangSize
+	}
+	c, ok := j.PlacementConstraint(topo)
+	return placement.SplitJob{Want: want, WorkLeft: workLeft, Constraint: c, Unresolvable: !ok}
+}
+
 // Progress returns the fraction of the trial's work completed, in [0, 1].
 func (j *Job) Progress() float64 {
 	if j.TotalWork <= 0 {
@@ -232,20 +248,14 @@ func NewApp(id AppID, submit float64, profile placement.Profile, jobs []*Job) *A
 	return &App{ID: id, SubmitTime: submit, Profile: profile, Jobs: jobs, FinishedAt: NotFinished}
 }
 
-// ActiveJobs returns the trials still needing GPUs, in index order.
-func (a *App) ActiveJobs() []*Job {
-	var out []*Job
-	for _, j := range a.Jobs {
-		if j.Active() {
-			out = append(out, j)
-		}
-	}
-	return out
-}
+// ActiveJobs returns the trials still needing GPUs, in index order, as a
+// fresh slice. Loops that only visit them range Jobs with the Active filter;
+// callers that need a snapshot on a hot path keep a buffer for
+// AppendActiveJobs.
+func (a *App) ActiveJobs() []*Job { return a.AppendActiveJobs(nil) }
 
-// AppendActiveJobs appends the active jobs to buf (in Jobs order, like
-// ActiveJobs) and returns it — the allocation-free variant for callers that
-// keep a reusable buffer.
+// AppendActiveJobs appends the active jobs to buf (in Jobs order) and returns
+// it.
 func (a *App) AppendActiveJobs(buf []*Job) []*Job {
 	for _, j := range a.Jobs {
 		if j.Active() {
@@ -272,8 +282,10 @@ func (a *App) Finished() bool { return a.FinishedAt != NotFinished }
 // RemainingWork returns the total serial work left across active trials.
 func (a *App) RemainingWork() float64 {
 	var w float64
-	for _, j := range a.ActiveJobs() {
-		w += j.RemainingWork()
+	for _, j := range a.Jobs {
+		if j.Active() {
+			w += j.RemainingWork()
+		}
 	}
 	return w
 }
@@ -301,8 +313,10 @@ func (a *App) GPUTime() float64 {
 // its active trials' per-trial limits.
 func (a *App) MaxParallelism() int {
 	p := 0
-	for _, j := range a.ActiveJobs() {
-		p += j.MaxParallelism
+	for _, j := range a.Jobs {
+		if j.Active() {
+			p += j.MaxParallelism
+		}
 	}
 	return p
 }
