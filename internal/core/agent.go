@@ -84,19 +84,16 @@ func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable 
 }
 
 // prepareBidInto is PrepareBid with caller-owned scratch: the valuator
-// provides the candidate-size and dedup buffers, and entries is
-// the (possibly recycled) backing buffer for the table rows. The candidate
-// enumeration order and the valuation math are exactly PrepareBid's — the
-// batched and standalone paths must stay bit-identical.
+// provides the candidate-size buffer and the picker, and entries is the
+// (possibly recycled) backing buffer for the table rows, whose slots' maps
+// are reused (nextRow). The candidate enumeration order and the valuation
+// math are exactly PrepareBid's — the batched and standalone paths must stay
+// bit-identical.
 func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *BidValuator, entries []BidEntry) BidTable {
-	arena := v.Arena()
 	// One job context values every row: nothing below changes job state.
 	ag.Estimator.beginCall()
-	table := BidTable{App: ag.App.ID, Entries: entries}
-	table.Entries = append(table.Entries, BidEntry{
-		Alloc: arena.Sparse(),
-		Rho:   ag.Estimator.rho(now, current, ag.Estimator.emptyAnchor),
-	})
+	rows := nextRow(entries[:0])
+	rows[0].Rho = ag.Estimator.rho(now, current, ag.Estimator.emptyAnchor)
 	gang := ag.GangSize()
 	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), gang)
 	maxRows := ag.MaxBidRows
@@ -104,38 +101,29 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		maxRows = DefaultMaxBidRows
 	}
 	for _, size := range sizes {
-		if len(table.Entries) >= maxRows {
+		n := len(rows)
+		if n >= maxRows {
 			break
 		}
-		var candidate cluster.Alloc
+		rows = nextRow(rows)
+		row := &rows[n]
 		if ag.PlacementBlind {
-			candidate = v.picker.DrawSpread(arena.Sparse(), offer.Clone(), size)
+			v.picker.DrawSpread(row.Alloc, offer.Clone(), size)
 		} else {
-			candidate = v.picker.PickInto(arena.Sparse(), ag.Estimator.Topo, offer, current, size)
-		}
-		if candidate.Total() == 0 {
-			continue
+			v.picker.PickInto(row.Alloc, ag.Estimator.Topo, offer, current, size)
 		}
 		// Dedup against the rows already accepted (replacing the old
 		// canonical-Key string set: Equal over ≤MaxBidRows rows is cheaper
 		// than rendering keys and allocates nothing). The empty row at
 		// index 0 can never match: candidates here have a non-zero total.
-		dup := false
-		for _, e := range table.Entries {
-			if e.Alloc.Equal(candidate) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		dup := func(e BidEntry) bool { return e.Alloc.Equal(row.Alloc) }
+		if row.Alloc.Total() == 0 || slices.ContainsFunc(rows[:n], dup) {
+			rows = rows[:n] // the slot keeps its map for the next candidate
 			continue
 		}
-		table.Entries = append(table.Entries, BidEntry{
-			Alloc: candidate,
-			Rho:   ag.Estimator.rho(now, current, candidate),
-		})
+		row.Rho = ag.Estimator.rho(now, current, row.Alloc)
 	}
-	return table
+	return BidTable{App: ag.App.ID, Entries: rows}
 }
 
 // GangSize returns the gang size the app's active jobs typically need: the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"themis/internal/cluster"
@@ -53,9 +52,11 @@ type Arbiter struct {
 	topo *cluster.Topology
 
 	// val batches each round's bid preparation, recycling the valuation
-	// scratch (candidate-size sets, gang tallies, dedup maps, entry buffers)
-	// across auctions instead of reallocating it per participant.
+	// scratch (candidate sizes, entry buffers and their rows' maps) across
+	// auctions instead of reallocating it per participant.
 	val BidValuator
+	// cands is the leftover pass's candidate scratch, emptied after each use.
+	cands []LeftoverCandidate
 
 	// Stats accumulates scheduling telemetry (auction counts, latencies).
 	Stats ArbiterStats
@@ -161,9 +162,6 @@ type Allocation struct {
 	Alloc cluster.Alloc
 	// FromAuction distinguishes auction winnings from leftover grants.
 	FromAuction bool
-	// Rho is the winning bid's estimated finish-time fairness (auction
-	// grants only).
-	Rho float64
 }
 
 // OfferResources implements Pseudocode 1. Given the GPUs currently available
@@ -172,16 +170,13 @@ type Allocation struct {
 // their bids, distributes leftovers to the remaining apps placement
 // sensitively, and returns the resulting allocation decisions. The caller
 // (simulator or RPC server) applies the decisions and starts leases of
-// Config().LeaseDuration.
+// Config().LeaseDuration. Every decision's Alloc is a map of its own: the bid
+// rows the round valued are recycled by the next round, the decisions are the
+// caller's to keep.
 func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []AgentState) ([]Allocation, error) {
 	if free.Total() == 0 || len(agents) == 0 {
 		return nil, nil
 	}
-	// The round's candidate allocations are lent from the valuator's arena;
-	// they are only referenced by the bid tables and the auction's internal
-	// results, both dead once the decisions (which hold fresh maps) are
-	// returned. Recycle them when the round is over, whichever way it ends.
-	defer a.val.EndRound()
 	start := time.Now()
 	a.Stats.Auctions++
 	a.Stats.GPUsAuctioned += free.Total()
@@ -231,43 +226,30 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 		return nil, err
 	}
 
-	// Walk the bids in order, not the Winners map: TruthfulPayments is a
-	// float sum whose bits depend on the order of its terms.
+	// Award i belongs to bids[i], which is bidding[i]. TruthfulPayments is a
+	// float sum whose bits depend on the order of its terms: bid order.
 	var out []Allocation
-	for _, b := range bids {
-		alloc := auction.Winners[b.App]
-		a.Stats.TruthfulPayments += 1 - auction.HiddenPayment[b.App]
-		if alloc.Total() == 0 {
+	for i, aw := range auction.Awards {
+		a.Stats.TruthfulPayments += 1 - aw.C
+		if aw.Won.Total() == 0 {
 			a.Stats.WinnersWithNothing++
 			continue
 		}
 		a.lastRound.Winners++
-		out = append(out, Allocation{App: b.App, Alloc: alloc, FromAuction: true, Rho: rhoOfWin(b, alloc)})
+		out = append(out, Allocation{App: bids[i].App, Alloc: aw.Won, FromAuction: true})
 	}
 	a.Stats.AuctionWinners += a.lastRound.Winners
 
 	// Step 5 (leftovers): GPUs unallocated by the auction go to apps that
 	// did not participate, one at a time, placement sensitively; if none can
-	// use them, participants may take them so no GPU is left idle.
+	// use them, participants may take them so no GPU is left idle. Each pass
+	// debits leftover (the auction result's own map), so the second sees only
+	// what is still unplaced.
 	leftover := auction.Leftover
 	a.Stats.GPUsLeftOver += leftover.Total()
 	a.lastRound.LeftoverGPUs = leftover.Total()
-	if leftover.Total() > 0 {
-		// Non-participants first; then, for work conservation, the auction
-		// participants absorb the rest. Each pass debits leftover (the auction
-		// result's own map), so the second sees only what is still unplaced.
-		grants := make(map[workload.AppID]cluster.Alloc)
-		for _, candidates := range [][]probedAgent{ps[participants:], bidding} {
-			for id, g := range a.grantLeftovers(leftover, candidates, out) {
-				grants[id] = grants[id].Add(g)
-			}
-		}
-		for id, g := range grants {
-			if g.Total() > 0 {
-				out = append(out, Allocation{App: id, Alloc: g, FromAuction: false})
-			}
-		}
-	}
+	out = a.grantLeftovers(out, leftover, ps[participants:], nil)
+	out = a.grantLeftovers(out, leftover, bidding, auction.Awards)
 
 	end := time.Now()
 	elapsed := end.Sub(start)
@@ -284,7 +266,8 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	a.Stats.BidTime += a.lastRound.Bid
 	a.Stats.SolveTime += a.lastRound.Solve
 	a.Stats.LeftoverTime += a.lastRound.Leftover
-	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
+	// Stable: an app's auction win stays ahead of its leftover grant.
+	slices.SortStableFunc(out, func(x, y Allocation) int { return cmp.Compare(x.App, y.App) })
 	return out, nil
 }
 
@@ -296,57 +279,36 @@ type probedAgent struct {
 	rho   float64
 }
 
-// grantLeftovers runs the leftover-allocation rule over a candidate set,
-// taking into account allocations already decided in this auction round. The
-// grants are debited from leftover.
-func (a *Arbiter) grantLeftovers(leftover cluster.Alloc, candidates []probedAgent, decided []Allocation) map[workload.AppID]cluster.Alloc {
-	if len(candidates) == 0 || leftover.Total() == 0 {
-		return nil
+// grantLeftovers runs the leftover-allocation rule over a candidate set and
+// appends the grants, debited from leftover, to out. awards, when non-nil, is
+// parallel to candidates: what each has just won in this round's auction
+// counts as held.
+func (a *Arbiter) grantLeftovers(out []Allocation, leftover cluster.Alloc, candidates []probedAgent, awards []Award) []Allocation {
+	if leftover.Total() == 0 {
+		return out
 	}
-	decidedBy := make(map[workload.AppID]cluster.Alloc)
-	for _, d := range decided {
-		decidedBy[d.App] = decidedBy[d.App].Add(d.Alloc)
-	}
-	currents := make(map[workload.AppID]cluster.Alloc)
-	wants := make(map[workload.AppID]int)
-	chunks := make(map[workload.AppID]int)
-	for _, c := range candidates {
-		id := c.id
+	cands := a.cands[:0]
+	for i, c := range candidates {
 		// Most candidates at scale neither won anything this round nor have
 		// unmet demand; weed them out before they cost a merged-allocation
-		// clone and three map inserts. Candidates without a fresh win keep
-		// their (caller-owned, read-only) Current as-is.
+		// clone. Candidates without a fresh win keep their (caller-owned,
+		// read-only) Current as-is.
 		cur := c.state.Current
-		if d := decidedBy[id]; d.Total() > 0 {
-			cur = cur.Add(d)
+		if awards != nil && awards[i].Won.Total() > 0 {
+			cur = cur.Add(awards[i].Won)
 		}
-		want := c.state.Agent.UnmetParallelism(cur)
-		if want <= 0 {
-			continue
-		}
-		currents[id] = cur
-		wants[id] = want
-		chunks[id] = c.state.Agent.GangSize()
-	}
-	return AllocateLeftovers(a.topo, leftover, currents, wants, chunks)
-}
-
-// rhoOfWin finds the ρ the winning app estimated for the allocation it
-// received (or the closest not-larger bid row).
-func rhoOfWin(bid BidTable, won cluster.Alloc) float64 {
-	best := bid.CurrentRho()
-	for _, e := range bid.Entries {
-		if e.Alloc.Total() > 0 && e.Alloc.Total() <= won.Total() && e.Rho < best {
-			best = e.Rho
+		if want := c.state.Agent.UnmetParallelism(cur); want > 0 {
+			cands = append(cands, LeftoverCandidate{ID: c.id, Current: cur, Want: want, Chunk: c.state.Agent.GangSize()})
 		}
 	}
-	return best
-}
-
-// ValuationArenaStats reports the valuator arena's sparse-map accounting
-// (maps currently lent, maps parked in the free list). Tests use it to pin
-// that auction rounds recycle their candidate allocations.
-func (a *Arbiter) ValuationArenaStats() (lent, free int) {
-	ar := a.val.Arena()
-	return ar.Lent(), ar.FreeSparse()
+	slices.SortFunc(cands, func(x, y LeftoverCandidate) int { return cmp.Compare(x.ID, y.ID) })
+	AllocateLeftovers(a.topo, leftover, cands)
+	for _, c := range cands {
+		if c.Grant != nil {
+			out = append(out, Allocation{App: c.ID, Alloc: c.Grant})
+		}
+	}
+	clear(cands) // keep the capacity, not the round's maps
+	a.cands = cands[:0]
+	return out
 }

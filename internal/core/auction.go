@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"themis/internal/cluster"
 	"themis/internal/placement"
@@ -11,17 +10,25 @@ import (
 	"themis/internal/workload"
 )
 
+// Award is what one bidder comes out of the auction with.
+type Award struct {
+	// PF is the intrinsically proportionally fair allocation the bidder would
+	// have received before hidden payments: the Alloc of the bid row the
+	// solver chose, shared with that row and only to be read.
+	PF cluster.Alloc
+	// Won is the bidder's final allocation after hidden payments, a map of
+	// its own; nil when the bidder takes nothing.
+	Won cluster.Alloc
+	// C is c_i ∈ [0,1]: the fraction of its proportional-fair allocation the
+	// bidder actually keeps (§5.1 step 2).
+	C float64
+}
+
 // AuctionResult is the outcome of one partial-allocation auction.
 type AuctionResult struct {
-	// Winners holds each bidding app's final allocation after hidden
-	// payments (possibly empty).
-	Winners map[workload.AppID]cluster.Alloc
-	// ProportionalFair holds the intrinsically proportionally fair
-	// allocation each app would have received before hidden payments.
-	ProportionalFair map[workload.AppID]cluster.Alloc
-	// HiddenPayment holds each app's c_i ∈ [0,1]: the fraction of its
-	// proportional-fair allocation it actually keeps (§5.1 step 2).
-	HiddenPayment map[workload.AppID]float64
+	// Awards is parallel to the bids: Awards[i] is what bids[i].App receives.
+	// It is nil when there was nothing to auction (no bids, or an empty offer).
+	Awards []Award
 	// Leftover is the part of the offer not allocated to any bidder, to be
 	// handed out work-conservingly (§5.1 step 3).
 	Leftover cluster.Alloc
@@ -46,72 +53,54 @@ type AuctionOptions struct {
 // scales every winner's allocation down by its hidden payment c_i, and
 // reports whatever is left over.
 //
-// The bids are compiled into one solver instance for the whole auction: one
-// unmasked solve gives the proportional-fair allocation, then one masked
-// re-solve per bidder whose proportional-fair bundle is non-empty gives its
-// c_i. A bidder that takes nothing constrains nobody — the market without it
-// is the market with it — so its c_i is 1 without a solve (and scaling an
-// empty bundle yields the empty bundle whatever c_i is).
+// The bids are compiled into one solver instance for the whole auction —
+// the compile is also where malformed rows are rejected: one unmasked solve
+// gives the proportional-fair allocation, then one masked re-solve per
+// bidder whose proportional-fair bundle is non-empty gives its c_i. A bidder
+// that takes nothing constrains nobody — the market without it is the market
+// with it — so its c_i is 1 without a solve (and scaling an empty bundle
+// yields the empty bundle whatever c_i is).
 func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
-	res := AuctionResult{
-		Winners:          make(map[workload.AppID]cluster.Alloc),
-		ProportionalFair: make(map[workload.AppID]cluster.Alloc),
-		HiddenPayment:    make(map[workload.AppID]float64),
-		Leftover:         offer.Clone(),
-	}
+	res := AuctionResult{Leftover: offer.Clone()}
 	if len(bids) == 0 || offer.Total() == 0 {
 		return res, nil
 	}
-	for _, b := range bids {
-		if err := b.Validate(offer); err != nil {
-			return res, fmt.Errorf("core: invalid bid: %w", err)
-		}
-	}
-
-	bidders := make([]solver.Bidder, 0, len(bids))
-	for _, b := range bids {
-		bidders = append(bidders, toBidder(b))
-	}
-	inst, err := solver.Compile(offer, bidders)
+	inst, err := solver.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries })
 	if err != nil {
-		return res, fmt.Errorf("core: proportional-fair solve: %w", err)
+		// The solver knows positions only; name the app on the way out.
+		for _, b := range bids {
+			if named := b.Validate(offer); named != nil {
+				err = named
+				break
+			}
+		}
+		return res, fmt.Errorf("core: invalid bid: %w", err)
 	}
 	defer inst.Release()
 	res.Objective = inst.Solve(opts.Solver, solver.NoSkip)
 	// Read the full solution out before the masked re-solves overwrite the
 	// instance's choices: each bidder's bundle and its log valuation.
-	full := inst.Assignment()
+	res.Awards = make([]Award, len(bids))
 	logs := make([]float64, len(bids))
-	for i, b := range bids {
-		logs[i] = math.Log(full[string(b.App)].Value)
+	for i := range bids {
+		row, l := inst.Choice(i)
+		res.Awards[i].PF = bids[i].Entries[row].Alloc
+		logs[i] = l
 	}
 
 	var picker placement.Picker
-	for i, b := range bids {
-		id := b.App
-		pf := full[string(id)].Alloc
-		res.ProportionalFair[id] = pf
-		ci := 1.0
-		if !opts.DisableHiddenPayments && pf.Total() > 0 {
-			ci = hiddenPayment(inst, logs, i, opts.Solver)
+	for i := range res.Awards {
+		aw := &res.Awards[i]
+		aw.C = 1
+		if !opts.DisableHiddenPayments && aw.PF.Total() > 0 {
+			aw.C = hiddenPayment(inst, logs, i, opts.Solver)
 		}
-		res.HiddenPayment[id] = ci
-		final := scaleAllocation(&picker, topo, pf, ci)
-		res.Winners[id] = final
-		if err := res.Leftover.Debit(final); err != nil {
+		aw.Won = scaleAllocation(&picker, topo, aw.PF, aw.C)
+		if err := res.Leftover.Debit(aw.Won); err != nil {
 			return res, fmt.Errorf("core: auction allocated more than offered: %w", err)
 		}
 	}
 	return res, nil
-}
-
-// toBidder converts a bid table into a solver bidder using V = 1/ρ values.
-func toBidder(b BidTable) solver.Bidder {
-	out := solver.Bidder{ID: string(b.App)}
-	for _, e := range b.Entries {
-		out.Bundles = append(out.Bundles, solver.Bundle{Alloc: e.Alloc, Value: e.Value()})
-	}
-	return out
 }
 
 // hiddenPayment computes c_i for bidder i (Pseudocode 2 lines 7–8): the
@@ -146,20 +135,35 @@ func hiddenPayment(inst *solver.Instance, logs []float64, i int, opts solver.Opt
 
 // scaleAllocation keeps a c_i fraction of a proportional-fair allocation,
 // dropping GPUs while preserving locality: the kept subset is picked
-// placement-sensitively from the original bundle.
+// placement-sensitively from the original bundle. The result never shares
+// pf's map (nil when nothing is kept).
 func scaleAllocation(picker *placement.Picker, topo *cluster.Topology, pf cluster.Alloc, ci float64) cluster.Alloc {
 	total := pf.Total()
-	if total == 0 {
-		return cluster.NewAlloc()
-	}
 	keep := int(math.Floor(ci*float64(total) + 1e-9))
+	if keep <= 0 {
+		return nil
+	}
 	if keep >= total {
 		return pf.Clone()
 	}
-	if keep <= 0 {
-		return cluster.NewAlloc()
-	}
 	return picker.PickInto(nil, topo, pf, nil, keep)
+}
+
+// LeftoverCandidate is one app in line for leftover GPUs.
+type LeftoverCandidate struct {
+	ID workload.AppID
+	// Current is the app's existing allocation, this round's auction win
+	// included. The caller's map is only read: the first grant replaces it
+	// with a copy, which that and every later grant extend, so the next pick
+	// anchors on what the app holds by then.
+	Current cluster.Alloc
+	// Want is the number of additional GPUs the app can still use, counted
+	// down as grants land; Chunk its preferred grant granularity (its gang
+	// size — zero means one GPU at a time).
+	Want, Chunk int
+	// Grant accumulates what AllocateLeftovers hands the app: nil until the
+	// first grant, the candidate's own map from then on.
+	Grant cluster.Alloc
 }
 
 // AllocateLeftovers distributes leftover GPUs placement-sensitively among
@@ -168,53 +172,39 @@ func scaleAllocation(picker *placement.Picker, topo *cluster.Topology, pf cluste
 // tightest-packing pick from what remains. Apps are visited in a
 // deterministic rotation (the paper breaks ties randomly; a rotation keeps
 // simulations reproducible without biasing any app), receiving a chunk of up
-// to chunkSize GPUs per visit so different apps' grants do not interleave on
-// the same machines.
+// to Chunk GPUs per visit so different apps' grants do not interleave on the
+// same machines.
 //
-// currents maps each candidate app to its existing allocation; wants maps it
-// to the maximum number of additional GPUs it can still use; chunks maps it
-// to the app's preferred grant granularity (its gang size — zero means one
-// GPU at a time). The function returns the per-app grants. leftover is the
-// pool the grants are drawn from: it is debited in place, so it must be the
-// caller's to change, and what it holds on return is what nobody could use.
-func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents map[workload.AppID]cluster.Alloc, wants, chunks map[workload.AppID]int) map[workload.AppID]cluster.Alloc {
-	grants := make(map[workload.AppID]cluster.Alloc)
-	apps := make([]workload.AppID, 0, len(currents))
-	for id := range currents {
-		if wants[id] > 0 {
-			apps = append(apps, id)
-		}
+// cands must be sorted by ID and hold only apps with Want > 0; each grant is
+// accumulated in its candidate. leftover is the pool the grants are drawn
+// from: it is debited in place, so it must be the caller's to change, and
+// what it holds on return is what nobody could use.
+func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, cands []LeftoverCandidate) {
+	if len(cands) == 0 {
+		return
 	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
-	if len(apps) == 0 {
-		return grants
-	}
-	granted := make(map[workload.AppID]int)
 	rotation := 0
 	var picker placement.Picker
-	var pick cluster.Alloc // scratch: Add below copies out of it
+	var pick cluster.Alloc // scratch: copied into the candidate below
 	for len(leftover) > 0 {
 		progress := false
-		for k := 0; k < len(apps) && len(leftover) > 0; k++ {
-			id := apps[(rotation+k)%len(apps)]
-			want := wants[id] - granted[id]
-			if want <= 0 {
+		for k := 0; k < len(cands) && len(leftover) > 0; k++ {
+			c := &cands[(rotation+k)%len(cands)]
+			if c.Want <= 0 {
 				continue
 			}
-			chunk := chunks[id]
-			if chunk <= 0 {
-				chunk = 1
-			}
-			if chunk > want {
-				chunk = want
-			}
-			anchor := currents[id].Add(grants[id])
-			pick = picker.Draw(pick, topo, leftover, anchor, chunk)
+			pick = picker.Draw(pick, topo, leftover, c.Current, min(max(c.Chunk, 1), c.Want))
 			if pick.Total() == 0 {
 				continue
 			}
-			grants[id] = grants[id].Add(pick)
-			granted[id] += pick.Total()
+			if c.Grant == nil {
+				c.Grant, c.Current = cluster.NewAlloc(), c.Current.Clone()
+			}
+			for m, n := range pick {
+				c.Grant[m] += n
+				c.Current[m] += n
+				c.Want -= n
+			}
 			rotation++
 			progress = true
 		}
@@ -222,5 +212,4 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 			break // nobody can take more
 		}
 	}
-	return grants
 }

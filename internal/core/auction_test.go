@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"themis/internal/cluster"
@@ -50,14 +52,25 @@ func TestBidTableValidateAndAccessors(t *testing.T) {
 }
 
 func TestBidEntryValueHomogeneity(t *testing.T) {
-	// V = 1/ρ: halving ρ doubles the value.
-	a := BidEntry{Rho: 4}
-	b := BidEntry{Rho: 2}
-	if math.Abs(b.Value()/a.Value()-2) > 1e-9 {
-		t.Errorf("value not inversely proportional to rho")
+	// V = 1/ρ: a lone bidder's objective is the log value of its best row,
+	// so halving that row's ρ doubles the value — adds log 2.
+	topo := testTopo(t, 2, 4, 2)
+	objective := func(rho float64) float64 {
+		bids := []BidTable{{App: "a", Entries: []BidEntry{
+			{Alloc: cluster.NewAlloc(), Rho: 50},
+			{Alloc: cluster.Alloc{0: 4}, Rho: rho},
+		}}}
+		res, err := RunPartialAllocation(topo, cluster.Alloc{0: 4}, bids, AuctionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Objective
 	}
-	if (BidEntry{Rho: 0}).Value() <= 0 {
-		t.Error("zero rho must still map to a positive value")
+	if got := objective(4); math.Abs(got-math.Log(1.0/4)) > 1e-12 {
+		t.Errorf("objective at ρ=4 is %v, want log(1/4)", got)
+	}
+	if diff := objective(2) - objective(4); math.Abs(diff-math.Log(2)) > 1e-12 {
+		t.Errorf("halving ρ moved the log value by %v, want log 2", diff)
 	}
 }
 
@@ -130,6 +143,10 @@ func TestAgentSplitForJobs(t *testing.T) {
 }
 
 func TestCandidateSizes(t *testing.T) {
+	var v BidValuator
+	candidateSizes := func(offered, unmet, gang int) []int {
+		return slices.Clone(v.candidateSizes(offered, unmet, gang)) // the valuator reuses its slice
+	}
 	sizes := candidateSizes(16, 12, 4)
 	if len(sizes) == 0 {
 		t.Fatal("no candidate sizes")
@@ -148,6 +165,22 @@ func TestCandidateSizes(t *testing.T) {
 	one := candidateSizes(100, 3, 0)
 	if one[len(one)-1] != 3 {
 		t.Errorf("gang 0 should default to 1, got %v", one)
+	}
+	// The enumeration, spelled out: gang multiples 1–4×, doublings from 8×
+	// below the cap, the cap, a half-gang row; distinct and ascending.
+	for _, c := range []struct {
+		offered, unmet, gang int
+		want                 []int
+	}{
+		{64, 64, 1, []int{1, 2, 3, 4, 8, 16, 32, 64}},
+		{64, 17, 4, []int{2, 4, 8, 12, 16, 17}},
+		{5, 100, 8, []int{4, 5}},
+		{3, 3, 2, []int{1, 2, 3}},
+		{128, 96, 2, []int{1, 2, 4, 6, 8, 16, 32, 64, 96}},
+	} {
+		if got := candidateSizes(c.offered, c.unmet, c.gang); !slices.Equal(got, c.want) {
+			t.Errorf("candidateSizes(%d,%d,%d) = %v, want %v", c.offered, c.unmet, c.gang, got, c.want)
+		}
 	}
 }
 
@@ -170,28 +203,29 @@ func TestPartialAllocationBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Awards) != len(bids) {
+		t.Fatalf("%d awards for %d bids", len(res.Awards), len(bids))
+	}
 	// All winners' allocations plus the leftover must exactly cover the offer.
 	covered := res.Leftover.Clone()
-	for _, w := range res.Winners {
-		covered = covered.Add(w)
+	for _, aw := range res.Awards {
+		covered = covered.Add(aw.Won)
 	}
 	if !covered.Equal(offer) {
 		t.Errorf("winners+leftover %v != offer %v", covered, offer)
 	}
-	// The far-from-fair app must win GPUs.
-	if res.Winners["a"].Total() == 0 {
+	// The far-from-fair app (bids[0]) must win GPUs.
+	if res.Awards[0].Won.Total() == 0 {
 		t.Error("far-from-fair app won nothing")
 	}
-	// Hidden payments are fractions in [0,1].
-	for id, ci := range res.HiddenPayment {
-		if ci < 0 || ci > 1 {
-			t.Errorf("hidden payment for %s = %v outside [0,1]", id, ci)
+	for i, aw := range res.Awards {
+		// Hidden payments are fractions in [0,1].
+		if aw.C < 0 || aw.C > 1 {
+			t.Errorf("hidden payment for %s = %v outside [0,1]", bids[i].App, aw.C)
 		}
-	}
-	// Winners never exceed their proportional-fair share.
-	for id, w := range res.Winners {
-		if w.Total() > res.ProportionalFair[id].Total() {
-			t.Errorf("app %s final %d exceeds pf %d", id, w.Total(), res.ProportionalFair[id].Total())
+		// Winners never exceed their proportional-fair share.
+		if aw.Won.Total() > aw.PF.Total() {
+			t.Errorf("app %s final %d exceeds pf %d", bids[i].App, aw.Won.Total(), aw.PF.Total())
 		}
 	}
 }
@@ -202,7 +236,7 @@ func TestPartialAllocationEmptyInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Winners) != 0 || res.Leftover.Total() != 0 {
+	if len(res.Awards) != 0 || res.Leftover.Total() != 0 {
 		t.Errorf("empty auction should produce nothing: %+v", res)
 	}
 	res, err = RunPartialAllocation(topo, cluster.Alloc{0: 2}, nil, AuctionOptions{})
@@ -214,11 +248,29 @@ func TestPartialAllocationEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestPartialAllocationRejectsInvalidBid: the auction's one input check runs
+// while the solver compiles the rows, and every way a table can be malformed
+// still surfaces from RunPartialAllocation as an error naming the app.
 func TestPartialAllocationRejectsInvalidBid(t *testing.T) {
 	topo := testTopo(t, 2, 4, 2)
-	bids := []BidTable{{App: "a", Entries: []BidEntry{{Alloc: cluster.Alloc{0: 9}, Rho: 1}}}}
-	if _, err := RunPartialAllocation(topo, cluster.Alloc{0: 4}, bids, AuctionOptions{}); err == nil {
-		t.Error("invalid bid should be rejected")
+	empty := BidEntry{Alloc: cluster.NewAlloc(), Rho: 9}
+	good := BidTable{App: "good", Entries: []BidEntry{empty, {Alloc: cluster.Alloc{0: 2}, Rho: 3}}}
+	for name, entries := range map[string][]BidEntry{
+		"over-offer":          {empty, {Alloc: cluster.Alloc{0: 9}, Rho: 1}},
+		"machine not offered": {empty, {Alloc: cluster.Alloc{1: 1}, Rho: 1}},
+		"negative GPUs":       {empty, {Alloc: cluster.Alloc{0: -1}, Rho: 1}},
+		"zero rho":            {empty, {Alloc: cluster.Alloc{0: 1}, Rho: 0}},
+		"negative rho":        {{Alloc: cluster.NewAlloc(), Rho: -1}},
+		"no empty row":        {{Alloc: cluster.Alloc{0: 1}, Rho: 1}},
+		"no rows":             nil,
+	} {
+		bids := []BidTable{good, {App: "bad-app", Entries: entries}}
+		_, err := RunPartialAllocation(topo, cluster.Alloc{0: 4}, bids, AuctionOptions{})
+		if err == nil {
+			t.Errorf("%s: invalid bid should be rejected", name)
+		} else if !strings.Contains(err.Error(), "bad-app") {
+			t.Errorf("%s: error %q does not name the app", name, err)
+		}
 	}
 }
 
@@ -267,16 +319,18 @@ func TestTruthTellingIncentive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honestUtility := trueRho(honest.Winners["b"])
-	lyingUtility := trueRho(lying.Winners["b"])
+	// b bids second in both auctions.
+	honestB, lyingB := honest.Awards[1], lying.Awards[1]
+	honestUtility := trueRho(honestB.Won)
+	lyingUtility := trueRho(lyingB.Won)
 	// Allow a tiny tolerance for the discretisation of c_i into whole GPUs.
 	if lyingUtility < honestUtility*0.95 {
 		t.Errorf("lying improved b's true outcome: honest ρ=%v lying ρ=%v (hidden payments honest=%v lying=%v)",
-			honestUtility, lyingUtility, honest.HiddenPayment["b"], lying.HiddenPayment["b"])
+			honestUtility, lyingUtility, honestB.C, lyingB.C)
 	}
 	// The liar must pay a larger hidden payment (keep a smaller fraction).
-	if lying.HiddenPayment["b"] > honest.HiddenPayment["b"]+1e-9 {
-		t.Errorf("lying reduced b's hidden payment: %v vs %v", lying.HiddenPayment["b"], honest.HiddenPayment["b"])
+	if lyingB.C > honestB.C+1e-9 {
+		t.Errorf("lying reduced b's hidden payment: %v vs %v", lyingB.C, honestB.C)
 	}
 }
 
@@ -304,12 +358,12 @@ func TestParetoEfficiencyOfProportionalFair(t *testing.T) {
 		t.Fatal(err)
 	}
 	pfUsed := cluster.NewAlloc()
-	for _, pf := range res.ProportionalFair {
-		pfUsed = pfUsed.Add(pf)
+	for _, aw := range res.Awards {
+		pfUsed = pfUsed.Add(aw.PF)
 	}
 	free, _ := offer.Sub(pfUsed)
-	for _, b := range bids {
-		cur := res.ProportionalFair[b.App]
+	for i, b := range bids {
+		cur := res.Awards[i].PF
 		curRho := Unbounded
 		for _, e := range b.Entries {
 			if e.Alloc.Equal(cur) {
@@ -344,43 +398,52 @@ func fitsWithin(a, pool cluster.Alloc) bool {
 func TestAllocateLeftovers(t *testing.T) {
 	topo := testTopo(t, 4, 4, 2)
 	leftover := cluster.Alloc{0: 2, 3: 1}
-	currents := map[workload.AppID]cluster.Alloc{
-		"a": {0: 2}, // machine-local extension possible
-		"b": {1: 4}, // no leftover on its machines
-	}
-	wants := map[workload.AppID]int{"a": 4, "b": 1}
-	chunks := map[workload.AppID]int{"a": 2, "b": 1}
-	grants := AllocateLeftovers(topo, leftover, currents, wants, chunks)
-	total := cluster.NewAlloc()
-	for _, g := range grants {
-		total = total.Add(g)
-	}
-	if total.Total() != 3 {
-		t.Errorf("leftovers not fully allocated: %v", grants)
-	}
-	// App a should receive the GPUs on machine 0 (extends its allocation).
-	if grants["a"][0] == 0 {
-		t.Errorf("app a should extend its machine-0 allocation, got %v", grants["a"])
-	}
-	// Nobody exceeds its want.
-	for id, g := range grants {
-		if g.Total() > wants[id] {
-			t.Errorf("app %s granted %d above its want %d", id, g.Total(), wants[id])
+	curA, curB := cluster.Alloc{0: 2}, cluster.Alloc{1: 4}
+	candidates := func(wantA, wantB int) []LeftoverCandidate {
+		return []LeftoverCandidate{
+			{ID: "a", Current: curA, Want: wantA, Chunk: 2}, // machine-local extension possible
+			{ID: "b", Current: curB, Want: wantB, Chunk: 1}, // no leftover on its machines
 		}
 	}
-	// The grants were drawn out of the caller's pool.
+	cands := candidates(4, 1)
+	AllocateLeftovers(topo, leftover, cands)
+	total := 0
+	for _, c := range cands {
+		total += c.Grant.Total()
+	}
+	if total != 3 {
+		t.Errorf("leftovers not fully allocated: %+v", cands)
+	}
+	// App a should receive the GPUs on machine 0 (extends its allocation).
+	if cands[0].Grant[0] == 0 {
+		t.Errorf("app a should extend its machine-0 allocation, got %v", cands[0].Grant)
+	}
+	// Nobody exceeds its want, and the wants were counted down.
+	if a, b := cands[0], cands[1]; a.Grant.Total() > 4 || b.Grant.Total() > 1 || a.Want != 4-a.Grant.Total() || b.Want != 1-b.Grant.Total() {
+		t.Errorf("grants %v / %v against wants 4 / 1, remaining %d / %d", a.Grant, b.Grant, a.Want, b.Want)
+	}
+	// The grants were drawn out of the caller's pool, and the candidates'
+	// holdings were extended on copies: the caller's maps are only read.
 	if len(leftover) != 0 {
 		t.Errorf("pool after granting everything = %v, want empty", leftover)
 	}
+	if !curA.Equal(cluster.Alloc{0: 2}) || !curB.Equal(cluster.Alloc{1: 4}) {
+		t.Errorf("caller's current allocations were written: %v %v", curA, curB)
+	}
+	if got, want := cands[0].Current, curA.Add(cands[0].Grant); !got.Equal(want) {
+		t.Errorf("a's anchor after its grants = %v, want %v", got, want)
+	}
 	// With no candidates, nothing is granted.
 	leftover = cluster.Alloc{0: 2, 3: 1}
-	if got := AllocateLeftovers(topo, leftover, nil, nil, nil); len(got) != 0 {
-		t.Errorf("grants with no candidates: %v", got)
+	AllocateLeftovers(topo, leftover, nil)
+	if leftover.Total() != 3 {
+		t.Errorf("pool drawn from with no candidates: %v", leftover)
 	}
 	// Wants of zero leave GPUs unallocated.
-	none := AllocateLeftovers(topo, leftover, currents, map[workload.AppID]int{"a": 0, "b": 0}, chunks)
-	if len(none) != 0 || leftover.Total() != 3 {
-		t.Errorf("grants despite zero wants: %v (pool %v)", none, leftover)
+	none := candidates(0, 0)
+	AllocateLeftovers(topo, leftover, none)
+	if none[0].Grant != nil || none[1].Grant != nil || leftover.Total() != 3 {
+		t.Errorf("grants despite zero wants: %+v (pool %v)", none, leftover)
 	}
 }
 
@@ -393,29 +456,22 @@ func TestLeaseTable(t *testing.T) {
 	if lt.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", lt.Len())
 	}
-	if got := lt.HeldBy("a").Total(); got != 4 {
-		t.Errorf("HeldBy(a) = %d, want 4", got)
-	}
-	next, ok := lt.NextExpiry()
-	if !ok || next != 20 {
-		t.Errorf("NextExpiry = %v,%v want 20,true", next, ok)
+	if exp := lt.Expired(19.9); len(exp) != 0 || lt.Len() != 3 {
+		t.Errorf("Expired(19.9) = %v, want nothing before the first expiry at 20", exp)
 	}
 	exp := lt.Expired(21)
-	if len(exp) != 1 || exp[0].App != "a" {
+	if len(exp) != 1 || exp[0].App != "a" || exp[0].Alloc.Total() != 2 {
 		t.Errorf("Expired(21) = %v", exp)
 	}
 	if lt.Len() != 2 {
 		t.Errorf("Len after expiry = %d, want 2", lt.Len())
 	}
-	rel := lt.ReleaseApp("b")
-	if len(rel) != 1 || rel[0].Alloc.Total() != 4 {
-		t.Errorf("ReleaseApp(b) = %v", rel)
+	// The rest expire soonest first.
+	exp = lt.Expired(100)
+	if len(exp) != 2 || exp[0].App != "a" || exp[0].Expiry != 25 || exp[1].App != "b" || exp[1].Alloc.Total() != 4 {
+		t.Errorf("Expired(100) = %v", exp)
 	}
-	out := lt.Outstanding()
-	if len(out) != 1 || out[0].App != "a" {
-		t.Errorf("Outstanding = %v", out)
-	}
-	if _, ok := NewLeaseTable().NextExpiry(); ok {
-		t.Error("empty table should have no next expiry")
+	if lt.Len() != 0 || len(NewLeaseTable().Expired(100)) != 0 {
+		t.Error("drained and empty tables should hold no leases")
 	}
 }

@@ -6,30 +6,17 @@ import (
 	"strings"
 
 	"themis/internal/cluster"
+	"themis/internal/solver"
 	"themis/internal/workload"
 )
 
 // BidEntry is one row of an Agent's valuation table (Figure 3b): a candidate
 // subset of the offered GPUs and the new finish-time fairness metric the app
 // estimates it would achieve with that subset added to its current
-// allocation.
-type BidEntry struct {
-	Alloc cluster.Alloc
-	Rho   float64
-}
-
-// Value returns the entry's auction valuation. The partial allocation
-// mechanism maximises a product of valuations where higher must mean better,
-// so the valuation is the reciprocal of the (always positive) finish-time
-// fairness estimate: V = 1/ρ. This keeps the valuation homogeneous of degree
-// one in the allocation, the property the mechanism's truthfulness relies on
-// (§5.1): scaling an allocation k× improves ρ — and hence V — k×.
-func (b BidEntry) Value() float64 {
-	if b.Rho <= 0 {
-		return 1 / 1e-9
-	}
-	return 1 / b.Rho
-}
+// allocation. It is the solver's row type, so the table an Agent writes is
+// the table the winner determination reads: no second row currency sits
+// between valuation and lease (the solver values a row at V = 1/ρ).
+type BidEntry = solver.Row
 
 // BidTable is an Agent's reply to an offer: its valuation for selected
 // subsets of the offered GPUs, always including the empty subset (the app's
@@ -71,8 +58,10 @@ func (t BidTable) String() string {
 	return fmt.Sprintf("bid[%s]{%s}", t.App, strings.Join(rows, "; "))
 }
 
-// Validate checks that the table only requests GPUs present in the offer and
-// contains an empty row.
+// Validate checks that the table only requests GPUs present in the offer,
+// carries positive ρ and contains an empty row. It is the check for a table
+// from outside the process (the rpc package's remote bidders); the auction
+// itself checks the same conditions while it compiles the rows.
 func (t BidTable) Validate(offer cluster.Alloc) error {
 	hasEmpty := false
 	for _, e := range t.Entries {
@@ -95,23 +84,4 @@ func (t BidTable) Validate(offer cluster.Alloc) error {
 		return fmt.Errorf("bid for app %s lacks the empty-allocation row", t.App)
 	}
 	return nil
-}
-
-// candidateSizes returns the GPU counts an Agent bids on, given the total
-// offered GPUs, the app's unmet parallelism and its gang size. The Agent
-// bids on every gang-size multiple up to a small cap, then doubles, always
-// including the largest useful size — bounding the table so bid preparation
-// stays cheap (§8.3.2) while covering the allocations that matter. The
-// enumeration itself lives on BidValuator so the Arbiter's batched rounds
-// can reuse its scratch; this wrapper serves standalone callers and tests.
-func candidateSizes(offered, unmet, gang int) []int {
-	var v BidValuator
-	return v.candidateSizes(offered, unmet, gang)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

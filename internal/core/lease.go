@@ -52,54 +52,5 @@ func (t *LeaseTable) Expired(now float64) []Lease {
 	return expired
 }
 
-// ReleaseApp removes and returns all leases held by app (used when an app
-// finishes and its GPUs return to the pool before their leases expire).
-func (t *LeaseTable) ReleaseApp(app workload.AppID) []Lease {
-	var released, live []Lease
-	for _, l := range t.leases {
-		if l.App == app {
-			released = append(released, l)
-		} else {
-			live = append(live, l)
-		}
-	}
-	t.leases = live
-	return released
-}
-
-// NextExpiry returns the earliest expiry time of any outstanding lease and
-// whether one exists.
-func (t *LeaseTable) NextExpiry() (float64, bool) {
-	if len(t.leases) == 0 {
-		return 0, false
-	}
-	best := t.leases[0].Expiry
-	for _, l := range t.leases[1:] {
-		if l.Expiry < best {
-			best = l.Expiry
-		}
-	}
-	return best, true
-}
-
-// Outstanding returns a copy of all live leases, soonest expiry first.
-func (t *LeaseTable) Outstanding() []Lease {
-	out := make([]Lease, len(t.leases))
-	copy(out, t.leases)
-	sort.Slice(out, func(i, j int) bool { return out[i].Expiry < out[j].Expiry })
-	return out
-}
-
-// HeldBy returns the total allocation currently leased to app.
-func (t *LeaseTable) HeldBy(app workload.AppID) cluster.Alloc {
-	total := cluster.NewAlloc()
-	for _, l := range t.leases {
-		if l.App == app {
-			total = total.Add(l.Alloc)
-		}
-	}
-	return total
-}
-
 // Len returns the number of outstanding leases.
 func (t *LeaseTable) Len() int { return len(t.leases) }

@@ -62,21 +62,23 @@ func TestAuctionInvariantsOnRandomBids(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		if len(res.Awards) != len(bids) {
+			t.Fatalf("trial %d: %d awards for %d bids", trial, len(res.Awards), len(bids))
+		}
 		covered := res.Leftover.Clone()
-		for _, w := range res.Winners {
-			covered = covered.Add(w)
+		for _, aw := range res.Awards {
+			covered = covered.Add(aw.Won)
 		}
 		if !covered.Equal(offer) {
 			t.Fatalf("trial %d: winners+leftover %v != offer %v", trial, covered, offer)
 		}
-		for id, ci := range res.HiddenPayment {
-			if ci < 0 || ci > 1+1e-9 {
-				t.Fatalf("trial %d: hidden payment for %s = %v", trial, id, ci)
+		for i, aw := range res.Awards {
+			id, w := bids[i].App, aw.Won
+			if aw.C < 0 || aw.C > 1+1e-9 {
+				t.Fatalf("trial %d: hidden payment for %s = %v", trial, id, aw.C)
 			}
-		}
-		for id, w := range res.Winners {
-			if w.Total() > res.ProportionalFair[id].Total() {
-				t.Fatalf("trial %d: %s final %d exceeds pf share %d", trial, id, w.Total(), res.ProportionalFair[id].Total())
+			if w.Total() > aw.PF.Total() {
+				t.Fatalf("trial %d: %s final %d exceeds pf share %d", trial, id, w.Total(), aw.PF.Total())
 			}
 			for m, n := range w {
 				if n > offer[m] {
@@ -109,12 +111,13 @@ func TestHiddenPaymentProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, ci := range res.HiddenPayment {
-		if ci < 0.999 {
-			t.Errorf("non-competing bidder %s pays a hidden payment: c=%v", id, ci)
+	for i, aw := range res.Awards {
+		id := disjoint[i].App
+		if aw.C < 0.999 {
+			t.Errorf("non-competing bidder %s pays a hidden payment: c=%v", id, aw.C)
 		}
-		if res.Winners[id].Total() != 4 {
-			t.Errorf("non-competing bidder %s kept %d GPUs, want 4", id, res.Winners[id].Total())
+		if aw.Won.Total() != 4 {
+			t.Errorf("non-competing bidder %s kept %d GPUs, want 4", id, aw.Won.Total())
 		}
 	}
 
@@ -131,9 +134,9 @@ func TestHiddenPaymentProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, pf := range res.ProportionalFair {
-			pfTotal += pf.Total()
-			keptTotal += res.Winners[id].Total()
+		for _, aw := range res.Awards {
+			pfTotal += aw.PF.Total()
+			keptTotal += aw.Won.Total()
 		}
 	}
 	if pfTotal == 0 {

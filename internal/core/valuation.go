@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/placement"
@@ -9,11 +9,15 @@ import (
 
 // BidValuator batches bid-table preparation across the participants of one
 // auction round, reusing the scratch that a standalone PrepareBid call
-// allocates per app: the candidate-size set and slice, the per-participant
-// entry buffers and the bid slice itself. The Arbiter owns one valuator and
-// runs every round's step 3 through it, so in steady state bid preparation
-// recycles one round's buffers into the next instead of leaving them to the
-// collector.
+// allocates per app: the candidate-size slice, the per-participant entry
+// buffers with the Alloc map of every row in them, and the bid slice itself.
+// The Arbiter owns one valuator and runs every round's step 3 through it, so
+// in steady state bid preparation recycles one round's buffers into the next
+// instead of leaving them to the collector.
+//
+// Rows have one lifetime: the tables prepareBids returns — slices, rows and
+// the rows' maps — are the valuator's, valid until its next prepareBids call.
+// Whatever outlives the round (a decision, a lease) is a copy.
 //
 // Batching is an optimisation only: the tables produced are bit-identical to
 // per-app PrepareBid calls (same candidate enumeration order, same float
@@ -21,44 +25,41 @@ import (
 // across goroutines; each Arbiter (and each sweep worker's policy) owns its
 // own.
 type BidValuator struct {
-	sizeSet map[int]bool
-	sizes   []int
-	bids    []BidTable
+	sizes []int
+	bids  []BidTable
+	// entries[i] is participant i's row buffer. Rows past a table's length
+	// keep the map they were last written with; the next round clears and
+	// refills it (see nextRow).
 	entries [][]BidEntry
-
-	// arena lends the round's candidate Alloc maps (the per-entry
-	// allocations that previously escaped into auction results and defeated
-	// pooling). The Arbiter resets it once the round's grants have been
-	// applied; everything kept past the round is cloned out first.
-	arena *cluster.AllocArena
 	// picker reuses placement scratch across candidate picks.
 	picker placement.Picker
 }
 
-// Arena returns the valuator's round-scoped allocation arena, creating it on
-// first use.
-func (v *BidValuator) Arena() *cluster.AllocArena {
-	if v.arena == nil {
-		v.arena = cluster.NewAllocArena()
+// nextRow returns entries extended by one row whose Alloc is an empty map:
+// the one a previous round left in that slot when the buffer has one, a fresh
+// one otherwise. A row the caller decides not to keep is dropped by
+// re-slicing; its map stays in the slot for the next candidate.
+func nextRow(entries []BidEntry) []BidEntry {
+	n := len(entries)
+	if n < cap(entries) {
+		entries = entries[:n+1]
+	} else {
+		entries = append(entries, BidEntry{})
 	}
-	return v.arena
-}
-
-// EndRound recycles every candidate allocation lent during the round. Call
-// only after the round's results have been applied (or cloned): the bid
-// tables returned by prepareBids alias the arena's maps.
-func (v *BidValuator) EndRound() {
-	if v.arena != nil {
-		v.arena.Reset()
+	if entries[n].Alloc == nil {
+		entries[n].Alloc = cluster.NewAlloc()
+	} else {
+		clear(entries[n].Alloc)
 	}
+	return entries
 }
 
 // prepareBids values an offer for every bidding participant. In-process
 // *Agent bidders run through the scratch-reusing path; any other Bidder
 // (e.g. the rpc package's remote agents) falls back to its own PrepareBid.
-// The returned slice and the Entries backing arrays are owned by the
-// valuator and valid until the next prepareBids call — exactly the lifetime
-// OfferResources needs (the auction copies what it keeps).
+// The returned slice, the Entries backing arrays and the rows' Alloc maps are
+// owned by the valuator and valid until the next prepareBids call — exactly
+// the lifetime OfferResources needs (the auction copies what it keeps).
 func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []probedAgent) []BidTable {
 	bids := v.bids[:0]
 	for len(v.entries) < len(bidding) {
@@ -77,47 +78,36 @@ func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []pr
 	return bids
 }
 
-// candidateSizes computes the GPU counts an Agent bids on (see the package
-// function candidateSizes for the enumeration contract), reusing the
-// valuator's set and output slice. The returned slice is valid until the
-// next call.
+// candidateSizes returns the GPU counts an Agent bids on, given the total
+// offered GPUs, the app's unmet parallelism and its gang size. The Agent
+// bids on every gang-size multiple up to a small cap, then doubles, always
+// including the largest useful size — bounding the table so bid preparation
+// stays cheap (§8.3.2) while covering the allocations that matter. The sizes
+// are distinct and ascending, in the valuator's slice: valid until the next
+// call.
 func (v *BidValuator) candidateSizes(offered, unmet, gang int) []int {
 	if offered <= 0 || unmet <= 0 {
 		return nil
 	}
-	max := offered
-	if unmet < max {
-		max = unmet
-	}
-	if gang <= 0 {
-		gang = 1
-	}
-	if v.sizeSet == nil {
-		v.sizeSet = make(map[int]bool)
-	}
-	clear(v.sizeSet)
-	sizes := v.sizeSet
+	most := min(offered, unmet)
+	gang = max(gang, 1)
+	sizes := v.sizes[:0]
 	// Gang multiples: 1×, 2×, 3×, 4× the gang size.
 	for k := 1; k <= 4; k++ {
-		if s := k * gang; s <= max {
-			sizes[s] = true
+		if s := k * gang; s <= most {
+			sizes = append(sizes, s)
 		}
 	}
 	// Doublings to reach large offers quickly.
-	for s := gang * 8; s < max; s *= 2 {
-		sizes[s] = true
+	for s := gang * 8; s < most; s *= 2 {
+		sizes = append(sizes, s)
 	}
-	sizes[max] = true
-	if gang > 1 && max >= 1 {
-		sizes[min(gang/2, max)] = true // a half-gang row for constrained offers
+	sizes = append(sizes, most)
+	if gang > 1 {
+		sizes = append(sizes, min(gang/2, most)) // a half-gang row for constrained offers
 	}
-	out := v.sizes[:0]
-	for s := range sizes {
-		if s > 0 {
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	v.sizes = out
-	return out
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	v.sizes = sizes
+	return sizes
 }

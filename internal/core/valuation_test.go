@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"themis/internal/cluster"
@@ -14,9 +15,15 @@ import (
 // valuationFixture builds n agents with varied gang sizes and current
 // allocations over a 16×4 cluster, plus the free vector left over.
 func valuationFixture(tb testing.TB, n int) ([]probedAgent, cluster.Alloc) {
+	return valuationFixtureOn(tb, n, 16)
+}
+
+// valuationFixtureOn is valuationFixture over machines×4 GPUs; every second
+// agent holds 2 GPUs, so n may reach four times machines.
+func valuationFixtureOn(tb testing.TB, n, machines int) ([]probedAgent, cluster.Alloc) {
 	tb.Helper()
 	topo, err := cluster.Config{
-		MachineSpecs:    []cluster.MachineSpec{{Count: 16, GPUs: 4, SlotSize: 2, GPU: cluster.GPUTypeP100}},
+		MachineSpecs:    []cluster.MachineSpec{{Count: machines, GPUs: 4, SlotSize: 2, GPU: cluster.GPUTypeP100}},
 		MachinesPerRack: 8,
 	}.Build()
 	if err != nil {
@@ -31,13 +38,13 @@ func valuationFixture(tb testing.TB, n int) ([]probedAgent, cluster.Alloc) {
 		app := testApp(id, 0, profiles[i%len(profiles)], 1+i%3, 400, gang)
 		ag := agentFor(topo, app)
 		cur := cluster.NewAlloc()
-		if i%2 == 1 { // odd agents already hold GPUs on machine i%16
-			cur = cluster.Alloc{cluster.MachineID(i % 16): 2}
+		if i%2 == 1 { // odd agents already hold GPUs on machine i%machines
+			cur = cluster.Alloc{cluster.MachineID(i % machines): 2}
 			if err := cs.Grant(string(id), cur); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		ps = append(ps, probedAgent{state: AgentState{Agent: ag, Current: cur}, rho: float64(n - i)})
+		ps = append(ps, probedAgent{state: AgentState{Agent: ag, Current: cur}, id: id, rho: float64(n - i)})
 	}
 	return ps, cs.FreeVector()
 }
@@ -74,98 +81,96 @@ func TestBatchedBidEquivalence(t *testing.T) {
 	}
 }
 
-// TestValuatorCandidateSizesMatchesPackage pins that the valuator's scratch-
-// reusing size enumeration is the package function's (which now delegates to
-// it), including across repeated calls that reuse the internal set.
-func TestValuatorCandidateSizesMatchesPackage(t *testing.T) {
-	var v BidValuator
-	cases := []struct{ offered, unmet, gang int }{
-		{0, 10, 2}, {10, 0, 2}, {64, 64, 1}, {64, 17, 4}, {5, 100, 8}, {3, 3, 2}, {128, 96, 2},
-	}
-	for _, c := range cases {
-		want := candidateSizes(c.offered, c.unmet, c.gang)
-		got := v.candidateSizes(c.offered, c.unmet, c.gang)
-		if !reflect.DeepEqual(append([]int(nil), got...), want) {
-			t.Errorf("candidateSizes(%d,%d,%d): valuator %v, package %v", c.offered, c.unmet, c.gang, got, want)
-		}
-	}
-}
-
 // TestBidValuationBatchZeroAlloc pins the core half of the PR's allocation
 // contract (TestEventCoreZeroAlloc in internal/sim is the sim half): once the
-// valuator's scratch, arena and picker have reached steady-state capacity, a
-// full round lifecycle — every participant's bid table prepared, then the
-// round's candidate allocations recycled by EndRound — is 0 allocs/op.
+// valuator's scratch, entry buffers (rows and their maps) and picker have
+// reached steady-state capacity, preparing every participant's bid table is
+// 0 allocs/op — the next round's prepareBids is all the recycling there is.
 func TestBidValuationBatchZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
 	}
 	ps, free := valuationFixture(t, 16)
 	var v BidValuator
-	for i := 0; i < 8; i++ { // warm up scratch, arena free list, entry buffers
+	for i := 0; i < 8; i++ { // warm up scratch and entry buffers
 		v.prepareBids(0, free, ps)
-		v.EndRound()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		v.prepareBids(0, free, ps)
-		v.EndRound()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state valuation round allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestArbiterRecyclesValuationArena pins the arena lifecycle at the Arbiter
-// level: every candidate allocation lent to a round's bid tables is back on
-// the arena free list when OfferResources returns, and subsequent rounds run
-// on the recycled maps instead of growing the arena.
-func TestArbiterRecyclesValuationArena(t *testing.T) {
-	ps, free := valuationFixture(t, 12)
-	topo := ps[0].state.Agent.(*Agent).Estimator.Topo
-	arb, err := NewArbiter(topo, Config{FairnessKnob: 0.5, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
+// TestAuctionRoundAllocs pins what a warmed OfferResources round may allocate:
+// what it hands back — a map or two per auction winner and per leftover
+// recipient, plus a constant for the round's own slices — and nothing per
+// participant. Bid rows are recycled, the solver reads them by index, awards
+// are one slice, a bidder that takes nothing gets no map, the leftover passes
+// keep their candidates in the Arbiter's scratch. Every agent bids (f = 0);
+// doubling the participants with sated apps, which bid only their empty row
+// and can use no leftovers, changes neither the decisions nor the count.
+func TestAuctionRoundAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; the allocation bound is checked without -race")
 	}
-	states := make([]AgentState, 0, len(ps))
+	ps, free := valuationFixture(t, 16)
+	topo := ps[0].state.Agent.(*Agent).Estimator.Topo
+	var states []AgentState
 	for _, p := range ps {
 		states = append(states, p.state)
 	}
-	var freeListAfterFirst int
-	for round := 0; round < 3; round++ {
-		if _, err := arb.OfferResources(float64(round), free, states); err != nil {
+	doubled := slices.Clone(states)
+	for i := 0; i < len(states); i++ {
+		app := testApp(workload.AppID(fmt.Sprintf("sated-%02d", i)), 0, placement.VGG16, 1, 400, 1)
+		doubled = append(doubled, AgentState{Agent: agentFor(topo, app), Current: cluster.Alloc{cluster.MachineID(i): 1}})
+	}
+	measure := func(states []AgentState) (float64, []Allocation) {
+		arb, err := NewArbiter(topo, Config{FairnessKnob: 0, LeaseDuration: 20})
+		if err != nil {
 			t.Fatal(err)
 		}
-		lent, parked := arb.ValuationArenaStats()
-		if lent != 0 {
-			t.Fatalf("round %d: %d candidate allocations still lent after OfferResources", round, lent)
+		var decisions []Allocation
+		round := func() {
+			if decisions, err = arb.OfferResources(0, free, states); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if parked == 0 {
-			t.Fatalf("round %d: arena free list empty — candidates were never arena-lent", round)
+		for i := 0; i < 8; i++ { // warm up the valuator, the solver pool and the candidate scratch
+			round()
 		}
-		if round == 0 {
-			freeListAfterFirst = parked
-		} else if parked != freeListAfterFirst {
-			t.Errorf("round %d: arena free list %d, want steady-state %d (maps should be recycled, not re-made)",
-				round, parked, freeListAfterFirst)
+		if got := arb.LastRound().Participants; got != len(states) {
+			t.Fatalf("%d participants of %d agents; the fixture wants everyone bidding", got, len(states))
 		}
+		return testing.AllocsPerRun(100, round), decisions
+	}
+	base, decisions := measure(states)
+	twice, twiceDecisions := measure(doubled)
+	if len(decisions) < 4 || !reflect.DeepEqual(decisions, twiceDecisions) {
+		t.Fatalf("sated participants changed the round: %d decisions, then %d", len(decisions), len(twiceDecisions))
+	}
+	// The ID-keyed round this replaced allocated 261 objects here and 315
+	// with the participants doubled.
+	if limit := float64(20 + 8*len(decisions)); base > limit {
+		t.Errorf("warmed round allocates %.0f objects for %d decisions, want at most %.0f", base, len(decisions), limit)
+	}
+	if twice > base {
+		t.Errorf("doubling the participants raised the round's allocations from %.0f to %.0f", base, twice)
 	}
 }
 
 // BenchmarkBidValuationBatch measures one auction round's batched bid
-// preparation — the internal/core hot path the arena work targets. Each
-// iteration is a full round lifecycle as the Arbiter drives it: prepare every
-// participant's table, then EndRound returns the candidate allocations to the
-// arena, so in steady state the round runs on recycled maps.
+// preparation as the Arbiter drives it: every participant's table, written
+// over the rows and maps the previous round left in the entry buffers.
 func BenchmarkBidValuationBatch(b *testing.B) {
 	ps, free := valuationFixture(b, 16)
 	var v BidValuator
 	v.prepareBids(0, free, ps) // prime the scratch
-	v.EndRound()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.prepareBids(0, free, ps)
-		v.EndRound()
 	}
 }
 

@@ -26,7 +26,7 @@ func Figure1(opts Options) (Figure1Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Figure1Result{}, err
 	}
-	cfg := opts.generatorConfig(maxIntE(opts.SimApps, 200), opts.Seed, 0.4, 1, 1)
+	cfg := opts.generatorConfig(max(opts.SimApps, 200), opts.Seed, 0.4, 1, 1)
 	apps, err := workload.Generate(cfg)
 	if err != nil {
 		return Figure1Result{}, err
@@ -248,13 +248,6 @@ func Figure8(opts Options) (Figure8Result, error) {
 		Long:     res.TimelineFor("long"),
 		Result:   &sum,
 	}, nil
-}
-
-func maxIntE(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SchedulerSet returns the comparison policies of §8.3 keyed by the paper's

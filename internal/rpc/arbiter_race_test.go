@@ -245,3 +245,52 @@ func TestOfferSetIndependentOfMapOrder(t *testing.T) {
 		}
 	}
 }
+
+// noEmptyRowBidder is an in-process bidder with a bug: its table lacks the
+// empty row, which fails the auction it is offered in. Its ρ is the highest,
+// so under a high fairness knob it is the one offered.
+type noEmptyRowBidder struct{ *simBidder }
+
+func (b noEmptyRowBidder) PrepareBid(now float64, offer, current cluster.Alloc) core.BidTable {
+	table := b.simBidder.PrepareBid(now, offer, current)
+	table.Entries = table.Entries[1:]
+	return table
+}
+
+// TestFailedRoundStillDeliversReclaim: a round that fails after reclaiming
+// expired leases has changed what agents hold, and must tell them. An agent
+// left believing in its expired allocation answers the arbiter's
+// holder-of-nothing probes (empty Current) from that stale allocation, and
+// under-reports its ρ for as long as rounds keep failing.
+func TestFailedRoundStillDeliversReclaim(t *testing.T) {
+	topo := testTopo(t)
+	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.9, LeaseDuration: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewArbiterServer(arb)
+	url, agent := startAgent(t, topo, testApp("app-a", 2, 300))
+	if _, err := server.register(RegisterRequest{App: "app-a", Callback: url, MaxParallelism: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.RunAuction(0); err != nil {
+		t.Fatal(err)
+	}
+	if agent.Current().Total() == 0 {
+		t.Fatal("round 1 should have leased GPUs to the agent and told it")
+	}
+
+	server.RegisterBidder(noEmptyRowBidder{&simBidder{id: "buggy", demand: 4, weight: 1e12}})
+	if _, err := server.RunAuction(21); err == nil {
+		t.Fatal("a table without the empty row should fail the round")
+	}
+	if got := server.HeldBy("app-a").Total(); got != 0 {
+		t.Fatalf("the failed round still reclaims: app-a holds %d", got)
+	}
+	if got := agent.Current(); got.Total() != 0 {
+		t.Errorf("agent still believes it holds %v after its lease was reclaimed", got)
+	}
+	if err := server.ValidateState(); err != nil {
+		t.Errorf("state invariants: %v", err)
+	}
+}

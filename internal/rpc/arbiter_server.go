@@ -394,19 +394,39 @@ func (s *ArbiterServer) ValidateState() error {
 // without HTTP. Rounds are serialised: a concurrent call blocks until the
 // in-flight round has applied its grants.
 func (s *ArbiterServer) RunAuction(now float64) (AuctionResponse, error) {
-	resp, changed, err := s.auctionRound(now)
+	r, err := s.auctionRound(now)
+	// A failed round delivers too: what it reclaimed (and granted) before
+	// failing is in the state, and an agent never told keeps bidding from an
+	// allocation it no longer holds.
+	s.notifyAgents(now, r.changed)
 	if err != nil {
-		return resp, err
+		return AuctionResponse{}, err
 	}
-	s.notifyAgents(now, changed)
+	resp := AuctionResponse{Now: now, Offered: r.offered, Decisions: make(map[string]WireAlloc, len(r.granted))}
+	for id, alloc := range r.granted {
+		resp.Decisions[string(id)] = ToWireAlloc(alloc)
+	}
 	return resp, nil
 }
 
-// auctionRound runs reclaim → offer → grant under auctionMu and returns the
-// set of apps whose allocation changed. It does not notify agents — the
-// caller (RunAuction, or the sharded arbiter after its reconciliation round)
-// owns delivery.
-func (s *ArbiterServer) auctionRound(now float64) (AuctionResponse, map[workload.AppID]bool, error) {
+// roundOutcome is what one reclaim → offer → grant round did to the server's
+// state, in the server's (shard-local) machine IDs.
+type roundOutcome struct {
+	offered int
+	// granted is each app's grants of this round, auction win and leftover
+	// grant merged.
+	granted map[workload.AppID]cluster.Alloc
+	// changed is every app whose holding changed: leases reclaimed, GPUs
+	// granted. It is complete up to the point of failure when the round
+	// returns an error.
+	changed map[workload.AppID]bool
+}
+
+// auctionRound runs reclaim → offer → grant under auctionMu and reports what
+// it did. It does not notify agents — the caller (RunAuction, or the sharded
+// arbiter after its reconciliation round) owns delivery, and owes it for
+// outcome.changed even when the round failed.
+func (s *ArbiterServer) auctionRound(now float64) (roundOutcome, error) {
 	// Serialise the whole round. OfferResources below runs outside mu (it
 	// makes network calls to remote bidders) but must never run concurrently
 	// with another round: the Arbiter's BidValuator scratch is per-auction
@@ -417,17 +437,17 @@ func (s *ArbiterServer) auctionRound(now float64) (AuctionResponse, map[workload
 
 	start := time.Now()
 	rd := telemetry.Round{Wall: start, Shard: s.shardLabel, Now: now}
+	out := roundOutcome{changed: make(map[workload.AppID]bool)}
 
 	s.mu.Lock()
 	// Reclaim expired leases.
-	changed := make(map[workload.AppID]bool)
 	for _, l := range s.leases.Expired(now) {
 		if err := s.state.Release(string(l.App), l.Alloc); err != nil {
 			s.mu.Unlock()
 			s.tel.errors.Inc()
-			return AuctionResponse{}, nil, fmt.Errorf("rpc: releasing expired lease for %s: %w", l.App, err)
+			return out, fmt.Errorf("rpc: releasing expired lease for %s: %w", l.App, err)
 		}
-		changed[l.App] = true
+		out.changed[l.App] = true
 	}
 	free := s.state.FreeVector()
 	states := make([]core.AgentState, 0, len(s.agents))
@@ -448,20 +468,20 @@ func (s *ArbiterServer) auctionRound(now float64) (AuctionResponse, map[workload
 	rd.AddSpan("reclaim", 0, time.Since(start))
 	rd.Agents = len(states)
 	rd.Offered = free.Total()
+	out.offered = free.Total()
 
-	resp := AuctionResponse{Now: now, Offered: free.Total(), Decisions: make(map[string]WireAlloc)}
 	if free.Total() == 0 || len(states) == 0 {
 		// Nothing to auction is still a completed round: the rounds counter
 		// and trace ring advance so a quiet cluster is visibly quiet rather
 		// than silently unobserved.
 		s.finishRound(&rd, start, leases, free.Total())
-		return resp, changed, nil
+		return out, nil
 	}
 	offerStart := time.Since(start)
 	decisions, err := s.arbiter.OfferResources(now, free, states)
 	if err != nil {
 		s.tel.errors.Inc()
-		return AuctionResponse{}, nil, err
+		return out, err
 	}
 	// The Arbiter's phase breakdown is stable here: rounds are serialised by
 	// auctionMu, so LastRound still describes the call above.
@@ -478,26 +498,23 @@ func (s *ArbiterServer) auctionRound(now float64) (AuctionResponse, map[workload
 	s.mu.Lock()
 	s.auctions++
 	lease := s.arbiter.Config().LeaseDuration
-	granted := make(map[workload.AppID]cluster.Alloc)
+	out.granted = make(map[workload.AppID]cluster.Alloc)
 	for _, d := range decisions {
 		if err := s.state.Grant(string(d.App), d.Alloc); err != nil {
 			s.mu.Unlock()
 			s.tel.errors.Inc()
-			return AuctionResponse{}, nil, fmt.Errorf("rpc: applying allocation for %s: %w", d.App, err)
+			return out, fmt.Errorf("rpc: applying allocation for %s: %w", d.App, err)
 		}
 		s.leases.Grant(d.App, d.Alloc, now, lease)
-		changed[d.App] = true
-		granted[d.App] = granted[d.App].Add(d.Alloc)
+		out.changed[d.App] = true
+		out.granted[d.App] = out.granted[d.App].Add(d.Alloc)
 	}
 	leases = s.leases.Len()
 	freeGPUs := s.state.TotalFree()
 	s.mu.Unlock()
 	rd.AddSpan("grant", grantStart, time.Since(start)-grantStart)
-	for id, alloc := range granted {
-		resp.Decisions[string(id)] = ToWireAlloc(alloc)
-	}
 	s.finishRound(&rd, start, leases, freeGPUs)
-	return resp, changed, nil
+	return out, nil
 }
 
 // finishRound stamps the round's total duration and folds it into the metric
@@ -505,8 +522,7 @@ func (s *ArbiterServer) auctionRound(now float64) (AuctionResponse, map[workload
 // per completed round — empty rounds included.
 func (s *ArbiterServer) finishRound(rd *telemetry.Round, start time.Time, leases, freeGPUs int) {
 	rd.Total = time.Since(start)
-	lent, parked := s.arbiter.ValuationArenaStats()
-	s.tel.record(rd, s.ring, leases, freeGPUs, lent, parked)
+	s.tel.record(rd, s.ring, leases, freeGPUs)
 }
 
 // reconcileGrant hands chunk free GPUs to app during the sharded

@@ -170,8 +170,7 @@ func (s *ShardedArbiterServer) RunAuction(now float64) (AuctionResponse, error) 
 	rd := telemetry.Round{Wall: start, Shard: "all", Now: now}
 
 	n := len(s.shards)
-	resps := make([]AuctionResponse, n)
-	changed := make([]map[workload.AppID]bool, n)
+	outs := make([]roundOutcome, n)
 	errs := make([]error, n)
 
 	var wg sync.WaitGroup
@@ -179,31 +178,33 @@ func (s *ShardedArbiterServer) RunAuction(now float64) (AuctionResponse, error) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], changed[i], errs[i] = s.shards[i].auctionRound(now)
+			outs[i], errs[i] = s.shards[i].auctionRound(now)
 		}(i)
 	}
 	wg.Wait()
 	rd.AddSpan("shards", 0, time.Since(start))
+
+	allChanged := make(map[workload.AppID]bool)
+	for _, out := range outs {
+		for app := range out.changed {
+			allChanged[app] = true
+		}
+	}
 	for i, err := range errs {
 		if err != nil {
+			// What the shards did before the failure — the failing shard's
+			// reclaim included — is in their state: the agents hear of it.
+			s.deliver(now, allChanged)
 			return AuctionResponse{}, fmt.Errorf("rpc: shard %d auction: %w", i, err)
 		}
 	}
 
 	resp := AuctionResponse{Now: now, Decisions: make(map[string]WireAlloc)}
 	granted := make(map[workload.AppID]cluster.Alloc)
-	allChanged := make(map[workload.AppID]bool)
-	for i, r := range resps {
-		resp.Offered += r.Offered
-		for app, wire := range r.Decisions {
-			alloc, err := wire.ToAlloc()
-			if err != nil {
-				return AuctionResponse{}, fmt.Errorf("rpc: shard %d decision for %s: %w", i, app, err)
-			}
-			granted[workload.AppID(app)] = granted[workload.AppID(app)].Add(s.parts[i].ToGlobal(alloc))
-		}
-		for app := range changed[i] {
-			allChanged[app] = true
+	for i, out := range outs {
+		resp.Offered += out.offered
+		for app, alloc := range out.granted {
+			granted[app] = granted[app].Add(s.parts[i].ToGlobal(alloc))
 		}
 	}
 
@@ -344,7 +345,7 @@ func (s *ShardedArbiterServer) reconcile(now float64, allChanged map[workload.Ap
 			if c.unmet < gang {
 				break
 			}
-			chunk := minInt(c.unmet, leftover[si])
+			chunk := min(c.unmet, leftover[si])
 			chunk -= chunk % gang
 			if chunk == 0 {
 				continue
@@ -373,13 +374,6 @@ func otherShards(n, home int) []int {
 		}
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // deliver sends each changed app ONE allocation message carrying its global

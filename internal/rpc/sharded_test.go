@@ -313,37 +313,77 @@ func TestShardedRegisterRoutesToHomeShard(t *testing.T) {
 	}
 }
 
-// TestShardedAuctionRecyclesValuationArenas pins the per-shard arena
-// lifecycle: in-process Agents bid through each shard arbiter's valuator
-// arena, and every candidate allocation lent during a sharded round —
-// per-shard auctions plus reconciliation — is back on its shard's free list
-// when RunAuction returns. Each shard owns its own arena, so the concurrent
-// per-shard rounds never share lending state.
-func TestShardedAuctionRecyclesValuationArenas(t *testing.T) {
+// TestShardedFailedShardStillDelivers is TestFailedRoundStillDeliversReclaim
+// behind a sharded arbiter: one shard's round fails after reclaiming an HTTP
+// agent's lease; the sharded round returns that error, but only after telling
+// the agents what every shard changed.
+func TestShardedFailedShardStillDelivers(t *testing.T) {
+	topo := shardedTopo(t, 6, 4, 3)
+	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0.9, LeaseDuration: 20}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, agent := startAgent(t, topo, testApp("app-a", 2, 300))
+	if _, err := s.Register(RegisterRequest{App: "app-a", Callback: url, MaxParallelism: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunAuction(0); err != nil {
+		t.Fatal(err)
+	}
+	if agent.Current().Total() == 0 {
+		t.Fatal("round 1 should have leased GPUs to the agent and told it")
+	}
+	// A buggy bidder homed on the agent's shard fails that shard's next round.
+	buggy := ""
+	for i := 0; buggy == ""; i++ {
+		if id := fmt.Sprintf("buggy-%d", i); s.HomeShard(id) == s.HomeShard("app-a") {
+			buggy = id
+		}
+	}
+	s.RegisterBidder(noEmptyRowBidder{&simBidder{id: workload.AppID(buggy), demand: 4, weight: 1e12}})
+	if _, err := s.RunAuction(21); err == nil {
+		t.Fatal("a table without the empty row should fail its shard's round, and the sharded one")
+	}
+	if got := s.HeldTotalGlobal("app-a"); got != 0 {
+		t.Fatalf("the failed round still reclaims: app-a holds %d", got)
+	}
+	if got := agent.Current(); got.Total() != 0 {
+		t.Errorf("agent still believes it holds %v after its lease was reclaimed", got)
+	}
+	if err := s.ValidateState(); err != nil {
+		t.Errorf("state invariants: %v", err)
+	}
+}
+
+// TestShardedRoundsWithInProcessAgents drives in-process Agents — which bid
+// through their shard arbiter's BidValuator, on rows recycled from round to
+// round — across sharded rounds that reclaim and re-auction. Each shard owns
+// its valuator, so the concurrent per-shard rounds share no bid rows (the
+// race gate runs this); every round must leave the occupancy state valid and
+// the cluster fully leased to the six apps that want far more than it holds.
+func TestShardedRoundsWithInProcessAgents(t *testing.T) {
 	topo := shardedTopo(t, 8, 4, 2)
 	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		app := testApp(fmt.Sprintf("arena-%02d", i), 2, 200)
+		app := testApp(fmt.Sprintf("inproc-%02d", i), 2, 200)
 		s.RegisterBidder(core.NewAgent(topo, app, hyperparam.ForApp(app), nil))
 	}
 	for round := 0; round < 3; round++ {
-		if _, err := s.RunAuction(float64(round) * 25); err != nil {
+		resp, err := s.RunAuction(float64(round) * 25)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for idx := 0; idx < s.NumShards(); idx++ {
-			lent, parked := s.Shard(idx).arbiter.ValuationArenaStats()
-			if lent != 0 {
-				t.Fatalf("round %d shard %d: %d candidate allocations still lent after RunAuction", round, idx, lent)
-			}
-			if parked == 0 && len(s.Shard(idx).snapshotAgents()) > 0 {
-				t.Errorf("round %d shard %d: arena free list empty despite homed agents — candidates were never arena-lent", round, idx)
-			}
+		if len(resp.Decisions) == 0 {
+			t.Fatalf("round %d granted nothing", round)
 		}
-	}
-	if err := s.ValidateState(); err != nil {
-		t.Error(err)
+		if err := s.ValidateState(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if st := s.Status(); st.FreeGPUs != 0 {
+			t.Errorf("round %d left %d of %d GPUs free", round, st.FreeGPUs, st.TotalGPUs)
+		}
 	}
 }

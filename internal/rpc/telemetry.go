@@ -27,11 +27,9 @@ type serverTelemetry struct {
 	// after construction; per-round lookups take no lock.
 	phases map[string]*telemetry.Histogram
 
-	agents    *telemetry.Gauge
-	leases    *telemetry.Gauge
-	freeGPUs  *telemetry.Gauge
-	arenaLent *telemetry.Gauge
-	arenaFree *telemetry.Gauge
+	agents   *telemetry.Gauge
+	leases   *telemetry.Gauge
+	freeGPUs *telemetry.Gauge
 }
 
 // roundPhaseNames are the span names an unsharded round can emit, in round
@@ -52,11 +50,9 @@ func newServerTelemetry(reg *telemetry.Registry, shard string) *serverTelemetry 
 		roundDur: reg.Histogram("themis_auction_round_seconds", "End-to-end auction round latency (reclaim through grant).", nil, l),
 		phases:   make(map[string]*telemetry.Histogram, len(roundPhaseNames)),
 
-		agents:    reg.Gauge("themis_agents_registered", "Agents currently registered.", l),
-		leases:    reg.Gauge("themis_active_leases", "Leases currently active.", l),
-		freeGPUs:  reg.Gauge("themis_free_gpus", "GPUs free after the most recent round.", l),
-		arenaLent: reg.Gauge("themis_valuation_arena_lent", "Sparse allocation maps currently lent out by the valuation arena.", l),
-		arenaFree: reg.Gauge("themis_valuation_arena_free", "Sparse allocation maps parked in the valuation arena free list.", l),
+		agents:   reg.Gauge("themis_agents_registered", "Agents currently registered.", l),
+		leases:   reg.Gauge("themis_active_leases", "Leases currently active.", l),
+		freeGPUs: reg.Gauge("themis_free_gpus", "GPUs free after the most recent round.", l),
 	}
 	for _, name := range roundPhaseNames {
 		t.phases[name] = reg.Histogram("themis_auction_phase_seconds", "Auction round phase latency.", nil, l, telemetry.L("phase", name))
@@ -66,7 +62,7 @@ func newServerTelemetry(reg *telemetry.Registry, shard string) *serverTelemetry 
 
 // record folds one finished round into the counters, phase histograms and
 // gauges, and appends it to the server's trace ring.
-func (t *serverTelemetry) record(rd *telemetry.Round, ring *telemetry.RoundRing, leases, freeGPUs, arenaLent, arenaFree int) {
+func (t *serverTelemetry) record(rd *telemetry.Round, ring *telemetry.RoundRing, leases, freeGPUs int) {
 	t.rounds.Inc()
 	t.offered.Add(uint64(rd.Offered))
 	t.granted.Add(uint64(rd.Granted))
@@ -81,8 +77,6 @@ func (t *serverTelemetry) record(rd *telemetry.Round, ring *telemetry.RoundRing,
 	t.agents.Set(int64(rd.Agents))
 	t.leases.Set(int64(leases))
 	t.freeGPUs.Set(int64(freeGPUs))
-	t.arenaLent.Set(int64(arenaLent))
-	t.arenaFree.Set(int64(arenaFree))
 	ring.Record(*rd)
 }
 

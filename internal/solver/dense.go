@@ -1,18 +1,18 @@
-// Dense winner-determination engine. The public Solve API keeps sparse
-// cluster.Alloc maps as its currency, but internally every instance is
-// compiled to flat vectors once and the search never touches a Go map:
+// Dense winner-determination engine. Bid rows arrive as sparse cluster.Alloc
+// maps, but every instance is compiled to flat vectors once and the search
+// never touches a Go map:
 //
 //   - capacity and the incrementally maintained `used` vector are []int32
 //     indexed by MachineID (offset-shifted so arbitrary ID ranges still
 //     work),
-//   - each bundle is a (value, log value, total, term-range) record whose
+//   - each row is a (value, log value, total, term-range) record whose
 //     non-zero machine terms live in one shared flat []term slice,
 //   - bidders are index-ordered slices, so greedy tie-breaks are
 //     deterministic instead of map-iteration-order dependent.
 //
 // The compiled instance lives in a pooled Instance; Compile borrows one and
 // builds it, each Instance.Solve searches it (optionally with one bidder
-// masked out), Assignment copies the winning bundles out, and Release returns
+// masked out), Choice reads the winning row indexes out, and Release returns
 // the storage. The search results are bit-identical to the previous map-based
 // implementation (pinned by TestDenseSolverMatchesReference): bidder ordering,
 // per-depth bundle ordering, pruning comparisons and float accumulation order
@@ -21,8 +21,9 @@
 package solver
 
 import (
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"themis/internal/cluster"
@@ -34,8 +35,8 @@ type term struct {
 	n int32
 }
 
-// denseBundle mirrors Bundle with precomputed log value and a term range
-// into scratch.terms.
+// denseBundle is one compiled row: its valuation with precomputed log and a
+// term range into Instance.terms.
 type denseBundle struct {
 	value    float64
 	logValue float64
@@ -45,18 +46,17 @@ type denseBundle struct {
 }
 
 // Instance is one compiled auction instance plus every slice the search
-// needs, recycled through scratchPool. What Compile builds (capacity, norm,
+// needs, recycled through scratchPool. What Compile builds (capacity,
 // bundles, terms, spread, valIdx) is invariant across Solve calls; used,
 // order, maxLog and the choices are per-solve. It is single-goroutine state;
-// concurrent callers each compile their own.
+// concurrent callers each compile their own. It references nothing of the
+// caller's: rows are compiled to machine indexes and values.
 type Instance struct {
 	capacity []int32
 	used     []int32
 	offset   int32 // dense index = MachineID + offset
 
-	norm        []Bidder // normalized bidders, Bundles aliasing normBundles
-	normBundles []Bundle
-
+	n        int     // bidders
 	boff     []int32 // bundles of bidder i: bundles[boff[i]:boff[i+1]]
 	bundles  []denseBundle
 	terms    []term
@@ -69,91 +69,29 @@ type Instance struct {
 	maxLog     []float64
 	choice     []int
 	bestChoice []int
-	seen       map[string]bool
+	bestObj    float64 // the exact search's incumbent
+	haveBest   bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Instance) }}
 
-// emptyAlloc is the shared zero-GPU allocation used for synthesized empty
-// bundles. It is read-only by contract: bundle allocations are never mutated
-// by the solver or the auction.
-var emptyAlloc = cluster.Alloc{}
-
 // Release returns the instance's storage to the pool; the instance must not
 // be used afterwards.
-func (sc *Instance) Release() {
-	// Drop references to caller-owned alloc maps so pooling the scratch
-	// does not extend their lifetime.
-	for i := range sc.normBundles {
-		sc.normBundles[i].Alloc = nil
-	}
-	for i := range sc.norm {
-		sc.norm[i] = Bidder{}
-	}
-	scratchPool.Put(sc)
-}
+func (sc *Instance) Release() { scratchPool.Put(sc) }
 
-// normalize deep-copies the bidders' bundle slices into scratch-owned
-// storage (the caller's Bundles backing arrays are never touched — see the
-// Solve regression test), clamps non-positive values and appends a
-// synthesized empty bundle where missing. Alloc maps are shared with the
-// caller, matching the previous behavior; the solver only reads them.
-func (sc *Instance) normalize(bidders []Bidder) {
-	const eps = 1e-12
-	sc.norm = sc.norm[:0]
-	sc.normBundles = sc.normBundles[:0]
-	for _, b := range bidders {
-		start := len(sc.normBundles)
-		hasEmpty := false
-		for _, bun := range b.Bundles {
-			if bun.Value < eps {
-				bun.Value = eps
-			}
-			if bun.Alloc.Total() == 0 {
-				hasEmpty = true
-			}
-			sc.normBundles = append(sc.normBundles, bun)
-		}
-		if !hasEmpty {
-			sc.normBundles = append(sc.normBundles, Bundle{Alloc: emptyAlloc, Value: eps})
-		}
-		sc.norm = append(sc.norm, Bidder{ID: b.ID, Bundles: sc.normBundles[start:len(sc.normBundles):len(sc.normBundles)]})
-	}
-	// The flat slice may have been re-allocated while growing; rebuild the
-	// per-bidder views against the final backing array.
-	off := 0
-	for i := range sc.norm {
-		n := len(sc.norm[i].Bundles)
-		sc.norm[i].Bundles = sc.normBundles[off : off+n : off+n]
-		off += n
-	}
-}
-
-// compile builds the dense instance from the normalized bidders.
-func (sc *Instance) compile(capacity cluster.Alloc) {
+// compile validates the rows against capacity and builds the dense instance
+// in the same walk. A row's positive terms must fit capacity, so capacity's
+// machines bound the dense index range and each row's map is ranged once.
+func (sc *Instance) compile(capacity cluster.Alloc, n int, rows func(i int) []Row) error {
 	minID, maxID := 0, -1
-	scan := func(a cluster.Alloc) {
-		for m, n := range a {
-			if n == 0 {
-				continue
-			}
-			if maxID < minID {
-				minID, maxID = int(m), int(m)
-				continue
-			}
-			if int(m) < minID {
-				minID = int(m)
-			}
-			if int(m) > maxID {
-				maxID = int(m)
-			}
+	for m, c := range capacity {
+		if c == 0 {
+			continue
 		}
-	}
-	scan(capacity)
-	for _, b := range sc.norm {
-		for _, bun := range b.Bundles {
-			scan(bun.Alloc)
+		if maxID < minID {
+			minID, maxID = int(m), int(m)
 		}
+		minID, maxID = min(minID, int(m)), max(maxID, int(m))
 	}
 	nm := 0
 	sc.offset = 0
@@ -163,36 +101,50 @@ func (sc *Instance) compile(capacity cluster.Alloc) {
 	}
 	sc.capacity = zeroed(sc.capacity, nm)
 	sc.used = zeroed(sc.used, nm)
-	for m, n := range capacity {
-		if n != 0 {
-			sc.capacity[int32(m)+sc.offset] = int32(n)
+	for m, c := range capacity {
+		if c != 0 {
+			sc.capacity[int32(m)+sc.offset] = int32(c)
 		}
 	}
 
-	nb := len(sc.norm)
+	sc.n = n
 	sc.boff = append(sc.boff[:0], 0)
 	sc.bundles = sc.bundles[:0]
 	sc.terms = sc.terms[:0]
 	sc.emptyIdx = sc.emptyIdx[:0]
 	sc.spread = sc.spread[:0]
 	sc.valIdx = sc.valIdx[:0]
-	for i := 0; i < nb; i++ {
-		b := sc.norm[i]
+	for i := 0; i < n; i++ {
 		empty := int32(-1)
 		loLog, hiLog := math.Inf(1), math.Inf(-1)
-		for bi, bun := range b.Bundles {
+		start := len(sc.bundles)
+		for bi, row := range rows(i) {
+			if row.Rho <= 0 {
+				return fmt.Errorf("solver: bidder %d row %d has non-positive ρ %v", i, bi, row.Rho)
+			}
 			toff := int32(len(sc.terms))
 			total := int32(0)
-			for m, n := range bun.Alloc {
-				if n == 0 {
+			for m, g := range row.Alloc {
+				if g == 0 {
 					continue
 				}
-				sc.terms = append(sc.terms, term{m: int32(m) + sc.offset, n: int32(n)})
-				total += int32(n)
+				if g < 0 {
+					return fmt.Errorf("solver: bidder %d row %d has negative GPUs on machine %d", i, bi, m)
+				}
+				dm := int(m) + int(sc.offset)
+				if dm < 0 || dm >= nm || g > int(sc.capacity[dm]) {
+					return fmt.Errorf("solver: bidder %d row %d wants %d GPUs on machine %d, capacity %d", i, bi, g, m, capacity[m])
+				}
+				sc.terms = append(sc.terms, term{m: int32(dm), n: int32(g)})
+				total += int32(g)
 			}
-			l := math.Log(bun.Value)
+			value := 1 / row.Rho
+			if value < minValue {
+				value = minValue
+			}
+			l := math.Log(value)
 			sc.bundles = append(sc.bundles, denseBundle{
-				value:    bun.Value,
+				value:    value,
 				logValue: l,
 				total:    total,
 				toff:     toff,
@@ -207,6 +159,10 @@ func (sc *Instance) compile(capacity cluster.Alloc) {
 			if l > hiLog {
 				hiLog = l
 			}
+			sc.valIdx = append(sc.valIdx, int32(bi))
+		}
+		if empty < 0 {
+			return fmt.Errorf("solver: bidder %d lacks the empty-allocation row", i)
 		}
 		sc.boff = append(sc.boff, int32(len(sc.bundles)))
 		sc.emptyIdx = append(sc.emptyIdx, empty)
@@ -215,15 +171,15 @@ func (sc *Instance) compile(capacity cluster.Alloc) {
 		// Value-descending bundle order, computed once per bidder with the
 		// same sort the old per-node code ran (deterministic for a given
 		// input, so precomputing preserves the exact search order).
-		vstart := len(sc.valIdx)
-		for bi := range b.Bundles {
-			sc.valIdx = append(sc.valIdx, int32(bi))
-		}
-		vi := sc.valIdx[vstart:]
-		sort.Slice(vi, func(x, y int) bool {
-			return b.Bundles[vi[x]].Value > b.Bundles[vi[y]].Value
+		mine := sc.bundles[start:]
+		slices.SortFunc(sc.valIdx[start:], func(x, y int32) int {
+			if mine[x].value > mine[y].value {
+				return -1
+			}
+			return 1
 		})
 	}
+	return nil
 }
 
 // zeroed returns v resized to n zeros, reusing its backing array when it is
@@ -268,15 +224,18 @@ func (sc *Instance) fitsTerms(b *denseBundle) bool {
 // tried in descending value, suffix log bounds for pruning.
 func (sc *Instance) solveExact() {
 	sc.order = sc.order[:0]
-	for i := range sc.norm {
+	for i := 0; i < sc.n; i++ {
 		if i != sc.skip {
 			sc.order = append(sc.order, i)
 		}
 	}
 	order := sc.order
 	nb := len(order)
-	sort.Slice(order, func(a, b int) bool {
-		return sc.spread[order[a]] > sc.spread[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if sc.spread[a] > sc.spread[b] {
+			return -1
+		}
+		return 1
 	})
 	sc.maxLog = sc.maxLog[:0]
 	for i := 0; i <= nb; i++ {
@@ -294,46 +253,20 @@ func (sc *Instance) solveExact() {
 		maxLog[i] = maxLog[i+1] + best
 	}
 
-	bestObj := math.Inf(-1)
-	haveBest := false
+	sc.bestObj, sc.haveBest = math.Inf(-1), false
 	sc.choice = sc.choice[:0]
 	sc.bestChoice = sc.bestChoice[:0]
-	for range sc.norm {
+	for i := 0; i < sc.n; i++ {
 		// choice is depth-indexed during the search (the first nb slots) and
 		// bidder-indexed afterwards.
 		sc.choice = append(sc.choice, 0)
 		sc.bestChoice = append(sc.bestChoice, -1)
 	}
-	choice, bestChoice := sc.choice, sc.bestChoice
-
-	var dfs func(depth int, obj float64)
-	dfs = func(depth int, obj float64) {
-		if obj+maxLog[depth] <= bestObj {
-			return // cannot beat the incumbent
-		}
-		if depth == nb {
-			bestObj = obj
-			haveBest = true
-			copy(bestChoice, choice)
-			return
-		}
-		bi := order[depth]
-		start := sc.boff[bi]
-		for _, local := range sc.valIdx[start:sc.boff[bi+1]] {
-			bun := &sc.bundles[start+local]
-			if !sc.fitsTerms(bun) {
-				continue
-			}
-			sc.addTerms(bun)
-			choice[depth] = int(local)
-			dfs(depth+1, obj+bun.logValue)
-			sc.subTerms(bun)
-		}
-	}
-	dfs(0, 0)
+	sc.dfs(0, 0)
 
 	// Translate depth-indexed best choices back to bidder-indexed ones.
-	if !haveBest {
+	choice := sc.choice
+	if !sc.haveBest {
 		// Only possible if even all-empty is infeasible, which cannot
 		// happen; fall back to empty bundles defensively.
 		for i := range choice {
@@ -342,10 +275,35 @@ func (sc *Instance) solveExact() {
 		return
 	}
 	for d, bi := range order {
-		choice[bi] = bestChoice[d]
+		choice[bi] = sc.bestChoice[d]
 	}
 	if sc.skip >= 0 {
 		choice[sc.skip] = int(sc.emptyIdx[sc.skip]) // the masked bidder takes nothing
+	}
+}
+
+// dfs extends the partial assignment of order[:depth], worth obj, by every
+// feasible bundle of order[depth].
+func (sc *Instance) dfs(depth int, obj float64) {
+	if obj+sc.maxLog[depth] <= sc.bestObj {
+		return // cannot beat the incumbent
+	}
+	if depth == len(sc.order) {
+		sc.bestObj, sc.haveBest = obj, true
+		copy(sc.bestChoice, sc.choice)
+		return
+	}
+	bi := sc.order[depth]
+	start := sc.boff[bi]
+	for _, local := range sc.valIdx[start:sc.boff[bi+1]] {
+		bun := &sc.bundles[start+local]
+		if !sc.fitsTerms(bun) {
+			continue
+		}
+		sc.addTerms(bun)
+		sc.choice[depth] = int(local)
+		sc.dfs(depth+1, obj+bun.logValue)
+		sc.subTerms(bun)
 	}
 }
 
@@ -371,7 +329,7 @@ func (sc *Instance) solveExact() {
 //     later bundle), so the pair's gain — a's gain minus v's — is ≤ 0, never
 //     above the 1e-12 threshold.
 func (sc *Instance) solveGreedy(rounds int) {
-	nb := len(sc.norm)
+	nb := sc.n
 	sc.choice = sc.choice[:0]
 	for i := 0; i < nb; i++ {
 		sc.choice = append(sc.choice, int(sc.emptyIdx[i]))
@@ -408,16 +366,4 @@ func (sc *Instance) solveGreedy(rounds int) {
 		choice[bestBidder] = int(bestLocal)
 		sc.addTerms(sc.bundleAt(bestBidder, bestLocal))
 	}
-}
-
-// Assignment materialises the most recent Solve's per-bidder choices; a
-// masked bidder is absent.
-func (sc *Instance) Assignment() Assignment {
-	asg := make(Assignment, len(sc.norm))
-	for i, b := range sc.norm {
-		if i != sc.skip {
-			asg[b.ID] = b.Bundles[sc.choice[i]]
-		}
-	}
-	return asg
 }

@@ -77,13 +77,15 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 			}
 			for trial := 0; trial < c.trials; trial++ {
 				capacity, bidders := contendedInstance(rng, c.nb, c.nm)
+				compiled := asCompiled(bidders)
+				tables := tablesOf(compiled)
 				exactBefore, greedyBefore := solveExactCount.Value(), solveGreedyCount.Value()
-				inst, err := Compile(capacity, bidders)
+				inst, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] })
 				if err != nil {
 					t.Fatal(err)
 				}
 				fullObj := inst.Solve(c.opts, NoSkip)
-				full := inst.Assignment()
+				full := assignmentOf(inst, compiled)
 				wantFull, wantFullObj, err := Solve(capacity, bidders, c.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -96,7 +98,7 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 				for i := range bidders {
 					others := append(append([]Bidder(nil), bidders[:i]...), bidders[i+1:]...)
 					obj := inst.Solve(c.opts, i)
-					got := inst.Assignment()
+					got := assignmentOf(inst, compiled)
 					want, wantObj, err := Solve(capacity, others, c.opts)
 					if err != nil {
 						t.Fatal(err)
@@ -109,7 +111,7 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 					if c.nb >= 64 && i%4 != 0 {
 						continue // the map-based oracle is ~20x slower; sample it on the large cases
 					}
-					ref, _, err := refSolve(capacity, others, c.opts)
+					ref, _, err := refSolve(capacity, asCompiled(others), c.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +122,7 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 				if obj := inst.Solve(c.opts, NoSkip); obj != fullObj {
 					t.Fatalf("trial %d: unmasked re-solve %v, first solve %v", trial, obj, fullObj)
 				}
-				sameChoices(t, "unmasked re-solve", inst.Assignment(), full)
+				sameChoices(t, "unmasked re-solve", assignmentOf(inst, compiled), full)
 				inst.Release()
 
 				exact, greedy := solveExactCount.Value()-exactBefore, solveGreedyCount.Value()-greedyBefore
@@ -132,18 +134,30 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsInvalidInput pins that validation happens once, at
-// Compile, with the errors Solve has always returned.
+// TestCompileRejectsInvalidInput pins that the one walk Compile makes over the
+// rows is also the auction's input check.
 func TestCompileRejectsInvalidInput(t *testing.T) {
 	capacity := cluster.Alloc{0: 2}
-	for _, bidders := range [][]Bidder{
-		{{ID: ""}},
-		{{ID: "a"}, {ID: "a"}},
-		{{ID: "a", Bundles: []Bundle{{Alloc: cluster.Alloc{0: 3}, Value: 1}}}},
+	empty := Row{Alloc: cluster.NewAlloc(), Rho: 9}
+	for name, table := range map[string][]Row{
+		"negative GPUs":       {empty, {Alloc: cluster.Alloc{0: -1}, Rho: 1}},
+		"over capacity":       {empty, {Alloc: cluster.Alloc{0: 3}, Rho: 1}},
+		"machine not offered": {empty, {Alloc: cluster.Alloc{7: 1}, Rho: 1}},
+		"zero rho":            {empty, {Alloc: cluster.Alloc{0: 1}, Rho: 0}},
+		"negative rho":        {{Alloc: cluster.NewAlloc(), Rho: -2}},
+		"no empty row":        {{Alloc: cluster.Alloc{0: 1}, Rho: 1}},
+		"no rows at all":      nil,
 	} {
-		if inst, err := Compile(capacity, bidders); err == nil {
+		tables := [][]Row{{empty}, table}
+		if inst, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] }); err == nil {
 			inst.Release()
-			t.Errorf("Compile accepted %+v", bidders)
+			t.Errorf("%s: Compile accepted %+v", name, table)
 		}
 	}
+	ok := [][]Row{{empty, {Alloc: cluster.Alloc{0: 2, 5: 0}, Rho: 1}}}
+	inst, err := Compile(capacity, 1, func(i int) []Row { return ok[i] })
+	if err != nil {
+		t.Fatalf("valid table (zero entry on an unoffered machine) rejected: %v", err)
+	}
+	inst.Release()
 }

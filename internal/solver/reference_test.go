@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -14,6 +15,112 @@ import (
 // TestDenseSolverMatchesReference: the dense rewrite must reproduce its
 // output bit-for-bit on instances whose optima and tie-breaks are unique,
 // which randomized float values guarantee almost surely.
+//
+// Beside it lives the API the oracle and the tests are written in: bidders
+// named by ID, bundles denominated in value, results as a map. The package
+// proper reads bid rows by index (Compile / Choice); Solve below is the
+// adapter, and the only caller of the old names.
+
+// Bundle is one row of a bidder's valuation table: an allocation and the
+// bidder's value for receiving it (higher is better).
+type Bundle struct {
+	Alloc cluster.Alloc
+	Value float64
+}
+
+// Bidder is one participating app with its candidate bundles.
+type Bidder struct {
+	ID      string
+	Bundles []Bundle
+}
+
+// Assignment maps bidder ID to the chosen bundle.
+type Assignment map[string]Bundle
+
+// Objective returns the sum of log valuations of an assignment.
+func (a Assignment) Objective() float64 {
+	var sum float64
+	for _, b := range a {
+		sum += math.Log(b.Value)
+	}
+	return sum
+}
+
+// TotalAlloc returns the union of allocations in the assignment.
+func (a Assignment) TotalAlloc() cluster.Alloc {
+	out := cluster.NewAlloc()
+	for _, b := range a {
+		out = out.Add(b.Alloc)
+	}
+	return out
+}
+
+// asCompiled returns the bidders as Compile will see them once their values
+// have crossed as ρ = 1/value: normalised like the oracle's input (values
+// clamped, the empty row production callers always bid appended where a test
+// left it out — Compile rejects a table without one), with every value
+// replaced by the 1/ρ Compile recovers, which can differ from the original in
+// the last bit. The oracle is run on this view so values compare bit for bit.
+// The caller's bidders are not touched.
+func asCompiled(bidders []Bidder) []Bidder {
+	out := make([]Bidder, len(bidders))
+	for i, b := range bidders {
+		out[i] = Bidder{ID: b.ID, Bundles: append([]Bundle(nil), b.Bundles...)}
+		out[i].Normalize()
+		for k := range out[i].Bundles {
+			v := &out[i].Bundles[k].Value
+			if *v = 1 / (1 / *v); *v < minValue {
+				*v = minValue
+			}
+		}
+	}
+	return out
+}
+
+// tablesOf renders asCompiled bidders as the rows Compile reads.
+func tablesOf(compiled []Bidder) [][]Row {
+	tables := make([][]Row, len(compiled))
+	for i, b := range compiled {
+		for _, bun := range b.Bundles {
+			tables[i] = append(tables[i], Row{Alloc: bun.Alloc, Rho: 1 / bun.Value})
+		}
+	}
+	return tables
+}
+
+// Solve picks one bundle per bidder maximising Σ log(value) subject to the
+// per-machine capacity, through the package's by-index API: Compile over the
+// bidders' rows, one unmasked Instance.Solve, Choice per bidder. Every bidder
+// appears in the result (possibly with its empty bundle); the second return
+// value is the objective, summed in bidder index order.
+func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, error) {
+	compiled := asCompiled(bidders)
+	tables := tablesOf(compiled)
+	sc, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] })
+	if err != nil {
+		return nil, 0, err
+	}
+	defer sc.Release()
+	obj := sc.Solve(opts, NoSkip)
+	return assignmentOf(sc, compiled), obj, nil
+}
+
+// assignmentOf reads the most recent Solve's choices out by index; a masked
+// bidder is absent.
+func assignmentOf(sc *Instance, compiled []Bidder) Assignment {
+	asg := make(Assignment, len(compiled))
+	for i, b := range compiled {
+		if i == sc.skip {
+			continue
+		}
+		row, l := sc.Choice(i)
+		if got := sc.bundleAt(i, int32(row)).value; got != b.Bundles[row].Value || l != math.Log(got) {
+			panic(fmt.Sprintf("bidder %d row %d: compiled value %v (log %v), asCompiled predicted %v", i, row, got, l, b.Bundles[row].Value))
+		}
+		asg[b.ID] = b.Bundles[row]
+	}
+	return asg
+}
 
 func refSolve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, error) {
 	opts = opts.withDefaults()
@@ -316,7 +423,7 @@ func TestDenseSolverMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: Solve: %v", trial, err)
 			}
-			want, wantObj, err := refSolve(capacity, bidders, opts)
+			want, wantObj, err := refSolve(capacity, asCompiled(bidders), opts)
 			if err != nil {
 				t.Fatalf("trial %d: refSolve: %v", trial, err)
 			}

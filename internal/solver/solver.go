@@ -12,9 +12,6 @@
 package solver
 
 import (
-	"fmt"
-	"math"
-
 	"themis/internal/cluster"
 	"themis/internal/telemetry"
 )
@@ -28,41 +25,21 @@ var (
 	solveGreedyCount = telemetry.Default().Counter("themis_solver_solves_total", "Winner-determination solves by mode.", telemetry.L("mode", "greedy"))
 )
 
-// Bundle is one row of a bidder's valuation table: an allocation and the
-// bidder's value for receiving it (higher is better, must be positive).
-type Bundle struct {
+// Row is one row of a bidder's valuation table (Figure 3b): a candidate
+// subset of the offered GPUs and the finish-time fairness ρ the app estimates
+// it would achieve with that subset added to its current allocation. It is
+// the row the Agent writes (core.BidEntry is this type): the auction hands
+// the solver the tables as they were bid, and bidder i is position i
+// everywhere — the solver never learns whose table it is.
+//
+// The solver maximises a product of valuations where higher must mean
+// better, so a row's valuation is the reciprocal of its (always positive) ρ:
+// V = 1/ρ. That keeps the valuation homogeneous of degree one in the
+// allocation, the property the mechanism's truthfulness relies on (§5.1):
+// scaling an allocation k× improves ρ — and hence V — k×.
+type Row struct {
 	Alloc cluster.Alloc
-	Value float64
-}
-
-// Bidder is one participating app with its candidate bundles. Bundles should
-// include a zero-allocation row describing the bidder's value if it wins
-// nothing; the solver works on a copy with one added where missing and
-// non-positive values clamped to a tiny epsilon.
-type Bidder struct {
-	ID      string
-	Bundles []Bundle
-}
-
-// Assignment maps bidder ID to the chosen bundle.
-type Assignment map[string]Bundle
-
-// Objective returns the sum of log valuations of an assignment.
-func (a Assignment) Objective() float64 {
-	var sum float64
-	for _, b := range a {
-		sum += math.Log(b.Value)
-	}
-	return sum
-}
-
-// TotalAlloc returns the union of allocations in the assignment.
-func (a Assignment) TotalAlloc() cluster.Alloc {
-	out := cluster.NewAlloc()
-	for _, b := range a {
-		out = out.Add(b.Alloc)
-	}
-	return out
+	Rho   float64
 }
 
 // Options tunes the solver.
@@ -92,65 +69,57 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Solve picks one bundle per bidder maximising Σ log(value) subject to the
-// per-machine capacity. Every bidder appears in the result (possibly with
-// its empty bundle). The second return value is the achieved objective,
-// summed in bidder index order so repeated runs return identical bits.
-//
-// Solve never mutates the caller's bidders: normalization deep-copies each
-// bidder's bundle slice into pooled scratch storage before clamping values
-// or appending the empty row. It is Compile + one unmasked Instance.Solve;
-// callers that solve the same bids repeatedly (the auction's hidden
-// payments) hold the Instance instead.
-func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, error) {
-	sc, err := Compile(capacity, bidders)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sc.Release()
-	obj := sc.Solve(opts, NoSkip)
-	return sc.Assignment(), obj, nil
-}
-
 // NoSkip is the Instance.Solve mask that leaves every bidder in the market.
 const NoSkip = -1
 
-// Compile validates the bidders against capacity, normalises them and builds
-// the dense instance (see dense.go) once. The Instance borrows pooled
-// storage: the caller owns it until Release and must not share it across
-// goroutines; concurrent auctions each compile their own.
-func Compile(capacity cluster.Alloc, bidders []Bidder) (*Instance, error) {
+// minValue is the smallest valuation a row enters the search with: 1/ρ of a
+// starved app's ρ underflows towards zero, and the log objective must stay
+// finite.
+const minValue = 1e-12
+
+// Compile builds the dense instance (see dense.go) for n bidders whose
+// tables rows(i) returns, reading every row — and every row's Alloc map —
+// exactly once. That one walk is also the auction's input check: a row
+// asking for negative GPUs or more than capacity holds on a machine, a
+// non-positive ρ, or a table without the empty row (the bidder's value for
+// winning nothing) is an error. The rows are only read, and nothing of them
+// is kept: the Instance holds machine indexes and values, so the caller may
+// recycle the tables as soon as it has mapped the chosen row indexes back.
+//
+// The Instance borrows pooled storage: the caller owns it until Release and
+// must not share it across goroutines; concurrent auctions each compile
+// their own.
+func Compile(capacity cluster.Alloc, n int, rows func(i int) []Row) (*Instance, error) {
 	sc := scratchPool.Get().(*Instance)
-	if err := sc.validate(capacity, bidders); err != nil {
+	if err := sc.compile(capacity, n, rows); err != nil {
 		sc.Release()
 		return nil, err
 	}
-	sc.normalize(bidders)
-	sc.compile(capacity)
 	return sc, nil
 }
 
 // Solve runs the winner determination over the compiled bidders, leaving out
 // bidder index skip (a valid index, or NoSkip for none), and returns the objective summed in
 // bidder index order. The masked search sees exactly the bidder sequence a
-// fresh Solve over the remaining bidders would — same exact/greedy choice,
+// fresh compile of the remaining bidders would — same exact/greedy choice,
 // same search and tie-break order — so its objective and choices are
-// bit-identical to that solve's without re-validating or re-compiling.
-// Assignment reads the choices of the most recent Solve.
+// bit-identical to that solve's without re-reading a row. Choice reads the
+// choices of the most recent Solve.
 func (sc *Instance) Solve(opts Options, skip int) float64 {
 	opts = opts.withDefaults()
 	sc.skip = skip
 	space := 1
 	exact := true
-	for i, b := range sc.norm {
+	for i := 0; i < sc.n; i++ {
 		if i == skip {
 			continue
 		}
-		if space > opts.ExactLimit/len(b.Bundles) {
+		rows := int(sc.boff[i+1] - sc.boff[i])
+		if space > opts.ExactLimit/rows {
 			exact = false
 			break
 		}
-		space *= len(b.Bundles)
+		space *= rows
 	}
 	clear(sc.used) // the previous solve's allocation; empty bundles add no terms
 	if exact && space <= opts.ExactLimit {
@@ -161,7 +130,7 @@ func (sc *Instance) Solve(opts Options, skip int) float64 {
 		sc.solveGreedy(opts.LocalSearchRounds)
 	}
 	obj := 0.0
-	for i := range sc.norm {
+	for i := 0; i < sc.n; i++ {
 		if i != skip {
 			obj += sc.bundleAt(i, int32(sc.choice[i])).logValue
 		}
@@ -169,30 +138,9 @@ func (sc *Instance) Solve(opts Options, skip int) float64 {
 	return obj
 }
 
-func (sc *Instance) validate(capacity cluster.Alloc, bidders []Bidder) error {
-	if sc.seen == nil {
-		sc.seen = make(map[string]bool, len(bidders))
-	}
-	clear(sc.seen)
-	seen := sc.seen
-	for _, b := range bidders {
-		if b.ID == "" {
-			return fmt.Errorf("solver: bidder with empty ID")
-		}
-		if seen[b.ID] {
-			return fmt.Errorf("solver: duplicate bidder %q", b.ID)
-		}
-		seen[b.ID] = true
-		for _, bun := range b.Bundles {
-			for m, n := range bun.Alloc {
-				if n < 0 {
-					return fmt.Errorf("solver: bidder %q bundle with negative GPUs on machine %d", b.ID, m)
-				}
-				if n > capacity[m] {
-					return fmt.Errorf("solver: bidder %q bundle wants %d GPUs on machine %d, capacity %d", b.ID, n, m, capacity[m])
-				}
-			}
-		}
-	}
-	return nil
+// Choice returns the row index the most recent Solve chose for bidder i and
+// the log of that row's valuation. A masked bidder sits on its empty row.
+func (sc *Instance) Choice(i int) (row int, logValue float64) {
+	row = sc.choice[i]
+	return row, sc.bundleAt(i, int32(row)).logValue
 }

@@ -78,12 +78,6 @@ func TestSolveRespectsCapacity(t *testing.T) {
 
 func TestSolveRejectsInvalidInput(t *testing.T) {
 	capacity := cluster.Alloc{0: 2}
-	if _, _, err := Solve(capacity, []Bidder{{ID: ""}}, Options{}); err == nil {
-		t.Error("empty bidder ID should fail")
-	}
-	if _, _, err := Solve(capacity, []Bidder{{ID: "a"}, {ID: "a"}}, Options{}); err == nil {
-		t.Error("duplicate bidder IDs should fail")
-	}
 	over := []Bidder{{ID: "a", Bundles: []Bundle{{Alloc: cluster.Alloc{0: 5}, Value: 2}}}}
 	if _, _, err := Solve(capacity, over, Options{}); err == nil {
 		t.Error("bundle exceeding capacity should fail")

@@ -8,7 +8,7 @@
 // computes the PAPER'S EVALUATION metrics (§8.1 finish-time fairness, Jain's
 // index, JCT distributions) from a completed simulation Result, offline;
 // this package measures the RUNNING SYSTEM — auction-round phase latencies,
-// RPC error rates, arena recycling — online, with a record path cheap enough
+// RPC error rates, cluster occupancy — online, with a record path cheap enough
 // to live inside the zero-allocation auction round. Use metrics to reproduce a figure; use telemetry to find out why
 // last night's round took 80 ms.
 //

@@ -279,8 +279,8 @@ func Summarize(apps []*App) Stats {
 			}
 		}
 	}
-	sortInts(jobsPerApp)
-	sortFloats(durations)
+	sort.Ints(jobsPerApp)
+	sort.Float64s(durations)
 	s.JobsPerAppMin = jobsPerApp[0]
 	s.JobsPerAppMax = jobsPerApp[len(jobsPerApp)-1]
 	s.JobsPerAppMedian = percentileInt(jobsPerApp, 0.5)
@@ -307,7 +307,7 @@ func DurationCDF(apps []*App, points int) (durations, cdf []float64) {
 			all = append(all, j.TotalWork/float64(j.GangSize))
 		}
 	}
-	sortFloats(all)
+	sort.Float64s(all)
 	if len(all) == 0 || points <= 0 {
 		return nil, nil
 	}
@@ -320,9 +320,6 @@ func DurationCDF(apps []*App, points int) (durations, cdf []float64) {
 	}
 	return durations, cdf
 }
-
-func sortInts(v []int)       { sort.Ints(v) }
-func sortFloats(v []float64) { sort.Float64s(v) }
 
 // percentile returns the q-quantile (0 < q ≤ 1) of sorted values.
 func percentile(sorted []float64, q float64) float64 {
