@@ -63,14 +63,15 @@
 // "sim-fabric"), RegisterCluster extends the registry, and BuildTopology
 // constructs one from a declarative TopologySpec — regions of named fabric
 // domains of racks of machine groups, the names resolving trace placement
-// blocks and job affinities. LiftTopology exposes the indexed hierarchy
-// view (TopologyTree) over any topology. Placement values the hierarchy
-// (slot / machine / rack / domain / cross-domain locality), and WithPacker
-// routes every policy grant through a registered placement engine — the
-// built-in "pack-to-empty" packs gangs machine- and domain-local,
-// spilling across domains by free capacity — while Report.Fragmentation
-// summarises, time-weighted, how the free pool fragmented across the
-// hierarchy during the run.
+// blocks and job affinities (a name another domain already answers to is
+// rejected). The Topology itself is the hierarchy view: every machine knows
+// its rack and domain, and DomainByName resolves names. Placement values
+// the hierarchy (slot / machine / rack / domain / cross-domain locality),
+// and WithPacker routes every policy grant through a registered placement
+// engine — the built-in "pack-to-empty" packs gangs machine- and
+// domain-local, spilling across domains by free capacity — while
+// Report.Fragmentation summarises, time-weighted, how the free pool
+// fragmented across the hierarchy during the run.
 //
 // The calibration subsystem closes the loop between real traces and
 // synthetic scenarios: FitScenario (or FitTrace) learns a full

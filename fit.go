@@ -111,10 +111,8 @@ func RegisterCalibratedScenario(name string, rep *FitReport) error {
 // via RegisterCalibratedScenario, or ok=false for built-ins and scenarios
 // registered through plain RegisterScenario.
 func ScenarioFit(name string) (*FitReport, bool) {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	entry, ok := scenarios[name]
-	if !ok || entry.fit == nil {
+	entry, err := scenarios.lookup(name)
+	if err != nil || entry.fit == nil {
 		return nil, false
 	}
 	return entry.fit, true

@@ -43,16 +43,22 @@ func (a Alloc) IsEmpty() bool { return a.Total() == 0 }
 // and Equal/Key comparisons cannot diverge on representation.
 func (a Alloc) Add(b Alloc) Alloc {
 	out := a.Clone()
+	out.Credit(b)
+	return out
+}
+
+// Credit is Add in place: it adds b's GPUs to a itself, which must be the
+// caller's to change.
+func (a Alloc) Credit(b Alloc) {
 	for m, n := range b {
 		if n == 0 {
 			continue
 		}
-		out[m] += n
-		if out[m] == 0 {
-			delete(out, m)
+		a[m] += n
+		if a[m] == 0 {
+			delete(a, m)
 		}
 	}
-	return out
 }
 
 // Sub returns a new allocation with b's GPUs removed from a. It returns an

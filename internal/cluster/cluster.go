@@ -11,6 +11,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // MachineID identifies a machine in the cluster. IDs are dense, starting at 0.
@@ -72,7 +74,7 @@ func (m Machine) Validate() error {
 type Topology struct {
 	machines    []Machine
 	byRack      map[RackID][]MachineID
-	byDomain    map[DomainID][]MachineID
+	domains     map[DomainID]bool // the domains some machine sits in
 	domainNames map[DomainID]string
 	total       int
 }
@@ -87,7 +89,7 @@ func NewTopology(machines []Machine) (*Topology, error) {
 	t := &Topology{
 		machines: make([]Machine, len(machines)),
 		byRack:   make(map[RackID][]MachineID),
-		byDomain: make(map[DomainID][]MachineID),
+		domains:  make(map[DomainID]bool),
 	}
 	seen := make(map[MachineID]bool, len(machines))
 	rackDomain := make(map[RackID]DomainID)
@@ -111,13 +113,10 @@ func NewTopology(machines []Machine) (*Topology, error) {
 		seen[m.ID] = true
 		t.machines[m.ID] = m
 		t.byRack[m.Rack] = append(t.byRack[m.Rack], m.ID)
-		t.byDomain[m.Domain] = append(t.byDomain[m.Domain], m.ID)
+		t.domains[m.Domain] = true
 		t.total += m.NumGPUs
 	}
 	for _, ids := range t.byRack {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	for _, ids := range t.byDomain {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
 	return t, nil
@@ -163,52 +162,20 @@ func (t *Topology) Racks() []RackID {
 // Rack returns the rack housing machine id.
 func (t *Topology) Rack(id MachineID) RackID { return t.machines[id].Rack }
 
-// NumDomains returns the number of fabric domains in the cluster. Flat
-// topologies report 1.
-func (t *Topology) NumDomains() int { return len(t.byDomain) }
-
 // Domain returns the fabric domain housing machine id.
 func (t *Topology) Domain(id MachineID) DomainID { return t.machines[id].Domain }
 
-// Domains returns all fabric-domain IDs in ascending order.
-func (t *Topology) Domains() []DomainID {
-	out := make([]DomainID, 0, len(t.byDomain))
-	for d := range t.byDomain {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// MachinesInDomain returns the machine IDs in a fabric domain, ordered by ID.
-func (t *Topology) MachinesInDomain(d DomainID) []MachineID {
-	ids := t.byDomain[d]
-	out := make([]MachineID, len(ids))
-	copy(out, ids)
-	return out
-}
-
-// RacksInDomain returns the rack IDs inside a fabric domain, ascending.
-func (t *Topology) RacksInDomain(d DomainID) []RackID {
-	seen := make(map[RackID]bool)
-	var out []RackID
-	for _, id := range t.byDomain[d] {
-		r := t.machines[id].Rack
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SetDomainName attaches a human-readable name to a fabric domain, used by
 // trace placement blocks to target domains by name. Unknown domains are
-// rejected so topology builders catch typos early.
+// rejected so topology builders catch typos early, and so is a name another
+// domain already answers to — its assigned name or its "domain-<id>" default
+// — so DomainByName never has two answers.
 func (t *Topology) SetDomainName(d DomainID, name string) error {
-	if _, ok := t.byDomain[d]; !ok {
+	if !t.domains[d] {
 		return fmt.Errorf("cluster: no fabric domain %d", d)
+	}
+	if owner, ok := t.DomainByName(name); ok && owner != d {
+		return fmt.Errorf("cluster: fabric domain name %q already used by domain %d", name, owner)
 	}
 	if t.domainNames == nil {
 		t.domainNames = make(map[DomainID]string)
@@ -227,19 +194,24 @@ func (t *Topology) DomainName(d DomainID) string {
 }
 
 // DomainByName resolves a fabric domain by its name, accepting both assigned
-// names and the "domain-<id>" defaults.
+// names and the "domain-<id>" defaults every domain answers to.
 func (t *Topology) DomainByName(name string) (DomainID, bool) {
 	for d, n := range t.domainNames {
 		if n == name {
 			return d, true
 		}
 	}
-	for d := range t.byDomain {
-		if fmt.Sprintf("domain-%d", d) == name {
-			return d, true
-		}
+	// Only the canonical decimal form DomainName prints: no sign, no leading
+	// zero.
+	digits, ok := strings.CutPrefix(name, "domain-")
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' || (digits[0] == '0' && len(digits) > 1) {
+		return 0, false
 	}
-	return 0, false
+	n, err := strconv.Atoi(digits)
+	if err != nil || !t.domains[DomainID(n)] {
+		return 0, false
+	}
+	return DomainID(n), true
 }
 
 // Config describes a synthetic cluster to construct. It is the programmatic

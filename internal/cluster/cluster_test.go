@@ -3,6 +3,8 @@ package cluster
 import (
 	"strings"
 	"testing"
+
+	"themis/internal/race"
 )
 
 func TestConfigBuild(t *testing.T) {
@@ -230,8 +232,8 @@ func TestLocalityMultiDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo.NumDomains(); got != 2 {
-		t.Fatalf("NumDomains = %d, want 2", got)
+	if got := topo.Domain(3); got != 1 {
+		t.Fatalf("Domain(3) = %d, want 1", got)
 	}
 	cases := []struct {
 		alloc Alloc
@@ -266,14 +268,8 @@ func TestTopologyDomainAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo.Domains(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Domains = %v", got)
-	}
-	if got := topo.MachinesInDomain(0); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("MachinesInDomain(0) = %v", got)
-	}
-	if got := topo.RacksInDomain(1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("RacksInDomain(1) = %v", got)
+	if got := topo.Domain(2); got != 1 {
+		t.Errorf("Domain(2) = %d, want 1", got)
 	}
 	if got := topo.DomainName(1); got != "domain-1" {
 		t.Errorf("default DomainName = %q", got)
@@ -290,8 +286,30 @@ func TestTopologyDomainAccessors(t *testing.T) {
 	if d, ok := topo.DomainByName("domain-0"); !ok || d != 0 {
 		t.Errorf("DomainByName(domain-0) = %d, %v", d, ok)
 	}
-	if _, ok := topo.DomainByName("nope"); ok {
-		t.Error("DomainByName(nope) should miss")
+	if d, ok := topo.DomainByName("domain-1"); !ok || d != 1 {
+		t.Errorf("a named domain still answers to its default: DomainByName(domain-1) = %d, %v", d, ok)
+	}
+	for _, miss := range []string{"nope", "domain-2", "domain-01", "domain-+1", "domain--0", "domain-", "domain-1x"} {
+		if d, ok := topo.DomainByName(miss); ok {
+			t.Errorf("DomainByName(%q) = %d, should miss", miss, d)
+		}
+	}
+	// A name another domain answers to — assigned or default — is taken;
+	// a domain may take back its own.
+	if err := topo.SetDomainName(0, "pod-east"); err == nil {
+		t.Error("SetDomainName accepted domain 1's assigned name for domain 0")
+	}
+	if err := topo.SetDomainName(0, "domain-1"); err == nil {
+		t.Error("SetDomainName accepted domain 1's default name for domain 0")
+	}
+	if err := topo.SetDomainName(1, "domain-1"); err != nil {
+		t.Errorf("SetDomainName(1, its own default) = %v", err)
+	}
+	if d, ok := topo.DomainByName("pod-east"); ok {
+		t.Errorf("renamed domain's old name still resolves to %d", d)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { topo.DomainByName("domain-0") }); allocs != 0 && !race.Enabled {
+		t.Errorf("DomainByName(default form) allocates %.0f objects, want 0", allocs)
 	}
 	if err := topo.SetDomainName(7, "x"); err == nil {
 		t.Error("SetDomainName on unknown domain should fail")

@@ -2,7 +2,7 @@
 // over the hierarchical topology: gang requests fill one fabric domain
 // before spilling into the next, cross-domain cuts are taken only when no
 // single domain fits, and all choices are resolved by explicit sort orders
-// so identical inputs always produce identical plans.
+// so identical inputs always produce identical placements.
 //
 // The heuristic follows the jobtree M2 design: among domains that fit a
 // request, choose the one with the least residual free capacity (best fit —
@@ -21,68 +21,24 @@ import (
 	"themis/internal/topology"
 )
 
-// Request asks the engine for GPUs on behalf of one job.
-type Request struct {
-	// GPUs is the gang size wanted.
-	GPUs int
-	// Anchor is the requester's existing allocation; the engine prefers
-	// extending it in place.
-	Anchor cluster.Alloc
-	// Constraint carries the job's placement constraints (per-machine floor,
-	// machine cap, domain/flavor affinity). The engine never returns an
-	// allocation that, combined with Anchor, violates it.
-	Constraint placement.Constraint
-}
-
-// Plan is the engine's answer to a Request.
-type Plan struct {
-	// Alloc is the GPUs to add; it may hold fewer than requested (possibly
-	// zero) when capacity or constraints do not admit more.
-	Alloc cluster.Alloc
-	// Granted is Alloc.Total(), for convenience.
-	Granted int
-	// Domains is the number of fabric domains Alloc+Anchor spans.
-	Domains int
-	// Locality classifies Alloc+Anchor on the topology.
-	Locality cluster.Locality
-}
-
-// Engine is a deterministic pack-to-empty placer bound to one topology tree.
-// It is stateless beyond the immutable tree, so one Engine is safe for
+// Engine is a deterministic pack-to-empty placer bound to one topology. It is
+// stateless beyond the immutable topology, so one Engine is safe for
 // concurrent use.
 type Engine struct {
-	tree *topology.Tree
+	topo *cluster.Topology
 }
 
-// New returns an Engine packing onto tree.
-func New(tree *topology.Tree) *Engine { return &Engine{tree: tree} }
-
-// Tree returns the topology tree the engine packs onto.
-func (e *Engine) Tree() *topology.Tree { return e.tree }
-
-// Pack produces the placement plan for req given the current free vector.
-func (e *Engine) Pack(free cluster.Alloc, req Request) Plan {
-	alloc := e.Place(free, req.Anchor, req.GPUs, req.Constraint)
-	topo := e.tree.Topology()
-	combined := alloc.Add(req.Anchor)
-	domains := make(map[cluster.DomainID]bool)
-	for _, m := range combined.Machines() {
-		domains[topo.Domain(m)] = true
-	}
-	return Plan{
-		Alloc:    alloc,
-		Granted:  alloc.Total(),
-		Domains:  len(domains),
-		Locality: cluster.LocalityOf(topo, combined),
-	}
-}
+// New returns an Engine packing onto tree's topology. It takes a
+// *topology.Tree rather than the topology itself only because the frozen
+// benchmark module calls pack.New(topology.Lift(topo)).
+func New(tree *topology.Tree) *Engine { return &Engine{topo: tree.Topology()} }
 
 // Place selects up to want GPUs from free for a job anchored at anchor under
 // constraint c, implementing the sim.Packer contract. The result never
 // exceeds free, never violates c when combined with anchor, and is fully
 // determined by its inputs.
 func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c placement.Constraint) cluster.Alloc {
-	topo := e.tree.Topology()
+	topo := e.topo
 	// The engine's policy is the order machines are offered in; the picker's
 	// Take keeps every offer within want and c. One picker per call, because
 	// an Engine may serve several goroutines.

@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden placement plans")
 
 // buildFabric builds a test fleet of one rack per fabric domain, with the
 // given machine count per domain and 4 GPUs (slot 2) per machine.
-func buildFabric(t testing.TB, domainSizes ...int) *topology.Tree {
+func buildFabric(t testing.TB, domainSizes ...int) *cluster.Topology {
 	t.Helper()
 	var domains []topology.DomainSpec
 	for i, n := range domainSizes {
@@ -30,113 +30,115 @@ func buildFabric(t testing.TB, domainSizes ...int) *topology.Tree {
 			}},
 		})
 	}
-	tree, err := topology.Spec{
+	topo, err := topology.Spec{
 		Name:    "fabric",
 		Regions: []topology.RegionSpec{{Name: "r0", Domains: domains}},
 	}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree
+	return topo
 }
 
-func fullyFree(tree *topology.Tree) cluster.Alloc {
+func fullyFree(topo *cluster.Topology) cluster.Alloc {
 	free := cluster.NewAlloc()
-	for _, m := range tree.Topology().Machines() {
+	for _, m := range topo.Machines() {
 		free[m.ID] = m.NumGPUs
 	}
 	return free
 }
 
 func TestPackPrefersLeastResidualFittingDomain(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2) // capacities 16, 12, 8
-	e := New(tree)
+	topo := buildFabric(t, 4, 3, 2) // capacities 16, 12, 8
+	e := New(topology.Lift(topo))
 	// 6 GPUs fit in every domain; the 8-GPU domain 2 has least residual.
-	plan := e.Pack(fullyFree(tree), Request{GPUs: 6})
-	if plan.Granted != 6 || plan.Domains != 1 {
-		t.Fatalf("plan = %+v", plan)
+	alloc := e.Place(fullyFree(topo), nil, 6, placement.Constraint{})
+	if st := cluster.Spread(topo, alloc); st.GPUs != 6 || st.Domains != 1 {
+		t.Fatalf("placed %v: %+v", alloc, st)
 	}
-	for _, m := range plan.Alloc.Machines() {
-		if tree.Topology().Domain(m) != 2 {
-			t.Errorf("expected pack into domain 2 (least residual): %v", plan.Alloc)
+	for _, m := range alloc.Machines() {
+		if topo.Domain(m) != 2 {
+			t.Errorf("expected pack into domain 2 (least residual): %v", alloc)
 		}
 	}
 }
 
 func TestPackNoCutWhenDomainFits(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2)
-	e := New(tree)
+	topo := buildFabric(t, 4, 3, 2)
+	e := New(topology.Lift(topo))
 	// Drain domain 2 entirely and domain 1 partially; an 8-GPU gang still
 	// fits whole in domain 0 and must not be cut.
-	free := fullyFree(tree)
+	free := fullyFree(topo)
 	delete(free, 7) // domain 2
 	delete(free, 8)
 	free[4] = 1 // domain 1 mostly busy
-	plan := e.Pack(free, Request{GPUs: 8})
-	if plan.Granted != 8 {
-		t.Fatalf("granted %d, want 8", plan.Granted)
+	alloc := e.Place(free, nil, 8, placement.Constraint{})
+	st := cluster.Spread(topo, alloc)
+	if st.GPUs != 8 {
+		t.Fatalf("granted %d, want 8", st.GPUs)
 	}
-	if plan.Domains != 1 {
-		t.Errorf("gang cut across %d domains despite a fitting domain: %v", plan.Domains, plan.Alloc)
+	if st.Domains != 1 {
+		t.Errorf("gang cut across %d domains despite a fitting domain: %v", st.Domains, alloc)
 	}
 }
 
 func TestPackSpillsByDescendingCapacity(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2) // 16 + 12 + 8 GPUs
-	e := New(tree)
+	topo := buildFabric(t, 4, 3, 2) // 16 + 12 + 8 GPUs
+	e := New(topology.Lift(topo))
 	// 20 GPUs fit in no single domain: expect domain 0 filled whole (16)
 	// and the rest from domain 1, leaving domain 2 untouched — two cuts,
 	// not three.
-	plan := e.Pack(fullyFree(tree), Request{GPUs: 20})
-	if plan.Granted != 20 {
-		t.Fatalf("granted %d, want 20", plan.Granted)
+	alloc := e.Place(fullyFree(topo), nil, 20, placement.Constraint{})
+	st := cluster.Spread(topo, alloc)
+	if st.GPUs != 20 {
+		t.Fatalf("granted %d, want 20", st.GPUs)
 	}
-	if plan.Domains != 2 {
-		t.Errorf("spill spans %d domains, want 2: %v", plan.Domains, plan.Alloc)
+	if st.Domains != 2 {
+		t.Errorf("spill spans %d domains, want 2: %v", st.Domains, alloc)
 	}
-	for _, m := range plan.Alloc.Machines() {
-		if tree.Topology().Domain(m) == 2 {
-			t.Errorf("smallest domain should stay empty: %v", plan.Alloc)
+	for _, m := range alloc.Machines() {
+		if topo.Domain(m) == 2 {
+			t.Errorf("smallest domain should stay empty: %v", alloc)
 		}
 	}
 }
 
 func TestPackExtendsAnchorInPlace(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2)
-	e := New(tree)
-	free := fullyFree(tree)
+	topo := buildFabric(t, 4, 3, 2)
+	e := New(topology.Lift(topo))
+	free := fullyFree(topo)
 	anchor := cluster.Alloc{4: 2} // domain 1
 	free[4] = 2
-	plan := e.Pack(free, Request{GPUs: 4, Anchor: anchor})
-	if plan.Granted != 4 {
-		t.Fatalf("granted %d, want 4", plan.Granted)
+	alloc := e.Place(free, anchor, 4, placement.Constraint{})
+	if alloc.Total() != 4 {
+		t.Fatalf("granted %d, want 4", alloc.Total())
 	}
-	for _, m := range plan.Alloc.Machines() {
-		if tree.Topology().Domain(m) != 1 {
-			t.Errorf("extension left the anchor's domain: %v", plan.Alloc)
+	for _, m := range alloc.Machines() {
+		if topo.Domain(m) != 1 {
+			t.Errorf("extension left the anchor's domain: %v", alloc)
 		}
 	}
-	if plan.Alloc[4] != 2 {
-		t.Errorf("anchor machine should fill first: %v", plan.Alloc)
+	if alloc[4] != 2 {
+		t.Errorf("anchor machine should fill first: %v", alloc)
 	}
 }
 
 func TestPackHonorsConstraints(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2)
-	e := New(tree)
-	free := fullyFree(tree)
+	topo := buildFabric(t, 4, 3, 2)
+	e := New(topology.Lift(topo))
+	free := fullyFree(topo)
 	free[0] = 1 // a 1-GPU hole the floor must skip
 
 	c := placement.Constraint{MinGPUsPerMachine: 2}
 	alloc := e.Place(free, cluster.NewAlloc(), 9, c)
-	if !placement.Satisfies(tree.Topology(), alloc, c) {
+	if !placement.Satisfies(topo, alloc, c) {
 		t.Errorf("floor violated: %v", alloc)
 	}
 
 	c = placement.Constraint{Domain: 1, HasDomain: true}
 	alloc = e.Place(free, cluster.NewAlloc(), 20, c)
 	for _, m := range alloc.Machines() {
-		if tree.Topology().Domain(m) != 1 {
+		if topo.Domain(m) != 1 {
 			t.Errorf("domain affinity violated: %v", alloc)
 		}
 	}
@@ -156,10 +158,9 @@ func TestPackHonorsConstraints(t *testing.T) {
 // orders (and re-run many times so Go's randomised map iteration varies)
 // always produce identical plans.
 func TestPackDeterministic(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2)
-	e := New(tree)
+	topo := buildFabric(t, 4, 3, 2)
+	e := New(topology.Lift(topo))
 	rng := rand.New(rand.NewSource(42))
-	topo := tree.Topology()
 	for trial := 0; trial < 50; trial++ {
 		// random free vector
 		ids := make([]cluster.MachineID, topo.NumMachines())
@@ -205,10 +206,9 @@ func TestPackDeterministic(t *testing.T) {
 // fits within free, never exceeds the request, and grants the full request
 // whenever enough unconstrained capacity exists.
 func TestPackConservation(t *testing.T) {
-	tree := buildFabric(t, 4, 3, 2)
-	e := New(tree)
+	topo := buildFabric(t, 4, 3, 2)
+	e := New(topology.Lift(topo))
 	rng := rand.New(rand.NewSource(99))
-	topo := tree.Topology()
 	for trial := 0; trial < 200; trial++ {
 		free := cluster.NewAlloc()
 		for i := 0; i < topo.NumMachines(); i++ {
@@ -239,49 +239,6 @@ func TestPackConservation(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFragmentation(t *testing.T) {
-	tree := buildFabric(t, 2, 1) // 8 + 4 GPUs
-	free := cluster.Alloc{0: 1, 1: 3, 2: 4}
-	f := Analyze(tree, free)
-	if f.FreeGPUs != 8 {
-		t.Errorf("FreeGPUs = %d, want 8", f.FreeGPUs)
-	}
-	if f.LargestMachineBlock != 4 {
-		t.Errorf("LargestMachineBlock = %d, want 4", f.LargestMachineBlock)
-	}
-	if f.LargestDomainBlock != 4 {
-		t.Errorf("LargestDomainBlock = %d, want 4", f.LargestDomainBlock)
-	}
-	if got := 1 - 4.0/8.0; f.Score != got {
-		t.Errorf("Score = %v, want %v", f.Score, got)
-	}
-	if len(f.Levels) != 3 {
-		t.Fatalf("Levels = %v", f.Levels)
-	}
-	machine := f.Levels[0]
-	if machine.Level != "machine" || len(machine.Buckets) != 3 {
-		t.Errorf("machine histogram = %+v", machine)
-	}
-	// machine residuals: 1, 3, 4 → three buckets of count 1
-	for _, b := range machine.Buckets {
-		if b.Count != 1 {
-			t.Errorf("machine bucket %+v, want count 1", b)
-		}
-	}
-	domain := f.Levels[2]
-	if domain.Level != "domain" || len(domain.Buckets) != 1 || domain.Buckets[0].Residual != 4 || domain.Buckets[0].Count != 2 {
-		t.Errorf("domain histogram = %+v", domain)
-	}
-}
-
-func TestAnalyzeEmptyFree(t *testing.T) {
-	tree := buildFabric(t, 2)
-	f := Analyze(tree, cluster.NewAlloc())
-	if f.FreeGPUs != 0 || f.Score != 0 || f.LargestMachineBlock != 0 {
-		t.Errorf("busy-cluster fragmentation = %+v", f)
-	}
-}
-
 // TestGoldenPlans pins the engine's plans on the paper's sim and testbed
 // topologies: a fixed scripted sequence of requests drains each cluster and
 // the resulting plans are compared line-for-line against a snapshot.
@@ -291,36 +248,38 @@ func TestAnalyzeEmptyFree(t *testing.T) {
 func TestGoldenPlans(t *testing.T) {
 	cases := []struct {
 		name string
-		tree *topology.Tree
+		topo *cluster.Topology
 	}{
-		{"sim", topology.Lift(cluster.SimulationCluster())},
-		{"testbed", topology.Lift(cluster.TestbedCluster())},
+		{"sim", cluster.SimulationCluster()},
+		{"testbed", cluster.TestbedCluster()},
 		{"fabric", buildFabric(t, 4, 3, 2)},
 	}
-	requests := []Request{
-		{GPUs: 8},
-		{GPUs: 4, Constraint: placement.Constraint{MinGPUsPerMachine: 2}},
-		{GPUs: 16},
-		{GPUs: 2, Constraint: placement.Constraint{MaxMachines: 1}},
-		{GPUs: 12},
-		{GPUs: 1},
-		{GPUs: 6, Constraint: placement.Constraint{MinGPUsPerMachine: 2, MaxMachines: 3}},
+	requests := []struct {
+		gpus int
+		c    placement.Constraint
+	}{
+		{8, placement.Constraint{}},
+		{4, placement.Constraint{MinGPUsPerMachine: 2}},
+		{16, placement.Constraint{}},
+		{2, placement.Constraint{MaxMachines: 1}},
+		{12, placement.Constraint{}},
+		{1, placement.Constraint{}},
+		{6, placement.Constraint{MinGPUsPerMachine: 2, MaxMachines: 3}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			e := New(c.tree)
-			free := fullyFree(c.tree)
+			e := New(topology.Lift(c.topo))
+			free := fullyFree(c.topo)
 			var b strings.Builder
 			for i, req := range requests {
-				plan := e.Pack(free, req)
-				var err error
-				free, err = free.Sub(plan.Alloc)
-				if err != nil {
-					t.Fatalf("request %d: plan exceeds free: %v", i, err)
+				alloc := e.Place(free, nil, req.gpus, req.c)
+				if err := free.Debit(alloc); err != nil {
+					t.Fatalf("request %d: placement exceeds free: %v", i, err)
 				}
+				st := cluster.Spread(c.topo, alloc)
 				fmt.Fprintf(&b, "req %d want %d: granted=%d domains=%d locality=%s alloc=%s\n",
-					i, req.GPUs, plan.Granted, plan.Domains, plan.Locality, plan.Alloc.String())
+					i, req.gpus, st.GPUs, st.Domains, st.Locality, alloc.String())
 			}
 			got := b.String()
 			path := filepath.Join("testdata", c.name+".golden")
@@ -345,9 +304,9 @@ func TestGoldenPlans(t *testing.T) {
 }
 
 func BenchmarkPackSimCluster(b *testing.B) {
-	tree := topology.Lift(cluster.SimulationCluster())
-	e := New(tree)
-	free := fullyFree(tree)
+	topo := cluster.SimulationCluster()
+	e := New(topology.Lift(topo))
+	free := fullyFree(topo)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -356,25 +315,13 @@ func BenchmarkPackSimCluster(b *testing.B) {
 }
 
 func BenchmarkPackConstrained(b *testing.B) {
-	tree := topology.Lift(cluster.SimulationCluster())
-	e := New(tree)
-	free := fullyFree(tree)
+	topo := cluster.SimulationCluster()
+	e := New(topology.Lift(topo))
+	free := fullyFree(topo)
 	c := placement.Constraint{MinGPUsPerMachine: 2, MaxMachines: 8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Place(free, cluster.NewAlloc(), 16, c)
-	}
-}
-
-func BenchmarkAnalyzeFragmentation(b *testing.B) {
-	tree := topology.Lift(cluster.SimulationCluster())
-	free := fullyFree(tree)
-	delete(free, 3)
-	free[10] = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Analyze(tree, free)
 	}
 }

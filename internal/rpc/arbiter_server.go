@@ -507,7 +507,13 @@ func (s *ArbiterServer) auctionRound(now float64) (roundOutcome, error) {
 		}
 		s.leases.Grant(d.App, d.Alloc, now, lease)
 		out.changed[d.App] = true
-		out.granted[d.App] = out.granted[d.App].Add(d.Alloc)
+		// The decision's map is ours to keep (the lease holds a copy); an
+		// app's leftover grant merges into its auction win's map.
+		if held, ok := out.granted[d.App]; ok {
+			held.Credit(d.Alloc)
+		} else {
+			out.granted[d.App] = d.Alloc
+		}
 	}
 	leases = s.leases.Len()
 	freeGPUs := s.state.TotalFree()

@@ -72,9 +72,15 @@ func (t *Themis) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 	if err != nil {
 		return nil, fmt.Errorf("schedulers: Themis auction failed: %w", err)
 	}
+	// Every decision's map is ours to keep; an app's leftover grant, sorted
+	// after its auction win, merges into the win's map.
 	out := make(map[workload.AppID]cluster.Alloc)
 	for _, d := range decisions {
-		out[d.App] = out[d.App].Add(d.Alloc)
+		if held, ok := out[d.App]; ok {
+			held.Credit(d.Alloc)
+		} else {
+			out[d.App] = d.Alloc
+		}
 	}
 	return out, nil
 }

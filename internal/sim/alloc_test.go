@@ -130,3 +130,32 @@ func TestLeasePoolRecycles(t *testing.T) {
 		t.Fatalf("re-grant did not draw from the lease pool: %d before, %d after", retired, got)
 	}
 }
+
+// TestFragSnapshotZeroAlloc pins the fragmentation snapshot an interval takes
+// after an allocation change: the per-level free counts live on the Result
+// and are cleared per snapshot, so a dirty interval allocates nothing once
+// they have seen every rack and domain.
+func TestFragSnapshotZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
+	}
+	topo := twoDomainSimTopo(t)
+	cs := cluster.NewState(topo)
+	if err := cs.Grant("a", cluster.Alloc{0: 1, 2: 4}); err != nil {
+		t.Fatal(err)
+	}
+	r := newResult(Config{Topology: topo, Policy: fifoPolicy{}})
+	now := 0.0
+	dirtyInterval := func() {
+		r.fragDirty = true
+		r.noteInterval(now, now+1, cs, nil)
+		now++
+	}
+	dirtyInterval()
+	if allocs := testing.AllocsPerRun(100, dirtyInterval); allocs != 0 {
+		t.Errorf("a dirty interval's fragmentation snapshot allocates %.1f objects/op, want 0", allocs)
+	}
+	if want := topo.TotalGPUs() - 5; r.frag.freeGPUs != want {
+		t.Errorf("snapshot free GPUs = %d, want %d", r.frag.freeGPUs, want)
+	}
+}

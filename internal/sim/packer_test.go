@@ -173,3 +173,47 @@ func TestFragmentationStatsPopulated(t *testing.T) {
 		t.Errorf("fragmentation score out of range: mean=%v peak=%v", fr.MeanScore, fr.PeakScore)
 	}
 }
+
+// TestFragSnapshotLevels pins the snapshot's per-level arithmetic on a fleet
+// where racks and domains differ: domain 0 holds racks 0 (machines 0, 1) and
+// 1 (machine 2), domain 1 holds rack 2 (machine 3); 4 GPUs each.
+func TestFragSnapshotLevels(t *testing.T) {
+	racks, domains := []cluster.RackID{0, 0, 1, 2}, []cluster.DomainID{0, 0, 0, 1}
+	var machines []cluster.Machine
+	for i := range racks {
+		machines = append(machines, cluster.Machine{
+			ID: cluster.MachineID(i), Rack: racks[i], Domain: domains[i], NumGPUs: 4, SlotSize: 2,
+		})
+	}
+	topo, err := cluster.NewTopology(machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := cluster.NewState(topo)
+	r := newResult(Config{Topology: topo, Policy: fifoPolicy{}})
+	// Free {0:1, 1:3, 2:2, 3:4}: racks 4/2/4, domains 6/4.
+	if err := cs.Grant("a", cluster.Alloc{0: 3, 1: 1, 2: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := fragSnapshot{freeGPUs: 10, largestMachine: 4, largestRack: 4, largestDomain: 6, score: 1 - 4.0/10}
+	if got := r.snapshotFrag(cs); got != want {
+		t.Errorf("snapshot = %+v, want %+v", got, want)
+	}
+}
+
+// TestFragSnapshotBusyCluster pins that a fully busy cluster is not
+// fragmented, including after a snapshot that was.
+func TestFragSnapshotBusyCluster(t *testing.T) {
+	topo := cluster.TestbedCluster()
+	cs := cluster.NewState(topo)
+	r := newResult(Config{Topology: topo, Policy: fifoPolicy{}})
+	if got := r.snapshotFrag(cs); got.freeGPUs != topo.TotalGPUs() || got.largestMachine == 0 {
+		t.Fatalf("idle snapshot = %+v, want all %d GPUs free", got, topo.TotalGPUs())
+	}
+	if err := cs.Grant("a", cs.FreeVector()); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.snapshotFrag(cs); got != (fragSnapshot{}) {
+		t.Errorf("busy-cluster snapshot = %+v, want zero", got)
+	}
+}

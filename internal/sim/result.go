@@ -73,6 +73,11 @@ type Result struct {
 	fragWeight   float64
 	fragSumScore float64 // Σ score·dt
 	fragSumFree  float64 // Σ freeGPUs·dt
+	// rackFree and domainFree are snapshotFrag's per-level free counts,
+	// cleared and refilled per snapshot. Rack and domain IDs are not
+	// promised dense, so they stay maps.
+	rackFree   map[cluster.RackID]int
+	domainFree map[cluster.DomainID]int
 }
 
 // FragStats is the run-level fragmentation summary of the free GPU pool: the
@@ -105,13 +110,14 @@ type fragSnapshot struct {
 }
 
 // snapshotFrag computes the free-pool fragmentation from the cluster state.
-// It runs only on intervals following an allocation change.
-func snapshotFrag(topo *cluster.Topology, cs *cluster.State) fragSnapshot {
+// It runs only on intervals following an allocation change, and allocates
+// nothing once the per-level maps have seen every rack and domain.
+func (r *Result) snapshotFrag(cs *cluster.State) fragSnapshot {
 	var snap fragSnapshot
-	rackFree := make(map[cluster.RackID]int)
-	domainFree := make(map[cluster.DomainID]int)
-	for _, m := range topo.Machines() {
-		n := cs.FreeOn(m.ID)
+	clear(r.rackFree)
+	clear(r.domainFree)
+	for id := 0; id < r.topo.NumMachines(); id++ {
+		n := cs.FreeOn(cluster.MachineID(id))
 		if n <= 0 {
 			continue
 		}
@@ -119,15 +125,16 @@ func snapshotFrag(topo *cluster.Topology, cs *cluster.State) fragSnapshot {
 		if n > snap.largestMachine {
 			snap.largestMachine = n
 		}
-		rackFree[m.Rack] += n
-		domainFree[m.Domain] += n
+		m := r.topo.Machine(cluster.MachineID(id))
+		r.rackFree[m.Rack] += n
+		r.domainFree[m.Domain] += n
 	}
-	for _, n := range rackFree {
+	for _, n := range r.rackFree {
 		if n > snap.largestRack {
 			snap.largestRack = n
 		}
 	}
-	for _, n := range domainFree {
+	for _, n := range r.domainFree {
 		if n > snap.largestDomain {
 			snap.largestDomain = n
 		}
@@ -147,11 +154,13 @@ type appAccumulator struct {
 
 func newResult(cfg Config) *Result {
 	return &Result{
-		Policy:    cfg.Policy.Name(),
-		TotalGPUs: cfg.Topology.TotalGPUs(),
-		records:   make(map[workload.AppID]*appAccumulator),
-		topo:      cfg.Topology,
-		fragDirty: true,
+		Policy:     cfg.Policy.Name(),
+		TotalGPUs:  cfg.Topology.TotalGPUs(),
+		records:    make(map[workload.AppID]*appAccumulator),
+		topo:       cfg.Topology,
+		fragDirty:  true,
+		rackFree:   make(map[cluster.RackID]int),
+		domainFree: make(map[cluster.DomainID]int),
 	}
 }
 
@@ -200,7 +209,7 @@ func (r *Result) noteInterval(from, to float64, cs *cluster.State, active []*App
 	// Allocations are constant over the interval, so one snapshot (refreshed
 	// only after allocation changes) weighted by dt accrues exactly.
 	if r.fragDirty {
-		r.frag = snapshotFrag(r.topo, cs)
+		r.frag = r.snapshotFrag(cs)
 		r.fragDirty = false
 	}
 	r.fragWeight += dt
@@ -288,7 +297,7 @@ func (r *Result) finalize(now float64, apps []*AppState) {
 	})
 	// The accumulators have been folded into Apps; a finished Result keeps
 	// nothing of the run's working state alive.
-	r.records = nil
+	r.records, r.rackFree, r.domainFree = nil, nil, nil
 }
 
 // Finished returns the records of apps that completed within the run.

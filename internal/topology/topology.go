@@ -1,20 +1,14 @@
-// Package topology models the physical hierarchy of a GPU fleet — region →
-// fabric domain → rack → machine → GPU flavor/slot — as a typed tree over
-// the flat cluster.Topology the scheduler allocates against.
+// Package topology declares the physical hierarchy of a GPU fleet — region →
+// fabric domain → rack → machine → GPU flavor/slot — and builds it into the
+// cluster.Topology the scheduler allocates against.
 //
-// The split of responsibilities mirrors the jobtree M2 design: package
-// cluster stays the minimal machine/GPU-count model every scheduler hot path
-// touches, while this package owns the declarative Spec for building
-// hierarchical fleets, the Tree cache with indexed lookups (machines per
-// domain, free capacity per level, flavor inventories), and the level
-// arithmetic the pack engine and fragmentation analyzer consume. Flat
-// topologies Lift into a single-region, single-domain tree, so every
-// consumer can assume a hierarchy exists.
+// Package cluster stays the one model of the hierarchy every consumer reads
+// (Machine, Rack, Domain, DomainByName); this package owns only the
+// declarative Spec that assigns the IDs and names.
 package topology
 
 import (
 	"fmt"
-	"sort"
 
 	"themis/internal/cluster"
 )
@@ -57,33 +51,26 @@ type MachineGroup struct {
 	Flavor   cluster.GPUType
 }
 
-// Build constructs the Tree (and its underlying flat cluster.Topology view)
-// described by the Spec.
-func (s Spec) Build() (*Tree, error) {
+// Build constructs the cluster.Topology described by the Spec. Regions shape
+// the input — each must hold at least one domain — but the topology does not
+// index them.
+func (s Spec) Build() (*cluster.Topology, error) {
 	if len(s.Regions) == 0 {
 		return nil, fmt.Errorf("topology: spec %q has no regions", s.Name)
 	}
 	var machines []cluster.Machine
-	type domainMeta struct {
-		name   string
-		region string
-	}
-	var domains []domainMeta
+	var names []string // per domain ID; "" keeps the "domain-<id>" default
 	machineID, rackID := 0, 0
-	for ri, region := range s.Regions {
+	for _, region := range s.Regions {
 		if len(region.Domains) == 0 {
 			return nil, fmt.Errorf("topology: region %q has no fabric domains", region.Name)
 		}
 		for _, dom := range region.Domains {
-			domainID := cluster.DomainID(len(domains))
+			domainID := cluster.DomainID(len(names))
 			if len(dom.Racks) == 0 {
 				return nil, fmt.Errorf("topology: domain %q has no racks", dom.Name)
 			}
-			regionName := region.Name
-			if regionName == "" {
-				regionName = fmt.Sprintf("region-%d", ri)
-			}
-			domains = append(domains, domainMeta{name: dom.Name, region: regionName})
+			names = append(names, dom.Name)
 			for _, rack := range dom.Racks {
 				if len(rack.Machines) == 0 {
 					return nil, fmt.Errorf("topology: domain %q has an empty rack", dom.Name)
@@ -116,174 +103,25 @@ func (s Spec) Build() (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topology: spec %q: %w", s.Name, err)
 	}
-	regionOf := make(map[cluster.DomainID]string, len(domains))
-	for id, meta := range domains {
-		d := cluster.DomainID(id)
-		regionOf[d] = meta.region
-		if meta.name != "" {
-			if err := topo.SetDomainName(d, meta.name); err != nil {
-				return nil, err
+	for id, name := range names {
+		if name != "" {
+			if err := topo.SetDomainName(cluster.DomainID(id), name); err != nil {
+				return nil, fmt.Errorf("topology: spec %q: %w", s.Name, err)
 			}
 		}
 	}
-	return newTree(topo, regionOf), nil
+	return topo, nil
 }
 
-// Lift wraps an existing flat cluster.Topology into a single-region tree.
-// Topologies already declaring multiple fabric domains keep them; machines
-// built without domains all sit in domain 0, so a pre-hierarchy topology
-// lifts to a single-domain tree and every level query degenerates to the
-// flat answer.
-func Lift(topo *cluster.Topology) *Tree {
-	regionOf := make(map[cluster.DomainID]string)
-	for _, d := range topo.Domains() {
-		regionOf[d] = "default"
-	}
-	return newTree(topo, regionOf)
-}
-
-// FlavorCount is one entry of a GPU-flavor inventory.
-type FlavorCount struct {
-	Flavor cluster.GPUType
-	GPUs   int
-}
-
-// Tree is the cached hierarchical view over a cluster.Topology. It is
-// immutable after construction; all lookups are precomputed or derive from
-// the immutable topology, so a Tree is safe for concurrent use.
+// Tree wraps a cluster.Topology. It holds nothing else: everything the
+// program reads of the hierarchy comes from the topology itself. It survives
+// only because the frozen benchmark module calls pack.New(topology.Lift(topo)).
 type Tree struct {
-	topo     *cluster.Topology
-	regionOf map[cluster.DomainID]string
-	regions  []string
-
-	domainCapacity map[cluster.DomainID]int
-	rackCapacity   map[cluster.RackID]int
-	flavorTotal    map[cluster.GPUType]int
-	domainFlavors  map[cluster.DomainID]map[cluster.GPUType]int
+	topo *cluster.Topology
 }
 
-func newTree(topo *cluster.Topology, regionOf map[cluster.DomainID]string) *Tree {
-	t := &Tree{
-		topo:           topo,
-		regionOf:       regionOf,
-		domainCapacity: make(map[cluster.DomainID]int),
-		rackCapacity:   make(map[cluster.RackID]int),
-		flavorTotal:    make(map[cluster.GPUType]int),
-		domainFlavors:  make(map[cluster.DomainID]map[cluster.GPUType]int),
-	}
-	for _, m := range topo.Machines() {
-		t.domainCapacity[m.Domain] += m.NumGPUs
-		t.rackCapacity[m.Rack] += m.NumGPUs
-		t.flavorTotal[m.GPU] += m.NumGPUs
-		if t.domainFlavors[m.Domain] == nil {
-			t.domainFlavors[m.Domain] = make(map[cluster.GPUType]int)
-		}
-		t.domainFlavors[m.Domain][m.GPU] += m.NumGPUs
-	}
-	seen := make(map[string]bool)
-	for _, d := range topo.Domains() {
-		r := regionOf[d]
-		if !seen[r] {
-			seen[r] = true
-			t.regions = append(t.regions, r)
-		}
-	}
-	return t
-}
+// Lift wraps an existing cluster.Topology into a Tree.
+func Lift(topo *cluster.Topology) *Tree { return &Tree{topo: topo} }
 
-// Topology returns the flat machine-level view the scheduler allocates
-// against.
+// Topology returns the wrapped topology.
 func (t *Tree) Topology() *cluster.Topology { return t.topo }
-
-// Regions returns the region names in declaration order.
-func (t *Tree) Regions() []string {
-	out := make([]string, len(t.regions))
-	copy(out, t.regions)
-	return out
-}
-
-// RegionOf returns the region housing a fabric domain.
-func (t *Tree) RegionOf(d cluster.DomainID) string { return t.regionOf[d] }
-
-// DomainsInRegion returns the fabric domains of one region, ascending.
-func (t *Tree) DomainsInRegion(region string) []cluster.DomainID {
-	var out []cluster.DomainID
-	for _, d := range t.topo.Domains() {
-		if t.regionOf[d] == region {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// DomainCapacity returns the total GPU capacity of a fabric domain.
-func (t *Tree) DomainCapacity(d cluster.DomainID) int { return t.domainCapacity[d] }
-
-// RackCapacity returns the total GPU capacity of a rack.
-func (t *Tree) RackCapacity(r cluster.RackID) int { return t.rackCapacity[r] }
-
-// FlavorInventory returns the fleet-wide GPU counts per flavor, sorted by
-// flavor name.
-func (t *Tree) FlavorInventory() []FlavorCount {
-	return sortedFlavors(t.flavorTotal)
-}
-
-// FlavorsInDomain returns a fabric domain's GPU counts per flavor, sorted by
-// flavor name.
-func (t *Tree) FlavorsInDomain(d cluster.DomainID) []FlavorCount {
-	return sortedFlavors(t.domainFlavors[d])
-}
-
-func sortedFlavors(counts map[cluster.GPUType]int) []FlavorCount {
-	out := make([]FlavorCount, 0, len(counts))
-	for f, n := range counts {
-		out = append(out, FlavorCount{Flavor: f, GPUs: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Flavor < out[j].Flavor })
-	return out
-}
-
-// FreeByDomain aggregates a free vector per fabric domain. Domains with no
-// free GPUs map to zero (every domain is present in the result).
-func (t *Tree) FreeByDomain(free cluster.Alloc) map[cluster.DomainID]int {
-	out := make(map[cluster.DomainID]int, len(t.domainCapacity))
-	for d := range t.domainCapacity {
-		out[d] = 0
-	}
-	for m, n := range free {
-		if n > 0 {
-			out[t.topo.Domain(m)] += n
-		}
-	}
-	return out
-}
-
-// FreeByRack aggregates a free vector per rack. Racks with no free GPUs map
-// to zero (every rack is present in the result).
-func (t *Tree) FreeByRack(free cluster.Alloc) map[cluster.RackID]int {
-	out := make(map[cluster.RackID]int, len(t.rackCapacity))
-	for r := range t.rackCapacity {
-		out[r] = 0
-	}
-	for m, n := range free {
-		if n > 0 {
-			out[t.topo.Rack(m)] += n
-		}
-	}
-	return out
-}
-
-// FreeFlavors aggregates a free vector per GPU flavor, sorted by flavor
-// name. Flavors present in the fleet but fully busy report zero.
-func (t *Tree) FreeFlavors(free cluster.Alloc) []FlavorCount {
-	counts := make(map[cluster.GPUType]int, len(t.flavorTotal))
-	for f := range t.flavorTotal {
-		counts[f] = 0
-	}
-	for m, n := range free {
-		if n > 0 {
-			counts[t.topo.Machine(m).GPU] += n
-		}
-	}
-	return sortedFlavors(counts)
-}

@@ -34,16 +34,12 @@ func twoDomainSpec() Spec {
 }
 
 func TestSpecBuild(t *testing.T) {
-	tree, err := twoDomainSpec().Build()
+	topo, err := twoDomainSpec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := tree.Topology()
 	if got := topo.NumMachines(); got != 7 {
 		t.Errorf("NumMachines = %d, want 7", got)
-	}
-	if got := topo.NumDomains(); got != 2 {
-		t.Errorf("NumDomains = %d, want 2", got)
 	}
 	if got := topo.NumRacks(); got != 3 {
 		t.Errorf("NumRacks = %d, want 3", got)
@@ -51,26 +47,39 @@ func TestSpecBuild(t *testing.T) {
 	if got := topo.TotalGPUs(); got != 21 {
 		t.Errorf("TotalGPUs = %d, want 21", got)
 	}
+	// IDs are dense in declaration order: pod-a's four P100 machines, then
+	// pod-b's rack of V100s and a K80.
+	if m := topo.Machine(6); m.Domain != 1 || m.Rack != 2 || m.GPU != cluster.GPUTypeK80 || m.SlotSize != 1 {
+		t.Errorf("Machine(6) = %+v", m)
+	}
 	if got := topo.DomainName(0); got != "pod-a" {
 		t.Errorf("DomainName(0) = %q", got)
 	}
 	if d, ok := topo.DomainByName("pod-b"); !ok || d != 1 {
 		t.Errorf("DomainByName(pod-b) = %d, %v", d, ok)
 	}
-	if got := tree.RegionOf(1); got != "east" {
-		t.Errorf("RegionOf(1) = %q", got)
+}
+
+// A domain name another domain already answers to — a second "pod-a", or
+// "domain-1" while domain 1 exists — would make job affinities resolve by map
+// order; Build rejects it.
+func TestSpecBuildRejectsDuplicateDomainNames(t *testing.T) {
+	for _, name := range []string{"pod-a", "domain-0"} {
+		spec := twoDomainSpec()
+		spec.Regions[0].Domains[1].Name = name
+		if _, err := spec.Build(); err == nil {
+			t.Errorf("second domain named %q: Build succeeded", name)
+		}
 	}
-	if got := tree.DomainsInRegion("east"); len(got) != 2 {
-		t.Errorf("DomainsInRegion(east) = %v", got)
+	spec := twoDomainSpec()
+	spec.Regions[0].Domains[0].Name = "domain-1"
+	if _, err := spec.Build(); err == nil {
+		t.Error("domain 0 named domain-1: Build succeeded")
 	}
-	if got := tree.DomainCapacity(0); got != 16 {
-		t.Errorf("DomainCapacity(0) = %d, want 16", got)
-	}
-	if got := tree.DomainCapacity(1); got != 5 {
-		t.Errorf("DomainCapacity(1) = %d, want 5", got)
-	}
-	if got := tree.RackCapacity(2); got != 5 {
-		t.Errorf("RackCapacity(2) = %d, want 5", got)
+	// A domain may carry its own default name.
+	spec.Regions[0].Domains[0].Name = "domain-0"
+	if _, err := spec.Build(); err != nil {
+		t.Errorf("domain 0 named domain-0: %v", err)
 	}
 }
 
@@ -83,7 +92,7 @@ func TestSpecBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, mb := a.Topology().Machines(), b.Topology().Machines()
+	ma, mb := a.Machines(), b.Machines()
 	if len(ma) != len(mb) {
 		t.Fatalf("machine counts differ: %d vs %d", len(ma), len(mb))
 	}
@@ -116,69 +125,9 @@ func TestSpecBuildValidation(t *testing.T) {
 	}
 }
 
-func TestFlavorInventories(t *testing.T) {
-	tree, err := twoDomainSpec().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := tree.FlavorInventory()
-	want := map[cluster.GPUType]int{
-		cluster.GPUTypeK80:  1,
-		cluster.GPUTypeP100: 16,
-		cluster.GPUTypeV100: 4,
-	}
-	if len(inv) != len(want) {
-		t.Fatalf("FlavorInventory = %v", inv)
-	}
-	for _, fc := range inv {
-		if want[fc.Flavor] != fc.GPUs {
-			t.Errorf("flavor %s = %d, want %d", fc.Flavor, fc.GPUs, want[fc.Flavor])
-		}
-	}
-	podB := tree.FlavorsInDomain(1)
-	if len(podB) != 2 || podB[0].Flavor != cluster.GPUTypeK80 || podB[1].GPUs != 4 {
-		t.Errorf("FlavorsInDomain(1) = %v", podB)
-	}
-}
-
-func TestFreeByLevel(t *testing.T) {
-	tree, err := twoDomainSpec().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := cluster.Alloc{0: 2, 3: 4, 4: 2, 6: 1}
-	byDomain := tree.FreeByDomain(free)
-	if byDomain[0] != 6 || byDomain[1] != 3 {
-		t.Errorf("FreeByDomain = %v", byDomain)
-	}
-	byRack := tree.FreeByRack(free)
-	if byRack[0] != 2 || byRack[1] != 4 || byRack[2] != 3 {
-		t.Errorf("FreeByRack = %v", byRack)
-	}
-	flavors := tree.FreeFlavors(free)
-	got := map[cluster.GPUType]int{}
-	for _, fc := range flavors {
-		got[fc.Flavor] = fc.GPUs
-	}
-	if got[cluster.GPUTypeP100] != 6 || got[cluster.GPUTypeV100] != 2 || got[cluster.GPUTypeK80] != 1 {
-		t.Errorf("FreeFlavors = %v", flavors)
-	}
-}
-
 func TestLiftFlatTopology(t *testing.T) {
 	topo := cluster.TestbedCluster()
-	tree := Lift(topo)
-	if tree.Topology() != topo {
+	if Lift(topo).Topology() != topo {
 		t.Error("Lift should wrap the original topology")
-	}
-	if got := tree.Regions(); len(got) != 1 || got[0] != "default" {
-		t.Errorf("Regions = %v", got)
-	}
-	if got := tree.DomainCapacity(0); got != topo.TotalGPUs() {
-		t.Errorf("single-domain capacity = %d, want %d", got, topo.TotalGPUs())
-	}
-	byDomain := tree.FreeByDomain(cluster.Alloc{0: 3})
-	if len(byDomain) != 1 || byDomain[0] != 3 {
-		t.Errorf("FreeByDomain = %v", byDomain)
 	}
 }

@@ -1,10 +1,6 @@
 package themis
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"themis/internal/pack"
 	"themis/internal/topology"
 )
@@ -22,57 +18,29 @@ type packerEntry struct {
 	factory     PackerFactory
 }
 
-var (
-	packerMu       sync.RWMutex
-	packerRegistry = map[string]packerEntry{}
-)
+var packers = newRegistry[packerEntry]("packer")
 
 // RegisterPacker adds a named placement engine, making it available to
 // WithPacker and cmd/themis-sim's -packer flag. Registering a name twice is
 // an error.
 func RegisterPacker(name, description string, factory PackerFactory) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("themis: packer registration needs a name and a factory")
-	}
-	packerMu.Lock()
-	defer packerMu.Unlock()
-	if _, dup := packerRegistry[name]; dup {
-		return fmt.Errorf("themis: packer %q already registered", name)
-	}
-	packerRegistry[name] = packerEntry{description: description, factory: factory}
-	return nil
+	return packers.register(name, packerEntry{description: description, factory: factory}, factory != nil)
 }
 
 // Packers lists the registered packer names, sorted.
-func Packers() []string {
-	packerMu.RLock()
-	defer packerMu.RUnlock()
-	names := make([]string, 0, len(packerRegistry))
-	for name := range packerRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Packers() []string { return packers.names() }
 
 // DescribePacker returns a registered packer's one-line description.
 func DescribePacker(name string) (string, error) {
-	packerMu.RLock()
-	defer packerMu.RUnlock()
-	entry, ok := packerRegistry[name]
-	if !ok {
-		return "", fmt.Errorf("themis: unknown packer %q (registered: %v)", name, Packers())
-	}
-	return entry.description, nil
+	entry, err := packers.lookup(name)
+	return entry.description, err
 }
 
 // buildPacker constructs a registered packer for a concrete topology.
 func buildPacker(name string, topo *Topology) (Packer, error) {
-	packerMu.RLock()
-	entry, ok := packerRegistry[name]
-	packerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("themis: unknown packer %q (registered: %v)", name, Packers())
+	entry, err := packers.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return entry.factory(topo), nil
 }

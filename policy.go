@@ -2,8 +2,6 @@ package themis
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"themis/internal/core"
 	"themis/internal/schedulers"
@@ -50,37 +48,16 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 // state, so the registry constructs a new one for every simulation.
 type PolicyFactory func(cfg PolicyConfig) (SchedulerPolicy, error)
 
-var (
-	policyMu sync.RWMutex
-	policies = map[string]PolicyFactory{}
-)
+var policies = newRegistry[PolicyFactory]("policy")
 
 // RegisterPolicy adds a named policy to the registry, making it available to
 // Policy and WithPolicy. Registering a name twice is an error.
 func RegisterPolicy(name string, factory PolicyFactory) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("themis: policy registration needs a name and a factory")
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policies[name]; dup {
-		return fmt.Errorf("themis: policy %q already registered", name)
-	}
-	policies[name] = factory
-	return nil
+	return policies.register(name, factory, factory != nil)
 }
 
 // Policies lists the registered policy names, sorted.
-func Policies() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	names := make([]string, 0, len(policies))
-	for name := range policies {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Policies() []string { return policies.names() }
 
 // Policy constructs a registered scheduling policy by name: "themis",
 // "gandiva", "tiresias", "slaq", "resource-fair" or "strawman" (plus
@@ -98,11 +75,9 @@ func Policy(name string, cfg ...PolicyConfig) (SchedulerPolicy, error) {
 	if len(cfg) == 1 {
 		c = cfg[0]
 	}
-	policyMu.RLock()
-	factory, ok := policies[name]
-	policyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("themis: unknown policy %q (registered: %v)", name, Policies())
+	factory, err := policies.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return factory(c.withDefaults())
 }

@@ -1,8 +1,11 @@
 package themis
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // The cluster registry: built-ins present, descriptions resolvable, built
@@ -49,14 +52,80 @@ func TestSimFabricMatchesSimFleet(t *testing.T) {
 		t.Errorf("sim-fabric fleet %d GPUs / %d machines, want sim's %d / %d",
 			fabric.TotalGPUs(), fabric.NumMachines(), sim.TotalGPUs(), sim.NumMachines())
 	}
-	tree := LiftTopology(fabric)
-	if got := len(tree.Regions()); got != 1 {
-		t.Fatalf("sim-fabric has %d regions, want 1", got)
-	}
-	for _, pod := range []string{"pod-a", "pod-b", "pod-c"} {
-		if _, ok := fabric.DomainByName(pod); !ok {
-			t.Errorf("sim-fabric missing fabric domain %q", pod)
+	for i, pod := range []string{"pod-a", "pod-b", "pod-c"} {
+		if d, ok := fabric.DomainByName(pod); !ok || int(d) != i {
+			t.Errorf("sim-fabric fabric domain %q = %d, %v; want domain %d", pod, d, ok, i)
 		}
+	}
+}
+
+// A lookup that misses lists the registered names under the read lock it
+// already holds: taking the lock a second time would deadlock against a
+// register queued in between (sync.RWMutex forbids recursive read locking).
+// Every registry is hammered with registrations and misses at once; a
+// deadlock trips the deadline. The registries are swapped for empty ones so
+// the junk entries do not outlive the test.
+func TestRegistriesConcurrentRegisterAndMiss(t *testing.T) {
+	oldP, oldS, oldC, oldK := policies, scenarios, clusters, packers
+	policies = newRegistry[PolicyFactory]("policy")
+	scenarios = newRegistry[scenarioEntry]("scenario")
+	clusters = newRegistry[clusterEntry]("cluster")
+	packers = newRegistry[packerEntry]("packer")
+	t.Cleanup(func() { policies, scenarios, clusters, packers = oldP, oldS, oldC, oldK })
+
+	register := []func(name string) error{
+		func(n string) error {
+			return RegisterPolicy(n, func(PolicyConfig) (SchedulerPolicy, error) { return nil, nil })
+		},
+		func(n string) error {
+			return RegisterScenario(n, "", func(ScenarioParams) ([]*App, error) { return nil, nil })
+		},
+		func(n string) error { return RegisterCluster(n, "", func() (*Topology, error) { return nil, nil }) },
+		func(n string) error { return RegisterPacker(n, "", func(*Topology) Packer { return nil }) },
+	}
+	miss := []func() error{
+		func() error { _, err := Policy("no-such"); return err },
+		func() error { _, err := DescribeScenario("no-such"); return err },
+		func() error { _, err := DescribeCluster("no-such"); return err },
+		func() error { _, err := DescribePacker("no-such"); return err },
+	}
+	const rounds = 300
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(register))
+	for k := range register {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := register[k](fmt.Sprintf("r%d", i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := miss[k](); err == nil || !strings.Contains(err.Error(), `"no-such"`) {
+					errs <- fmt.Errorf("miss %d returned %v", k, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("registries deadlocked under concurrent register + miss")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := len(Packers()); got != rounds {
+		t.Errorf("Packers() lists %d names, want %d", got, rounds)
 	}
 }
 

@@ -2,8 +2,6 @@ package themis
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"themis/internal/workload"
 )
@@ -45,10 +43,7 @@ type scenarioEntry struct {
 	fit *FitReport
 }
 
-var (
-	scenarioMu sync.RWMutex
-	scenarios  = map[string]scenarioEntry{}
-)
+var scenarios = newRegistry[scenarioEntry]("scenario")
 
 // RegisterScenario adds a named workload scenario to the registry, making it
 // available to GenerateScenario, WithScenario, the Grid sweep axis and
@@ -62,39 +57,16 @@ func RegisterScenario(name, description string, factory ScenarioFactory) error {
 // calibrated scenarios (RegisterCalibratedScenario) and surfaces through
 // DescribeScenario and ScenarioFit.
 func registerScenario(name, description string, factory ScenarioFactory, fit *FitReport) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("themis: scenario registration needs a name and a factory")
-	}
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	if _, dup := scenarios[name]; dup {
-		return fmt.Errorf("themis: scenario %q already registered", name)
-	}
-	scenarios[name] = scenarioEntry{description: description, factory: factory, fit: fit}
-	return nil
+	return scenarios.register(name, scenarioEntry{description: description, factory: factory, fit: fit}, factory != nil)
 }
 
 // Scenarios lists the registered scenario names, sorted.
-func Scenarios() []string {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	names := make([]string, 0, len(scenarios))
-	for name := range scenarios {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Scenarios() []string { return scenarios.names() }
 
 // DescribeScenario returns a registered scenario's one-line description.
 func DescribeScenario(name string) (string, error) {
-	scenarioMu.RLock()
-	entry, ok := scenarios[name]
-	scenarioMu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("themis: unknown scenario %q (registered: %v)", name, Scenarios())
-	}
-	return entry.description, nil
+	entry, err := scenarios.lookup(name)
+	return entry.description, err
 }
 
 // GenerateScenario materialises a registered scenario's workload: "paper-mix",
@@ -109,11 +81,9 @@ func GenerateScenario(name string, params ...ScenarioParams) ([]*App, error) {
 	if len(params) == 1 {
 		p = params[0]
 	}
-	scenarioMu.RLock()
-	entry, ok := scenarios[name]
-	scenarioMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("themis: unknown scenario %q (registered: %v)", name, Scenarios())
+	entry, err := scenarios.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	apps, err := entry.factory(p)
 	if err != nil {

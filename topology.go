@@ -2,8 +2,6 @@ package themis
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"themis/internal/cluster"
 	"themis/internal/topology"
@@ -30,49 +28,23 @@ type clusterEntry struct {
 	factory     ClusterFactory
 }
 
-var (
-	clusterMu       sync.RWMutex
-	clusterRegistry = map[string]clusterEntry{}
-)
+var clusters = newRegistry[clusterEntry]("cluster")
 
 // RegisterCluster adds a named topology to the registry, making it available
 // to Cluster, WithCluster, the Grid's Clusters axis and cmd/themis-sim's
 // -cluster flag. The description is surfaced by DescribeCluster. Registering
 // a name twice is an error.
 func RegisterCluster(name, description string, factory ClusterFactory) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("themis: cluster registration needs a name and a factory")
-	}
-	clusterMu.Lock()
-	defer clusterMu.Unlock()
-	if _, dup := clusterRegistry[name]; dup {
-		return fmt.Errorf("themis: cluster %q already registered", name)
-	}
-	clusterRegistry[name] = clusterEntry{description: description, factory: factory}
-	return nil
+	return clusters.register(name, clusterEntry{description: description, factory: factory}, factory != nil)
 }
 
 // Clusters lists the registered cluster names, sorted.
-func Clusters() []string {
-	clusterMu.RLock()
-	defer clusterMu.RUnlock()
-	names := make([]string, 0, len(clusterRegistry))
-	for name := range clusterRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Clusters() []string { return clusters.names() }
 
 // DescribeCluster returns a registered cluster's one-line description.
 func DescribeCluster(name string) (string, error) {
-	clusterMu.RLock()
-	defer clusterMu.RUnlock()
-	entry, ok := clusterRegistry[name]
-	if !ok {
-		return "", fmt.Errorf("themis: unknown cluster %q (registered: %v)", name, clusterNamesLocked())
-	}
-	return entry.description, nil
+	entry, err := clusters.lookup(name)
+	return entry.description, err
 }
 
 // Cluster builds a registered topology by name: ClusterSim ("sim"),
@@ -80,44 +52,25 @@ func DescribeCluster(name string) (string, error) {
 // added via RegisterCluster. Custom one-off topologies are built with
 // ClusterConfig.Build or BuildTopology.
 func Cluster(name string) (*Topology, error) {
-	clusterMu.RLock()
-	entry, ok := clusterRegistry[name]
-	clusterMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("themis: unknown cluster %q (registered: %v)", name, Clusters())
+	entry, err := clusters.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return entry.factory()
-}
-
-// clusterNamesLocked lists registered names while clusterMu is held.
-func clusterNamesLocked() []string {
-	names := make([]string, 0, len(clusterRegistry))
-	for name := range clusterRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // BuildTopology constructs a hierarchical topology from a TopologySpec —
 // regions of fabric domains of racks of machine groups. Machine, rack and
 // domain IDs are assigned densely in declaration order, so the same spec
 // always yields the same topology; domain names in the spec become the names
-// trace placement blocks and job affinities resolve against.
+// trace placement blocks and job affinities resolve against, so a name
+// another domain already answers to ("domain-<id>" included) is an error.
 func BuildTopology(spec TopologySpec) (*Topology, error) {
-	tree, err := spec.Build()
+	topo, err := spec.Build()
 	if err != nil {
 		return nil, fmt.Errorf("themis: %w", err)
 	}
-	return tree.Topology(), nil
-}
-
-// LiftTopology builds the indexed hierarchy view over a topology: regions,
-// fabric domains, per-level capacities and flavor inventories. Flat
-// topologies (one domain per rack, built by ClusterConfig) lift to a
-// single-region tree whose domains mirror their racks.
-func LiftTopology(topo *Topology) *TopologyTree {
-	return topology.Lift(topo)
+	return topo, nil
 }
 
 // simFabricSpec lays the ClusterSim fleet out into three named fabric

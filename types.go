@@ -45,10 +45,6 @@ type (
 	RackSpec = topology.RackSpec
 	// MachineGroup is one homogeneous run of machines in a RackSpec.
 	MachineGroup = topology.MachineGroup
-	// TopologyTree is the indexed hierarchy view over a Topology — regions,
-	// domains, per-level capacities and flavor inventories. Obtain one with
-	// LiftTopology.
-	TopologyTree = topology.Tree
 
 	// App is one ML application: a hyperparameter exploration of one or more
 	// gang-scheduled jobs (trials) sharing a placement-sensitivity profile.
