@@ -13,7 +13,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"themis/experiments"
@@ -136,8 +138,9 @@ func emit(fig string, opts experiments.Options) error {
 				}
 			}
 			fmt.Println("# Themis mean-JCT improvement over other schemes:")
-			for scheme, pct := range cmp.MeanJCTImprovement() {
-				fmt.Printf("# vs %s: %.1f%%\n", scheme, pct)
+			improvement := cmp.MeanJCTImprovement()
+			for _, scheme := range slices.Sorted(maps.Keys(improvement)) {
+				fmt.Printf("# vs %s: %.1f%%\n", scheme, improvement[scheme])
 			}
 		case "7":
 			fmt.Println("# Figure 7: CDF of placement score per scheme")

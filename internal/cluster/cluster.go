@@ -10,7 +10,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,12 +71,19 @@ func (m Machine) Validate() error {
 }
 
 // Topology is an immutable description of the cluster hardware.
+//
+// Besides their IDs, racks and fabric domains carry a dense index — 0..n-1 in
+// ascending ID order — so per-rack and per-domain tallies can live in slices
+// (RackIndex, DomainIndex, RackAt).
 type Topology struct {
-	machines    []Machine
-	byRack      map[RackID][]MachineID
-	domains     map[DomainID]bool // the domains some machine sits in
-	domainNames map[DomainID]string
-	total       int
+	machines     []Machine
+	rackOf       []int         // per machine: the dense index of its rack
+	racks        []RackID      // ascending; position = dense index
+	rackMachines [][]MachineID // per rack index: its machines, ascending
+	rackDomain   []int         // per rack index: the dense index of its domain
+	domains      []DomainID    // ascending; position = dense index
+	domainNames  map[DomainID]string
+	total        int
 }
 
 // NewTopology builds a Topology from a set of machines. Machine IDs must be
@@ -88,8 +95,7 @@ func NewTopology(machines []Machine) (*Topology, error) {
 	}
 	t := &Topology{
 		machines: make([]Machine, len(machines)),
-		byRack:   make(map[RackID][]MachineID),
-		domains:  make(map[DomainID]bool),
+		rackOf:   make([]int, len(machines)),
 	}
 	seen := make(map[MachineID]bool, len(machines))
 	rackDomain := make(map[RackID]DomainID)
@@ -112,12 +118,24 @@ func NewTopology(machines []Machine) (*Topology, error) {
 		rackDomain[m.Rack] = m.Domain
 		seen[m.ID] = true
 		t.machines[m.ID] = m
-		t.byRack[m.Rack] = append(t.byRack[m.Rack], m.ID)
-		t.domains[m.Domain] = true
 		t.total += m.NumGPUs
 	}
-	for _, ids := range t.byRack {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for r, d := range rackDomain {
+		t.racks = append(t.racks, r)
+		t.domains = append(t.domains, d)
+	}
+	slices.Sort(t.racks)
+	slices.Sort(t.domains)
+	t.domains = slices.Compact(t.domains)
+	t.rackDomain = make([]int, len(t.racks))
+	for i, r := range t.racks {
+		t.rackDomain[i], _ = slices.BinarySearch(t.domains, rackDomain[r])
+	}
+	t.rackMachines = make([][]MachineID, len(t.racks))
+	for _, m := range t.machines { // ascending ID, so every rack's list is sorted
+		i, _ := slices.BinarySearch(t.racks, m.Rack)
+		t.rackOf[m.ID] = i
+		t.rackMachines[i] = append(t.rackMachines[i], m.ID)
 	}
 	return t, nil
 }
@@ -126,7 +144,10 @@ func NewTopology(machines []Machine) (*Topology, error) {
 func (t *Topology) NumMachines() int { return len(t.machines) }
 
 // NumRacks returns the number of racks in the cluster.
-func (t *Topology) NumRacks() int { return len(t.byRack) }
+func (t *Topology) NumRacks() int { return len(t.racks) }
+
+// NumDomains returns the number of fabric domains in the cluster.
+func (t *Topology) NumDomains() int { return len(t.domains) }
 
 // TotalGPUs returns the total GPU capacity of the cluster.
 func (t *Topology) TotalGPUs() int { return t.total }
@@ -141,23 +162,23 @@ func (t *Topology) Machines() []Machine {
 	return out
 }
 
-// MachinesInRack returns the machine IDs in a rack, ordered by ID.
+// MachinesInRack returns a copy of RackMachines(r).
 func (t *Topology) MachinesInRack(r RackID) []MachineID {
-	ids := t.byRack[r]
-	out := make([]MachineID, len(ids))
-	copy(out, ids)
-	return out
+	return slices.Clone(t.RackMachines(r))
+}
+
+// RackMachines returns the machine IDs in rack r, ordered by ID (nil for a
+// rack the topology does not have). The slice is the topology's own and must
+// not be modified; MachinesInRack is the copying form.
+func (t *Topology) RackMachines(r RackID) []MachineID {
+	if i, ok := slices.BinarySearch(t.racks, r); ok {
+		return t.rackMachines[i]
+	}
+	return nil
 }
 
 // Racks returns all rack IDs in ascending order.
-func (t *Topology) Racks() []RackID {
-	out := make([]RackID, 0, len(t.byRack))
-	for r := range t.byRack {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (t *Topology) Racks() []RackID { return slices.Clone(t.racks) }
 
 // Rack returns the rack housing machine id.
 func (t *Topology) Rack(id MachineID) RackID { return t.machines[id].Rack }
@@ -165,13 +186,29 @@ func (t *Topology) Rack(id MachineID) RackID { return t.machines[id].Rack }
 // Domain returns the fabric domain housing machine id.
 func (t *Topology) Domain(id MachineID) DomainID { return t.machines[id].Domain }
 
+// RackIndex returns the dense index of the rack housing machine id.
+func (t *Topology) RackIndex(id MachineID) int { return t.rackOf[id] }
+
+// DomainIndex returns the dense index of the fabric domain housing machine id.
+func (t *Topology) DomainIndex(id MachineID) int { return t.rackDomain[t.rackOf[id]] }
+
+// RackAt returns the ID of the rack with dense index i and the dense index of
+// the fabric domain housing it.
+func (t *Topology) RackAt(i int) (r RackID, domain int) { return t.racks[i], t.rackDomain[i] }
+
+// hasDomain reports whether some machine sits in fabric domain d.
+func (t *Topology) hasDomain(d DomainID) bool {
+	_, ok := slices.BinarySearch(t.domains, d)
+	return ok
+}
+
 // SetDomainName attaches a human-readable name to a fabric domain, used by
 // trace placement blocks to target domains by name. Unknown domains are
 // rejected so topology builders catch typos early, and so is a name another
 // domain already answers to — its assigned name or its "domain-<id>" default
 // — so DomainByName never has two answers.
 func (t *Topology) SetDomainName(d DomainID, name string) error {
-	if !t.domains[d] {
+	if !t.hasDomain(d) {
 		return fmt.Errorf("cluster: no fabric domain %d", d)
 	}
 	if owner, ok := t.DomainByName(name); ok && owner != d {
@@ -208,7 +245,7 @@ func (t *Topology) DomainByName(name string) (DomainID, bool) {
 		return 0, false
 	}
 	n, err := strconv.Atoi(digits)
-	if err != nil || !t.domains[DomainID(n)] {
+	if err != nil || !t.hasDomain(DomainID(n)) {
 		return 0, false
 	}
 	return DomainID(n), true

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -321,6 +322,55 @@ func TestTopologyDomainAccessors(t *testing.T) {
 	}
 	if _, err := NewTopology(bad); err == nil {
 		t.Error("rack straddling domains should be rejected")
+	}
+}
+
+// TestTopologyDenseIndices: racks and domains with sparse, unordered IDs get
+// dense indices in ascending ID order, and RackMachines lists a rack's
+// machines by ID without copying.
+func TestTopologyDenseIndices(t *testing.T) {
+	topo, err := NewTopology([]Machine{
+		{ID: 0, Rack: 40, Domain: 9, NumGPUs: 4, SlotSize: 2},
+		{ID: 1, Rack: -3, Domain: 2, NumGPUs: 4, SlotSize: 2},
+		{ID: 2, Rack: 40, Domain: 9, NumGPUs: 2, SlotSize: 2},
+		{ID: 3, Rack: 7, Domain: 9, NumGPUs: 1, SlotSize: 1},
+		{ID: 4, Rack: -3, Domain: 2, NumGPUs: 4, SlotSize: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.NumRacks() != 3 || topo.NumDomains() != 2 {
+		t.Fatalf("NumRacks, NumDomains = %d, %d, want 3, 2", topo.NumRacks(), topo.NumDomains())
+	}
+	if got, want := topo.Racks(), []RackID{-3, 7, 40}; !slices.Equal(got, want) {
+		t.Errorf("Racks() = %v, want %v", got, want)
+	}
+	for i, want := range []struct {
+		rack   RackID
+		domain int
+	}{{-3, 0}, {7, 1}, {40, 1}} {
+		if r, d := topo.RackAt(i); r != want.rack || d != want.domain {
+			t.Errorf("RackAt(%d) = %d, %d, want %d, %d", i, r, d, want.rack, want.domain)
+		}
+	}
+	for m, want := range []struct{ rack, domain int }{{2, 1}, {0, 0}, {2, 1}, {1, 1}, {0, 0}} {
+		if r, d := topo.RackIndex(MachineID(m)), topo.DomainIndex(MachineID(m)); r != want.rack || d != want.domain {
+			t.Errorf("machine %d: RackIndex, DomainIndex = %d, %d, want %d, %d", m, r, d, want.rack, want.domain)
+		}
+	}
+	if got, want := topo.RackMachines(40), []MachineID{0, 2}; !slices.Equal(got, want) {
+		t.Errorf("RackMachines(40) = %v, want %v", got, want)
+	}
+	if got := topo.RackMachines(8); got != nil {
+		t.Errorf("RackMachines(8) = %v for a rack the topology lacks", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { topo.RackMachines(-3) }); allocs != 0 && !race.Enabled {
+		t.Errorf("RackMachines allocates %.0f objects, want 0", allocs)
+	}
+	copied := topo.MachinesInRack(-3)
+	copied[0] = 99
+	if got := topo.RackMachines(-3); !slices.Equal(got, []MachineID{1, 4}) {
+		t.Errorf("writing MachinesInRack's result changed the topology: %v", got)
 	}
 }
 

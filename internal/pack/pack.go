@@ -14,7 +14,8 @@
 package pack
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/placement"
@@ -52,19 +53,33 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 	// Step 1: extend the anchor in place — its machines first (largest share
 	// first), then the remaining machines of domains it already occupies, so
 	// a growing gang stays inside its fabric.
-	if anchor.Total() > 0 {
+	anchored := anchor.Total() > 0
+	if anchored {
 		for _, m := range p.ByCount(anchor) {
 			p.Take(m)
 		}
-		if p.Need() > 0 {
-			anchorDomains := make(map[cluster.DomainID]bool)
-			for _, m := range anchor.Machines() {
-				anchorDomains[topo.Domain(m)] = true
+		if p.Need() == 0 {
+			return picked
+		}
+	}
+	// Every later offer follows this one descending-free, ascending-ID order
+	// of the pool, sorted once: a step that leaves the draw unfinished has
+	// drained each machine it offered or left it untouched, so what remains
+	// keeps its order (drained machines are no-ops to Take).
+	order := p.ByCount(eligible)
+	// The per-domain slices are indexed by dense domain index, which ascends
+	// with the domain ID.
+	domainFree := make([]int, topo.NumDomains())
+	if anchored {
+		anchorDomains := make([]bool, len(domainFree))
+		for m, n := range anchor {
+			if n > 0 {
+				anchorDomains[topo.DomainIndex(m)] = true
 			}
-			for _, m := range p.ByCount(eligible) {
-				if anchorDomains[topo.Domain(m)] {
-					p.Take(m)
-				}
+		}
+		for _, m := range order {
+			if anchorDomains[topo.DomainIndex(m)] {
+				p.Take(m)
 			}
 		}
 		if p.Need() == 0 {
@@ -73,66 +88,56 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 	}
 
 	// Free capacity per domain, over what remains on machines c admits.
-	domainFree := make(map[cluster.DomainID]int)
 	for m, n := range eligible {
 		if n > 0 && c.Admits(topo, m) {
-			domainFree[topo.Domain(m)] += n
+			domainFree[topo.DomainIndex(m)] += n
 		}
 	}
-	domains := make([]cluster.DomainID, 0, len(domainFree))
-	for d := range domainFree {
-		domains = append(domains, d)
+	var domains []int
+	for d, n := range domainFree {
+		if n > 0 {
+			domains = append(domains, d)
+		}
+	}
+	fill := func(d int) {
+		for _, m := range order {
+			if topo.DomainIndex(m) == d {
+				p.Take(m)
+			}
+		}
 	}
 
 	// Step 2: pack to empty — among domains that fit the remaining need
 	// whole, pick the one with the least residual free capacity (ties by
 	// lowest ID), so small holes fill first and large domains stay whole.
-	var fitting []cluster.DomainID
+	var fitting []int
 	for _, d := range domains {
 		if domainFree[d] >= p.Need() {
 			fitting = append(fitting, d)
 		}
 	}
-	if len(fitting) > 0 {
-		sort.Slice(fitting, func(i, j int) bool {
-			if domainFree[fitting[i]] != domainFree[fitting[j]] {
-				return domainFree[fitting[i]] < domainFree[fitting[j]]
-			}
-			return fitting[i] < fitting[j]
-		})
-		for _, d := range fitting {
-			fillDomain(&p, topo, d, eligible)
-			if p.Need() == 0 {
-				return picked
-			}
-			// Constraints (floor/cap) may have blocked the fit; try the next
-			// fitting domain before falling through to the spill.
+	slices.SortFunc(fitting, func(di, dj int) int {
+		return cmp.Or(cmp.Compare(domainFree[di], domainFree[dj]), cmp.Compare(di, dj))
+	})
+	for _, d := range fitting {
+		fill(d)
+		if p.Need() == 0 {
+			return picked
 		}
+		// Constraints (floor/cap) may have blocked the fit; try the next
+		// fitting domain before falling through to the spill.
 	}
 
 	// Step 3: no single domain fits — spill across domains by descending
 	// free capacity (ties by lowest ID) to minimise the number of cuts.
-	sort.Slice(domains, func(i, j int) bool {
-		if domainFree[domains[i]] != domainFree[domains[j]] {
-			return domainFree[domains[i]] > domainFree[domains[j]]
-		}
-		return domains[i] < domains[j]
+	slices.SortFunc(domains, func(di, dj int) int {
+		return cmp.Or(cmp.Compare(domainFree[dj], domainFree[di]), cmp.Compare(di, dj))
 	})
 	for _, d := range domains {
-		fillDomain(&p, topo, d, eligible)
+		fill(d)
 		if p.Need() == 0 {
 			return picked
 		}
 	}
 	return picked
-}
-
-// fillDomain offers the domain's machines to the draw in descending-free,
-// ascending-ID order.
-func fillDomain(p *placement.Picker, topo *cluster.Topology, d cluster.DomainID, eligible cluster.Alloc) {
-	for _, m := range p.ByCount(eligible) {
-		if topo.Domain(m) == d {
-			p.Take(m)
-		}
-	}
 }

@@ -2,6 +2,9 @@ package placement
 
 import (
 	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"themis/internal/cluster"
@@ -143,20 +146,23 @@ func PickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.
 // either debits a pool the caller owns (Draw, DrawSpread, Split) or reads free
 // and debits the picker's own copy of it (PickInto, PickConstrained).
 //
-// The pool copy, the anchor/rack/domain index maps and every ordering slice
+// A draw reads only the machines it can take from. Every rack lies inside one
+// fabric domain and a take debits only its own machine, so a rack's machines
+// keep their by-free order until the draw reaches that rack: a locality-best
+// draw costs one pass over the pool plus one sort per rack it visits (see
+// takePacked), not a sort of the whole pool per (domain, rack) pair.
+//
+// The pool copy, the per-rack and per-domain tallies and every ordering slice
 // are reused across calls, so steady-state picks allocate nothing
 // (TestPickerSteadyStateAllocs). The zero value is ready to use. A Picker is
 // single-goroutine state; each estimator, simulator and policy loop owns its
 // own.
 type Picker struct {
-	scratch       cluster.Alloc
-	byCount       []cluster.MachineID
-	anchorRacks   map[cluster.RackID]bool
-	anchorDomains map[cluster.DomainID]bool
-	rackFree      map[cluster.RackID]int
-	domainFree    map[cluster.DomainID]int
-	domains       []cluster.DomainID
-	racks         []cluster.RackID
+	scratch  cluster.Alloc
+	byCount  []cluster.MachineID // ByCount's result, and its sort keys while it sorts
+	tally    []int               // free GPUs per rack index, then per domain index
+	anchored []bool              // per domain index: the anchor holds GPUs there
+	racks    []int               // rack indices, in the order a pass visits them
 
 	// The draw in progress (Begin … Take): where GPUs come from and go to,
 	// how many are still wanted, and what the constraint still allows.
@@ -261,20 +267,60 @@ func (p *Picker) Take(m cluster.MachineID) {
 // ID — the order in which a pool packs tightest and an anchor extends best.
 // The slice is valid until the next ByCount call.
 func (p *Picker) ByCount(a cluster.Alloc) []cluster.MachineID {
-	ids := p.byCount[:0]
+	keys := p.byCount[:0]
 	for m, n := range a {
 		if n > 0 {
-			ids = append(ids, m)
+			keys = append(keys, countKey(m, n))
 		}
 	}
-	slices.SortFunc(ids, func(x, y cluster.MachineID) int {
-		if a[x] != a[y] {
-			return cmp.Compare(a[y], a[x])
+	return p.sortByCount(keys)
+}
+
+// countKey packs machine m holding n > 0 GPUs into one integer whose
+// ascending order is ByCount's order — more GPUs first, then lower ID — so
+// sorting compares plain integers and reads no map. The count takes the high
+// 31 bits and the ID the low 32, far more than any machine needs.
+func countKey(m cluster.MachineID, n int) cluster.MachineID {
+	if uint(m) > math.MaxUint32 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("placement: machine %d with %d GPUs is beyond the sort key's range", m, n))
+	}
+	return cluster.MachineID((math.MaxInt32-n)<<32 | int(m))
+}
+
+// The count key needs a 64-bit int.
+var _ [bits.UintSize - 64]struct{}
+
+// sortByCount sorts count keys and turns each back into its machine ID, in
+// place, keeping the storage as the picker's ByCount buffer.
+func (p *Picker) sortByCount(keys []cluster.MachineID) []cluster.MachineID {
+	slices.Sort(keys)
+	for i, k := range keys {
+		keys[i] = k & math.MaxUint32
+	}
+	p.byCount = keys
+	return keys
+}
+
+// appendPooled appends the count key of every machine of the rack with dense
+// index r that the draw's pool still holds GPUs on.
+func (p *Picker) appendPooled(keys []cluster.MachineID, r int) []cluster.MachineID {
+	id, _ := p.topo.RackAt(r)
+	for _, m := range p.topo.RackMachines(id) {
+		if n := p.pool[m]; n > 0 {
+			keys = append(keys, countKey(m, n))
 		}
-		return cmp.Compare(x, y)
-	})
-	p.byCount = ids
-	return ids
+	}
+	return keys
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // PickInto greedily selects up to count GPUs from the free vector in a
@@ -335,25 +381,25 @@ func (p *Picker) takeNearAnchor() bool {
 	if p.need == 0 {
 		return false
 	}
-	// Pass 2: machines in racks the anchor already touches. The by-free
-	// order is snapshotted once, before any pass-2 take.
-	if p.anchorRacks == nil {
-		p.anchorRacks = make(map[cluster.RackID]bool)
-	}
-	clear(p.anchorRacks)
+	// Pass 2: machines in racks the anchor already touches, by free count as
+	// it stood before any pass-2 take. Only those racks' machines are read.
+	racks := p.racks[:0]
 	for m, n := range p.anchor {
 		if n > 0 {
-			p.anchorRacks[p.topo.Rack(m)] = true
+			racks = append(racks, p.topo.RackIndex(m))
 		}
 	}
-	if len(p.anchorRacks) > 0 {
-		for _, m := range p.ByCount(p.pool) {
-			if p.need == 0 {
-				return false
-			}
-			if p.anchorRacks[p.topo.Rack(m)] {
-				p.Take(m)
-			}
+	slices.Sort(racks)
+	racks = slices.Compact(racks)
+	p.racks = racks
+	keys := p.byCount[:0]
+	for _, r := range racks {
+		keys = p.appendPooled(keys, r)
+	}
+	for _, m := range p.sortByCount(keys) {
+		p.Take(m)
+		if p.need == 0 {
+			return false
 		}
 	}
 	return p.need > 0
@@ -363,68 +409,68 @@ func (p *Picker) takeNearAnchor() bool {
 // possible, filling one fabric domain before spilling into the next. Domains
 // the anchor already touches come first, then domains by aggregate free GPUs;
 // within a domain, prefer the rack with the most aggregate free GPUs so
-// multi-machine spills stay rack-local (the by-free order is recomputed per
-// domain and rack). On single-domain (flat) topologies the domain loop is a
+// multi-machine spills stay rack-local, and within a rack the machine with the
+// most free GPUs. On single-domain (flat) topologies the domain order is a
 // no-op and the order reduces to plain rack packing.
+//
+// The rack is the cell of this order: NewTopology keeps every rack inside one
+// domain, and a take from rack r debits only rack r's machines, so the racks
+// not yet visited keep the free counts they had when the pass began. The pass
+// therefore ranks racks once, from one walk over the pool, and sorts a rack's
+// own machines only when it reaches that rack — one pass over the pool plus
+// one small sort per visited rack, and most draws end inside the first.
 func (p *Picker) takePacked() {
-	topo, pool := p.topo, p.pool
-	if p.anchorDomains == nil {
-		p.anchorDomains = make(map[cluster.DomainID]bool)
-		p.rackFree = make(map[cluster.RackID]int)
-		p.domainFree = make(map[cluster.DomainID]int)
-	}
-	clear(p.anchorDomains)
-	clear(p.rackFree)
-	clear(p.domainFree)
+	topo := p.topo
+	nr, nd := topo.NumRacks(), topo.NumDomains()
+	p.tally = zeroed(p.tally, nr+nd)
+	rackFree, domainFree := p.tally[:nr], p.tally[nr:]
+	anchored := zeroed(p.anchored, nd)
+	p.anchored = anchored
 	for m, n := range p.anchor {
 		if n > 0 {
-			p.anchorDomains[topo.Domain(m)] = true
+			anchored[topo.DomainIndex(m)] = true
 		}
 	}
-	for m, n := range pool {
+	for m, n := range p.pool {
 		if n > 0 {
-			p.rackFree[topo.Rack(m)] += n
-			p.domainFree[topo.Domain(m)] += n
+			rackFree[topo.RackIndex(m)] += n
 		}
 	}
-	domains := p.domains[:0]
-	for d := range p.domainFree {
-		domains = append(domains, d)
+	racks := p.racks[:0]
+	for r, n := range rackFree {
+		if n > 0 {
+			racks = append(racks, r)
+			_, d := topo.RackAt(r)
+			domainFree[d] += n
+		}
 	}
-	slices.SortFunc(domains, func(di, dj cluster.DomainID) int {
-		if p.anchorDomains[di] != p.anchorDomains[dj] {
-			if p.anchorDomains[di] {
+	// Dense indices ascend with IDs, so comparing them breaks ties by ID.
+	slices.SortFunc(racks, func(ri, rj int) int {
+		_, di := topo.RackAt(ri)
+		_, dj := topo.RackAt(rj)
+		switch {
+		case di == dj:
+		case anchored[di] != anchored[dj]:
+			if anchored[di] {
 				return -1
 			}
 			return 1
+		case domainFree[di] != domainFree[dj]:
+			return cmp.Compare(domainFree[dj], domainFree[di])
+		default:
+			return cmp.Compare(di, dj)
 		}
-		if p.domainFree[di] != p.domainFree[dj] {
-			return cmp.Compare(p.domainFree[dj], p.domainFree[di])
-		}
-		return cmp.Compare(di, dj)
-	})
-	p.domains = domains
-	racks := p.racks[:0]
-	for r := range p.rackFree {
-		racks = append(racks, r)
-	}
-	slices.SortFunc(racks, func(ri, rj cluster.RackID) int {
-		if p.rackFree[ri] != p.rackFree[rj] {
-			return cmp.Compare(p.rackFree[rj], p.rackFree[ri])
+		if rackFree[ri] != rackFree[rj] {
+			return cmp.Compare(rackFree[rj], rackFree[ri])
 		}
 		return cmp.Compare(ri, rj)
 	})
 	p.racks = racks
-	for _, d := range domains {
-		for _, r := range racks {
-			for _, m := range p.ByCount(pool) {
-				if topo.Rack(m) != r || topo.Domain(m) != d {
-					continue
-				}
-				p.Take(m)
-				if p.need == 0 {
-					return
-				}
+	for _, r := range racks {
+		for _, m := range p.sortByCount(p.appendPooled(p.byCount[:0], r)) {
+			p.Take(m)
+			if p.need == 0 {
+				return
 			}
 		}
 	}

@@ -606,35 +606,51 @@ func TestSplit(t *testing.T) {
 }
 
 // TestPickerSteadyStateAllocs pins the point of the Picker: after warmup no
-// form of it allocates.
+// form of it allocates — on a small two-domain cluster and on sim-fabric,
+// unanchored and with an anchor in two pods whose draw runs through pass 2
+// into the rack walk.
 func TestPickerSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	topo := multiDomainTopo(t)
-	free := cluster.Alloc{0: 4, 1: 2, 4: 4, 5: 4}
-	anchor := cluster.Alloc{0: 2}
-	c := Constraint{MinGPUsPerMachine: 2, MaxMachines: 3, Domain: 0, HasDomain: true}
+	fabric := simFabricTopo(t)
+	fabricFree := cluster.NewAlloc()
+	for m := range cluster.MachineID(fabric.NumMachines()) {
+		fabricFree[m] = int(m) % (fabric.Machine(m).NumGPUs + 1)
+	}
 	jobs := []SplitJob{{Want: 4, WorkLeft: 2}, {Want: 4, WorkLeft: 1, Constraint: Constraint{MaxMachines: 1}}, {Want: 8, WorkLeft: 3}}
 	order := SplitOrder(nil, jobs)
 	shares := make([]cluster.Alloc, len(jobs))
 	var p Picker
 	dst, pool := cluster.NewAlloc(), cluster.NewAlloc()
-	refill := func() {
-		for m, n := range free {
-			pool[m] = n
-		}
-	}
-	for name, pick := range map[string]func(){
-		"PickInto":         func() { p.PickInto(dst, topo, free, anchor, 6) },
-		"constrained":      func() { p.drawConstrained(dst, topo, p.Scratch(free), anchor, 6, c) },
-		"Draw":             func() { refill(); p.Draw(dst, topo, pool, anchor, 6) },
-		"DrawSpread":       func() { refill(); p.DrawSpread(dst, pool, 6) },
-		"SplitOrder+Split": func() { refill(); order = SplitOrder(order, jobs); p.Split(shares, topo, pool, 14, jobs, order) },
+	for _, s := range []struct {
+		name         string
+		topo         *cluster.Topology
+		free, anchor cluster.Alloc
+		count        int
+		c            Constraint
+	}{
+		{"two-domain", multiDomainTopo(t), cluster.Alloc{0: 4, 1: 2, 4: 4, 5: 4}, cluster.Alloc{0: 2}, 6,
+			Constraint{MinGPUsPerMachine: 2, MaxMachines: 3, Domain: 0, HasDomain: true}},
+		{"sim-fabric", fabric, fabricFree, nil, 24, Constraint{MaxMachines: 8, Domain: 1, HasDomain: true}},
+		{"sim-fabric anchored", fabric, fabricFree, cluster.Alloc{1: 2, 30: 1}, 64, Constraint{MinGPUsPerMachine: 2}},
 	} {
-		pick()
-		if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
-			t.Errorf("%s allocated %v times per run in steady state", name, allocs)
+		refill := func() {
+			for m, n := range s.free {
+				pool[m] = n
+			}
+		}
+		for name, pick := range map[string]func(){
+			"PickInto":         func() { p.PickInto(dst, s.topo, s.free, s.anchor, s.count) },
+			"constrained":      func() { p.drawConstrained(dst, s.topo, p.Scratch(s.free), s.anchor, s.count, s.c) },
+			"Draw":             func() { refill(); p.Draw(dst, s.topo, pool, s.anchor, s.count) },
+			"DrawSpread":       func() { refill(); p.DrawSpread(dst, pool, s.count) },
+			"SplitOrder+Split": func() { refill(); order = SplitOrder(order, jobs); p.Split(shares, s.topo, pool, 14, jobs, order) },
+		} {
+			pick()
+			if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
+				t.Errorf("%s: %s allocated %v times per run in steady state", s.name, name, allocs)
+			}
 		}
 	}
 }
