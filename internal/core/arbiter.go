@@ -104,10 +104,13 @@ type RoundPhases struct {
 	// Probe covers the ρ probes and worst-1−f offer selection; Bid the
 	// batched bid preparation; Solve the partial-allocation auction (winner
 	// determination + hidden payments); Leftover the work-conserving
-	// leftover pass. Total is the whole OfferResources call.
+	// leftover pass. Total is the whole OfferResources call. Payments is the
+	// hidden-payment part of Solve (AuctionResult.Payments), so it is not a
+	// term of the sum.
 	Probe    time.Duration
 	Bid      time.Duration
 	Solve    time.Duration
+	Payments time.Duration
 	Leftover time.Duration
 	Total    time.Duration
 
@@ -117,6 +120,10 @@ type RoundPhases struct {
 	OfferedGPUs  int
 	GrantedGPUs  int // auction wins + leftover grants
 	LeftoverGPUs int // unallocated by the auction, before the leftover pass
+
+	// WinnersWithNothing counts the participants whose award came to nothing
+	// (Participants − Winners); ArbiterStats.WinnersWithNothing sums it.
+	WinnersWithNothing int
 }
 
 // NewArbiter builds an Arbiter over topo with the given configuration.
@@ -225,6 +232,7 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	if err != nil {
 		return nil, err
 	}
+	a.lastRound.Payments = auction.Payments
 
 	// Award i belongs to bids[i], which is bidding[i]. TruthfulPayments is a
 	// float sum whose bits depend on the order of its terms: bid order.
@@ -232,13 +240,14 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	for i, aw := range auction.Awards {
 		a.Stats.TruthfulPayments += 1 - aw.C
 		if aw.Won.Total() == 0 {
-			a.Stats.WinnersWithNothing++
+			a.lastRound.WinnersWithNothing++
 			continue
 		}
 		a.lastRound.Winners++
 		out = append(out, Allocation{App: bids[i].App, Alloc: aw.Won, FromAuction: true})
 	}
 	a.Stats.AuctionWinners += a.lastRound.Winners
+	a.Stats.WinnersWithNothing += a.lastRound.WinnersWithNothing
 
 	// Step 5 (leftovers): GPUs unallocated by the auction go to apps that
 	// did not participate, one at a time, placement sensitively; if none can

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"themis/internal/cluster"
 	"themis/internal/placement"
@@ -35,6 +36,9 @@ type AuctionResult struct {
 	// Objective is the log-product objective of the proportional-fair
 	// solution.
 	Objective float64
+	// Payments is how long the hidden payments took: the masked re-solves
+	// and scaling each award down by its c_i.
+	Payments time.Duration
 }
 
 // AuctionOptions tunes the partial-allocation mechanism.
@@ -88,6 +92,7 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 		logs[i] = l
 	}
 
+	paying := time.Now()
 	var picker placement.Picker
 	for i := range res.Awards {
 		aw := &res.Awards[i]
@@ -100,6 +105,7 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 			return res, fmt.Errorf("core: auction allocated more than offered: %w", err)
 		}
 	}
+	res.Payments = time.Since(paying)
 	return res, nil
 }
 

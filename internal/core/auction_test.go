@@ -42,9 +42,11 @@ func TestBidTableValidateAndAccessors(t *testing.T) {
 	if err := tooBig.Validate(offer); err == nil {
 		t.Error("bid exceeding offer should fail validation")
 	}
-	badRho := BidTable{App: "a", Entries: []BidEntry{{Alloc: cluster.NewAlloc(), Rho: 0}}}
-	if err := badRho.Validate(offer); err == nil {
-		t.Error("non-positive rho should fail validation")
+	for _, rho := range []float64{0, -1, math.NaN(), math.SmallestNonzeroFloat64} {
+		badRho := BidTable{App: "a", Entries: []BidEntry{{Alloc: cluster.NewAlloc(), Rho: rho}}}
+		if err := badRho.Validate(offer); err == nil {
+			t.Errorf("ρ %v (1/ρ = %v) should fail validation", rho, 1/rho)
+		}
 	}
 	if got := (BidTable{App: "x"}).CurrentRho(); got != Unbounded {
 		t.Errorf("CurrentRho of empty table = %v, want Unbounded", got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -59,9 +60,11 @@ func (t BidTable) String() string {
 }
 
 // Validate checks that the table only requests GPUs present in the offer,
-// carries positive ρ and contains an empty row. It is the check for a table
-// from outside the process (the rpc package's remote bidders); the auction
-// itself checks the same conditions while it compiles the rows.
+// carries positive ρ whose valuation 1/ρ is finite (so NaN, and a ρ small
+// enough for 1/ρ to overflow, are refused) and contains an empty row. It is
+// the check for a table from outside the process (the rpc package's remote
+// bidders); the auction itself checks the same conditions while it compiles
+// the rows.
 func (t BidTable) Validate(offer cluster.Alloc) error {
 	hasEmpty := false
 	for _, e := range t.Entries {
@@ -76,8 +79,8 @@ func (t BidTable) Validate(offer cluster.Alloc) error {
 				return fmt.Errorf("bid for app %s wants %d GPUs on machine %d but only %d offered", t.App, n, m, offer[m])
 			}
 		}
-		if e.Rho <= 0 {
-			return fmt.Errorf("bid for app %s has non-positive ρ %v", t.App, e.Rho)
+		if !(e.Rho > 0) || math.IsInf(1/e.Rho, 1) {
+			return fmt.Errorf("bid for app %s has ρ %v, want a positive number whose reciprocal is finite", t.App, e.Rho)
 		}
 	}
 	if !hasEmpty {

@@ -42,6 +42,13 @@ func TestOfferResourcesRecordsRoundPhases(t *testing.T) {
 	if sum := rp.Probe + rp.Bid + rp.Solve + rp.Leftover; sum > rp.Total {
 		t.Errorf("phase sum %v exceeds round total %v", sum, rp.Total)
 	}
+	if rp.Payments < 0 || rp.Payments > rp.Solve {
+		t.Errorf("Payments = %v outside the %v solve it is part of", rp.Payments, rp.Solve)
+	}
+	if rp.Winners+rp.WinnersWithNothing != rp.Participants || arb.Stats.WinnersWithNothing != rp.WinnersWithNothing {
+		t.Errorf("%d winners + %d with nothing (stats %d), want %d participants",
+			rp.Winners, rp.WinnersWithNothing, arb.Stats.WinnersWithNothing, rp.Participants)
+	}
 	var granted, winners int
 	for _, d := range decisions {
 		granted += d.Alloc.Total()

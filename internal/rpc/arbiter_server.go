@@ -489,6 +489,7 @@ func (s *ArbiterServer) auctionRound(now float64) (roundOutcome, error) {
 	rd.AddSpan("probe", offerStart, ph.Probe)
 	rd.AddSpan("bid", offerStart+ph.Probe, ph.Bid)
 	rd.AddSpan("solve", offerStart+ph.Probe+ph.Bid, ph.Solve)
+	rd.AddSpan("payments", offerStart+ph.Probe+ph.Bid+ph.Solve-ph.Payments, ph.Payments)
 	rd.AddSpan("leftover", offerStart+ph.Probe+ph.Bid+ph.Solve, ph.Leftover)
 	rd.Winners = ph.Winners
 	rd.Granted = ph.GrantedGPUs
@@ -519,6 +520,7 @@ func (s *ArbiterServer) auctionRound(now float64) (roundOutcome, error) {
 	freeGPUs := s.state.TotalFree()
 	s.mu.Unlock()
 	rd.AddSpan("grant", grantStart, time.Since(start)-grantStart)
+	s.tel.nothing.Add(uint64(ph.WinnersWithNothing))
 	s.finishRound(&rd, start, leases, freeGPUs)
 	return out, nil
 }

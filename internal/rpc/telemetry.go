@@ -20,11 +20,12 @@ type serverTelemetry struct {
 	granted  *telemetry.Counter
 	leftover *telemetry.Counter
 	winners  *telemetry.Counter
+	nothing  *telemetry.Counter // participants whose award came to nothing
 
 	roundDur *telemetry.Histogram
 	// phases maps round-trace span names (reclaim, probe, bid, solve,
-	// leftover, grant) to their latency histograms. The map is immutable
-	// after construction; per-round lookups take no lock.
+	// payments, leftover, grant) to their latency histograms. The map is
+	// immutable after construction; per-round lookups take no lock.
 	phases map[string]*telemetry.Histogram
 
 	agents   *telemetry.Gauge
@@ -33,9 +34,9 @@ type serverTelemetry struct {
 }
 
 // roundPhaseNames are the span names an unsharded round can emit, in round
-// order. The sharded round adds its own coarse spans (shards, reconcile,
-// deliver) through shardedTelemetry.
-var roundPhaseNames = []string{"reclaim", "probe", "bid", "solve", "leftover", "grant"}
+// order; payments is the hidden-payment tail of solve. The sharded round adds
+// its own coarse spans (shards, reconcile, deliver) through shardedTelemetry.
+var roundPhaseNames = []string{"reclaim", "probe", "bid", "solve", "payments", "leftover", "grant"}
 
 func newServerTelemetry(reg *telemetry.Registry, shard string) *serverTelemetry {
 	l := telemetry.L("shard", shard)
@@ -46,6 +47,7 @@ func newServerTelemetry(reg *telemetry.Registry, shard string) *serverTelemetry 
 		granted:  reg.Counter("themis_auction_gpus_granted_total", "GPUs granted across all auction rounds.", l),
 		leftover: reg.Counter("themis_auction_gpus_leftover_total", "GPUs left unallocated by the winner-determination pass, before the leftover pass.", l),
 		winners:  reg.Counter("themis_auction_winners_total", "Auction winners (non-empty winning allocations).", l),
+		nothing:  reg.Counter("themis_auction_winners_with_nothing_total", "Auction participants whose award came to nothing after hidden payments.", l),
 
 		roundDur: reg.Histogram("themis_auction_round_seconds", "End-to-end auction round latency (reclaim through grant).", nil, l),
 		phases:   make(map[string]*telemetry.Histogram, len(roundPhaseNames)),

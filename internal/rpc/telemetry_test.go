@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,6 +149,70 @@ func TestShardedRoundRecordsTelemetry(t *testing.T) {
 		`themis_auction_rounds_total{shard="1"}`,
 		"themis_sharded_rounds_total",
 		`themis_sharded_phase_seconds_count{phase="reconcile"}`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestRoundObservesPaymentsAndEmptyAwards pins the hidden-payment readouts of
+// a round with a winner: the payments span sits at the tail of solve and
+// feeds its phase histogram, and a participant whose award came to nothing
+// advances themis_auction_winners_with_nothing_total. The round's spans are
+// exactly roundPhaseNames, none dropped for want of a slot; every shard of a
+// sharded server records its rounds through the same path.
+func TestRoundObservesPaymentsAndEmptyAwards(t *testing.T) {
+	topo := testTopo(t)
+	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewArbiterServer(arb)
+	server.RegisterBidder(&simBidder{id: "wants-four", demand: 4, weight: 10})
+	server.RegisterBidder(&simBidder{id: "sated", demand: 0, weight: 1})
+
+	nothing := server.tel.nothing.Value()
+	payments := server.tel.phases["payments"].Count()
+	if _, err := server.RunAuction(0); err != nil {
+		t.Fatal(err)
+	}
+	ph := arb.LastRound()
+	if ph.Winners != 1 || ph.WinnersWithNothing != 1 {
+		t.Fatalf("round had %d winners and %d with nothing, want 1 and 1", ph.Winners, ph.WinnersWithNothing)
+	}
+	if ph.Payments <= 0 || ph.Payments > ph.Solve {
+		t.Errorf("payments took %v of a %v solve", ph.Payments, ph.Solve)
+	}
+	if got := server.tel.nothing.Value() - nothing; got != 1 {
+		t.Errorf("winners-with-nothing counter advanced by %d, want 1", got)
+	}
+	if got := server.tel.phases["payments"].Count() - payments; got != 1 {
+		t.Errorf("payments histogram observed %d rounds, want 1", got)
+	}
+
+	rd := server.RoundTrace().Snapshot()[0]
+	var names []string
+	spans := make(map[string]telemetry.Span)
+	for _, sp := range rd.Spans() {
+		names = append(names, sp.Name)
+		spans[sp.Name] = sp
+	}
+	if !slices.Equal(names, roundPhaseNames) {
+		t.Fatalf("round spans %v, want %v", names, roundPhaseNames)
+	}
+	pay, solve := spans["payments"], spans["solve"]
+	if pay.Dur != ph.Payments || pay.Start+pay.Dur != solve.Start+solve.Dur {
+		t.Errorf("payments span %+v does not end the solve span %+v", pay, solve)
+	}
+
+	var b strings.Builder
+	if err := telemetry.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`themis_auction_winners_with_nothing_total{shard="single"}`,
+		`themis_auction_phase_seconds_count{phase="payments",shard="single"}`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)

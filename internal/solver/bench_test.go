@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"themis/internal/cluster"
+	"themis/internal/race"
 )
 
 // benchInstance builds a greedy-scale auction: nBidders apps bidding 8-row
@@ -37,6 +38,61 @@ func benchInstance(nBidders, nBundles int, seed int64) (cluster.Alloc, []Bidder)
 		bidders = append(bidders, b)
 	}
 	return capacity, bidders
+}
+
+// shardShapedInstance mirrors one shard round of the serve-sharded workload:
+// 125 bidders over 20 machines × 8 GPUs, each bidding its empty row, worth
+// 1/w, and one or two rows of 1 and 2 GPUs on one machine, worth (1 + GPUs)/w.
+func shardShapedInstance(seed int64) (cluster.Alloc, []Bidder) {
+	rng := rand.New(rand.NewSource(seed))
+	const nm = 20
+	capacity := cluster.NewAlloc()
+	for m := 0; m < nm; m++ {
+		capacity[cluster.MachineID(m)] = 8
+	}
+	bidders := make([]Bidder, 0, 125)
+	for i := 0; i < 125; i++ {
+		w := 1 + 9*rng.Float64()
+		b := Bidder{ID: fmt.Sprintf("app-%d", i), Bundles: []Bundle{{Alloc: cluster.NewAlloc(), Value: 1 / w}}}
+		m := cluster.MachineID(rng.Intn(nm))
+		for g, rows := 1, 1+rng.Intn(2); g <= rows; g++ {
+			b.Bundles = append(b.Bundles, Bundle{Alloc: cluster.Alloc{m: g}, Value: float64(1+g) / w})
+		}
+		bidders = append(bidders, b)
+	}
+	return capacity, bidders
+}
+
+// TestSolveSteadyStateAllocs pins the pooled instance's contract at shard
+// scale, in the greedy regime: once warm, Compile, the unmasked solve, a
+// masked solve for every bidder and Release allocate nothing — the upgrade
+// list and the trail live in the instance beside its other buffers.
+func TestSolveSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; the allocation bound is checked without -race")
+	}
+	capacity, bidders := shardShapedInstance(42)
+	tables := tablesOf(asCompiled(bidders))
+	rows := func(i int) []Row { return tables[i] }
+	greedyBefore := solveGreedyCount.Value()
+	round := func() {
+		inst, err := Compile(capacity, len(tables), rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		benchSink += inst.Solve(Options{}, NoSkip)
+		for k := range tables {
+			benchSink += inst.Solve(Options{}, k)
+		}
+		inst.Release()
+	}
+	round()
+	if got := solveGreedyCount.Value() - greedyBefore; got != uint64(1+len(tables)) {
+		t.Fatalf("%d of %d solves were greedy; the instance should be past ExactLimit", got, 1+len(tables))
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("warmed Compile + %d solves + Release allocate %.1f objects, want 0", 1+len(tables), allocs)
+	}
 }
 
 // BenchmarkSolverGreedy measures the heuristic path at auction scale; the
@@ -98,6 +154,47 @@ func BenchmarkReferenceGreedy(b *testing.B) {
 				if _, _, err := refSolve(capacity, bidders, Options{}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkHiddenPayments times all the searching one auction asks of the
+// solver: Compile, the unmasked solve, and one masked re-solve per bidder
+// whose chosen bundle is non-empty — the 1 + winners solves of
+// core.RunPartialAllocation — then Release.
+func BenchmarkHiddenPayments(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() (cluster.Alloc, []Bidder)
+	}{
+		{"bidders-64", func() (cluster.Alloc, []Bidder) { return benchInstance(64, 8, 42) }},
+		{"bidders-512", func() (cluster.Alloc, []Bidder) { return benchInstance(512, 8, 42) }},
+		{"shard-shaped-125", func() (cluster.Alloc, []Bidder) { return shardShapedInstance(42) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			capacity, bidders := c.build()
+			tables := tablesOf(asCompiled(bidders))
+			rows := func(i int) []Row { return tables[i] }
+			var winners []int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst, err := Compile(capacity, len(tables), rows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += inst.Solve(Options{}, NoSkip)
+				winners = winners[:0]
+				for k := range tables {
+					if row, _ := inst.Choice(k); tables[k][row].Alloc.Total() > 0 {
+						winners = append(winners, k)
+					}
+				}
+				for _, k := range winners {
+					benchSink += inst.Solve(Options{}, k)
+				}
+				inst.Release()
 			}
 		})
 	}

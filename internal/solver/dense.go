@@ -45,12 +45,22 @@ type denseBundle struct {
 	tlen     int32
 }
 
+// upgrade is one greedy candidate: bidder i moving from its empty row to row
+// local, worth gain in the log objective.
+type upgrade struct {
+	gain   float64
+	bidder int32
+	local  int32
+}
+
 // Instance is one compiled auction instance plus every slice the search
 // needs, recycled through scratchPool. What Compile builds (capacity,
 // bundles, terms, spread, valIdx) is invariant across Solve calls; used,
-// order, maxLog and the choices are per-solve. It is single-goroutine state;
-// concurrent callers each compile their own. It references nothing of the
-// caller's: rows are compiled to machine indexes and values.
+// order, maxLog and the choices are per-solve. The greedy walk's upgrade list
+// is built by the first greedy solve and its trail by the last unmasked one;
+// Compile invalidates both. It is single-goroutine state; concurrent callers
+// each compile their own. It references nothing of the caller's: rows are
+// compiled to machine indexes and values.
 type Instance struct {
 	capacity []int32
 	used     []int32
@@ -71,6 +81,11 @@ type Instance struct {
 	bestChoice []int
 	bestObj    float64 // the exact search's incumbent
 	haveBest   bool
+
+	upgrades    []upgrade // every upgrade over an empty row, in greedy pick order
+	haveUps     bool      // upgrades is built for the compiled rows
+	trail       []int32   // upgrades positions the unmasked greedy walk took, in order
+	trailRounds int       // the move bound trail was walked with; 0 when there is none
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Instance) }}
@@ -108,6 +123,7 @@ func (sc *Instance) compile(capacity cluster.Alloc, n int, rows func(i int) []Ro
 	}
 
 	sc.n = n
+	sc.haveUps, sc.trailRounds = false, 0
 	sc.boff = append(sc.boff[:0], 0)
 	sc.bundles = sc.bundles[:0]
 	sc.terms = sc.terms[:0]
@@ -119,8 +135,9 @@ func (sc *Instance) compile(capacity cluster.Alloc, n int, rows func(i int) []Ro
 		loLog, hiLog := math.Inf(1), math.Inf(-1)
 		start := len(sc.bundles)
 		for bi, row := range rows(i) {
-			if row.Rho <= 0 {
-				return fmt.Errorf("solver: bidder %d row %d has non-positive ρ %v", i, bi, row.Rho)
+			value := 1 / row.Rho
+			if !(row.Rho > 0) || math.IsInf(value, 1) {
+				return fmt.Errorf("solver: bidder %d row %d has ρ %v, want a positive number whose reciprocal is finite", i, bi, row.Rho)
 			}
 			toff := int32(len(sc.terms))
 			total := int32(0)
@@ -138,7 +155,6 @@ func (sc *Instance) compile(capacity cluster.Alloc, n int, rows func(i int) []Ro
 				sc.terms = append(sc.terms, term{m: int32(dm), n: int32(g)})
 				total += int32(g)
 			}
-			value := 1 / row.Rho
 			if value < minValue {
 				value = minValue
 			}
@@ -308,62 +324,115 @@ func (sc *Instance) dfs(depth int, obj float64) {
 }
 
 // solveGreedy starts every bidder at its empty bundle and repeatedly applies
-// the single-bidder bundle change with the largest feasible objective gain,
-// until none gains more than 1e-12 or rounds run out. Bidders are visited in
-// index order and comparisons are strict, so tie-breaks are deterministic.
+// the single-bidder bundle change with the largest objective gain that fits,
+// until none gains more than 1e-12 or rounds moves are made. Equal gains go
+// to the lowest bidder index, then the lowest row, so tie-breaks are
+// deterministic.
+//
+// It makes those moves in one walk over a fixed candidate list instead of a
+// rescan of every row per move, and that rests on one fact:
+//
+//   - No bidder moves twice. Moving again from bundle X to Y needs Y to gain
+//     more than 1e-12 over X, so Y gains more than X does from the empty
+//     bundle; greedy took X, so Y did not fit then. Only a second move can
+//     free a machine, so until the first one Y still does not fit: there is
+//     none, and `used` only grows.
+//
+// Every move is therefore an upgrade from an empty bundle: sc.upgrades lists
+// those once, in the order the round-by-round scan prefers them. A moved
+// bidder never moves again and an upgrade that did not fit never fits later,
+// so each move is the first eligible upgrade past the previous move's, and
+// the walk visits each upgrade at most once.
+//
+// A masked solve resumes the unmasked walk instead of starting over. Leaving
+// out a bidder that did not win a move changes no move, so the masked walk
+// repeats the unmasked one's moves (sc.trail) up to the masked bidder's and
+// carries on just past that bidder's upgrade; a bidder that never moved
+// leaves the unmasked solution as it is. TestGreedyWalkMatchesRoundByRound
+// holds the walk and the resume to the round-by-round scan they replaced.
 //
 // There is deliberately no pair-move pass ("bidder a upgrades while victim v
 // reverts to its empty bundle") behind the single moves; the map-based oracle
-// in reference_test.go still has one and judges that it is never taken:
-//
-//   - No bidder moves twice. A bidder's first move takes the largest-gain
-//     bundle that fits beside everyone else's; a second move needs a better
-//     bundle, which did not fit then, to fit now — a machine must have freed
-//     up. Nothing frees a machine before the first second-move, so there is
-//     none, and `used` only grows.
-//   - So at a single-move optimum, any pair move (a to bundle X, v to empty)
-//     was open to a as a single move in the round v was picked: v was still
-//     on its empty bundle and everything else held no more than it does now,
-//     so X fit. Greedy preferred v's gain to a's gain for X in that round
-//     (and a's gain for X from its empty bundle is no smaller than from a
-//     later bundle), so the pair's gain — a's gain minus v's — is ≤ 0, never
-//     above the 1e-12 threshold.
+// in reference_test.go still has one and judges that it is never taken: at a
+// single-move optimum, any pair move (a to bundle X, v to empty) was open to
+// a as a single move in the round v was picked — v was still on its empty
+// bundle and everything else held no more than it does now, so X fit. Greedy
+// preferred v's gain to a's gain for X in that round (and a's gain for X from
+// its empty bundle is no smaller than from a later bundle), so the pair's
+// gain — a's gain minus v's — is ≤ 0, never above the 1e-12 threshold.
 func (sc *Instance) solveGreedy(rounds int) {
-	nb := sc.n
+	if !sc.haveUps {
+		sc.listUpgrades()
+	}
 	sc.choice = sc.choice[:0]
-	for i := 0; i < nb; i++ {
+	for i := 0; i < sc.n; i++ {
 		sc.choice = append(sc.choice, int(sc.emptyIdx[i]))
 	}
-	choice := sc.choice
-	for r := 0; r < rounds; r++ {
-		bestGain := 1e-12
-		bestBidder, bestLocal := -1, int32(-1)
-		for i := 0; i < nb; i++ {
-			if i == sc.skip {
-				continue // masked out: stays on its empty bundle
+	from, moves := 0, 0
+	record := sc.skip == NoSkip && sc.trailRounds != rounds
+	if record {
+		sc.trail, sc.trailRounds = sc.trail[:0], rounds
+	} else if sc.trailRounds == rounds {
+		from = len(sc.upgrades) // unless the masked bidder moved, the trail is the whole solution
+		for _, pos := range sc.trail {
+			if int(sc.upgrades[pos].bidder) == sc.skip {
+				from = int(pos) + 1
+				break
 			}
-			cur := sc.bundleAt(i, int32(choice[i]))
-			sc.subTerms(cur)
-			for local := int32(0); local < sc.boff[i+1]-sc.boff[i]; local++ {
-				bun := sc.bundleAt(i, local)
-				if bun.value <= cur.value {
-					continue
-				}
-				if !sc.fitsTerms(bun) {
-					continue
-				}
-				gain := bun.logValue - cur.logValue
-				if gain > bestGain {
-					bestGain, bestBidder, bestLocal = gain, i, local
-				}
-			}
-			sc.addTerms(cur)
+			sc.take(int(pos))
+			moves++
 		}
-		if bestBidder < 0 {
-			break
-		}
-		sc.subTerms(sc.bundleAt(bestBidder, int32(choice[bestBidder])))
-		choice[bestBidder] = int(bestLocal)
-		sc.addTerms(sc.bundleAt(bestBidder, bestLocal))
 	}
+	for pos := from; pos < len(sc.upgrades) && moves < rounds; pos++ {
+		up := &sc.upgrades[pos]
+		i := int(up.bidder)
+		if i == sc.skip || sc.choice[i] != int(sc.emptyIdx[i]) || !sc.fitsTerms(sc.bundleAt(i, up.local)) {
+			continue
+		}
+		sc.take(pos)
+		moves++
+		if record {
+			sc.trail = append(sc.trail, int32(pos))
+		}
+	}
+}
+
+// listUpgrades lists every bundle change the greedy scan could ever make —
+// a bidder's move from its empty bundle to a row worth more by over 1e-12 —
+// by gain descending, then bidder, then row: the order in which the scan's
+// strict comparison picks among them.
+func (sc *Instance) listUpgrades() {
+	sc.upgrades = sc.upgrades[:0]
+	for i := 0; i < sc.n; i++ {
+		empty := sc.bundleAt(i, sc.emptyIdx[i])
+		for local := int32(0); local < sc.boff[i+1]-sc.boff[i]; local++ {
+			bun := sc.bundleAt(i, local)
+			if gain := bun.logValue - empty.logValue; bun.value > empty.value && gain > 1e-12 {
+				sc.upgrades = append(sc.upgrades, upgrade{gain: gain, bidder: int32(i), local: local})
+			}
+		}
+	}
+	// Gains are finite — Compile refuses a ρ whose 1/ρ is NaN or overflows —
+	// so < and > order them totally. This sort is most of what a solve costs
+	// on small instances, hence the comparator returns at the first field
+	// that differs.
+	slices.SortFunc(sc.upgrades, func(a, b upgrade) int {
+		switch {
+		case a.gain > b.gain:
+			return -1
+		case a.gain < b.gain:
+			return 1
+		case a.bidder != b.bidder:
+			return int(a.bidder - b.bidder)
+		}
+		return int(a.local - b.local)
+	})
+	sc.haveUps = true
+}
+
+// take moves upgrades[pos]'s bidder onto its row.
+func (sc *Instance) take(pos int) {
+	up := &sc.upgrades[pos]
+	sc.choice[up.bidder] = int(up.local)
+	sc.addTerms(sc.bundleAt(int(up.bidder), up.local))
 }

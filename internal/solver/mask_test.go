@@ -145,6 +145,8 @@ func TestCompileRejectsInvalidInput(t *testing.T) {
 		"machine not offered": {empty, {Alloc: cluster.Alloc{7: 1}, Rho: 1}},
 		"zero rho":            {empty, {Alloc: cluster.Alloc{0: 1}, Rho: 0}},
 		"negative rho":        {{Alloc: cluster.NewAlloc(), Rho: -2}},
+		"NaN rho":             {empty, {Alloc: cluster.Alloc{0: 1}, Rho: math.NaN()}},
+		"1/rho overflows":     {empty, {Alloc: cluster.Alloc{0: 1}, Rho: math.SmallestNonzeroFloat64}},
 		"no empty row":        {{Alloc: cluster.Alloc{0: 1}, Rho: 1}},
 		"no rows at all":      nil,
 	} {
@@ -154,10 +156,10 @@ func TestCompileRejectsInvalidInput(t *testing.T) {
 			t.Errorf("%s: Compile accepted %+v", name, table)
 		}
 	}
-	ok := [][]Row{{empty, {Alloc: cluster.Alloc{0: 2, 5: 0}, Rho: 1}}}
+	ok := [][]Row{{empty, {Alloc: cluster.Alloc{0: 2, 5: 0}, Rho: 1}, {Alloc: cluster.Alloc{0: 1}, Rho: 1e-300}}}
 	inst, err := Compile(capacity, 1, func(i int) []Row { return ok[i] })
 	if err != nil {
-		t.Fatalf("valid table (zero entry on an unoffered machine) rejected: %v", err)
+		t.Fatalf("valid table (zero entry on an unoffered machine, tiny but invertible ρ) rejected: %v", err)
 	}
 	inst.Release()
 }

@@ -5,10 +5,12 @@
 // product of valuations (equivalently the sum of log valuations).
 //
 // The paper solves this with Gurobi; this package substitutes an exact
-// branch-and-bound search for small instances and a greedy + local-search
-// heuristic for large ones. Auction instances are small (the offer is the
-// currently free GPUs and only the worst 1−f fraction of apps bid), so the
-// exact path covers the common case.
+// branch-and-bound search for small instances and a greedy heuristic for
+// large ones: starting from everyone's empty bundle, it repeatedly makes the
+// single best-gaining upgrade that fits, and no bidder ever moves twice, so
+// it is one walk over the upgrades sorted by gain. Auction instances are
+// small (the offer is the currently free GPUs and only the worst 1−f fraction
+// of apps bid), so the exact path covers the common case.
 package solver
 
 import (
@@ -48,8 +50,10 @@ type Options struct {
 	// bundle counts) for which the exact branch-and-bound runs; larger
 	// instances use the heuristic. Zero uses DefaultExactLimit.
 	ExactLimit int
-	// LocalSearchRounds bounds the improvement rounds of the heuristic.
-	// Zero uses DefaultLocalSearchRounds.
+	// LocalSearchRounds bounds the moves of the heuristic. A move puts one
+	// bidder on a better bundle and each bidder moves at most once, so a
+	// bound at or above the bidder count never binds. Zero uses
+	// DefaultLocalSearchRounds.
 	LocalSearchRounds int
 }
 
@@ -80,11 +84,12 @@ const minValue = 1e-12
 // Compile builds the dense instance (see dense.go) for n bidders whose
 // tables rows(i) returns, reading every row — and every row's Alloc map —
 // exactly once. That one walk is also the auction's input check: a row
-// asking for negative GPUs or more than capacity holds on a machine, a
-// non-positive ρ, or a table without the empty row (the bidder's value for
-// winning nothing) is an error. The rows are only read, and nothing of them
-// is kept: the Instance holds machine indexes and values, so the caller may
-// recycle the tables as soon as it has mapped the chosen row indexes back.
+// asking for negative GPUs or more than capacity holds on a machine, a ρ
+// that is not positive (NaN included) or whose reciprocal overflows, or a
+// table without the empty row (the bidder's value for winning nothing) is an
+// error. The rows are only read, and nothing of them is kept: the Instance
+// holds machine indexes and values, so the caller may recycle the tables as
+// soon as it has mapped the chosen row indexes back.
 //
 // The Instance borrows pooled storage: the caller owns it until Release and
 // must not share it across goroutines; concurrent auctions each compile
@@ -103,8 +108,11 @@ func Compile(capacity cluster.Alloc, n int, rows func(i int) []Row) (*Instance, 
 // bidder index order. The masked search sees exactly the bidder sequence a
 // fresh compile of the remaining bidders would — same exact/greedy choice,
 // same search and tie-break order — so its objective and choices are
-// bit-identical to that solve's without re-reading a row. Choice reads the
-// choices of the most recent Solve.
+// bit-identical to that solve's without re-reading a row. A greedy solve
+// after an unmasked greedy one with the same LocalSearchRounds does not even
+// search from scratch: it replays that solve's moves up to the masked
+// bidder's and walks on from there. Choice reads the choices of the most
+// recent Solve.
 func (sc *Instance) Solve(opts Options, skip int) float64 {
 	opts = opts.withDefaults()
 	sc.skip = skip
