@@ -51,22 +51,7 @@ func (ag *Agent) ReportRho(now float64, current cluster.Alloc) float64 {
 // UnmetParallelism returns how many more GPUs the app could still use: the
 // sum of its active jobs' maximum parallelism minus what it already holds.
 func (ag *Agent) UnmetParallelism(current cluster.Alloc) int {
-	want := 0
-	for _, j := range ag.App.Jobs {
-		if !j.Active() {
-			continue
-		}
-		p := j.MaxParallelism
-		if p <= 0 {
-			p = j.GangSize
-		}
-		want += p
-	}
-	unmet := want - current.Total()
-	if unmet < 0 {
-		return 0
-	}
-	return unmet
+	return ag.App.UnmetWidth(current.Total())
 }
 
 // PrepareBid responds to an offer (Figure 3 step 3): it enumerates candidate
@@ -93,7 +78,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	// One job context values every row: nothing below changes job state.
 	ag.Estimator.beginCall()
 	rows := nextRow(entries[:0])
-	rows[0].Rho = ag.Estimator.rho(now, current, ag.Estimator.emptyAnchor)
+	rows[0].Rho = ag.Estimator.rho(now, current, nil)
 	gang := ag.GangSize()
 	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), gang)
 	maxRows := ag.MaxBidRows
@@ -129,25 +114,25 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 // GangSize returns the gang size the app's active jobs typically need: the
 // mode across active jobs (the larger size on a tie), falling back to 1. Bid
 // tables step by it and the Arbiter uses it as the chunk size for leftover
-// grants.
+// grants. One pass tallies the app's few distinct sizes on the stack and keeps
+// the lexicographic maximum of (count, size) as the counts grow.
 func (ag *Agent) GangSize() int {
-	jobs := ag.App.Jobs
-	best, bestN := 1, 0
-	for i, j := range jobs {
-		same := func(k *workload.Job) bool { return k.Active() && k.GangSize == j.GangSize }
-		// Count each distinct size once, at its first active job.
-		if !j.Active() || slices.ContainsFunc(jobs[:i], same) {
+	type sizeCount struct{ size, n int }
+	var buf [16]sizeCount
+	tally, best := buf[:0], sizeCount{size: 1}
+	for _, j := range ag.App.Jobs {
+		if !j.Active() {
 			continue
 		}
-		n := 0
-		for _, k := range jobs[i:] {
-			if same(k) {
-				n++
-			}
+		k := slices.IndexFunc(tally, func(t sizeCount) bool { return t.size == j.GangSize })
+		if k < 0 {
+			k, tally = len(tally), append(tally, sizeCount{size: j.GangSize})
 		}
-		if n > bestN || (n == bestN && j.GangSize > best) {
-			best, bestN = j.GangSize, n
+		t := &tally[k]
+		t.n++
+		if t.n > best.n || t.n == best.n && t.size > best.size {
+			best = *t
 		}
 	}
-	return best
+	return best.size
 }

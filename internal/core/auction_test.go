@@ -128,7 +128,7 @@ func TestAgentSplitForJobs(t *testing.T) {
 	app := testApp("a", 0, placement.VGG16, 3, 100, 4)
 	est := agentFor(topo, app).Estimator
 	est.beginCall()
-	shares := est.splitAcrossJobs(cluster.Alloc{0: 4, 1: 4})
+	shares, _ := est.splitAcrossJobs(cluster.Alloc{0: 4, 1: 4})
 	if len(shares) != len(app.Jobs) {
 		t.Fatalf("%d shares for %d jobs", len(shares), len(app.Jobs))
 	}
@@ -141,6 +141,42 @@ func TestAgentSplitForJobs(t *testing.T) {
 	}
 	if total != 8 {
 		t.Errorf("split total = %d, want 8", total)
+	}
+}
+
+// TestSplitAcrossJobsEmptiesUnservedShares pins the split's served-prefix
+// contract across valuation calls: after a wide split, a job finishing (which
+// shifts the active jobs' indices) and a narrow split in the next call, the
+// served jobs hold what the reference split gives them and every other share
+// the estimator owns is empty.
+func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
+	ps, free := wideFixture(t)
+	for i, p := range ps {
+		ag := p.state.Agent.(*Agent)
+		e := ag.Estimator
+		e.beginCall()
+		if _, served := e.splitAcrossJobs(free); len(served) < 3 {
+			t.Fatalf("agent %d: the wide split served %d jobs; the fixture must feed several", i, len(served))
+		}
+		ag.App.Jobs[0].DoneAt = 1
+		narrow := cluster.Alloc{}
+		for m, n := range free {
+			narrow[m] = n
+			break
+		}
+		e.beginCall()
+		shares, served := e.splitAcrossJobs(narrow)
+		ref := refSplitAcrossJobs(e, narrow, ag.App.ActiveJobs())
+		for k, share := range e.shares {
+			switch {
+			case slices.Contains(served, k):
+				if !share.Equal(ref[k]) || !shares[k].Equal(share) {
+					t.Errorf("agent %d job %d: served share %v, reference %v", i, k, share, ref[k])
+				}
+			case share.Total() != 0:
+				t.Errorf("agent %d: share %d holds %v but the split served only %v", i, k, share, served)
+			}
+		}
 	}
 }
 

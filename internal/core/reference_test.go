@@ -3,13 +3,15 @@ package core
 // Test-only oracles: the per-row valuation and the per-bidder hidden payment
 // exactly as they were before the round's invariants were hoisted (one
 // compiled solver instance per auction, one job context per valuation call),
-// and the auction round as it was while it was keyed by app ID (a second row
-// type for the solver, ID-keyed result maps, map-built leftover passes). The
-// production code must reproduce their results bit for bit.
+// the auction round as it was while it was keyed by app ID (a second row
+// type for the solver, ID-keyed result maps, map-built leftover passes), and
+// the pairwise gang-size mode. The production code must reproduce their
+// results bit for bit.
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -295,7 +297,7 @@ func TestWideAppBidEquivalence(t *testing.T) {
 				total := p.state.Current.Add(want[i].Entries[len(want[i].Entries)-1].Alloc)
 				ref := refSplitAcrossJobs(ag.Estimator, total, ag.App.ActiveJobs())
 				ag.Estimator.beginCall()
-				got := ag.Estimator.splitAcrossJobs(total)
+				got, _ := ag.Estimator.splitAcrossJobs(total)
 				for k, j := range ag.App.ActiveJobs() {
 					if !got[k].Equal(ref[k]) {
 						t.Errorf("agent %d job %s: split %v, reference %v", i, j.ID, got[k], ref[k])
@@ -1008,5 +1010,76 @@ func TestDecisionsDoNotAliasBidRows(t *testing.T) {
 				t.Fatalf("after round %d, round 0's decision for %s reads %v, was %v: it shares a map with a recycled bid row", round, d.App, d.Alloc, snapshot[i])
 			}
 		}
+	}
+}
+
+// pairwiseGangSize is Agent.GangSize as it was before the one-pass tally,
+// verbatim: each distinct active size counted by a scan from its first active
+// job, O(jobs²).
+func pairwiseGangSize(ag *Agent) int {
+	jobs := ag.App.Jobs
+	best, bestN := 1, 0
+	for i, j := range jobs {
+		same := func(k *workload.Job) bool { return k.Active() && k.GangSize == j.GangSize }
+		// Count each distinct size once, at its first active job.
+		if !j.Active() || slices.ContainsFunc(jobs[:i], same) {
+			continue
+		}
+		n := 0
+		for _, k := range jobs[i:] {
+			if same(k) {
+				n++
+			}
+		}
+		if n > bestN || (n == bestN && j.GangSize > best) {
+			best, bestN = j.GangSize, n
+		}
+	}
+	return best
+}
+
+// TestGangSizeMatchesPairwiseMode holds the one-pass mode to the pairwise
+// scan it replaced over 5 000 random apps of 1–98 jobs: gang sizes from
+// {0, 1, 2, 3, 4, 8, 16, 32, 64} (a few per app, so modes tie often),
+// finished and killed jobs among them, and apps with no active job at all.
+// The arbiter's leftover chunking reads the same method, so bid tables and
+// leftover grants both rest on this agreement.
+func TestGangSizeMatchesPairwiseMode(t *testing.T) {
+	topo := testTopo(t, 2, 2, 4)
+	sizes := []int{0, 1, 2, 3, 4, 8, 16, 32, 64}
+	rng := rand.New(rand.NewSource(28))
+	ties := 0
+	for trial := range 5000 {
+		app := testApp(workload.AppID(fmt.Sprintf("g%d", trial)), 0, placement.VGG16, 1+rng.Intn(98), 100, 1)
+		palette := make([]int, 1+rng.Intn(4))
+		for i := range palette {
+			palette[i] = sizes[rng.Intn(len(sizes))]
+		}
+		for _, j := range app.Jobs {
+			j.GangSize = palette[rng.Intn(len(palette))]
+			switch rng.Intn(6) {
+			case 0:
+				j.Killed = true
+			case 1:
+				j.DoneAt = 1
+			}
+		}
+		counts := map[int]int{}
+		for _, j := range app.Jobs {
+			if j.Active() {
+				counts[j.GangSize]++
+			}
+		}
+		top := slices.Sorted(maps.Values(counts))
+		if n := len(top); n > 1 && top[n-1] == top[n-2] {
+			ties++
+		}
+		ag := agentFor(topo, app)
+		if got, want := ag.GangSize(), pairwiseGangSize(ag); got != want {
+			t.Fatalf("trial %d: GangSize = %d, the pairwise mode is %d (active counts %v)", trial, got, want, counts)
+		}
+	}
+	if ties < 250 {
+		t.Errorf("only %d of 5000 apps tie for the mode; the generator no longer exercises the tie-break", ties)
 	}
 }

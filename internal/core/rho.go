@@ -40,51 +40,48 @@ type RhoEstimator struct {
 	// either caller-owned input (read only) or one of these buffers, so a
 	// steady-state ρ probe allocates nothing. An estimator is per-app,
 	// per-goroutine state, so plain fields suffice.
-	shares      []cluster.Alloc
-	emptyAnchor cluster.Alloc
-	total       cluster.Alloc
-	picker      placement.Picker
+	shares []cluster.Alloc
+	total  cluster.Alloc
+	picker placement.Picker
 
 	// The job context: what every valuation of one call (a ρ probe, or all
 	// the rows of one bid table) needs of the app's jobs and no row changes.
-	// beginCall rebuilds jobs and tIdeal; the per-job split facts are filled
-	// by the first row that has GPUs to split. It is valid for that one
-	// call only — job state must not change under it.
-	jobs       []*workload.Job // active jobs
-	tIdeal     float64
-	split      []placement.SplitJob // per active job, same indexing as jobs
-	splitOrder []int                // placement.SplitOrder over split
+	// beginCall rebuilds jobs and tIdeal; the per-job split facts and their
+	// order are filled by the first row that has GPUs to split. It is valid
+	// for that one call only — job state must not change under it.
+	jobs   []*workload.Job // active jobs
+	tIdeal float64
+	split  placement.SplitQueue // Jobs: per active job, same indexing as jobs
 }
 
 // beginCall starts a valuation call: it snapshots the app's active jobs and
 // T_ID and invalidates the per-job split facts of the previous call.
 func (e *RhoEstimator) beginCall() {
-	if e.emptyAnchor == nil {
-		e.emptyAnchor = cluster.NewAlloc()
-	}
 	e.jobs = e.App.AppendActiveJobs(e.jobs[:0])
 	e.tIdeal = e.TIdeal()
-	e.split = e.split[:0]
+	e.split.Jobs = e.split.Jobs[:0]
 }
 
 // splitAcrossJobs divides the app-level allocation among the call's active
 // jobs (placement.Picker.Split, §5.2 step 4), least work left by the tuner's
-// estimate first, and returns the per-job shares, indexed like e.split. The
-// job facts — WorkLeft and PlacementConstraint once per job — and the order
-// are evaluated by the call's first split and shared by its other rows.
-func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc) []cluster.Alloc {
-	if len(e.split) != len(e.jobs) {
+// estimate first, and returns the shares (indexed like e.jobs, empty but for
+// the served jobs) and the jobs served. The call's first split builds the
+// job facts and the order its rows share.
+func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc) (shares []cluster.Alloc, served []int) {
+	if q := &e.split; len(q.Jobs) != len(e.jobs) {
+		// A split of nothing empties the shares the previous call's last
+		// split filled, before the queue forgets which they were.
+		e.picker.Split(e.shares, e.Topo, nil, 0, q)
 		for _, j := range e.jobs {
-			e.split = append(e.split, j.SplitJob(e.Topo, e.Tuner.WorkLeft(j)))
+			q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, e.Tuner.WorkLeft(j)))
 		}
-		e.splitOrder = placement.SplitOrder(e.splitOrder, e.split)
+		q.Reset()
 	}
 	for len(e.shares) < len(e.jobs) {
 		e.shares = append(e.shares, cluster.NewAlloc())
 	}
-	shares := e.shares[:len(e.jobs)]
-	e.picker.Split(shares, e.Topo, e.picker.Scratch(total), total.Total(), e.split, e.splitOrder)
-	return shares
+	shares = e.shares[:len(e.jobs)]
+	return shares, e.picker.Split(shares, e.Topo, e.picker.Scratch(total), total.Total(), &e.split)
 }
 
 // NewRhoEstimator returns an estimator for app using the given tuner for
@@ -94,17 +91,14 @@ func NewRhoEstimator(topo *cluster.Topology, app *workload.App, tuner hyperparam
 }
 
 // TIdeal returns the app's estimated running time with its ideal GPU
-// allocation in a dedicated cluster: min over constituent jobs of
-// W_j / G_ideal_j with perfect placement (§5.2 step 5). Completed or killed
-// jobs are excluded; if nothing is active the last known value (or a small
-// epsilon) is returned so ρ stays defined while the app drains.
+// allocation in a dedicated cluster: min over all the app's jobs, ended ones
+// included, of W_j / G_ideal_j with perfect placement (§5.2 step 5), so it
+// does not move as jobs end. Jobs of no positive width are skipped; if none
+// is left (or the minimum is not positive) 1e-6 keeps ρ defined.
 func (e *RhoEstimator) TIdeal() float64 {
 	best := math.Inf(1)
 	for _, j := range e.App.Jobs {
-		g := j.MaxParallelism
-		if g <= 0 {
-			g = j.GangSize
-		}
+		g := j.Width()
 		if g <= 0 {
 			continue
 		}
@@ -146,10 +140,11 @@ func (e *RhoEstimator) tShared(now float64, total cluster.Alloc) float64 {
 		// of the one waiting longest.
 		return Unbounded * (1 + elapsed)
 	}
-	shares := e.splitAcrossJobs(total)
+	// Only the served jobs hold GPUs, so only they can finish first.
+	shares, served := e.splitAcrossJobs(total)
 	best := math.Inf(1)
-	for idx, js := range e.split {
-		alloc := shares[idx]
+	for _, idx := range served {
+		js, alloc := &e.split.Jobs[idx], shares[idx]
 		g := alloc.Total()
 		// A job whose share violates its placement constraint — the §6
 		// floor/cap or a trace v2 domain/flavor affinity — has S = 0: it
@@ -214,7 +209,7 @@ func (e *RhoEstimator) totalInto(current, extra cluster.Alloc) cluster.Alloc {
 // the Arbiter probes before each auction (step 1 in Figure 3).
 func (e *RhoEstimator) CurrentRho(now float64, current cluster.Alloc) float64 {
 	e.beginCall()
-	return e.rho(now, current, e.emptyAnchor)
+	return e.rho(now, current, nil)
 }
 
 // FinalRho returns the realised finish-time fairness of a finished app:

@@ -86,20 +86,29 @@ func TestBatchedBidEquivalence(t *testing.T) {
 // valuator's scratch, entry buffers (rows and their maps) and picker have
 // reached steady-state capacity, preparing every participant's bid table is
 // 0 allocs/op — the next round's prepareBids is all the recycling there is.
+// The wide case holds apps of 64, 80, 96 and 9 jobs to it: the split queue,
+// the served-share clearing and the gang-size tally allocate nothing either.
 func TestBidValuationBatchZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
 	}
-	ps, free := valuationFixture(t, 16)
-	var v BidValuator
-	for i := 0; i < 8; i++ { // warm up scratch and entry buffers
-		v.prepareBids(0, free, ps)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		v.prepareBids(0, free, ps)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state valuation round allocates %.1f objects/op, want 0", allocs)
+	for name, fixture := range map[string]func(testing.TB) ([]probedAgent, cluster.Alloc){
+		"16 agents": func(tb testing.TB) ([]probedAgent, cluster.Alloc) { return valuationFixture(tb, 16) },
+		"wide":      wideFixture,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ps, free := fixture(t)
+			var v BidValuator
+			for i := 0; i < 8; i++ { // warm up scratch and entry buffers
+				v.prepareBids(0, free, ps)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				v.prepareBids(0, free, ps)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state valuation round allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -165,6 +174,20 @@ func TestAuctionRoundAllocs(t *testing.T) {
 // over the rows and maps the previous round left in the entry buffers.
 func BenchmarkBidValuationBatch(b *testing.B) {
 	ps, free := valuationFixture(b, 16)
+	var v BidValuator
+	v.prepareBids(0, free, ps) // prime the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.prepareBids(0, free, ps)
+	}
+}
+
+// BenchmarkBidValuationWide is BenchmarkBidValuationBatch over wideFixture's
+// apps of 64, 80, 96 and 9 jobs, where ordering and splitting the jobs, not
+// picking the rows, is the work.
+func BenchmarkBidValuationWide(b *testing.B) {
+	ps, free := wideFixture(b)
 	var v BidValuator
 	v.prepareBids(0, free, ps) // prime the scratch
 	b.ReportAllocs()

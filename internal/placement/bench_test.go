@@ -37,3 +37,35 @@ func BenchmarkDraw(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSplit measures one job split as a bid row runs it: order a 98-job
+// app's jobs (few distinct work-left values, a fifth of the jobs finished)
+// and split a copy of a partly busy sim-cluster pool among them, for a 4-GPU
+// and a 48-GPU budget.
+func BenchmarkSplit(b *testing.B) {
+	topo := cluster.SimulationCluster()
+	rng := rand.New(rand.NewSource(1))
+	free := cluster.NewAlloc()
+	for m := range cluster.MachineID(topo.NumMachines()) {
+		free[m] = rng.Intn(topo.Machine(m).NumGPUs + 1)
+	}
+	jobs := make([]SplitJob, 98)
+	for i := range jobs {
+		if rng.Intn(5) > 0 {
+			jobs[i] = SplitJob{Want: 1 << rng.Intn(4), WorkLeft: 50 * float64(1+rng.Intn(6))}
+		}
+	}
+	for _, budget := range []int{4, 48} {
+		b.Run(fmt.Sprint(budget), func(b *testing.B) {
+			var p Picker
+			q := SplitQueue{Jobs: jobs}
+			shares := make([]cluster.Alloc, len(jobs))
+			b.ReportAllocs()
+			for b.Loop() {
+				p.Split(shares, topo, nil, 0, &q) // empty the last op's shares
+				q.Reset()
+				p.Split(shares, topo, p.Scratch(free), budget, &q)
+			}
+		})
+	}
+}

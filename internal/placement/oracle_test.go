@@ -166,6 +166,30 @@ func (p *oracle) takePacked() {
 	}
 }
 
+// splitOrderExchange is the job split's order as it was before SplitQueue
+// sorted it lazily, verbatim: the indices of the jobs wanting GPUs, least
+// work left first, by an eager exchange sort.
+func splitOrderExchange(order []int, jobs []SplitJob) []int {
+	order = order[:0]
+	for i := range jobs {
+		if jobs[i].Want > 0 {
+			order = append(order, i)
+		}
+	}
+	// The exchange sort is kept as is: it is not stable, and neither bid
+	// tables nor job splits may change with how ties happen to fall.
+	for i := 0; i < len(order); i++ {
+		for k := i + 1; k < len(order); k++ {
+			if jobs[order[k]].WorkLeft < jobs[order[i]].WorkLeft {
+				order[i], order[k] = order[k], order[i]
+			}
+		}
+	}
+	return order
+}
+
+// Split is the job split as it was before it served a SplitQueue, verbatim:
+// every share cleared, then the jobs served in the eager order.
 func (p *oracle) Split(shares []cluster.Alloc, topo *cluster.Topology, pool cluster.Alloc, budget int, jobs []SplitJob, order []int) {
 	for _, share := range shares {
 		clear(share)
@@ -324,14 +348,26 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 	same("pool after drawConstrained", pool, oPool)
 
 	pool, oPool = maps.Clone(dc.free), maps.Clone(dc.free)
-	order := SplitOrder(nil, dc.jobs)
+	q := SplitQueue{Jobs: dc.jobs}
+	q.Reset()
 	shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
-	p.Split(shares, topo, pool, dc.budget, dc.jobs, order)
-	o.Split(oShares, topo, oPool, dc.budget, dc.jobs, order)
+	p.Split(shares, topo, pool, dc.budget, &q)
+	o.Split(oShares, topo, oPool, dc.budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
 	for i := range shares {
 		same("Split share", shares[i], oShares[i])
 	}
 	same("pool after Split", pool, oPool)
+
+	// Again through the same queue onto the same shares, with another budget:
+	// the shares the first split served and this one does not must be empty.
+	budget := dc.free.Total() - dc.budget
+	pool, oPool = maps.Clone(dc.free), maps.Clone(dc.free)
+	p.Split(shares, topo, pool, budget, &q)
+	o.Split(oShares, topo, oPool, budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
+	for i := range shares {
+		same("re-Split share", shares[i], oShares[i])
+	}
+	same("pool after re-Split", pool, oPool)
 }
 
 // TestDrawMatchesOracle is the rack walk's contract: on the paper's clusters,
@@ -395,5 +431,76 @@ func FuzzDrawMatchesOracle(f *testing.F) {
 			}
 		}
 		checkAgainstOracle(t, new(Picker), new(oracle), topo, dc, "fuzz")
+	})
+}
+
+// checkSplitQueue resets q over the jobs in q.Jobs and asks for positions in
+// an order rng draws: growing prefixes in steps of any size, mixed with repeats of
+// positions already sorted, up to a random final length — so the next Reset
+// often lands on a half-sorted queue. After every ask, each position up to
+// the farthest asked for must hold the eager exchange sort's job.
+func checkSplitQueue(t *testing.T, q *SplitQueue, rng *rand.Rand) {
+	t.Helper()
+	want := splitOrderExchange(nil, q.Jobs)
+	q.Reset()
+	if len(q.order) != len(want) {
+		t.Fatalf("the queue holds %d jobs after Reset, the exchange sort orders %d", len(q.order), len(want))
+	}
+	upto := len(want)
+	if rng.Intn(3) == 0 {
+		upto = rng.Intn(len(want) + 1)
+	}
+	for reach := -1; reach < upto-1; {
+		pos := reach + 1 + rng.Intn(min(upto-reach-1, 1+rng.Intn(8)))
+		if reach >= 0 && rng.Intn(4) == 0 {
+			pos = rng.Intn(reach + 1)
+		}
+		q.At(pos)
+		reach = max(reach, pos)
+		for k := range reach + 1 {
+			if got := q.At(k); got != want[k] {
+				t.Fatalf("position %d holds job %d after asking for %d, the exchange sort puts job %d there (order %v, jobs %v)",
+					k, got, pos, want[k], want, q.Jobs)
+			}
+		}
+	}
+}
+
+// TestSplitQueueMatchesExchangeSort is the lazy order's contract: over 20 000
+// seeded job sets of 0–120 jobs with few distinct work-left values (ties are
+// the rule) and some jobs wanting nothing, every prefix the queue is asked
+// for, in any order of growth, is the eager exchange sort's prefix. One queue
+// serves every set, refilled in place, so each Reset must forget the last
+// set's order however far it was sorted.
+func TestSplitQueueMatchesExchangeSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var q SplitQueue
+	for range 20_000 {
+		q.Jobs = q.Jobs[:0]
+		levels := 1 + rng.Intn(8)
+		for range rng.Intn(121) {
+			q.Jobs = append(q.Jobs, SplitJob{Want: rng.Intn(5), WorkLeft: 12.5 * float64(rng.Intn(levels))})
+		}
+		checkSplitQueue(t, &q, rng)
+	}
+}
+
+// FuzzSplitQueueMatchesExchangeSort explores the same contract from fuzzed
+// job sets: each byte of data is a job, its top two bits the GPUs it wants
+// and its low four its work left; seed draws the order of the asks. The
+// reversed set then goes through the same queue.
+func FuzzSplitQueueMatchesExchangeSort(f *testing.F) {
+	f.Add(int64(1), []byte{0x43, 0x81, 0x03, 0xc1, 0x43, 0x40, 0xff})
+	f.Add(int64(2), []byte{0x40, 0x40, 0x40, 0x40})
+	f.Add(int64(3), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		q := SplitQueue{Jobs: make([]SplitJob, len(data))}
+		for i, b := range data {
+			q.Jobs[i] = SplitJob{Want: int(b >> 6), WorkLeft: float64(b & 15)}
+		}
+		checkSplitQueue(t, &q, rng)
+		slices.Reverse(q.Jobs)
+		checkSplitQueue(t, &q, rng)
 	})
 }

@@ -522,7 +522,7 @@ func (p *Picker) DrawSpread(dst, pool cluster.Alloc, count int) cluster.Alloc {
 // The zero value takes no part in a split.
 type SplitJob struct {
 	// Want is how many GPUs the job can use; jobs wanting none (the caller's
-	// finished or killed jobs) are skipped.
+	// finished or killed jobs) are left out of the SplitQueue.
 	Want int
 	// WorkLeft is the key jobs are served by, least first. It is the
 	// caller's: the estimator asks the app's tuner, the simulator reads the
@@ -535,49 +535,64 @@ type SplitJob struct {
 	Unresolvable bool
 }
 
-// SplitOrder returns (in order's storage) the indices of the jobs a split
-// serves, least work left first: the job that finishes first determines the
-// app's finish time, so it is placed best.
-func SplitOrder(order []int, jobs []SplitJob) []int {
-	order = order[:0]
-	for i := range jobs {
-		if jobs[i].Want > 0 {
-			order = append(order, i)
+// SplitQueue is the order a job split serves the jobs wanting GPUs in: least
+// work left first, as the job that finishes first sets the app's finish time.
+//
+// The order is an exchange sort's — it is not stable, and neither bid tables
+// nor job splits may change with how ties happen to fall — run lazily. The
+// sort's outer pass i writes position i for the last time, and later passes
+// touch only later positions. So running pass i when position i is first
+// asked for performs, on every prefix asked for, exactly the eager sort's
+// operations in the eager sort's order: the prefix is the eager sort's, ties
+// included, and a split serving p of n jobs costs O(p·n), not O(n²).
+type SplitQueue struct {
+	Jobs           []SplitJob // the caller's to fill before Reset; shares index like it
+	order          []int      // indices of the jobs wanting GPUs; order[:sorted] is final
+	sorted, served int        // served: positions the last Split through q served
+}
+
+// Reset starts a new order over q.Jobs, forgetting the old one.
+func (q *SplitQueue) Reset() {
+	q.order, q.sorted, q.served = q.order[:0], 0, 0
+	for i := range q.Jobs {
+		if q.Jobs[i].Want > 0 {
+			q.order = append(q.order, i)
 		}
 	}
-	// The exchange sort is kept as is: it is not stable, and neither bid
-	// tables nor job splits may change with how ties happen to fall.
-	for i := 0; i < len(order); i++ {
-		for k := i + 1; k < len(order); k++ {
-			if jobs[order[k]].WorkLeft < jobs[order[i]].WorkLeft {
-				order[i], order[k] = order[k], order[i]
+}
+
+// At returns the index of the job served at position pos, running the sort
+// only as far as pos.
+func (q *SplitQueue) At(pos int) int {
+	for ; q.sorted <= pos; q.sorted++ {
+		for i, k := q.sorted, q.sorted+1; k < len(q.order); k++ {
+			if q.Jobs[q.order[k]].WorkLeft < q.Jobs[q.order[i]].WorkLeft {
+				q.order[i], q.order[k] = q.order[k], q.order[i]
 			}
 		}
 	}
-	return order
+	return q.order[pos]
 }
 
 // Split divides an app-level pool among the app's jobs greedily and
 // placement-sensitively, honouring each job's parallelism limit (§5.2 step
-// 4): jobs are served in the given order (see SplitOrder), each drawing up to
-// Want GPUs, and at most budget GPUs leave the pool in total. A job whose
-// locality-best draw violates its placement constraint hands it back and
-// draws constraint-aware instead, so GPUs it cannot use in the shape on offer
-// flow to the app's other jobs rather than being stranded on an unrunnable
-// share.
+// 4): jobs are served in q's order, each drawing up to Want GPUs, and at most
+// budget GPUs leave the pool in total. A job whose locality-best draw
+// violates its placement constraint hands it back and draws constraint-aware
+// instead, so GPUs it cannot use in the shape on offer flow to the app's
+// other jobs rather than being stranded on an unrunnable share.
 //
-// shares is indexed like jobs; every share is cleared, then filled in place
-// (allocated when nil and the job draws). pool is debited and must be the
-// caller's to change.
-func (p *Picker) Split(shares []cluster.Alloc, topo *cluster.Topology, pool cluster.Alloc, budget int, jobs []SplitJob, order []int) {
-	for _, share := range shares {
-		clear(share)
-	}
-	for _, i := range order {
-		if budget <= 0 || len(pool) == 0 {
-			return
-		}
-		j := &jobs[i]
+// It stops where the budget or the pool runs out and returns the jobs it
+// served, in order (valid until q changes). shares is indexed like q.Jobs;
+// it touches only the served jobs' shares (cleared, then filled in place;
+// allocated when nil) and those the previous Split through q served (cleared),
+// so shares empty at q's Reset stay empty outside the served prefix. pool is
+// debited and must be the caller's to change.
+func (p *Picker) Split(shares []cluster.Alloc, topo *cluster.Topology, pool cluster.Alloc, budget int, q *SplitQueue) []int {
+	pos := 0
+	for ; pos < len(q.order) && budget > 0 && len(pool) > 0; pos++ {
+		i := q.At(pos)
+		j := &q.Jobs[i]
 		if j.Unresolvable {
 			continue
 		}
@@ -592,4 +607,9 @@ func (p *Picker) Split(shares []cluster.Alloc, topo *cluster.Topology, pool clus
 		shares[i] = got
 		budget -= got.Total()
 	}
+	for _, i := range q.order[min(pos, q.served):q.served] {
+		clear(shares[i])
+	}
+	q.served = pos
+	return q.order[:pos]
 }

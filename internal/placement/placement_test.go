@@ -571,16 +571,23 @@ func TestSplit(t *testing.T) {
 		{}, // a finished job
 		{Want: 8, WorkLeft: 20},
 	}
-	order := SplitOrder(nil, jobs)
+	q := SplitQueue{Jobs: jobs}
+	q.Reset()
+	var order []int
+	for pos := range len(q.order) {
+		order = append(order, q.At(pos))
+	}
 	if want := []int{2, 1, 4, 0}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("SplitOrder = %v, want %v (least work left first, finished jobs out)", order, want)
+		t.Fatalf("split order = %v, want %v (least work left first, finished jobs out)", order, want)
 	}
 	// Domain 0 holds more free GPUs (three singles) than domain 1 (one pair),
 	// so job 1's locality-best draw is two singles — under its floor of 2. It
 	// must hand them back and take the pair instead.
 	pool := cluster.Alloc{0: 1, 1: 1, 2: 1, 4: 2}
 	shares := make([]cluster.Alloc, len(jobs))
-	p.Split(shares, topo, pool, 5, jobs, order)
+	if served := p.Split(shares, topo, pool, 5, &q); !reflect.DeepEqual(served, []int{2, 1, 4}) {
+		t.Errorf("served %v, want [2 1 4]: the split stops once the pool is spent", served)
+	}
 	if shares[2].Total() != 0 {
 		t.Errorf("unresolvable job drew %v, want nothing", shares[2])
 	}
@@ -599,7 +606,7 @@ func TestSplit(t *testing.T) {
 
 	// The budget caps what leaves the pool, across jobs.
 	pool = cluster.Alloc{2: 4, 3: 4}
-	p.Split(shares, topo, pool, 5, jobs, order)
+	p.Split(shares, topo, pool, 5, &q)
 	if shares[1].Total() != 2 || shares[4].Total() != 3 || pool.Total() != 3 {
 		t.Errorf("budget 5: shares %v pool %v, want 2 + 3 drawn and 3 left", shares, pool)
 	}
@@ -619,7 +626,7 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 		fabricFree[m] = int(m) % (fabric.Machine(m).NumGPUs + 1)
 	}
 	jobs := []SplitJob{{Want: 4, WorkLeft: 2}, {Want: 4, WorkLeft: 1, Constraint: Constraint{MaxMachines: 1}}, {Want: 8, WorkLeft: 3}}
-	order := SplitOrder(nil, jobs)
+	q := SplitQueue{Jobs: jobs}
 	shares := make([]cluster.Alloc, len(jobs))
 	var p Picker
 	dst, pool := cluster.NewAlloc(), cluster.NewAlloc()
@@ -641,11 +648,11 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		for name, pick := range map[string]func(){
-			"PickInto":         func() { p.PickInto(dst, s.topo, s.free, s.anchor, s.count) },
-			"constrained":      func() { p.drawConstrained(dst, s.topo, p.Scratch(s.free), s.anchor, s.count, s.c) },
-			"Draw":             func() { refill(); p.Draw(dst, s.topo, pool, s.anchor, s.count) },
-			"DrawSpread":       func() { refill(); p.DrawSpread(dst, pool, s.count) },
-			"SplitOrder+Split": func() { refill(); order = SplitOrder(order, jobs); p.Split(shares, s.topo, pool, 14, jobs, order) },
+			"PickInto":    func() { p.PickInto(dst, s.topo, s.free, s.anchor, s.count) },
+			"constrained": func() { p.drawConstrained(dst, s.topo, p.Scratch(s.free), s.anchor, s.count, s.c) },
+			"Draw":        func() { refill(); p.Draw(dst, s.topo, pool, s.anchor, s.count) },
+			"DrawSpread":  func() { refill(); p.DrawSpread(dst, pool, s.count) },
+			"Reset+Split": func() { refill(); q.Reset(); p.Split(shares, s.topo, pool, 14, &q) },
 		} {
 			pick()
 			if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {

@@ -89,8 +89,7 @@ type runnableJob struct {
 // alone.
 type splitScratch struct {
 	picker placement.Picker
-	jobs   []placement.SplitJob
-	order  []int
+	queue  placement.SplitQueue // Jobs: the splitting app's, like App.Jobs
 	// shares receives what-if splits (usableWith, repairGrant); resplit
 	// writes the app's own jobAllocs instead.
 	shares []cluster.Alloc
@@ -176,24 +175,7 @@ func idealRunningTime(app *workload.App) float64 {
 func (st *AppState) AttainedService() float64 { return st.App.GPUTime() }
 
 // UnmetDemand returns how many additional GPUs the app can still use.
-func (st *AppState) UnmetDemand() int {
-	want := 0
-	for _, j := range st.App.Jobs {
-		if !j.Active() {
-			continue
-		}
-		p := j.MaxParallelism
-		if p <= 0 {
-			p = j.GangSize
-		}
-		want += p
-	}
-	unmet := want - st.heldTotal
-	if unmet < 0 {
-		return 0
-	}
-	return unmet
-}
+func (st *AppState) UnmetDemand() int { return st.App.UnmetWidth(st.heldTotal) }
 
 // PausedUntil returns the time before which the app's jobs make no progress
 // because of checkpoint/restart churn after its last allocation change.
@@ -303,14 +285,18 @@ func (st *AppState) resplit() {
 // budget GPUs. shares is indexed like App.Jobs; pool is debited. It returns
 // the job facts the split used, valid until the next split.
 func (st *AppState) splitInto(shares []cluster.Alloc, pool cluster.Alloc, budget int) []placement.SplitJob {
-	sc := st.split
-	sc.jobs = sc.jobs[:0]
+	sc, q := st.split, &st.split.queue
+	q.Jobs = q.Jobs[:0]
 	for _, j := range st.App.Jobs {
-		sc.jobs = append(sc.jobs, j.SplitJob(st.topo, j.RemainingWork()))
+		q.Jobs = append(q.Jobs, j.SplitJob(st.topo, j.RemainingWork()))
 	}
-	sc.order = placement.SplitOrder(sc.order, sc.jobs)
-	sc.picker.Split(shares, st.topo, pool, budget, sc.jobs, sc.order)
-	return sc.jobs
+	q.Reset()
+	// The simulator reads every share; the queue is shared, so empty them all.
+	for _, share := range shares {
+		clear(share)
+	}
+	sc.picker.Split(shares, st.topo, pool, budget, q)
+	return q.Jobs
 }
 
 // whatIf splits pool like splitInto, but into the shared scratch shares

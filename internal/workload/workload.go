@@ -152,12 +152,16 @@ func (j *Job) SplitJob(topo *cluster.Topology, workLeft float64) placement.Split
 	if !j.Active() {
 		return placement.SplitJob{}
 	}
-	want := j.MaxParallelism
-	if want <= 0 {
-		want = j.GangSize
-	}
 	c, ok := j.PlacementConstraint(topo)
-	return placement.SplitJob{Want: want, WorkLeft: workLeft, Constraint: c, Unresolvable: !ok}
+	return placement.SplitJob{Want: j.Width(), WorkLeft: workLeft, Constraint: c, Unresolvable: !ok}
+}
+
+// Width is how many GPUs the job can use at once: MaxParallelism, or GangSize.
+func (j *Job) Width() int {
+	if j.MaxParallelism > 0 {
+		return j.MaxParallelism
+	}
+	return j.GangSize
 }
 
 // Progress returns the fraction of the trial's work completed, in [0, 1].
@@ -319,6 +323,18 @@ func (a *App) MaxParallelism() int {
 		}
 	}
 	return p
+}
+
+// UnmetWidth returns how many more GPUs than held the app's active jobs could
+// use at once (the sum of their widths), or 0 when held covers them.
+func (a *App) UnmetWidth(held int) int {
+	want := 0
+	for _, j := range a.Jobs {
+		if j.Active() {
+			want += j.Width()
+		}
+	}
+	return max(want-held, 0)
 }
 
 // CompletionTime returns the app's completion time (finish − submit), or
