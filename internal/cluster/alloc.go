@@ -194,12 +194,13 @@ func (s *State) TotalUsed() int {
 }
 
 // FreeVector returns the free GPUs per machine as an Alloc — the resource
-// offer vector the Arbiter auctions.
+// offer vector the Arbiter auctions. Like TotalFree it iterates machines by
+// index, so the returned map is its only allocation.
 func (s *State) FreeVector() Alloc {
 	out := NewAlloc()
-	for _, m := range s.topo.Machines() {
-		if free := s.FreeOn(m.ID); free > 0 {
-			out[m.ID] = free
+	for id := 0; id < s.topo.NumMachines(); id++ {
+		if free := s.FreeOn(MachineID(id)); free > 0 {
+			out[MachineID(id)] = free
 		}
 	}
 	return out

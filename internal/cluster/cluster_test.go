@@ -186,6 +186,29 @@ func TestStateFreeVectorAndApps(t *testing.T) {
 	}
 }
 
+// TestFreeVectorAllocatesOnlyItsMap pins FreeVector to the cost of the map it
+// returns: walking the machines must not copy the topology's machine slice.
+func TestFreeVectorAllocatesOnlyItsMap(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := NewState(mustTopo(t, 64, 4, 2))
+	if err := s.Grant("a", Alloc{0: 4, 5: 1, 63: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := s.FreeVector()
+	got := testing.AllocsPerRun(50, func() { s.FreeVector() })
+	fill := testing.AllocsPerRun(50, func() {
+		out := NewAlloc()
+		for m, n := range want {
+			out[m] = n
+		}
+	})
+	if got != fill {
+		t.Errorf("FreeVector allocates %.0f objects, filling a fresh Alloc with its %d entries %.0f", got, len(want), fill)
+	}
+}
+
 func TestLocality(t *testing.T) {
 	// 4 machines x 4 GPUs (slot=2), 2 per rack
 	topo, err := Config{

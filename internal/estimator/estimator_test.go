@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -62,7 +63,7 @@ func TestCurveForJobQualityOrdering(t *testing.T) {
 func TestFitCurveRecoversProjection(t *testing.T) {
 	truth := LossCurve{Init: 2.2, Floor: 0.3, Scale: 120, Alpha: 0.9}
 	iters := []int{0, 10, 20, 40, 80, 120, 160, 200}
-	losses := truth.Sample(iters, 0.005, 99)
+	losses := sample(truth, iters, 0.005, 99)
 	fit, err := FitCurve(iters, losses)
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +129,33 @@ func TestErrorModel(t *testing.T) {
 	}
 }
 
+// sample returns the losses observed on c at the given iterations, with
+// multiplicative noise of relative magnitude noise drawn from one math/rand
+// generator seeded with seed. It is the multi-point form Observe replaced,
+// and Observe's oracle.
+func sample(c LossCurve, iters []int, noise float64, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, len(iters))
+	for k, i := range iters {
+		l := c.Loss(i)
+		if noise > 0 {
+			l *= 1 + (rng.Float64()*2-1)*noise
+		}
+		out[k] = l
+	}
+	return out
+}
+
 func TestSampleDeterministic(t *testing.T) {
 	c := LossCurve{Init: 2, Floor: 0.2, Scale: 50, Alpha: 1}
-	a := c.Sample([]int{0, 10, 20}, 0.05, 7)
-	b := c.Sample([]int{0, 10, 20}, 0.05, 7)
+	a := sample(c, []int{0, 10, 20}, 0.05, 7)
+	b := sample(c, []int{0, 10, 20}, 0.05, 7)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("Sample not deterministic under same seed")
+			t.Fatal("sample not deterministic under same seed")
 		}
+	}
+	if c.Observe(10, 0.05, 7) != c.Observe(10, 0.05, 7) {
+		t.Fatal("Observe not deterministic under same seed")
 	}
 }

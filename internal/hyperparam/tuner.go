@@ -86,7 +86,6 @@ type HyperBand struct {
 	// ObservationNoise perturbs observed losses to model measurement noise.
 	ObservationNoise float64
 
-	curves   map[workload.JobID]estimator.LossCurve
 	nextRung map[workload.AppID]int
 	active   []*workload.Job // Update's snapshot: the loop kills what it ranges over
 }
@@ -100,7 +99,6 @@ func NewHyperBand(rungIterations int) *HyperBand {
 	return &HyperBand{
 		RungIterations:   rungIterations,
 		ObservationNoise: 0.01,
-		curves:           make(map[workload.JobID]estimator.LossCurve),
 		nextRung:         make(map[workload.AppID]int),
 	}
 }
@@ -133,9 +131,8 @@ func (h *HyperBand) Update(now float64, app *workload.App) {
 		}
 		ranked := make([]scored, 0, len(active))
 		for _, j := range active {
-			c := h.curveFor(j)
-			obs := c.Sample([]int{boundary}, h.ObservationNoise, j.Seed+int64(boundary))
-			ranked = append(ranked, scored{job: j, loss: obs[0]})
+			obs := estimator.CurveForJob(j).Observe(boundary, h.ObservationNoise, j.Seed+int64(boundary))
+			ranked = append(ranked, scored{job: j, loss: obs})
 		}
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].loss < ranked[j].loss })
 		keep := (len(ranked) + 1) / 2
@@ -151,15 +148,6 @@ func (h *HyperBand) WorkLeft(j *workload.Job) float64 { return j.RemainingWork()
 
 // Done implements Tuner.
 func (h *HyperBand) Done(app *workload.App) bool { return appDone(app) }
-
-func (h *HyperBand) curveFor(j *workload.Job) estimator.LossCurve {
-	c, ok := h.curves[j.ID]
-	if !ok {
-		c = estimator.CurveForJob(j)
-		h.curves[j.ID] = c
-	}
-	return c
-}
 
 // Classification labels used by HyperDrive.
 type Classification int
@@ -201,7 +189,6 @@ type HyperDrive struct {
 	// parallelism relative to its gang size.
 	PromisingParallelismFraction float64
 
-	curves map[workload.JobID]estimator.LossCurve
 	class  map[workload.JobID]Classification
 	active []*workload.Job // Update's snapshot: the loop kills what it ranges over
 }
@@ -214,7 +201,6 @@ func NewHyperDrive() *HyperDrive {
 		GoodMargin:                   0.10,
 		PromisingMargin:              0.35,
 		PromisingParallelismFraction: 0.5,
-		curves:                       make(map[workload.JobID]estimator.LossCurve),
 		class:                        make(map[workload.JobID]Classification),
 	}
 }
@@ -239,8 +225,7 @@ func (h *HyperDrive) Update(now float64, app *workload.App) {
 		if j.IterationsDone() < h.MinIterations {
 			continue
 		}
-		c := h.curveFor(j)
-		p := c.Loss(5 * j.TotalIterations)
+		p := estimator.CurveForJob(j).Loss(5 * j.TotalIterations)
 		projected[j.ID] = p
 		if p < best {
 			best = p
@@ -309,15 +294,6 @@ func (h *HyperDrive) WorkLeft(j *workload.Job) float64 { return j.RemainingWork(
 
 // Done implements Tuner.
 func (h *HyperDrive) Done(app *workload.App) bool { return appDone(app) }
-
-func (h *HyperDrive) curveFor(j *workload.Job) estimator.LossCurve {
-	c, ok := h.curves[j.ID]
-	if !ok {
-		c = estimator.CurveForJob(j)
-		h.curves[j.ID] = c
-	}
-	return c
-}
 
 // ForApp returns the natural tuner for an app: Single for one-trial apps,
 // HyperBand otherwise (the tuner the paper's prototype implements).

@@ -131,61 +131,66 @@ type SLAQ struct {
 	// WindowMinutes is the horizon over which marginal loss reduction is
 	// evaluated (defaults to a lease length).
 	WindowMinutes float64
-
-	curves map[workload.JobID]estimator.LossCurve
 }
 
 // NewSLAQ returns the SLAQ baseline policy.
-func NewSLAQ() *SLAQ {
-	return &SLAQ{WindowMinutes: 20, curves: make(map[workload.JobID]estimator.LossCurve)}
-}
+func NewSLAQ() *SLAQ { return &SLAQ{WindowMinutes: 20} }
 
 // Name implements sim.Policy.
 func (*SLAQ) Name() string { return "slaq" }
 
 // Allocate repeatedly grants a gang-sized chunk to the app whose best active
 // trial would reduce its loss the most over the next window given that
-// chunk.
+// chunk. One valuation per app per round, then the winner's: within a call
+// only the winner's holding and demand change, so the others' gains stand.
 func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
 	remaining := free.Clone()
-	demand := demandOf(view)
-	granted := make(map[workload.AppID]int)
 	var picker placement.Picker
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
+	// Indexed like view.Apps: unmet demand, GPUs held plus granted, and gain.
+	demand := make([]int, len(view.Apps))
+	have := make([]int, len(view.Apps))
+	gain := make([]float64, len(view.Apps))
+	for i, st := range view.Apps {
+		if demand[i] = st.UnmetDemand(); demand[i] > 0 {
+			have[i] = st.Held.Total()
+			gain[i] = s.lossReduction(st, have[i], chunkFor(st, demand[i]))
+		}
+	}
 	for len(remaining) > 0 {
-		var best *sim.AppState
-		bestGain := 0.0
-		for _, st := range view.Apps {
-			if demand[st.App.ID] <= 0 {
+		best := -1
+		for i, st := range view.Apps {
+			if demand[i] <= 0 {
 				continue
 			}
-			chunk := chunkFor(st, demand[st.App.ID])
-			gain := s.lossReduction(st, st.Held.Total()+granted[st.App.ID], chunk)
-			if best == nil || gain > bestGain ||
-				(gain == bestGain && st.App.SubmitTime < best.App.SubmitTime) {
-				best, bestGain = st, gain
+			if best < 0 || gain[i] > gain[best] ||
+				(gain[i] == gain[best] && st.App.SubmitTime < view.Apps[best].App.SubmitTime) {
+				best = i
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		chunk := chunkFor(best, demand[best.App.ID])
-		alloc = picker.DrawSpread(alloc, remaining, chunk)
+		st := view.Apps[best]
+		alloc = picker.DrawSpread(alloc, remaining, chunkFor(st, demand[best]))
 		if alloc.Total() == 0 {
 			break
 		}
-		mergeGrant(out, best.App.ID, alloc)
-		demand[best.App.ID] -= alloc.Total()
-		granted[best.App.ID] += alloc.Total()
+		mergeGrant(out, st.App.ID, alloc)
+		demand[best] -= alloc.Total()
+		have[best] += alloc.Total()
+		if demand[best] > 0 {
+			gain[best] = s.lossReduction(st, have[best], chunkFor(st, demand[best]))
+		}
 	}
 	return out, nil
 }
 
 // lossReduction estimates the loss decrease the app's best-progressing trial
 // would achieve over the policy window if the app went from have to
-// have+extra GPUs.
+// have+extra GPUs: one valuation per app per round, then the winner's.
 func (s *SLAQ) lossReduction(st *sim.AppState, have, extra int) float64 {
 	window := s.WindowMinutes
 	if window <= 0 {
@@ -196,11 +201,7 @@ func (s *SLAQ) lossReduction(st *sim.AppState, have, extra int) float64 {
 		if !j.Active() {
 			continue
 		}
-		curve, ok := s.curves[j.ID]
-		if !ok {
-			curve = estimator.CurveForJob(j)
-			s.curves[j.ID] = curve
-		}
+		curve := estimator.CurveForJob(j)
 		perIterWork := j.TotalWork / float64(maxInt(j.TotalIterations, 1))
 		done := j.IterationsDone()
 		itersWith := done + int(window*float64(have+extra)/maxFloat(perIterWork, 1e-9))
