@@ -53,7 +53,8 @@ type Arbiter struct {
 
 	// val batches each round's bid preparation, recycling the valuation
 	// scratch (candidate sizes, entry buffers and their rows' maps) across
-	// auctions instead of reallocating it per participant.
+	// auctions instead of reallocating it per participant; step 1 uses its
+	// Fanout too.
 	val BidValuator
 	// cands is the leftover pass's candidate scratch, emptied after each use.
 	cands []LeftoverCandidate
@@ -140,6 +141,10 @@ func (a *Arbiter) Config() Config { return a.cfg }
 // Topology returns the topology the Arbiter schedules.
 func (a *Arbiter) Topology() *cluster.Topology { return a.topo }
 
+// SetFanout installs the hook that asks Remote bidders (nil, the default, calls
+// every bidder inline); not concurrently with OfferResources.
+func (a *Arbiter) SetFanout(f Fanout) { a.val.fanout = f }
+
 // Bidder is the Arbiter-facing interface of an Agent. The in-process *Agent
 // implements it directly; the rpc package provides a remote implementation
 // that forwards each call to an agent daemon over HTTP.
@@ -180,6 +185,8 @@ type Allocation struct {
 // Config().LeaseDuration. Every decision's Alloc is a map of its own: the bid
 // rows the round valued are recycled by the next round, the decisions are the
 // caller's to keep.
+// With a Fanout installed, Remote bidders' probes and bids may overlap; their
+// answers land by index, so the decisions are the inline round's.
 func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []AgentState) ([]Allocation, error) {
 	if free.Total() == 0 || len(agents) == 0 {
 		return nil, nil
@@ -189,11 +196,25 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	a.Stats.GPUsAuctioned += free.Total()
 	a.lastRound = RoundPhases{Agents: len(agents), OfferedGPUs: free.Total()}
 
-	// Step 1: probe every app for its current ρ.
-	ps := make([]probedAgent, 0, len(agents))
-	for _, st := range agents {
-		ps = append(ps, probedAgent{state: st, id: st.Agent.ID(), rho: st.Agent.ReportRho(now, st.Current)})
+	// Step 1: probe every app for its current ρ, in index order; the fanout
+	// probes the Remote ones afterwards, each into its own slot.
+	ps := make([]probedAgent, len(agents))
+	remote := a.val.remote[:0]
+	for i, st := range agents {
+		ps[i] = probedAgent{state: st, id: st.Agent.ID()}
+		if a.val.isRemote(st.Agent) {
+			remote = append(remote, i)
+		} else {
+			ps[i].rho = st.Agent.ReportRho(now, st.Current)
+		}
 	}
+	if idx := remote; len(idx) > 0 {
+		a.val.fanout(len(idx), func(k int) {
+			p := &ps[idx[k]]
+			p.rho = p.state.Agent.ReportRho(now, p.state.Current)
+		})
+	}
+	a.val.remote = remote
 	// Step 2: sort by decreasing ρ (worst-off first) and offer to the worst
 	// 1−f fraction, always at least one app. Equal ρ — every starved app at one
 	// instant, every degraded remote bidder — falls back on the app ID, so who
@@ -206,13 +227,7 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 		return cmp.Compare(a.id, b.id)
 	})
 	n := len(ps)
-	participants := int(math.Ceil((1 - a.cfg.FairnessKnob) * float64(n)))
-	if participants < 1 {
-		participants = 1
-	}
-	if participants > n {
-		participants = n
-	}
+	participants := min(max(int(math.Ceil((1-a.cfg.FairnessKnob)*float64(n))), 1), n)
 	a.Stats.OffersMade += participants
 	probed := time.Now()
 	a.lastRound.Probe = probed.Sub(start)

@@ -33,6 +33,23 @@ type BidValuator struct {
 	entries [][]BidEntry
 	// picker reuses placement scratch across candidate picks.
 	picker placement.Picker
+	// fanout asks the Remote bidders; remote is the scratch of their indexes.
+	fanout Fanout
+	remote []int
+}
+
+// Fanout runs call(i) for every i in [0, n), possibly concurrently, and returns
+// once all have returned. The serving layer installs one with SetFanout.
+type Fanout func(n int, call func(i int))
+
+// Remote marks a Bidder whose calls leave the process (the rpc package's HTTP
+// agents): an Arbiter with a Fanout asks it for ρ and bids through the Fanout.
+type Remote interface{ Remote() }
+
+// isRemote reports whether b's calls go through the fanout.
+func (v *BidValuator) isRemote(b Bidder) bool {
+	_, ok := b.(Remote)
+	return ok && v.fanout != nil
 }
 
 // nextRow returns entries extended by one row whose Alloc is an empty map:
@@ -55,13 +72,15 @@ func nextRow(entries []BidEntry) []BidEntry {
 }
 
 // prepareBids values an offer for every bidding participant. In-process
-// *Agent bidders run through the scratch-reusing path; any other Bidder
-// (e.g. the rpc package's remote agents) falls back to its own PrepareBid.
-// The returned slice, the Entries backing arrays and the rows' Alloc maps are
-// owned by the valuator and valid until the next prepareBids call — exactly
-// the lifetime OfferResources needs (the auction copies what it keeps).
+// *Agent bidders run through the scratch-reusing path; any other Bidder falls
+// back to its own PrepareBid, inline in index order, but Remote ones are asked
+// through the fanout afterwards. Each table lands at its bidder's index, so the
+// bid order is the same either way. The returned slice, the Entries backing
+// arrays and the rows' Alloc maps are owned by the valuator and valid until the
+// next prepareBids call — exactly the lifetime OfferResources needs (the
+// auction copies what it keeps).
 func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []probedAgent) []BidTable {
-	bids := v.bids[:0]
+	bids, remote := v.bids[:0], v.remote[:0]
 	for len(v.entries) < len(bidding) {
 		v.entries = append(v.entries, nil)
 	}
@@ -70,11 +89,21 @@ func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []pr
 			table := ag.prepareBidInto(now, offer, p.state.Current, v, v.entries[i][:0])
 			v.entries[i] = table.Entries
 			bids = append(bids, table)
+		} else if v.isRemote(p.state.Agent) {
+			remote = append(remote, i)
+			bids = append(bids, BidTable{})
 		} else {
 			bids = append(bids, p.state.Agent.PrepareBid(now, offer, p.state.Current))
 		}
 	}
-	v.bids = bids
+	// Built only for a remote bidder: an inline round allocates no closure.
+	if out, idx := bids, remote; len(idx) > 0 {
+		v.fanout(len(idx), func(k int) {
+			p := bidding[idx[k]]
+			out[idx[k]] = p.state.Agent.PrepareBid(now, offer, p.state.Current)
+		})
+	}
+	v.bids, v.remote = bids, remote
 	return bids
 }
 

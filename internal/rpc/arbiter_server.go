@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"themis/internal/cluster"
@@ -46,6 +47,9 @@ type RemoteBidder struct {
 // ID implements core.Bidder.
 func (r *RemoteBidder) ID() workload.AppID { return r.AppID }
 
+// Remote implements core.Remote: the server's fanout asks this bidder.
+func (r *RemoteBidder) Remote() {}
+
 func (r *RemoteBidder) ctx() (context.Context, context.CancelFunc) {
 	timeout := r.Timeout
 	if timeout <= 0 {
@@ -67,11 +71,15 @@ func toGlobal(part *shard.Partition, a cluster.Alloc) cluster.Alloc {
 // ReportRho implements core.Bidder over HTTP. Anything but a finite positive
 // ρ — an unreachable agent, one with nothing left to run, or one answering
 // garbage — reports the app as perfectly satisfied, so it never wins an
-// auction it cannot consume and never poisons the Arbiter's ρ sort.
+// auction it cannot consume and never poisons the Arbiter's ρ sort. A
+// non-finite ρ counts as an error, like a failed call.
 func (r *RemoteBidder) ReportRho(now float64, current cluster.Alloc) float64 {
 	ctx, cancel := r.ctx()
 	defer cancel()
 	rho, err := r.Client.ProbeRho(ctx, now, toGlobal(r.Map, current))
+	if err == nil && (math.IsNaN(rho) || math.IsInf(rho, 0)) {
+		countError("/v1/rho")
+	}
 	if err != nil || !finitePositive(rho) {
 		return 1
 	}
@@ -98,7 +106,7 @@ func (r *RemoteBidder) PrepareBid(now float64, offer, current cluster.Alloc) cor
 		return empty
 	}
 	if !r.acceptBid(&bid, offer) {
-		clientErrors["/v1/bid"].Inc()
+		countError("/v1/bid")
 		return empty
 	}
 	return bid
@@ -125,20 +133,11 @@ func (r *RemoteBidder) acceptBid(bid *core.BidTable, offer cluster.Alloc) bool {
 
 // UnmetParallelism implements core.Bidder using the registered demand.
 func (r *RemoteBidder) UnmetParallelism(current cluster.Alloc) int {
-	unmet := r.Demand - current.Total()
-	if unmet < 0 {
-		return 0
-	}
-	return unmet
+	return max(r.Demand-current.Total(), 0)
 }
 
 // GangSize implements core.Bidder.
-func (r *RemoteBidder) GangSize() int {
-	if r.Gang <= 0 {
-		return 1
-	}
-	return r.Gang
-}
+func (r *RemoteBidder) GangSize() int { return max(r.Gang, 1) }
 
 // registeredAgent is one app known to the arbiter: its Bidder plus the HTTP
 // callback that receives allocation deliveries (nil for in-process bidders,
@@ -166,8 +165,9 @@ type registeredAgent struct {
 //     its own Arbiter, state and auctionMu.
 //   - mu guards the mutable registry and occupancy state (agents, state,
 //     leases). It is held only for short map/state accesses and NEVER across
-//     network calls (probes, bids, deliveries), so registration and status
-//     stay responsive while a slow auction is in flight.
+//     network calls (probes, bids, deliveries — which run on fanout,
+//     fanoutWidth at a time), so registration and status stay responsive
+//     while a slow auction is in flight.
 type ArbiterServer struct {
 	arbiter *core.Arbiter
 	topo    *cluster.Topology
@@ -212,6 +212,7 @@ func NewArbiterServer(arb *core.Arbiter) *ArbiterServer {
 // (nil when its machine IDs are already the global ones).
 func newArbiterServer(arb *core.Arbiter, label string, part *shard.Partition) *ArbiterServer {
 	start := time.Now()
+	arb.SetFanout(fanout)
 	return &ArbiterServer{
 		arbiter:    arb,
 		topo:       arb.Topology(),
@@ -570,19 +571,43 @@ func (s *ArbiterServer) notifyAgents(now float64, changed map[workload.AppID]boo
 
 // deliverChanged sends every changed app that registered a callback ONE
 // message carrying held(app), its new total allocation in global machine IDs,
-// leased until now+lease. client and held take their owner's lock per app;
-// the HTTP calls run outside every lock. A failed delivery is dropped; the
-// client has counted the transport failure.
+// leased until now+lease, on the fanout. client and held take their owner's
+// lock per app; the HTTP calls run outside every lock. A failed delivery is
+// dropped; the client has counted it.
 func deliverChanged(now, lease float64, changed map[workload.AppID]bool, client func(workload.AppID) *AgentClient, held func(workload.AppID) cluster.Alloc) {
+	var apps []workload.AppID
+	var clients []*AgentClient
 	for app := range changed {
-		c := client(app)
-		if c == nil {
-			continue // in-process bidders pull their allocation from the auction response
+		if c := client(app); c != nil { // in-process bidders pull their allocation from the auction response
+			apps, clients = append(apps, app), append(clients, c)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = c.DeliverAllocation(ctx, now, held(app), true, now+lease)
-		cancel()
 	}
+	fanout(len(apps), func(i int) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = clients[i].DeliverAllocation(ctx, now, held(apps[i]), true, now+lease)
+	})
+}
+
+// fanoutWidth bounds how many of a round's remote calls are in flight at once.
+const fanoutWidth = 8
+
+// fanout is every server's core.Fanout: call(i) for every i in [0, n) on at
+// most fanoutWidth goroutines. Each call keeps its own timeout, so a hung
+// agent holds one worker, not the round.
+func fanout(n int, call func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, fanoutWidth) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				call(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // snapshotAgents returns the registered bidders; the sharded reconciliation

@@ -14,10 +14,11 @@ import (
 	"themis/internal/telemetry"
 )
 
-// clientErrors counts transport failures per endpoint. The map is built once
-// at init over the protocol's fixed endpoint set and never written again, so
-// the failure path reads it without a lock; unknown paths (none exist today)
-// fall back to the catch-all "other" series.
+// clientErrors counts failed and degraded calls per endpoint, each once: a
+// transport failure, a non-200 reply, an undecodable body or a refused answer.
+// The map is built once at init over the protocol's fixed endpoint set and
+// never written again, so the failure path reads it without a lock; unknown
+// paths (none exist today) fall back to the catch-all "other" series.
 var clientErrors = func() map[string]*telemetry.Counter {
 	reg := telemetry.Default()
 	m := make(map[string]*telemetry.Counter)
@@ -26,11 +27,20 @@ var clientErrors = func() map[string]*telemetry.Counter {
 		"/v1/register", "/v1/auction", "/v1/status", "/v1/shards", "other",
 	} {
 		m[p] = reg.Counter("themis_rpc_client_errors_total",
-			"Transport failures calling a remote agent or arbiter, by endpoint.",
+			"Failed or degraded calls to a remote agent or arbiter, by endpoint.",
 			telemetry.L("endpoint", p))
 	}
 	return m
 }()
+
+// countError records one failed or degraded call to path.
+func countError(path string) {
+	c, ok := clientErrors[path]
+	if !ok {
+		c = clientErrors["other"]
+	}
+	c.Inc()
+}
 
 // transportError records a failed attempt and wraps err with the method,
 // endpoint and attempt duration, so the /metrics error counters and the log
@@ -38,13 +48,18 @@ var clientErrors = func() map[string]*telemetry.Counter {
 // attempt ran (a timeout after 10s and a refused connection after 1ms look
 // identical without it).
 func transportError(method, path string, start time.Time, err error) error {
-	c, ok := clientErrors[path]
-	if !ok {
-		c = clientErrors["other"]
-	}
-	c.Inc()
+	countError(path)
 	return fmt.Errorf("rpc: %s %s failed after %s: %w", method, path, time.Since(start).Round(100*time.Microsecond), err)
 }
+
+// agentTransport is the keep-alive pool NewAgentClient's clients share. The
+// default keeps 2 idle connections per host, so a fan-out to one host would
+// dial and drop some every round; this one keeps and caps a fan-out's width.
+var agentTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost, t.MaxConnsPerHost = fanoutWidth, fanoutWidth
+	return t
+}()
 
 // AgentClient is the Arbiter-side client for one registered Agent.
 type AgentClient struct {
@@ -57,14 +72,7 @@ type AgentClient struct {
 
 // NewAgentClient returns a client for the Agent at baseURL.
 func NewAgentClient(baseURL string) *AgentClient {
-	return &AgentClient{BaseURL: baseURL, HTTPClient: &http.Client{Timeout: 10 * time.Second}}
-}
-
-func (c *AgentClient) client() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
+	return &AgentClient{BaseURL: baseURL, HTTPClient: &http.Client{Timeout: 10 * time.Second, Transport: agentTransport}}
 }
 
 // drainAndClose consumes whatever is left of a response body before closing
@@ -90,26 +98,7 @@ func (c *AgentClient) post(ctx context.Context, path string, in, out any) error 
 		return fmt.Errorf("rpc: building request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return transportError(http.MethodPost, path, start, err)
-	}
-	defer drainAndClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("rpc: %s returned %d: %s", path, resp.StatusCode, e.Error)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("rpc: decoding %s response: %w", path, err)
-	}
-	return nil
+	return c.do(req, path, out)
 }
 
 // get fetches a JSON resource, decoding it into out. Non-200 responses are
@@ -119,10 +108,21 @@ func (c *AgentClient) get(ctx context.Context, path string, out any) error {
 	if err != nil {
 		return fmt.Errorf("rpc: building request: %w", err)
 	}
+	return c.do(req, path, out)
+}
+
+// do sends req and decodes the JSON response into out (nil discards it). A
+// transport failure, a non-200 reply and an undecodable body each count once
+// on path's error counter.
+func (c *AgentClient) do(req *http.Request, path string, out any) error {
+	hc := c.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
 	start := time.Now()
-	resp, err := c.client().Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return transportError(http.MethodGet, path, start, err)
+		return transportError(req.Method, path, start, err)
 	}
 	defer drainAndClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
@@ -130,12 +130,14 @@ func (c *AgentClient) get(ctx context.Context, path string, out any) error {
 			Error string `json:"error"`
 		}
 		_ = json.NewDecoder(resp.Body).Decode(&e)
+		countError(path)
 		return fmt.Errorf("rpc: %s returned %d: %s", path, resp.StatusCode, e.Error)
 	}
 	if out == nil {
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		countError(path)
 		return fmt.Errorf("rpc: decoding %s response: %w", path, err)
 	}
 	return nil
@@ -154,7 +156,11 @@ func (c *AgentClient) RequestBid(ctx context.Context, now float64, offer, curren
 	if err := c.post(ctx, "/v1/bid", BidRequest{Now: now, Offer: ToWireAlloc(offer), Current: ToWireAlloc(current)}, &resp); err != nil {
 		return core.BidTable{}, err
 	}
-	return resp.ToBidTable()
+	table, err := resp.ToBidTable()
+	if err != nil {
+		countError("/v1/bid")
+	}
+	return table, err
 }
 
 // DeliverAllocation notifies the Agent of its new total allocation and lease
@@ -170,31 +176,19 @@ func (c *AgentClient) Health(ctx context.Context) error {
 	return c.get(ctx, "/v1/health", nil)
 }
 
-// ArbiterClient is the Agent-side (or operator-side) client for an Arbiter.
-type ArbiterClient struct {
-	BaseURL    string
-	HTTPClient *http.Client
-}
+// ArbiterClient is the Agent-side (or operator-side) client for an Arbiter. It
+// has AgentClient's fields and sends its requests through AgentClient's path.
+type ArbiterClient AgentClient
 
 // NewArbiterClient returns a client for the Arbiter at baseURL.
 func NewArbiterClient(baseURL string) *ArbiterClient {
 	return &ArbiterClient{BaseURL: baseURL, HTTPClient: &http.Client{Timeout: 10 * time.Second}}
 }
 
-func (c *ArbiterClient) post(ctx context.Context, path string, in, out any) error {
-	a := AgentClient{BaseURL: c.BaseURL, HTTPClient: c.HTTPClient}
-	return a.post(ctx, path, in, out)
-}
-
-func (c *ArbiterClient) get(ctx context.Context, path string, out any) error {
-	a := AgentClient{BaseURL: c.BaseURL, HTTPClient: c.HTTPClient}
-	return a.get(ctx, path, out)
-}
-
 // Register announces an Agent to the Arbiter.
 func (c *ArbiterClient) Register(ctx context.Context, app, callback string, maxParallelism int) (RegisterResponse, error) {
 	var resp RegisterResponse
-	err := c.post(ctx, "/v1/register", RegisterRequest{App: app, Callback: callback, MaxParallelism: maxParallelism}, &resp)
+	err := (*AgentClient)(c).post(ctx, "/v1/register", RegisterRequest{App: app, Callback: callback, MaxParallelism: maxParallelism}, &resp)
 	return resp, err
 }
 
@@ -202,7 +196,7 @@ func (c *ArbiterClient) Register(ctx context.Context, app, callback string, maxP
 // currently free and returns the decisions.
 func (c *ArbiterClient) TriggerAuction(ctx context.Context) (AuctionResponse, error) {
 	var resp AuctionResponse
-	err := c.post(ctx, "/v1/auction", struct{}{}, &resp)
+	err := (*AgentClient)(c).post(ctx, "/v1/auction", struct{}{}, &resp)
 	return resp, err
 }
 
@@ -211,7 +205,7 @@ func (c *ArbiterClient) TriggerAuction(ctx context.Context) (AuctionResponse, er
 // status.
 func (c *ArbiterClient) Status(ctx context.Context) (StatusResponse, error) {
 	var out StatusResponse
-	err := c.get(ctx, "/v1/status", &out)
+	err := (*AgentClient)(c).get(ctx, "/v1/status", &out)
 	return out, err
 }
 
@@ -219,6 +213,6 @@ func (c *ArbiterClient) Status(ctx context.Context) (StatusResponse, error) {
 // arbiters return 404.
 func (c *ArbiterClient) ShardStatus(ctx context.Context) (ShardStatusResponse, error) {
 	var out ShardStatusResponse
-	err := c.get(ctx, "/v1/shards", &out)
+	err := (*AgentClient)(c).get(ctx, "/v1/shards", &out)
 	return out, err
 }

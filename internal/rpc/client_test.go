@@ -10,7 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"themis/internal/cluster"
 	"themis/internal/core"
+	"themis/internal/workload"
 )
 
 // TestStatusSurfacesServerErrors pins the fix for the silently-swallowed
@@ -74,6 +76,61 @@ func TestClientReusesConnections(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(conns); got != 1 {
 		t.Errorf("%d requests opened %d connections, want 1 (keep-alive defeated — response bodies not drained?)", 2*calls, got)
+	}
+}
+
+// TestFanoutReusesConnections: the shared agent transport keeps enough idle
+// connections per host for a whole fan-out, so rounds that ask 16 agents on
+// one host through the pool dial no more connections than the pool is wide.
+func TestFanoutReusesConnections(t *testing.T) {
+	topo := fanoutTopo(t)
+	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewArbiterServer(arb)
+	farm := newAgentFarm(t, topo, generatedApps(t, 16))
+	farm.register(t, server)
+	for round := 0; round < 5; round++ {
+		if _, err := server.RunAuction(float64(1000 + 21*round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := farm.maxInFlight.Load(); got < 2 {
+		t.Fatalf("at most %d calls in flight: the rounds did not fan out", got)
+	}
+	if got := farm.conns.Load(); got > fanoutWidth {
+		t.Errorf("5 fanned-out rounds over 16 agents opened %d connections, want at most %d", got, fanoutWidth)
+	}
+}
+
+// TestNon200AnswersCounted: an agent answering with an error status degrades
+// like an unreachable one, and each such answer — probe, bid or delivery —
+// counts once on its endpoint.
+func TestNon200AnswersCounted(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
+	}))
+	defer ts.Close()
+	paths := []string{"/v1/rho", "/v1/bid", "/v1/allocation"}
+	before := make([]uint64, len(paths))
+	for i, p := range paths {
+		before[i] = clientErrors[p].Value()
+	}
+	b := &RemoteBidder{AppID: "busy", Client: NewAgentClient(ts.URL), Demand: 4}
+	if rho := b.ReportRho(0, cluster.NewAlloc()); rho != 1 {
+		t.Errorf("ρ = %v from a failing agent, want 1", rho)
+	}
+	if bid := b.PrepareBid(0, cluster.Alloc{0: 4}, cluster.NewAlloc()); len(bid.Entries) != 1 || bid.Entries[0].Alloc.Total() != 0 {
+		t.Errorf("a failing agent should bid only the empty row: %+v", bid)
+	}
+	deliverChanged(0, 20, map[workload.AppID]bool{"busy": true},
+		func(workload.AppID) *AgentClient { return b.Client },
+		func(workload.AppID) cluster.Alloc { return cluster.Alloc{0: 4} })
+	for i, p := range paths {
+		if got := clientErrors[p].Value() - before[i]; got != 1 {
+			t.Errorf("%s error counter moved by %d, want 1", p, got)
+		}
 	}
 }
 

@@ -248,12 +248,14 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 	beyond := fmt.Sprintf(`{"app":"liar","rows":[{"alloc":[],"rho":9},{"alloc":[{"machine":%d,"gpus":99}],"rho":1}]}`, first)
 	for _, lie := range []struct {
 		name, rho, bid string
-		rejected       bool // the bid is refused and counted, not merely re-stamped or undecodable
+		// Each degraded answer counts once on its endpoint: a refused bid, an
+		// undecodable body. A merely re-stamped app ID is no degradation.
+		rhoErrs, bidErrs uint64
 	}{
-		{"beyond-offer", `{"app":"liar","rho":9}`, beyond, true},
-		{"no-empty-row", `{"app":"liar","rho":9}`, fmt.Sprintf(`{"app":"liar","rows":[{"alloc":[{"machine":%d,"gpus":1}],"rho":1}]}`, first), true},
-		{"foreign-app-id", `{"app":"honest","rho":9}`, `{"app":"honest","rows":[{"alloc":[],"rho":9}]}`, false},
-		{"nan-rho", `{"app":"liar","rho":NaN}`, `{"app":"liar","rows":[{"alloc":[],"rho":NaN}]}`, false},
+		{"beyond-offer", `{"app":"liar","rho":9}`, beyond, 0, 1},
+		{"no-empty-row", `{"app":"liar","rho":9}`, fmt.Sprintf(`{"app":"liar","rows":[{"alloc":[{"machine":%d,"gpus":1}],"rho":1}]}`, first), 0, 1},
+		{"foreign-app-id", `{"app":"honest","rho":9}`, `{"app":"honest","rows":[{"alloc":[],"rho":9}]}`, 0, 0},
+		{"nan-rho", `{"app":"liar","rho":NaN}`, `{"app":"liar","rows":[{"alloc":[],"rho":NaN}]}`, 1, 1},
 	} {
 		t.Run(lie.name, func(t *testing.T) {
 			agent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -270,16 +272,19 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 			defer agent.Close()
 
 			onShard := &RemoteBidder{AppID: "liar", Client: NewAgentClient(agent.URL), Demand: 4, Map: part}
+			rhoBefore, bidBefore := clientErrors["/v1/rho"].Value(), clientErrors["/v1/bid"].Value()
 			if rho := onShard.ReportRho(0, cluster.NewAlloc()); !(rho > 0) || math.IsInf(rho, 0) {
 				t.Errorf("ρ = %v reached the arbiter's sort", rho)
 			}
-			before := clientErrors["/v1/bid"].Value()
 			bid := onShard.PrepareBid(0, cluster.Alloc{0: 4}, cluster.NewAlloc())
 			if bid.App != "liar" || bid.Validate(cluster.Alloc{0: 4}) != nil {
 				t.Errorf("bid reached the auction unvalidated: %+v", bid)
 			}
-			if got := clientErrors["/v1/bid"].Value() - before; (got == 1) != lie.rejected {
-				t.Errorf("rejection counter moved by %d, want rejected=%v", got, lie.rejected)
+			if got := clientErrors["/v1/rho"].Value() - rhoBefore; got != lie.rhoErrs {
+				t.Errorf("/v1/rho error counter moved by %d, want %d", got, lie.rhoErrs)
+			}
+			if got := clientErrors["/v1/bid"].Value() - bidBefore; got != lie.bidErrs {
+				t.Errorf("/v1/bid error counter moved by %d, want %d", got, lie.bidErrs)
 			}
 
 			arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})

@@ -334,10 +334,7 @@ func (s *ShardedArbiterServer) reconcile(now float64, allChanged map[workload.Ap
 	})
 
 	for _, c := range cands {
-		gang := c.bidder.GangSize()
-		if gang <= 0 {
-			gang = 1
-		}
+		gang := max(c.bidder.GangSize(), 1)
 		// Home shard first (any leftover there places next to what the app
 		// holds), then the rest in index order.
 		order := append([]int{c.home}, otherShards(len(s.shards), c.home)...)
@@ -377,8 +374,8 @@ func otherShards(n, home int) []int {
 }
 
 // deliver sends each changed app ONE allocation message carrying its global
-// total across all shards. The callback is looked up on the app's home shard
-// (the only shard remote agents register with).
+// total across all shards, on the fanout. The callback is looked up on the
+// app's home shard (the only shard remote agents register with).
 func (s *ShardedArbiterServer) deliver(now float64, changed map[workload.AppID]bool) {
 	deliverChanged(now, s.shards[0].arbiter.Config().LeaseDuration, changed, func(app workload.AppID) *AgentClient {
 		return s.shards[s.HomeShard(string(app))].notifyClient(app)
