@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
@@ -22,13 +24,27 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "expdriver:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the requested figures to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("expdriver", flag.ContinueOnError)
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 1,2,4a,4b,4c,5a,5b,6,7,8,9a,9b,10,11 or 'all'")
-		quick   = flag.Bool("quick", false, "use the scaled-down benchmark configuration instead of paper-fidelity scale")
-		seed    = flag.Int64("seed", 0, "override the workload seed (0 keeps the default)")
-		workers = flag.Int("workers", 0, "worker pool size for the sweep engine (0 = GOMAXPROCS, 1 = sequential)")
+		fig     = fs.String("fig", "all", "figure to regenerate: 1,2,4a,4b,4c,5a,5b,6,7,8,9a,9b,10,11 or 'all'")
+		quick   = fs.Bool("quick", false, "use the scaled-down benchmark configuration instead of paper-fidelity scale")
+		seed    = fs.Int64("seed", 0, "override the workload seed (0 keeps the default)")
+		workers = fs.Int("workers", 0, "worker pool size for the sweep engine (0 = GOMAXPROCS, 1 = sequential)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opts := experiments.Default()
 	if *quick {
@@ -38,8 +54,7 @@ func main() {
 		opts.Seed = *seed
 	}
 	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "expdriver: -workers must be non-negative")
-		os.Exit(2)
+		return fmt.Errorf("-workers must be non-negative")
 	}
 	opts.Workers = *workers
 
@@ -48,33 +63,33 @@ func main() {
 		figs = []string{"1", "2", "4a", "4b", "4c", "5a", "5b", "6", "7", "8", "9a", "9b", "10", "11"}
 	}
 	for _, f := range figs {
-		if err := emit(strings.TrimSpace(f), opts); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: figure %s: %v\n", f, err)
-			os.Exit(1)
+		if err := emit(w, strings.TrimSpace(f), opts); err != nil {
+			return fmt.Errorf("figure %s: %w", f, err)
 		}
 	}
+	return nil
 }
 
-func emit(fig string, opts experiments.Options) error {
+func emit(w io.Writer, fig string, opts experiments.Options) error {
 	switch fig {
 	case "1":
 		res, err := experiments.Figure1(opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 1: CDF of task durations (minutes)")
-		fmt.Println("duration_min\tcdf")
+		fmt.Fprintln(w, "# Figure 1: CDF of task durations (minutes)")
+		fmt.Fprintln(w, "duration_min\tcdf")
 		for i := range res.Durations {
-			fmt.Printf("%.2f\t%.3f\n", res.Durations[i], res.Fractions[i])
+			fmt.Fprintf(w, "%.2f\t%.3f\n", res.Durations[i], res.Fractions[i])
 		}
-		fmt.Printf("# trace: %d apps, %d jobs, jobs/app median %.0f, duration p50 %.1f min\n",
+		fmt.Fprintf(w, "# trace: %d apps, %d jobs, jobs/app median %.0f, duration p50 %.1f min\n",
 			res.Stats.NumApps, res.Stats.NumJobs, res.Stats.JobsPerAppMedian, res.Stats.TaskDurationP50)
 
 	case "2":
-		fmt.Println("# Figure 2: throughput (images/sec) for 4 GPUs on 1 server vs 2x2 servers")
-		fmt.Println("model\tone_server\ttwo_by_two\tslowdown")
+		fmt.Fprintln(w, "# Figure 2: throughput (images/sec) for 4 GPUs on 1 server vs 2x2 servers")
+		fmt.Fprintln(w, "model\tone_server\ttwo_by_two\tslowdown")
 		for _, r := range experiments.Figure2() {
-			fmt.Printf("%s\t%.1f\t%.1f\t%.2f\n", r.Model, r.OneServer, r.TwoByTwoServers, r.Slowdown)
+			fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.2f\n", r.Model, r.OneServer, r.TwoByTwoServers, r.Slowdown)
 		}
 
 	case "4a":
@@ -82,10 +97,10 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 4a: finish-time fairness vs fairness knob f")
-		fmt.Println("f\tmax_rho\tmedian_rho\tmin_rho")
+		fmt.Fprintln(w, "# Figure 4a: finish-time fairness vs fairness knob f")
+		fmt.Fprintln(w, "f\tmax_rho\tmedian_rho\tmin_rho")
 		for _, r := range rows {
-			fmt.Printf("%.1f\t%.3f\t%.3f\t%.3f\n", r.F, r.MaxFairness, r.MedianFairness, r.MinFairness)
+			fmt.Fprintf(w, "%.1f\t%.3f\t%.3f\t%.3f\n", r.F, r.MaxFairness, r.MedianFairness, r.MinFairness)
 		}
 
 	case "4b":
@@ -93,10 +108,10 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 4b: GPU time (GPU-minutes) vs fairness knob f")
-		fmt.Println("f\tgpu_time_min")
+		fmt.Fprintln(w, "# Figure 4b: GPU time (GPU-minutes) vs fairness knob f")
+		fmt.Fprintln(w, "f\tgpu_time_min")
 		for _, r := range rows {
-			fmt.Printf("%.1f\t%.0f\n", r.F, r.GPUTime)
+			fmt.Fprintf(w, "%.1f\t%.0f\n", r.F, r.GPUTime)
 		}
 
 	case "4c":
@@ -104,10 +119,10 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 4c: max finish-time fairness vs lease duration")
-		fmt.Println("lease_min\tmax_rho")
+		fmt.Fprintln(w, "# Figure 4c: max finish-time fairness vs lease duration")
+		fmt.Fprintln(w, "lease_min\tmax_rho")
 		for _, r := range rows {
-			fmt.Printf("%.0f\t%.3f\n", r.LeaseMinutes, r.MaxFairness)
+			fmt.Fprintf(w, "%.0f\t%.3f\n", r.LeaseMinutes, r.MaxFairness)
 		}
 
 	case "5a", "5b", "6", "7":
@@ -117,37 +132,37 @@ func emit(fig string, opts experiments.Options) error {
 		}
 		switch fig {
 		case "5a":
-			fmt.Println("# Figure 5a: max finish-time fairness per scheme")
-			fmt.Printf("# ideal max fairness at this contention: %.2f\n", cmp.IdealMaxFairness)
-			fmt.Println("scheme\tmax_rho\tpct_from_ideal")
+			fmt.Fprintln(w, "# Figure 5a: max finish-time fairness per scheme")
+			fmt.Fprintf(w, "# ideal max fairness at this contention: %.2f\n", cmp.IdealMaxFairness)
+			fmt.Fprintln(w, "scheme\tmax_rho\tpct_from_ideal")
 			for _, r := range cmp.Figure5a() {
-				fmt.Printf("%s\t%.3f\t%.1f%%\n", r.Scheme, r.MaxFairness, r.PercentFromIdeal)
+				fmt.Fprintf(w, "%s\t%.3f\t%.1f%%\n", r.Scheme, r.MaxFairness, r.PercentFromIdeal)
 			}
 		case "5b":
-			fmt.Println("# Figure 5b: Jain's fairness index per scheme")
-			fmt.Println("scheme\tjains_index")
+			fmt.Fprintln(w, "# Figure 5b: Jain's fairness index per scheme")
+			fmt.Fprintln(w, "scheme\tjains_index")
 			for _, r := range cmp.Figure5b() {
-				fmt.Printf("%s\t%.3f\n", r.Scheme, r.JainsIndex)
+				fmt.Fprintf(w, "%s\t%.3f\n", r.Scheme, r.JainsIndex)
 			}
 		case "6":
-			fmt.Println("# Figure 6: CDF of app completion times (minutes) per scheme")
-			fmt.Println("scheme\tcompletion_min\tcdf")
+			fmt.Fprintln(w, "# Figure 6: CDF of app completion times (minutes) per scheme")
+			fmt.Fprintln(w, "scheme\tcompletion_min\tcdf")
 			for _, c := range cmp.Figure6(20) {
 				for i := range c.Values {
-					fmt.Printf("%s\t%.1f\t%.2f\n", c.Scheme, c.Values[i], c.Fractions[i])
+					fmt.Fprintf(w, "%s\t%.1f\t%.2f\n", c.Scheme, c.Values[i], c.Fractions[i])
 				}
 			}
-			fmt.Println("# Themis mean-JCT improvement over other schemes:")
+			fmt.Fprintln(w, "# Themis mean-JCT improvement over other schemes:")
 			improvement := cmp.MeanJCTImprovement()
 			for _, scheme := range slices.Sorted(maps.Keys(improvement)) {
-				fmt.Printf("# vs %s: %.1f%%\n", scheme, improvement[scheme])
+				fmt.Fprintf(w, "# vs %s: %.1f%%\n", scheme, improvement[scheme])
 			}
 		case "7":
-			fmt.Println("# Figure 7: CDF of placement score per scheme")
-			fmt.Println("scheme\tplacement_score\tcdf")
+			fmt.Fprintln(w, "# Figure 7: CDF of placement score per scheme")
+			fmt.Fprintln(w, "scheme\tplacement_score\tcdf")
 			for _, c := range cmp.Figure7(20) {
 				for i := range c.Values {
-					fmt.Printf("%s\t%.2f\t%.2f\n", c.Scheme, c.Values[i], c.Fractions[i])
+					fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", c.Scheme, c.Values[i], c.Fractions[i])
 				}
 			}
 		}
@@ -157,13 +172,13 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 8: GPU allocation timeline for a short and a long app")
-		fmt.Println("app\ttime_min\tgpus")
+		fmt.Fprintln(w, "# Figure 8: GPU allocation timeline for a short and a long app")
+		fmt.Fprintln(w, "app\ttime_min\tgpus")
 		for _, e := range res.Short {
-			fmt.Printf("short\t%.1f\t%d\n", e.Time, e.GPUs)
+			fmt.Fprintf(w, "short\t%.1f\t%d\n", e.Time, e.GPUs)
 		}
 		for _, e := range res.Long {
-			fmt.Printf("long\t%.1f\t%d\n", e.Time, e.GPUs)
+			fmt.Fprintf(w, "long\t%.1f\t%d\n", e.Time, e.GPUs)
 		}
 
 	case "9a":
@@ -171,10 +186,10 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 9a: factor of improvement in max fairness (Themis over Tiresias) vs % network-intensive apps")
-		fmt.Println("pct_network\tthemis_max_rho\ttiresias_max_rho\tfactor")
+		fmt.Fprintln(w, "# Figure 9a: factor of improvement in max fairness (Themis over Tiresias) vs % network-intensive apps")
+		fmt.Fprintln(w, "pct_network\tthemis_max_rho\ttiresias_max_rho\tfactor")
 		for _, r := range rows {
-			fmt.Printf("%.0f\t%.3f\t%.3f\t%.2f\n", r.NetworkFraction*100, r.ThemisMaxFairness, r.TiresiasMaxFairness, r.FactorOfImprovement)
+			fmt.Fprintf(w, "%.0f\t%.3f\t%.3f\t%.2f\n", r.NetworkFraction*100, r.ThemisMaxFairness, r.TiresiasMaxFairness, r.FactorOfImprovement)
 		}
 
 	case "9b":
@@ -182,10 +197,10 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 9b: GPU time (GPU-minutes) vs % network-intensive apps")
-		fmt.Println("pct_network\tthemis\tgandiva\tslaq\ttiresias")
+		fmt.Fprintln(w, "# Figure 9b: GPU time (GPU-minutes) vs % network-intensive apps")
+		fmt.Fprintln(w, "pct_network\tthemis\tgandiva\tslaq\ttiresias")
 		for _, r := range rows {
-			fmt.Printf("%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n", r.NetworkFraction*100,
+			fmt.Fprintf(w, "%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n", r.NetworkFraction*100,
 				r.GPUTime["themis"], r.GPUTime["gandiva"], r.GPUTime["slaq"], r.GPUTime["tiresias"])
 		}
 
@@ -194,10 +209,10 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 10: Jain's fairness index vs contention factor")
-		fmt.Println("contention\tthemis\ttiresias")
+		fmt.Fprintln(w, "# Figure 10: Jain's fairness index vs contention factor")
+		fmt.Fprintln(w, "contention\tthemis\ttiresias")
 		for _, r := range rows {
-			fmt.Printf("%.0fX\t%.3f\t%.3f\n", r.ContentionFactor, r.ThemisJains, r.TiresiasJains)
+			fmt.Fprintf(w, "%.0fX\t%.3f\t%.3f\n", r.ContentionFactor, r.ThemisJains, r.TiresiasJains)
 		}
 
 	case "11":
@@ -205,15 +220,15 @@ func emit(fig string, opts experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 11: max finish-time fairness vs % error in bid valuations")
-		fmt.Println("pct_error\tmax_rho")
+		fmt.Fprintln(w, "# Figure 11: max finish-time fairness vs % error in bid valuations")
+		fmt.Fprintln(w, "pct_error\tmax_rho")
 		for _, r := range rows {
-			fmt.Printf("%.0f%%\t%.3f\n", r.Theta*100, r.MaxFairness)
+			fmt.Fprintf(w, "%.0f%%\t%.3f\n", r.Theta*100, r.MaxFairness)
 		}
 
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
