@@ -9,8 +9,9 @@ package themis
 // completes in minutes; cmd/expdriver regenerates them at paper-fidelity
 // scale. Absolute numbers differ from the paper (the substrate is a
 // simulator, not the authors' Azure testbed) but the qualitative shapes —
-// who wins, by roughly what factor, where trends bend — are preserved and
-// recorded in EXPERIMENTS.md.
+// who wins, by roughly what factor, where trends bend — are preserved;
+// `go run ./cmd/expdriver -fig scorecard` checks them against the paper's
+// claims.
 
 import (
 	"context"
@@ -31,174 +32,115 @@ import (
 
 func benchOpts() experiments.Options { return experiments.Quick() }
 
-// BenchmarkFigure1TaskDurationCDF regenerates Figure 1 (trace task-duration
-// distribution).
-func BenchmarkFigure1TaskDurationCDF(b *testing.B) {
-	var median float64
+// benchTable builds the named figure table once per iteration and returns
+// the last one built.
+func benchTable(b *testing.B, name string) experiments.Table {
+	b.Helper()
+	var t experiments.Table
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure1(benchOpts())
+		tables, err := experiments.Tables(benchOpts(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		median = res.Stats.TaskDurationP50
+		t = tables[0]
 	}
-	b.ReportMetric(median, "task-p50-min")
+	return t
+}
+
+// ends returns the first and last cells of the named numeric column.
+func ends(t experiments.Table, col string) (first, last float64) {
+	vals := t.Floats(col)
+	return vals[0], vals[len(vals)-1]
+}
+
+// reportPerScheme reports the mean of the named column over each scheme's
+// rows, as unit prefix+scheme.
+func reportPerScheme(b *testing.B, t experiments.Table, col, prefix string) {
+	sum, n := map[string]float64{}, map[string]int{}
+	vals := t.Floats(col)
+	for i, s := range t.Cells("scheme") {
+		sum[s.(string)] += vals[i]
+		n[s.(string)]++
+	}
+	for scheme, v := range sum {
+		b.ReportMetric(v/float64(n[scheme]), prefix+scheme)
+	}
+}
+
+// BenchmarkFigure1TaskDurationCDF regenerates Figure 1 (trace task-duration
+// distribution).
+func BenchmarkFigure1TaskDurationCDF(b *testing.B) {
+	t := benchTable(b, "1")
+	b.ReportMetric(t.Footer[0].Args[3].(float64), "task-p50-min") // the trace note's duration p50
 }
 
 // BenchmarkFigure2PlacementThroughput regenerates Figure 2 (placement
 // sensitivity of model throughput).
 func BenchmarkFigure2PlacementThroughput(b *testing.B) {
-	var vggSlowdown, resnetSlowdown float64
-	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure2() {
-			switch r.Model {
-			case "VGG16":
-				vggSlowdown = r.Slowdown
-			case "ResNet50":
-				resnetSlowdown = r.Slowdown
-			}
-		}
-	}
+	t := benchTable(b, "2")
+	vggSlowdown := t.Lookup("model", "VGG16", "slowdown")
+	resnetSlowdown := t.Lookup("model", "ResNet50", "slowdown")
 	b.ReportMetric(vggSlowdown, "vgg16-2x2-slowdown")
 	b.ReportMetric(resnetSlowdown, "resnet50-2x2-slowdown")
 }
 
 // BenchmarkFigure4aFairnessKnob regenerates Figure 4a (fairness vs f).
 func BenchmarkFigure4aFairnessKnob(b *testing.B) {
-	var atLow, atHigh float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure4a(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		atLow, atHigh = rows[0].MaxFairness, rows[len(rows)-1].MaxFairness
-	}
+	atLow, atHigh := ends(benchTable(b, "4a"), "max_rho")
 	b.ReportMetric(atLow, "max-rho-f0")
 	b.ReportMetric(atHigh, "max-rho-f1")
 }
 
 // BenchmarkFigure4bGPUTimeVsKnob regenerates Figure 4b (GPU time vs f).
 func BenchmarkFigure4bGPUTimeVsKnob(b *testing.B) {
-	var atLow, atHigh float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure4b(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		atLow, atHigh = rows[0].GPUTime, rows[len(rows)-1].GPUTime
-	}
+	atLow, atHigh := ends(benchTable(b, "4b"), "gpu_time_min")
 	b.ReportMetric(atLow, "gpu-min-f0")
 	b.ReportMetric(atHigh, "gpu-min-f1")
 }
 
 // BenchmarkFigure4cLeaseTime regenerates Figure 4c (fairness vs lease length).
 func BenchmarkFigure4cLeaseTime(b *testing.B) {
-	var shortLease, longLease float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure4c(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		shortLease, longLease = rows[0].MaxFairness, rows[len(rows)-1].MaxFairness
-	}
+	shortLease, longLease := ends(benchTable(b, "4c"), "max_rho")
 	b.ReportMetric(shortLease, "max-rho-lease5")
 	b.ReportMetric(longLease, "max-rho-lease40")
-}
-
-// benchComparison runs the §8.3 four-scheme comparison once per iteration
-// and hands each iteration's result to report.
-func benchComparison(b *testing.B, report func(*experiments.Comparison)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiments.RunComparison(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(cmp)
-	}
 }
 
 // BenchmarkFigure5aMaxFairness regenerates Figure 5a (max finish-time
 // fairness across schemes).
 func BenchmarkFigure5aMaxFairness(b *testing.B) {
-	vals := map[string]float64{}
-	benchComparison(b, func(cmp *experiments.Comparison) {
-		for _, r := range cmp.Figure5a() {
-			vals[r.Scheme] = r.MaxFairness
-		}
-	})
-	for scheme, v := range vals {
-		b.ReportMetric(v, "max-rho-"+scheme)
-	}
+	reportPerScheme(b, benchTable(b, "5a"), "max_rho", "max-rho-")
 }
 
 // BenchmarkFigure5bJainsIndex regenerates Figure 5b (Jain's index across
 // schemes).
 func BenchmarkFigure5bJainsIndex(b *testing.B) {
-	vals := map[string]float64{}
-	benchComparison(b, func(cmp *experiments.Comparison) {
-		for _, r := range cmp.Figure5b() {
-			vals[r.Scheme] = r.JainsIndex
-		}
-	})
-	for scheme, v := range vals {
-		b.ReportMetric(v, "jains-"+scheme)
-	}
+	reportPerScheme(b, benchTable(b, "5b"), "jains_index", "jains-")
 }
 
 // BenchmarkFigure6AppCompletionCDF regenerates Figure 6 (app completion time
 // CDFs) and reports Themis's mean-JCT improvements.
 func BenchmarkFigure6AppCompletionCDF(b *testing.B) {
-	impr := map[string]float64{}
-	benchComparison(b, func(cmp *experiments.Comparison) {
-		cmp.Figure6(20)
-		impr = cmp.MeanJCTImprovement()
-	})
-	for scheme, pct := range impr {
-		b.ReportMetric(pct, "jct-improvement-pct-vs-"+scheme)
+	for _, n := range benchTable(b, "6").Footer[1:] { // one "vs <scheme>" note each
+		b.ReportMetric(n.Args[1].(float64), "jct-improvement-pct-vs-"+n.Args[0].(string))
 	}
 }
 
 // BenchmarkFigure7PlacementScoreCDF regenerates Figure 7 (placement score
-// CDFs) and reports each scheme's mean placement score.
+// CDFs) and reports each scheme's mean placement score over its CDF points.
 func BenchmarkFigure7PlacementScoreCDF(b *testing.B) {
-	vals := map[string]float64{}
-	benchComparison(b, func(cmp *experiments.Comparison) {
-		cmp.Figure7(20)
-		for scheme, res := range cmp.Results {
-			vals[scheme] = metrics.Mean(metrics.PlacementScores(res))
-		}
-	})
-	for scheme, v := range vals {
-		b.ReportMetric(v, "placement-"+scheme)
-	}
+	reportPerScheme(b, benchTable(b, "7"), "placement_score", "placement-")
 }
 
 // BenchmarkFigure8AllocationTimeline regenerates Figure 8 (short vs long app
 // allocation timeline).
 func BenchmarkFigure8AllocationTimeline(b *testing.B) {
-	var events int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = len(res.Short) + len(res.Long)
-	}
-	b.ReportMetric(float64(events), "timeline-events")
+	b.ReportMetric(float64(len(benchTable(b, "8").Rows)), "timeline-events")
 }
 
 // BenchmarkFigure9aPlacementSensitivityFairness regenerates Figure 9a
 // (factor of improvement over Tiresias vs % network-intensive apps).
 func BenchmarkFigure9aPlacementSensitivityFairness(b *testing.B) {
-	var at0, at100 float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure9a(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		at0, at100 = rows[0].FactorOfImprovement, rows[len(rows)-1].FactorOfImprovement
-	}
+	at0, at100 := ends(benchTable(b, "9a"), "factor")
 	b.ReportMetric(at0, "improvement-0pct-network")
 	b.ReportMetric(at100, "improvement-100pct-network")
 }
@@ -206,15 +148,9 @@ func BenchmarkFigure9aPlacementSensitivityFairness(b *testing.B) {
 // BenchmarkFigure9bPlacementSensitivityGPUTime regenerates Figure 9b (GPU
 // time vs % network-intensive apps).
 func BenchmarkFigure9bPlacementSensitivityGPUTime(b *testing.B) {
-	var themisAt100, tiresiasAt100 float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure9b(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		themisAt100, tiresiasAt100 = last.GPUTime["themis"], last.GPUTime["tiresias"]
-	}
+	t := benchTable(b, "9b")
+	_, themisAt100 := ends(t, "themis")
+	_, tiresiasAt100 := ends(t, "tiresias")
 	b.ReportMetric(themisAt100, "gpu-min-themis-100pct")
 	b.ReportMetric(tiresiasAt100, "gpu-min-tiresias-100pct")
 }
@@ -222,15 +158,9 @@ func BenchmarkFigure9bPlacementSensitivityGPUTime(b *testing.B) {
 // BenchmarkFigure10Contention regenerates Figure 10 (Jain's index vs
 // contention).
 func BenchmarkFigure10Contention(b *testing.B) {
-	var themis4x, tiresias4x float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		themis4x, tiresias4x = last.ThemisJains, last.TiresiasJains
-	}
+	t := benchTable(b, "10")
+	_, themis4x := ends(t, "themis")
+	_, tiresias4x := ends(t, "tiresias")
 	b.ReportMetric(themis4x, "jains-themis-4x")
 	b.ReportMetric(tiresias4x, "jains-tiresias-4x")
 }
@@ -238,14 +168,7 @@ func BenchmarkFigure10Contention(b *testing.B) {
 // BenchmarkFigure11BidError regenerates Figure 11 (robustness to bid
 // valuation error).
 func BenchmarkFigure11BidError(b *testing.B) {
-	var at0, at20 float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		at0, at20 = rows[0].MaxFairness, rows[len(rows)-1].MaxFairness
-	}
+	at0, at20 := ends(benchTable(b, "11"), "max_rho")
 	b.ReportMetric(at0, "max-rho-0pct-error")
 	b.ReportMetric(at20, "max-rho-20pct-error")
 }
@@ -466,8 +389,8 @@ func BenchmarkSolverExactVsGreedy(b *testing.B) {
 	b.ReportMetric(greedyObj, "log-objective-greedy")
 }
 
-// runBenchSim mirrors experiments.Options.runSim for the ablation benchmarks
-// (which need custom workloads outside the figure constructors).
+// runBenchSim runs one simulation for the ablation benchmarks, which need
+// custom workloads outside the figure tables.
 func runBenchSim(topo *cluster.Topology, apps []*workload.App, policy sim.Policy, opts experiments.Options) (*sim.Result, error) {
 	s, err := sim.New(sim.Config{
 		Topology:        topo,

@@ -8,6 +8,7 @@
 //	expdriver -fig 5a -quick      # one figure at benchmark scale
 //	expdriver -fig 9a -seed 7
 //	expdriver -fig all -workers 4 # bound the sweep engine's worker pool
+//	expdriver -fig scorecard      # the paper's claims checked against the figures
 package main
 
 import (
@@ -15,9 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
-	"slices"
 	"strings"
 
 	"themis/experiments"
@@ -33,11 +32,13 @@ func main() {
 	}
 }
 
-// run parses args and writes the requested figures to w.
+// run parses args and writes the requested tables to w, each followed by a
+// blank line.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("expdriver", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 1,2,4a,4b,4c,5a,5b,6,7,8,9a,9b,10,11 or 'all'")
+		fig = fs.String("fig", "all", fmt.Sprintf("comma-separated figures to regenerate: %s; 'all' for every figure, or 'scorecard'",
+			strings.Join(experiments.Names(), ",")))
 		quick   = fs.Bool("quick", false, "use the scaled-down benchmark configuration instead of paper-fidelity scale")
 		seed    = fs.Int64("seed", 0, "override the workload seed (0 keeps the default)")
 		workers = fs.Int("workers", 0, "worker pool size for the sweep engine (0 = GOMAXPROCS, 1 = sequential)")
@@ -53,182 +54,23 @@ func run(args []string, w io.Writer) error {
 	if *seed != 0 {
 		opts.Seed = *seed
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be non-negative")
-	}
-	opts.Workers = *workers
+	opts.Workers = *workers // Tables rejects a negative pool size
 
-	figs := strings.Split(*fig, ",")
-	if *fig == "all" {
-		figs = []string{"1", "2", "4a", "4b", "4c", "5a", "5b", "6", "7", "8", "9a", "9b", "10", "11"}
-	}
-	for _, f := range figs {
-		if err := emit(w, strings.TrimSpace(f), opts); err != nil {
-			return fmt.Errorf("figure %s: %w", f, err)
+	names := experiments.Names()
+	if *fig != "all" {
+		names = strings.Split(*fig, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
 		}
 	}
-	return nil
-}
-
-func emit(w io.Writer, fig string, opts experiments.Options) error {
-	switch fig {
-	case "1":
-		res, err := experiments.Figure1(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 1: CDF of task durations (minutes)")
-		fmt.Fprintln(w, "duration_min\tcdf")
-		for i := range res.Durations {
-			fmt.Fprintf(w, "%.2f\t%.3f\n", res.Durations[i], res.Fractions[i])
-		}
-		fmt.Fprintf(w, "# trace: %d apps, %d jobs, jobs/app median %.0f, duration p50 %.1f min\n",
-			res.Stats.NumApps, res.Stats.NumJobs, res.Stats.JobsPerAppMedian, res.Stats.TaskDurationP50)
-
-	case "2":
-		fmt.Fprintln(w, "# Figure 2: throughput (images/sec) for 4 GPUs on 1 server vs 2x2 servers")
-		fmt.Fprintln(w, "model\tone_server\ttwo_by_two\tslowdown")
-		for _, r := range experiments.Figure2() {
-			fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.2f\n", r.Model, r.OneServer, r.TwoByTwoServers, r.Slowdown)
-		}
-
-	case "4a":
-		rows, err := experiments.Figure4a(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 4a: finish-time fairness vs fairness knob f")
-		fmt.Fprintln(w, "f\tmax_rho\tmedian_rho\tmin_rho")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.1f\t%.3f\t%.3f\t%.3f\n", r.F, r.MaxFairness, r.MedianFairness, r.MinFairness)
-		}
-
-	case "4b":
-		rows, err := experiments.Figure4b(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 4b: GPU time (GPU-minutes) vs fairness knob f")
-		fmt.Fprintln(w, "f\tgpu_time_min")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.1f\t%.0f\n", r.F, r.GPUTime)
-		}
-
-	case "4c":
-		rows, err := experiments.Figure4c(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 4c: max finish-time fairness vs lease duration")
-		fmt.Fprintln(w, "lease_min\tmax_rho")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.0f\t%.3f\n", r.LeaseMinutes, r.MaxFairness)
-		}
-
-	case "5a", "5b", "6", "7":
-		cmp, err := experiments.RunComparison(opts)
-		if err != nil {
-			return err
-		}
-		switch fig {
-		case "5a":
-			fmt.Fprintln(w, "# Figure 5a: max finish-time fairness per scheme")
-			fmt.Fprintf(w, "# ideal max fairness at this contention: %.2f\n", cmp.IdealMaxFairness)
-			fmt.Fprintln(w, "scheme\tmax_rho\tpct_from_ideal")
-			for _, r := range cmp.Figure5a() {
-				fmt.Fprintf(w, "%s\t%.3f\t%.1f%%\n", r.Scheme, r.MaxFairness, r.PercentFromIdeal)
-			}
-		case "5b":
-			fmt.Fprintln(w, "# Figure 5b: Jain's fairness index per scheme")
-			fmt.Fprintln(w, "scheme\tjains_index")
-			for _, r := range cmp.Figure5b() {
-				fmt.Fprintf(w, "%s\t%.3f\n", r.Scheme, r.JainsIndex)
-			}
-		case "6":
-			fmt.Fprintln(w, "# Figure 6: CDF of app completion times (minutes) per scheme")
-			fmt.Fprintln(w, "scheme\tcompletion_min\tcdf")
-			for _, c := range cmp.Figure6(20) {
-				for i := range c.Values {
-					fmt.Fprintf(w, "%s\t%.1f\t%.2f\n", c.Scheme, c.Values[i], c.Fractions[i])
-				}
-			}
-			fmt.Fprintln(w, "# Themis mean-JCT improvement over other schemes:")
-			improvement := cmp.MeanJCTImprovement()
-			for _, scheme := range slices.Sorted(maps.Keys(improvement)) {
-				fmt.Fprintf(w, "# vs %s: %.1f%%\n", scheme, improvement[scheme])
-			}
-		case "7":
-			fmt.Fprintln(w, "# Figure 7: CDF of placement score per scheme")
-			fmt.Fprintln(w, "scheme\tplacement_score\tcdf")
-			for _, c := range cmp.Figure7(20) {
-				for i := range c.Values {
-					fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", c.Scheme, c.Values[i], c.Fractions[i])
-				}
-			}
-		}
-
-	case "8":
-		res, err := experiments.Figure8(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 8: GPU allocation timeline for a short and a long app")
-		fmt.Fprintln(w, "app\ttime_min\tgpus")
-		for _, e := range res.Short {
-			fmt.Fprintf(w, "short\t%.1f\t%d\n", e.Time, e.GPUs)
-		}
-		for _, e := range res.Long {
-			fmt.Fprintf(w, "long\t%.1f\t%d\n", e.Time, e.GPUs)
-		}
-
-	case "9a":
-		rows, err := experiments.Figure9a(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 9a: factor of improvement in max fairness (Themis over Tiresias) vs % network-intensive apps")
-		fmt.Fprintln(w, "pct_network\tthemis_max_rho\ttiresias_max_rho\tfactor")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.0f\t%.3f\t%.3f\t%.2f\n", r.NetworkFraction*100, r.ThemisMaxFairness, r.TiresiasMaxFairness, r.FactorOfImprovement)
-		}
-
-	case "9b":
-		rows, err := experiments.Figure9b(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 9b: GPU time (GPU-minutes) vs % network-intensive apps")
-		fmt.Fprintln(w, "pct_network\tthemis\tgandiva\tslaq\ttiresias")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n", r.NetworkFraction*100,
-				r.GPUTime["themis"], r.GPUTime["gandiva"], r.GPUTime["slaq"], r.GPUTime["tiresias"])
-		}
-
-	case "10":
-		rows, err := experiments.Figure10(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 10: Jain's fairness index vs contention factor")
-		fmt.Fprintln(w, "contention\tthemis\ttiresias")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.0fX\t%.3f\t%.3f\n", r.ContentionFactor, r.ThemisJains, r.TiresiasJains)
-		}
-
-	case "11":
-		rows, err := experiments.Figure11(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "# Figure 11: max finish-time fairness vs % error in bid valuations")
-		fmt.Fprintln(w, "pct_error\tmax_rho")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.0f%%\t%.3f\n", r.Theta*100, r.MaxFairness)
-		}
-
-	default:
-		return fmt.Errorf("unknown figure %q", fig)
+	tables, err := experiments.Tables(opts, names...)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(w)
+	for _, t := range tables {
+		if _, err := fmt.Fprintln(w, t); err != nil {
+			return err
+		}
+	}
 	return nil
 }

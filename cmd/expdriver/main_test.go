@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,13 +30,34 @@ func checkGolden(t *testing.T, name string, args ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("expdriver %v output differs from %s (rerun with -update only when the change is intended):\n%s", args, path, buf.Bytes())
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+			i++
+		}
+		t.Errorf("expdriver %v differs from %s at line %d (rerun with -update only when the change is intended):\ngot:  %q\nwant: %q",
+			args, path, i+1, line(gotLines, i), line(wantLines, i))
 	}
+}
+
+// line returns lines[i], or a marker past the end.
+func line(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of output>"
 }
 
 // TestQuickFiguresGolden pins every figure at Quick scale: a refactor of the
 // experiments or of the printing must leave the output byte-identical.
 func TestQuickFiguresGolden(t *testing.T) {
 	checkGolden(t, "all-quick.golden", "-fig", "all", "-quick")
+}
+
+// TestScorecardGolden pins the paper's claims at Quick scale, verdicts
+// included: a claim that flips between PASS and FAIL shows up here as a
+// diff, and its cause belongs in the change that regenerates the file.
+func TestScorecardGolden(t *testing.T) {
+	checkGolden(t, "scorecard-quick.golden", "-fig", "scorecard", "-quick")
 }

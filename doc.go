@@ -32,7 +32,7 @@
 // Results align with the specs regardless of worker count, each run
 // constructs its simulation inside its own worker, and the first failure
 // cancels the rest. The sweep engine also powers themis/experiments: every
-// figure constructor fans its {parameter, seed, scheme} grid across
+// figure table fans its {parameter, seed, scheme} grid across
 // Options.Workers goroutines with results identical to a sequential run.
 // The Grid type expands a Policies × Clusters × Scenarios × Seeds cross
 // product into sweep specs declaratively.
@@ -88,7 +88,7 @@
 // replays traces (-trace/-trace-format), registered scenarios (-scenario)
 // and fit reports (-scenario fitted.json) directly.
 //
-// The companion public packages are themis/experiments (one constructor per
+// The companion public packages are themis/experiments (one table per
 // figure of the paper's evaluation) and themis/daemon (the distributed
 // Arbiter/Agent HTTP services). The implementation lives under internal/ —
 // see DESIGN.md for the module map and the public-API layering.
@@ -98,5 +98,6 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the paper-vs-measured record.
+// and run `go run ./cmd/expdriver -fig scorecard` for the paper's claims
+// checked against the measured figures.
 package themis

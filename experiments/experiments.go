@@ -1,8 +1,8 @@
 // Package experiments is the public face of the paper's evaluation harness:
-// one constructor per figure of Themis's §8, each returning the data series
-// the figure plots. It re-exports the internal experiment engine so
-// downstream tools (cmd/expdriver, plotting scripts) depend only on the
-// public module surface.
+// one table per figure of Themis's §8, holding the data series the figure
+// plots, plus the paper's claims checked against those tables. It re-exports
+// the internal experiment engine so downstream tools (cmd/expdriver, plotting
+// scripts) depend only on the public module surface.
 package experiments
 
 import (
@@ -23,7 +23,7 @@ type RunSpec = experiments.RunSpec
 
 // Sweep fans a grid of simulation runs across a bounded worker pool
 // (workers <= 0 uses GOMAXPROCS) with deterministic, spec-aligned results.
-// Every figure constructor in this package runs its grid through Sweep.
+// Every figure table in this package is built from runs through Sweep.
 // RunSpec's fields are spelled in internal types, but they are the same
 // types the root facade aliases (themis.Topology, themis.SchedulerPolicy,
 // themis.App, themis.Tuner), so downstream code builds specs from the
@@ -33,29 +33,6 @@ func Sweep(ctx context.Context, workers int, specs []RunSpec) ([]*sim.Result, er
 	return experiments.Sweep(ctx, workers, specs)
 }
 
-// Result row/series types, one per figure.
-type (
-	Figure1Result = experiments.Figure1Result
-	Figure2Row    = experiments.Figure2Row
-	Figure4aRow   = experiments.Figure4aRow
-	Figure4bRow   = experiments.Figure4bRow
-	Figure4cRow   = experiments.Figure4cRow
-	Figure5aRow   = experiments.Figure5aRow
-	Figure5bRow   = experiments.Figure5bRow
-	FigureCDF     = experiments.FigureCDF
-	Figure8Result = experiments.Figure8Result
-	Figure9aRow   = experiments.Figure9aRow
-	Figure9bRow   = experiments.Figure9bRow
-	Figure10Row   = experiments.Figure10Row
-	Figure11Row   = experiments.Figure11Row
-	// Comparison holds the four-scheme testbed comparison behind
-	// Figures 5–7, with per-figure accessor methods.
-	Comparison = experiments.Comparison
-)
-
-// SchemeOrder is the presentation order used by the paper's comparison plots.
-var SchemeOrder = experiments.SchemeOrder
-
 // Default returns the paper-fidelity options (§8.1).
 func Default() Options { return experiments.Default() }
 
@@ -63,40 +40,26 @@ func Default() Options { return experiments.Default() }
 // preserving every figure's qualitative shape.
 func Quick() Options { return experiments.Quick() }
 
-// Figure1 regenerates the trace task-duration CDF.
-func Figure1(opts Options) (Figure1Result, error) { return experiments.Figure1(opts) }
+// A Table is one figure of the evaluation as data: columns that each carry a
+// name and a fmt verb, rows of raw cells (float64, int or string), and "#"
+// notes whose numbers stay in Note.Args. Table.String prints it as expdriver
+// does.
+type (
+	Table  = experiments.Table
+	Column = experiments.Column
+	Note   = experiments.Note
+)
 
-// Figure2 regenerates the placement-sensitivity throughput table.
-func Figure2() []Figure2Row { return experiments.Figure2() }
+// Names lists every figure table ("1", "2", "4a" … "11") in the order
+// `expdriver -fig all` prints them.
+func Names() []string { return experiments.Names() }
 
-// Figure4a sweeps the fairness knob and reports finish-time fairness.
-func Figure4a(opts Options) ([]Figure4aRow, error) { return experiments.Figure4a(opts) }
-
-// Figure4b sweeps the fairness knob and reports cluster GPU time.
-func Figure4b(opts Options) ([]Figure4bRow, error) { return experiments.Figure4b(opts) }
-
-// Figure4c sweeps the lease duration and reports max finish-time fairness.
-func Figure4c(opts Options) ([]Figure4cRow, error) { return experiments.Figure4c(opts) }
-
-// RunComparison runs the four-scheme testbed comparison behind Figures 5–7.
-func RunComparison(opts Options) (*Comparison, error) { return experiments.RunComparison(opts) }
-
-// Figure8 reproduces the short-vs-long app allocation timelines.
-func Figure8(opts Options) (Figure8Result, error) { return experiments.Figure8(opts) }
-
-// Figure9a sweeps the network-intensive fraction and reports the fairness
-// improvement of Themis over Tiresias.
-func Figure9a(opts Options) ([]Figure9aRow, error) { return experiments.Figure9a(opts) }
-
-// Figure9b sweeps the network-intensive fraction and reports GPU time per
-// scheme.
-func Figure9b(opts Options) ([]Figure9bRow, error) { return experiments.Figure9b(opts) }
-
-// Figure10 sweeps the contention factor and reports Jain's index.
-func Figure10(opts Options) ([]Figure10Row, error) { return experiments.Figure10(opts) }
-
-// Figure11 sweeps the bid-valuation error and reports max fairness.
-func Figure11(opts Options) ([]Figure11Row, error) { return experiments.Figure11(opts) }
+// Tables builds the named tables in request order, running each experiment
+// at most once per call. Besides Names, "scorecard" names the table of the
+// paper's claims checked against the figure tables.
+func Tables(opts Options, names ...string) ([]Table, error) {
+	return experiments.Tables(opts, names...)
+}
 
 // TraceStudyRow is one cell of a TraceStudy: a policy replaying the trace,
 // with the run's full Report.

@@ -1,79 +1,105 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/metrics"
-	"themis/internal/sim"
 	"themis/internal/workload"
 )
 
-// Comparison holds the results of running the same testbed-scale workload
-// under every scheduler in the comparison set (§8.3). Figures 5a, 5b, 6 and
-// 7 are all different views of this one experiment.
-type Comparison struct {
-	// Results maps scheme name to its simulation result.
-	Results map[string]*sim.Result
-	// Summaries holds per-scheme headline metrics in SchemeOrder.
-	Summaries []metrics.Summary
-	// IdealMaxFairness is the ρ an ideal scheduler would achieve given the
-	// workload's peak contention (the paper reports 4.76× for its workload).
-	IdealMaxFairness float64
-}
+// cdfPoints is the number of points in each scheme's CDF in Figures 6 and 7.
+const cdfPoints = 20
 
-// RunComparison replays the testbed workload (50-GPU cluster, durations
-// scaled down 5× as in the paper's §8.3 footnote) under Themis, Gandiva,
-// SLAQ and Tiresias, running the four schemes concurrently through the
-// sweep engine.
-func RunComparison(opts Options) (*Comparison, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
+// comparison replays the testbed workload (50-GPU cluster, durations scaled
+// down 5× as in the paper's §8.3 footnote) under Themis, Gandiva, SLAQ and
+// Tiresias, running the four schemes concurrently through the sweep engine.
+// Figures 5a (max finish-time fairness, against the ideal), 5b (Jain's
+// index), 6 (app completion times, with Themis's mean-JCT improvement) and 7
+// (placement scores) are its four views.
+func comparison(opts Options) ([]Table, error) {
 	topo := cluster.TestbedCluster()
 	set := SchedulerSet(opts.themisConfig())
-	specs := make([]RunSpec, 0, len(SchemeOrder))
-	for _, scheme := range SchemeOrder {
-		newPolicy, ok := set[scheme]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
-		}
+	specs := make([]RunSpec, 0, len(schemeOrder))
+	for _, scheme := range schemeOrder {
 		specs = append(specs, opts.spec(
 			fmt.Sprintf("comparison run %s", scheme), topo,
 			func() ([]*workload.App, error) { return opts.testbedWorkload(opts.Seed) },
-			newPolicy,
+			set[scheme],
 		))
 	}
 	results, err := Sweep(context.Background(), opts.Workers, specs)
 	if err != nil {
 		return nil, err
 	}
-	cmp := &Comparison{Results: make(map[string]*sim.Result, len(set))}
-	peak := 0.0
-	for i, scheme := range SchemeOrder {
+	// The ideal scheduler's ρ at the workload's peak contention (the paper
+	// reports 4.76× for its workload).
+	contention, err := demandContention(opts, topo)
+	if err != nil {
+		return nil, err
+	}
+	ideal := metrics.IdealMaxFairness(contention)
+
+	fig5a := Table{
+		Name:    "5a",
+		Title:   "Figure 5a: max finish-time fairness per scheme",
+		Notes:   []Note{{"ideal max fairness at this contention: %.2f", []any{ideal}}},
+		Columns: []Column{{"scheme", "%s"}, {"max_rho", "%.3f"}, {"pct_from_ideal", "%.1f%%"}},
+	}
+	fig5b := Table{
+		Name:    "5b",
+		Title:   "Figure 5b: Jain's fairness index per scheme",
+		Columns: []Column{{"scheme", "%s"}, {"jains_index", "%.3f"}},
+	}
+	fig6 := Table{
+		Name:    "6",
+		Title:   "Figure 6: CDF of app completion times (minutes) per scheme",
+		Columns: []Column{{"scheme", "%s"}, {"completion_min", "%.1f"}, {"cdf", "%.2f"}},
+		Footer:  []Note{{Format: "Themis mean-JCT improvement over other schemes:"}},
+	}
+	fig7 := Table{
+		Name:    "7",
+		Title:   "Figure 7: CDF of placement score per scheme",
+		Columns: []Column{{"scheme", "%s"}, {"placement_score", "%.2f"}, {"cdf", "%.2f"}},
+	}
+	themisJCT := metrics.MeanCompletionTime(results[0]) // schemeOrder starts with Themis
+	for i, scheme := range schemeOrder {
 		res := results[i]
-		cmp.Results[scheme] = res
-		cmp.Summaries = append(cmp.Summaries, metrics.Summarize(res))
-		if res.PeakContention > peak {
-			peak = res.PeakContention
+		maxRho := metrics.MaxFairness(res)
+		// The paper quotes how far each scheme is from the ideal (Themis ≈7 %,
+		// the others 68–2155 %).
+		fig5a.Rows = append(fig5a.Rows, []any{scheme, maxRho, 100 * (maxRho - ideal) / ideal})
+		fig5b.Rows = append(fig5b.Rows, []any{scheme, metrics.JainsIndexOf(res)})
+		appendCDF(&fig6, scheme, metrics.CompletionTimes(res))
+		appendCDF(&fig7, scheme, metrics.PlacementScores(res))
+		// The paper quotes 4.6 %, 55.5 % and 24.4 % vs Gandiva, SLAQ and
+		// Tiresias.
+		if other := metrics.MeanCompletionTime(res); scheme != "themis" && other > 0 {
+			fig6.Footer = append(fig6.Footer, Note{"vs %s: %.1f%%", []any{scheme, 100 * (other - themisJCT) / other}})
 		}
 	}
-	// Peak contention here is measured as used/capacity; the paper's
-	// contention statistic is demand/capacity, which equals ours when the
-	// cluster saturates. Scale by aggregate demand over capacity to recover
-	// the paper's definition.
-	cmp.IdealMaxFairness = metrics.IdealMaxFairness(demandContention(opts, topo))
-	return cmp, nil
+	return []Table{fig5a, fig5b, fig6, fig7}, nil
+}
+
+// appendCDF appends scheme's CDF of values to t, one row per point.
+func appendCDF(t *Table, scheme string, values []float64) {
+	cdf := metrics.NewCDF(values, cdfPoints)
+	for i := range cdf.Values {
+		t.Rows = append(t.Rows, []any{scheme, cdf.Values[i], cdf.Fractions[i]})
+	}
 }
 
 // demandContention computes the peak aggregate GPU demand over capacity for
 // the comparison workload — the paper's contention statistic (4.76× on its
-// testbed workload).
-func demandContention(opts Options, topo *cluster.Topology) float64 {
+// testbed workload). Peak used/capacity equals it only when the cluster
+// saturates, so it is computed from demand, not from the runs.
+func demandContention(opts Options, topo *cluster.Topology) (float64, error) {
 	apps, err := opts.testbedWorkload(opts.Seed)
 	if err != nil {
-		return 1
+		return 0, err
 	}
 	// Aggregate demand over time: each app demands its max parallelism from
 	// submission until (approximately) submission + total work / parallelism.
@@ -90,164 +116,13 @@ func demandContention(opts Options, topo *cluster.Topology) float64 {
 		dur := a.TotalWork() / float64(demand)
 		events = append(events, event{a.SubmitTime, demand}, event{a.SubmitTime + dur, -demand})
 	}
-	// Sweep.
-	maxDemand := 0
-	cur := 0
-	for {
-		// find earliest remaining event
-		best := -1
-		for i, e := range events {
-			if e.d == 0 {
-				continue
-			}
-			if best == -1 || e.t < events[best].t {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		cur += events[best].d
-		events[best].d = 0
-		if cur > maxDemand {
-			maxDemand = cur
-		}
+	// Equal times apply in the order appended, so the peak is the same as an
+	// earliest-first scan that breaks ties on index.
+	slices.SortStableFunc(events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	maxDemand, cur := 0, 0
+	for _, e := range events {
+		cur += e.d
+		maxDemand = max(maxDemand, cur)
 	}
-	c := float64(maxDemand) / float64(topo.TotalGPUs())
-	if c < 1 {
-		return 1
-	}
-	return c
-}
-
-// Figure5aRow is one bar of Figure 5a: a scheme's worst-case finish-time
-// fairness.
-type Figure5aRow struct {
-	Scheme      string
-	MaxFairness float64
-	// PercentFromIdeal is how far the scheme is from the ideal max fairness,
-	// the statistic the paper quotes (Themis ≈7%, others 68–2155%).
-	PercentFromIdeal float64
-}
-
-// Figure5a extracts the max-fairness comparison from a Comparison.
-func (c *Comparison) Figure5a() []Figure5aRow {
-	var rows []Figure5aRow
-	for _, s := range c.Summaries {
-		pct := 0.0
-		if c.IdealMaxFairness > 0 {
-			pct = 100 * (s.MaxFairness - c.IdealMaxFairness) / c.IdealMaxFairness
-		}
-		rows = append(rows, Figure5aRow{Scheme: s.Policy, MaxFairness: s.MaxFairness, PercentFromIdeal: pct})
-	}
-	return rows
-}
-
-// Figure5bRow is one bar of Figure 5b: a scheme's Jain's fairness index.
-type Figure5bRow struct {
-	Scheme     string
-	JainsIndex float64
-}
-
-// Figure5b extracts the Jain's-index comparison from a Comparison.
-func (c *Comparison) Figure5b() []Figure5bRow {
-	var rows []Figure5bRow
-	for _, s := range c.Summaries {
-		rows = append(rows, Figure5bRow{Scheme: s.Policy, JainsIndex: s.JainsIndex})
-	}
-	return rows
-}
-
-// FigureCDF is one scheme's CDF series for Figures 6 and 7.
-type FigureCDF struct {
-	Scheme    string
-	Values    []float64
-	Fractions []float64
-}
-
-// Figure6 extracts per-scheme app-completion-time CDFs (Figure 6).
-func (c *Comparison) Figure6(points int) []FigureCDF {
-	var out []FigureCDF
-	for _, scheme := range SchemeOrder {
-		res, ok := c.Results[scheme]
-		if !ok {
-			continue
-		}
-		cdf := metrics.NewCDF(metrics.CompletionTimes(res), points)
-		out = append(out, FigureCDF{Scheme: scheme, Values: cdf.Values, Fractions: cdf.Fractions})
-	}
-	return out
-}
-
-// Figure7 extracts per-scheme placement-score CDFs (Figure 7).
-func (c *Comparison) Figure7(points int) []FigureCDF {
-	var out []FigureCDF
-	for _, scheme := range SchemeOrder {
-		res, ok := c.Results[scheme]
-		if !ok {
-			continue
-		}
-		cdf := metrics.NewCDF(metrics.PlacementScores(res), points)
-		out = append(out, FigureCDF{Scheme: scheme, Values: cdf.Values, Fractions: cdf.Fractions})
-	}
-	return out
-}
-
-// MeanJCTImprovement reports Themis's percentage improvement in mean app
-// completion time over each other scheme (the paper quotes 4.6%, 55.5% and
-// 24.4% vs Gandiva, SLAQ and Tiresias).
-func (c *Comparison) MeanJCTImprovement() map[string]float64 {
-	out := make(map[string]float64)
-	themis, ok := c.Results["themis"]
-	if !ok {
-		return out
-	}
-	base := metrics.MeanCompletionTime(themis)
-	for scheme, res := range c.Results {
-		if scheme == "themis" {
-			continue
-		}
-		other := metrics.MeanCompletionTime(res)
-		if other > 0 {
-			out[scheme] = 100 * (other - base) / other
-		}
-	}
-	return out
-}
-
-// FinishedApps reports how many apps finished under each scheme (sanity
-// check that comparisons are apples-to-apples).
-func (c *Comparison) FinishedApps() map[string]int {
-	out := make(map[string]int, len(c.Results))
-	for scheme, res := range c.Results {
-		out[scheme] = len(res.Finished())
-	}
-	return out
-}
-
-// AppRecords returns the per-app records for one scheme (for deeper
-// analysis or CSV export).
-func (c *Comparison) AppRecords(scheme string) []sim.AppRecord {
-	res, ok := c.Results[scheme]
-	if !ok {
-		return nil
-	}
-	return res.Apps
-}
-
-// WorstApp returns the app with the worst finish-time fairness under the
-// given scheme.
-func (c *Comparison) WorstApp(scheme string) (workload.AppID, float64) {
-	res, ok := c.Results[scheme]
-	if !ok {
-		return "", 0
-	}
-	worst := workload.AppID("")
-	worstRho := 0.0
-	for _, rec := range res.Finished() {
-		if rec.FinishTimeFairness > worstRho {
-			worst, worstRho = rec.App, rec.FinishTimeFairness
-		}
-	}
-	return worst, worstRho
+	return float64(maxDemand) / float64(topo.TotalGPUs()), nil
 }

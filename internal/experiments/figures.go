@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"themis/internal/cluster"
@@ -12,206 +13,190 @@ import (
 	"themis/internal/workload"
 )
 
-// Figure1Result reproduces Figure 1: the CDF of task durations in the trace.
-type Figure1Result struct {
-	Durations []float64 // minutes
-	Fractions []float64
-	Stats     workload.Stats
-}
-
-// Figure1 generates a trace with the paper's distributional parameters and
-// returns the task-duration CDF. Duration scaling is not applied so the
-// x-axis is directly comparable with the paper's (0–1000 minutes).
-func Figure1(opts Options) (Figure1Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Figure1Result{}, err
-	}
-	cfg := opts.generatorConfig(max(opts.SimApps, 200), opts.Seed, 0.4, 1, 1)
-	apps, err := workload.Generate(cfg)
+// figure1 is Figure 1, the CDF of task durations in a trace with the paper's
+// distributional parameters. Durations are not scaled, so the x-axis is
+// directly comparable with the paper's (0–1000 minutes).
+func figure1(opts Options) ([]Table, error) {
+	apps, err := figure1Trace(opts)
 	if err != nil {
-		return Figure1Result{}, err
+		return nil, err
 	}
-	durations, fractions := workload.DurationCDF(apps, 100)
-	return Figure1Result{Durations: durations, Fractions: fractions, Stats: workload.Summarize(apps)}, nil
+	var durations []float64
+	for _, a := range apps {
+		for _, j := range a.Jobs {
+			durations = append(durations, j.TotalWork/float64(j.GangSize))
+		}
+	}
+	cdf := metrics.NewCDF(durations, 100)
+	st := workload.Summarize(apps)
+	t := Table{
+		Name:    "1",
+		Title:   "Figure 1: CDF of task durations (minutes)",
+		Columns: []Column{{"duration_min", "%.2f"}, {"cdf", "%.3f"}},
+		Footer: []Note{{"trace: %d apps, %d jobs, jobs/app median %.0f, duration p50 %.1f min",
+			[]any{st.NumApps, st.NumJobs, st.JobsPerAppMedian, st.TaskDurationP50}}},
+	}
+	for i := range cdf.Values {
+		t.Rows = append(t.Rows, []any{cdf.Values[i], cdf.Fractions[i]})
+	}
+	return []Table{t}, nil
 }
 
-// Figure2Row is one bar group of Figure 2: a model's aggregate throughput
-// with 4 GPUs on one server vs 4 GPUs across two servers (2×2).
-type Figure2Row struct {
-	Model           string
-	OneServer       float64 // images/sec
-	TwoByTwoServers float64 // images/sec
-	Slowdown        float64 // TwoByTwo / OneServer
+// figure1Trace generates the trace Figure 1 describes.
+func figure1Trace(opts Options) ([]*workload.App, error) {
+	return workload.Generate(opts.generatorConfig(max(opts.SimApps, 200), opts.Seed, 0.4, 1, 1))
 }
 
-// Figure2 evaluates the placement-sensitivity model for the five models the
-// paper profiles.
-func Figure2() []Figure2Row {
+// figure2 is Figure 2: the placement-sensitivity model's throughput for the
+// five models the paper profiles, with 4 GPUs on one server vs 4 GPUs
+// across two servers (2×2).
+func figure2(Options) ([]Table, error) {
 	topo, err := cluster.Config{
 		MachineSpecs:    []cluster.MachineSpec{{Count: 2, GPUs: 4, SlotSize: 4, GPU: cluster.GPUTypeP100}},
 		MachinesPerRack: 2,
 	}.Build()
 	if err != nil {
-		panic("experiments: building Figure 2 topology: " + err.Error())
+		return nil, err
+	}
+	t := Table{
+		Name:    "2",
+		Title:   "Figure 2: throughput (images/sec) for 4 GPUs on 1 server vs 2x2 servers",
+		Columns: []Column{{"model", "%s"}, {"one_server", "%.1f"}, {"two_by_two", "%.1f"}, {"slowdown", "%.2f"}},
 	}
 	oneServer := cluster.Alloc{0: 4}
 	twoByTwo := cluster.Alloc{0: 2, 1: 2}
-	var rows []Figure2Row
 	for _, m := range placement.Figure2Models() {
 		one := m.Throughput(topo, oneServer)
 		two := m.Throughput(topo, twoByTwo)
-		rows = append(rows, Figure2Row{Model: m.Name, OneServer: one, TwoByTwoServers: two, Slowdown: two / one})
+		t.Rows = append(t.Rows, []any{m.Name, one, two, two / one})
 	}
-	return rows
+	return []Table{t}, nil
 }
 
-// Figure4aRow is one point of Figure 4a: finish-time fairness vs the
-// fairness knob f.
-type Figure4aRow struct {
-	F              float64
-	MaxFairness    float64
-	MedianFairness float64
-	MinFairness    float64
-}
-
-// Figure4aKnobs is the set of f values swept by Figures 4a and 4b.
-var Figure4aKnobs = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-
-// Figure4a sweeps the fairness knob on the 256-GPU simulated cluster and
-// reports the max/median/min finish-time fairness across apps. The knob ×
-// seed grid runs through the parallel sweep engine.
-func Figure4a(opts Options) ([]Figure4aRow, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	topo := opts.simTopology()
-	avgs, err := opts.sweepAverage(len(Figure4aKnobs),
+// themisSweep runs Themis alone on the default simulated workload once per
+// value of a one-parameter sweep: point gives the value's arbiter
+// configuration (whose lease the run also uses) and bid-valuation error θ.
+// It returns extract averaged over the repeat seeds, one vector per value.
+func (o Options) themisSweep(name string, values []float64, point func(v float64) (core.Config, float64), extract func(*sim.Result) []float64) ([][]float64, error) {
+	topo := o.simTopology()
+	return o.sweepAverage(len(values),
 		func(p int, seed int64) []RunSpec {
-			f := Figure4aKnobs[p]
-			cfg := opts.themisConfig()
-			cfg.FairnessKnob = f
-			return []RunSpec{opts.spec(
-				fmt.Sprintf("figure 4a at f=%v seed=%d", f, seed), topo,
-				func() ([]*workload.App, error) { return opts.simWorkload(seed) },
-				func() (sim.Policy, error) { return schedulers.NewThemis(cfg) },
+			cfg, theta := point(values[p])
+			run := o
+			run.LeaseDuration = cfg.LeaseDuration
+			return []RunSpec{run.spec(
+				fmt.Sprintf("%s=%v seed=%d", name, values[p], seed), topo,
+				func() ([]*workload.App, error) { return o.simWorkload(seed, 0.4, 1) },
+				func() (sim.Policy, error) {
+					policy, err := schedulers.NewThemis(cfg)
+					if err != nil {
+						return nil, err
+					}
+					policy.BidErrorTheta = theta
+					policy.ErrorSeed = seed + int64(theta*1000)
+					return policy, nil
+				},
 			)}
 		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			res := cell[0]
-			return []float64{metrics.MaxFairness(res), metrics.MedianFairness(res), metrics.MinFairness(res)}, nil
+		func(cell []*sim.Result) []float64 { return extract(cell[0]) })
+}
+
+// fairnessKnobs is the f sweep of Figures 4a and 4b.
+var fairnessKnobs = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
+
+// knobSweep runs Themis at each fairness knob f on the 256-GPU simulated
+// cluster. Figure 4a is the max/median/min finish-time fairness across apps;
+// Figure 4b is the total GPU time (lower means the cluster was used more
+// efficiently for the same workload).
+func knobSweep(opts Options) ([]Table, error) {
+	avgs, err := opts.themisSweep("figure 4 at f", fairnessKnobs,
+		func(f float64) (core.Config, float64) {
+			cfg := opts.themisConfig()
+			cfg.FairnessKnob = f
+			return cfg, 0
+		},
+		func(res *sim.Result) []float64 {
+			return []float64{metrics.MaxFairness(res), metrics.MedianFairness(res), metrics.MinFairness(res), metrics.GPUTime(res)}
 		})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure4aRow
-	for p, f := range Figure4aKnobs {
-		rows = append(rows, Figure4aRow{F: f, MaxFairness: avgs[p][0], MedianFairness: avgs[p][1], MinFairness: avgs[p][2]})
+	fig4a := Table{
+		Name:    "4a",
+		Title:   "Figure 4a: finish-time fairness vs fairness knob f",
+		Columns: []Column{{"f", "%.1f"}, {"max_rho", "%.3f"}, {"median_rho", "%.3f"}, {"min_rho", "%.3f"}},
 	}
-	return rows, nil
+	fig4b := Table{
+		Name:    "4b",
+		Title:   "Figure 4b: GPU time (GPU-minutes) vs fairness knob f",
+		Columns: []Column{{"f", "%.1f"}, {"gpu_time_min", "%.0f"}},
+	}
+	for p, f := range fairnessKnobs {
+		avg := avgs[p]
+		fig4a.Rows = append(fig4a.Rows, []any{f, avg[0], avg[1], avg[2]})
+		fig4b.Rows = append(fig4b.Rows, []any{f, avg[3]})
+	}
+	return []Table{fig4a, fig4b}, nil
 }
 
-// Figure4bRow is one point of Figure 4b: cluster GPU time vs f.
-type Figure4bRow struct {
-	F       float64
-	GPUTime float64 // GPU-minutes
-}
+// leaseLengths is the lease-duration sweep of Figure 4c (minutes).
+var leaseLengths = []float64{5, 10, 20, 30, 40}
 
-// Figure4b sweeps the fairness knob and reports total GPU time (lower means
-// the cluster was used more efficiently for the same workload).
-func Figure4b(opts Options) ([]Figure4bRow, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	topo := opts.simTopology()
-	avgs, err := opts.sweepAverage(len(Figure4aKnobs),
-		func(p int, seed int64) []RunSpec {
-			f := Figure4aKnobs[p]
-			cfg := opts.themisConfig()
-			cfg.FairnessKnob = f
-			return []RunSpec{opts.spec(
-				fmt.Sprintf("figure 4b at f=%v seed=%d", f, seed), topo,
-				func() ([]*workload.App, error) { return opts.simWorkload(seed) },
-				func() (sim.Policy, error) { return schedulers.NewThemis(cfg) },
-			)}
-		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			return []float64{metrics.GPUTime(cell[0])}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Figure4bRow
-	for p, f := range Figure4aKnobs {
-		rows = append(rows, Figure4bRow{F: f, GPUTime: avgs[p][0]})
-	}
-	return rows, nil
-}
-
-// Figure4cRow is one point of Figure 4c: max finish-time fairness vs lease
-// duration.
-type Figure4cRow struct {
-	LeaseMinutes float64
-	MaxFairness  float64
-}
-
-// Figure4cLeases is the lease-duration sweep of Figure 4c (minutes).
-var Figure4cLeases = []float64{5, 10, 20, 30, 40}
-
-// Figure4c sweeps the lease duration at the default fairness knob.
-func Figure4c(opts Options) ([]Figure4cRow, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	topo := opts.simTopology()
-	avgs, err := opts.sweepAverage(len(Figure4cLeases),
-		func(p int, seed int64) []RunSpec {
-			lease := Figure4cLeases[p]
+// figure4c is Figure 4c: max finish-time fairness as the lease duration
+// grows, at the default fairness knob.
+func figure4c(opts Options) ([]Table, error) {
+	avgs, err := opts.themisSweep("figure 4c at lease", leaseLengths,
+		func(lease float64) (core.Config, float64) {
 			cfg := opts.themisConfig()
 			cfg.LeaseDuration = lease
-			runOpts := opts
-			runOpts.LeaseDuration = lease
-			return []RunSpec{runOpts.spec(
-				fmt.Sprintf("figure 4c at lease=%v seed=%d", lease, seed), topo,
-				func() ([]*workload.App, error) { return opts.simWorkload(seed) },
-				func() (sim.Policy, error) { return schedulers.NewThemis(cfg) },
-			)}
+			return cfg, 0
 		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			return []float64{metrics.MaxFairness(cell[0])}, nil
-		})
+		func(res *sim.Result) []float64 { return []float64{metrics.MaxFairness(res)} })
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure4cRow
-	for p, lease := range Figure4cLeases {
-		rows = append(rows, Figure4cRow{LeaseMinutes: lease, MaxFairness: avgs[p][0]})
+	t := Table{
+		Name:    "4c",
+		Title:   "Figure 4c: max finish-time fairness vs lease duration",
+		Columns: []Column{{"lease_min", "%.0f"}, {"max_rho", "%.3f"}},
 	}
-	return rows, nil
+	for p, lease := range leaseLengths {
+		t.Rows = append(t.Rows, []any{lease, avgs[p][0]})
+	}
+	return []Table{t}, nil
 }
 
-// Figure8Result reproduces Figure 8: the GPU-allocation timelines of a short
-// and a long app that arrive together and compete under Themis.
-type Figure8Result struct {
-	ShortApp workload.AppID
-	LongApp  workload.AppID
-	Short    []sim.AllocationEvent
-	Long     []sim.AllocationEvent
-	Result   *metrics.Summary
+// figure8 is Figure 8: the GPU-allocation timelines of a short and a long
+// app that arrive together and compete under Themis.
+func figure8(opts Options) ([]Table, error) {
+	res, err := figure8Sim(opts)
+	if err != nil {
+		return nil, err
+	}
+	t := Table{
+		Name:    "8",
+		Title:   "Figure 8: GPU allocation timeline for a short and a long app",
+		Columns: []Column{{"app", "%s"}, {"time_min", "%.1f"}, {"gpus", "%d"}},
+	}
+	for _, app := range []workload.AppID{"short", "long"} {
+		for _, e := range res.TimelineFor(app) {
+			t.Rows = append(t.Rows, []any{string(app), e.Time, e.GPUs})
+		}
+	}
+	return []Table{t}, nil
 }
 
-// Figure8 hand-builds the scenario the paper describes: two single-job apps
-// with a 3× difference in running time and equal placement sensitivity
-// arriving at t=40 into a small busy cluster, scheduled by Themis.
-func Figure8(opts Options) (Figure8Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Figure8Result{}, err
-	}
+// figure8Sim runs the scenario the paper describes for Figure 8: two
+// single-job apps with a 3× difference in running time and equal placement
+// sensitivity arriving at t=40 into a small busy cluster, scheduled by
+// Themis.
+func figure8Sim(opts Options) (*sim.Result, error) {
 	topo, err := cluster.Config{
 		MachineSpecs:    []cluster.MachineSpec{{Count: 4, GPUs: 4, SlotSize: 2, GPU: cluster.GPUTypeP100}},
 		MachinesPerRack: 2,
 	}.Build()
 	if err != nil {
-		return Figure8Result{}, err
+		return nil, err
 	}
 	mkApp := func(id string, submit, work float64, n int) *workload.App {
 		var jobs []*workload.Job
@@ -230,24 +215,12 @@ func Figure8(opts Options) (Figure8Result, error) {
 		mkApp("short", 40, 160, 1),
 		mkApp("long", 40, 480, 1),
 	}
-	policy, err := schedulers.NewThemis(opts.themisConfig())
-	if err != nil {
-		return Figure8Result{}, err
-	}
 	runOpts := opts
 	runOpts.LeaseDuration = 20
-	res, err := runOpts.runSim(topo, apps, policy)
-	if err != nil {
-		return Figure8Result{}, err
-	}
-	sum := metrics.Summarize(res)
-	return Figure8Result{
-		ShortApp: "short",
-		LongApp:  "long",
-		Short:    res.TimelineFor("short"),
-		Long:     res.TimelineFor("long"),
-		Result:   &sum,
-	}, nil
+	return runOpts.spec("figure 8", topo,
+		func() ([]*workload.App, error) { return apps, nil },
+		func() (sim.Policy, error) { return schedulers.NewThemis(opts.themisConfig()) },
+	).run(context.Background())
 }
 
 // SchedulerSet returns the comparison policies of §8.3 keyed by the paper's
@@ -262,5 +235,5 @@ func SchedulerSet(themisCfg core.Config) map[string]func() (sim.Policy, error) {
 	}
 }
 
-// SchemeOrder is the presentation order used by the paper's comparison plots.
-var SchemeOrder = []string{"themis", "gandiva", "slaq", "tiresias"}
+// schemeOrder is the presentation order of the paper's comparison plots.
+var schemeOrder = []string{"themis", "gandiva", "slaq", "tiresias"}

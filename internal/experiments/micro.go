@@ -2,197 +2,132 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
+	"themis/internal/core"
 	"themis/internal/metrics"
-	"themis/internal/schedulers"
 	"themis/internal/sim"
 	"themis/internal/workload"
 )
 
-// Figure9Fractions is the sweep of the percentage of network-intensive apps
-// used by Figures 9a and 9b.
-var Figure9Fractions = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
+// networkShares is the sweep of the share of network-intensive apps of
+// Figures 9a and 9b.
+var networkShares = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 
-// Figure9aRow is one point of Figure 9a: Themis's factor of improvement in
-// max fairness over Tiresias as the workload becomes more network intensive.
-type Figure9aRow struct {
-	NetworkFraction     float64
-	ThemisMaxFairness   float64
-	TiresiasMaxFairness float64
-	FactorOfImprovement float64
-}
-
-// Figure9a sweeps the fraction of network-intensive apps on the simulated
-// cluster and compares Themis and Tiresias on max fairness. Each (fraction,
-// seed) cell runs both schemes; the whole grid fans across the sweep engine.
-func Figure9a(opts Options) ([]Figure9aRow, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	topo := opts.simTopology()
-	avgs, err := opts.sweepAverage(len(Figure9Fractions),
-		func(p int, seed int64) []RunSpec {
-			frac := Figure9Fractions[p]
-			apps := func() ([]*workload.App, error) { return opts.simWorkloadWith(seed, frac, 1) }
-			return []RunSpec{
-				opts.spec(fmt.Sprintf("figure 9a at %v%% network-intensive seed=%d themis", frac*100, seed), topo, apps,
-					func() (sim.Policy, error) { return schedulers.NewThemis(opts.themisConfig()) }),
-				opts.spec(fmt.Sprintf("figure 9a at %v%% network-intensive seed=%d tiresias", frac*100, seed), topo, apps,
-					func() (sim.Policy, error) { return schedulers.NewTiresias(), nil }),
-			}
-		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			return []float64{metrics.MaxFairness(cell[0]), metrics.MaxFairness(cell[1])}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Figure9aRow
-	for p, frac := range Figure9Fractions {
-		row := Figure9aRow{NetworkFraction: frac, ThemisMaxFairness: avgs[p][0], TiresiasMaxFairness: avgs[p][1]}
-		if row.ThemisMaxFairness > 0 {
-			row.FactorOfImprovement = row.TiresiasMaxFairness / row.ThemisMaxFairness
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Figure9bRow is one point of Figure 9b: cluster GPU time per scheme at a
-// given fraction of network-intensive apps.
-type Figure9bRow struct {
-	NetworkFraction float64
-	GPUTime         map[string]float64
-}
-
-// Figure9b sweeps the fraction of network-intensive apps and reports every
-// scheme's total GPU time. Each (fraction, seed) cell runs all four schemes.
-func Figure9b(opts Options) ([]Figure9bRow, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
+// networkSweep runs every scheme at each share of network-intensive apps on
+// the simulated cluster. Figure 9a is Themis's factor of improvement in max
+// fairness over Tiresias; Figure 9b is every scheme's total GPU time.
+func networkSweep(opts Options) ([]Table, error) {
 	topo := opts.simTopology()
 	set := SchedulerSet(opts.themisConfig())
-	avgs, err := opts.sweepAverage(len(Figure9Fractions),
+	avgs, err := opts.sweepAverage(len(networkShares),
 		func(p int, seed int64) []RunSpec {
-			frac := Figure9Fractions[p]
-			apps := func() ([]*workload.App, error) { return opts.simWorkloadWith(seed, frac, 1) }
-			specs := make([]RunSpec, 0, len(SchemeOrder))
-			for _, scheme := range SchemeOrder {
-				newPolicy := set[scheme]
+			frac := networkShares[p]
+			apps := func() ([]*workload.App, error) { return opts.simWorkload(seed, frac, 1) }
+			specs := make([]RunSpec, 0, len(schemeOrder))
+			for _, scheme := range schemeOrder {
 				specs = append(specs, opts.spec(
-					fmt.Sprintf("figure 9b at %v%% network-intensive seed=%d %s", frac*100, seed, scheme),
-					topo, apps, newPolicy))
+					fmt.Sprintf("figure 9 at %v%% network-intensive seed=%d %s", frac*100, seed, scheme),
+					topo, apps, set[scheme]))
 			}
 			return specs
 		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			out := make([]float64, len(cell))
+		// Every scheme's GPU time, then every scheme's max fairness.
+		func(cell []*sim.Result) []float64 {
+			out := make([]float64, 2*len(cell))
 			for i, res := range cell {
-				out[i] = metrics.GPUTime(res)
+				out[i], out[len(cell)+i] = metrics.GPUTime(res), metrics.MaxFairness(res)
 			}
-			return out, nil
+			return out
 		})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure9bRow
-	for p, frac := range Figure9Fractions {
-		row := Figure9bRow{NetworkFraction: frac, GPUTime: make(map[string]float64, len(SchemeOrder))}
-		for i, scheme := range SchemeOrder {
-			row.GPUTime[scheme] = avgs[p][i]
+	fig9a := Table{
+		Name:    "9a",
+		Title:   "Figure 9a: factor of improvement in max fairness (Themis over Tiresias) vs % network-intensive apps",
+		Columns: []Column{{"pct_network", "%.0f"}, {"themis_max_rho", "%.3f"}, {"tiresias_max_rho", "%.3f"}, {"factor", "%.2f"}},
+	}
+	fig9b := Table{
+		Name:    "9b",
+		Title:   "Figure 9b: GPU time (GPU-minutes) vs % network-intensive apps",
+		Columns: []Column{{"pct_network", "%.0f"}},
+	}
+	for _, scheme := range schemeOrder {
+		fig9b.Columns = append(fig9b.Columns, Column{scheme, "%.0f"})
+	}
+	n := len(schemeOrder)
+	themis, tiresias := slices.Index(schemeOrder, "themis"), slices.Index(schemeOrder, "tiresias")
+	for p, frac := range networkShares {
+		gpuTime, maxRho := avgs[p][:n], avgs[p][n:]
+		factor := 0.0
+		if maxRho[themis] > 0 {
+			factor = maxRho[tiresias] / maxRho[themis]
 		}
-		rows = append(rows, row)
+		fig9a.Rows = append(fig9a.Rows, []any{frac * 100, maxRho[themis], maxRho[tiresias], factor})
+		row := []any{frac * 100}
+		for _, v := range gpuTime {
+			row = append(row, v)
+		}
+		fig9b.Rows = append(fig9b.Rows, row)
 	}
-	return rows, nil
+	return []Table{fig9a, fig9b}, nil
 }
 
-// Figure10Factors is the contention sweep of Figure 10.
-var Figure10Factors = []float64{1, 2, 4}
+// contentionFactors is the contention sweep of Figure 10.
+var contentionFactors = []float64{1, 2, 4}
 
-// Figure10Row is one group of Figure 10: Jain's fairness index for Themis
-// and Tiresias at a given contention factor.
-type Figure10Row struct {
-	ContentionFactor float64
-	ThemisJains      float64
-	TiresiasJains    float64
-}
-
-// Figure10 increases contention by shrinking inter-arrival times and
-// compares the fairness-index degradation of Themis and Tiresias.
-func Figure10(opts Options) ([]Figure10Row, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
+// figure10 is Figure 10: contention rises as inter-arrival times shrink, and
+// the figure compares how Themis's and Tiresias's Jain's index degrade.
+func figure10(opts Options) ([]Table, error) {
 	topo := opts.simTopology()
-	avgs, err := opts.sweepAverage(len(Figure10Factors),
+	set := SchedulerSet(opts.themisConfig())
+	avgs, err := opts.sweepAverage(len(contentionFactors),
 		func(p int, seed int64) []RunSpec {
-			c := Figure10Factors[p]
-			apps := func() ([]*workload.App, error) { return opts.simWorkloadWith(seed, 0.4, c) }
+			c := contentionFactors[p]
+			apps := func() ([]*workload.App, error) { return opts.simWorkload(seed, 0.4, c) }
 			return []RunSpec{
-				opts.spec(fmt.Sprintf("figure 10 at %vx contention seed=%d themis", c, seed), topo, apps,
-					func() (sim.Policy, error) { return schedulers.NewThemis(opts.themisConfig()) }),
-				opts.spec(fmt.Sprintf("figure 10 at %vx contention seed=%d tiresias", c, seed), topo, apps,
-					func() (sim.Policy, error) { return schedulers.NewTiresias(), nil }),
+				opts.spec(fmt.Sprintf("figure 10 at %vx contention seed=%d themis", c, seed), topo, apps, set["themis"]),
+				opts.spec(fmt.Sprintf("figure 10 at %vx contention seed=%d tiresias", c, seed), topo, apps, set["tiresias"]),
 			}
 		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			return []float64{metrics.JainsIndexOf(cell[0]), metrics.JainsIndexOf(cell[1])}, nil
+		func(cell []*sim.Result) []float64 {
+			return []float64{metrics.JainsIndexOf(cell[0]), metrics.JainsIndexOf(cell[1])}
 		})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure10Row
-	for p, c := range Figure10Factors {
-		rows = append(rows, Figure10Row{ContentionFactor: c, ThemisJains: avgs[p][0], TiresiasJains: avgs[p][1]})
+	t := Table{
+		Name:    "10",
+		Title:   "Figure 10: Jain's fairness index vs contention factor",
+		Columns: []Column{{"contention", "%.0fX"}, {"themis", "%.3f"}, {"tiresias", "%.3f"}},
 	}
-	return rows, nil
+	for p, c := range contentionFactors {
+		t.Rows = append(t.Rows, []any{c, avgs[p][0], avgs[p][1]})
+	}
+	return []Table{t}, nil
 }
 
-// Figure11Thetas is the bid-valuation error sweep of Figure 11.
-var Figure11Thetas = []float64{0, 0.05, 0.10, 0.20}
+// bidErrors is the bid-valuation error sweep θ of Figure 11.
+var bidErrors = []float64{0, 0.05, 0.10, 0.20}
 
-// Figure11Row is one point of Figure 11: max finish-time fairness when bid
-// valuations carry ±θ random error.
-type Figure11Row struct {
-	Theta       float64
-	MaxFairness float64
-}
-
-// Figure11 perturbs every Agent's ρ estimates by ±θ and measures the impact
-// on max finish-time fairness (computed, as in the paper, on accurate
-// realised times).
-func Figure11(opts Options) ([]Figure11Row, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	topo := opts.simTopology()
-	avgs, err := opts.sweepAverage(len(Figure11Thetas),
-		func(p int, seed int64) []RunSpec {
-			theta := Figure11Thetas[p]
-			return []RunSpec{opts.spec(
-				fmt.Sprintf("figure 11 at theta=%v seed=%d", theta, seed), topo,
-				func() ([]*workload.App, error) { return opts.simWorkload(seed) },
-				func() (sim.Policy, error) {
-					policy, err := schedulers.NewThemis(opts.themisConfig())
-					if err != nil {
-						return nil, err
-					}
-					policy.BidErrorTheta = theta
-					policy.ErrorSeed = seed + int64(theta*1000)
-					return policy, nil
-				},
-			)}
-		},
-		func(p int, cell []*sim.Result) ([]float64, error) {
-			return []float64{metrics.MaxFairness(cell[0])}, nil
-		})
+// figure11 is Figure 11: every Agent's ρ estimates carry ±θ random error,
+// and max finish-time fairness is computed, as in the paper, on accurate
+// realised times.
+func figure11(opts Options) ([]Table, error) {
+	avgs, err := opts.themisSweep("figure 11 at theta", bidErrors,
+		func(theta float64) (core.Config, float64) { return opts.themisConfig(), theta },
+		func(res *sim.Result) []float64 { return []float64{metrics.MaxFairness(res)} })
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure11Row
-	for p, theta := range Figure11Thetas {
-		rows = append(rows, Figure11Row{Theta: theta, MaxFairness: avgs[p][0]})
+	t := Table{
+		Name:    "11",
+		Title:   "Figure 11: max finish-time fairness vs % error in bid valuations",
+		Columns: []Column{{"pct_error", "%.0f%%"}, {"max_rho", "%.3f"}},
 	}
-	return rows, nil
+	for p, theta := range bidErrors {
+		t.Rows = append(t.Rows, []any{theta * 100, avgs[p][0]})
+	}
+	return []Table{t}, nil
 }

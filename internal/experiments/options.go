@@ -1,8 +1,8 @@
-// Package experiments reproduces the paper's evaluation: one constructor per
-// figure, each returning the data series the figure plots, produced by
-// running the event-driven simulator with the relevant workload and
-// scheduler configuration. The cmd/expdriver binary and the repository's
-// benchmarks are thin wrappers over these constructors.
+// Package experiments reproduces the paper's evaluation: one Table per
+// figure, holding the data series the figure plots, produced by running the
+// event-driven simulator with the relevant workload and scheduler
+// configuration, plus a scorecard table of the paper's claims. The
+// cmd/expdriver binary and the repository's benchmarks read these tables.
 package experiments
 
 import (
@@ -161,10 +161,8 @@ func (o Options) spec(name string, topo *cluster.Topology, apps func() ([]*workl
 // cell, build returns the cell's simulation runs; the whole grid is fanned
 // across the sweep engine's worker pool; and extract reduces each cell's
 // results to a metric vector, which is then averaged element-wise over the
-// point's repeat seeds. The run set, the extraction and the seed-order
-// averaging arithmetic are identical to the old sequential driver, so every
-// figure's numbers are unchanged — only the wall-clock time shrinks.
-func (o Options) sweepAverage(points int, build func(point int, seed int64) []RunSpec, extract func(point int, cell []*sim.Result) ([]float64, error)) ([][]float64, error) {
+// point's repeat seeds, in seed order.
+func (o Options) sweepAverage(points int, build func(point int, seed int64) []RunSpec, extract func(cell []*sim.Result) []float64) ([][]float64, error) {
 	seeds := o.repeatSeeds()
 	type cellRef struct{ off, n int }
 	cells := make([]cellRef, points*len(seeds))
@@ -185,10 +183,7 @@ func (o Options) sweepAverage(points int, build func(point int, seed int64) []Ru
 		var sum []float64
 		for si := range seeds {
 			ref := cells[p*len(seeds)+si]
-			vals, err := extract(p, results[ref.off:ref.off+ref.n])
-			if err != nil {
-				return nil, err
-			}
+			vals := extract(results[ref.off : ref.off+ref.n])
 			if sum == nil {
 				sum = make([]float64, len(vals))
 			}
@@ -249,15 +244,10 @@ func (o Options) generatorConfig(numApps int, seed int64, networkFraction, conte
 	return cfg
 }
 
-// simWorkload generates the default simulated-cluster workload (60:40
-// compute:network mix, 1× contention).
-func (o Options) simWorkload(seed int64) ([]*workload.App, error) {
-	return workload.Generate(o.generatorConfig(o.SimApps, seed, 0.4, 1, o.SimDurationScale))
-}
-
-// simWorkloadWith generates a simulated-cluster workload with a specific
-// network-intensive fraction and contention factor (Figures 9 and 10).
-func (o Options) simWorkloadWith(seed int64, networkFraction, contention float64) ([]*workload.App, error) {
+// simWorkload generates a simulated-cluster workload with the given
+// network-intensive fraction and contention factor (the default mix is
+// 60:40 compute:network at 1× contention).
+func (o Options) simWorkload(seed int64, networkFraction, contention float64) ([]*workload.App, error) {
 	return workload.Generate(o.generatorConfig(o.SimApps, seed, networkFraction, contention, o.SimDurationScale))
 }
 
@@ -269,21 +259,4 @@ func (o Options) testbedWorkload(seed int64) ([]*workload.App, error) {
 // themisConfig returns the Themis arbiter configuration for these options.
 func (o Options) themisConfig() core.Config {
 	return core.Config{FairnessKnob: o.FairnessKnob, LeaseDuration: o.LeaseDuration}
-}
-
-// runSim executes one simulation of apps on topo under policy.
-func (o Options) runSim(topo *cluster.Topology, apps []*workload.App, policy sim.Policy) (*sim.Result, error) {
-	s, err := sim.New(sim.Config{
-		Topology:        topo,
-		Apps:            apps,
-		Policy:          policy,
-		TunerFor:        hyperparam.ForApp,
-		LeaseDuration:   o.LeaseDuration,
-		RestartOverhead: o.RestartOverhead,
-		Horizon:         o.Horizon,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
 }

@@ -186,7 +186,7 @@ func TestThemisFairnessProperty(t *testing.T) {
 		seed := seed
 		specs = append(specs, opts.spec(
 			fmt.Sprintf("themis-property/seed=%d", seed), topo,
-			func() ([]*workload.App, error) { return opts.simWorkloadWith(seed, 0.4, 1+float64(seed%3)) },
+			func() ([]*workload.App, error) { return opts.simWorkload(seed, 0.4, 1+float64(seed%3)) },
 			func() (sim.Policy, error) { return schedulers.NewThemis(opts.themisConfig()) },
 		))
 	}

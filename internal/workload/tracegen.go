@@ -297,30 +297,6 @@ func Summarize(apps []*App) Stats {
 	return s
 }
 
-// DurationCDF returns the empirical CDF of per-job task durations (minutes)
-// at the given quantile grid, reproducing Figure 1. The returned slices are
-// parallel: durations[i] is the duration at cdf[i].
-func DurationCDF(apps []*App, points int) (durations, cdf []float64) {
-	var all []float64
-	for _, a := range apps {
-		for _, j := range a.Jobs {
-			all = append(all, j.TotalWork/float64(j.GangSize))
-		}
-	}
-	sort.Float64s(all)
-	if len(all) == 0 || points <= 0 {
-		return nil, nil
-	}
-	durations = make([]float64, points)
-	cdf = make([]float64, points)
-	for i := 0; i < points; i++ {
-		q := float64(i+1) / float64(points)
-		durations[i] = percentile(all, q)
-		cdf[i] = q
-	}
-	return durations, cdf
-}
-
 // percentile returns the q-quantile (0 < q ≤ 1) of sorted values.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {

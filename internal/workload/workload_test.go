@@ -238,27 +238,6 @@ func TestGenerateValidatesConfig(t *testing.T) {
 	}
 }
 
-func TestDurationCDF(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	cfg.NumApps = 50
-	apps, _ := Generate(cfg)
-	durs, cdf := DurationCDF(apps, 20)
-	if len(durs) != 20 || len(cdf) != 20 {
-		t.Fatalf("CDF lengths %d,%d", len(durs), len(cdf))
-	}
-	for i := 1; i < len(durs); i++ {
-		if durs[i] < durs[i-1] || cdf[i] < cdf[i-1] {
-			t.Fatalf("CDF not monotone at %d", i)
-		}
-	}
-	if cdf[len(cdf)-1] != 1.0 {
-		t.Errorf("CDF should end at 1.0, got %v", cdf[len(cdf)-1])
-	}
-	if d, c := DurationCDF(nil, 10); d != nil || c != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
 // TestAdvanceWorkConservation property: over random splits of an interval,
 // total accrued work equals rate × elapsed regardless of how the interval is
 // chopped up.

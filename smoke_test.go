@@ -23,13 +23,18 @@ func TestExperimentOptions(t *testing.T) {
 // TestFigure2Smoke runs the cheapest figure end-to-end from the root package
 // so `go test` exercises the experiment harness even without -bench.
 func TestFigure2Smoke(t *testing.T) {
-	rows := experiments.Figure2()
-	if len(rows) != 5 {
-		t.Fatalf("Figure 2 produced %d rows, want 5", len(rows))
+	tables, err := experiments.Tables(experiments.Quick(), "2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.Slowdown <= 0 || r.Slowdown > 1 {
-			t.Errorf("%s slowdown %v outside (0,1]", r.Model, r.Slowdown)
+	fig2 := tables[0]
+	if len(fig2.Rows) != 5 {
+		t.Fatalf("Figure 2 produced %d rows, want 5", len(fig2.Rows))
+	}
+	slowdown := fig2.Floats("slowdown")
+	for i, model := range fig2.Cells("model") {
+		if slowdown[i] <= 0 || slowdown[i] > 1 {
+			t.Errorf("%s slowdown %v outside (0,1]", model, slowdown[i])
 		}
 	}
 }
