@@ -116,8 +116,8 @@ func demandContention(opts Options, topo *cluster.Topology) (float64, error) {
 		dur := a.TotalWork() / float64(demand)
 		events = append(events, event{a.SubmitTime, demand}, event{a.SubmitTime + dur, -demand})
 	}
-	// Equal times apply in the order appended, so the peak is the same as an
-	// earliest-first scan that breaks ties on index.
+	// The transient peak at a tie depends on the order equal times apply in;
+	// the stable sort keeps it the order appended.
 	slices.SortStableFunc(events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 	maxDemand, cur := 0, 0
 	for _, e := range events {
