@@ -21,13 +21,7 @@ func figure1(opts Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var durations []float64
-	for _, a := range apps {
-		for _, j := range a.Jobs {
-			durations = append(durations, j.TotalWork/float64(j.GangSize))
-		}
-	}
-	cdf := metrics.NewCDF(durations, 100)
+	cdf := metrics.NewCDF(workload.TaskDurations(apps), 100)
 	st := workload.Summarize(apps)
 	t := Table{
 		Name:    "1",

@@ -262,7 +262,7 @@ func Summarize(apps []*App) Stats {
 		return s
 	}
 	var jobsPerApp []int
-	var durations []float64
+	durations := TaskDurations(apps)
 	gang4 := 0
 	network := 0
 	for _, a := range apps {
@@ -273,7 +273,6 @@ func Summarize(apps []*App) Stats {
 		for _, j := range a.Jobs {
 			s.NumJobs++
 			s.TotalSerialWork += j.TotalWork
-			durations = append(durations, j.TotalWork/float64(j.GangSize))
 			if j.GangSize == 4 {
 				gang4++
 			}
@@ -295,6 +294,18 @@ func Summarize(apps []*App) Stats {
 		s.MeanInterArrival = (apps[len(apps)-1].SubmitTime - apps[0].SubmitTime) / float64(len(apps)-1)
 	}
 	return s
+}
+
+// TaskDurations returns every job's task duration (minutes): its serial work
+// spread over its gang. Figure 1 is the CDF of these values.
+func TaskDurations(apps []*App) []float64 {
+	var durations []float64
+	for _, a := range apps {
+		for _, j := range a.Jobs {
+			durations = append(durations, j.TotalWork/float64(j.GangSize))
+		}
+	}
+	return durations
 }
 
 // percentile returns the q-quantile (0 < q ≤ 1) of sorted values.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -235,6 +236,33 @@ func TestGenerateValidatesConfig(t *testing.T) {
 	bad.FractionNetworkIntensive = 1.5
 	if _, err := Generate(bad); err == nil {
 		t.Error("expected error for fraction > 1")
+	}
+}
+
+func TestDurationCDF(t *testing.T) {
+	cfg := DefaultGeneratorConfig()
+	cfg.NumApps = 50
+	apps, _ := Generate(cfg)
+	durs := TaskDurations(apps)
+	st := Summarize(apps)
+	if len(durs) != st.NumJobs {
+		t.Fatalf("%d durations for %d jobs", len(durs), st.NumJobs)
+	}
+	sort.Float64s(durs)
+	const points = 20
+	prev := 0.0
+	for i := 1; i <= points; i++ {
+		d := percentile(durs, float64(i)/points)
+		if d <= 0 || d < prev {
+			t.Fatalf("CDF not monotone at point %d: %v after %v", i, d, prev)
+		}
+		prev = d
+	}
+	if prev != st.TaskDurationMax {
+		t.Errorf("CDF should end at the longest task %v, got %v", st.TaskDurationMax, prev)
+	}
+	if d := TaskDurations(nil); d != nil {
+		t.Error("durations of an empty trace should be nil")
 	}
 }
 
