@@ -85,6 +85,9 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	if maxRows <= 0 {
 		maxRows = DefaultMaxBidRows
 	}
+	if len(sizes) > 0 {
+		v.picker.Load(ag.Estimator.Topo, offer)
+	}
 	for _, size := range sizes {
 		n := len(rows)
 		if n >= maxRows {
@@ -92,11 +95,14 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		}
 		rows = nextRow(rows)
 		row := &rows[n]
+		// Every candidate is drawn from the whole offer: the draw is handed
+		// back before the next.
 		if ag.PlacementBlind {
-			v.picker.DrawSpread(row.Alloc, offer.Clone(), size)
+			v.picker.DrawSpread(row.Alloc, size)
 		} else {
-			v.picker.PickInto(row.Alloc, ag.Estimator.Topo, offer, current, size)
+			v.picker.Draw(row.Alloc, current, size)
 		}
+		v.picker.Credit(row.Alloc)
 		// Dedup against the rows already accepted (replacing the old
 		// canonical-Key string set: Equal over ≤MaxBidRows rows is cheaper
 		// than rendering keys and allocates nothing). The empty row at

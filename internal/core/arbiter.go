@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"themis/internal/cluster"
+	"themis/internal/placement"
 	"themis/internal/workload"
 )
 
@@ -56,8 +57,11 @@ type Arbiter struct {
 	// auctions instead of reallocating it per participant; step 1 uses its
 	// Fanout too.
 	val BidValuator
-	// cands is the leftover pass's candidate scratch, emptied after each use.
-	cands []LeftoverCandidate
+	// cands is the leftover pass's candidate scratch, emptied after each use;
+	// picker scales the auction's awards down and holds the leftover pool the
+	// leftover pass draws from.
+	cands  []LeftoverCandidate
+	picker placement.Picker
 
 	// Stats accumulates scheduling telemetry (auction counts, latencies).
 	Stats ArbiterStats
@@ -241,7 +245,7 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	a.lastRound.Bid = bid.Sub(probed)
 
 	// Step 4: partial allocation over the bids.
-	auction, err := RunPartialAllocation(a.topo, free, bids, a.cfg.Auction)
+	auction, err := runPartialAllocation(&a.picker, a.topo, free, bids, a.cfg.Auction)
 	solved := time.Now()
 	a.lastRound.Solve = solved.Sub(bid)
 	if err != nil {
@@ -266,14 +270,14 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 
 	// Step 5 (leftovers): GPUs unallocated by the auction go to apps that
 	// did not participate, one at a time, placement sensitively; if none can
-	// use them, participants may take them so no GPU is left idle. Each pass
-	// debits leftover (the auction result's own map), so the second sees only
-	// what is still unplaced.
-	leftover := auction.Leftover
-	a.Stats.GPUsLeftOver += leftover.Total()
-	a.lastRound.LeftoverGPUs = leftover.Total()
-	out = a.grantLeftovers(out, leftover, ps[participants:], nil)
-	out = a.grantLeftovers(out, leftover, bidding, auction.Awards)
+	// use them, participants may take them so no GPU is left idle. Both passes
+	// draw from one load of the leftover, so the second sees only what is
+	// still unplaced.
+	a.picker.Load(a.topo, auction.Leftover)
+	a.Stats.GPUsLeftOver += a.picker.Total()
+	a.lastRound.LeftoverGPUs = a.picker.Total()
+	out = a.grantLeftovers(out, ps[participants:], nil)
+	out = a.grantLeftovers(out, bidding, auction.Awards)
 
 	end := time.Now()
 	elapsed := end.Sub(start)
@@ -304,11 +308,11 @@ type probedAgent struct {
 }
 
 // grantLeftovers runs the leftover-allocation rule over a candidate set and
-// appends the grants, debited from leftover, to out. awards, when non-nil, is
-// parallel to candidates: what each has just won in this round's auction
-// counts as held.
-func (a *Arbiter) grantLeftovers(out []Allocation, leftover cluster.Alloc, candidates []probedAgent, awards []Award) []Allocation {
-	if leftover.Total() == 0 {
+// appends the grants, drawn from the leftover pool loaded into the Arbiter's
+// picker, to out. awards, when non-nil, is parallel to candidates: what each
+// has just won in this round's auction counts as held.
+func (a *Arbiter) grantLeftovers(out []Allocation, candidates []probedAgent, awards []Award) []Allocation {
+	if a.picker.Total() == 0 {
 		return out
 	}
 	cands := a.cands[:0]
@@ -326,7 +330,7 @@ func (a *Arbiter) grantLeftovers(out []Allocation, leftover cluster.Alloc, candi
 		}
 	}
 	slices.SortFunc(cands, func(x, y LeftoverCandidate) int { return cmp.Compare(x.ID, y.ID) })
-	AllocateLeftovers(a.topo, leftover, cands)
+	AllocateLeftovers(&a.picker, cands)
 	for _, c := range cands {
 		if c.Grant != nil {
 			out = append(out, Allocation{App: c.ID, Alloc: c.Grant})

@@ -65,6 +65,13 @@ type AuctionOptions struct {
 // with it — so its c_i is 1 without a solve (and scaling an empty bundle
 // yields the empty bundle whatever c_i is).
 func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
+	var picker placement.Picker
+	return runPartialAllocation(&picker, topo, offer, bids, opts)
+}
+
+// runPartialAllocation is RunPartialAllocation scaling awards down through
+// the caller's picker: the Arbiter's own, which its rounds reuse.
+func runPartialAllocation(picker *placement.Picker, topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
 	res := AuctionResult{Leftover: offer.Clone()}
 	if len(bids) == 0 || offer.Total() == 0 {
 		return res, nil
@@ -93,14 +100,13 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 	}
 
 	paying := time.Now()
-	var picker placement.Picker
 	for i := range res.Awards {
 		aw := &res.Awards[i]
 		aw.C = 1
 		if !opts.DisableHiddenPayments && aw.PF.Total() > 0 {
 			aw.C = hiddenPayment(inst, logs, i, opts.Solver)
 		}
-		aw.Won = scaleAllocation(&picker, topo, aw.PF, aw.C)
+		aw.Won = scaleAllocation(picker, topo, aw.PF, aw.C)
 		if err := res.Leftover.Debit(aw.Won); err != nil {
 			return res, fmt.Errorf("core: auction allocated more than offered: %w", err)
 		}
@@ -182,25 +188,23 @@ type LeftoverCandidate struct {
 // same machines.
 //
 // cands must be sorted by ID and hold only apps with Want > 0; each grant is
-// accumulated in its candidate. leftover is the pool the grants are drawn
-// from: it is debited in place, so it must be the caller's to change, and
-// what it holds on return is what nobody could use.
-func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, cands []LeftoverCandidate) {
+// accumulated in its candidate. The grants are drawn from the pool loaded
+// into picker, and what it holds on return is what nobody could use.
+func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate) {
 	if len(cands) == 0 {
 		return
 	}
 	rotation := 0
-	var picker placement.Picker
 	var pick cluster.Alloc // scratch: copied into the candidate below
-	for len(leftover) > 0 {
+	for picker.Total() > 0 {
 		progress := false
-		for k := 0; k < len(cands) && len(leftover) > 0; k++ {
+		for k := 0; k < len(cands) && picker.Total() > 0; k++ {
 			c := &cands[(rotation+k)%len(cands)]
 			if c.Want <= 0 {
 				continue
 			}
-			pick = picker.Draw(pick, topo, leftover, c.Current, min(max(c.Chunk, 1), c.Want))
-			if pick.Total() == 0 {
+			pick = picker.Draw(pick, c.Current, min(max(c.Chunk, 1), c.Want))
+			if len(pick) == 0 {
 				continue
 			}
 			if c.Grant == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -120,6 +121,13 @@ func TestAgentUnmetParallelism(t *testing.T) {
 	}
 }
 
+// splitOf loads total into the estimator's picker and splits it across the
+// current call's active jobs.
+func splitOf(e *RhoEstimator, total cluster.Alloc) (shares []cluster.Alloc, served []int) {
+	e.picker.Load(e.Topo, total)
+	return e.splitAcrossJobs()
+}
+
 // TestAgentSplitForJobs covers the job split an Agent values its bids with
 // (the estimator's view of placement.Picker.Split): every GPU is handed out
 // and no job exceeds its parallelism limit.
@@ -128,7 +136,7 @@ func TestAgentSplitForJobs(t *testing.T) {
 	app := testApp("a", 0, placement.VGG16, 3, 100, 4)
 	est := agentFor(topo, app).Estimator
 	est.beginCall()
-	shares, _ := est.splitAcrossJobs(cluster.Alloc{0: 4, 1: 4})
+	shares, _ := splitOf(est, cluster.Alloc{0: 4, 1: 4})
 	if len(shares) != len(app.Jobs) {
 		t.Fatalf("%d shares for %d jobs", len(shares), len(app.Jobs))
 	}
@@ -155,7 +163,7 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 		ag := p.state.Agent.(*Agent)
 		e := ag.Estimator
 		e.beginCall()
-		if _, served := e.splitAcrossJobs(free); len(served) < 3 {
+		if _, served := splitOf(e, free); len(served) < 3 {
 			t.Fatalf("agent %d: the wide split served %d jobs; the fixture must feed several", i, len(served))
 		}
 		ag.App.Jobs[0].DoneAt = 1
@@ -165,7 +173,7 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 			break
 		}
 		e.beginCall()
-		shares, served := e.splitAcrossJobs(narrow)
+		shares, served := splitOf(e, narrow)
 		ref := refSplitAcrossJobs(e, narrow, ag.App.ActiveJobs())
 		for k, share := range e.shares {
 			switch {
@@ -444,7 +452,9 @@ func TestAllocateLeftovers(t *testing.T) {
 		}
 	}
 	cands := candidates(4, 1)
-	AllocateLeftovers(topo, leftover, cands)
+	var picker placement.Picker
+	picker.Load(topo, leftover)
+	AllocateLeftovers(&picker, cands)
 	total := 0
 	for _, c := range cands {
 		total += c.Grant.Total()
@@ -460,28 +470,28 @@ func TestAllocateLeftovers(t *testing.T) {
 	if a, b := cands[0], cands[1]; a.Grant.Total() > 4 || b.Grant.Total() > 1 || a.Want != 4-a.Grant.Total() || b.Want != 1-b.Grant.Total() {
 		t.Errorf("grants %v / %v against wants 4 / 1, remaining %d / %d", a.Grant, b.Grant, a.Want, b.Want)
 	}
-	// The grants were drawn out of the caller's pool, and the candidates'
+	// The grants were drawn out of the loaded pool, and the candidates'
 	// holdings were extended on copies: the caller's maps are only read.
-	if len(leftover) != 0 {
-		t.Errorf("pool after granting everything = %v, want empty", leftover)
+	if picker.Total() != 0 {
+		t.Errorf("pool after granting everything = %v, want empty", picker.Remaining(nil))
 	}
-	if !curA.Equal(cluster.Alloc{0: 2}) || !curB.Equal(cluster.Alloc{1: 4}) {
-		t.Errorf("caller's current allocations were written: %v %v", curA, curB)
+	if !leftover.Equal(cluster.Alloc{0: 2, 3: 1}) || !curA.Equal(cluster.Alloc{0: 2}) || !curB.Equal(cluster.Alloc{1: 4}) {
+		t.Errorf("caller's maps were written: leftover %v, currents %v %v", leftover, curA, curB)
 	}
 	if got, want := cands[0].Current, curA.Add(cands[0].Grant); !got.Equal(want) {
 		t.Errorf("a's anchor after its grants = %v, want %v", got, want)
 	}
 	// With no candidates, nothing is granted.
-	leftover = cluster.Alloc{0: 2, 3: 1}
-	AllocateLeftovers(topo, leftover, nil)
-	if leftover.Total() != 3 {
-		t.Errorf("pool drawn from with no candidates: %v", leftover)
+	picker.Load(topo, leftover)
+	AllocateLeftovers(&picker, nil)
+	if picker.Total() != 3 {
+		t.Errorf("pool drawn from with no candidates: %v", picker.Remaining(nil))
 	}
 	// Wants of zero leave GPUs unallocated.
 	none := candidates(0, 0)
-	AllocateLeftovers(topo, leftover, none)
-	if none[0].Grant != nil || none[1].Grant != nil || leftover.Total() != 3 {
-		t.Errorf("grants despite zero wants: %+v (pool %v)", none, leftover)
+	AllocateLeftovers(&picker, none)
+	if none[0].Grant != nil || none[1].Grant != nil || picker.Total() != 3 {
+		t.Errorf("grants despite zero wants: %+v (pool %v)", none, picker.Remaining(nil))
 	}
 }
 
@@ -511,5 +521,34 @@ func TestLeaseTable(t *testing.T) {
 	}
 	if lt.Len() != 0 || len(NewLeaseTable().Expired(100)) != 0 {
 		t.Error("drained and empty tables should hold no leases")
+	}
+}
+
+// TestLeaseTableExpiresTiesInGrantOrder: leases expire soonest first, and
+// leases granted at the same instant for the same term come back in the
+// order they were granted — among enough others that an unstable sort would
+// reorder them.
+func TestLeaseTableExpiresTiesInGrantOrder(t *testing.T) {
+	lt := NewLeaseTable()
+	granted := make(map[workload.AppID]int)
+	for i := range 60 {
+		id := workload.AppID(fmt.Sprintf("app%02d", i))
+		now := float64(i % 5)
+		if i%3 == 0 {
+			now = 2 // a third of the leases, all granted at one instant
+		}
+		lt.Grant(id, cluster.Alloc{0: 1}, now, 20)
+		granted[id] = i
+	}
+	exp := lt.Expired(100)
+	if len(exp) != 60 || lt.Len() != 0 {
+		t.Fatalf("Expired returned %d leases and kept %d, want all 60 returned", len(exp), lt.Len())
+	}
+	for k := 1; k < len(exp); k++ {
+		a, b := exp[k-1], exp[k]
+		if a.Expiry > b.Expiry || a.Expiry == b.Expiry && granted[a.App] > granted[b.App] {
+			t.Fatalf("position %d: %s (expiry %v, granted %d) before %s (expiry %v, granted %d)",
+				k, a.App, a.Expiry, granted[a.App], b.App, b.Expiry, granted[b.App])
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/workload"
@@ -21,8 +22,8 @@ type Lease struct {
 // structure (no locking); the Arbiter or simulator owning it serialises
 // access.
 type LeaseTable struct {
-	leases []Lease
-	nextID int
+	leases  []Lease // in grant order
+	expired []Lease // Expired's result, reused by the next call
 }
 
 // NewLeaseTable returns an empty lease table.
@@ -37,9 +38,12 @@ func (t *LeaseTable) Grant(app workload.AppID, alloc cluster.Alloc, now, duratio
 	t.leases = append(t.leases, Lease{App: app, Alloc: alloc.Clone(), Granted: now, Expiry: now + duration})
 }
 
-// Expired removes and returns all leases with expiry ≤ now.
+// Expired removes and returns all leases with expiry ≤ now, soonest expiry
+// first and, among leases expiring at the same instant, in grant order — the
+// order the simulator reclaims them in. The slice is valid until the next
+// Expired call.
 func (t *LeaseTable) Expired(now float64) []Lease {
-	var expired, live []Lease
+	expired, live := t.expired[:0], t.leases[:0]
 	for _, l := range t.leases {
 		if l.Expiry <= now {
 			expired = append(expired, l)
@@ -47,8 +51,9 @@ func (t *LeaseTable) Expired(now float64) []Lease {
 			live = append(live, l)
 		}
 	}
-	t.leases = live
-	sort.Slice(expired, func(i, j int) bool { return expired[i].Expiry < expired[j].Expiry })
+	clear(t.leases[len(live):]) // drop the moved-out leases' maps
+	t.leases, t.expired = live, expired
+	slices.SortStableFunc(expired, func(a, b Lease) int { return cmp.Compare(a.Expiry, b.Expiry) })
 	return expired
 }
 

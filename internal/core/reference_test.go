@@ -297,7 +297,7 @@ func TestWideAppBidEquivalence(t *testing.T) {
 				total := p.state.Current.Add(want[i].Entries[len(want[i].Entries)-1].Alloc)
 				ref := refSplitAcrossJobs(ag.Estimator, total, ag.App.ActiveJobs())
 				ag.Estimator.beginCall()
-				got, _ := ag.Estimator.splitAcrossJobs(total)
+				got, _ := splitOf(ag.Estimator, total)
 				for k, j := range ag.App.ActiveJobs() {
 					if !got[k].Equal(ref[k]) {
 						t.Errorf("agent %d job %s: split %v, reference %v", i, j.ID, got[k], ref[k])
@@ -663,7 +663,12 @@ func refAllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, curren
 				chunk = want
 			}
 			anchor := currents[id].Add(grants[id])
-			pick = picker.Draw(pick, topo, leftover, anchor, chunk)
+			// The parent's map-debiting Draw, as PickInto then Debit
+			// (placement's TestDrawMatchesPickIntoThenSub).
+			pick = picker.PickInto(pick, topo, leftover, anchor, chunk)
+			if err := leftover.Debit(pick); err != nil {
+				panic(err)
+			}
 			if pick.Total() == 0 {
 				continue
 			}

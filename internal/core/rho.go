@@ -35,13 +35,13 @@ type RhoEstimator struct {
 	Errors *estimator.ErrorModel
 
 	// Estimator scratch, recycled across calls: the per-job shares of the
-	// allocation being split (the picker holds the debited copy of it), the
-	// aggregate total of Rho's current+extra, and the job context. Everything an estimate touches is
-	// either caller-owned input (read only) or one of these buffers, so a
+	// allocation being split, the picker whose pool holds that allocation
+	// (Rho's current+extra, loaded once per valuation and debited by the
+	// split), and the job context. Everything an estimate touches is either
+	// caller-owned input (read only) or one of these buffers, so a
 	// steady-state ρ probe allocates nothing. An estimator is per-app,
 	// per-goroutine state, so plain fields suffice.
 	shares []cluster.Alloc
-	total  cluster.Alloc
 	picker placement.Picker
 
 	// The job context: what every valuation of one call (a ρ probe, or all
@@ -62,16 +62,16 @@ func (e *RhoEstimator) beginCall() {
 	e.split.Jobs = e.split.Jobs[:0]
 }
 
-// splitAcrossJobs divides the app-level allocation among the call's active
-// jobs (placement.Picker.Split, §5.2 step 4), least work left by the tuner's
-// estimate first, and returns the shares (indexed like e.jobs, empty but for
-// the served jobs) and the jobs served. The call's first split builds the
-// job facts and the order its rows share.
-func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc) (shares []cluster.Alloc, served []int) {
+// splitAcrossJobs divides the app-level allocation loaded into the picker
+// among the call's active jobs (placement.Picker.Split, §5.2 step 4), least
+// work left by the tuner's estimate first, and returns the shares (indexed
+// like e.jobs, empty but for the served jobs) and the jobs served. The call's
+// first split builds the job facts and the order its rows share.
+func (e *RhoEstimator) splitAcrossJobs() (shares []cluster.Alloc, served []int) {
 	if q := &e.split; len(q.Jobs) != len(e.jobs) {
 		// A split of nothing empties the shares the previous call's last
 		// split filled, before the queue forgets which they were.
-		e.picker.Split(e.shares, e.Topo, nil, 0, q)
+		e.picker.Split(e.shares, 0, q)
 		for _, j := range e.jobs {
 			q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, e.Tuner.WorkLeft(j)))
 		}
@@ -81,7 +81,7 @@ func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc) (shares []cluster.Al
 		e.shares = append(e.shares, cluster.NewAlloc())
 	}
 	shares = e.shares[:len(e.jobs)]
-	return shares, e.picker.Split(shares, e.Topo, e.picker.Scratch(total), total.Total(), &e.split)
+	return shares, e.picker.Split(shares, e.picker.Total(), &e.split)
 }
 
 // NewRhoEstimator returns an estimator for app using the given tuner for
@@ -120,11 +120,13 @@ func (e *RhoEstimator) TIdeal() float64 {
 // jobs. It returns Unbounded when total is empty and work remains.
 func (e *RhoEstimator) TShared(now float64, total cluster.Alloc) float64 {
 	e.beginCall()
-	return e.tShared(now, total)
+	e.picker.Load(e.Topo, total)
+	return e.tShared(now)
 }
 
-// tShared is TShared within the current call's job context.
-func (e *RhoEstimator) tShared(now float64, total cluster.Alloc) float64 {
+// tShared is TShared within the current call's job context, of the
+// allocation loaded into the picker.
+func (e *RhoEstimator) tShared(now float64) float64 {
 	elapsed := now - e.App.SubmitTime
 	if elapsed < 0 {
 		elapsed = 0
@@ -133,7 +135,7 @@ func (e *RhoEstimator) tShared(now float64, total cluster.Alloc) float64 {
 	if len(active) == 0 {
 		return elapsed
 	}
-	if total.Total() == 0 {
+	if e.picker.Total() == 0 {
 		// With no GPUs the shared finish time is unbounded. Scaling by the
 		// time already waited keeps starving apps ordered by how long they
 		// have been starved, so ties among GPU-less apps resolve in favour
@@ -141,7 +143,7 @@ func (e *RhoEstimator) tShared(now float64, total cluster.Alloc) float64 {
 		return Unbounded * (1 + elapsed)
 	}
 	// Only the served jobs hold GPUs, so only they can finish first.
-	shares, served := e.splitAcrossJobs(total)
+	shares, served := e.splitAcrossJobs()
 	best := math.Inf(1)
 	for _, idx := range served {
 		js, alloc := &e.split.Jobs[idx], shares[idx]
@@ -174,35 +176,12 @@ func (e *RhoEstimator) Rho(now float64, current, extra cluster.Alloc) float64 {
 }
 
 // rho is Rho within the current call's job context: prepareBidInto begins
-// one call and values every row of the table through it.
+// one call and values every row of the table through it. current+extra is
+// loaded into the picker, not summed into a map.
 func (e *RhoEstimator) rho(now float64, current, extra cluster.Alloc) float64 {
-	tsh := e.tShared(now, e.totalInto(current, extra))
-	return e.Errors.Perturb(tsh / e.tIdeal)
-}
-
-// totalInto computes current.Add(extra) into the estimator's reused total
-// buffer; the result is read-only and valid until the next Rho call.
-func (e *RhoEstimator) totalInto(current, extra cluster.Alloc) cluster.Alloc {
-	if e.total == nil {
-		e.total = cluster.NewAlloc()
-	}
-	t := e.total
-	clear(t)
-	for m, n := range current {
-		if n != 0 {
-			t[m] = n
-		}
-	}
-	for m, n := range extra {
-		if n == 0 {
-			continue
-		}
-		t[m] += n
-		if t[m] == 0 {
-			delete(t, m)
-		}
-	}
-	return t
+	e.picker.Load(e.Topo, current)
+	e.picker.Credit(extra)
+	return e.Errors.Perturb(e.tShared(now) / e.tIdeal)
 }
 
 // CurrentRho estimates ρ with the app's present allocation only — the value

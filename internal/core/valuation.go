@@ -31,7 +31,8 @@ type BidValuator struct {
 	// keep the map they were last written with; the next round clears and
 	// refills it (see nextRow).
 	entries [][]BidEntry
-	// picker reuses placement scratch across candidate picks.
+	// picker holds the offer of the table being prepared, loaded once per
+	// table; each candidate row is drawn from it and handed back.
 	picker placement.Picker
 	// fanout asks the Remote bidders; remote is the scratch of their indexes.
 	fanout Fanout

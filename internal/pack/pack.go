@@ -16,17 +16,19 @@ package pack
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"themis/internal/cluster"
 	"themis/internal/placement"
 	"themis/internal/topology"
 )
 
-// Engine is a deterministic pack-to-empty placer bound to one topology. It is
-// stateless beyond the immutable topology, so one Engine is safe for
-// concurrent use.
+// Engine is a deterministic pack-to-empty placer bound to one topology. It
+// holds nothing but the immutable topology and a pool of pickers, so one
+// Engine is safe for concurrent use.
 type Engine struct {
-	topo *cluster.Topology
+	topo    *cluster.Topology
+	pickers sync.Pool // of *placement.Picker, each serving one Place at a time
 }
 
 // New returns an Engine packing onto tree's topology. It takes a
@@ -41,11 +43,15 @@ func New(tree *topology.Tree) *Engine { return &Engine{topo: tree.Topology()} }
 func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c placement.Constraint) cluster.Alloc {
 	topo := e.topo
 	// The engine's policy is the order machines are offered in; the picker's
-	// Take keeps every offer within want and c. One picker per call, because
-	// an Engine may serve several goroutines.
-	var p placement.Picker
-	eligible := p.Scratch(free)
-	picked := p.Begin(nil, topo, eligible, anchor, want, c)
+	// Take keeps every offer within want and c. One picker per call, from
+	// the pool, because an Engine may serve several goroutines.
+	p, _ := e.pickers.Get().(*placement.Picker)
+	if p == nil {
+		p = new(placement.Picker)
+	}
+	defer e.pickers.Put(p)
+	p.Load(topo, free)
+	picked := p.Begin(nil, anchor, want, c)
 	if want <= 0 {
 		return picked
 	}
@@ -66,7 +72,7 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 	// of the pool, sorted once: a step that leaves the draw unfinished has
 	// drained each machine it offered or left it untouched, so what remains
 	// keeps its order (drained machines are no-ops to Take).
-	order := p.ByCount(eligible)
+	order := p.ByFree()
 	// The per-domain slices are indexed by dense domain index, which ascends
 	// with the domain ID.
 	domainFree := make([]int, topo.NumDomains())
@@ -88,8 +94,8 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 	}
 
 	// Free capacity per domain, over what remains on machines c admits.
-	for m, n := range eligible {
-		if n > 0 && c.Admits(topo, m) {
+	for _, m := range order {
+		if n := p.Free(m); n > 0 && c.Admits(topo, m) {
 			domainFree[topo.DomainIndex(m)] += n
 		}
 	}

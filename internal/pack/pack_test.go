@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"strings"
+	"sync"
 	"testing"
 
 	"themis/internal/cluster"
@@ -200,6 +201,53 @@ func TestPackDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPackConcurrentPlacesMatchSequential: one Engine serving several
+// goroutines at once, whose Place calls share its pool of pickers, plans
+// every request exactly as a lone caller does.
+func TestPackConcurrentPlacesMatchSequential(t *testing.T) {
+	topo := buildFabric(t, 4, 3, 2)
+	e := New(topology.Lift(topo))
+	rng := rand.New(rand.NewSource(7))
+	type request struct {
+		free, anchor cluster.Alloc
+		want         int
+		c            placement.Constraint
+	}
+	var reqs []request
+	var plans []cluster.Alloc
+	for range 64 {
+		r := request{free: cluster.NewAlloc(), anchor: cluster.NewAlloc(), want: 1 + rng.Intn(12)}
+		for _, m := range topo.Machines() {
+			if n := rng.Intn(m.NumGPUs + 1); n > 0 {
+				r.free[m.ID] = n
+			}
+			if rng.Intn(6) == 0 {
+				r.anchor[m.ID] = 1
+			}
+		}
+		if rng.Intn(3) == 0 {
+			r.c.MinGPUsPerMachine = 2
+		}
+		reqs = append(reqs, r)
+		plans = append(plans, e.Place(r.free, r.anchor, r.want, r.c))
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range reqs {
+				i := (k + g*8) % len(reqs)
+				r := reqs[i]
+				if got := e.Place(r.free, r.anchor, r.want, r.c); !got.Equal(plans[i]) {
+					t.Errorf("goroutine %d request %d: plan %v, a lone caller got %v", g, i, got, plans[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPackConservation asserts the engine never invents capacity: the plan

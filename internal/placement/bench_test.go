@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkDraw measures one locality-best draw on a reused Picker — PickInto,
-// so each op draws from a fresh copy of the same partly busy free vector — on
+// so each op loads the same partly busy free vector afresh and draws — on
 // sim and sim-fabric, unanchored and anchored in one rack, at 1, 4, 16 and 64
 // GPUs.
 func BenchmarkDraw(b *testing.B) {
@@ -40,8 +40,8 @@ func BenchmarkDraw(b *testing.B) {
 
 // BenchmarkSplit measures one job split as a bid row runs it: order a 98-job
 // app's jobs (few distinct work-left values, a fifth of the jobs finished)
-// and split a copy of a partly busy sim-cluster pool among them, for a 4-GPU
-// and a 48-GPU budget.
+// and split a partly busy sim-cluster pool, loaded afresh, among them, for a
+// 4-GPU and a 48-GPU budget.
 func BenchmarkSplit(b *testing.B) {
 	topo := cluster.SimulationCluster()
 	rng := rand.New(rand.NewSource(1))
@@ -62,9 +62,10 @@ func BenchmarkSplit(b *testing.B) {
 			shares := make([]cluster.Alloc, len(jobs))
 			b.ReportAllocs()
 			for b.Loop() {
-				p.Split(shares, topo, nil, 0, &q) // empty the last op's shares
+				p.Split(shares, 0, &q) // empty the last op's shares
 				q.Reset()
-				p.Split(shares, topo, p.Scratch(free), budget, &q)
+				p.Load(topo, free)
+				p.Split(shares, budget, &q)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -11,14 +12,26 @@ import (
 	"themis/internal/topology"
 )
 
-// oracle is the locality-best ladder as it was before the rack walk: ByCount
-// sorting with two map lookups per comparison, pass 2 sorting the whole pool,
-// and takePacked re-sorting the whole pool once for every (domain, rack)
-// pair. The bodies below are verbatim; Begin, Take and Scratch are the
-// Picker's own, through the embedding. The differential tests hold the
-// Picker to it, dst and debited pool alike.
+// oracle is the Picker as it was before its pool became dense, with the
+// locality-best ladder as it was before the rack walk. Its pool is a map the
+// caller owns: Scratch copies free into one, and Take, Draw, DrawSpread and
+// Split debit whatever map they are given. The ladder is the pre-walk one:
+// ByCount sorting with two map lookups per comparison, pass 2 sorting the
+// whole pool, and takePacked re-sorting the whole pool once for every
+// (domain, rack) pair. The bodies below are verbatim. The differential tests
+// hold the Picker to it, dst, shares and remaining pool alike.
 type oracle struct {
-	Picker
+	scratch     cluster.Alloc
+	topo        *cluster.Topology
+	dst         cluster.Alloc
+	pool        cluster.Alloc
+	anchor      cluster.Alloc
+	need        int
+	c           Constraint
+	constrained bool
+	floor       int
+	fresh       int
+
 	byCount       []cluster.MachineID
 	anchorRacks   map[cluster.RackID]bool
 	anchorDomains map[cluster.DomainID]bool
@@ -26,6 +39,97 @@ type oracle struct {
 	domainFree    map[cluster.DomainID]int
 	domains       []cluster.DomainID
 	racks         []cluster.RackID
+}
+
+func (p *oracle) Scratch(free cluster.Alloc) cluster.Alloc {
+	if p.scratch == nil {
+		p.scratch = cluster.NewAlloc()
+	}
+	clear(p.scratch)
+	for m, n := range free {
+		if n != 0 {
+			p.scratch[m] = n
+		}
+	}
+	return p.scratch
+}
+
+func (p *oracle) Begin(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	dst = reset(dst)
+	p.topo, p.dst, p.pool, p.anchor = topo, dst, pool, anchor
+	p.need = max(count, 0)
+	p.c, p.constrained = c, !c.IsZero()
+	p.floor = max(c.MinGPUsPerMachine, 1)
+	p.fresh = -1
+	if c.MaxMachines > 0 {
+		p.fresh = c.MaxMachines
+		for _, n := range anchor {
+			if n > 0 && p.fresh > 0 {
+				p.fresh--
+			}
+		}
+	}
+	return dst
+}
+
+func (p *oracle) Take(m cluster.MachineID) {
+	have := p.pool[m]
+	n := min(have, p.need)
+	if n <= 0 {
+		return
+	}
+	if p.constrained {
+		if !p.c.Admits(p.topo, m) {
+			return
+		}
+		base := p.anchor[m] + p.dst[m]
+		if base+n < p.floor {
+			return
+		}
+		if base == 0 && p.fresh >= 0 {
+			if p.fresh == 0 {
+				return
+			}
+			p.fresh--
+		}
+	}
+	p.dst[m] += n
+	p.need -= n
+	if n == have {
+		delete(p.pool, m)
+	} else {
+		p.pool[m] = have - n
+	}
+}
+
+func (p *oracle) DrawSpread(dst, pool cluster.Alloc, count int) cluster.Alloc {
+	dst = reset(dst)
+	ids := p.byCount[:0]
+	for m, n := range pool {
+		if n > 0 {
+			ids = append(ids, m)
+		}
+	}
+	slices.Sort(ids)
+	p.byCount = ids
+	for progress := true; count > 0 && progress; {
+		progress = false
+		for _, m := range ids {
+			have := pool[m]
+			if count == 0 || have <= 0 {
+				continue
+			}
+			dst[m]++
+			count--
+			progress = true
+			if have == 1 {
+				delete(pool, m)
+			} else {
+				pool[m] = have - 1
+			}
+		}
+	}
+	return dst
 }
 
 func (p *oracle) ByCount(a cluster.Alloc) []cluster.MachineID {
@@ -189,7 +293,9 @@ func splitOrderExchange(order []int, jobs []SplitJob) []int {
 }
 
 // Split is the job split as it was before it served a SplitQueue, verbatim:
-// every share cleared, then the jobs served in the eager order.
+// every share cleared, then the jobs served in the eager order. It is the
+// map-pool Split of before the dense pool with the eager order for the lazy
+// queue, so it holds the queue's use to the exchange sort as well.
 func (p *oracle) Split(shares []cluster.Alloc, topo *cluster.Topology, pool cluster.Alloc, budget int, jobs []SplitJob, order []int) {
 	for _, share := range shares {
 		clear(share)
@@ -287,14 +393,39 @@ func randomTopo(tb testing.TB, rng *rand.Rand) *cluster.Topology {
 }
 
 // drawCase is one differential case: a free vector (zero-valued keys
-// included), an anchor, a request, a constraint and a job split.
+// included), an anchor, a request, a constraint, a job split and a sequence
+// of draws from one load.
 type drawCase struct {
 	free, anchor cluster.Alloc
 	count        int
 	c            Constraint
 	jobs         []SplitJob
 	budget       int
+	steps        []drawStep
 }
+
+// drawStep is one step of a sequence from one load, as the policies, the
+// estimator and the simulator make them: a draw of count GPUs (anchored at
+// anchor, which may be nil), or extra GPUs loaded on top.
+type drawStep struct {
+	kind   int
+	count  int
+	anchor cluster.Alloc
+	extra  cluster.Alloc
+}
+
+// The kinds of drawStep.
+const (
+	stepDraw        = iota
+	stepSpread      // the placement-blind draw (Tiresias, SLAQ, resource-fair)
+	stepConstrained // the constrained ladder, under the case's constraint
+	stepPeek        // a draw handed back (Gandiva's candidates, bid rows)
+	stepCredit      // extra GPUs loaded on top (the estimator, usableWith)
+	stepSplit       // a job split with the step's count as budget
+	numSteps
+)
+
+var stepNames = [numSteps]string{"Draw", "DrawSpread", "drawConstrained", "peek", "Credit", "Split"}
 
 // randomCase draws a case over topo: mostly small requests, the rest up to the
 // whole free pool.
@@ -319,12 +450,45 @@ func randomCase(rng *rand.Rand, topo *cluster.Topology) drawCase {
 		dc.jobs = append(dc.jobs, j)
 	}
 	dc.budget = rng.Intn(dc.free.Total() + 3)
+	for range rng.Intn(8) {
+		s := drawStep{kind: rng.Intn(numSteps), count: 1 + rng.Intn(8)}
+		if rng.Intn(2) == 0 {
+			s.anchor = dc.anchor
+		}
+		if s.kind == stepCredit {
+			s.extra, _ = randomPool(rng, topo)
+		}
+		dc.steps = append(dc.steps, s)
+	}
 	return dc
 }
 
+// checkTallies fails unless the picker's rack and domain tallies and its
+// total are the sums of its per-machine pool, and every machine holding GPUs
+// is listed for the next Load to clear.
+func checkTallies(t *testing.T, p *Picker, what string) {
+	t.Helper()
+	racks, domains, total := make([]int, p.topo.NumRacks()), make([]int, p.topo.NumDomains()), 0
+	for i, n := range p.free {
+		m := cluster.MachineID(i)
+		if n != 0 && !p.listed[m] {
+			t.Fatalf("%s: machine %d holds %d GPUs but is not listed", what, m, n)
+		}
+		racks[p.topo.RackIndex(m)] += n
+		domains[p.topo.DomainIndex(m)] += n
+		total += n
+	}
+	if !slices.Equal(racks, p.rackFree) || !slices.Equal(domains, p.domainFree) || total != p.total {
+		t.Fatalf("%s: tallies racks %v domains %v total %d, the pool sums to %v %v %d",
+			what, p.rackFree, p.domainFree, p.total, racks, domains, total)
+	}
+}
+
 // checkAgainstOracle runs one case through PickInto, Draw, the constrained
-// ladder and Split on p and on the oracle o, and fails unless every dst, share
-// and debited pool is identical, key for key.
+// ladder, DrawSpread, Split and the case's sequence of draws from one load on
+// p and on the oracle o, and fails unless every dst and share is identical
+// key for key, the picker's pool read back is the oracle's map pool, and the
+// picker's tallies add up after every form.
 func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topology, dc drawCase, what string) {
 	t.Helper()
 	same := func(form string, got, want cluster.Alloc) {
@@ -334,46 +498,91 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 				what, form, got, want, dc.free, dc.anchor, dc.count, dc.c)
 		}
 	}
+	left := func(form string, oPool cluster.Alloc) {
+		t.Helper()
+		same("pool after "+form, p.Remaining(nil), oPool)
+		checkTallies(t, p, what+": "+form)
+	}
+	// load loads free into p and returns the oracle's map of it.
+	load := func() cluster.Alloc {
+		p.Load(topo, dc.free)
+		return dc.free.Clone()
+	}
 
 	same("PickInto", p.PickInto(nil, topo, dc.free, dc.anchor, dc.count), o.PickInto(nil, topo, dc.free, dc.anchor, dc.count))
-	same("PickInto's debited copy", p.scratch, o.scratch)
+	left("PickInto", o.scratch)
 
-	pool, oPool := maps.Clone(dc.free), maps.Clone(dc.free)
-	same("Draw", p.Draw(nil, topo, pool, dc.anchor, dc.count), o.Draw(nil, topo, oPool, dc.anchor, dc.count))
-	same("pool after Draw", pool, oPool)
+	oPool := load()
+	same("Draw", p.Draw(nil, dc.anchor, dc.count), o.Draw(nil, topo, oPool, dc.anchor, dc.count))
+	left("Draw", oPool)
 
-	pool, oPool = maps.Clone(dc.free), maps.Clone(dc.free)
-	same("drawConstrained", p.drawConstrained(nil, topo, pool, dc.anchor, dc.count, dc.c),
+	oPool = load()
+	same("drawConstrained", p.drawConstrained(nil, dc.anchor, dc.count, dc.c),
 		o.drawConstrained(nil, topo, oPool, dc.anchor, dc.count, dc.c))
-	same("pool after drawConstrained", pool, oPool)
+	left("drawConstrained", oPool)
 
-	pool, oPool = maps.Clone(dc.free), maps.Clone(dc.free)
+	oPool = load()
+	same("DrawSpread", p.DrawSpread(nil, dc.count), o.DrawSpread(nil, oPool, dc.count))
+	left("DrawSpread", oPool)
+
+	oPool = load()
 	q := SplitQueue{Jobs: dc.jobs}
 	q.Reset()
 	shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
-	p.Split(shares, topo, pool, dc.budget, &q)
+	p.Split(shares, dc.budget, &q)
 	o.Split(oShares, topo, oPool, dc.budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
 	for i := range shares {
 		same("Split share", shares[i], oShares[i])
 	}
-	same("pool after Split", pool, oPool)
+	left("Split", oPool)
 
 	// Again through the same queue onto the same shares, with another budget:
 	// the shares the first split served and this one does not must be empty.
 	budget := dc.free.Total() - dc.budget
-	pool, oPool = maps.Clone(dc.free), maps.Clone(dc.free)
-	p.Split(shares, topo, pool, budget, &q)
+	oPool = load()
+	p.Split(shares, budget, &q)
 	o.Split(oShares, topo, oPool, budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
 	for i := range shares {
 		same("re-Split share", shares[i], oShares[i])
 	}
-	same("pool after re-Split", pool, oPool)
+	left("re-Split", oPool)
+
+	// Several draws from one load, each seeing what the last left.
+	oPool = load()
+	for k, s := range dc.steps {
+		form := fmt.Sprintf("step %d (%s)", k, stepNames[s.kind])
+		switch s.kind {
+		case stepDraw:
+			same(form, p.Draw(nil, s.anchor, s.count), o.Draw(nil, topo, oPool, s.anchor, s.count))
+		case stepSpread:
+			same(form, p.DrawSpread(nil, s.count), o.DrawSpread(nil, oPool, s.count))
+		case stepConstrained:
+			same(form, p.drawConstrained(nil, s.anchor, s.count, dc.c), o.drawConstrained(nil, topo, oPool, s.anchor, s.count, dc.c))
+		case stepPeek:
+			got := p.Draw(nil, s.anchor, s.count)
+			p.Credit(got)
+			same(form, got, o.PickInto(nil, topo, oPool, s.anchor, s.count))
+		case stepCredit:
+			p.Credit(s.extra)
+			oPool.Credit(s.extra)
+		case stepSplit:
+			q.Reset()
+			shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
+			p.Split(shares, s.count, &q)
+			o.Split(oShares, topo, oPool, s.count, dc.jobs, splitOrderExchange(nil, dc.jobs))
+			for i := range shares {
+				same(form+" share", shares[i], oShares[i])
+			}
+		}
+		left(form, oPool)
+	}
 }
 
-// TestDrawMatchesOracle is the rack walk's contract: on the paper's clusters,
-// the fabric cluster and random sparse-ID multi-domain topologies, every form
-// of the picker takes exactly what the pre-walk ladder took and leaves the
-// pool exactly as it did — 10 000 seeded cases, on reused pickers.
+// TestDrawMatchesOracle is the dense pool's and the rack walk's contract: on
+// the paper's clusters, the fabric cluster and random sparse-ID multi-domain
+// topologies, every form of the picker takes exactly what the map-pool,
+// pre-walk picker took and leaves the pool exactly as it did, alone and in
+// sequences of draws from one load — 10 000 seeded cases, on reused pickers.
 func TestDrawMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	topos := []namedTopo{

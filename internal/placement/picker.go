@@ -137,38 +137,43 @@ func PickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.
 	if c.IsZero() {
 		return p.PickInto(nil, topo, free, anchor, count)
 	}
-	return p.drawConstrained(nil, topo, p.Scratch(free), anchor, count, c)
+	p.Load(topo, free)
+	return p.drawConstrained(nil, anchor, count, c)
 }
 
 // Picker is the one way GPUs leave a pool: the placement-sensitive greedy
 // ladder of §5.2 step 4 and §5.1 step 3, its constraint-aware variant, the
-// placement-blind round-robin and the job split built on them. Every form
-// either debits a pool the caller owns (Draw, DrawSpread, Split) or reads free
-// and debits the picker's own copy of it (PickInto, PickConstrained).
+// placement-blind round-robin and the job split built on them.
 //
-// A draw reads only the machines it can take from. Every rack lies inside one
-// fabric domain and a take debits only its own machine, so a rack's machines
-// keep their by-free order until the draw reaches that rack: a locality-best
-// draw costs one pass over the pool plus one sort per rack it visits (see
-// takePacked), not a sort of the whole pool per (domain, rack) pair.
+// The pool is the picker's own: Load fills a dense per-machine slice with
+// per-rack and per-domain tallies, and every draw debits it. A loop loads
+// once and draws until the pool runs dry. A locality-best draw ranks racks
+// from the tallies and sorts only the racks it visits (see takePacked).
 //
-// The pool copy, the per-rack and per-domain tallies and every ordering slice
-// are reused across calls, so steady-state picks allocate nothing
+// Every buffer is reused, so steady-state loads and draws allocate nothing
 // (TestPickerSteadyStateAllocs). The zero value is ready to use. A Picker is
-// single-goroutine state; each estimator, simulator and policy loop owns its
-// own.
+// single-goroutine state; each estimator, simulator, arbiter and policy loop
+// owns its own.
 type Picker struct {
-	scratch  cluster.Alloc
+	// The loaded pool: free GPUs per machine ID and their sums per rack index
+	// and per domain index, kept current by every draw; total is the sum of
+	// all. loaded lists, once each (listed marks them), the machines the pool
+	// has held GPUs on since Load, so the next Load clears only those.
+	topo       *cluster.Topology
+	free       []int
+	rackFree   []int
+	domainFree []int
+	total      int
+	loaded     []cluster.MachineID
+	listed     []bool
+
 	byCount  []cluster.MachineID // ByCount's result, and its sort keys while it sorts
-	tally    []int               // free GPUs per rack index, then per domain index
 	anchored []bool              // per domain index: the anchor holds GPUs there
 	racks    []int               // rack indices, in the order a pass visits them
 
-	// The draw in progress (Begin … Take): where GPUs come from and go to,
-	// how many are still wanted, and what the constraint still allows.
-	topo        *cluster.Topology
+	// The draw in progress (Begin … Take): where GPUs go to, how many are
+	// still wanted, and what the constraint still allows.
 	dst         cluster.Alloc
-	pool        cluster.Alloc
 	anchor      cluster.Alloc
 	need        int
 	c           Constraint
@@ -177,30 +182,73 @@ type Picker struct {
 	fresh       int // machines the draw may still open under the spread cap; -1 = no cap
 }
 
-// Scratch returns the picker's own copy of free: the pool for a draw that
-// must leave free untouched. It is valid until the next Scratch, PickInto or
-// PickConstrained call.
-func (p *Picker) Scratch(free cluster.Alloc) cluster.Alloc {
-	if p.scratch == nil {
-		p.scratch = cluster.NewAlloc()
-	}
-	clear(p.scratch)
-	for m, n := range free {
-		if n != 0 {
-			p.scratch[m] = n
+// Load makes free, which is only read, the pool on topo. It costs what free
+// and the previous pool hold, not the cluster.
+func (p *Picker) Load(topo *cluster.Topology, free cluster.Alloc) {
+	if topo != p.topo {
+		p.topo = topo
+		p.free = zeroed(p.free, topo.NumMachines())
+		p.listed = zeroed(p.listed, topo.NumMachines())
+		p.rackFree = zeroed(p.rackFree, topo.NumRacks())
+		p.domainFree = zeroed(p.domainFree, topo.NumDomains())
+	} else {
+		for _, m := range p.loaded {
+			p.free[m], p.listed[m] = 0, false
+			p.rackFree[topo.RackIndex(m)] = 0
+			p.domainFree[topo.DomainIndex(m)] = 0
 		}
 	}
-	return p.scratch
+	p.loaded, p.total = p.loaded[:0], 0
+	p.Credit(free)
 }
 
-// Begin starts a draw of up to count GPUs out of pool into dst (cleared
+// Credit adds a's positive counts to the pool: a draw handed back, or a
+// second allocation loaded on top of the first.
+func (p *Picker) Credit(a cluster.Alloc) {
+	for m, n := range a {
+		if n > 0 {
+			p.add(m, n)
+		}
+	}
+}
+
+// add changes machine m's free count, and the tallies with it, by n.
+func (p *Picker) add(m cluster.MachineID, n int) {
+	if !p.listed[m] {
+		p.listed[m] = true
+		p.loaded = append(p.loaded, m)
+	}
+	p.free[m] += n
+	p.rackFree[p.topo.RackIndex(m)] += n
+	p.domainFree[p.topo.DomainIndex(m)] += n
+	p.total += n
+}
+
+// Total returns the GPUs left in the pool.
+func (p *Picker) Total() int { return p.total }
+
+// Free returns the GPUs left in the pool on machine m.
+func (p *Picker) Free(m cluster.MachineID) int { return p.free[m] }
+
+// Remaining writes what is left in the pool into dst (cleared first;
+// allocated when nil) and returns it.
+func (p *Picker) Remaining(dst cluster.Alloc) cluster.Alloc {
+	dst = reset(dst)
+	for _, m := range p.loaded {
+		if n := p.free[m]; n > 0 {
+			dst[m] = n
+		}
+	}
+	return dst
+}
+
+// Begin starts a draw of up to count GPUs out of the pool into dst (cleared
 // first; allocated when nil) for a job anchored at anchor under c, and returns
 // dst. The draw then proceeds by Take calls in whatever machine order the
-// caller's policy prefers; Take debits pool, so pool must be the caller's to
-// change. anchor is only read.
-func (p *Picker) Begin(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+// caller's policy prefers. anchor is only read.
+func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
 	dst = reset(dst)
-	p.topo, p.dst, p.pool, p.anchor = topo, dst, pool, anchor
+	p.dst, p.anchor = dst, anchor
 	p.need = max(count, 0)
 	p.c, p.constrained = c, !c.IsZero()
 	p.floor = max(c.MinGPUsPerMachine, 1)
@@ -231,11 +279,9 @@ func (p *Picker) Need() int { return p.need }
 // Take moves as many GPUs as the draw still needs from machine m of the pool
 // into dst — or none, when that would break the draw's constraint: a machine
 // outside the domain/flavor affinity, a machine left under the per-machine
-// floor, or a fresh machine beyond the spread cap. Keys the pool runs out of
-// are deleted.
+// floor, or a fresh machine beyond the spread cap.
 func (p *Picker) Take(m cluster.MachineID) {
-	have := p.pool[m]
-	n := min(have, p.need)
+	n := min(p.free[m], p.need)
 	if n <= 0 {
 		return
 	}
@@ -256,20 +302,28 @@ func (p *Picker) Take(m cluster.MachineID) {
 	}
 	p.dst[m] += n
 	p.need -= n
-	if n == have {
-		delete(p.pool, m)
-	} else {
-		p.pool[m] = have - n
-	}
+	p.add(m, -n)
 }
 
 // ByCount returns a's machines ordered by descending GPU count then ascending
 // ID — the order in which a pool packs tightest and an anchor extends best.
-// The slice is valid until the next ByCount call.
+// The slice is valid until the next ByCount or ByFree call.
 func (p *Picker) ByCount(a cluster.Alloc) []cluster.MachineID {
 	keys := p.byCount[:0]
 	for m, n := range a {
 		if n > 0 {
+			keys = append(keys, countKey(m, n))
+		}
+	}
+	return p.sortByCount(keys)
+}
+
+// ByFree returns the pool's machines in ByCount's order. The slice is valid
+// until the next ByCount or ByFree call.
+func (p *Picker) ByFree() []cluster.MachineID {
+	keys := p.byCount[:0]
+	for _, m := range p.loaded {
+		if n := p.free[m]; n > 0 {
 			keys = append(keys, countKey(m, n))
 		}
 	}
@@ -302,11 +356,11 @@ func (p *Picker) sortByCount(keys []cluster.MachineID) []cluster.MachineID {
 }
 
 // appendPooled appends the count key of every machine of the rack with dense
-// index r that the draw's pool still holds GPUs on.
+// index r that the pool still holds GPUs on.
 func (p *Picker) appendPooled(keys []cluster.MachineID, r int) []cluster.MachineID {
 	id, _ := p.topo.RackAt(r)
 	for _, m := range p.topo.RackMachines(id) {
-		if n := p.pool[m]; n > 0 {
+		if n := p.free[m]; n > 0 {
 			keys = append(keys, countKey(m, n))
 		}
 	}
@@ -340,16 +394,16 @@ func zeroed[T any](s []T, n int) []T {
 //
 // The pick is written into dst (cleared first; allocated when nil) and
 // returned; it is valid until the caller reuses dst. free and anchor are only
-// read.
+// read: free is loaded as the picker's pool and the draw debits that.
 func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, anchor cluster.Alloc, count int) cluster.Alloc {
-	return p.Draw(dst, topo, p.Scratch(free), anchor, count)
+	p.Load(topo, free)
+	return p.Draw(dst, anchor, count)
 }
 
-// Draw is PickInto against the caller's pool: the picked GPUs are removed from
-// pool itself. A loop that hands out GPUs until the pool runs dry clones the
-// free vector once and draws from the clone.
-func (p *Picker) Draw(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int) cluster.Alloc {
-	dst = p.Begin(dst, topo, pool, anchor, count, Constraint{})
+// Draw is PickInto from the loaded pool: the picked GPUs leave the pool, so a
+// loop that hands out GPUs until the pool runs dry loads it once and draws.
+func (p *Picker) Draw(dst, anchor cluster.Alloc, count int) cluster.Alloc {
+	dst = p.Begin(dst, anchor, count, Constraint{})
 	if p.takeNearAnchor() {
 		p.takePacked()
 	}
@@ -358,10 +412,10 @@ func (p *Picker) Draw(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cl
 
 // drawConstrained is Draw under a constraint set: the same anchor passes, then
 // plain most-free-first packing, every take constraint-checked.
-func (p *Picker) drawConstrained(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
-	dst = p.Begin(dst, topo, pool, anchor, count, c)
+func (p *Picker) drawConstrained(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	dst = p.Begin(dst, anchor, count, c)
 	if p.takeNearAnchor() {
-		for _, m := range p.ByCount(pool) {
+		for _, m := range p.ByFree() {
 			p.Take(m)
 		}
 	}
@@ -416,35 +470,27 @@ func (p *Picker) takeNearAnchor() bool {
 // The rack is the cell of this order: NewTopology keeps every rack inside one
 // domain, and a take from rack r debits only rack r's machines, so the racks
 // not yet visited keep the free counts they had when the pass began. The pass
-// therefore ranks racks once, from one walk over the pool, and sorts a rack's
-// own machines only when it reaches that rack — one pass over the pool plus
-// one small sort per visited rack, and most draws end inside the first.
+// therefore ranks racks once, from the pool's rack and domain tallies, and
+// sorts a rack's own machines only when it reaches that rack — most draws end
+// inside the first.
 func (p *Picker) takePacked() {
 	topo := p.topo
-	nr, nd := topo.NumRacks(), topo.NumDomains()
-	p.tally = zeroed(p.tally, nr+nd)
-	rackFree, domainFree := p.tally[:nr], p.tally[nr:]
-	anchored := zeroed(p.anchored, nd)
+	anchored := zeroed(p.anchored, topo.NumDomains())
 	p.anchored = anchored
 	for m, n := range p.anchor {
 		if n > 0 {
 			anchored[topo.DomainIndex(m)] = true
 		}
 	}
-	for m, n := range p.pool {
-		if n > 0 {
-			rackFree[topo.RackIndex(m)] += n
-		}
-	}
+	rackFree, domainFree := p.rackFree, p.domainFree
 	racks := p.racks[:0]
 	for r, n := range rackFree {
 		if n > 0 {
 			racks = append(racks, r)
-			_, d := topo.RackAt(r)
-			domainFree[d] += n
 		}
 	}
-	// Dense indices ascend with IDs, so comparing them breaks ties by ID.
+	// Dense indices ascend with IDs, so comparing them breaks ties by ID. The
+	// tallies do not move while the racks are ranked.
 	slices.SortFunc(racks, func(ri, rj int) int {
 		_, di := topo.RackAt(ri)
 		_, dj := topo.RackAt(rj)
@@ -483,35 +529,25 @@ func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, coun
 	return p.PickInto(nil, topo, free, anchor, count)
 }
 
-// DrawSpread removes up to count GPUs from pool in a placement-blind way — one
-// GPU at a time, round-robin across machines in ID order — and returns them in
-// dst (cleared first; allocated when nil). It models schedulers that do not
-// reason about locality (Tiresias, SLAQ, the placement-blind bidding
-// ablation): their allocations straddle machines and racks.
-func (p *Picker) DrawSpread(dst, pool cluster.Alloc, count int) cluster.Alloc {
+// DrawSpread draws up to count GPUs from the pool in a placement-blind way —
+// one GPU at a time, round-robin across machines in ascending ID order — and
+// returns them in dst (cleared first; allocated when nil). It models
+// schedulers that do not reason about locality (Tiresias, SLAQ, the
+// placement-blind bidding ablation): their allocations straddle machines and
+// racks.
+func (p *Picker) DrawSpread(dst cluster.Alloc, count int) cluster.Alloc {
 	dst = reset(dst)
-	ids := p.byCount[:0]
-	for m, n := range pool {
-		if n > 0 {
-			ids = append(ids, m)
-		}
-	}
-	slices.Sort(ids)
-	p.byCount = ids
 	for progress := true; count > 0 && progress; {
 		progress = false
-		for _, m := range ids {
-			have := pool[m]
-			if count == 0 || have <= 0 {
-				continue
+		for m, have := range p.free {
+			if count == 0 {
+				break
 			}
-			dst[m]++
-			count--
-			progress = true
-			if have == 1 {
-				delete(pool, m)
-			} else {
-				pool[m] = have - 1
+			if have > 0 {
+				dst[cluster.MachineID(m)]++
+				p.add(cluster.MachineID(m), -1)
+				count--
+				progress = true
 			}
 		}
 	}
@@ -574,7 +610,7 @@ func (q *SplitQueue) At(pos int) int {
 	return q.order[pos]
 }
 
-// Split divides an app-level pool among the app's jobs greedily and
+// Split divides the pool among an app's jobs greedily and
 // placement-sensitively, honouring each job's parallelism limit (§5.2 step
 // 4): jobs are served in q's order, each drawing up to Want GPUs, and at most
 // budget GPUs leave the pool in total. A job whose locality-best draw
@@ -586,26 +622,23 @@ func (q *SplitQueue) At(pos int) int {
 // served, in order (valid until q changes). shares is indexed like q.Jobs;
 // it touches only the served jobs' shares (cleared, then filled in place;
 // allocated when nil) and those the previous Split through q served (cleared),
-// so shares empty at q's Reset stay empty outside the served prefix. pool is
-// debited and must be the caller's to change.
-func (p *Picker) Split(shares []cluster.Alloc, topo *cluster.Topology, pool cluster.Alloc, budget int, q *SplitQueue) []int {
+// so shares empty at q's Reset stay empty outside the served prefix.
+func (p *Picker) Split(shares []cluster.Alloc, budget int, q *SplitQueue) []int {
 	pos := 0
-	for ; pos < len(q.order) && budget > 0 && len(pool) > 0; pos++ {
+	for ; pos < len(q.order) && budget > 0 && p.total > 0; pos++ {
 		i := q.At(pos)
 		j := &q.Jobs[i]
 		if j.Unresolvable {
 			continue
 		}
 		want := min(j.Want, budget)
-		got := p.Draw(shares[i], topo, pool, nil, want)
-		if !j.Constraint.IsZero() && !Satisfies(topo, got, j.Constraint) {
-			for m, n := range got {
-				pool[m] += n
-			}
-			got = p.drawConstrained(got, topo, pool, nil, want, j.Constraint)
+		got := p.Draw(shares[i], nil, want)
+		if !j.Constraint.IsZero() && !Satisfies(p.topo, got, j.Constraint) {
+			p.Credit(got)
+			got = p.drawConstrained(got, nil, want, j.Constraint)
 		}
 		shares[i] = got
-		budget -= got.Total()
+		budget -= want - p.need
 	}
 	for _, i := range q.order[min(pos, q.served):q.served] {
 		clear(shares[i])

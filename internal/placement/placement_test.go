@@ -498,25 +498,24 @@ func TestPickerMatchesPick(t *testing.T) {
 		want := refPickConstrained(topo, free, anchor, count, c)
 		sameAlloc(t, trial, "PickConstrained", PickConstrained(topo, free, anchor, count, c), want)
 		if !c.IsZero() {
-			sameAlloc(t, trial, "reused constrained draw", p.drawConstrained(dst, topo, p.Scratch(free), anchor, count, c), want)
+			p.Load(topo, free)
+			sameAlloc(t, trial, "reused constrained draw", p.drawConstrained(dst, anchor, count, c), want)
 		}
 	}
 }
 
-// TestDrawMatchesPickIntoThenSub is the debiting form's contract: Draw picks
-// what PickInto picks and leaves the pool as Sub would — zero-valued pool keys
-// and all.
+// TestDrawMatchesPickIntoThenSub is the loaded pool's contract: several draws
+// from one load each pick what PickInto picks from the pool as it stands, and
+// leave the pool, read back, as Sub would.
 func TestDrawMatchesPickIntoThenSub(t *testing.T) {
 	topo := multiDomainTopo(t)
 	rng := rand.New(rand.NewSource(23))
 	var p, q Picker
 	for trial := 0; trial < 2000; trial++ {
 		free, anchor := randomPool(rng, topo)
-		pool := make(cluster.Alloc, len(free))
-		for m, n := range free {
-			pool[m] = n // keeps the zero-valued keys Clone would drop
-		}
-		// Several draws from one pool, as the policies' loops make them.
+		p.Load(topo, free) // zero-valued keys and all
+		pool := free.Clone()
+		// Several draws from one load, as the policies' loops make them.
 		for pool.Total() > 0 {
 			count := 1 + rng.Intn(6)
 			wantPick := q.PickInto(nil, topo, pool, anchor, count)
@@ -524,16 +523,13 @@ func TestDrawMatchesPickIntoThenSub(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := p.Draw(nil, topo, pool, anchor, count)
+			got := p.Draw(nil, anchor, count)
 			sameAlloc(t, trial, "Draw", got, wantPick)
-			if !pool.Equal(wantPool) {
-				t.Fatalf("trial %d: pool after Draw %v, want %v", trial, pool, wantPool)
+			sameAlloc(t, trial, "pool after Draw", p.Remaining(nil), wantPool)
+			if p.Total() != wantPool.Total() {
+				t.Fatalf("trial %d: Total %d after Draw, want %d", trial, p.Total(), wantPool.Total())
 			}
-			for m, n := range pool {
-				if n == 0 && free[m] != 0 {
-					t.Fatalf("trial %d: Draw left machine %d in the pool at zero", trial, m)
-				}
-			}
+			pool = wantPool
 			if got.Total() == 0 {
 				break
 			}
@@ -545,16 +541,16 @@ func TestDrawMatchesPickIntoThenSub(t *testing.T) {
 // round in ID order and debits the pool.
 func TestDrawSpread(t *testing.T) {
 	var p Picker
-	pool := cluster.Alloc{2: 1, 0: 3, 1: 0, 5: 2}
-	got := p.DrawSpread(nil, pool, 5)
+	p.Load(multiDomainTopo(t), cluster.Alloc{2: 1, 0: 3, 1: 0, 5: 2})
+	got := p.DrawSpread(nil, 5)
 	if want := (cluster.Alloc{0: 2, 2: 1, 5: 2}); !got.Equal(want) {
 		t.Errorf("DrawSpread = %v, want %v", got, want)
 	}
-	if want := (cluster.Alloc{0: 1}); !pool.Equal(want) {
-		t.Errorf("pool after DrawSpread = %v, want %v", pool, want)
+	if want := (cluster.Alloc{0: 1}); !p.Remaining(nil).Equal(want) {
+		t.Errorf("pool after DrawSpread = %v, want %v", p.Remaining(nil), want)
 	}
-	if got := p.DrawSpread(got, pool, 4); got.Total() != 1 || pool.Total() != 0 {
-		t.Errorf("over-ask drew %v leaving %v, want the last GPU and an empty pool", got, pool)
+	if got := p.DrawSpread(got, 4); got.Total() != 1 || p.Total() != 0 {
+		t.Errorf("over-ask drew %v leaving %v, want the last GPU and an empty pool", got, p.Remaining(nil))
 	}
 }
 
@@ -583,9 +579,9 @@ func TestSplit(t *testing.T) {
 	// Domain 0 holds more free GPUs (three singles) than domain 1 (one pair),
 	// so job 1's locality-best draw is two singles — under its floor of 2. It
 	// must hand them back and take the pair instead.
-	pool := cluster.Alloc{0: 1, 1: 1, 2: 1, 4: 2}
+	p.Load(topo, cluster.Alloc{0: 1, 1: 1, 2: 1, 4: 2})
 	shares := make([]cluster.Alloc, len(jobs))
-	if served := p.Split(shares, topo, pool, 5, &q); !reflect.DeepEqual(served, []int{2, 1, 4}) {
+	if served := p.Split(shares, 5, &q); !reflect.DeepEqual(served, []int{2, 1, 4}) {
 		t.Errorf("served %v, want [2 1 4]: the split stops once the pool is spent", served)
 	}
 	if shares[2].Total() != 0 {
@@ -600,20 +596,21 @@ func TestSplit(t *testing.T) {
 	if shares[4].Total() != 3 || shares[0].Total() != 0 {
 		t.Errorf("shares %v: job 4 (served before job 0) should take the remaining 3 GPUs", shares)
 	}
-	if len(pool) != 0 {
-		t.Errorf("pool after the split = %v, want empty", pool)
+	if p.Total() != 0 {
+		t.Errorf("pool after the split = %v, want empty", p.Remaining(nil))
 	}
 
 	// The budget caps what leaves the pool, across jobs.
-	pool = cluster.Alloc{2: 4, 3: 4}
-	p.Split(shares, topo, pool, 5, &q)
-	if shares[1].Total() != 2 || shares[4].Total() != 3 || pool.Total() != 3 {
-		t.Errorf("budget 5: shares %v pool %v, want 2 + 3 drawn and 3 left", shares, pool)
+	p.Load(topo, cluster.Alloc{2: 4, 3: 4})
+	p.Split(shares, 5, &q)
+	if shares[1].Total() != 2 || shares[4].Total() != 3 || p.Total() != 3 {
+		t.Errorf("budget 5: shares %v pool %v, want 2 + 3 drawn and 3 left", shares, p.Remaining(nil))
 	}
 }
 
 // TestPickerSteadyStateAllocs pins the point of the Picker: after warmup no
-// form of it allocates — on a small two-domain cluster and on sim-fabric,
+// form of it allocates — Load, every draw from a loaded pool, the hand-back
+// and the read-back — on a small two-domain cluster and on sim-fabric,
 // unanchored and with an anchor in two pods whose draw runs through pass 2
 // into the rack walk.
 func TestPickerSteadyStateAllocs(t *testing.T) {
@@ -629,7 +626,7 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 	q := SplitQueue{Jobs: jobs}
 	shares := make([]cluster.Alloc, len(jobs))
 	var p Picker
-	dst, pool := cluster.NewAlloc(), cluster.NewAlloc()
+	dst, rest := cluster.NewAlloc(), cluster.NewAlloc()
 	for _, s := range []struct {
 		name         string
 		topo         *cluster.Topology
@@ -642,17 +639,15 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 		{"sim-fabric", fabric, fabricFree, nil, 24, Constraint{MaxMachines: 8, Domain: 1, HasDomain: true}},
 		{"sim-fabric anchored", fabric, fabricFree, cluster.Alloc{1: 2, 30: 1}, 64, Constraint{MinGPUsPerMachine: 2}},
 	} {
-		refill := func() {
-			for m, n := range s.free {
-				pool[m] = n
-			}
-		}
+		load := func() { p.Load(s.topo, s.free) }
 		for name, pick := range map[string]func(){
+			"Load":        load,
 			"PickInto":    func() { p.PickInto(dst, s.topo, s.free, s.anchor, s.count) },
-			"constrained": func() { p.drawConstrained(dst, s.topo, p.Scratch(s.free), s.anchor, s.count, s.c) },
-			"Draw":        func() { refill(); p.Draw(dst, s.topo, pool, s.anchor, s.count) },
-			"DrawSpread":  func() { refill(); p.DrawSpread(dst, pool, s.count) },
-			"Reset+Split": func() { refill(); q.Reset(); p.Split(shares, s.topo, pool, 14, &q) },
+			"constrained": func() { load(); p.drawConstrained(dst, s.anchor, s.count, s.c) },
+			"Draw+Credit": func() { load(); p.Credit(p.Draw(dst, s.anchor, s.count)) },
+			"DrawSpread":  func() { load(); p.DrawSpread(dst, s.count) },
+			"Reset+Split": func() { load(); q.Reset(); p.Split(shares, 14, &q) },
+			"Remaining":   func() { load(); p.Draw(dst, s.anchor, s.count); p.Remaining(rest) },
 		} {
 			pick()
 			if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {

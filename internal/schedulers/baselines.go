@@ -1,7 +1,6 @@
 package schedulers
 
 import (
-	"fmt"
 	"sort"
 
 	"themis/internal/cluster"
@@ -29,14 +28,13 @@ func (*Gandiva) Name() string { return "gandiva" }
 // best, repeating until demand or supply is exhausted.
 func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	remaining := free.Clone()
 	demand := demandOf(view)
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	// Every app is asked what it would do with the pool before any of it is
-	// committed, so candidates are picked without debiting (into two buffers
-	// swapped as the best changes) and only the winner's pick is debited.
-	var cand, bestAlloc cluster.Alloc
-	for len(remaining) > 0 {
+	// committed, so each candidate is drawn and handed back.
+	var cand, bestAnchor cluster.Alloc
+	for picker.Total() > 0 {
 		var best *sim.AppState
 		bestScore := 0.0
 		for _, st := range view.Apps {
@@ -45,25 +43,25 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 				continue
 			}
 			anchor := st.Held.Add(out[st.App.ID])
-			cand = picker.PickInto(cand, view.Topo, remaining, anchor, chunkFor(st, unmet))
+			cand = picker.Draw(cand, anchor, chunkFor(st, unmet))
+			picker.Credit(cand)
 			if cand.Total() == 0 {
 				continue
 			}
 			score := cluster.PlacementScore(view.Topo, anchor.Add(cand))
 			if best == nil || score > bestScore ||
 				(score == bestScore && st.App.SubmitTime < best.App.SubmitTime) {
-				best, bestScore = st, score
-				cand, bestAlloc = bestAlloc, cand
+				best, bestScore, bestAnchor = st, score, anchor
 			}
 		}
 		if best == nil {
 			break
 		}
-		mergeGrant(out, best.App.ID, bestAlloc)
-		demand[best.App.ID] -= bestAlloc.Total()
-		if err := remaining.Debit(bestAlloc); err != nil {
-			return nil, fmt.Errorf("gandiva: committing a pick: %w", err)
-		}
+		// The pool is as the winner saw it, so drawing its pick again takes
+		// exactly the GPUs it was scored on.
+		cand = picker.Draw(cand, bestAnchor, chunkFor(best, demand[best.App.ID]))
+		mergeGrant(out, best.App.ID, cand)
+		demand[best.App.ID] -= cand.Total()
 	}
 	return out, nil
 }
@@ -84,16 +82,16 @@ func (*Tiresias) Name() string { return "tiresias" }
 // GPU service until supply or demand runs out.
 func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	remaining := free.Clone()
 	demand := demandOf(view)
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
 	service := make(map[workload.AppID]float64, len(view.Apps))
 	for _, st := range view.Apps {
 		service[st.App.ID] = st.AttainedService()
 	}
-	for len(remaining) > 0 {
+	for picker.Total() > 0 {
 		// Pick the app with least attained service (counting what it has
 		// been granted this round as if already consumed, so one app does
 		// not absorb the entire pool in a single round).
@@ -111,7 +109,7 @@ func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 			break
 		}
 		chunk := chunkFor(best, demand[best.App.ID])
-		alloc = picker.DrawSpread(alloc, remaining, chunk)
+		alloc = picker.DrawSpread(alloc, chunk)
 		if alloc.Total() == 0 {
 			break
 		}
@@ -145,8 +143,8 @@ func (*SLAQ) Name() string { return "slaq" }
 // only the winner's holding and demand change, so the others' gains stand.
 func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	remaining := free.Clone()
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
 	// Indexed like view.Apps: unmet demand, GPUs held plus granted, and gain.
@@ -159,7 +157,7 @@ func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[wo
 			gain[i] = s.lossReduction(st, have[i], chunkFor(st, demand[i]))
 		}
 	}
-	for len(remaining) > 0 {
+	for picker.Total() > 0 {
 		best := -1
 		for i, st := range view.Apps {
 			if demand[i] <= 0 {
@@ -174,7 +172,7 @@ func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[wo
 			break
 		}
 		st := view.Apps[best]
-		alloc = picker.DrawSpread(alloc, remaining, chunkFor(st, demand[best]))
+		alloc = picker.DrawSpread(alloc, chunkFor(st, demand[best]))
 		if alloc.Total() == 0 {
 			break
 		}
@@ -230,9 +228,9 @@ func (*ResourceFair) Name() string { return "resource-fair" }
 // the fewest GPUs.
 func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	remaining := free.Clone()
 	demand := demandOf(view)
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 	holding := make(map[workload.AppID]int, len(view.Apps))
 	for _, st := range view.Apps {
@@ -243,7 +241,7 @@ func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (
 	copy(apps, view.Apps)
 	sort.Slice(apps, func(i, j int) bool { return apps[i].App.ID < apps[j].App.ID })
 
-	for len(remaining) > 0 {
+	for picker.Total() > 0 {
 		var best *sim.AppState
 		for _, st := range apps {
 			if demand[st.App.ID] <= 0 {
@@ -257,7 +255,7 @@ func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (
 			break
 		}
 		chunk := chunkFor(best, demand[best.App.ID])
-		alloc = picker.DrawSpread(alloc, remaining, chunk)
+		alloc = picker.DrawSpread(alloc, chunk)
 		if alloc.Total() == 0 {
 			break
 		}

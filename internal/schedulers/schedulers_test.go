@@ -124,8 +124,8 @@ func TestAllPoliciesCompleteWorkload(t *testing.T) {
 // resource-fair loops hand GPUs out with.
 func TestSpreadPick(t *testing.T) {
 	var picker placement.Picker
-	pool := cluster.Alloc{0: 4, 1: 4, 2: 2}
-	got := picker.DrawSpread(nil, pool, 3)
+	picker.Load(cluster.TestbedCluster(), cluster.Alloc{0: 4, 1: 4, 2: 2})
+	got := picker.DrawSpread(nil, 3)
 	if got.Total() != 3 {
 		t.Fatalf("picked %d GPUs, want 3", got.Total())
 	}
@@ -133,14 +133,14 @@ func TestSpreadPick(t *testing.T) {
 	if len(got.Machines()) != 3 {
 		t.Errorf("DrawSpread should spread across machines, got %v", got)
 	}
-	if want := (cluster.Alloc{0: 3, 1: 3, 2: 1}); !pool.Equal(want) {
-		t.Errorf("pool after the draw = %v, want %v", pool, want)
+	if want := (cluster.Alloc{0: 3, 1: 3, 2: 1}); !picker.Remaining(nil).Equal(want) {
+		t.Errorf("pool after the draw = %v, want %v", picker.Remaining(nil), want)
 	}
-	if got := picker.DrawSpread(nil, pool, 0); !got.IsEmpty() {
+	if got := picker.DrawSpread(nil, 0); !got.IsEmpty() {
 		t.Errorf("count 0 should pick nothing")
 	}
-	if got := picker.DrawSpread(nil, pool, 100); got.Total() != 7 || len(pool) != 0 {
-		t.Errorf("over-ask should drain the pool, got %d leaving %v", got.Total(), pool)
+	if got := picker.DrawSpread(nil, 100); got.Total() != 7 || picker.Total() != 0 {
+		t.Errorf("over-ask should drain the pool, got %d leaving %v", got.Total(), picker.Remaining(nil))
 	}
 }
 

@@ -17,13 +17,13 @@ import (
 // the incremental loop must match grant for grant.
 func slaqFullRevaluation(s *SLAQ, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	remaining := free.Clone()
 	demand := demandOf(view)
 	granted := make(map[workload.AppID]int)
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
-	for len(remaining) > 0 {
+	for picker.Total() > 0 {
 		var best *sim.AppState
 		bestGain := 0.0
 		for _, st := range view.Apps {
@@ -41,7 +41,7 @@ func slaqFullRevaluation(s *SLAQ, free cluster.Alloc, view *sim.View) (map[workl
 			break
 		}
 		chunk := chunkFor(best, demand[best.App.ID])
-		alloc = picker.DrawSpread(alloc, remaining, chunk)
+		alloc = picker.DrawSpread(alloc, chunk)
 		if alloc.Total() == 0 {
 			break
 		}

@@ -38,13 +38,13 @@ func (*Strawman) Name() string { return "strawman-ftf" }
 // worst current ρ, then repeats with the next-worst app while GPUs remain.
 func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	remaining := free.Clone()
 	demand := demandOf(view)
 	granted := make(map[workload.AppID]bool)
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
-	for len(remaining) > 0 {
+	for picker.Total() > 0 {
 		var worst *sim.AppState
 		worstRho := math.Inf(-1)
 		for _, st := range view.Apps {
@@ -60,7 +60,7 @@ func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (ma
 			break
 		}
 		granted[worst.App.ID] = true
-		alloc = picker.Draw(alloc, view.Topo, remaining, worst.Held, demand[worst.App.ID])
+		alloc = picker.Draw(alloc, worst.Held, demand[worst.App.ID])
 		mergeGrant(out, worst.App.ID, alloc)
 	}
 	return out, nil

@@ -86,7 +86,7 @@ type runnableJob struct {
 // splitScratch is the working set of the job split. One simulation's apps
 // share it (the simulator is single-goroutine; sweep workers each own a
 // Simulator), so what an app keeps between allocation changes is its split
-// alone.
+// alone. The picker's pool is what the split in progress divides.
 type splitScratch struct {
 	picker placement.Picker
 	queue  placement.SplitQueue // Jobs: the splitting app's, like App.Jobs
@@ -277,14 +277,16 @@ func (st *AppState) project(now float64) {
 // placement-sensitively, honouring per-job parallelism limits. Jobs nearest
 // completion are placed first (they determine the app's finish time).
 func (st *AppState) resplit() {
-	st.splitInto(st.jobAllocs, st.split.picker.Scratch(st.Held), st.heldTotal)
+	st.split.picker.Load(st.topo, st.Held)
+	st.splitInto(st.jobAllocs, st.heldTotal)
 }
 
-// splitInto runs the job split (placement.Picker.Split, §5.2 step 4) of pool
-// over the app's jobs, least true remaining work first, handing out at most
-// budget GPUs. shares is indexed like App.Jobs; pool is debited. It returns
-// the job facts the split used, valid until the next split.
-func (st *AppState) splitInto(shares []cluster.Alloc, pool cluster.Alloc, budget int) []placement.SplitJob {
+// splitInto runs the job split (placement.Picker.Split, §5.2 step 4) of the
+// pool loaded into the split scratch's picker over the app's jobs, least true
+// remaining work first, handing out at most budget GPUs. shares is indexed
+// like App.Jobs. It returns the job facts the split used, valid until the
+// next split.
+func (st *AppState) splitInto(shares []cluster.Alloc, budget int) []placement.SplitJob {
 	sc, q := st.split, &st.split.queue
 	q.Jobs = q.Jobs[:0]
 	for _, j := range st.App.Jobs {
@@ -295,19 +297,19 @@ func (st *AppState) splitInto(shares []cluster.Alloc, pool cluster.Alloc, budget
 	for _, share := range shares {
 		clear(share)
 	}
-	sc.picker.Split(shares, st.topo, pool, budget, q)
+	sc.picker.Split(shares, budget, q)
 	return q.Jobs
 }
 
-// whatIf splits pool like splitInto, but into the shared scratch shares
-// (valid until the next what-if) instead of the app's own job split.
-func (st *AppState) whatIf(pool cluster.Alloc, budget int) ([]cluster.Alloc, []placement.SplitJob) {
+// whatIf splits the loaded pool like splitInto, but into the shared scratch
+// shares (valid until the next what-if) instead of the app's own job split.
+func (st *AppState) whatIf(budget int) ([]cluster.Alloc, []placement.SplitJob) {
 	sc := st.split
 	for len(sc.shares) < len(st.App.Jobs) {
 		sc.shares = append(sc.shares, nil)
 	}
 	shares := sc.shares[:len(st.App.Jobs)]
-	return shares, st.splitInto(shares, pool, budget)
+	return shares, st.splitInto(shares, budget)
 }
 
 // usableWith reports whether granting extra on top of the app's current
@@ -315,11 +317,9 @@ func (st *AppState) whatIf(pool cluster.Alloc, budget int) ([]cluster.Alloc, []p
 // constraints. schedule uses it to detect grants a constrained app cannot
 // convert into progress.
 func (st *AppState) usableWith(extra cluster.Alloc) bool {
-	pool := st.split.picker.Scratch(st.Held)
-	for m, n := range extra {
-		pool[m] += n
-	}
-	shares, jobs := st.whatIf(pool, st.heldTotal+extra.Total())
+	st.split.picker.Load(st.topo, st.Held)
+	st.split.picker.Credit(extra)
+	shares, jobs := st.whatIf(st.split.picker.Total())
 	for i, share := range shares {
 		if share.Total() > 0 && placement.Satisfies(st.topo, share, jobs[i].Constraint) {
 			return true

@@ -57,17 +57,17 @@ func (benchPolicy) Name() string { return "bench-fifo" }
 
 func (benchPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[workload.AppID]cluster.Alloc, error) {
 	var out map[workload.AppID]cluster.Alloc
-	remaining := free.Clone()
 	var picker placement.Picker
+	picker.Load(view.Topo, free)
 	for _, st := range view.Apps {
-		if len(remaining) == 0 {
+		if picker.Total() == 0 {
 			break
 		}
 		want := st.UnmetDemand()
 		if want <= 0 {
 			continue
 		}
-		alloc := picker.Draw(nil, view.Topo, remaining, st.Held, want)
+		alloc := picker.Draw(nil, st.Held, want)
 		if alloc.Total() == 0 {
 			continue
 		}

@@ -588,20 +588,23 @@ func (s *Simulator) repack(st *AppState, alloc, leftover cluster.Alloc) (cluster
 // repaired allocation — possibly empty when no usable shape exists — and the
 // updated leftover pool.
 func (s *Simulator) repairGrant(st *AppState, alloc, leftover cluster.Alloc) (cluster.Alloc, cluster.Alloc) {
-	pool := alloc.Add(leftover)
-	rest := pool.Clone()
+	picker := &st.split.picker
+	picker.Load(st.topo, alloc)
+	picker.Credit(leftover)
 	repaired := cluster.NewAlloc()
-	shares, _ := st.whatIf(rest, alloc.Total())
+	shares, _ := st.whatIf(alloc.Total())
 	for _, share := range shares {
 		for m, n := range share {
 			repaired[m] += n
 		}
 	}
+	// Read back before usableWith reloads the picker.
+	rest := picker.Remaining(nil)
 	if repaired.Total() > 0 && !st.usableWith(repaired) {
 		// The repair did not produce a usable shape either (the app-level
 		// split can interleave jobs differently); granting it would only
 		// churn leases, so leave everything in the free pool.
-		return cluster.NewAlloc(), pool
+		return cluster.NewAlloc(), alloc.Add(leftover)
 	}
 	return repaired, rest
 }
