@@ -21,6 +21,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"themis"
@@ -33,7 +34,7 @@ func main() {
 		advertise  = flag.String("advertise", "", "base URL the Arbiter should call back on (default http://localhost<listen>)")
 		arbiterURL = flag.String("arbiter", "", "Arbiter base URL to register with (empty skips registration)")
 		appID      = flag.String("app", "agent-app", "application ID")
-		model      = flag.String("model", "ResNet50", "model family (placement-sensitivity profile)")
+		model      = flag.String("model", "ResNet50", "model family (placement-sensitivity profile): "+strings.Join(themis.ModelNames(), ", "))
 		jobs       = flag.Int("jobs", 8, "number of hyperparameter trials")
 		work       = flag.Float64("work", 240, "serial GPU-minutes per trial")
 		gang       = flag.Int("gang", 4, "GPUs per trial")

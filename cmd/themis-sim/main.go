@@ -41,9 +41,9 @@ func main() {
 		bidError    = flag.Float64("biderror", 0, "Themis bid valuation error θ (Figure 11)")
 		scenario    = flag.String("scenario", "", "generate the workload from a registered scenario ("+strings.Join(themis.Scenarios(), ", ")+") or from a fit-report file written by 'tracegen fit'")
 		tracePath   = flag.String("trace", "", "replay apps from a trace file instead of generating")
-		traceFormat = flag.String("trace-format", "auto", "trace file format: auto, json, binary, philly or alibaba")
+		traceFormat = flag.String("trace-format", "auto", "trace file format: "+formatNames())
 		maxApps     = flag.Int("max-apps", 0, "cap the number of apps imported from -trace (0: all)")
-		model       = flag.String("model", "", "stamp apps imported from a CSV -trace with this model family")
+		model       = flag.String("model", "", "stamp apps imported from a CSV -trace with this model family: "+strings.Join(themis.ModelNames(), ", "))
 		horizon     = flag.Float64("horizon", 0, "simulation horizon in minutes (0 = unlimited)")
 		perApp      = flag.Bool("per-app", false, "also print per-app records")
 	)
@@ -161,4 +161,14 @@ func run(clusterKind string, perApp bool, opts []themis.Option) error {
 		}
 	}
 	return nil
+}
+
+// formatNames lists the -trace-format values: auto plus every registered
+// format.
+func formatNames() string {
+	names := []string{string(themis.TraceFormatAuto)}
+	for _, f := range themis.TraceFormats() {
+		names = append(names, string(f))
+	}
+	return strings.Join(names, ", ")
 }

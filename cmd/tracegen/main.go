@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"themis"
@@ -130,15 +131,14 @@ func runImport(args []string) error {
 	fs := flag.NewFlagSet("import", flag.ExitOnError)
 	var (
 		in          = fs.String("in", "", "input file (default: stdin)")
-		format      = fs.String("format", "auto", "input format: auto, json, binary, philly or alibaba")
+		format      = fs.String("format", "auto", "input format: "+formatNames())
 		out         = fs.String("out", "", "output trace file (default: stdout)")
 		encoding    = fs.String("encoding", "json", "output encoding: json or binary (compact v3 container)")
 		name        = fs.String("name", "", "trace name recorded in the file (default: format name)")
 		timeScale   = fs.Float64("timescale", 0, "minutes per input time unit (0: format convention)")
 		keepAll     = fs.Bool("keep-noncompleted", false, "keep failed/killed rows instead of dropping them")
 		maxApps     = fs.Int("max-apps", 0, "cap the number of imported apps (0: all)")
-		sorted      = fs.Bool("sorted", false, "assert input rows are sorted by submit/start time (streams grouped formats in O(max-apps) memory)")
-		model       = fs.String("model", "", "stamp every app with this model family")
+		model       = fs.String("model", "", "stamp every app with this model family: "+strings.Join(themis.ModelNames(), ", "))
 		profile     = fs.String("placement-profile", "", "stamp every app with a v2 placement block naming this profile")
 		minPerMach  = fs.Int("min-gpus-per-machine", 0, "placement block: per-machine GPU floor for every job (0: none)")
 		maxMachines = fs.Int("max-machines", 0, "placement block: machine-spread cap for every job (0: none)")
@@ -152,7 +152,6 @@ func runImport(args []string) error {
 		TimeScale:        *timeScale,
 		KeepNonCompleted: *keepAll,
 		MaxApps:          *maxApps,
-		SortedInput:      *sorted,
 		Model:            *model,
 	}
 	if *profile != "" || *minPerMach != 0 || *maxMachines != 0 {
@@ -200,13 +199,12 @@ func runFit(args []string) error {
 	fs := flag.NewFlagSet("fit", flag.ExitOnError)
 	var (
 		in        = fs.String("in", "", "input trace file (default: stdin)")
-		format    = fs.String("format", "auto", "input format: auto, json, philly or alibaba")
+		format    = fs.String("format", "auto", "input format: "+formatNames())
 		out       = fs.String("out", "", "output fit-report file (default: stdout)")
 		name      = fs.String("name", "", "provenance source name (default: the trace's name)")
 		timeScale = fs.Float64("timescale", 0, "minutes per input time unit (0: format convention)")
 		keepAll   = fs.Bool("keep-noncompleted", false, "keep failed/killed rows instead of dropping them")
 		maxApps   = fs.Int("max-apps", 0, "cap the number of imported apps before fitting (0: all)")
-		sorted    = fs.Bool("sorted", false, "assert input rows are sorted by submit/start time")
 		report    = fs.Bool("report", true, "print the fit-quality report to stderr")
 	)
 	fs.Parse(args)
@@ -224,7 +222,6 @@ func runFit(args []string) error {
 		TimeScale:        *timeScale,
 		KeepNonCompleted: *keepAll,
 		MaxApps:          *maxApps,
-		SortedInput:      *sorted,
 	})
 	if err != nil {
 		return err
@@ -339,6 +336,15 @@ func applyParams(cfg themis.ScenarioConfig, seed int64, apps int) themis.Scenari
 		cfg.NumApps = apps
 	}
 	return cfg
+}
+
+// formatNames lists the -format values: auto plus every registered format.
+func formatNames() string {
+	names := []string{string(themis.TraceFormatAuto)}
+	for _, f := range themis.TraceFormats() {
+		names = append(names, string(f))
+	}
+	return strings.Join(names, ", ")
 }
 
 func doneSuffix(done bool) string {

@@ -82,11 +82,10 @@
 // provenance. RegisterCalibratedScenario installs the fitted scenario in
 // the registry, where WithScenario, Grid and RunSweep treat it like any
 // built-in while DescribeScenario and ScenarioFit keep its provenance
-// visible; experiments.CalibratedStudy quantifies how well the fitted twin
-// stands in for its source trace. cmd/tracegen is the CLI workbench for all
-// of this (generate/list/import/fit/validate/describe), and cmd/themis-sim
-// replays traces (-trace/-trace-format), registered scenarios (-scenario)
-// and fit reports (-scenario fitted.json) directly.
+// visible. cmd/tracegen is the CLI workbench for all of this
+// (generate/list/import/fit/validate/describe), and cmd/themis-sim replays
+// traces (-trace/-trace-format), registered scenarios (-scenario) and fit
+// reports (-scenario fitted.json) directly.
 //
 // The companion public packages are themis/experiments (one table per
 // figure of the paper's evaluation) and themis/daemon (the distributed

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"themis"
-	"themis/experiments"
 )
 
 func main() {
@@ -27,22 +26,29 @@ func main() {
 	}
 	fmt.Println()
 
-	rows, err := experiments.ScenarioStudy(context.Background(), 0,
-		[]string{"themis", "tiresias"},
-		nil, // full scenario library
-		[]int64{11},
-		themis.ScenarioParams{NumApps: 12, DurationScale: 0.2},
-		themis.WithCluster(themis.ClusterTestbed),
-		themis.WithHorizon(20000),
-	)
+	policies := []string{"themis", "tiresias"}
+	scenarios := themis.Scenarios()
+	specs, err := themis.Grid{
+		Policies:  policies,
+		Scenarios: scenarios,
+		Seeds:     []int64{11},
+		Params:    themis.ScenarioParams{NumApps: 12, DurationScale: 0.2},
+		Base:      []themis.Option{themis.WithCluster(themis.ClusterTestbed), themis.WithHorizon(20000)},
+	}.Specs()
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := themis.RunSweep(context.Background(), 0, specs)
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	// Grid expands policy-major, so result i is policy i/len(scenarios) on
+	// scenario i%len(scenarios).
 	fmt.Println("scenario       scheme     max_rho  jains  mean_jct_min  gpu_time")
-	for _, row := range rows {
-		s := row.Report.Summary
+	for i, res := range results {
+		s := res.Report.Summary
 		fmt.Printf("%-14s %-10s %7.2f  %5.3f  %12.1f  %8.0f\n",
-			row.Scenario, row.Policy, s.MaxFairness, s.JainsIndex, s.MeanCompletionTime, s.GPUTime)
+			scenarios[i%len(scenarios)], policies[i/len(scenarios)], s.MaxFairness, s.JainsIndex, s.MeanCompletionTime, s.GPUTime)
 	}
 }

@@ -175,6 +175,40 @@ func TestGoldenReplayIsByteStable(t *testing.T) {
 	}
 }
 
+// TestGoldenFitReports pins the calibration of the canonical v1 test traces:
+// FitTrace over each must render a byte-identical fit report. Numbers render
+// at six significant digits and fitting is deterministic, so the comparison
+// is byte-exact. Regenerate deliberately with -update.
+func TestGoldenFitReports(t *testing.T) {
+	for _, name := range []string{"philly-small", "multi-job"} {
+		t.Run(name, func(t *testing.T) {
+			tr, err := LoadTrace(filepath.Join("internal", "trace", "testdata", "v1", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := FitTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rep.Render()
+			path := filepath.Join("testdata", "golden", name+".fit.golden")
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden fit report (run with -update to create): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("fit report for %s diverged from golden %s\n%s", name, path, diffSnippet(string(want), got))
+			}
+		})
+	}
+}
+
 // serializeReport renders the deterministic content of a Report in a stable
 // text form: headline summary, per-app records, the fairness CDF, auction
 // telemetry (minus wall-clock timings) and a digest of the full allocation

@@ -312,21 +312,3 @@ func TestExponentialKSSortsGaps(t *testing.T) {
 		t.Fatalf("exponentialKS = %v, want %v", got, want)
 	}
 }
-
-// KSTwoSample sanity: identical samples at distance 0, disjoint at 1.
-func TestKSTwoSample(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if d := KSTwoSample(a, a); d != 0 {
-		t.Errorf("KS(identical) = %v, want 0", d)
-	}
-	if d := KSTwoSample([]float64{1, 2}, []float64{10, 20}); d != 1 {
-		t.Errorf("KS(disjoint) = %v, want 1", d)
-	}
-	if d := KSTwoSample(nil, a); d != 0 {
-		t.Errorf("KS(empty) = %v, want 0", d)
-	}
-	d := KSTwoSample([]float64{1, 2, 3, 4}, []float64{3, 4, 5, 6})
-	if d <= 0 || d >= 1 {
-		t.Errorf("KS(overlap) = %v, want in (0,1)", d)
-	}
-}

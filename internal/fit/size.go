@@ -2,7 +2,6 @@ package fit
 
 import (
 	"math"
-	"sort"
 
 	"themis/internal/workload"
 )
@@ -139,40 +138,6 @@ func ksDistance(sorted []float64, cdf func(float64) float64) float64 {
 		}
 		if lo := f - float64(i)/n; lo > d {
 			d = lo
-		}
-	}
-	return d
-}
-
-// KSTwoSample computes the two-sample Kolmogorov–Smirnov distance between
-// two unsorted samples — the divergence metric CalibratedStudy reports for
-// real-vs-fitted fairness and completion-time distributions. It returns 0
-// when either sample is empty.
-func KSTwoSample(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	var d float64
-	i, j := 0, 0
-	for i < len(as) && j < len(bs) {
-		// Advance past every sample at the next value in either sample, so
-		// ties move both empirical CDFs before the gap is measured.
-		x := as[i]
-		if bs[j] < x {
-			x = bs[j]
-		}
-		for i < len(as) && as[i] == x {
-			i++
-		}
-		for j < len(bs) && bs[j] == x {
-			j++
-		}
-		if diff := math.Abs(float64(i)/float64(len(as)) - float64(j)/float64(len(bs))); diff > d {
-			d = diff
 		}
 	}
 	return d

@@ -39,8 +39,7 @@ func sortedAlibabaCSV(t *testing.T, seed int64, jobs, rowsPerJob int) string {
 			})
 		}
 	}
-	// Sort every data row by start time — the precondition the fast path
-	// asserts.
+	// Sort every data row by start time, as archived cluster dumps are.
 	for i := 1; i < len(rows); i++ {
 		for k := i; k > 0 && rows[k].start < rows[k-1].start; k-- {
 			rows[k], rows[k-1] = rows[k-1], rows[k]
@@ -51,130 +50,87 @@ func sortedAlibabaCSV(t *testing.T, seed int64, jobs, rowsPerJob int) string {
 	for i, r := range rows {
 		fmt.Fprintf(&b, "%s,%s,1,%s,%.3f,%.3f,%d\n", r.job, r.task, r.status, r.start, r.start+r.dur, r.gpu)
 		if i%17 == 0 {
-			b.WriteString("malformed,row\n") // short row: both paths skip it
+			b.WriteString("malformed,row\n") // short row: the importer skips it
 		}
 	}
 	return b.String()
 }
 
-// The sorted fast path must produce byte-identical traces to the grouping
-// fallback on sorted input, across cap sizes.
+// On sorted input, across cap sizes, the capped import must keep exactly the
+// uncapped import's leading apps by (submit, ID), tasks and all.
 func TestAlibabaSortedCrossCheck(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		csv := sortedAlibabaCSV(t, seed, 30, 6)
+		full, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{})
+		if err != nil {
+			t.Fatalf("seed %d uncapped: %v", seed, err)
+		}
 		for _, maxApps := range []int{0, 1, 3, 10, 29, 30, 100} {
 			t.Run(fmt.Sprintf("seed%d-cap%d", seed, maxApps), func(t *testing.T) {
-				slow, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: maxApps})
+				capped, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: maxApps})
 				if err != nil {
-					t.Fatalf("unsorted path: %v", err)
+					t.Fatal(err)
 				}
-				fast, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: maxApps, SortedInput: true})
-				if err != nil {
-					t.Fatalf("sorted path: %v", err)
+				want := full.Apps
+				if maxApps > 0 && maxApps < len(want) {
+					want = want[:maxApps]
 				}
-				if !reflect.DeepEqual(slow, fast) {
-					t.Fatalf("paths diverge at cap %d:\nslow: %+v\nfast: %+v", maxApps, slow, fast)
+				if !reflect.DeepEqual(capped.Apps, want) {
+					t.Fatalf("cap %d kept %+v, want the uncapped head %+v", maxApps, capped.Apps, want)
 				}
 			})
 		}
 	}
 }
 
-// Tied submission times exercise the fast path's eviction and tombstone
-// logic: jobs arriving at the same start time must be kept by ID order,
-// exactly as the unsorted path's (submit, ID) truncation, and evicted jobs'
-// later task rows must not resurrect them.
+// Jobs tied on submission time are kept by ID order, and a kept job keeps
+// every one of its task rows, including those after a dropped job's rows.
+// All four jobs submit at 100, so at cap 1 the survivor is alpha with both
+// its tasks.
 func TestAlibabaSortedTies(t *testing.T) {
 	csv := "job_name,task_name,inst_num,status,start_time,end_time,plan_gpu\n" +
-		"zeta,t0,1,Terminated,100,700,100\n" + // admitted first
-		"beta,t0,1,Terminated,100,800,100\n" + // tie: evicts zeta at cap 1
-		"alpha,t0,1,Terminated,100,900,100\n" + // tie: evicts beta
-		"gamma,t0,1,Terminated,100,950,100\n" + // tie: dropped (gamma > alpha), tombstoned
-		"zeta,t1,1,Terminated,160,750,100\n" + // evicted job: must stay dead
-		"gamma,t1,1,Terminated,200,900,100\n" + // tombstoned job: must stay dead
-		"alpha,t1,1,Terminated,260,980,100\n" // kept job accumulates
-	for _, maxApps := range []int{1, 2, 3, 0} {
-		slow, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: maxApps})
+		"zeta,t0,1,Terminated,100,700,100\n" +
+		"beta,t0,1,Terminated,100,800,100\n" +
+		"alpha,t0,1,Terminated,100,900,100\n" +
+		"gamma,t0,1,Terminated,100,950,100\n" +
+		"zeta,t1,1,Terminated,160,750,100\n" +
+		"gamma,t1,1,Terminated,200,900,100\n" +
+		"alpha,t1,1,Terminated,260,980,100\n"
+	want := []string{"alpha", "beta", "gamma", "zeta"}
+	tasks := map[string]int{"alpha": 2, "beta": 1, "gamma": 2, "zeta": 2}
+	for _, maxApps := range []int{0, 1, 2, 3} {
+		tr, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: maxApps})
 		if err != nil {
-			t.Fatalf("cap %d unsorted: %v", maxApps, err)
+			t.Fatalf("cap %d: %v", maxApps, err)
 		}
-		fast, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: maxApps, SortedInput: true})
-		if err != nil {
-			t.Fatalf("cap %d sorted: %v", maxApps, err)
+		kept := want
+		if maxApps > 0 {
+			kept = want[:maxApps]
 		}
-		if !reflect.DeepEqual(slow, fast) {
-			t.Fatalf("cap %d: paths diverge:\nslow: %+v\nfast: %+v", maxApps, slow, fast)
+		if len(tr.Apps) != len(kept) {
+			t.Fatalf("cap %d kept %d apps, want %v", maxApps, len(tr.Apps), kept)
 		}
-	}
-	// At cap 1 the survivor must be alpha with both its tasks.
-	fast, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{MaxApps: 1, SortedInput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Apps) != 1 || fast.Apps[0].ID != "alpha" || len(fast.Apps[0].Jobs) != 2 {
-		t.Fatalf("cap 1 kept %+v, want alpha with 2 jobs", fast.Apps)
+		for i, app := range tr.Apps {
+			if app.ID != kept[i] || len(app.Jobs) != tasks[app.ID] {
+				t.Fatalf("cap %d app %d = %s with %d jobs, want %s with %d",
+					maxApps, i, app.ID, len(app.Jobs), kept[i], tasks[kept[i]])
+			}
+		}
 	}
 }
 
-// Out-of-order importable rows must fail the declared-sorted import with a
-// descriptive error rather than importing wrong submission times.
-func TestAlibabaSortedRejectsUnsorted(t *testing.T) {
-	csv := "job_name,task_name,inst_num,status,start_time,end_time,plan_gpu\n" +
-		"a,t0,1,Terminated,500,900,100\n" +
-		"b,t0,1,Terminated,100,700,100\n"
-	_, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{SortedInput: true})
-	if err == nil {
-		t.Fatal("out-of-order input accepted under SortedInput")
-	}
-	if !strings.Contains(err.Error(), "sorted") {
-		t.Fatalf("error %q does not mention the sortedness contract", err)
-	}
-	// The same input imports fine without the assertion.
-	if _, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{}); err != nil {
-		t.Fatalf("unsorted fallback: %v", err)
-	}
-	// Out-of-order *filtered* rows are invisible to the contract: only
-	// importable rows are verified.
-	filtered := "job_name,task_name,inst_num,status,start_time,end_time,plan_gpu\n" +
-		"a,t0,1,Terminated,500,900,100\n" +
-		"b,t0,1,Failed,100,700,100\n" +
-		"c,t0,1,Terminated,600,800,100\n"
-	if _, err := ImportAlibaba(strings.NewReader(filtered), ImportOptions{SortedInput: true}); err != nil {
-		t.Fatalf("filtered out-of-order row failed the sorted import: %v", err)
-	}
-}
-
-// SortedInput is a no-op on the row-per-job and native JSON paths.
-func TestSortedInputIgnoredElsewhere(t *testing.T) {
-	philly := "jobid,submit_time,gpus,duration,status\nj1,30,4,100,Pass\nj2,0,2,50,Pass\n"
-	plain, err := ImportPhilly(strings.NewReader(philly), ImportOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted, err := ImportPhilly(strings.NewReader(philly), ImportOptions{SortedInput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, sorted) {
-		t.Fatal("SortedInput changed the Philly import")
-	}
-}
-
-// The sorted path reports progress with Kept bounded by the cap.
+// The import reports progress on sorted input, and its final snapshot
+// counts the apps kept under the cap.
 func TestAlibabaSortedProgress(t *testing.T) {
 	csv := sortedAlibabaCSV(t, 4, 40, 4)
 	var last ImportProgress
 	calls := 0
 	_, err := ImportAlibaba(strings.NewReader(csv), ImportOptions{
 		MaxApps:       5,
-		SortedInput:   true,
 		ProgressEvery: 10,
 		Progress: func(p ImportProgress) {
 			calls++
 			last = p
-			if !p.Done && p.Kept > 5 {
-				t.Errorf("streaming Kept %d exceeds the cap", p.Kept)
-			}
 		},
 	})
 	if err != nil {

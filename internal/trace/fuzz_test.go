@@ -152,23 +152,37 @@ func FuzzAlibabaImport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, scale := range []float64{0, 1e5} {
 			tr, err := ImportAlibaba(bytes.NewReader(data), ImportOptions{TimeScale: scale})
-			if err == nil {
-				importContract(t, tr)
+			if err != nil {
+				continue
 			}
-			// The SortedInput fast path may reject the input (out-of-order
-			// rows), but whenever it accepts, it must agree byte-for-byte
-			// with the grouping path — on any input the fuzzer finds.
-			for _, maxApps := range []int{0, 1} {
-				sorted, sErr := ImportAlibaba(bytes.NewReader(data), ImportOptions{TimeScale: scale, MaxApps: maxApps, SortedInput: true})
-				if sErr != nil {
-					continue
+			importContract(t, tr)
+			// The capped import must keep the uncapped import's leading apps
+			// by (submit, ID), and placement stamping must stay valid.
+			for _, maxApps := range []int{1, 2} {
+				capped, err := ImportAlibaba(bytes.NewReader(data), ImportOptions{
+					TimeScale: scale,
+					MaxApps:   maxApps,
+					Placement: &PlacementSpec{Profile: "VGG16", MinGPUsPerMachine: 1, MaxMachines: 2},
+				})
+				if err != nil {
+					t.Fatalf("capped+stamped re-import of accepted input failed (cap %d): %v", maxApps, err)
 				}
-				capped, cErr := ImportAlibaba(bytes.NewReader(data), ImportOptions{TimeScale: scale, MaxApps: maxApps})
-				if cErr != nil {
-					t.Fatalf("sorted path accepted input the grouping path rejects (cap %d): %v", maxApps, cErr)
+				importContract(t, capped)
+				want := tr.Apps
+				if len(want) > maxApps {
+					want = want[:maxApps]
 				}
-				if !reflect.DeepEqual(sorted, capped) {
-					t.Fatalf("sorted and grouping paths diverge (cap %d):\nsorted:   %+v\ngrouping: %+v", maxApps, sorted, capped)
+				if len(capped.Apps) != len(want) {
+					t.Fatalf("cap %d kept %d apps, uncapped import's head has %d", maxApps, len(capped.Apps), len(want))
+				}
+				for i := range want {
+					if capped.Apps[i].ID != want[i].ID || capped.Apps[i].SubmitTime != want[i].SubmitTime {
+						t.Fatalf("cap %d app %d = %s@%v, uncapped import has %s@%v", maxApps, i,
+							capped.Apps[i].ID, capped.Apps[i].SubmitTime, want[i].ID, want[i].SubmitTime)
+					}
+					if capped.Apps[i].Placement == nil {
+						t.Fatalf("cap %d app %d lost its stamped placement block", maxApps, i)
+					}
 				}
 			}
 		}

@@ -61,16 +61,6 @@ type ImportOptions struct {
 	// memory to O(MaxApps) via an online top-K selection. On native JSON
 	// input the kept apps retain their original submit times (no rebase).
 	MaxApps int
-	// SortedInput asserts that the input's data rows are already sorted by
-	// submission/start time (non-decreasing), unlocking the grouping
-	// (Alibaba-style) adapter's streaming fast path: per-job buffering is
-	// capped at the current top-MaxApps jobs instead of every job in the
-	// log, so memory drops to O(MaxApps) like the row-per-job format's. The
-	// ordering of every importable row is verified — a violation fails the
-	// import with a descriptive error instead of producing wrong submission
-	// times. The row-per-job (Philly-style) and native JSON paths already
-	// stream order-independently and ignore this flag.
-	SortedInput bool
 	// Model stamps every imported app with a placement profile name from
 	// the catalog; empty leaves it to ToApps's generic fallback.
 	Model string

@@ -172,3 +172,32 @@ func TestImportTraceStreamFacade(t *testing.T) {
 		t.Error("negative TimeScale accepted")
 	}
 }
+
+// A v2 trace replays under several policies through RunSweep: each run
+// rematerialises fresh apps from the trace, and an unknown policy fails the
+// sweep.
+func TestRunSweepReplaysV2Trace(t *testing.T) {
+	tr := constrainedTrace(4)
+	var specs []themis.SweepSpec
+	for _, policy := range []string{"themis", "tiresias"} {
+		specs = append(specs, themis.SweepSpec{Name: policy, Options: []themis.Option{
+			themis.WithCluster(themis.ClusterTestbed),
+			themis.WithPolicy(policy),
+			themis.WithTrace(tr),
+			themis.WithHorizon(20000),
+		}})
+	}
+	results, err := themis.RunSweep(context.Background(), 2, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Report == nil || res.Report.Summary.Policy != specs[i].Name || res.Report.Summary.AppsTotal != 4 {
+			t.Errorf("spec %s has no usable report: %+v", specs[i].Name, res.Report)
+		}
+	}
+	bad := []themis.SweepSpec{{Name: "nope", Options: []themis.Option{themis.WithPolicy("nope"), themis.WithTrace(tr)}}}
+	if _, err := themis.RunSweep(context.Background(), 1, bad); err == nil {
+		t.Error("unknown policy should fail")
+	}
+}
