@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -492,63 +491,5 @@ func TestAllocateLeftovers(t *testing.T) {
 	AllocateLeftovers(&picker, none)
 	if none[0].Grant != nil || none[1].Grant != nil || picker.Total() != 3 {
 		t.Errorf("grants despite zero wants: %+v (pool %v)", none, picker.Remaining(nil))
-	}
-}
-
-func TestLeaseTable(t *testing.T) {
-	lt := NewLeaseTable()
-	lt.Grant("a", cluster.Alloc{0: 2}, 0, 20)
-	lt.Grant("a", cluster.Alloc{1: 2}, 5, 20)
-	lt.Grant("b", cluster.Alloc{2: 4}, 10, 20)
-	lt.Grant("c", cluster.NewAlloc(), 0, 20) // ignored
-	if lt.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", lt.Len())
-	}
-	if exp := lt.Expired(19.9); len(exp) != 0 || lt.Len() != 3 {
-		t.Errorf("Expired(19.9) = %v, want nothing before the first expiry at 20", exp)
-	}
-	exp := lt.Expired(21)
-	if len(exp) != 1 || exp[0].App != "a" || exp[0].Alloc.Total() != 2 {
-		t.Errorf("Expired(21) = %v", exp)
-	}
-	if lt.Len() != 2 {
-		t.Errorf("Len after expiry = %d, want 2", lt.Len())
-	}
-	// The rest expire soonest first.
-	exp = lt.Expired(100)
-	if len(exp) != 2 || exp[0].App != "a" || exp[0].Expiry != 25 || exp[1].App != "b" || exp[1].Alloc.Total() != 4 {
-		t.Errorf("Expired(100) = %v", exp)
-	}
-	if lt.Len() != 0 || len(NewLeaseTable().Expired(100)) != 0 {
-		t.Error("drained and empty tables should hold no leases")
-	}
-}
-
-// TestLeaseTableExpiresTiesInGrantOrder: leases expire soonest first, and
-// leases granted at the same instant for the same term come back in the
-// order they were granted — among enough others that an unstable sort would
-// reorder them.
-func TestLeaseTableExpiresTiesInGrantOrder(t *testing.T) {
-	lt := NewLeaseTable()
-	granted := make(map[workload.AppID]int)
-	for i := range 60 {
-		id := workload.AppID(fmt.Sprintf("app%02d", i))
-		now := float64(i % 5)
-		if i%3 == 0 {
-			now = 2 // a third of the leases, all granted at one instant
-		}
-		lt.Grant(id, cluster.Alloc{0: 1}, now, 20)
-		granted[id] = i
-	}
-	exp := lt.Expired(100)
-	if len(exp) != 60 || lt.Len() != 0 {
-		t.Fatalf("Expired returned %d leases and kept %d, want all 60 returned", len(exp), lt.Len())
-	}
-	for k := 1; k < len(exp); k++ {
-		a, b := exp[k-1], exp[k]
-		if a.Expiry > b.Expiry || a.Expiry == b.Expiry && granted[a.App] > granted[b.App] {
-			t.Fatalf("position %d: %s (expiry %v, granted %d) before %s (expiry %v, granted %d)",
-				k, a.App, a.Expiry, granted[a.App], b.App, b.Expiry, granted[b.App])
-		}
 	}
 }

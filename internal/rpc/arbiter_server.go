@@ -195,7 +195,7 @@ type ArbiterServer struct {
 
 	mu       sync.Mutex
 	state    *cluster.State
-	leases   *core.LeaseTable
+	leases   core.LeaseBook
 	agents   map[workload.AppID]*registeredAgent
 	auctions int              // completed auction rounds; shadows arbiter.Stats.Auctions, readable under mu
 	picker   placement.Picker // reconcileGrant's placement scratch
@@ -223,7 +223,6 @@ func newArbiterServer(arb *core.Arbiter, label string, part *shard.Partition) *A
 		Clock:      func() float64 { return time.Since(start).Minutes() },
 		AgentGang:  4,
 		state:      cluster.NewState(arb.Topology()),
-		leases:     core.NewLeaseTable(),
 		agents:     make(map[workload.AppID]*registeredAgent),
 	}
 }
@@ -442,7 +441,7 @@ func (s *ArbiterServer) auctionRound(now float64) (roundOutcome, error) {
 
 	s.mu.Lock()
 	// Reclaim expired leases.
-	for _, l := range s.leases.Expired(now) {
+	for _, l := range s.leases.Expire(now) {
 		if err := s.state.Release(string(l.App), l.Alloc); err != nil {
 			s.mu.Unlock()
 			s.tel.errors.Inc()

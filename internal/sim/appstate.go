@@ -58,8 +58,6 @@ type AppState struct {
 	// Heap entries owned by this app (see events.go).
 	arrivalEv    event
 	completionEv event
-	// leases are the app's outstanding GPU leases, in grant order.
-	leases []*lease
 	// activeIdx/runningIdx/holdingIdx are the app's positions in the
 	// simulator's active, running and holding lists, or -1 when absent.
 	activeIdx  int
@@ -110,8 +108,8 @@ func newAppState(app *workload.App, tuner hyperparam.Tuner, topo *cluster.Topolo
 		scoreDirty: true,
 		tunerDirty: true,
 	}
-	st.arrivalEv = event{kind: evArrival, time: app.SubmitTime, app: st, index: -1}
-	st.completionEv = event{kind: evCompletion, app: st, index: -1}
+	st.arrivalEv = event{kind: evArrival, time: app.SubmitTime, index: -1}
+	st.completionEv = event{kind: evCompletion, index: -1}
 	st.TIdealAtArrival = idealRunningTime(app)
 	app.TIdeal = st.TIdealAtArrival
 	for _, j := range app.Jobs {

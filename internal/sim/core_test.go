@@ -1,8 +1,8 @@
 package sim
 
 // Tests pinning the heap event core to a full-rescan oracle: at every decision
-// point the leases the heap pops as due and the event times it reports must
-// equal what scanning every app and lease finds, and the forced-step
+// point the leases the lease book expires and the event times the heap reports
+// must equal what scanning every app and lease finds, and the forced-step
 // (spin-guard) clamp must never jump over a real event.
 
 import (
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"themis/internal/cluster"
+	"themis/internal/core"
 	"themis/internal/placement"
 	"themis/internal/workload"
 )
@@ -36,23 +37,22 @@ func equivalenceWorkload(t *testing.T, seed int64, apps int) []*workload.App {
 
 // The scan oracle: the pre-heap event core, which rediscovered the due leases
 // and the next decision point each round with full scans over pending
-// arrivals, failures, every active app's lease list and every active app's
+// arrivals, failures, every outstanding lease and every active app's
 // completion projection recomputed from scratch. It was the simulator's
 // second core until the heap core had earned its keep; it lives on here as
 // what the heap core is checked against.
 
-// scanDueLeases returns the grant sequence numbers of the leases whose expiry
-// time has been reached, in grant order.
-func scanDueLeases(s *Simulator) []uint64 {
-	var due []uint64
-	for _, st := range s.activeList {
-		for _, l := range st.leases {
-			if l.expiry <= s.now+timeEps {
-				due = append(due, l.seq)
-			}
+// scanDueLeases returns the leases whose expiry time has been reached, found
+// by scanning every outstanding lease in the book's view rather than reading
+// its due prefix, soonest expiry first and in view order among ties.
+func scanDueLeases(s *Simulator) []core.Lease {
+	var due []core.Lease
+	for _, l := range s.leases.Leases() {
+		if l.Expiry <= s.now+timeEps {
+			due = append(due, l)
 		}
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	sort.SliceStable(due, func(i, j int) bool { return due[i].Expiry < due[j].Expiry })
 	return due
 }
 
@@ -107,12 +107,12 @@ func scanEventTimes(s *Simulator) (best, future float64) {
 	if !math.IsInf(next, 1) && next > s.now {
 		note(next)
 	}
-	for _, st := range s.activeList {
-		for _, l := range st.leases {
-			if l.expiry > s.now {
-				note(l.expiry)
-			}
+	for _, l := range s.leases.Leases() {
+		if l.Expiry > s.now {
+			note(l.Expiry)
 		}
+	}
+	for _, st := range s.activeList {
 		if t, ok := scanNextCompletion(st, s.now); ok {
 			note(t)
 		}
@@ -121,7 +121,8 @@ func scanEventTimes(s *Simulator) (best, future float64) {
 }
 
 // runAgainstScan drives s the way Run does and, at every decision point,
-// checks the heap core's due leases and event times against the scan oracle.
+// checks the lease book's due leases and the heap's event times against the
+// scan oracle, and that no lease outlives its app.
 func runAgainstScan(t *testing.T, s *Simulator) *Result {
 	t.Helper()
 	for round := 0; ; round++ {
@@ -134,19 +135,20 @@ func runAgainstScan(t *testing.T, s *Simulator) *Result {
 		s.processArrivals()
 		s.processFailures()
 		want := scanDueLeases(s)
-		due := s.dueLeases()
-		got := make([]uint64, 0, len(due))
-		for _, l := range due {
-			got = append(got, l.seq)
-		}
-		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("t=%v: heap pops leases %v as due, the scan finds %v", s.now, got, want)
+		due := s.leases.Expire(s.now + timeEps)
+		if len(due)+len(want) > 0 && !reflect.DeepEqual(due, want) {
+			t.Fatalf("t=%v: the book expires leases %v, the scan finds %v due", s.now, due, want)
 		}
 		if err := s.expireLeases(due); err != nil {
 			t.Fatal(err)
 		}
 		s.runTuners()
 		s.finishApps()
+		for _, l := range s.leases.Leases() {
+			if _, ok := s.active[l.App]; !ok {
+				t.Fatalf("t=%v: the book holds a lease of %s, which is not active", s.now, l.App)
+			}
+		}
 		if _, err := s.schedule(); err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +310,8 @@ func TestForcedStepClampsToNextEvent(t *testing.T) {
 	st.proj = s.now
 	s.refreshCompletion(st)
 	expiry := s.now + minTimeStep/2
-	s.leaseSeq++
-	l := &lease{app: st, alloc: cluster.Alloc{0: 1}, expiry: expiry, seq: s.leaseSeq}
-	l.ev = event{kind: evLeaseExpiry, time: expiry, lease: l, index: -1}
-	st.leases = append(st.leases, l)
-	s.events.push(&l.ev)
+	s.leases.Grant(st.App.ID, cluster.Alloc{0: 1}, s.now, minTimeStep/2)
+	s.aimLeaseExpiry()
 
 	next, forced, ok := s.nextEventTime()
 	if !ok || !forced {
@@ -323,7 +322,8 @@ func TestForcedStepClampsToNextEvent(t *testing.T) {
 	}
 
 	// Without the nearby expiry the forced step falls back to minTimeStep.
-	s.detachLease(l)
+	s.leases.Drop(st.App.ID)
+	s.aimLeaseExpiry()
 	next, forced, ok = s.nextEventTime()
 	if !ok || !forced {
 		t.Fatalf("nextEventTime = (%v, forced=%v, ok=%v), want a forced step", next, forced, ok)

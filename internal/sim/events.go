@@ -8,10 +8,11 @@ package sim
 // state mutation updates only the entries it invalidates.
 //
 // Entries are owned by the objects they describe (an AppState owns its
-// arrival and completion entries, a lease owns its expiry entry, …) and are
-// inserted by pointer, so updating or removing an event is O(log n) via the
-// entry's tracked heap index — no lazy-deletion tombstones, no allocation
-// per scheduling round.
+// arrival and completion entries, the Simulator owns the one lease-expiry
+// entry, aimed at the lease book's earliest expiry, …) and are inserted by
+// pointer, so updating or removing an event is O(log n) via the entry's
+// tracked heap index — no lazy-deletion tombstones, no allocation per
+// scheduling round.
 
 // eventKind labels the typed events the simulator schedules.
 type eventKind uint8
@@ -19,7 +20,8 @@ type eventKind uint8
 const (
 	// evArrival fires when a pending app's submit time is reached.
 	evArrival eventKind = iota
-	// evLeaseExpiry fires when a GPU lease lapses back to the free pool.
+	// evLeaseExpiry fires when the earliest outstanding GPU lease lapses
+	// back to the free pool.
 	evLeaseExpiry
 	// evCompletion is an app's projected next job completion. Unlike the
 	// other kinds it is a projection: it is re-aimed whenever the app's
@@ -42,10 +44,6 @@ type event struct {
 	// index is the entry's current position in the heap, or -1 while the
 	// entry is not enqueued.
 	index int
-
-	// Owner back-references, set per kind at construction.
-	app   *AppState // evArrival, evCompletion
-	lease *lease    // evLeaseExpiry
 }
 
 // eventHeap is an indexed binary min-heap of events ordered by (time, seq).

@@ -77,35 +77,11 @@ func (s *Simulator) failMachine(m cluster.MachineID) {
 			panic("sim: revoking failed machine's GPUs: " + err.Error())
 		}
 		if st, ok := s.active[id]; ok {
-			st.trimLeases(m, n)
+			s.leases.Trim(id, m, n)
 			st.onAllocationChange(s.now, s.cs.Held(app), s.cfg.RestartOverhead)
 			s.appStateChanged(st)
 			s.result.noteAllocation(s.now, st, st.Held)
 		}
 	}
 	s.cs.SetOffline(m, true)
-}
-
-// trimLeases removes count GPUs on machine m from the app's outstanding
-// leases so later expiries do not double-release them. Leases trimmed to
-// empty stay scheduled: their expiry still re-splits the app's allocation
-// and applies the restart pause, as the original core did.
-func (st *AppState) trimLeases(m cluster.MachineID, count int) {
-	for _, l := range st.leases {
-		if count == 0 {
-			break
-		}
-		if l.alloc[m] == 0 {
-			continue
-		}
-		take := l.alloc[m]
-		if take > count {
-			take = count
-		}
-		l.alloc[m] -= take
-		if l.alloc[m] == 0 {
-			delete(l.alloc, m)
-		}
-		count -= take
-	}
 }

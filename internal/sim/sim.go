@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"themis/internal/cluster"
+	"themis/internal/core"
 	"themis/internal/hyperparam"
 	"themis/internal/placement"
 	"themis/internal/workload"
@@ -113,17 +114,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// lease is one outstanding GPU lease inside the simulator.
-type lease struct {
-	app    *AppState
-	alloc  cluster.Alloc
-	expiry float64
-	// seq is the lease's grant order; expiries due at the same instant are
-	// processed in grant order, matching the original slice-based core.
-	seq uint64
-	ev  event
-}
-
 // Simulator runs one configured simulation.
 type Simulator struct {
 	cfg    Config
@@ -148,21 +138,19 @@ type Simulator struct {
 	events     eventHeap
 	failures   []*failureRec  // pending failures, in time order
 	recoveries []*recoveryRec // pending recoveries, in time order
-	leaseSeq   uint64
+	// leases holds every outstanding lease; leaseEv is the one heap entry
+	// that stands for them all, aimed at the book's earliest expiry.
+	leases  core.LeaseBook
+	leaseEv event
 
-	// Hot-loop object pools and scratch buffers. The event core runs once
-	// per decision point; without these, every round allocated fresh slices
-	// (due/keep/stale/ids), a View struct, and — on each grant — a lease and
-	// an alloc map, all of it garbage by the next round. The free-lists are
-	// owned by the Simulator (no sync.Pool: the simulator is single-threaded,
-	// and sweep workers each own a Simulator), so reuse is deterministic and
+	// Hot-loop scratch buffers. The event core runs once per decision point;
+	// without these, every round allocated fresh slices (stale/ids) and a
+	// View struct, all of it garbage by the next round. They are owned by
+	// the Simulator (no sync.Pool: the simulator is single-threaded, and
+	// sweep workers each own a Simulator), so reuse is deterministic and
 	// race-free. TestEventCoreZeroAlloc pins steady-state rounds at 0
 	// allocs/op.
-	leasePool    []*lease        // retired leases, ready for grantLease
-	allocPool    []cluster.Alloc // retired lease alloc maps, cleared on reuse
-	dueScratch   []*lease        // dueLeases result
-	keepScratch  []*event        // dueLeases non-expiry re-push buffer
-	staleScratch []*event        // heapEventTimes re-push buffer
+	staleScratch []*event // heapEventTimes re-push buffer
 	idsScratch   []workload.AppID
 	viewStruct   View         // reused policy-facing view (valid during Allocate only)
 	split        splitScratch // the job split's working set, shared by every app
@@ -189,10 +177,11 @@ func New(cfg Config) (*Simulator, error) {
 		tunerFor = hyperparam.ForApp
 	}
 	s := &Simulator{
-		cfg:    cfg,
-		cs:     cluster.NewState(cfg.Topology),
-		active: make(map[workload.AppID]*AppState),
-		result: newResult(cfg),
+		cfg:     cfg,
+		cs:      cluster.NewState(cfg.Topology),
+		active:  make(map[workload.AppID]*AppState),
+		leaseEv: event{kind: evLeaseExpiry, index: -1},
+		result:  newResult(cfg),
 	}
 	apps := make([]*workload.App, len(cfg.Apps))
 	copy(apps, cfg.Apps)
@@ -222,7 +211,7 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 		}
 		s.processArrivals()
 		s.processFailures()
-		if err := s.expireLeases(s.dueLeases()); err != nil {
+		if err := s.expireLeases(s.leases.Expire(s.now + timeEps)); err != nil {
 			return nil, err
 		}
 		s.runTuners()
@@ -355,81 +344,32 @@ func (s *Simulator) removeActiveSorted(st *AppState) {
 	}
 }
 
-// expireLeases returns the GPUs of the due leases (see dueLeases) to the free
-// pool, in the order given.
-func (s *Simulator) expireLeases(due []*lease) error {
+// expireLeases returns the GPUs of the due leases — the book's Expire at now,
+// soonest expiry first and in grant order among ties — to the free pool.
+func (s *Simulator) expireLeases(due []core.Lease) error {
 	for _, l := range due {
-		st := l.app
-		s.detachLease(l)
-		if _, ok := s.active[st.App.ID]; !ok {
-			// The app already finished; its GPUs were released then.
-			s.recycleLease(l)
-			continue
+		st, ok := s.active[l.App]
+		if !ok {
+			return fmt.Errorf("sim: lease outlived its app %s", l.App)
 		}
-		if err := s.cs.Release(string(st.App.ID), l.alloc); err != nil {
+		if err := s.cs.Release(string(l.App), l.Alloc); err != nil {
 			return fmt.Errorf("sim: lease release inconsistency: %w", err)
 		}
-		s.recycleLease(l)
-		st.onAllocationChange(s.now, s.cs.Held(string(st.App.ID)), s.cfg.RestartOverhead)
+		st.onAllocationChange(s.now, s.cs.Held(string(l.App)), s.cfg.RestartOverhead)
 		s.appStateChanged(st)
 		s.result.noteAllocation(s.now, st, st.Held)
 	}
+	s.aimLeaseExpiry()
 	return nil
 }
 
-// recycleLease returns a fully detached lease (and its alloc map) to the
-// free-lists for the next grant. Callers must be done with l.alloc: the
-// cluster state never retains granted maps (Grant/Release copy), so a lease's
-// map is exclusively lease-owned and safe to reuse once released.
-func (s *Simulator) recycleLease(l *lease) {
-	if l.alloc != nil {
-		s.allocPool = append(s.allocPool, l.alloc)
-	}
-	*l = lease{}
-	s.leasePool = append(s.leasePool, l)
-}
-
-// dueLeases pops the leases whose expiry time has been reached off the event
-// heap and returns them sorted by grant order.
-func (s *Simulator) dueLeases() []*lease {
-	due := s.dueScratch[:0]
-	keep := s.keepScratch[:0]
-	for {
-		e := s.events.peek()
-		if e == nil || e.time > s.now+timeEps {
-			break
-		}
-		s.events.pop()
-		if e.kind == evLeaseExpiry {
-			due = append(due, e.lease)
-		} else {
-			// A completion projection landing within the tolerance of
-			// now is not an expiry; leave it for the event loop.
-			keep = append(keep, e)
-		}
-	}
-	for _, e := range keep {
-		s.events.push(e)
-	}
-	s.keepScratch = keep
-	s.dueScratch = due
-	// sort.Slice boxes its closure even over an empty slice; the guard keeps
-	// the (overwhelmingly common) no-expiry round allocation-free.
-	if len(due) > 1 {
-		sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
-	}
-	return due
-}
-
-// detachLease removes l from its app's lease list and the event heap.
-func (s *Simulator) detachLease(l *lease) {
-	s.events.remove(&l.ev)
-	ls := l.app.leases
-	for i, cand := range ls {
-		if cand == l {
-			l.app.leases = append(ls[:i], ls[i+1:]...)
-			break
-		}
+// aimLeaseExpiry re-aims the lease-expiry event at the book's earliest
+// expiry, or takes it off the heap when no lease is outstanding.
+func (s *Simulator) aimLeaseExpiry() {
+	if t, ok := s.leases.Next(); ok {
+		s.events.update(&s.leaseEv, t)
+	} else {
+		s.events.remove(&s.leaseEv)
 	}
 }
 
@@ -468,11 +408,8 @@ func (s *Simulator) finishApps() {
 		}
 		st.App.FinishedAt = s.now
 		s.cs.ReleaseAll(string(st.App.ID))
-		for len(st.leases) > 0 {
-			l := st.leases[0]
-			s.detachLease(l)
-			s.recycleLease(l)
-		}
+		s.leases.Drop(st.App.ID)
+		s.aimLeaseExpiry()
 		s.events.remove(&st.completionEv)
 		s.result.noteFinish(s.now, st)
 		s.removeActive(st)
@@ -557,12 +494,13 @@ func (s *Simulator) schedule() (bool, error) {
 		if err := s.cs.Grant(string(id), alloc); err != nil {
 			return changed, fmt.Errorf("sim: policy %s produced an infeasible allocation for %s: %w", s.cfg.Policy.Name(), id, err)
 		}
-		s.grantLease(st, s.cloneAlloc(alloc))
+		s.leases.Grant(id, alloc, s.now, s.cfg.LeaseDuration)
 		st.onAllocationChange(s.now, s.cs.Held(string(id)), s.cfg.RestartOverhead)
 		s.appStateChanged(st)
 		s.result.noteAllocation(s.now, st, st.Held)
 		changed = true
 	}
+	s.aimLeaseExpiry()
 	return changed, nil
 }
 
@@ -607,44 +545,6 @@ func (s *Simulator) repairGrant(st *AppState, alloc, leftover cluster.Alloc) (cl
 		return cluster.NewAlloc(), alloc.Add(leftover)
 	}
 	return repaired, rest
-}
-
-// cloneAlloc copies a grant into a lease-owned alloc map, reusing a retired
-// map from the pool when one is available.
-func (s *Simulator) cloneAlloc(src cluster.Alloc) cluster.Alloc {
-	n := len(s.allocPool)
-	if n == 0 {
-		return src.Clone()
-	}
-	m := s.allocPool[n-1]
-	s.allocPool[n-1] = nil
-	s.allocPool = s.allocPool[:n-1]
-	clear(m)
-	for k, v := range src {
-		if v != 0 {
-			m[k] = v
-		}
-	}
-	return m
-}
-
-// grantLease records a new lease over alloc for st, expiring one lease
-// duration from now. Lease objects come from the free-list when a retired
-// one is available.
-func (s *Simulator) grantLease(st *AppState, alloc cluster.Alloc) {
-	s.leaseSeq++
-	var l *lease
-	if n := len(s.leasePool); n > 0 {
-		l = s.leasePool[n-1]
-		s.leasePool[n-1] = nil
-		s.leasePool = s.leasePool[:n-1]
-	} else {
-		l = &lease{}
-	}
-	*l = lease{app: st, alloc: alloc, expiry: s.now + s.cfg.LeaseDuration, seq: s.leaseSeq}
-	l.ev = event{kind: evLeaseExpiry, time: l.expiry, lease: l, index: -1}
-	st.leases = append(st.leases, l)
-	s.events.push(&l.ev)
 }
 
 // refreshCompletion re-aims st's completion event at its cached projection.

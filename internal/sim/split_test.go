@@ -223,7 +223,7 @@ func TestResplitZeroAlloc(t *testing.T) {
 
 // TestResultRetainsNoAppState: the Result a finished run returns holds records
 // and a timeline, not the run's working state — no AppState (with its job
-// split, leases and heap entries) may stay reachable from it.
+// split and heap entries) may stay reachable from it.
 func TestResultRetainsNoAppState(t *testing.T) {
 	s, err := New(Config{
 		Topology: simTopo(t, 4, 4, 2),
@@ -233,8 +233,8 @@ func TestResultRetainsNoAppState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cleanup, not a finalizer: an AppState points at itself through its
-	// heap entries, and a finalizer never runs on an object in a cycle.
+	// A cleanup, not a finalizer: a cleanup still runs if the AppState sits
+	// in a reference cycle, where a finalizer never would.
 	collected := make(chan struct{})
 	runtime.AddCleanup(s.apps[0], func(done chan struct{}) { close(done) }, collected)
 	res, err := s.Run(context.Background())
