@@ -206,7 +206,8 @@ func (s *State) FreeVector() Alloc {
 	return out
 }
 
-// Held returns a copy of the allocation currently held by app.
+// Held returns a copy of the allocation currently held by app. The state
+// updates its holdings in place, so it never hands out its own maps.
 func (s *State) Held(app string) Alloc {
 	if a, ok := s.held[app]; ok {
 		return a.Clone()
@@ -245,7 +246,8 @@ func (s *State) AppsOn(m MachineID) map[string]int {
 }
 
 // Grant assigns the GPUs in alloc to app. It fails (without partial effect)
-// if any machine lacks sufficient free GPUs.
+// if any machine lacks sufficient free GPUs. The app's holding is credited
+// in place; alloc is copied, never kept.
 func (s *State) Grant(app string, alloc Alloc) error {
 	for m, n := range alloc {
 		if n < 0 {
@@ -268,15 +270,23 @@ func (s *State) Grant(app string, alloc Alloc) error {
 		}
 		s.on[m][app] += n
 	}
-	s.held[app] = s.Held(app).Add(alloc)
+	if held, ok := s.held[app]; ok {
+		held.Credit(alloc)
+	} else if alloc.Total() > 0 {
+		s.held[app] = alloc.Clone()
+	}
 	return nil
 }
 
 // Release removes the GPUs in alloc from app's holdings. It fails (without
-// partial effect) if app does not hold the GPUs being released.
+// partial effect) if app does not hold the GPUs being released: the holding is
+// debited in place, and Debit checks every machine before it changes one.
 func (s *State) Release(app string, alloc Alloc) error {
-	held := s.Held(app)
-	if _, err := held.Sub(alloc); err != nil {
+	held, ok := s.held[app]
+	if !ok {
+		held = NewAlloc()
+	}
+	if err := held.Debit(alloc); err != nil {
 		return fmt.Errorf("cluster: app %s: %w", app, err)
 	}
 	for m, n := range alloc {
@@ -289,11 +299,10 @@ func (s *State) Release(app string, alloc Alloc) error {
 			delete(s.on[m], app)
 		}
 	}
-	newHeld, _ := held.Sub(alloc)
-	if newHeld.IsEmpty() {
+	if held.IsEmpty() {
 		delete(s.held, app)
 	} else {
-		s.held[app] = newHeld
+		s.held[app] = held
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -159,7 +160,10 @@ type Bidder interface {
 	ReportRho(now float64, current cluster.Alloc) float64
 	// PrepareBid returns the app's valuation table for an offer.
 	PrepareBid(now float64, offer, current cluster.Alloc) BidTable
-	// UnmetParallelism returns how many more GPUs the app can use.
+	// UnmetParallelism returns how many more GPUs the app can use. It must
+	// answer locally, without a network call or a call back into the server:
+	// the sharded reconciliation round asks it under the server's registry
+	// lock.
 	UnmetParallelism(current cluster.Alloc) int
 	// GangSize returns the app's typical gang size (leftover-grant chunk).
 	GangSize() int
@@ -219,19 +223,12 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 		})
 	}
 	a.val.remote = remote
-	// Step 2: sort by decreasing ρ (worst-off first) and offer to the worst
-	// 1−f fraction, always at least one app. Equal ρ — every starved app at one
-	// instant, every degraded remote bidder — falls back on the app ID, so who
-	// is offered GPUs never depends on the order the caller listed the agents
-	// in (the serving layer ranges over a map).
-	slices.SortFunc(ps, func(a, b probedAgent) int {
-		if a.rho != b.rho {
-			return cmp.Compare(b.rho, a.rho)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	// Step 2: offer to the worst 1−f fraction, always at least one app, in
+	// WorseOff order. Only they are ordered: the rest go to the leftover pass,
+	// which orders its candidates by ID.
 	n := len(ps)
 	participants := min(max(int(math.Ceil((1-a.cfg.FairnessKnob)*float64(n))), 1), n)
+	selectWorst(ps, participants)
 	a.Stats.OffersMade += participants
 	probed := time.Now()
 	a.lastRound.Probe = probed.Sub(start)
@@ -305,6 +302,74 @@ type probedAgent struct {
 	state AgentState
 	id    workload.AppID
 	rho   float64
+}
+
+// WorseOff orders apps for an offer, worst-off first: higher ρ, then lower app
+// ID. Equal ρ — every starved app at one instant, every degraded remote
+// bidder — falls back on the ID, so who is offered GPUs never depends on the
+// order the caller listed the apps in (the serving layer ranges over maps).
+// It is a total order, NaN included: cmp.Compare ranks a NaN ρ below every
+// number and equal to another NaN, which the ID then settles.
+func WorseOff(rhoA float64, a workload.AppID, rhoB float64, b workload.AppID) int {
+	if c := cmp.Compare(rhoB, rhoA); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+func worseOff(a, b probedAgent) int { return WorseOff(a.rho, a.id, b.rho, b.id) }
+
+// selectWorst reorders ps so that ps[:k] holds its k worst-off probes in
+// WorseOff order; the order of ps[k:] is unspecified. Quickselect
+// (median-of-three pivot, Hoare partition) narrows a window [lo, hi) around
+// position k, keeping everything before the window ahead of it and
+// everything after it behind; a small window, or one that stops shrinking
+// within the depth budget, is sorted outright, so no input costs more than a
+// sort. Then only the prefix is sorted.
+func selectWorst(ps []probedAgent, k int) {
+	lo, hi := 0, len(ps)
+	for depth := 2 * bits.Len(uint(hi)); lo < k && k < hi; depth-- {
+		if hi-lo <= 12 || depth == 0 {
+			slices.SortFunc(ps[lo:hi], worseOff)
+			break
+		}
+		mid := lo + (hi-lo)/2
+		if worseOff(ps[mid], ps[lo]) < 0 {
+			ps[lo], ps[mid] = ps[mid], ps[lo]
+		}
+		if worseOff(ps[hi-1], ps[mid]) < 0 {
+			ps[mid], ps[hi-1] = ps[hi-1], ps[mid]
+			if worseOff(ps[mid], ps[lo]) < 0 {
+				ps[lo], ps[mid] = ps[mid], ps[lo]
+			}
+		}
+		// ps[lo] ≤ pivot ≤ ps[hi-1] keeps both scans inside the window, and
+		// the first swap (around mid) shrinks it on both sides.
+		pivot := ps[mid]
+		i, j := lo, hi-1
+		for i <= j {
+			for worseOff(ps[i], pivot) < 0 {
+				i++
+			}
+			for worseOff(pivot, ps[j]) < 0 {
+				j--
+			}
+			if i <= j {
+				ps[i], ps[j] = ps[j], ps[i]
+				i, j = i+1, j-1
+			}
+		}
+		// Now ps[lo:j+1] ≤ pivot ≤ ps[i:hi], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			lo, hi = k, k
+		}
+	}
+	slices.SortFunc(ps[:k], worseOff)
 }
 
 // grantLeftovers runs the leftover-allocation rule over a candidate set and

@@ -164,8 +164,9 @@ type registeredAgent struct {
 //     deployment; cross-shard rounds run concurrently because each shard has
 //     its own Arbiter, state and auctionMu.
 //   - mu guards the mutable registry and occupancy state (agents, state,
-//     leases). It is held only for short map/state accesses and NEVER across
-//     network calls (probes, bids, deliveries — which run on fanout,
+//     leases). It is held only for short map/state accesses (the longest is
+//     the reconciliation round's one sweep of the registry, see unmetDemand)
+//     and NEVER across network calls (probes, bids, deliveries — which run on fanout,
 //     fanoutWidth at a time), so registration and status stay responsive
 //     while a slow auction is in flight.
 type ArbiterServer struct {
@@ -607,18 +608,6 @@ func fanout(n int, call func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// snapshotAgents returns the registered bidders; the sharded reconciliation
-// round iterates them without holding this server's locks.
-func (s *ArbiterServer) snapshotAgents() []core.Bidder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]core.Bidder, 0, len(s.agents))
-	for _, a := range s.agents {
-		out = append(out, a.bidder)
-	}
-	return out
 }
 
 // notifyClient returns the HTTP callback registered for app, or nil.

@@ -21,11 +21,14 @@ import (
 
 // agentFarm serves one AgentServer per app on a single httptest listener,
 // each mounted at /agents/<app>/. It counts the connections the listener
-// accepts and the most ρ and bid requests it has had in flight at once.
+// accepts and the most ρ and bid requests it has had in flight at once; a
+// non-zero rhoDelay holds every ρ answer that long, so calls that are
+// issued concurrently are seen to overlap.
 type agentFarm struct {
 	url         string
 	agents      map[string]*AgentServer
 	demand      map[string]int
+	rhoDelay    atomic.Int64 // nanoseconds
 	conns       atomic.Int64
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
@@ -46,6 +49,9 @@ func newAgentFarm(tb testing.TB, topo *cluster.Topology, apps []*workload.App) *
 			n := f.inFlight.Add(1)
 			defer f.inFlight.Add(-1)
 			for m := f.maxInFlight.Load(); n > m && !f.maxInFlight.CompareAndSwap(m, n); m = f.maxInFlight.Load() {
+			}
+			if d := f.rhoDelay.Load(); d > 0 && strings.HasSuffix(r.URL.Path, "/v1/rho") {
+				time.Sleep(time.Duration(d))
 			}
 		}
 		mux.ServeHTTP(w, r)

@@ -3,7 +3,7 @@ package rpc
 import (
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -266,12 +266,15 @@ func (s *ShardedArbiterServer) ReconcileStats() (rounds, gpus int, spent time.Du
 }
 
 // starvedApp is one reconciliation candidate: an app with demand its own
-// shard could not satisfy this round.
+// shard could not satisfy this round. held is its holding on its home shard,
+// the allocation it is probed against.
 type starvedApp struct {
 	bidder core.Bidder
+	id     workload.AppID
 	home   int
 	unmet  int
 	rho    float64
+	held   cluster.Alloc
 }
 
 // reconcile re-offers leftover GPUs across shards to the globally most
@@ -292,62 +295,21 @@ func (s *ShardedArbiterServer) reconcile(now float64, allChanged map[workload.Ap
 		return grants, nil
 	}
 
-	var cands []starvedApp
-	for home, srv := range s.shards {
-		for _, b := range srv.snapshotAgents() {
-			// The sweep visits every registered agent, but almost all of them
-			// have no unmet demand. Keep the common case map-free: probe held
-			// totals (no copies), share the canonical empty allocation, and
-			// only copy the local holding for the rare actual candidate.
-			localHeld := emptyCurrent
-			if srv.HeldTotalBy(b.ID()) > 0 {
-				localHeld = srv.HeldBy(b.ID())
-			}
-			unmet := b.UnmetParallelism(localHeld)
-			if unmet <= 0 {
-				continue
-			}
-			// Discount demand already met on other shards by earlier
-			// reconciliation rounds.
-			for other, osrv := range s.shards {
-				if other != home {
-					unmet -= osrv.HeldTotalBy(b.ID())
-				}
-			}
-			if unmet <= 0 {
-				continue
-			}
-			cands = append(cands, starvedApp{
-				bidder: b,
-				home:   home,
-				unmet:  unmet,
-				rho:    b.ReportRho(now, localHeld),
-			})
-		}
-	}
-	// Most starved first; ties break on app ID for determinism.
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].rho != cands[j].rho {
-			return cands[i].rho > cands[j].rho
-		}
-		return cands[i].bidder.ID() < cands[j].bidder.ID()
-	})
-
-	for _, c := range cands {
+	for _, c := range s.starved(now) {
 		gang := max(c.bidder.GangSize(), 1)
 		// Home shard first (any leftover there places next to what the app
 		// holds), then the rest in index order.
-		order := append([]int{c.home}, otherShards(len(s.shards), c.home)...)
-		for _, si := range order {
+		for k := range s.shards {
 			if c.unmet < gang {
 				break
 			}
+			si := homeFirst(k, c.home)
 			chunk := min(c.unmet, leftover[si])
 			chunk -= chunk % gang
 			if chunk == 0 {
 				continue
 			}
-			got, err := s.shards[si].reconcileGrant(c.bidder.ID(), chunk, now)
+			got, err := s.shards[si].reconcileGrant(c.id, chunk, now)
 			if err != nil {
 				return nil, err
 			}
@@ -356,18 +318,90 @@ func (s *ShardedArbiterServer) reconcile(now float64, allChanged map[workload.Ap
 			}
 			leftover[si] -= got.Total()
 			c.unmet -= got.Total()
-			grants[c.bidder.ID()] = grants[c.bidder.ID()].Add(s.parts[si].ToGlobal(got))
-			allChanged[c.bidder.ID()] = true
+			grants[c.id] = grants[c.id].Add(s.parts[si].ToGlobal(got))
+			allChanged[c.id] = true
 		}
 	}
 	return grants, nil
 }
 
-func otherShards(n, home int) []int {
-	out := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != home {
-			out = append(out, i)
+// homeFirst is the k'th shard a candidate homed on home draws from: home,
+// then the others in index order.
+func homeFirst(k, home int) int {
+	switch {
+	case k == 0:
+		return home
+	case k <= home:
+		return k - 1
+	default:
+		return k
+	}
+}
+
+// starved returns the reconciliation candidates, most starved first (WorseOff
+// order). Every shard sweeps its own agents concurrently for unmet demand
+// against their home holding; the survivors, in home-major order, are
+// discounted by what they hold on other shards, and those still short are
+// probed for ρ: Remote bidders through the fanout, each into its own slot,
+// in-process ones inline.
+func (s *ShardedArbiterServer) starved(now float64) []starvedApp {
+	perShard := make([][]starvedApp, len(s.shards))
+	var wg sync.WaitGroup
+	for i, srv := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perShard[i] = srv.unmetDemand(i)
+		}()
+	}
+	wg.Wait()
+
+	var cands []starvedApp
+	var remote []int
+	for _, found := range perShard {
+		for _, c := range found {
+			for other, osrv := range s.shards {
+				if other != c.home {
+					c.unmet -= osrv.HeldTotalBy(c.id)
+				}
+			}
+			if c.unmet <= 0 {
+				continue
+			}
+			if _, ok := c.bidder.(core.Remote); ok {
+				remote = append(remote, len(cands))
+			} else {
+				c.rho = c.bidder.ReportRho(now, c.held)
+			}
+			cands = append(cands, c)
+		}
+	}
+	fanout(len(remote), func(k int) {
+		c := &cands[remote[k]]
+		c.rho = c.bidder.ReportRho(now, c.held)
+	})
+	slices.SortStableFunc(cands, func(a, b starvedApp) int { return core.WorseOff(a.rho, a.id, b.rho, b.id) })
+	return cands
+}
+
+// unmetDemand sweeps this shard's registered agents for demand its holdings
+// leave unmet and returns them as candidates homed on home, in registry
+// order. It holds mu for the whole sweep: UnmetParallelism is local for every
+// Bidder (a RemoteBidder answers from its registered demand). Almost every
+// agent holds nothing here, so the common case is map-free: held totals are
+// read without copies, holders of nothing share the canonical empty
+// allocation, and only an actual candidate's holding is copied.
+func (s *ArbiterServer) unmetDemand(home int) []starvedApp {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []starvedApp
+	for id, a := range s.agents {
+		held := emptyCurrent
+		if s.state.HeldTotal(string(id)) > 0 {
+			held = s.state.Held(string(id))
+		}
+		if unmet := a.bidder.UnmetParallelism(held); unmet > 0 {
+			out = append(out, starvedApp{bidder: a.bidder, id: id, home: home, unmet: unmet, held: held})
 		}
 	}
 	return out
