@@ -175,8 +175,9 @@ func TestReconcileMatchesSerialSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Only apps homed on odd shards want GPUs, so the even
-				// shards' capacity, shard 0's included, is left over for
-				// reconciliation, on both sides of every home.
+				// shards' capacity is left over for reconciliation. Shard 0
+				// lies below every home: the home-first walk must step back
+				// to it.
 				rng := rand.New(rand.NewSource(int64(n)))
 				var demanding []*simBidder
 				for i := range apps {
