@@ -3,11 +3,11 @@
 // pools free and lease-expired GPUs, offers them to the worst-off fraction
 // of apps and runs the partial-allocation auction over their bids.
 //
-// With -shards N the daemon partitions the cluster across N arbiter shards:
-// apps are homed on shards by consistent hashing, each shard auctions its
-// own capacity slice, and leftover GPUs are re-offered cross-shard to the
-// most-starved apps; GET /v1/shards reports the per-shard detail. Every shard
-// runs inside this one process.
+// -shards N (default 1, the unsharded arbiter) partitions the cluster across
+// N arbiter shards: apps are homed on shards by consistent hashing, each
+// shard auctions its own capacity slice, and leftover GPUs are re-offered
+// cross-shard to the most-starved apps; GET /v1/shards reports the per-shard
+// detail. Every shard runs inside this one process.
 //
 // Observability: the protocol listener serves /metrics (Prometheus text
 // format), /healthz and /debug/rounds (the last auction rounds' phase traces
@@ -55,35 +55,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arbiterd:", err)
 		os.Exit(1)
 	}
-	cfg := daemon.ArbiterConfig{FairnessKnob: *fairness, LeaseDuration: *lease}
-	start := time.Now()
-	clock := func() float64 { return time.Since(start).Minutes() * *timeScale }
-
-	var (
-		handler    http.Handler
-		runAuction func(float64) (daemon.AuctionResponse, error)
-		roundTrace *daemon.RoundRing
-	)
-	if *shards > 1 {
-		server, err := daemon.NewShardedArbiter(topo, cfg, *shards)
-		if err != nil {
-			log.Fatalf("arbiterd: %v", err)
-		}
-		server.Clock = clock
-		handler = server.Handler()
-		runAuction = server.RunAuction
-		roundTrace = server.RoundTrace()
-		log.Printf("arbiterd: %d shards over %d-GPU %s cluster", *shards, topo.TotalGPUs(), *clusterKind)
-	} else {
-		server, err := daemon.NewArbiterServer(topo, cfg)
-		if err != nil {
-			log.Fatalf("arbiterd: %v", err)
-		}
-		server.Clock = clock
-		handler = server.Handler()
-		runAuction = server.RunAuction
-		roundTrace = server.RoundTrace()
+	server, err := daemon.NewShardedArbiter(topo, daemon.ArbiterConfig{FairnessKnob: *fairness, LeaseDuration: *lease}, *shards)
+	if err != nil {
+		log.Fatalf("arbiterd: %v", err)
 	}
+	start := time.Now()
+	server.Clock = func() float64 { return time.Since(start).Minutes() * *timeScale }
 
 	// SIGQUIT dumps the recent rounds' phase traces to stderr and keeps
 	// serving — the kill -QUIT equivalent of /debug/rounds for when the
@@ -92,14 +69,14 @@ func main() {
 	signal.Notify(quit, syscall.SIGQUIT)
 	go func() {
 		for range quit {
-			roundTrace.WriteText(os.Stderr)
+			server.RoundTrace().WriteText(os.Stderr)
 		}
 	}()
 
 	if *debugAddr != "" {
 		go func() {
 			log.Printf("arbiterd: debug listener (pprof, /metrics, /debug/rounds) on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, daemon.NewDebugMux(roundTrace)); err != nil {
+			if err := http.ListenAndServe(*debugAddr, daemon.NewDebugMux(server.RoundTrace())); err != nil {
 				log.Printf("arbiterd: debug listener: %v", err)
 			}
 		}()
@@ -110,16 +87,16 @@ func main() {
 			ticker := time.NewTicker(*interval)
 			defer ticker.Stop()
 			for range ticker.C {
-				if _, err := runAuction(clock()); err != nil {
+				if _, err := server.RunAuction(server.Clock()); err != nil {
 					log.Printf("arbiterd: auction round failed: %v", err)
 				}
 			}
 		}()
 	}
 
-	log.Printf("arbiterd: serving %d-GPU %s cluster on %s (f=%.2f, lease=%.0f min)",
-		topo.TotalGPUs(), *clusterKind, *listen, *fairness, *lease)
-	if err := http.ListenAndServe(*listen, handler); err != nil {
+	log.Printf("arbiterd: serving %d-GPU %s cluster in %d shard(s) on %s (f=%.2f, lease=%.0f min)",
+		topo.TotalGPUs(), *clusterKind, *shards, *listen, *fairness, *lease)
+	if err := http.ListenAndServe(*listen, server.Handler()); err != nil {
 		log.Fatalf("arbiterd: %v", err)
 	}
 }

@@ -25,12 +25,12 @@ type (
 	AgentServer   = rpc.AgentServer
 	ArbiterClient = rpc.ArbiterClient
 	AgentClient   = rpc.AgentClient
-	// ShardedArbiter partitions the cluster across N arbiter shards behind
-	// the same HTTP protocol surface; see NewShardedArbiter.
-	ShardedArbiter = rpc.ShardedArbiterServer
+	// ShardedArbiter is another name for ArbiterServer, kept for the
+	// benchmark driver that compiles against it.
+	ShardedArbiter = ArbiterServer
 	// RoundRing traces the last auction rounds' phase spans; ArbiterServer
-	// and ShardedArbiter expose theirs via RoundTrace(), /debug/rounds
-	// serves it as JSON, and arbiterd dumps it on SIGQUIT.
+	// exposes its ring via RoundTrace(), /debug/rounds serves it as JSON,
+	// and arbiterd dumps it on SIGQUIT.
 	RoundRing = telemetry.RoundRing
 )
 
@@ -74,33 +74,19 @@ func DefaultArbiterConfig() ArbiterConfig {
 	return ArbiterConfig{FairnessKnob: def.FairnessKnob, LeaseDuration: def.LeaseDuration}
 }
 
-// NewArbiterServer builds the Themis cross-app Arbiter for a cluster and
-// wraps it in its HTTP server. Invalid configurations return errors.
-func NewArbiterServer(topo *themis.Topology, cfg ArbiterConfig) (*ArbiterServer, error) {
+// NewShardedArbiter builds the Themis cross-app Arbiter for a cluster and
+// wraps it in its HTTP server. It partitions topo into shards arbiter
+// shards, each running partial-allocation auctions over its own capacity
+// slice; RunAuction runs the per-shard auctions concurrently and then the
+// cross-shard reconciliation round. Apps are homed on shards by consistent
+// hashing, so any process that knows the topology and shard count computes
+// the same routing. One shard is the unsharded arbiter. Invalid
+// configurations return errors.
+func NewShardedArbiter(topo *themis.Topology, cfg ArbiterConfig, shards int) (*ArbiterServer, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("daemon: nil topology")
 	}
-	arb, err := core.NewArbiter(topo, core.Config{
-		FairnessKnob:  cfg.FairnessKnob,
-		LeaseDuration: cfg.LeaseDuration,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
-	return rpc.NewArbiterServer(arb), nil
-}
-
-// NewShardedArbiter partitions topo into shards arbiter shards, each running
-// partial-allocation auctions over its own capacity slice; RunAuction runs
-// the per-shard auctions concurrently and then the cross-shard
-// reconciliation round. Apps are homed on shards by consistent hashing, so
-// any process that knows the topology and shard count computes the same
-// routing.
-func NewShardedArbiter(topo *themis.Topology, cfg ArbiterConfig, shards int) (*ShardedArbiter, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("daemon: nil topology")
-	}
-	s, err := rpc.NewShardedArbiterServer(topo, core.Config{
+	s, err := rpc.NewArbiterServer(topo, core.Config{
 		FairnessKnob:  cfg.FairnessKnob,
 		LeaseDuration: cfg.LeaseDuration,
 	}, shards)
@@ -108,6 +94,12 @@ func NewShardedArbiter(topo *themis.Topology, cfg ArbiterConfig, shards int) (*S
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	return s, nil
+}
+
+// NewArbiterServer is NewShardedArbiter with one shard, kept for the
+// benchmark driver that compiles against it.
+func NewArbiterServer(topo *themis.Topology, cfg ArbiterConfig) (*ArbiterServer, error) {
+	return NewShardedArbiter(topo, cfg, 1)
 }
 
 // NewAgentServer builds one app's Themis Agent — answering fairness probes

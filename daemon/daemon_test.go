@@ -84,7 +84,7 @@ func TestDaemonAuctionRoundMatchesCore(t *testing.T) {
 	ctx := context.Background()
 	cfg := daemon.ArbiterConfig{FairnessKnob: 0, LeaseDuration: 20}
 
-	arbSrv, err := daemon.NewArbiterServer(topo, cfg)
+	arbSrv, err := daemon.NewShardedArbiter(topo, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +250,14 @@ func allocMapsEqual(a, b map[string]cluster.Alloc) bool {
 // TestDaemonConstructorValidation pins the daemon layer's error contract.
 func TestDaemonConstructorValidation(t *testing.T) {
 	topo := e2eTopo(t)
-	if _, err := daemon.NewArbiterServer(nil, daemon.DefaultArbiterConfig()); err == nil {
+	if _, err := daemon.NewShardedArbiter(nil, daemon.DefaultArbiterConfig(), 1); err == nil {
 		t.Error("nil topology should fail")
 	}
-	if _, err := daemon.NewArbiterServer(topo, daemon.ArbiterConfig{FairnessKnob: 2, LeaseDuration: 20}); err == nil {
+	if _, err := daemon.NewShardedArbiter(topo, daemon.ArbiterConfig{FairnessKnob: 2, LeaseDuration: 20}, 1); err == nil {
 		t.Error("bad fairness knob should fail")
+	}
+	if _, err := daemon.NewShardedArbiter(topo, daemon.DefaultArbiterConfig(), 0); err == nil {
+		t.Error("zero shards should fail")
 	}
 	if _, err := daemon.NewAgentServer(topo, nil); err == nil {
 		t.Error("nil app should fail")

@@ -53,7 +53,7 @@ func main() {
 
 	// The Arbiter daemon. The clock is accelerated so each wall-clock second
 	// is one scheduling minute and leases visibly expire during the demo.
-	arbServer, err := daemon.NewArbiterServer(topo, daemon.ArbiterConfig{FairnessKnob: 0.6, LeaseDuration: 3})
+	arbServer, err := daemon.NewShardedArbiter(topo, daemon.ArbiterConfig{FairnessKnob: 0.6, LeaseDuration: 3}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,11 +89,7 @@ func (b *simBidder) GangSize() int {
 // capacity errors) and `go test -race` flags the valuator scratch.
 func TestConcurrentAuctionsSerialized(t *testing.T) {
 	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 	// Demand far beyond capacity so every round grants aggressively.
 	for i := 0; i < 8; i++ {
 		server.RegisterBidder(&simBidder{
@@ -152,11 +148,7 @@ func TestConcurrentAuctionsSerialized(t *testing.T) {
 // back to the still-hungry apps once the lease lapses.
 func TestDaemonLeaseExpiryReclamation(t *testing.T) {
 	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 	greedy := &simBidder{id: "greedy", demand: topo.TotalGPUs(), weight: 200}
 	hungry := &simBidder{id: "hungry", demand: topo.TotalGPUs(), weight: 100}
 	server.RegisterBidder(greedy)
@@ -223,11 +215,7 @@ func (b *offerRecorder) PrepareBid(now float64, offer, current cluster.Alloc) co
 func TestOfferSetIndependentOfMapOrder(t *testing.T) {
 	topo := testTopo(t)
 	for server := 0; server < 30; server++ {
-		arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewArbiterServer(arb)
+		s := newServer(t, topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20}, 1)
 		bidders := make([]*offerRecorder, 8)
 		for i := range bidders {
 			bidders[i] = &offerRecorder{simBidder: &simBidder{
@@ -261,36 +249,46 @@ func (b noEmptyRowBidder) PrepareBid(now float64, offer, current cluster.Alloc) 
 // expired leases has changed what agents hold, and must tell them. An agent
 // left believing in its expired allocation answers the arbiter's
 // holder-of-nothing probes (empty Current) from that stale allocation, and
-// under-reports its ρ for as long as rounds keep failing.
+// under-reports its ρ for as long as rounds keep failing. With two shards
+// the failing shard is the agent's home: the round returns that shard's
+// error, but only after telling the agents what every shard changed.
 func TestFailedRoundStillDeliversReclaim(t *testing.T) {
-	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.9, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
-	url, agent := startAgent(t, topo, testApp("app-a", 2, 300))
-	if _, err := server.register(RegisterRequest{App: "app-a", Callback: url, MaxParallelism: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.RunAuction(0); err != nil {
-		t.Fatal(err)
-	}
-	if agent.Current().Total() == 0 {
-		t.Fatal("round 1 should have leased GPUs to the agent and told it")
-	}
+	for _, tc := range []struct{ shards, demand int }{{1, 8}, {2, 4}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			topo := testTopo(t)
+			server := newServer(t, topo, core.Config{FairnessKnob: 0.9, LeaseDuration: 20}, tc.shards)
+			url, agent := startAgent(t, topo, testApp("app-a", 2, 300))
+			if _, err := server.register(RegisterRequest{App: "app-a", Callback: url, MaxParallelism: tc.demand}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := server.RunAuction(0); err != nil {
+				t.Fatal(err)
+			}
+			if agent.Current().Total() == 0 {
+				t.Fatal("round 1 should have leased GPUs to the agent and told it")
+			}
 
-	server.RegisterBidder(noEmptyRowBidder{&simBidder{id: "buggy", demand: 4, weight: 1e12}})
-	if _, err := server.RunAuction(21); err == nil {
-		t.Fatal("a table without the empty row should fail the round")
-	}
-	if got := server.HeldBy("app-a").Total(); got != 0 {
-		t.Fatalf("the failed round still reclaims: app-a holds %d", got)
-	}
-	if got := agent.Current(); got.Total() != 0 {
-		t.Errorf("agent still believes it holds %v after its lease was reclaimed", got)
-	}
-	if err := server.ValidateState(); err != nil {
-		t.Errorf("state invariants: %v", err)
+			// A buggy bidder homed on the agent's shard fails that shard's
+			// next round.
+			buggy := ""
+			for i := 0; buggy == ""; i++ {
+				if id := fmt.Sprintf("buggy-%d", i); server.HomeShard(id) == server.HomeShard("app-a") {
+					buggy = id
+				}
+			}
+			server.RegisterBidder(noEmptyRowBidder{&simBidder{id: workload.AppID(buggy), demand: 4, weight: 1e12}})
+			if _, err := server.RunAuction(21); err == nil {
+				t.Fatal("a table without the empty row should fail its shard's round, and the server's")
+			}
+			if got := server.HeldTotalGlobal("app-a"); got != 0 {
+				t.Fatalf("the failed round still reclaims: app-a holds %d", got)
+			}
+			if got := agent.Current(); got.Total() != 0 {
+				t.Errorf("agent still believes it holds %v after its lease was reclaimed", got)
+			}
+			if err := server.ValidateState(); err != nil {
+				t.Errorf("state invariants: %v", err)
+			}
+		})
 	}
 }

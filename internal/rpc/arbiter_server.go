@@ -3,596 +3,456 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"themis/internal/cluster"
 	"themis/internal/core"
-	"themis/internal/placement"
 	"themis/internal/shard"
 	"themis/internal/telemetry"
 	"themis/internal/workload"
 )
 
-// emptyCurrent is the shared "holds nothing" allocation handed to the Arbiter
-// (and to bidder probes) for every agent without GPUs. It must never be
-// written: all Bidder implementations and the Arbiter treat the current
-// allocation as read-only input.
-var emptyCurrent = cluster.NewAlloc()
-
-// RemoteBidder adapts a registered remote Agent to the Arbiter's Bidder
-// interface: every call becomes an HTTP request to the agent daemon. A
-// failing, unreachable or lying agent degrades gracefully — it reports an
-// out-of-auction ρ and an empty bid, so one bad agent never blocks the
-// cluster's auctions.
+// ArbiterServer exposes the Themis Arbiter over HTTP. Agents register
+// themselves (POST /v1/register); an auction round over the currently free
+// GPUs is triggered with POST /v1/auction (the arbiterd daemon does this
+// periodically); GET /v1/status reports cluster state and GET /v1/shards the
+// per-shard detail.
 //
-// A RemoteBidder is immutable after construction: re-registration installs a
-// fresh bidder instead of mutating the old one, so an auction round holding a
-// snapshot of the previous bidder never races with the replacement.
-type RemoteBidder struct {
-	AppID   workload.AppID
-	Client  *AgentClient
-	Demand  int
-	Gang    int
-	Timeout time.Duration
-	// Map translates between this shard's local machine IDs and the global
-	// cluster IDs the remote agent reasons about. Nil means the server's ID
-	// space is already global (the unsharded deployment).
-	Map *shard.Partition
-}
-
-// ID implements core.Bidder.
-func (r *RemoteBidder) ID() workload.AppID { return r.AppID }
-
-// Remote implements core.Remote: the server's fanout asks this bidder.
-func (r *RemoteBidder) Remote() {}
-
-func (r *RemoteBidder) ctx() (context.Context, context.CancelFunc) {
-	timeout := r.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return context.WithTimeout(context.Background(), timeout)
-}
-
-// toGlobal maps an allocation from part's shard-local machine IDs to the
-// global ones agents reason about; a nil partition's IDs are already global
-// (the unsharded deployment).
-func toGlobal(part *shard.Partition, a cluster.Alloc) cluster.Alloc {
-	if part == nil {
-		return a
-	}
-	return part.ToGlobal(a)
-}
-
-// ReportRho implements core.Bidder over HTTP. Anything but a finite positive
-// ρ — an unreachable agent, one with nothing left to run, or one answering
-// garbage — reports the app as perfectly satisfied, so it never wins an
-// auction it cannot consume and never poisons the Arbiter's ρ sort. A
-// non-finite ρ counts as an error, like a failed call.
-func (r *RemoteBidder) ReportRho(now float64, current cluster.Alloc) float64 {
-	ctx, cancel := r.ctx()
-	defer cancel()
-	rho, err := r.Client.ProbeRho(ctx, now, toGlobal(r.Map, current))
-	if err == nil && (math.IsNaN(rho) || math.IsInf(rho, 0)) {
-		countError("/v1/rho")
-	}
-	if err != nil || !finitePositive(rho) {
-		return 1
-	}
-	return rho
-}
-
-// finitePositive reports whether a remote ρ is usable: NaN fails every
-// comparison, so it is rejected by rho > 0 like zero and negatives are.
-func finitePositive(rho float64) bool { return rho > 0 && !math.IsInf(rho, 1) }
-
-// PrepareBid implements core.Bidder over HTTP. Offers cross the wire in
-// global machine IDs; the returned bid is translated back into the shard's
-// local space. The answer is input from outside the process, so it is held to
-// the contract the auction checks — this app's ID whatever the agent wrote,
-// rows within the offer, an empty row, finite positive ρ — and an agent that
-// breaks it degrades to the empty bid, like an unreachable one, instead of
-// failing the round for every other bidder.
-func (r *RemoteBidder) PrepareBid(now float64, offer, current cluster.Alloc) core.BidTable {
-	ctx, cancel := r.ctx()
-	defer cancel()
-	empty := core.BidTable{App: r.AppID, Entries: []core.BidEntry{{Alloc: cluster.NewAlloc(), Rho: 1}}}
-	bid, err := r.Client.RequestBid(ctx, now, toGlobal(r.Map, offer), toGlobal(r.Map, current))
-	if err != nil {
-		return empty
-	}
-	if !r.acceptBid(&bid, offer) {
-		countError("/v1/bid")
-		return empty
-	}
-	return bid
-}
-
-// acceptBid stamps the bid with this bidder's app, translates it into the
-// shard's local machine IDs and validates it against the (local) offer.
-func (r *RemoteBidder) acceptBid(bid *core.BidTable, offer cluster.Alloc) bool {
-	bid.App = r.AppID
-	for i, e := range bid.Entries {
-		if !finitePositive(e.Rho) {
-			return false
-		}
-		if r.Map != nil {
-			local, err := r.Map.FromGlobal(e.Alloc)
-			if err != nil {
-				return false
-			}
-			bid.Entries[i].Alloc = local
-		}
-	}
-	return bid.Validate(offer) == nil
-}
-
-// UnmetParallelism implements core.Bidder using the registered demand.
-func (r *RemoteBidder) UnmetParallelism(current cluster.Alloc) int {
-	return max(r.Demand-current.Total(), 0)
-}
-
-// GangSize implements core.Bidder.
-func (r *RemoteBidder) GangSize() int { return max(r.Gang, 1) }
-
-// registeredAgent is one app known to the arbiter: its Bidder plus the HTTP
-// callback that receives allocation deliveries (nil for in-process bidders,
-// which pull their allocation from auction responses instead). Entries are
-// replaced wholesale on re-registration, never mutated, so auction snapshots
-// can read them without holding the server's lock.
-type registeredAgent struct {
-	bidder core.Bidder
-	notify *AgentClient
-}
-
-// ArbiterServer exposes a core.Arbiter over HTTP. Agents register themselves
-// (POST /v1/register); an auction round over the currently free GPUs is
-// triggered with POST /v1/auction (the arbiterd daemon does this
-// periodically); GET /v1/status reports cluster state.
+// The cluster topology is carved into N ≥ 1 capacity partitions
+// (shard.Split), each arbitrated by its own engine with its own Arbiter,
+// occupancy state and auction lock. A consistent-hash ring maps every app to
+// its home shard, so registration and auction participation are
+// deterministic functions of the app ID. N = 1 is the unsharded arbiter: one
+// partition holding the whole cluster.
 //
-// Locking discipline: two mutexes with a strict order (auctionMu before mu).
+// One auction round is:
 //
-//   - auctionMu serialises auction rounds end to end — reclaim, offer,
-//     grant. The Arbiter's BidValuator scratch is single-auction state and
-//     the free vector an auction offers must still be free when its grants
-//     apply, so two rounds can never interleave. One auctionMu per shard is
-//     exactly the "serialize auctions per shard" rule of the sharded
-//     deployment; cross-shard rounds run concurrently because each shard has
-//     its own Arbiter, state and auctionMu.
-//   - mu guards the mutable registry and occupancy state (agents, state,
-//     leases). It is held only for short map/state accesses (the longest is
-//     the reconciliation round's one sweep of the registry, see unmetDemand)
-//     and NEVER across network calls (probes, bids, deliveries — which run on fanout,
-//     fanoutWidth at a time), so registration and status stay responsive
-//     while a slow auction is in flight.
+//  1. Partial auction per shard — every shard runs reclaim → offer → grant
+//     over its own partition, concurrently with its peers (each holds only
+//     its own auctionMu).
+//  2. Cross-shard reconciliation — leftover GPUs on any shard are re-offered
+//     to the globally most-starved apps (highest ρ with unmet demand,
+//     wherever homed), in gang-sized chunks, home shard first for locality.
+//     A shard's leftover pass leaves GPUs free only when no agent homed
+//     there still wants any, so at N = 1 this finds no candidate.
+//  3. Aggregated delivery — each changed app receives ONE allocation message
+//     carrying its global total across shards, so per-shard views never
+//     clobber each other on the agent.
+//
+// Because auction cost is superlinear in the number of participants (one
+// solver pass per bidder for hidden payments), sharding buys more than
+// concurrency: N shards of P/N participants do ~1/N² the work of one
+// P-participant auction even on a single core; the benchmark's serve-sharded
+// workload measures such rounds.
 type ArbiterServer struct {
-	arbiter *core.Arbiter
-	topo    *cluster.Topology
-
-	// shardLabel is the shard value on every metric series this server
-	// records: "single" for an unsharded deployment, the shard index inside
-	// a ShardedArbiterServer. tel holds the metric handles bound to it and
-	// ring the last rounds' phase traces.
-	shardLabel string
-	tel        *serverTelemetry
-	ring       *telemetry.RoundRing
-	// part, when non-nil, is the capacity partition this server arbitrates
-	// inside a sharded deployment; remote bidders registered here translate
-	// offers and bids between the partition's local IDs and the global ones.
-	part *shard.Partition
+	topo *cluster.Topology
+	ring *shard.Ring
+	// shardIdx maps ring member names back to shard indexes.
+	shardIdx map[string]int
+	shards   []*engine
+	parts    []*shard.Partition
 
 	// Clock returns the current scheduling time in minutes; the default uses
-	// wall-clock minutes since the server was created.
+	// wall-clock minutes since the server was created. Every shard's leases
+	// run on it.
 	Clock func() float64
-	// AgentGang is the default leftover chunk size for registered agents
-	// that do not state one.
-	AgentGang int
 
-	auctionMu sync.Mutex
+	// tel holds the deployment-wide metric handles (shard-level series live
+	// on each engine); globalRing traces the coarse phases of the last
+	// rounds.
+	tel        *shardedTelemetry
+	globalRing *telemetry.RoundRing
 
-	mu       sync.Mutex
-	state    *cluster.State
-	leases   core.LeaseBook
-	agents   map[workload.AppID]*registeredAgent
-	auctions int              // completed auction rounds; shadows arbiter.Stats.Auctions, readable under mu
-	picker   placement.Picker // reconcileGrant's placement scratch
+	mu            sync.Mutex
+	reconciled    int
+	rounds        int
+	reconcileTime time.Duration
 }
 
-// NewArbiterServer builds the unsharded server around an Arbiter and its
-// topology.
-func NewArbiterServer(arb *core.Arbiter) *ArbiterServer {
-	return newArbiterServer(arb, "single", nil)
-}
-
-// newArbiterServer builds both deployments' servers: label is the shard value
-// on the server's metric series and part the capacity partition it arbitrates
-// (nil when its machine IDs are already the global ones).
-func newArbiterServer(arb *core.Arbiter, label string, part *shard.Partition) *ArbiterServer {
+// NewArbiterServer partitions topo into n shards under cfg. Every shard gets
+// its own core.Arbiter over its slice of the topology.
+func NewArbiterServer(topo *cluster.Topology, cfg core.Config, n int) (*ArbiterServer, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("rpc: shard count %d must be at least 1", n)
+	}
+	parts, err := shard.Split(topo, n)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	arb.SetFanout(fanout)
-	return &ArbiterServer{
-		arbiter:    arb,
-		topo:       arb.Topology(),
-		shardLabel: label,
-		tel:        newServerTelemetry(telemetry.Default(), label),
-		ring:       telemetry.NewRoundRing(64),
-		part:       part,
+	s := &ArbiterServer{
+		topo:       topo,
+		ring:       shard.NewRing(shard.DefaultVirtualNodes),
+		shardIdx:   make(map[string]int, n),
+		parts:      parts,
 		Clock:      func() float64 { return time.Since(start).Minutes() },
-		AgentGang:  4,
-		state:      cluster.NewState(arb.Topology()),
-		agents:     make(map[workload.AppID]*registeredAgent),
+		tel:        newShardedTelemetry(telemetry.Default()),
+		globalRing: telemetry.NewRoundRing(64),
 	}
-}
-
-// Arbiter returns the wrapped core Arbiter; experiments read its cumulative
-// phase timing stats after a run.
-func (s *ArbiterServer) Arbiter() *core.Arbiter { return s.arbiter }
-
-// RoundTrace returns the ring holding the last auction rounds' phase traces;
-// /debug/rounds serves it as JSON and arbiterd dumps it on SIGQUIT.
-func (s *ArbiterServer) RoundTrace() *telemetry.RoundRing { return s.ring }
-
-// Handler returns the HTTP handler implementing the Arbiter protocol; see
-// protocolMux for the surface.
-func (s *ArbiterServer) Handler() http.Handler {
-	return protocolMux(s.register, func() (AuctionResponse, error) { return s.RunAuction(s.Clock()) }, s.Status, s.ring)
-}
-
-// protocolMux serves the routes an unsharded and a sharded arbiter share, so
-// agents and operator tooling cannot tell which one they talk to: register,
-// auction, status and health, each instrumented with per-endpoint latency and
-// status-class counters, plus the operational surface — /metrics (Prometheus
-// text), /healthz and /debug/rounds (ring's round traces).
-func protocolMux(
-	register func(RegisterRequest) (RegisterResponse, error),
-	auction func() (AuctionResponse, error),
-	status func() StatusResponse,
-	ring *telemetry.RoundRing,
-) *http.ServeMux {
-	reg := telemetry.Default()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/register", telemetry.Instrument(reg, "/v1/register", func(w http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		resp, err := register(req)
+	for i, p := range parts {
+		arb, err := core.NewArbiter(p.Topo, cfg)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
+			return nil, fmt.Errorf("rpc: shard %d arbiter: %w", i, err)
 		}
-		writeJSON(w, resp)
-	}))
-	mux.HandleFunc("/v1/auction", telemetry.Instrument(reg, "/v1/auction", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-			return
-		}
-		resp, err := auction()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, resp)
-	}))
-	mux.HandleFunc("/v1/status", telemetry.Instrument(reg, "/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, status())
-	}))
-	mux.HandleFunc("/v1/health", telemetry.Instrument(reg, "/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
-	}))
-	mux.Handle("/metrics", telemetry.MetricsHandler(reg))
-	mux.Handle("/healthz", telemetry.HealthzHandler())
-	mux.Handle("/debug/rounds", telemetry.RoundsHandler(ring))
-	return mux
+		s.shards = append(s.shards, newEngine(arb, p))
+		name := fmt.Sprintf("shard-%d", i)
+		s.ring.Add(name)
+		s.shardIdx[name] = i
+	}
+	return s, nil
 }
 
-// RegisterBidder registers (or re-registers) an in-process Bidder — the
-// benchmark's synthetic bidders and tests use this to drive auctions without
-// HTTP callbacks. Held GPUs and running leases survive re-registration.
-func (s *ArbiterServer) RegisterBidder(b core.Bidder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.agents[b.ID()] = &registeredAgent{bidder: b}
-	s.tel.agents.Set(int64(len(s.agents)))
+// NumShards returns the shard count.
+func (s *ArbiterServer) NumShards() int { return len(s.shards) }
+
+// Shard returns the i'th shard's engine (tests and the benchmark read its
+// Arbiter and round trace through this).
+func (s *ArbiterServer) Shard(i int) *engine { return s.shards[i] }
+
+// Arbiter returns shard 0's core Arbiter: at N = 1 the deployment's only
+// one, whose cumulative Stats experiments read after a run.
+func (s *ArbiterServer) Arbiter() *core.Arbiter { return s.shards[0].arbiter }
+
+// HomeShard returns the shard index owning app on the consistent-hash ring.
+func (s *ArbiterServer) HomeShard(app string) int {
+	return s.shardIdx[s.ring.Lookup(app)]
 }
 
-// register installs a remote agent from a wire request, returning whether an
-// existing registration was updated. Re-registration replaces the callback
-// and demand but leaves the app's held GPUs and leases untouched: an agent
-// restarting (or moving hosts) keeps its allocation and simply starts
-// receiving deliveries at the new address.
+// RegisterBidder registers (or re-registers) an in-process Bidder on its
+// ring shard and returns that shard's index — the benchmark's synthetic
+// bidders and tests use this to drive auctions without HTTP callbacks. Held
+// GPUs and running leases survive re-registration. The bidder sees the
+// shard's local machine IDs, which is transparent to bidders that reason
+// about offers positionally (the usual case: ρ and bids depend on GPU counts
+// and locality, not on which global IDs carry them).
+func (s *ArbiterServer) RegisterBidder(b core.Bidder) int {
+	home := s.HomeShard(string(b.ID()))
+	s.shards[home].add(b.ID(), &registeredAgent{bidder: b})
+	return home
+}
+
+// register routes a remote agent registration to its home shard. A request
+// without a demand states none: the app may use the whole cluster.
 func (s *ArbiterServer) register(req RegisterRequest) (RegisterResponse, error) {
-	if req.App == "" || req.Callback == "" {
-		return RegisterResponse{}, fmt.Errorf("register requires app and callback")
+	if req.MaxParallelism <= 0 {
+		req.MaxParallelism = s.topo.TotalGPUs()
 	}
-	demand := req.MaxParallelism
-	if demand <= 0 {
-		demand = s.topo.TotalGPUs()
-	}
-	id := workload.AppID(req.App)
-	client := NewAgentClient(req.Callback)
-	s.mu.Lock()
-	_, updated := s.agents[id]
-	s.agents[id] = &registeredAgent{
-		bidder: &RemoteBidder{
-			AppID:  id,
-			Client: client,
-			Demand: demand,
-			Gang:   s.AgentGang,
-			Map:    s.part,
-		},
-		notify: client,
-	}
-	s.tel.agents.Set(int64(len(s.agents)))
-	s.mu.Unlock()
-	return RegisterResponse{OK: true, LeaseMin: s.arbiter.Config().LeaseDuration, Updated: updated}, nil
+	return s.shards[s.HomeShard(req.App)].register(req)
 }
 
-// Status reports the arbiter's view of its cluster (or capacity partition).
-func (s *ArbiterServer) Status() StatusResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	held := make(map[string]int)
-	for _, app := range s.state.Apps() {
-		held[app] = s.state.Held(app).Total()
-	}
-	agents := make(map[string]struct{}, len(s.agents))
-	for id := range s.agents {
-		agents[string(id)] = struct{}{}
-	}
-	return StatusResponse{
-		Now:          s.Clock(),
-		TotalGPUs:    s.topo.TotalGPUs(),
-		FreeGPUs:     s.state.TotalFree(),
-		Agents:       sortedKeys(agents),
-		Held:         held,
-		Auctions:     s.auctions,
-		ActiveLeases: s.leases.Len(),
-	}
-}
-
-// FreeGPUs returns the number of currently unleased GPUs.
-func (s *ArbiterServer) FreeGPUs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.TotalFree()
-}
-
-// HeldBy returns the allocation app currently holds on this arbiter's
-// capacity, in the server's (shard-local) machine IDs.
+// HeldBy returns app's total allocation across every shard, in global
+// machine IDs. Partitions are disjoint, so the merge is collision-free.
 func (s *ArbiterServer) HeldBy(app workload.AppID) cluster.Alloc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.Held(string(app))
+	var out cluster.Alloc
+	for i, srv := range s.shards {
+		held := srv.HeldBy(app)
+		if held.Total() == 0 {
+			continue
+		}
+		if global := s.parts[i].ToGlobal(held); out == nil {
+			out = global
+		} else {
+			out.Credit(global)
+		}
+	}
+	if out == nil {
+		return cluster.NewAlloc()
+	}
+	return out
 }
 
-// HeldTotalBy returns how many GPUs app holds here without copying its
-// allocation — the cheap form of HeldBy for sweeps over every registered
-// agent, where almost all of them hold nothing.
-func (s *ArbiterServer) HeldTotalBy(app workload.AppID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.HeldTotal(string(app))
+// HeldTotalGlobal returns app's GPU count summed across every shard without
+// materialising the merged allocation — the cheap form of HeldBy for
+// whole-population accounting.
+func (s *ArbiterServer) HeldTotalGlobal(app workload.AppID) int {
+	total := 0
+	for _, srv := range s.shards {
+		total += srv.HeldTotalBy(app)
+	}
+	return total
 }
 
-// ValidateState checks the occupancy state's internal invariants; the
-// concurrency regression tests call it after hammering the server.
+// ValidateState checks every shard's occupancy invariants; the concurrency
+// regression tests call it after hammering the server.
 func (s *ArbiterServer) ValidateState() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.Validate()
+	for i, srv := range s.shards {
+		if err := srv.ValidateState(); err != nil {
+			return fmt.Errorf("rpc: shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
-// RunAuction executes one auction round at the given scheduling time — it
-// reclaims expired leases, offers the free GPUs to the registered agents and
-// applies the winning allocations — and delivers each affected agent its new
-// total allocation. It is exported so daemons and tests can drive auctions
-// without HTTP. Rounds are serialised: a concurrent call blocks until the
-// in-flight round has applied its grants.
+// RunAuction executes one auction round at the given scheduling time:
+// concurrent per-shard partial auctions, the cross-shard reconciliation
+// round, then one aggregated delivery per changed app. The returned decisions
+// are in global machine IDs. It is exported so daemons and tests can drive
+// auctions without HTTP. Each shard serialises its rounds: a concurrent call
+// blocks until the in-flight round has applied its grants.
 func (s *ArbiterServer) RunAuction(now float64) (AuctionResponse, error) {
-	r, err := s.auctionRound(now)
-	// A failed round delivers too: what it reclaimed (and granted) before
-	// failing is in the state, and an agent never told keeps bidding from an
-	// allocation it no longer holds.
-	s.notifyAgents(now, r.changed)
+	start := time.Now()
+	rd := telemetry.Round{Wall: start, Shard: "all", Now: now}
+
+	n := len(s.shards)
+	outs := make([]roundOutcome, n)
+	errs := make([]error, n)
+
+	var wg sync.WaitGroup
+	for i := range s.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = s.shards[i].auctionRound(now)
+		}(i)
+	}
+	wg.Wait()
+	rd.AddSpan("shards", 0, time.Since(start))
+
+	allChanged := make(map[workload.AppID]bool)
+	for _, out := range outs {
+		for app := range out.changed {
+			allChanged[app] = true
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			// What the shards did before the failure — the failing shard's
+			// reclaim included — is in their state: the agents hear of it.
+			s.deliver(now, allChanged)
+			return AuctionResponse{}, fmt.Errorf("rpc: shard %d auction: %w", i, err)
+		}
+	}
+
+	resp := AuctionResponse{Now: now, Decisions: make(map[string]WireAlloc)}
+	granted := make(map[workload.AppID]cluster.Alloc)
+	for i, out := range outs {
+		resp.Offered += out.offered
+		// An app bids only on its home shard, so no two shards grant it here.
+		for app, alloc := range out.granted {
+			granted[app] = s.parts[i].ToGlobal(alloc)
+		}
+	}
+
+	recStart := time.Since(start)
+	reconciled, err := s.reconcile(now, allChanged)
 	if err != nil {
 		return AuctionResponse{}, err
 	}
-	resp := AuctionResponse{Now: now, Offered: r.offered, Decisions: make(map[string]WireAlloc, len(r.granted))}
-	for id, alloc := range r.granted {
-		resp.Decisions[string(id)] = ToWireAlloc(alloc)
+	recDur := time.Since(start) - recStart
+	rd.AddSpan("reconcile", recStart, recDur)
+	for app, alloc := range reconciled {
+		if g, ok := granted[app]; ok {
+			g.Credit(alloc)
+		} else {
+			granted[app] = alloc
+		}
 	}
+	grantedGPUs := 0
+	for app, alloc := range granted {
+		resp.Decisions[string(app)] = ToWireAlloc(alloc)
+		resp.Reconciled += reconciled[app].Total()
+		grantedGPUs += alloc.Total()
+	}
+
+	s.mu.Lock()
+	s.rounds++
+	s.reconciled += resp.Reconciled
+	s.reconcileTime += recDur
+	s.mu.Unlock()
+
+	delStart := time.Since(start)
+	s.deliver(now, allChanged)
+	delDur := time.Since(start) - delStart
+	rd.AddSpan("deliver", delStart, delDur)
+
+	rd.Total = time.Since(start)
+	rd.Offered = resp.Offered
+	rd.Granted = grantedGPUs
+	rd.Reconciled = resp.Reconciled
+	rd.Winners = len(resp.Decisions)
+	s.tel.rounds.Inc()
+	s.tel.reconciled.Add(uint64(resp.Reconciled))
+	s.tel.roundDur.ObserveDuration(rd.Total)
+	s.tel.shardsDur.ObserveDuration(rd.Spans()[0].Dur)
+	s.tel.reconcileDur.ObserveDuration(recDur)
+	s.tel.deliverDur.ObserveDuration(delDur)
+	s.globalRing.Record(rd)
 	return resp, nil
 }
 
-// roundOutcome is what one reclaim → offer → grant round did to the server's
-// state, in the server's (shard-local) machine IDs.
-type roundOutcome struct {
-	offered int
-	// granted is each app's grants of this round, auction win and leftover
-	// grant merged.
-	granted map[workload.AppID]cluster.Alloc
-	// changed is every app whose holding changed: leases reclaimed, GPUs
-	// granted. It is complete up to the point of failure when the round
-	// returns an error.
-	changed map[workload.AppID]bool
+// RoundTrace returns the trace ring /debug/rounds serves and arbiterd dumps
+// on SIGQUIT. At N = 1 it is the one shard's ring, whose rounds carry the
+// reclaim … grant phases; at N > 1 it is the deployment-wide ring, one entry
+// per round with its coarse phases (shards, reconcile, deliver), and the
+// fine-grained phases live on each Shard(i).RoundTrace(). The frozen
+// benchmark reads the fine phases at N = 1 through this method; the branch
+// goes when it next changes (ROADMAP item 2).
+func (s *ArbiterServer) RoundTrace() *telemetry.RoundRing {
+	if len(s.shards) == 1 {
+		return s.shards[0].ring
+	}
+	return s.globalRing
 }
 
-// auctionRound runs reclaim → offer → grant under auctionMu and reports what
-// it did. It does not notify agents — the caller (RunAuction, or the sharded
-// arbiter after its reconciliation round) owns delivery, and owes it for
-// outcome.changed even when the round failed.
-func (s *ArbiterServer) auctionRound(now float64) (roundOutcome, error) {
-	// Serialise the whole round. OfferResources below runs outside mu (it
-	// makes network calls to remote bidders) but must never run concurrently
-	// with another round: the Arbiter's BidValuator scratch is per-auction
-	// state, and the free vector offered here has to remain free until the
-	// grants are applied.
-	s.auctionMu.Lock()
-	defer s.auctionMu.Unlock()
-
-	start := time.Now()
-	rd := telemetry.Round{Wall: start, Shard: s.shardLabel, Now: now}
-	out := roundOutcome{changed: make(map[workload.AppID]bool)}
-
-	s.mu.Lock()
-	// Reclaim expired leases.
-	for _, l := range s.leases.Expire(now) {
-		if err := s.state.Release(string(l.App), l.Alloc); err != nil {
-			s.mu.Unlock()
-			s.tel.errors.Inc()
-			return out, fmt.Errorf("rpc: releasing expired lease for %s: %w", l.App, err)
-		}
-		out.changed[l.App] = true
-	}
-	free := s.state.FreeVector()
-	states := make([]core.AgentState, 0, len(s.agents))
-	for _, a := range s.agents {
-		b := a.bidder
-		// At scale almost every registered agent holds nothing; cloning a
-		// fresh empty map per agent per round is pure garbage. The Arbiter
-		// treats Current as read-only, so the holders-of-nothing all share
-		// one canonical empty allocation.
-		cur := emptyCurrent
-		if s.state.HeldTotal(string(b.ID())) > 0 {
-			cur = s.state.Held(string(b.ID()))
-		}
-		states = append(states, core.AgentState{Agent: b, Current: cur})
-	}
-	leases := s.leases.Len()
-	s.mu.Unlock()
-	rd.AddSpan("reclaim", 0, time.Since(start))
-	rd.Agents = len(states)
-	rd.Offered = free.Total()
-	out.offered = free.Total()
-
-	if free.Total() == 0 || len(states) == 0 {
-		// Nothing to auction is still a completed round: the rounds counter
-		// and trace ring advance so a quiet cluster is visibly quiet rather
-		// than silently unobserved.
-		s.finishRound(&rd, start, leases, free.Total())
-		return out, nil
-	}
-	offerStart := time.Since(start)
-	decisions, err := s.arbiter.OfferResources(now, free, states)
-	if err != nil {
-		s.tel.errors.Inc()
-		return out, err
-	}
-	// The Arbiter's phase breakdown is stable here: rounds are serialised by
-	// auctionMu, so LastRound still describes the call above.
-	ph := s.arbiter.LastRound()
-	rd.AddSpan("probe", offerStart, ph.Probe)
-	rd.AddSpan("bid", offerStart+ph.Probe, ph.Bid)
-	rd.AddSpan("solve", offerStart+ph.Probe+ph.Bid, ph.Solve)
-	rd.AddSpan("payments", offerStart+ph.Probe+ph.Bid+ph.Solve-ph.Payments, ph.Payments)
-	rd.AddSpan("leftover", offerStart+ph.Probe+ph.Bid+ph.Solve, ph.Leftover)
-	rd.Winners = ph.Winners
-	rd.Granted = ph.GrantedGPUs
-	rd.Leftover = ph.LeftoverGPUs
-
-	grantStart := time.Since(start)
-	s.mu.Lock()
-	s.auctions++
-	lease := s.arbiter.Config().LeaseDuration
-	out.granted = make(map[workload.AppID]cluster.Alloc)
-	for _, d := range decisions {
-		if err := s.state.Grant(string(d.App), d.Alloc); err != nil {
-			s.mu.Unlock()
-			s.tel.errors.Inc()
-			return out, fmt.Errorf("rpc: applying allocation for %s: %w", d.App, err)
-		}
-		s.leases.Grant(d.App, d.Alloc, now, lease)
-		out.changed[d.App] = true
-		// The decision's map is ours to keep (the lease holds a copy); an
-		// app's leftover grant merges into its auction win's map.
-		if held, ok := out.granted[d.App]; ok {
-			held.Credit(d.Alloc)
-		} else {
-			out.granted[d.App] = d.Alloc
-		}
-	}
-	leases = s.leases.Len()
-	freeGPUs := s.state.TotalFree()
-	s.mu.Unlock()
-	rd.AddSpan("grant", grantStart, time.Since(start)-grantStart)
-	s.tel.nothing.Add(uint64(ph.WinnersWithNothing))
-	s.finishRound(&rd, start, leases, freeGPUs)
-	return out, nil
-}
-
-// finishRound stamps the round's total duration and folds it into the metric
-// handles and the trace ring. Called under auctionMu (never under mu), once
-// per completed round — empty rounds included.
-func (s *ArbiterServer) finishRound(rd *telemetry.Round, start time.Time, leases, freeGPUs int) {
-	rd.Total = time.Since(start)
-	s.tel.record(rd, s.ring, leases, freeGPUs)
-}
-
-// reconcileGrant hands chunk free GPUs to app during the sharded
-// reconciliation round, anchored placement-sensitively on whatever the app
-// already holds here. It returns the granted allocation (empty when nothing
-// fits) in the server's local machine IDs.
-func (s *ArbiterServer) reconcileGrant(app workload.AppID, chunk int, now float64) (cluster.Alloc, error) {
-	if chunk <= 0 {
-		return cluster.NewAlloc(), nil
-	}
-	s.auctionMu.Lock()
-	defer s.auctionMu.Unlock()
+// ReconcileStats reports the cumulative reconciliation telemetry: completed
+// rounds, leftover GPUs re-offered across shards, and the total time spent
+// inside reconciliation rounds.
+func (s *ArbiterServer) ReconcileStats() (rounds, gpus int, spent time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	free := s.state.FreeVector()
-	if free.Total() == 0 {
-		return cluster.NewAlloc(), nil
-	}
-	pick := s.picker.PickInto(nil, s.topo, free, s.state.Held(string(app)), chunk)
-	if pick.Total() == 0 {
-		return pick, nil
-	}
-	if err := s.state.Grant(string(app), pick); err != nil {
-		return nil, fmt.Errorf("rpc: reconciliation grant for %s: %w", app, err)
-	}
-	s.leases.Grant(app, pick, now, s.arbiter.Config().LeaseDuration)
-	return pick, nil
+	return s.rounds, s.reconciled, s.reconcileTime
 }
 
-// notifyAgents delivers each changed app's new total allocation, in global
-// machine IDs, to its callback.
-func (s *ArbiterServer) notifyAgents(now float64, changed map[workload.AppID]bool) {
-	deliverChanged(now, s.arbiter.Config().LeaseDuration, changed, s.notifyClient, func(app workload.AppID) cluster.Alloc {
-		return toGlobal(s.part, s.HeldBy(app))
+// starvedApp is one reconciliation candidate: an app with demand its own
+// shard could not satisfy this round. held is its holding on its home shard,
+// the allocation it is probed against.
+type starvedApp struct {
+	bidder core.Bidder
+	id     workload.AppID
+	home   int
+	unmet  int
+	rho    float64
+	held   cluster.Alloc
+}
+
+// reconcile re-offers leftover GPUs across shards to the globally most
+// starved apps. It returns each app's reconciliation grant in global IDs and
+// marks granted apps changed. Starvation is measured lazily — apps are only
+// re-probed for ρ when leftover GPUs actually exist — and globally: an app's
+// unmet demand is discounted by whatever it already holds on other shards
+// from earlier reconciliation rounds.
+func (s *ArbiterServer) reconcile(now float64, allChanged map[workload.AppID]bool) (map[workload.AppID]cluster.Alloc, error) {
+	grants := make(map[workload.AppID]cluster.Alloc)
+	leftover := make([]int, len(s.shards))
+	total := 0
+	for i, srv := range s.shards {
+		leftover[i] = srv.FreeGPUs()
+		total += leftover[i]
+	}
+	if total == 0 {
+		return grants, nil
+	}
+
+	for _, c := range s.starved(now) {
+		gang := max(c.bidder.GangSize(), 1)
+		// Home shard first (any leftover there places next to what the app
+		// holds), then the rest in index order.
+		for k := range s.shards {
+			if c.unmet < gang {
+				break
+			}
+			si := homeFirst(k, c.home)
+			chunk := min(c.unmet, leftover[si])
+			chunk -= chunk % gang
+			if chunk == 0 {
+				continue
+			}
+			got, err := s.shards[si].reconcileGrant(c.id, chunk, now)
+			if err != nil {
+				return nil, err
+			}
+			if got.Total() == 0 {
+				continue
+			}
+			leftover[si] -= got.Total()
+			c.unmet -= got.Total()
+			grants[c.id] = grants[c.id].Add(s.parts[si].ToGlobal(got))
+			allChanged[c.id] = true
+		}
+	}
+	return grants, nil
+}
+
+// homeFirst is the k'th shard a candidate homed on home draws from: home,
+// then the others in index order.
+func homeFirst(k, home int) int {
+	switch {
+	case k == 0:
+		return home
+	case k <= home:
+		return k - 1
+	default:
+		return k
+	}
+}
+
+// starved returns the reconciliation candidates, most starved first (WorseOff
+// order). Every shard sweeps its own agents concurrently for unmet demand
+// against their home holding; the survivors, in home-major order, are
+// discounted by what they hold on other shards, and those still short are
+// probed for ρ: Remote bidders through the fanout, each into its own slot,
+// in-process ones inline.
+func (s *ArbiterServer) starved(now float64) []starvedApp {
+	perShard := make([][]starvedApp, len(s.shards))
+	var wg sync.WaitGroup
+	for i, srv := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perShard[i] = srv.unmetDemand()
+		}()
+	}
+	wg.Wait()
+
+	var cands []starvedApp
+	var remote []int
+	for _, found := range perShard {
+		for _, c := range found {
+			for other, osrv := range s.shards {
+				if other != c.home {
+					c.unmet -= osrv.HeldTotalBy(c.id)
+				}
+			}
+			if c.unmet <= 0 {
+				continue
+			}
+			if _, ok := c.bidder.(core.Remote); ok {
+				remote = append(remote, len(cands))
+			} else {
+				c.rho = c.bidder.ReportRho(now, c.held)
+			}
+			cands = append(cands, c)
+		}
+	}
+	fanout(len(remote), func(k int) {
+		c := &cands[remote[k]]
+		c.rho = c.bidder.ReportRho(now, c.held)
 	})
+	slices.SortStableFunc(cands, func(a, b starvedApp) int { return core.WorseOff(a.rho, a.id, b.rho, b.id) })
+	return cands
 }
 
-// deliverChanged sends every changed app that registered a callback ONE
-// message carrying held(app), its new total allocation in global machine IDs,
-// leased until now+lease, on the fanout. client and held take their owner's
-// lock per app; the HTTP calls run outside every lock. A failed delivery is
+// deliver sends every changed app that registered a callback ONE message
+// carrying its new total allocation across all shards, in global machine
+// IDs, leased until now + the lease length, on the fanout. The callback is
+// looked up on the app's home shard (the only shard remote agents register
+// with); in-process bidders pull their allocation from the auction response
+// instead. The HTTP calls run outside every lock. A failed delivery is
 // dropped; the client has counted it.
-func deliverChanged(now, lease float64, changed map[workload.AppID]bool, client func(workload.AppID) *AgentClient, held func(workload.AppID) cluster.Alloc) {
+func (s *ArbiterServer) deliver(now float64, changed map[workload.AppID]bool) {
+	lease := s.shards[0].arbiter.Config().LeaseDuration
 	var apps []workload.AppID
 	var clients []*AgentClient
 	for app := range changed {
-		if c := client(app); c != nil { // in-process bidders pull their allocation from the auction response
+		if c := s.shards[s.HomeShard(string(app))].notifyClient(app); c != nil {
 			apps, clients = append(apps, app), append(clients, c)
 		}
 	}
 	fanout(len(apps), func(i int) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		_ = clients[i].DeliverAllocation(ctx, now, held(apps[i]), true, now+lease)
+		_ = clients[i].DeliverAllocation(ctx, now, s.HeldBy(apps[i]), true, now+lease)
 	})
 }
 
 // fanoutWidth bounds how many of a round's remote calls are in flight at once.
 const fanoutWidth = 8
 
-// fanout is every server's core.Fanout: call(i) for every i in [0, n) on at
+// fanout is every shard's core.Fanout: call(i) for every i in [0, n) on at
 // most fanoutWidth goroutines. Each call keeps its own timeout, so a hung
 // agent holds one worker, not the round.
 func fanout(n int, call func(i int)) {
@@ -610,12 +470,89 @@ func fanout(n int, call func(i int)) {
 	wg.Wait()
 }
 
-// notifyClient returns the HTTP callback registered for app, or nil.
-func (s *ArbiterServer) notifyClient(app workload.AppID) *AgentClient {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a, ok := s.agents[app]; ok {
-		return a.notify
+// Status aggregates the shards' views into the cluster's.
+func (s *ArbiterServer) Status() StatusResponse {
+	out := StatusResponse{Now: s.Clock(), Held: make(map[string]int)}
+	agents := make(map[string]struct{})
+	for _, srv := range s.shards {
+		st := srv.Status()
+		out.TotalGPUs += st.TotalGPUs
+		out.FreeGPUs += st.FreeGPUs
+		out.Auctions += st.Auctions
+		out.ActiveLeases += st.ActiveLeases
+		for _, a := range st.Agents {
+			agents[a] = struct{}{}
+		}
+		for app, n := range st.Held {
+			out.Held[app] += n
+		}
 	}
-	return nil
+	out.Agents = sortedKeys(agents)
+	return out
+}
+
+// ShardStatus reports the per-shard detail plus reconciliation telemetry.
+func (s *ArbiterServer) ShardStatus() ShardStatusResponse {
+	s.mu.Lock()
+	out := ShardStatusResponse{Now: s.Clock(), Reconciled: s.reconciled, Rounds: s.rounds}
+	s.mu.Unlock()
+	for i, srv := range s.shards {
+		st := srv.Status()
+		out.Shards = append(out.Shards, ShardInfo{
+			Index:        i,
+			TotalGPUs:    st.TotalGPUs,
+			FreeGPUs:     st.FreeGPUs,
+			Agents:       st.Agents,
+			ActiveLeases: st.ActiveLeases,
+			Auctions:     st.Auctions,
+		})
+	}
+	return out
+}
+
+// Handler returns the HTTP handler implementing the Arbiter protocol:
+// register, auction, status, shards and health, each instrumented with
+// per-endpoint latency and status-class counters, plus the operational
+// surface — /metrics (Prometheus text), /healthz and /debug/rounds
+// (RoundTrace as JSON).
+func (s *ArbiterServer) Handler() http.Handler {
+	reg := telemetry.Default()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/register", telemetry.Instrument(reg, "/v1/register", func(w http.ResponseWriter, r *http.Request) {
+		var req RegisterRequest
+		if !readJSON(w, r, &req) {
+			return
+		}
+		resp, err := s.register(req)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, resp)
+	}))
+	mux.HandleFunc("/v1/auction", telemetry.Instrument(reg, "/v1/auction", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+			return
+		}
+		resp, err := s.RunAuction(s.Clock())
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, resp)
+	}))
+	mux.HandleFunc("/v1/status", telemetry.Instrument(reg, "/v1/status", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, s.Status())
+	}))
+	mux.HandleFunc("/v1/shards", telemetry.Instrument(reg, "/v1/shards", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, s.ShardStatus())
+	}))
+	mux.HandleFunc("/v1/health", telemetry.Instrument(reg, "/v1/health", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, map[string]string{"status": "ok"})
+	}))
+	mux.Handle("/metrics", telemetry.MetricsHandler(reg))
+	mux.Handle("/healthz", telemetry.HealthzHandler())
+	mux.Handle("/debug/rounds", telemetry.RoundsHandler(s.RoundTrace()))
+	return mux
 }

@@ -209,8 +209,7 @@ func (c *ArbiterClient) Status(ctx context.Context) (StatusResponse, error) {
 	return out, err
 }
 
-// ShardStatus fetches the per-shard detail of a sharded arbiter. Unsharded
-// arbiters return 404.
+// ShardStatus fetches the arbiter's per-shard detail.
 func (c *ArbiterClient) ShardStatus(ctx context.Context) (ShardStatusResponse, error) {
 	var out ShardStatusResponse
 	err := (*AgentClient)(c).get(ctx, "/v1/shards", &out)

@@ -84,11 +84,7 @@ func TestClientReusesConnections(t *testing.T) {
 // one host through the pool dial no more connections than the pool is wide.
 func TestFanoutReusesConnections(t *testing.T) {
 	topo := fanoutTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 	farm := newAgentFarm(t, topo, generatedApps(t, 16))
 	farm.register(t, server)
 	for round := 0; round < 5; round++ {
@@ -117,16 +113,18 @@ func TestNon200AnswersCounted(t *testing.T) {
 	for i, p := range paths {
 		before[i] = clientErrors[p].Value()
 	}
-	b := &RemoteBidder{AppID: "busy", Client: NewAgentClient(ts.URL), Demand: 4}
+	server := newServer(t, testTopo(t), core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
+	b := &RemoteBidder{AppID: "busy", Client: NewAgentClient(ts.URL), Demand: 4, Map: server.parts[0]}
 	if rho := b.ReportRho(0, cluster.NewAlloc()); rho != 1 {
 		t.Errorf("ρ = %v from a failing agent, want 1", rho)
 	}
 	if bid := b.PrepareBid(0, cluster.Alloc{0: 4}, cluster.NewAlloc()); len(bid.Entries) != 1 || bid.Entries[0].Alloc.Total() != 0 {
 		t.Errorf("a failing agent should bid only the empty row: %+v", bid)
 	}
-	deliverChanged(0, 20, map[workload.AppID]bool{"busy": true},
-		func(workload.AppID) *AgentClient { return b.Client },
-		func(workload.AppID) cluster.Alloc { return cluster.Alloc{0: 4} })
+	if _, err := server.register(RegisterRequest{App: "busy", Callback: ts.URL, MaxParallelism: 4}); err != nil {
+		t.Fatal(err)
+	}
+	server.deliver(0, map[workload.AppID]bool{"busy": true})
 	for i, p := range paths {
 		if got := clientErrors[p].Value() - before[i]; got != 1 {
 			t.Errorf("%s error counter moved by %d, want 1", p, got)
@@ -159,21 +157,14 @@ func BenchmarkAgentClientKeepAlive(b *testing.B) {
 // without orphaning the held GPUs.
 func TestRegisterSemantics(t *testing.T) {
 	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 	ts := httptest.NewServer(server.Handler())
 	defer ts.Close()
 
-	// Both deployments serve one protocol mux: non-POST methods are rejected
-	// outright, and the arbiter-to-arbiter endpoint removed with the
-	// membership table answers 404 rather than decoding anybody's JSON.
-	sharded, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One shard or two, the server serves one protocol mux: non-POST methods
+	// are rejected outright, and the arbiter-to-arbiter endpoint removed with
+	// the membership table answers 404 rather than decoding anybody's JSON.
+	sharded := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
 	shardedTS := httptest.NewServer(sharded.Handler())
 	defer shardedTS.Close()
 	for _, base := range []string{ts.URL, shardedTS.URL} {
@@ -224,7 +215,7 @@ func TestRegisterSemantics(t *testing.T) {
 			t.Errorf("%s: resp %+v, want OK with updated=%v", tc.name, resp, tc.updated)
 		}
 	}
-	if client := server.notifyClient("app-x"); client == nil || client.BaseURL != "http://new:2" {
+	if client := server.Shard(0).notifyClient("app-x"); client == nil || client.BaseURL != "http://new:2" {
 		t.Fatalf("re-registration did not install the new callback: %+v", client)
 	}
 
@@ -252,5 +243,25 @@ func TestRegisterSemantics(t *testing.T) {
 	}
 	if err := server.ValidateState(); err != nil {
 		t.Errorf("state invariants: %v", err)
+	}
+}
+
+// TestRegisterDefaultsDemandToCluster: a registration without a demand states
+// none, so the app's aggregate demand is the whole cluster's capacity — not
+// its home shard's, which would make it depend on the shard count.
+func TestRegisterDefaultsDemandToCluster(t *testing.T) {
+	topo := testTopo(t)
+	for _, n := range []int{1, 2} {
+		server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, n)
+		if _, err := server.register(RegisterRequest{App: "app-x", Callback: "http://x:1"}); err != nil {
+			t.Fatal(err)
+		}
+		home := server.Shard(server.HomeShard("app-x"))
+		home.mu.Lock()
+		demand := home.agents["app-x"].bidder.(*RemoteBidder).Demand
+		home.mu.Unlock()
+		if demand != topo.TotalGPUs() {
+			t.Errorf("%d shards: default demand %d, want the cluster's %d GPUs (home shard has %d)", n, demand, topo.TotalGPUs(), home.topo.TotalGPUs())
+		}
 	}
 }

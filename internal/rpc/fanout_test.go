@@ -21,14 +21,15 @@ import (
 
 // agentFarm serves one AgentServer per app on a single httptest listener,
 // each mounted at /agents/<app>/. It counts the connections the listener
-// accepts and the most ρ and bid requests it has had in flight at once; a
-// non-zero rhoDelay holds every ρ answer that long, so calls that are
-// issued concurrently are seen to overlap.
+// accepts, the ρ requests it has served and the most ρ and bid requests it
+// has had in flight at once; a non-zero rhoDelay holds every ρ answer that
+// long, so calls that are issued concurrently are seen to overlap.
 type agentFarm struct {
 	url         string
 	agents      map[string]*AgentServer
 	demand      map[string]int
 	rhoDelay    atomic.Int64 // nanoseconds
+	rhoCalls    atomic.Int64
 	conns       atomic.Int64
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
@@ -50,8 +51,11 @@ func newAgentFarm(tb testing.TB, topo *cluster.Topology, apps []*workload.App) *
 			defer f.inFlight.Add(-1)
 			for m := f.maxInFlight.Load(); n > m && !f.maxInFlight.CompareAndSwap(m, n); m = f.maxInFlight.Load() {
 			}
-			if d := f.rhoDelay.Load(); d > 0 && strings.HasSuffix(r.URL.Path, "/v1/rho") {
-				time.Sleep(time.Duration(d))
+			if strings.HasSuffix(r.URL.Path, "/v1/rho") {
+				f.rhoCalls.Add(1)
+				if d := f.rhoDelay.Load(); d > 0 {
+					time.Sleep(time.Duration(d))
+				}
 			}
 		}
 		mux.ServeHTTP(w, r)
@@ -136,13 +140,9 @@ func compareFanout(t *testing.T, cfg core.Config) int {
 	const apps = 48
 	topo := fanoutTopo(t)
 	build := func(fanned bool) (*ArbiterServer, *agentFarm) {
-		arb, err := core.NewArbiter(topo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		server := NewArbiterServer(arb)
+		server := newServer(t, topo, cfg, 1)
 		if !fanned {
-			arb.SetFanout(nil)
+			server.Arbiter().SetFanout(nil)
 		}
 		farm := newAgentFarm(t, topo, generatedApps(t, apps))
 		farm.register(t, server)
@@ -157,7 +157,7 @@ func compareFanout(t *testing.T, cfg core.Config) int {
 		now := start + step
 		fanned.Clock = func() float64 { return now }
 		serial.Clock = fanned.Clock
-		freeBefore := fanned.FreeGPUs()
+		freeBefore := fanned.Status().FreeGPUs
 		got, err := fanned.RunAuction(now)
 		if err != nil {
 			t.Fatal(err)
@@ -222,24 +222,20 @@ func TestHungAgentsCostOneSlot(t *testing.T) {
 	defer stall.Close()
 
 	round := func(withHung bool) (map[string]WireAlloc, core.RoundPhases) {
-		arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		server := NewArbiterServer(arb)
+		server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 		for i := 0; i < 4; i++ {
 			server.RegisterBidder(&simBidder{id: workload.AppID(fmt.Sprintf("app-%d", i)), demand: 8, gang: 2, weight: float64(100 + i)})
 		}
 		for i := 0; withHung && i < hung; i++ {
 			// No demand: a hung agent is never a leftover candidate, so the
 			// honest apps' leftover rotation is the one they have alone.
-			server.RegisterBidder(&RemoteBidder{AppID: workload.AppID(fmt.Sprintf("hung-%02d", i)), Client: NewAgentClient(stall.URL), Timeout: timeout})
+			server.RegisterBidder(&RemoteBidder{AppID: workload.AppID(fmt.Sprintf("hung-%02d", i)), Client: NewAgentClient(stall.URL), Timeout: timeout, Map: server.parts[0]})
 		}
 		resp, err := server.RunAuction(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Decisions, arb.LastRound()
+		return resp.Decisions, server.Arbiter().LastRound()
 	}
 
 	alone, _ := round(false)
@@ -270,11 +266,7 @@ func BenchmarkLoopbackRound(b *testing.B) {
 	const apps = 64
 	topo := fanoutTopo(b)
 	cfg := core.DefaultConfig()
-	arb, err := core.NewArbiter(topo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(b, topo, cfg, 1)
 	farm := newAgentFarm(b, topo, generatedApps(b, apps))
 	farm.register(b, server)
 	now := generatedApps(b, apps)[apps-1].SubmitTime

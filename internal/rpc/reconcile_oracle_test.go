@@ -24,7 +24,7 @@ import (
 // the same grants.
 
 // snapshotAgents is the parent's registry snapshot, verbatim.
-func (s *ArbiterServer) snapshotAgents() []core.Bidder {
+func (s *engine) snapshotAgents() []core.Bidder {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]core.Bidder, 0, len(s.agents))
@@ -35,7 +35,7 @@ func (s *ArbiterServer) snapshotAgents() []core.Bidder {
 }
 
 // serialStarved is the parent's candidate sweep and sort.
-func serialStarved(s *ShardedArbiterServer, now float64) []starvedApp {
+func serialStarved(s *ArbiterServer, now float64) []starvedApp {
 	var cands []starvedApp
 	for home, srv := range s.shards {
 		for _, b := range srv.snapshotAgents() {
@@ -75,7 +75,7 @@ func serialStarved(s *ShardedArbiterServer, now float64) []starvedApp {
 }
 
 // serialReconcile is the parent's reconcile over serialStarved.
-func serialReconcile(s *ShardedArbiterServer, now float64, allChanged map[workload.AppID]bool) (map[workload.AppID]cluster.Alloc, error) {
+func serialReconcile(s *ArbiterServer, now float64, allChanged map[workload.AppID]bool) (map[workload.AppID]cluster.Alloc, error) {
 	grants := make(map[workload.AppID]cluster.Alloc)
 	leftover := make([]int, len(s.shards))
 	total := 0
@@ -127,7 +127,7 @@ func otherShards(n, home int) []int {
 // shardRounds runs every shard's reclaim → offer → grant round, one after the
 // other, and returns the apps whose holding changed: RunAuction up to its
 // reconciliation round.
-func shardRounds(t *testing.T, s *ShardedArbiterServer, now float64) map[workload.AppID]bool {
+func shardRounds(t *testing.T, s *ArbiterServer, now float64) map[workload.AppID]bool {
 	t.Helper()
 	changed := make(map[workload.AppID]bool)
 	for i, srv := range s.shards {
@@ -169,11 +169,8 @@ func TestReconcileMatchesSerialSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			cfg := core.Config{FairnessKnob: 0.5, LeaseDuration: 20}
 			const apps = 48
-			build := func() (*ShardedArbiterServer, []*simBidder) {
-				s, err := NewShardedArbiterServer(shardedTopo(t, 16, 4, 2), cfg, n)
-				if err != nil {
-					t.Fatal(err)
-				}
+			build := func() (*ArbiterServer, []*simBidder) {
+				s := newServer(t, shardedTopo(t, 16, 4, 2), cfg, n)
 				// Only apps homed on odd shards want GPUs, so the even
 				// shards' capacity is left over for reconciliation. Shard 0
 				// lies below every home: the home-first walk must step back
@@ -236,7 +233,7 @@ func TestReconcileMatchesSerialSweep(t *testing.T) {
 				}
 				for i := range apps {
 					id := workload.AppID(fmt.Sprintf("app-%02d", i))
-					if gh, wh := got.HeldGlobal(id), want.HeldGlobal(id); !gh.Equal(wh) {
+					if gh, wh := got.HeldBy(id), want.HeldBy(id); !gh.Equal(wh) {
 						t.Fatalf("round %d: %s holds %v, serial %v", round, id, gh, wh)
 					}
 				}
@@ -261,11 +258,8 @@ func TestReconcileReprobeMatchesSerialHTTP(t *testing.T) {
 	const apps = 24
 	topo := fanoutTopo(t)
 	cfg := core.Config{FairnessKnob: 0.5, LeaseDuration: 20}
-	build := func() (*ShardedArbiterServer, *agentFarm) {
-		s, err := NewShardedArbiterServer(topo, cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func() (*ArbiterServer, *agentFarm) {
+		s := newServer(t, topo, cfg, 2)
 		farm := newAgentFarm(t, topo, generatedApps(t, apps))
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()

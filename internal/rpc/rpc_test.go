@@ -40,6 +40,16 @@ func testTopo(t *testing.T) *cluster.Topology {
 	return topo
 }
 
+// newServer builds an n-shard ArbiterServer over topo.
+func newServer(tb testing.TB, topo *cluster.Topology, cfg core.Config, n int) *ArbiterServer {
+	tb.Helper()
+	s, err := NewArbiterServer(topo, cfg, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestWireAllocRoundTrip(t *testing.T) {
 	a := cluster.Alloc{3: 2, 1: 4}
 	back, err := ToWireAlloc(a).ToAlloc()
@@ -130,11 +140,7 @@ func TestAgentServerEndpoints(t *testing.T) {
 
 func TestArbiterServerAuctionFlow(t *testing.T) {
 	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(t, topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20}, 1)
 	now := 0.0
 	server.Clock = func() float64 { return now }
 	ts := httptest.NewServer(server.Handler())
@@ -211,8 +217,15 @@ func TestArbiterServerAuctionFlow(t *testing.T) {
 }
 
 func TestRemoteBidderDegradesGracefully(t *testing.T) {
+	topo := testTopo(t)
+	parts, err := shard.Split(topo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := parts[1]
+
 	// A bidder whose agent is unreachable must not block the auction.
-	dead := &RemoteBidder{AppID: "ghost", Client: NewAgentClient("http://127.0.0.1:1"), Demand: 4, Gang: 4}
+	dead := &RemoteBidder{AppID: "ghost", Client: NewAgentClient("http://127.0.0.1:1"), Demand: 4, Gang: 4, Map: part}
 	if rho := dead.ReportRho(0, cluster.NewAlloc()); rho != 1 {
 		t.Errorf("unreachable agent rho = %v, want 1", rho)
 	}
@@ -231,16 +244,11 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 	}
 
 	// Nor must a reachable agent that answers garbage: each lie degrades to
-	// "ρ = 1, empty bid" for the liar alone, on a shard (answers translated
-	// from global machine IDs) and unsharded, and the honest app's round
-	// goes through. The offer-bound, empty-row and app-ID lies used to fail
-	// RunAuction for everybody; encoding/json already refuses a NaN token.
-	topo := testTopo(t)
-	parts, err := shard.Split(topo, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := parts[1]
+	// "ρ = 1, empty bid" for the liar alone, on one shard of two (answers
+	// translated from global machine IDs) and in a one-shard server, and the
+	// honest app's round goes through. The offer-bound, empty-row and app-ID
+	// lies used to fail RunAuction for everybody; encoding/json already
+	// refuses a NaN token.
 	first, err := part.GlobalID(0)
 	if err != nil {
 		t.Fatal(err)
@@ -287,11 +295,7 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 				t.Errorf("/v1/bid error counter moved by %d, want %d", got, lie.bidErrs)
 			}
 
-			arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			server := NewArbiterServer(arb)
+			server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 			server.RegisterBidder(&simBidder{id: "honest", demand: 4, weight: 100})
 			if _, err := server.register(RegisterRequest{App: "liar", Callback: agent.URL, MaxParallelism: 4}); err != nil {
 				t.Fatal(err)
@@ -299,7 +303,7 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 			if _, err := server.RunAuction(0); err != nil {
 				t.Fatalf("one lying agent failed the round: %v", err)
 			}
-			if got := server.HeldTotalBy("honest"); got != 4 {
+			if got := server.HeldTotalGlobal("honest"); got != 4 {
 				t.Errorf("honest app holds %d GPUs, want its demand 4", got)
 			}
 			if err := server.ValidateState(); err != nil {

@@ -26,14 +26,10 @@ func shardedTopo(t *testing.T, machines, gpus, perRack int) *cluster.Topology {
 
 // TestShardedSmokeTwoShardsHTTP is the sharded-daemon smoke: two real agent
 // daemons register with a 2-shard arbiter over HTTP, an auction runs, and
-// status reflects it — the exact protocol surface an unsharded arbiter
-// serves, plus /v1/shards.
+// status and /v1/shards reflect it.
 func TestShardedSmokeTwoShardsHTTP(t *testing.T) {
 	topo := shardedTopo(t, 6, 4, 3)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
 	now := 0.0
 	s.Clock = func() float64 { return now }
 	ts := httptest.NewServer(s.Handler())
@@ -83,7 +79,7 @@ func TestShardedSmokeTwoShardsHTTP(t *testing.T) {
 	// Each agent daemon received ONE aggregated, global-ID allocation that
 	// matches the arbiter's cross-shard view of it.
 	for app, srv := range map[string]*AgentServer{"app-a": srvA, "app-b": srvB} {
-		if got, want := srv.Current(), s.HeldGlobal(workload.AppID(app)); !got.Equal(want) {
+		if got, want := srv.Current(), s.HeldBy(workload.AppID(app)); !got.Equal(want) {
 			t.Errorf("%s: delivered %v, arbiter holds %v", app, got, want)
 		}
 	}
@@ -116,7 +112,7 @@ func TestShardedSmokeTwoShardsHTTP(t *testing.T) {
 	}
 }
 
-// runParity drives one unsharded arbiter and one sharded deployment over
+// runParity drives a one-shard ArbiterServer and one of `shards` shards over
 // identical clusters and app populations for several full-reclaim rounds,
 // returning (total granted by each, per-app L1 divergence). The last
 // `demanding` of the apps want `demand` GPUs each and are the most starved;
@@ -136,18 +132,11 @@ func runParity(t *testing.T, apps, demanding, demand, shards, rounds int, f floa
 		return out
 	}
 
-	arb, err := core.NewArbiter(shardedTopo(t, 8, 4, 2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := NewArbiterServer(arb)
+	single := newServer(t, shardedTopo(t, 8, 4, 2), cfg, 1)
 	for _, b := range makeBidders() {
 		single.RegisterBidder(b)
 	}
-	sharded, err := NewShardedArbiterServer(shardedTopo(t, 8, 4, 2), cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := newServer(t, shardedTopo(t, 8, 4, 2), cfg, shards)
 	for _, b := range makeBidders() {
 		sharded.RegisterBidder(b)
 	}
@@ -169,7 +158,7 @@ func runParity(t *testing.T, apps, demanding, demand, shards, rounds int, f floa
 	for i := 0; i < apps; i++ {
 		id := workload.AppID(fmt.Sprintf("app-%02d", i))
 		a := single.HeldBy(id).Total()
-		b := sharded.HeldGlobal(id).Total()
+		b := sharded.HeldBy(id).Total()
 		singleTotal += a
 		shardedTotal += b
 		if d := a - b; d >= 0 {
@@ -182,8 +171,8 @@ func runParity(t *testing.T, apps, demanding, demand, shards, rounds int, f floa
 }
 
 // TestShardedParityFullSubscription: when aggregate demand equals capacity,
-// every app can be fully satisfied, so the sharded deployment must match the
-// unsharded one EXACTLY, app by app — local auctions satisfy homed demand
+// every app can be fully satisfied, so N shards must match one shard
+// EXACTLY, app by app — local auctions satisfy homed demand
 // and the reconciliation round erases any shard imbalance. The idle-majority
 // case buries the 16 demanding apps under 384 that want nothing, with f set so
 // that only the demanding stratum bids (the paper's "worst-off fraction"):
@@ -236,10 +225,7 @@ func TestShardedParityOversubscribed(t *testing.T) {
 // apps homed on other shards instead of idling.
 func TestShardedReconciliationMovesLeftovers(t *testing.T) {
 	topo := shardedTopo(t, 8, 4, 2)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
 
 	// Home a batch of apps, then give demand only to those homed on one
 	// shard: the other shard's partition has zero local demand.
@@ -294,13 +280,10 @@ func TestShardedReconciliationMovesLeftovers(t *testing.T) {
 // the ring-designated shard and nowhere else, deterministically.
 func TestShardedRegisterRoutesToHomeShard(t *testing.T) {
 	topo := shardedTopo(t, 8, 4, 2)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 4)
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("app-%02d", i)
-		if _, err := s.Register(RegisterRequest{App: id, Callback: "http://x:1", MaxParallelism: 4}); err != nil {
+		if _, err := s.register(RegisterRequest{App: id, Callback: "http://x:1", MaxParallelism: 4}); err != nil {
 			t.Fatal(err)
 		}
 		home := s.HomeShard(id)
@@ -313,48 +296,6 @@ func TestShardedRegisterRoutesToHomeShard(t *testing.T) {
 	}
 }
 
-// TestShardedFailedShardStillDelivers is TestFailedRoundStillDeliversReclaim
-// behind a sharded arbiter: one shard's round fails after reclaiming an HTTP
-// agent's lease; the sharded round returns that error, but only after telling
-// the agents what every shard changed.
-func TestShardedFailedShardStillDelivers(t *testing.T) {
-	topo := shardedTopo(t, 6, 4, 3)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0.9, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	url, agent := startAgent(t, topo, testApp("app-a", 2, 300))
-	if _, err := s.Register(RegisterRequest{App: "app-a", Callback: url, MaxParallelism: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunAuction(0); err != nil {
-		t.Fatal(err)
-	}
-	if agent.Current().Total() == 0 {
-		t.Fatal("round 1 should have leased GPUs to the agent and told it")
-	}
-	// A buggy bidder homed on the agent's shard fails that shard's next round.
-	buggy := ""
-	for i := 0; buggy == ""; i++ {
-		if id := fmt.Sprintf("buggy-%d", i); s.HomeShard(id) == s.HomeShard("app-a") {
-			buggy = id
-		}
-	}
-	s.RegisterBidder(noEmptyRowBidder{&simBidder{id: workload.AppID(buggy), demand: 4, weight: 1e12}})
-	if _, err := s.RunAuction(21); err == nil {
-		t.Fatal("a table without the empty row should fail its shard's round, and the sharded one")
-	}
-	if got := s.HeldTotalGlobal("app-a"); got != 0 {
-		t.Fatalf("the failed round still reclaims: app-a holds %d", got)
-	}
-	if got := agent.Current(); got.Total() != 0 {
-		t.Errorf("agent still believes it holds %v after its lease was reclaimed", got)
-	}
-	if err := s.ValidateState(); err != nil {
-		t.Errorf("state invariants: %v", err)
-	}
-}
-
 // TestShardedRoundsWithInProcessAgents drives in-process Agents — which bid
 // through their shard arbiter's BidValuator, on rows recycled from round to
 // round — across sharded rounds that reclaim and re-auction. Each shard owns
@@ -363,10 +304,7 @@ func TestShardedFailedShardStillDelivers(t *testing.T) {
 // the cluster fully leased to the six apps that want far more than it holds.
 func TestShardedRoundsWithInProcessAgents(t *testing.T) {
 	topo := shardedTopo(t, 8, 4, 2)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
 	for i := 0; i < 6; i++ {
 		app := testApp(fmt.Sprintf("inproc-%02d", i), 2, 200)
 		s.RegisterBidder(core.NewAgent(topo, app, hyperparam.ForApp(app), nil))

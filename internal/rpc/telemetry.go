@@ -4,15 +4,15 @@ import (
 	"themis/internal/telemetry"
 )
 
-// serverTelemetry bundles the metric handles one ArbiterServer records after
-// every auction round. Handles are created once, when the server is built,
-// so the per-round record path is pure atomic stores — it adds no allocations
-// to the zero-alloc auction hot path.
+// serverTelemetry bundles the metric handles one shard's engine records
+// after every auction round. Handles are created once, when the server is
+// built, so the per-round record path is pure atomic stores — it adds no
+// allocations to the zero-alloc auction hot path.
 //
-// All series carry a shard label: "single" for an unsharded deployment,
-// the shard index for shards of a ShardedArbiterServer. Registration is
-// get-or-create on the process registry, so tests and benchmarks that build
-// many servers share handles instead of growing the registry.
+// All series carry a shard label, the shard's index ("0" at N = 1).
+// Registration is get-or-create on the process registry, so tests and
+// benchmarks that build many servers share handles instead of growing the
+// registry.
 type serverTelemetry struct {
 	rounds   *telemetry.Counter
 	errors   *telemetry.Counter
@@ -33,9 +33,10 @@ type serverTelemetry struct {
 	freeGPUs *telemetry.Gauge
 }
 
-// roundPhaseNames are the span names an unsharded round can emit, in round
-// order; payments is the hidden-payment tail of solve. The sharded round adds
-// its own coarse spans (shards, reconcile, deliver) through shardedTelemetry.
+// roundPhaseNames are the span names a shard's round can emit, in round
+// order; payments is the hidden-payment tail of solve. The ArbiterServer's
+// round adds its own coarse spans (shards, reconcile, deliver) through
+// shardedTelemetry.
 var roundPhaseNames = []string{"reclaim", "probe", "bid", "solve", "payments", "leftover", "grant"}
 
 func newServerTelemetry(reg *telemetry.Registry, shard string) *serverTelemetry {
@@ -82,8 +83,8 @@ func (t *serverTelemetry) record(rd *telemetry.Round, ring *telemetry.RoundRing,
 	ring.Record(*rd)
 }
 
-// shardedTelemetry holds the deployment-wide handles of a sharded round: the
-// coarse phases that exist only above the shards (the concurrent per-shard
+// shardedTelemetry holds the deployment-wide handles of a round: the coarse
+// phases that exist only above the shards (the concurrent per-shard
 // auctions, cross-shard reconciliation, aggregated delivery) plus the
 // reconciliation volume counters.
 type shardedTelemetry struct {

@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,147 +13,126 @@ import (
 )
 
 // TestAuctionRoundRecordsTelemetry pins the serving layer's round
-// instrumentation: a completed round advances the rounds counter, lands in
-// the trace ring with its phase spans, and updates the occupancy gauges.
-// Counters on the process registry are shared across the test binary
-// (get-or-create semantics), so assertions use deltas.
+// instrumentation at N = 1 and N = 2: a completed round advances every
+// shard's rounds counter, lands in each shard's trace ring with its phase
+// spans, and updates the occupancy gauges; the deployment records its coarse
+// phases and reconcile telemetry. RoundTrace serves the one shard's ring at
+// N = 1 and the coarse ring above it. Counters on the process registry are
+// shared across the test binary (get-or-create semantics, and shard "0" is
+// the same series at every N), so assertions use deltas.
 func TestAuctionRoundRecordsTelemetry(t *testing.T) {
 	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
-	app := testApp("tel-app", 2, 200)
-	server.RegisterBidder(core.NewAgent(topo, app, hyperparam.ForApp(app), nil))
+	cfg := core.Config{FairnessKnob: 0.5, LeaseDuration: 20}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			server := newServer(t, topo, cfg, n)
+			app := testApp(fmt.Sprintf("tel-app-%d", n), 2, 200)
+			home := server.RegisterBidder(core.NewAgent(topo, app, hyperparam.ForApp(app), nil))
 
-	rounds := server.tel.rounds.Value()
-	offered := server.tel.offered.Value()
-	if _, err := server.RunAuction(0); err != nil {
-		t.Fatal(err)
-	}
+			rounds := make([]uint64, n)
+			var offeredBefore, offeredAfter uint64
+			for i := range n {
+				rounds[i] = server.Shard(i).tel.rounds.Value()
+				offeredBefore += server.Shard(i).tel.offered.Value()
+			}
+			if _, err := server.RunAuction(0); err != nil {
+				t.Fatal(err)
+			}
 
-	if got := server.tel.rounds.Value(); got != rounds+1 {
-		t.Errorf("rounds counter advanced by %d, want 1", got-rounds)
-	}
-	if got := server.tel.offered.Value(); got != offered+uint64(topo.TotalGPUs()) {
-		t.Errorf("offered counter advanced by %d, want the whole free cluster (%d)", got-offered, topo.TotalGPUs())
-	}
-	if got := server.tel.agents.Value(); got != 1 {
-		t.Errorf("agents gauge = %d, want 1", got)
-	}
+			for i := range n {
+				e := server.Shard(i)
+				if got := e.tel.rounds.Value(); got != rounds[i]+1 {
+					t.Errorf("shard %d rounds counter advanced by %d, want 1", i, got-rounds[i])
+				}
+				offeredAfter += e.tel.offered.Value()
+				if e.RoundTrace().Len() != 1 {
+					t.Errorf("shard %d ring holds %d rounds, want 1", i, e.RoundTrace().Len())
+				}
+			}
+			if got := offeredAfter - offeredBefore; got != uint64(topo.TotalGPUs()) {
+				t.Errorf("offered counters advanced by %d, want the whole free cluster (%d)", got, topo.TotalGPUs())
+			}
+			e := server.Shard(home)
+			if got := e.tel.agents.Value(); got != 1 {
+				t.Errorf("home shard's agents gauge = %d, want 1", got)
+			}
+			rd := e.RoundTrace().Snapshot()[0]
+			if rd.Shard != strconv.Itoa(home) || rd.Agents != 1 || rd.Offered != e.topo.TotalGPUs() {
+				t.Errorf("home shard's trace round fields wrong: %+v", rd)
+			}
+			hasSpans(t, rd, "reclaim", "probe", "bid", "solve", "leftover", "grant")
 
-	if server.RoundTrace().Len() != 1 {
-		t.Fatalf("trace ring holds %d rounds, want 1", server.RoundTrace().Len())
-	}
-	rd := server.RoundTrace().Snapshot()[0]
-	if rd.Shard != "single" || rd.Agents != 1 || rd.Offered != topo.TotalGPUs() {
-		t.Errorf("trace round fields wrong: %+v", rd)
-	}
-	names := make(map[string]bool)
-	for _, sp := range rd.Spans() {
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"reclaim", "probe", "bid", "solve", "leftover", "grant"} {
-		if !names[want] {
-			t.Errorf("trace round missing %q span (has %v)", want, rd.Spans())
-		}
-	}
+			if server.RoundTrace().Len() != 1 {
+				t.Fatalf("RoundTrace holds %d rounds, want 1", server.RoundTrace().Len())
+			}
+			top := server.RoundTrace().Snapshot()[0]
+			if n == 1 {
+				if top != rd {
+					t.Errorf("RoundTrace at N = 1 serves %+v, not the shard's round %+v", top, rd)
+				}
+			} else {
+				if top.Shard != "all" {
+					t.Errorf("RoundTrace round shard = %q, want all", top.Shard)
+				}
+				hasSpans(t, top, "shards", "reconcile", "deliver")
+			}
+			recRounds, _, spent := server.ReconcileStats()
+			if recRounds != 1 {
+				t.Errorf("ReconcileStats rounds = %d, want 1", recRounds)
+			}
+			if spent <= 0 {
+				t.Errorf("ReconcileStats spent = %v, want > 0", spent)
+			}
 
-	// An empty round — no agents registered, so auctionRound returns before
-	// offering anything — still counts and is still traced; a quiet arbiter
-	// must be visibly quiet. The CI smoke greps for exactly this behaviour.
-	arb2, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idle := NewArbiterServer(arb2)
-	rounds = server.tel.rounds.Value()
-	if _, err := idle.RunAuction(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := idle.tel.rounds.Value(); got != rounds+1 {
-		t.Errorf("empty round advanced rounds counter by %d, want 1", got-rounds)
-	}
-	if idle.RoundTrace().Len() != 1 {
-		t.Errorf("idle server's trace ring holds %d rounds, want 1", idle.RoundTrace().Len())
-	}
+			// An empty round — no agents registered, so every shard's
+			// auctionRound returns before offering anything — still counts
+			// and is still traced; a quiet arbiter must be visibly quiet. The
+			// CI smoke greps for exactly this behaviour.
+			idle := newServer(t, topo, cfg, n)
+			before := idle.Shard(0).tel.rounds.Value()
+			if _, err := idle.RunAuction(0); err != nil {
+				t.Fatal(err)
+			}
+			if got := idle.Shard(0).tel.rounds.Value(); got != before+1 {
+				t.Errorf("empty round advanced rounds counter by %d, want 1", got-before)
+			}
+			if idle.RoundTrace().Len() != 1 {
+				t.Errorf("idle server's trace ring holds %d rounds, want 1", idle.RoundTrace().Len())
+			}
 
-	// The series surface on the process registry under the single-shard
-	// label, ready for /metrics.
-	var b strings.Builder
-	if err := telemetry.Default().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`themis_auction_rounds_total{shard="single"}`,
-		`themis_auction_phase_seconds_count{phase="solve",shard="single"}`,
-		`themis_free_gpus{shard="single"}`,
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
+			// The series surface on the process registry under every shard's
+			// label, ready for /metrics, beside the deployment-wide ones.
+			var b strings.Builder
+			if err := telemetry.Default().WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{
+				fmt.Sprintf(`themis_auction_phase_seconds_count{phase="solve",shard="%d"}`, home),
+				"themis_sharded_rounds_total",
+				`themis_sharded_phase_seconds_count{phase="reconcile"}`,
+			}
+			for i := range n {
+				want = append(want, fmt.Sprintf(`themis_auction_rounds_total{shard="%d"}`, i), fmt.Sprintf(`themis_free_gpus{shard="%d"}`, i))
+			}
+			for _, w := range want {
+				if !strings.Contains(b.String(), w) {
+					t.Errorf("exposition missing %q", w)
+				}
+			}
+		})
 	}
 }
 
-// TestShardedRoundRecordsTelemetry pins the sharded layer's round trace: the
-// global ring records the coarse phases and every shard label appears on the
-// per-shard series.
-func TestShardedRoundRecordsTelemetry(t *testing.T) {
-	topo := testTopo(t)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0.5, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := testApp("tel-sharded-app", 2, 200)
-	s.RegisterBidder(core.NewAgent(topo, app, hyperparam.ForApp(app), nil))
-
-	if _, err := s.RunAuction(0); err != nil {
-		t.Fatal(err)
-	}
-
-	if s.RoundTrace().Len() != 1 {
-		t.Fatalf("global ring holds %d rounds, want 1", s.RoundTrace().Len())
-	}
-	rd := s.RoundTrace().Snapshot()[0]
-	if rd.Shard != "all" {
-		t.Errorf("global round shard = %q, want all", rd.Shard)
-	}
-	names := make(map[string]bool)
+// hasSpans fails t unless rd has a span of every name.
+func hasSpans(t *testing.T, rd telemetry.Round, names ...string) {
+	t.Helper()
+	have := make(map[string]bool)
 	for _, sp := range rd.Spans() {
-		names[sp.Name] = true
+		have[sp.Name] = true
 	}
-	for _, want := range []string{"shards", "reconcile", "deliver"} {
-		if !names[want] {
-			t.Errorf("global round missing %q span (has %v)", want, rd.Spans())
-		}
-	}
-	for i := 0; i < s.NumShards(); i++ {
-		if s.Shard(i).RoundTrace().Len() != 1 {
-			t.Errorf("shard %d ring holds %d rounds, want 1", i, s.Shard(i).RoundTrace().Len())
-		}
-	}
-
-	rounds, _, spent := s.ReconcileStats()
-	if rounds != 1 {
-		t.Errorf("ReconcileStats rounds = %d, want 1", rounds)
-	}
-	if spent <= 0 {
-		t.Errorf("ReconcileStats spent = %v, want > 0", spent)
-	}
-
-	var b strings.Builder
-	if err := telemetry.Default().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`themis_auction_rounds_total{shard="0"}`,
-		`themis_auction_rounds_total{shard="1"}`,
-		"themis_sharded_rounds_total",
-		`themis_sharded_phase_seconds_count{phase="reconcile"}`,
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("exposition missing %q", want)
+	for _, name := range names {
+		if !have[name] {
+			t.Errorf("round missing %q span (has %v)", name, rd.Spans())
 		}
 	}
 }
@@ -164,30 +145,27 @@ func TestShardedRoundRecordsTelemetry(t *testing.T) {
 // sharded server records its rounds through the same path.
 func TestRoundObservesPaymentsAndEmptyAwards(t *testing.T) {
 	topo := testTopo(t)
-	arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewArbiterServer(arb)
+	server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 	server.RegisterBidder(&simBidder{id: "wants-four", demand: 4, weight: 10})
 	server.RegisterBidder(&simBidder{id: "sated", demand: 0, weight: 1})
 
-	nothing := server.tel.nothing.Value()
-	payments := server.tel.phases["payments"].Count()
+	e := server.Shard(0)
+	nothing := e.tel.nothing.Value()
+	payments := e.tel.phases["payments"].Count()
 	if _, err := server.RunAuction(0); err != nil {
 		t.Fatal(err)
 	}
-	ph := arb.LastRound()
+	ph := server.Arbiter().LastRound()
 	if ph.Winners != 1 || ph.WinnersWithNothing != 1 {
 		t.Fatalf("round had %d winners and %d with nothing, want 1 and 1", ph.Winners, ph.WinnersWithNothing)
 	}
 	if ph.Payments <= 0 || ph.Payments > ph.Solve {
 		t.Errorf("payments took %v of a %v solve", ph.Payments, ph.Solve)
 	}
-	if got := server.tel.nothing.Value() - nothing; got != 1 {
+	if got := e.tel.nothing.Value() - nothing; got != 1 {
 		t.Errorf("winners-with-nothing counter advanced by %d, want 1", got)
 	}
-	if got := server.tel.phases["payments"].Count() - payments; got != 1 {
+	if got := e.tel.phases["payments"].Count() - payments; got != 1 {
 		t.Errorf("payments histogram observed %d rounds, want 1", got)
 	}
 
@@ -211,8 +189,8 @@ func TestRoundObservesPaymentsAndEmptyAwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`themis_auction_winners_with_nothing_total{shard="single"}`,
-		`themis_auction_phase_seconds_count{phase="payments",shard="single"}`,
+		`themis_auction_winners_with_nothing_total{shard="0"}`,
+		`themis_auction_phase_seconds_count{phase="payments",shard="0"}`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)

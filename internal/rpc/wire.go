@@ -117,7 +117,8 @@ type RegisterRequest struct {
 	// "http://10.0.0.7:7201".
 	Callback string `json:"callback"`
 	// MaxParallelism is the app's aggregate GPU demand, used for leftover
-	// allocation when the Agent is not probed.
+	// allocation when the Agent is not probed. Zero or less means the whole
+	// cluster's capacity.
 	MaxParallelism int `json:"max_parallelism"`
 }
 
@@ -147,7 +148,7 @@ type AuctionResponse struct {
 	Offered   int                  `json:"offered_gpus"`
 	Decisions map[string]WireAlloc `json:"decisions"`
 	// Reconciled counts the GPUs moved by the cross-shard reconciliation
-	// round (always zero on unsharded arbiters).
+	// round (always zero at N = 1).
 	Reconciled int `json:"reconciled_gpus,omitempty"`
 }
 
@@ -161,7 +162,7 @@ type ShardInfo struct {
 	Auctions     int      `json:"auctions"`
 }
 
-// ShardStatusResponse is the sharded arbiter's per-shard detail: capacity
+// ShardStatusResponse is the arbiter's per-shard detail: capacity
 // partitions and reconciliation telemetry.
 type ShardStatusResponse struct {
 	Now        float64     `json:"now"`

@@ -8,10 +8,11 @@ import (
 )
 
 // Partition is one shard's slice of the cluster: a self-contained Topology
-// whose machine IDs are shard-local (dense, starting at 0) plus the mapping
-// back to the global IDs of the full topology. Racks and fabric domains keep
-// their global IDs, so locality structure inside the partition — slots,
-// racks, domains — prices exactly as it does in the full cluster.
+// whose machine IDs are shard-local (dense, starting at 0, in the order of
+// their global IDs) plus the mapping back to the global IDs of the full
+// topology. Racks and fabric domains keep their global IDs, so locality
+// structure inside the partition — slots, racks, domains — prices exactly as
+// it does in the full cluster.
 type Partition struct {
 	// Index is the shard's position in the Split result.
 	Index int
@@ -49,23 +50,11 @@ func (p *Partition) ToGlobal(a cluster.Alloc) cluster.Alloc {
 	return out
 }
 
-// FromGlobal translates an allocation from global machine IDs to this
-// partition's local ones. It errors if the allocation touches machines the
-// partition does not own — a remote agent bidding outside its shard's
-// capacity slice.
-func (p *Partition) FromGlobal(a cluster.Alloc) (cluster.Alloc, error) {
-	out := cluster.NewAlloc()
-	for m, n := range a {
-		if n == 0 {
-			continue
-		}
-		l, ok := p.toLocal[m]
-		if !ok {
-			return nil, fmt.Errorf("shard: machine %d is outside partition %d", m, p.Index)
-		}
-		out[l] += n
-	}
-	return out, nil
+// LocalID maps a global machine ID to this partition's local one; ok is
+// false for a machine the partition does not own.
+func (p *Partition) LocalID(global cluster.MachineID) (local cluster.MachineID, ok bool) {
+	local, ok = p.toLocal[global]
+	return local, ok
 }
 
 // Machines returns the number of machines in the partition.

@@ -122,17 +122,19 @@ func TestPartitionTranslation(t *testing.T) {
 	if global.Total() != 6 {
 		t.Fatalf("ToGlobal lost GPUs: %v", global)
 	}
-	back, err := p.FromGlobal(global)
-	if err != nil {
-		t.Fatal(err)
+	for m, n := range local {
+		g, err := p.GlobalID(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, ok := p.LocalID(g); !ok || back != m || global[g] != n {
+			t.Errorf("local %d -> global %d (%d GPUs) -> local %d, %v", m, g, global[g], back, ok)
+		}
 	}
-	if !back.Equal(local) {
-		t.Errorf("round trip %v != %v", back, local)
-	}
-	// A global machine owned by the other partition must be rejected.
+	// A global machine owned by the other partition is not this one's.
 	foreign, _ := parts[0].GlobalID(0)
-	if _, err := p.FromGlobal(cluster.Alloc{foreign: 1}); err == nil {
-		t.Error("FromGlobal should reject machines outside the partition")
+	if _, ok := p.LocalID(foreign); ok {
+		t.Error("LocalID should reject machines outside the partition")
 	}
 	if _, err := p.GlobalID(cluster.MachineID(p.Machines())); err == nil {
 		t.Error("GlobalID should reject out-of-range local IDs")

@@ -29,7 +29,7 @@ type Span struct {
 type Round struct {
 	Seq   uint64    // assigned by the ring
 	Wall  time.Time // wall-clock start of the round
-	Shard string    // "single" or the shard index; "global" for sharded totals
+	Shard string    // the shard index, or "all" for the server's round over every shard
 	Now   float64   // scheduling time the round ran at
 
 	Offered    int // GPUs offered this round

@@ -44,7 +44,7 @@ func TestRoundRingRecordZeroAlloc(t *testing.T) {
 	rr := NewRoundRing(8)
 	allocs := testing.AllocsPerRun(500, func() {
 		var rd Round
-		rd.Shard = "single"
+		rd.Shard = "0"
 		rd.AddSpan("probe", 0, time.Millisecond)
 		rd.AddSpan("solve", time.Millisecond, 2*time.Millisecond)
 		rr.Record(rd)
