@@ -26,6 +26,16 @@ func (a Alloc) Clone() Alloc {
 	return out
 }
 
+// Reset empties a for reuse and returns it, or returns a fresh allocation
+// when a is nil: the destination form of the methods that fill a map.
+func (a Alloc) Reset() Alloc {
+	if a == nil {
+		return NewAlloc()
+	}
+	clear(a)
+	return a
+}
+
 // Total returns the total number of GPUs in the allocation.
 func (a Alloc) Total() int {
 	t := 0
@@ -194,25 +204,39 @@ func (s *State) TotalUsed() int {
 }
 
 // FreeVector returns the free GPUs per machine as an Alloc — the resource
-// offer vector the Arbiter auctions. Like TotalFree it iterates machines by
-// index, so the returned map is its only allocation.
-func (s *State) FreeVector() Alloc {
-	out := NewAlloc()
-	for id := 0; id < s.topo.NumMachines(); id++ {
-		if free := s.FreeOn(MachineID(id)); free > 0 {
-			out[MachineID(id)] = free
+// offer vector the Arbiter auctions. It is FreeVectorInto(nil).
+func (s *State) FreeVector() Alloc { return s.FreeVectorInto(nil) }
+
+// FreeVectorInto clears dst and fills it with the free GPUs per machine,
+// returning it (a fresh map when dst is nil). Like TotalFree it iterates
+// machines by index, so refilling a map that has held the vector before
+// allocates nothing.
+func (s *State) FreeVectorInto(dst Alloc) Alloc {
+	dst = dst.Reset()
+	for id := range MachineID(s.topo.NumMachines()) {
+		if free := s.FreeOn(id); free > 0 {
+			dst[id] = free
 		}
 	}
-	return out
+	return dst
 }
 
 // Held returns a copy of the allocation currently held by app. The state
-// updates its holdings in place, so it never hands out its own maps.
-func (s *State) Held(app string) Alloc {
-	if a, ok := s.held[app]; ok {
-		return a.Clone()
+// updates its holdings in place, so it never hands out its own maps. It is
+// HeldInto(nil, app).
+func (s *State) Held(app string) Alloc { return s.HeldInto(nil, app) }
+
+// HeldInto clears dst and fills it with the allocation app holds, returning
+// it (a fresh map when dst is nil): the copy Held takes, into a map the
+// caller keeps from one allocation change to the next.
+func (s *State) HeldInto(dst Alloc, app string) Alloc {
+	held := s.held[app]
+	if dst == nil {
+		dst = make(Alloc, len(held))
 	}
-	return NewAlloc()
+	clear(dst)
+	dst.Credit(held)
+	return dst
 }
 
 // HeldTotal returns the number of GPUs app currently holds, without copying

@@ -188,6 +188,7 @@ func TestStateFreeVectorAndApps(t *testing.T) {
 
 // TestFreeVectorAllocatesOnlyItsMap pins FreeVector to the cost of the map it
 // returns: walking the machines must not copy the topology's machine slice.
+// FreeVectorInto refilling a map that has held the vector allocates nothing.
 func TestFreeVectorAllocatesOnlyItsMap(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -206,6 +207,13 @@ func TestFreeVectorAllocatesOnlyItsMap(t *testing.T) {
 	})
 	if got != fill {
 		t.Errorf("FreeVector allocates %.0f objects, filling a fresh Alloc with its %d entries %.0f", got, len(want), fill)
+	}
+	dst := s.FreeVectorInto(Alloc{1: 1, 70: 3})
+	if !dst.Equal(want) || len(dst) != len(want) {
+		t.Errorf("FreeVectorInto = %v, want %v", dst, want)
+	}
+	if got := testing.AllocsPerRun(50, func() { dst = s.FreeVectorInto(dst) }); got != 0 {
+		t.Errorf("FreeVectorInto refilling a warmed map allocates %.0f objects, want 0", got)
 	}
 }
 

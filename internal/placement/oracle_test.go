@@ -55,7 +55,7 @@ func (p *oracle) Scratch(free cluster.Alloc) cluster.Alloc {
 }
 
 func (p *oracle) Begin(dst cluster.Alloc, topo *cluster.Topology, pool, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
-	dst = reset(dst)
+	dst = dst.Reset()
 	p.topo, p.dst, p.pool, p.anchor = topo, dst, pool, anchor
 	p.need = max(count, 0)
 	p.c, p.constrained = c, !c.IsZero()
@@ -103,7 +103,7 @@ func (p *oracle) Take(m cluster.MachineID) {
 }
 
 func (p *oracle) DrawSpread(dst, pool cluster.Alloc, count int) cluster.Alloc {
-	dst = reset(dst)
+	dst = dst.Reset()
 	ids := p.byCount[:0]
 	for m, n := range pool {
 		if n > 0 {

@@ -233,7 +233,7 @@ func (p *Picker) Free(m cluster.MachineID) int { return p.free[m] }
 // Remaining writes what is left in the pool into dst (cleared first;
 // allocated when nil) and returns it.
 func (p *Picker) Remaining(dst cluster.Alloc) cluster.Alloc {
-	dst = reset(dst)
+	dst = dst.Reset()
 	for _, m := range p.loaded {
 		if n := p.free[m]; n > 0 {
 			dst[m] = n
@@ -247,7 +247,7 @@ func (p *Picker) Remaining(dst cluster.Alloc) cluster.Alloc {
 // dst. The draw then proceeds by Take calls in whatever machine order the
 // caller's policy prefers. anchor is only read.
 func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
-	dst = reset(dst)
+	dst = dst.Reset()
 	p.dst, p.anchor = dst, anchor
 	p.need = max(count, 0)
 	p.c, p.constrained = c, !c.IsZero()
@@ -261,15 +261,6 @@ func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) clust
 			}
 		}
 	}
-	return dst
-}
-
-// reset returns dst emptied, or a fresh allocation when dst is nil.
-func reset(dst cluster.Alloc) cluster.Alloc {
-	if dst == nil {
-		return cluster.NewAlloc()
-	}
-	clear(dst)
 	return dst
 }
 
@@ -536,7 +527,7 @@ func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, coun
 // placement-blind bidding ablation): their allocations straddle machines and
 // racks.
 func (p *Picker) DrawSpread(dst cluster.Alloc, count int) cluster.Alloc {
-	dst = reset(dst)
+	dst = dst.Reset()
 	for progress := true; count > 0 && progress; {
 		progress = false
 		for m, have := range p.free {

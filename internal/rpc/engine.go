@@ -137,7 +137,7 @@ func (s *engine) Status() StatusResponse {
 	defer s.mu.Unlock()
 	held := make(map[string]int)
 	for _, app := range s.state.Apps() {
-		held[app] = s.state.Held(app).Total()
+		held[app] = s.state.HeldTotal(app)
 	}
 	agents := make(map[string]struct{}, len(s.agents))
 	for id := range s.agents {

@@ -31,37 +31,50 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 	demand := demandOf(view)
 	var picker placement.Picker
 	picker.Load(view.Topo, free)
+	// anchors[i] is what view.Apps[i] holds plus what it has won this call:
+	// copied from Held the first time the app is asked, credited with each
+	// win. A candidate is scored on its anchor with the candidate credited
+	// in, then debited back out; the placement score does not depend on the
+	// map's order, so the round trip leaves it as a fresh sum would.
+	anchors := make([]cluster.Alloc, len(view.Apps))
 	// Every app is asked what it would do with the pool before any of it is
 	// committed, so each candidate is drawn and handed back.
-	var cand, bestAnchor cluster.Alloc
+	var cand cluster.Alloc
 	for picker.Total() > 0 {
-		var best *sim.AppState
+		best := -1
 		bestScore := 0.0
-		for _, st := range view.Apps {
+		for i, st := range view.Apps {
 			unmet := demand[st.App.ID]
 			if unmet <= 0 {
 				continue
 			}
-			anchor := st.Held.Add(out[st.App.ID])
+			if anchors[i] == nil {
+				anchors[i] = st.Held.Clone()
+			}
+			anchor := anchors[i]
 			cand = picker.Draw(cand, anchor, chunkFor(st, unmet))
 			picker.Credit(cand)
 			if cand.Total() == 0 {
 				continue
 			}
-			score := cluster.PlacementScore(view.Topo, anchor.Add(cand))
-			if best == nil || score > bestScore ||
-				(score == bestScore && st.App.SubmitTime < best.App.SubmitTime) {
-				best, bestScore, bestAnchor = st, score, anchor
+			anchor.Credit(cand)
+			score := cluster.PlacementScore(view.Topo, anchor)
+			_ = anchor.Debit(cand) // cannot fail: cand was just credited
+			if best < 0 || score > bestScore ||
+				(score == bestScore && st.App.SubmitTime < view.Apps[best].App.SubmitTime) {
+				best, bestScore = i, score
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
 		// The pool is as the winner saw it, so drawing its pick again takes
 		// exactly the GPUs it was scored on.
-		cand = picker.Draw(cand, bestAnchor, chunkFor(best, demand[best.App.ID]))
-		mergeGrant(out, best.App.ID, cand)
-		demand[best.App.ID] -= cand.Total()
+		st := view.Apps[best]
+		cand = picker.Draw(cand, anchors[best], chunkFor(st, demand[st.App.ID]))
+		mergeGrant(out, st.App.ID, cand)
+		anchors[best].Credit(cand)
+		demand[st.App.ID] -= cand.Total()
 	}
 	return out, nil
 }
@@ -147,65 +160,110 @@ func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[wo
 	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 
-	// Indexed like view.Apps: unmet demand, GPUs held plus granted, and gain.
-	demand := make([]int, len(view.Apps))
-	have := make([]int, len(view.Apps))
-	gain := make([]float64, len(view.Apps))
+	// Indexed like view.Apps. The apps with demand share one memo slice,
+	// each holding the stretch of it that covers its active trials.
+	apps := make([]slaqApp, len(view.Apps))
+	trials := 0
 	for i, st := range view.Apps {
-		if demand[i] = st.UnmetDemand(); demand[i] > 0 {
-			have[i] = st.Held.Total()
-			gain[i] = s.lossReduction(st, have[i], chunkFor(st, demand[i]))
+		if apps[i].demand = st.UnmetDemand(); apps[i].demand > 0 {
+			trials += st.App.NumActiveJobs()
 		}
+	}
+	memo := make([]slaqTrial, 0, trials)
+	for i, st := range view.Apps {
+		a := &apps[i]
+		if a.demand <= 0 {
+			continue
+		}
+		first := len(memo)
+		for _, j := range st.App.Jobs {
+			if j.Active() {
+				memo = append(memo, newSLAQTrial(j))
+			}
+		}
+		a.trials = memo[first:]
+		a.have = st.Held.Total()
+		a.gain = s.lossReduction(a.trials, a.have, chunkFor(st, a.demand))
 	}
 	for picker.Total() > 0 {
 		best := -1
 		for i, st := range view.Apps {
-			if demand[i] <= 0 {
+			if apps[i].demand <= 0 {
 				continue
 			}
-			if best < 0 || gain[i] > gain[best] ||
-				(gain[i] == gain[best] && st.App.SubmitTime < view.Apps[best].App.SubmitTime) {
+			if best < 0 || apps[i].gain > apps[best].gain ||
+				(apps[i].gain == apps[best].gain && st.App.SubmitTime < view.Apps[best].App.SubmitTime) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		st := view.Apps[best]
-		alloc = picker.DrawSpread(alloc, chunkFor(st, demand[best]))
+		st, a := view.Apps[best], &apps[best]
+		alloc = picker.DrawSpread(alloc, chunkFor(st, a.demand))
 		if alloc.Total() == 0 {
 			break
 		}
 		mergeGrant(out, st.App.ID, alloc)
-		demand[best] -= alloc.Total()
-		have[best] += alloc.Total()
-		if demand[best] > 0 {
-			gain[best] = s.lossReduction(st, have[best], chunkFor(st, demand[best]))
+		a.demand -= alloc.Total()
+		a.have += alloc.Total()
+		if a.demand > 0 {
+			a.gain = s.lossReduction(a.trials, a.have, chunkFor(st, a.demand))
 		}
 	}
 	return out, nil
 }
 
+// slaqApp is one app's standing within a SLAQ call: its unmet demand, the
+// GPUs it holds plus those granted so far, its current gain and its trials'
+// memo.
+type slaqApp struct {
+	demand, have int
+	gain         float64
+	trials       []slaqTrial
+}
+
+// slaqTrial memoises one active trial within a SLAQ call. The curve, the
+// per-iteration work and the iterations done are fixed for the call. with
+// and withLoss are the last "with" point the trial was valued at: a winner's
+// next "without" count is usually its last "with" count, whose loss is then
+// reused instead of recomputed.
+type slaqTrial struct {
+	curve       estimator.LossCurve
+	perIterWork float64
+	done        int
+	valued      bool
+	with        int
+	withLoss    float64
+}
+
+func newSLAQTrial(j *workload.Job) slaqTrial {
+	return slaqTrial{
+		curve:       estimator.CurveForJob(j),
+		perIterWork: maxFloat(j.TotalWork/float64(maxInt(j.TotalIterations, 1)), 1e-9),
+		done:        j.IterationsDone(),
+	}
+}
+
 // lossReduction estimates the loss decrease the app's best-progressing trial
 // would achieve over the policy window if the app went from have to
 // have+extra GPUs: one valuation per app per round, then the winner's.
-func (s *SLAQ) lossReduction(st *sim.AppState, have, extra int) float64 {
+func (s *SLAQ) lossReduction(trials []slaqTrial, have, extra int) float64 {
 	window := s.WindowMinutes
 	if window <= 0 {
 		window = 20
 	}
 	bestGain := 0.0
-	for _, j := range st.App.Jobs {
-		if !j.Active() {
-			continue
+	for k := range trials {
+		t := &trials[k]
+		itersWith := t.done + int(window*float64(have+extra)/t.perIterWork)
+		itersWithout := t.done + int(window*float64(have)/t.perIterWork)
+		lossWithout := t.withLoss
+		if !t.valued || itersWithout != t.with {
+			lossWithout = t.curve.Loss(itersWithout)
 		}
-		curve := estimator.CurveForJob(j)
-		perIterWork := j.TotalWork / float64(maxInt(j.TotalIterations, 1))
-		done := j.IterationsDone()
-		itersWith := done + int(window*float64(have+extra)/maxFloat(perIterWork, 1e-9))
-		itersWithout := done + int(window*float64(have)/maxFloat(perIterWork, 1e-9))
-		gain := curve.Loss(itersWithout) - curve.Loss(itersWith)
-		if gain > bestGain {
+		t.valued, t.with, t.withLoss = true, itersWith, t.curve.Loss(itersWith)
+		if gain := lossWithout - t.withLoss; gain > bestGain {
 			bestGain = gain
 		}
 	}

@@ -7,21 +7,24 @@ import (
 	"testing"
 
 	"themis/internal/cluster"
+	"themis/internal/estimator"
 	"themis/internal/placement"
 	"themis/internal/sim"
 	"themis/internal/workload"
 )
 
 // slaqFullRevaluation is SLAQ.Allocate as it read before it kept per-app
-// gains: every loop turn re-values every app with demand. It is the oracle
-// the incremental loop must match grant for grant.
+// gains: every loop turn re-values every app with demand, through
+// slaqLossReduction, and merges grants through mergeGrantAdd. It is the
+// oracle the incremental, memoised loop must match grant for grant, and
+// shares none of its valuation or merging code.
 func slaqFullRevaluation(s *SLAQ, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
 	demand := demandOf(view)
 	granted := make(map[workload.AppID]int)
 	var picker placement.Picker
 	picker.Load(view.Topo, free)
-	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
+	var alloc cluster.Alloc // scratch: mergeGrantAdd copies out of it
 
 	for picker.Total() > 0 {
 		var best *sim.AppState
@@ -31,7 +34,7 @@ func slaqFullRevaluation(s *SLAQ, free cluster.Alloc, view *sim.View) (map[workl
 				continue
 			}
 			chunk := chunkFor(st, demand[st.App.ID])
-			gain := s.lossReduction(st, st.Held.Total()+granted[st.App.ID], chunk)
+			gain := slaqLossReduction(s, st, st.Held.Total()+granted[st.App.ID], chunk)
 			if best == nil || gain > bestGain ||
 				(gain == bestGain && st.App.SubmitTime < best.App.SubmitTime) {
 				best, bestGain = st, gain
@@ -45,11 +48,37 @@ func slaqFullRevaluation(s *SLAQ, free cluster.Alloc, view *sim.View) (map[workl
 		if alloc.Total() == 0 {
 			break
 		}
-		mergeGrant(out, best.App.ID, alloc)
+		mergeGrantAdd(out, best.App.ID, alloc)
 		demand[best.App.ID] -= alloc.Total()
 		granted[best.App.ID] += alloc.Total()
 	}
 	return out, nil
+}
+
+// slaqLossReduction is SLAQ.lossReduction as it read before the per-call
+// memo, kept verbatim: every valuation derives each active trial's curve and
+// computes both losses afresh.
+func slaqLossReduction(s *SLAQ, st *sim.AppState, have, extra int) float64 {
+	window := s.WindowMinutes
+	if window <= 0 {
+		window = 20
+	}
+	bestGain := 0.0
+	for _, j := range st.App.Jobs {
+		if !j.Active() {
+			continue
+		}
+		curve := estimator.CurveForJob(j)
+		perIterWork := j.TotalWork / float64(maxInt(j.TotalIterations, 1))
+		done := j.IterationsDone()
+		itersWith := done + int(window*float64(have+extra)/maxFloat(perIterWork, 1e-9))
+		itersWithout := done + int(window*float64(have)/maxFloat(perIterWork, 1e-9))
+		gain := curve.Loss(itersWithout) - curve.Loss(itersWith)
+		if gain > bestGain {
+			bestGain = gain
+		}
+	}
+	return bestGain
 }
 
 // randomSLAQView draws a free pool and 1–40 apps on topo. Apps often copy
@@ -157,7 +186,7 @@ func TestSLAQMatchesFullRevaluation(t *testing.T) {
 			for _, st := range view.Apps {
 				if d := demand[st.App.ID]; d > 0 {
 					total += d
-					gains[s.lossReduction(st, st.Held.Total(), chunkFor(st, d))]++
+					gains[slaqLossReduction(s, st, st.Held.Total(), chunkFor(st, d))]++
 					if got[st.App.ID].Total() == d {
 						drained++
 					}
@@ -178,6 +207,46 @@ func TestSLAQMatchesFullRevaluation(t *testing.T) {
 	if ties < 200 || drained < 200 || shortPool < 200 {
 		t.Errorf("views too tame: %d with equal gains, %d apps drained, %d pools short of demand", ties, drained, shortPool)
 	}
+}
+
+// TestSLAQMemoMatchesValuation holds the memoised valuation to the verbatim
+// one on any sequence of (have, extra) an app is valued at, not only the one
+// Allocate produces (where a winner's next "without" count always equals its
+// last "with" count): revaluations that grow by the full chunk, by part of
+// it, not at all, or shrink must give the same bits.
+func TestSLAQMemoMatchesValuation(t *testing.T) {
+	topo := cluster.SimulationCluster()
+	var hits, misses int
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		_, view := randomSLAQView(rng, topo, 1+rng.Intn(10))
+		s := NewSLAQ()
+		s.WindowMinutes = []float64{0, 3, 20, 60}[rng.Intn(4)]
+		for _, st := range view.Apps {
+			var trials []slaqTrial
+			for _, j := range st.App.Jobs {
+				if j.Active() {
+					trials = append(trials, newSLAQTrial(j))
+				}
+			}
+			have := rng.Intn(8)
+			for step := 0; step < 8; step++ {
+				extra := 1 + rng.Intn(8)
+				want := slaqLossReduction(s, st, have, extra)
+				if got := s.lossReduction(trials, have, extra); got != want {
+					t.Fatalf("seed %d app %s step %d: lossReduction(%d, %d) = %v, want %v", seed, st.App.ID, step, have, extra, got, want)
+				}
+				if rng.Intn(2) == 0 {
+					have += extra
+					hits++
+				} else {
+					have = max(have+rng.Intn(5)-2, 0)
+					misses++
+				}
+			}
+		}
+	}
+	t.Logf("%d revaluations from the last \"with\" point, %d from elsewhere", hits, misses)
 }
 
 // BenchmarkSLAQAllocate times one SLAQ round in the sweep's shape: 60

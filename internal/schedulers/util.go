@@ -35,10 +35,16 @@ func chunkFor(st *sim.AppState, unmet int) int {
 	return gang
 }
 
-// mergeGrant accumulates a grant into the policy's result map.
+// mergeGrant accumulates a grant into the policy's result map. alloc is the
+// caller's scratch, so an app's first grant is copied; later ones are
+// credited into that copy, which the result map already owns.
 func mergeGrant(out map[workload.AppID]cluster.Alloc, id workload.AppID, alloc cluster.Alloc) {
 	if alloc.Total() == 0 {
 		return
 	}
-	out[id] = out[id].Add(alloc)
+	if held, ok := out[id]; ok {
+		held.Credit(alloc)
+	} else {
+		out[id] = alloc.Clone()
+	}
 }

@@ -121,3 +121,46 @@ func TestFragSnapshotZeroAlloc(t *testing.T) {
 		t.Errorf("snapshot free GPUs = %d, want %d", r.frag.freeGPUs, want)
 	}
 }
+
+// TestGrantPathZeroAlloc pins the simulator's side of a grant: an allocation
+// change refills the app's Held through HeldInto and each round refills the
+// simulator's free vector through FreeVectorInto, so once both maps have held
+// the largest vector they see, neither allocates. A grant onto the app's
+// holding and its release, each followed by the change's re-split, run at 0
+// allocs/op together with the round's free vector.
+func TestGrantPathZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
+	}
+	topo := simTopo(t, 8, 4, 4)
+	cs := cluster.NewState(topo)
+	var scratch splitScratch
+	st := newAppState(simApp("a", 0, placement.VGG16, 6, 100), fifoTuner{}, topo, &scratch)
+	if err := cs.Grant("a", cluster.Alloc{0: 4, 5: 3}); err != nil {
+		t.Fatal(err)
+	}
+	extra := cluster.Alloc{1: 4, 2: 3, 3: 1, 4: 4, 6: 2, 7: 4}
+	var free cluster.Alloc
+	change := func() {
+		if err := cs.Grant("a", extra); err != nil {
+			t.Fatal(err)
+		}
+		st.onAllocationChange(1, cs.HeldInto(st.Held, "a"), 0.5)
+		free = cs.FreeVectorInto(free)
+		if err := cs.Release("a", extra); err != nil {
+			t.Fatal(err)
+		}
+		st.onAllocationChange(2, cs.HeldInto(st.Held, "a"), 0.5)
+		free = cs.FreeVectorInto(free)
+	}
+	change()
+	if allocs := testing.AllocsPerRun(200, change); allocs != 0 {
+		t.Errorf("a warmed grant, release and free vector allocate %.1f objects/op, want 0", allocs)
+	}
+	if want := (cluster.Alloc{0: 4, 5: 3}); !st.Held.Equal(want) || len(st.Held) != len(want) || st.heldTotal != 7 {
+		t.Errorf("Held = %v (total %d), want %v", st.Held, st.heldTotal, want)
+	}
+	if want := cs.FreeVector(); !free.Equal(want) || len(free) != len(want) {
+		t.Errorf("free vector = %v, want %v", free, want)
+	}
+}

@@ -15,8 +15,9 @@ import (
 type AppState struct {
 	App   *workload.App
 	Tuner hyperparam.Tuner
-	// Held is the app's current allocation, maintained on every allocation
-	// change. Policies must treat it as read-only.
+	// Held is the app's current allocation, refilled in place on every
+	// allocation change. Policies must treat it as read-only and must not
+	// keep it past the Allocate call that saw it.
 	Held cluster.Alloc
 	// TIdealAtArrival is the app's dedicated-cluster running time estimate
 	// frozen at submission (min over jobs of work / gang size), used for the
@@ -408,8 +409,10 @@ type View struct {
 	Now     float64
 	// Apps lists the active (arrived, unfinished) apps in ID order, with
 	// Held current. The slice's backing array is reused between scheduling
-	// rounds: it is only valid for the duration of the Allocate call, so
-	// policies that need to retain an app list must copy it.
+	// rounds, and each Held map is refilled in place on the app's next
+	// allocation change: both are only valid for the duration of the
+	// Allocate call, so a policy that needs to retain an app list or a
+	// holding must copy it.
 	Apps []*AppState
 }
 

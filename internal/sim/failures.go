@@ -78,7 +78,7 @@ func (s *Simulator) failMachine(m cluster.MachineID) {
 		}
 		if st, ok := s.active[id]; ok {
 			s.leases.Trim(id, m, n)
-			st.onAllocationChange(s.now, s.cs.Held(app), s.cfg.RestartOverhead)
+			st.onAllocationChange(s.now, s.cs.HeldInto(st.Held, app), s.cfg.RestartOverhead)
 			s.appStateChanged(st)
 			s.result.noteAllocation(s.now, st, st.Held)
 		}

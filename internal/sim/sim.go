@@ -36,6 +36,12 @@ type Policy interface {
 	// Allocate returns the GPUs to grant to each app. Grants must be
 	// disjoint, lie within free, and only name apps present in the view.
 	// A non-nil error aborts the simulation run.
+	//
+	// free, the view and every AppState.Held in it belong to the simulator
+	// and are valid only for the duration of the call: the simulator refills
+	// the same maps in place on later rounds and allocation changes, so a
+	// policy reads them and must not change or keep them. The returned maps
+	// are the simulator's from then on; it reads them before the next call.
 	Allocate(now float64, free cluster.Alloc, view *View) (map[workload.AppID]cluster.Alloc, error)
 }
 
@@ -48,7 +54,9 @@ type Policy interface {
 type Packer interface {
 	// Place selects up to want GPUs from free for an app anchored at anchor
 	// under constraint c. The result must lie within free, never violate c
-	// when combined with anchor, and be deterministic in its inputs.
+	// when combined with anchor, and be deterministic in its inputs. It is a
+	// map of the packer's own: free and anchor are the simulator's, valid
+	// during the call only and changed in place once it returns.
 	Place(free, anchor cluster.Alloc, want int, c placement.Constraint) cluster.Alloc
 }
 
@@ -154,6 +162,9 @@ type Simulator struct {
 	idsScratch   []workload.AppID
 	viewStruct   View         // reused policy-facing view (valid during Allocate only)
 	split        splitScratch // the job split's working set, shared by every app
+	// free is the round's free vector and leftover the round's pool of free
+	// GPUs no app was granted, both refilled in place each round.
+	free, leftover cluster.Alloc
 
 	now    float64
 	result *Result
@@ -355,7 +366,7 @@ func (s *Simulator) expireLeases(due []core.Lease) error {
 		if err := s.cs.Release(string(l.App), l.Alloc); err != nil {
 			return fmt.Errorf("sim: lease release inconsistency: %w", err)
 		}
-		st.onAllocationChange(s.now, s.cs.Held(string(l.App)), s.cfg.RestartOverhead)
+		st.onAllocationChange(s.now, s.cs.HeldInto(st.Held, string(l.App)), s.cfg.RestartOverhead)
 		s.appStateChanged(st)
 		s.result.noteAllocation(s.now, st, st.Held)
 	}
@@ -386,7 +397,7 @@ func (s *Simulator) runTuners() {
 		st.Tuner.Update(s.now, st.App)
 		if st.App.NumActiveJobs() != before {
 			// Killed trials vacate their share; re-split the app's GPUs.
-			st.onAllocationChange(s.now, s.cs.Held(string(st.App.ID)), 0)
+			st.onAllocationChange(s.now, s.cs.HeldInto(st.Held, string(st.App.ID)), 0)
 			s.appStateChanged(st)
 		}
 	}
@@ -425,7 +436,8 @@ func (s *Simulator) schedule() (bool, error) {
 	if s.cs.TotalFree() == 0 || len(s.active) == 0 {
 		return false, nil
 	}
-	free := s.cs.FreeVector()
+	s.free = s.cs.FreeVectorInto(s.free)
+	free := s.free
 	view := s.view()
 	if !view.anyDemand() {
 		return false, nil
@@ -445,12 +457,14 @@ func (s *Simulator) schedule() (bool, error) {
 	s.idsScratch = ids
 	// leftover tracks the free GPUs no app was granted this round; the packer
 	// and the constrained-grant repair draw replacement GPUs from it. It is
-	// computed lazily: rounds without a packer or constrained grantee (the
-	// common case) never build it.
+	// filled lazily, into the simulator's own map: rounds without a packer or
+	// constrained grantee (the common case) never fill it.
 	var leftover cluster.Alloc
 	takeLeftover := func() (cluster.Alloc, error) {
 		if leftover == nil {
-			leftover = free.Clone()
+			s.leftover = s.leftover.Reset()
+			s.leftover.Credit(free)
+			leftover = s.leftover
 			for _, id := range ids {
 				if err := leftover.Debit(grants[id]); err != nil {
 					return nil, fmt.Errorf("sim: policy %s grants exceed the free pool: %w", s.cfg.Policy.Name(), err)
@@ -495,7 +509,7 @@ func (s *Simulator) schedule() (bool, error) {
 			return changed, fmt.Errorf("sim: policy %s produced an infeasible allocation for %s: %w", s.cfg.Policy.Name(), id, err)
 		}
 		s.leases.Grant(id, alloc, s.now, s.cfg.LeaseDuration)
-		st.onAllocationChange(s.now, s.cs.Held(string(id)), s.cfg.RestartOverhead)
+		st.onAllocationChange(s.now, s.cs.HeldInto(st.Held, string(id)), s.cfg.RestartOverhead)
 		s.appStateChanged(st)
 		s.result.noteAllocation(s.now, st, st.Held)
 		changed = true
@@ -507,17 +521,20 @@ func (s *Simulator) schedule() (bool, error) {
 // repack lets the configured Packer re-materialise an app's grant onto
 // concrete GPUs, drawing from the grant plus the round's leftover free pool.
 // It returns the placed allocation (never more GPUs than the policy granted)
-// and the updated leftover pool.
+// and the updated leftover pool: leftover itself, which the grant is credited
+// into and the placement debited from.
 func (s *Simulator) repack(st *AppState, alloc, leftover cluster.Alloc) (cluster.Alloc, cluster.Alloc) {
-	pool := alloc.Add(leftover)
-	placed := s.cfg.Packer.Place(pool, st.Held, alloc.Total(), st.packConstraint())
-	rest, err := pool.Sub(placed)
-	if err != nil {
+	leftover.Credit(alloc)
+	placed := s.cfg.Packer.Place(leftover, st.Held, alloc.Total(), st.packConstraint())
+	if err := leftover.Debit(placed); err != nil {
 		// The Packer contract (placed within free) was violated; fall back to
-		// the policy's own placement rather than corrupting the pool.
+		// the policy's own placement rather than corrupting the pool. Debit
+		// checks before it changes anything, so taking the grant back out
+		// restores the pool.
+		_ = leftover.Debit(alloc)
 		return alloc, leftover
 	}
-	return placed, rest
+	return placed, leftover
 }
 
 // repairGrant re-picks a grant a constrained app cannot use: it runs the job
