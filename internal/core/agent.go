@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"themis/internal/cluster"
 	"themis/internal/estimator"
 	"themis/internal/hyperparam"
@@ -51,7 +49,9 @@ func (ag *Agent) ReportRho(now float64, current cluster.Alloc) float64 {
 // UnmetParallelism returns how many more GPUs the app could still use: the
 // sum of its active jobs' maximum parallelism minus what it already holds.
 func (ag *Agent) UnmetParallelism(current cluster.Alloc) int {
-	return ag.App.UnmetWidth(current.Total())
+	e := ag.Estimator
+	e.refresh()
+	return max(e.width-current.Total(), 0)
 }
 
 // PrepareBid responds to an offer (Figure 3 step 3): it enumerates candidate
@@ -79,8 +79,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	ag.Estimator.beginCall()
 	rows := nextRow(entries[:0])
 	rows[0].Rho = ag.Estimator.rho(now, current, nil)
-	gang := ag.GangSize()
-	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), gang)
+	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), ag.GangSize())
 	maxRows := ag.MaxBidRows
 	if maxRows <= 0 {
 		maxRows = DefaultMaxBidRows
@@ -88,30 +87,22 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	if len(sizes) > 0 {
 		v.picker.Load(ag.Estimator.Topo, offer)
 	}
+	// Every candidate is drawn from the whole offer (the draw is handed back
+	// before the next), no size exceeds it, an unconstrained draw fills its
+	// size and the sizes are distinct: so every row holds exactly its size,
+	// and no row is empty or equal to another (TestBidRowsHoldTheirSizes).
 	for _, size := range sizes {
-		n := len(rows)
-		if n >= maxRows {
+		if len(rows) >= maxRows {
 			break
 		}
 		rows = nextRow(rows)
-		row := &rows[n]
-		// Every candidate is drawn from the whole offer: the draw is handed
-		// back before the next.
+		row := &rows[len(rows)-1]
 		if ag.PlacementBlind {
 			v.picker.DrawSpread(row.Alloc, size)
 		} else {
 			v.picker.Draw(row.Alloc, current, size)
 		}
 		v.picker.Credit(row.Alloc)
-		// Dedup against the rows already accepted (replacing the old
-		// canonical-Key string set: Equal over ≤MaxBidRows rows is cheaper
-		// than rendering keys and allocates nothing). The empty row at
-		// index 0 can never match: candidates here have a non-zero total.
-		dup := func(e BidEntry) bool { return e.Alloc.Equal(row.Alloc) }
-		if row.Alloc.Total() == 0 || slices.ContainsFunc(rows[:n], dup) {
-			rows = rows[:n] // the slot keeps its map for the next candidate
-			continue
-		}
 		row.Rho = ag.Estimator.rho(now, current, row.Alloc)
 	}
 	return BidTable{App: ag.App.ID, Entries: rows}
@@ -120,25 +111,9 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 // GangSize returns the gang size the app's active jobs typically need: the
 // mode across active jobs (the larger size on a tie), falling back to 1. Bid
 // tables step by it and the Arbiter uses it as the chunk size for leftover
-// grants. One pass tallies the app's few distinct sizes on the stack and keeps
-// the lexicographic maximum of (count, size) as the counts grow.
+// grants. It is read from the job context.
 func (ag *Agent) GangSize() int {
-	type sizeCount struct{ size, n int }
-	var buf [16]sizeCount
-	tally, best := buf[:0], sizeCount{size: 1}
-	for _, j := range ag.App.Jobs {
-		if !j.Active() {
-			continue
-		}
-		k := slices.IndexFunc(tally, func(t sizeCount) bool { return t.size == j.GangSize })
-		if k < 0 {
-			k, tally = len(tally), append(tally, sizeCount{size: j.GangSize})
-		}
-		t := &tally[k]
-		t.n++
-		if t.n > best.n || t.n == best.n && t.size > best.size {
-			best = *t
-		}
-	}
-	return best.size
+	e := ag.Estimator
+	e.refresh()
+	return e.gang
 }

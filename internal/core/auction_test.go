@@ -165,7 +165,7 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 		if _, served := splitOf(e, free); len(served) < 3 {
 			t.Fatalf("agent %d: the wide split served %d jobs; the fixture must feed several", i, len(served))
 		}
-		ag.App.Jobs[0].DoneAt = 1
+		ag.App.FinishJob(ag.App.Jobs[0], 1)
 		narrow := cluster.Alloc{}
 		for m, n := range free {
 			narrow[m] = n

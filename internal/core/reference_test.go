@@ -183,16 +183,7 @@ func refHiddenPayment(offer cluster.Alloc, bids []BidTable, logs []float64, i in
 // part of it already held.
 func wideFixture(tb testing.TB) ([]probedAgent, cluster.Alloc) {
 	tb.Helper()
-	topo, err := cluster.Config{
-		MachineSpecs: []cluster.MachineSpec{
-			{Count: 24, GPUs: 8, SlotSize: 2, GPU: cluster.GPUTypeP100},
-			{Count: 8, GPUs: 4, SlotSize: 2, GPU: cluster.GPUTypeV100},
-		},
-		MachinesPerRack: 8,
-	}.Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	topo := wideTopo(tb)
 	cs := cluster.NewState(topo)
 	profiles := []placement.Profile{placement.VGG16, placement.ResNet50, placement.GNMT}
 	var ps []probedAgent
@@ -230,6 +221,23 @@ func wideFixture(tb testing.TB) ([]probedAgent, cluster.Alloc) {
 		ps = append(ps, probedAgent{state: AgentState{Agent: agentFor(topo, app), Current: cur}, rho: float64(10 - i)})
 	}
 	return ps, cs.FreeVector()
+}
+
+// wideTopo is wideFixture's cluster: 24 8-GPU P100 machines and 8 4-GPU
+// V100 machines, 8 to a rack.
+func wideTopo(tb testing.TB) *cluster.Topology {
+	tb.Helper()
+	topo, err := cluster.Config{
+		MachineSpecs: []cluster.MachineSpec{
+			{Count: 24, GPUs: 8, SlotSize: 2, GPU: cluster.GPUTypeP100},
+			{Count: 8, GPUs: 4, SlotSize: 2, GPU: cluster.GPUTypeV100},
+		},
+		MachinesPerRack: 8,
+	}.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo
 }
 
 // checkTablesAgainstReference values every row of every table again through

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/estimator"
@@ -44,38 +45,94 @@ type RhoEstimator struct {
 	shares []cluster.Alloc
 	picker placement.Picker
 
-	// The job context: what every valuation of one call (a ρ probe, or all
-	// the rows of one bid table) needs of the app's jobs and no row changes.
-	// beginCall rebuilds jobs and tIdeal; the per-job split facts and their
-	// order are filled by the first row that has GPUs to split. It is valid
-	// for that one call only — job state must not change under it.
-	jobs   []*workload.Job // active jobs
-	tIdeal float64
-	split  placement.SplitQueue // Jobs: per active job, same indexing as jobs
+	// The job context: what the valuation needs of App's jobs that moves
+	// only with its stamp (workload.App.Stamp) — the active jobs, T_ID, their
+	// gang-size mode and summed width, and each one's SplitJob (want,
+	// resolved constraint, unresolvable). refresh rebuilds it when the stamp
+	// has moved since it was built; the SplitJobs are built by the first
+	// split after that. splitReady marks that the call in progress has
+	// refreshed the jobs' WorkLeft and reset the queue.
+	stamp             uint64 // App's stamp when the context was built
+	jobs              []*workload.Job
+	tIdeal            float64
+	gang              int                  // GangSize
+	width             int                  // the active jobs' summed Width
+	split             placement.SplitQueue // Jobs: per active job, same indexing as jobs; empty until built
+	built, splitReady bool
 }
 
-// beginCall starts a valuation call: it snapshots the app's active jobs and
-// T_ID and invalidates the per-job split facts of the previous call.
-func (e *RhoEstimator) beginCall() {
+// refresh rebuilds the job context if the app's stamp has moved since it was
+// built: an O(1) check otherwise.
+func (e *RhoEstimator) refresh() {
+	if e.built && e.stamp == e.App.Stamp() {
+		return
+	}
+	e.built, e.stamp = true, e.App.Stamp()
 	e.jobs = e.App.AppendActiveJobs(e.jobs[:0])
 	e.tIdeal = e.TIdeal()
+	e.gang = gangMode(e.jobs)
+	e.width = 0
+	for _, j := range e.jobs {
+		e.width += j.Width()
+	}
+	// The queue's order still names the shares its last split filled, which
+	// the next split empties; only its jobs go.
 	e.split.Jobs = e.split.Jobs[:0]
+	e.splitReady = false
+}
+
+// beginCall starts a valuation call (a ρ probe, or all the rows of one bid
+// table): job state does not change while it is in flight, so the call's
+// rows share the job context and, once the first of them has split, the
+// work-left order.
+func (e *RhoEstimator) beginCall() {
+	e.refresh()
+	e.splitReady = false
+}
+
+// gangMode returns the gang size jobs typically need: the mode (the larger
+// size on a tie), falling back to 1. One pass tallies the few distinct sizes
+// on the stack and keeps the lexicographic maximum of (count, size) as the
+// counts grow.
+func gangMode(jobs []*workload.Job) int {
+	type sizeCount struct{ size, n int }
+	var buf [16]sizeCount
+	tally, best := buf[:0], sizeCount{size: 1}
+	for _, j := range jobs {
+		k := slices.IndexFunc(tally, func(t sizeCount) bool { return t.size == j.GangSize })
+		if k < 0 {
+			k, tally = len(tally), append(tally, sizeCount{size: j.GangSize})
+		}
+		t := &tally[k]
+		t.n++
+		if t.n > best.n || t.n == best.n && t.size > best.size {
+			best = *t
+		}
+	}
+	return best.size
 }
 
 // splitAcrossJobs divides the app-level allocation loaded into the picker
 // among the call's active jobs (placement.Picker.Split, §5.2 step 4), least
 // work left by the tuner's estimate first, and returns the shares (indexed
 // like e.jobs, empty but for the served jobs) and the jobs served. The call's
-// first split builds the job facts and the order its rows share.
+// first split refreshes the jobs' work left and starts the order its rows
+// share, building the SplitJobs first if the context was rebuilt.
 func (e *RhoEstimator) splitAcrossJobs() (shares []cluster.Alloc, served []int) {
-	if q := &e.split; len(q.Jobs) != len(e.jobs) {
+	if q := &e.split; !e.splitReady {
 		// A split of nothing empties the shares the previous call's last
 		// split filled, before the queue forgets which they were.
 		e.picker.Split(e.shares, 0, q)
-		for _, j := range e.jobs {
-			q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, e.Tuner.WorkLeft(j)))
+		if len(q.Jobs) != len(e.jobs) {
+			for _, j := range e.jobs {
+				q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, 0))
+			}
+		}
+		for i, j := range e.jobs {
+			q.Jobs[i].WorkLeft = e.Tuner.WorkLeft(j)
 		}
 		q.Reset()
+		e.splitReady = true
 	}
 	for len(e.shares) < len(e.jobs) {
 		e.shares = append(e.shares, cluster.NewAlloc())
@@ -142,20 +199,25 @@ func (e *RhoEstimator) tShared(now float64) float64 {
 		// of the one waiting longest.
 		return Unbounded * (1 + elapsed)
 	}
-	// Only the served jobs hold GPUs, so only they can finish first.
+	// Only the served jobs hold GPUs, so only they can finish first. The
+	// split records each one's GPU count and locality, so no share is walked
+	// for them.
 	shares, served := e.splitAcrossJobs()
 	best := math.Inf(1)
 	for _, idx := range served {
-		js, alloc := &e.split.Jobs[idx], shares[idx]
-		g := alloc.Total()
+		js := &e.split.Jobs[idx]
+		g, loc := js.Drawn()
 		// A job whose share violates its placement constraint — the §6
 		// floor/cap or a trace v2 domain/flavor affinity — has S = 0: it
 		// contributes no finish time, so a bid built on such an allocation
 		// values out at an unbounded ρ.
-		if g == 0 || !placement.Satisfies(e.Topo, alloc, js.Constraint) {
+		if g == 0 || !placement.Satisfies(e.Topo, shares[idx], js.Constraint) {
 			continue
 		}
-		s := e.App.Profile.SOf(e.Topo, alloc)
+		s := 1.0 // a single GPU never synchronises over the network (Profile.SOf)
+		if g > 1 {
+			s = e.App.Profile.S(loc)
+		}
 		t := elapsed + js.WorkLeft/(float64(g)*s)
 		if t < best {
 			best = t

@@ -25,10 +25,11 @@ type Tuner interface {
 	// Name identifies the tuner ("hyperband", "hyperdrive", "single").
 	Name() string
 	// Update lets the tuner observe progress at simulation time now: it may
-	// kill trials and adjust per-trial MaxParallelism.
+	// kill trials and adjust per-trial MaxParallelism, through the app's
+	// mutators (App.KillJob, App.SetJobWidth) so the app's stamp moves.
 	//
 	// Contract: Update and Done must be pure functions of the app's job
-	// progress — now may stamp decisions (e.g. Job.Kill times) but must not
+	// progress — now may time-stamp decisions (e.g. kill times) but must not
 	// drive them. The simulator relies on this to skip observations of apps
 	// that have neither progressed nor changed allocation since the last
 	// call; a tuner whose decisions depend on wall-clock time alone may be
@@ -137,7 +138,7 @@ func (h *HyperBand) Update(now float64, app *workload.App) {
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].loss < ranked[j].loss })
 		keep := (len(ranked) + 1) / 2
 		for _, r := range ranked[keep:] {
-			r.job.Kill(now)
+			app.KillJob(r.job, now)
 		}
 		h.nextRung[app.ID] = rung + 1
 	}
@@ -259,12 +260,12 @@ func (h *HyperDrive) Update(now float64, app *workload.App) {
 		h.class[j.ID] = cls
 		switch cls {
 		case ClassGood:
-			j.MaxParallelism = j.GangSize
+			app.SetJobWidth(j, j.GangSize)
 		case ClassPromising:
 			mp := int(math.Max(1, math.Round(float64(j.GangSize)*h.PromisingParallelismFraction)))
-			j.MaxParallelism = mp
+			app.SetJobWidth(j, mp)
 		case ClassPoor:
-			j.Kill(now)
+			app.KillJob(j, now)
 		}
 	}
 }

@@ -488,7 +488,9 @@ func checkTallies(t *testing.T, p *Picker, what string) {
 // ladder, DrawSpread, Split and the case's sequence of draws from one load on
 // p and on the oracle o, and fails unless every dst and share is identical
 // key for key, the picker's pool read back is the oracle's map pool, and the
-// picker's tallies add up after every form.
+// picker's tallies add up after every form. What every draw reports of itself
+// (Drawn), and what every Split records of each job it served — after a
+// constrained redraw too — must be its share's Total and locality.
 func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topology, dc drawCase, what string) {
 	t.Helper()
 	same := func(form string, got, want cluster.Alloc) {
@@ -503,33 +505,47 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 		same("pool after "+form, p.Remaining(nil), oPool)
 		checkTallies(t, p, what+": "+form)
 	}
+	// drew checks what a draw reports of itself (Drawn) against its dst, and
+	// returns dst.
+	drew := func(form string, dst cluster.Alloc) cluster.Alloc {
+		t.Helper()
+		checkDrawn(t, topo, what+": "+form, dst, p.Drawn)
+		return dst
+	}
+	// served checks what a Split recorded of every job it served.
+	served := func(form string, q *SplitQueue, shares []cluster.Alloc, idx []int) {
+		t.Helper()
+		for _, i := range idx {
+			checkDrawn(t, topo, fmt.Sprintf("%s: %s job %d", what, form, i), shares[i], q.Jobs[i].Drawn)
+		}
+	}
 	// load loads free into p and returns the oracle's map of it.
 	load := func() cluster.Alloc {
 		p.Load(topo, dc.free)
 		return dc.free.Clone()
 	}
 
-	same("PickInto", p.PickInto(nil, topo, dc.free, dc.anchor, dc.count), o.PickInto(nil, topo, dc.free, dc.anchor, dc.count))
+	same("PickInto", drew("PickInto", p.PickInto(nil, topo, dc.free, dc.anchor, dc.count)), o.PickInto(nil, topo, dc.free, dc.anchor, dc.count))
 	left("PickInto", o.scratch)
 
 	oPool := load()
-	same("Draw", p.Draw(nil, dc.anchor, dc.count), o.Draw(nil, topo, oPool, dc.anchor, dc.count))
+	same("Draw", drew("Draw", p.Draw(nil, dc.anchor, dc.count)), o.Draw(nil, topo, oPool, dc.anchor, dc.count))
 	left("Draw", oPool)
 
 	oPool = load()
-	same("drawConstrained", p.drawConstrained(nil, dc.anchor, dc.count, dc.c),
+	same("drawConstrained", drew("drawConstrained", p.drawConstrained(nil, dc.anchor, dc.count, dc.c)),
 		o.drawConstrained(nil, topo, oPool, dc.anchor, dc.count, dc.c))
 	left("drawConstrained", oPool)
 
 	oPool = load()
-	same("DrawSpread", p.DrawSpread(nil, dc.count), o.DrawSpread(nil, oPool, dc.count))
+	same("DrawSpread", drew("DrawSpread", p.DrawSpread(nil, dc.count)), o.DrawSpread(nil, oPool, dc.count))
 	left("DrawSpread", oPool)
 
 	oPool = load()
 	q := SplitQueue{Jobs: dc.jobs}
 	q.Reset()
 	shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
-	p.Split(shares, dc.budget, &q)
+	served("Split", &q, shares, p.Split(shares, dc.budget, &q))
 	o.Split(oShares, topo, oPool, dc.budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
 	for i := range shares {
 		same("Split share", shares[i], oShares[i])
@@ -540,7 +556,7 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 	// the shares the first split served and this one does not must be empty.
 	budget := dc.free.Total() - dc.budget
 	oPool = load()
-	p.Split(shares, budget, &q)
+	served("re-Split", &q, shares, p.Split(shares, budget, &q))
 	o.Split(oShares, topo, oPool, budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
 	for i := range shares {
 		same("re-Split share", shares[i], oShares[i])
@@ -553,13 +569,13 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 		form := fmt.Sprintf("step %d (%s)", k, stepNames[s.kind])
 		switch s.kind {
 		case stepDraw:
-			same(form, p.Draw(nil, s.anchor, s.count), o.Draw(nil, topo, oPool, s.anchor, s.count))
+			same(form, drew(form, p.Draw(nil, s.anchor, s.count)), o.Draw(nil, topo, oPool, s.anchor, s.count))
 		case stepSpread:
-			same(form, p.DrawSpread(nil, s.count), o.DrawSpread(nil, oPool, s.count))
+			same(form, drew(form, p.DrawSpread(nil, s.count)), o.DrawSpread(nil, oPool, s.count))
 		case stepConstrained:
-			same(form, p.drawConstrained(nil, s.anchor, s.count, dc.c), o.drawConstrained(nil, topo, oPool, s.anchor, s.count, dc.c))
+			same(form, drew(form, p.drawConstrained(nil, s.anchor, s.count, dc.c)), o.drawConstrained(nil, topo, oPool, s.anchor, s.count, dc.c))
 		case stepPeek:
-			got := p.Draw(nil, s.anchor, s.count)
+			got := drew(form, p.Draw(nil, s.anchor, s.count))
 			p.Credit(got)
 			same(form, got, o.PickInto(nil, topo, oPool, s.anchor, s.count))
 		case stepCredit:
@@ -568,7 +584,7 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 		case stepSplit:
 			q.Reset()
 			shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
-			p.Split(shares, s.count, &q)
+			served(form, &q, shares, p.Split(shares, s.count, &q))
 			o.Split(oShares, topo, oPool, s.count, dc.jobs, splitOrderExchange(nil, dc.jobs))
 			for i := range shares {
 				same(form+" share", shares[i], oShares[i])
@@ -578,11 +594,22 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 	}
 }
 
+// checkDrawn requires what a draw or a Split reported of a share (drawn: its
+// GPU count and locality) to be the share's Total and cluster.LocalityOf.
+func checkDrawn(t *testing.T, topo *cluster.Topology, what string, share cluster.Alloc, drawn func() (int, cluster.Locality)) {
+	t.Helper()
+	g, loc := drawn()
+	if want, wantLoc := share.Total(), cluster.LocalityOf(topo, share); g != want || loc != wantLoc {
+		t.Fatalf("%s: the draw reports %d GPUs at %v locality, its share %v holds %d at %v", what, g, loc, share, want, wantLoc)
+	}
+}
+
 // TestDrawMatchesOracle is the dense pool's and the rack walk's contract: on
 // the paper's clusters, the fabric cluster and random sparse-ID multi-domain
 // topologies, every form of the picker takes exactly what the map-pool,
 // pre-walk picker took and leaves the pool exactly as it did, alone and in
-// sequences of draws from one load — 10 000 seeded cases, on reused pickers.
+// sequences of draws from one load, and reports the GPU count and locality of
+// what it took — 10 000 seeded cases, on reused pickers.
 func TestDrawMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	topos := []namedTopo{

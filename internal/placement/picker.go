@@ -172,14 +172,21 @@ type Picker struct {
 	racks    []int               // rack indices, in the order a pass visits them
 
 	// The draw in progress (Begin … Take): where GPUs go to, how many are
-	// still wanted, and what the constraint still allows.
+	// still wanted, what the constraint still allows, and what the draw has
+	// taken so far (Drawn): GPUs, the first machine taken from, and span —
+	// the widest boundary the other machines lie beyond it, a
+	// cluster.Locality kept in constrained's padding, slot until a second
+	// machine is taken.
 	dst         cluster.Alloc
 	anchor      cluster.Alloc
 	need        int
 	c           Constraint
 	constrained bool
+	span        int8
 	floor       int // per-machine GPU floor, >= 1
 	fresh       int // machines the draw may still open under the spread cap; -1 = no cap
+	drawn       int
+	first       cluster.MachineID
 }
 
 // Load makes free, which is only read, the pool on topo. It costs what free
@@ -250,6 +257,7 @@ func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) clust
 	dst = dst.Reset()
 	p.dst, p.anchor = dst, anchor
 	p.need = max(count, 0)
+	p.drawn, p.span = 0, int8(cluster.LocalitySlot)
 	p.c, p.constrained = c, !c.IsZero()
 	p.floor = max(c.MinGPUsPerMachine, 1)
 	p.fresh = -1
@@ -294,6 +302,37 @@ func (p *Picker) Take(m cluster.MachineID) {
 	p.dst[m] += n
 	p.need -= n
 	p.add(m, -n)
+	p.took(m, n)
+}
+
+// took records that the draw took n GPUs from machine m, which it had taken
+// none from before: a successful Take either drains its machine or ends the
+// draw, so no draw takes from a machine twice, and DrawSpread records only
+// its first sweep.
+func (p *Picker) took(m cluster.MachineID, n int) {
+	topo := p.topo
+	switch {
+	case p.drawn == 0:
+		p.first = m
+	case topo.RackIndex(m) == topo.RackIndex(p.first):
+		p.span = max(p.span, int8(cluster.LocalityRack))
+	case topo.DomainIndex(m) == topo.DomainIndex(p.first):
+		p.span = max(p.span, int8(cluster.LocalityDomain))
+	default:
+		p.span = int8(cluster.LocalityNone)
+	}
+	p.drawn += n
+}
+
+// Drawn returns how many GPUs the last draw took and the locality they span:
+// its dst's Total and cluster.LocalityOf, read off the draw's takes instead
+// of the map.
+func (p *Picker) Drawn() (gpus int, loc cluster.Locality) {
+	loc = cluster.Locality(p.span)
+	if p.drawn > 0 && loc == cluster.LocalitySlot && p.drawn > p.topo.Machine(p.first).SlotSize {
+		loc = cluster.LocalityMachine
+	}
+	return p.drawn, loc
 }
 
 // ByCount returns a's machines ordered by descending GPU count then ascending
@@ -528,15 +567,24 @@ func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, coun
 // racks.
 func (p *Picker) DrawSpread(dst cluster.Alloc, count int) cluster.Alloc {
 	dst = dst.Reset()
-	for progress := true; count > 0 && progress; {
+	p.drawn, p.span = 0, int8(cluster.LocalitySlot)
+	// The first sweep opens every machine the draw uses; later sweeps find
+	// GPUs only on those.
+	for first, progress := true, true; count > 0 && progress; first = false {
 		progress = false
 		for m, have := range p.free {
 			if count == 0 {
 				break
 			}
 			if have > 0 {
-				dst[cluster.MachineID(m)]++
-				p.add(cluster.MachineID(m), -1)
+				id := cluster.MachineID(m)
+				dst[id]++
+				p.add(id, -1)
+				if first {
+					p.took(id, 1)
+				} else {
+					p.drawn++
+				}
 				count--
 				progress = true
 			}
@@ -560,6 +608,19 @@ type SplitJob struct {
 	// the topology does not have. Such a job can never run and draws nothing.
 	Constraint   Constraint
 	Unresolvable bool
+
+	// What the job's share got in the last Split that served it (Drawn),
+	// packed into the padding after Unresolvable.
+	span int8
+	gpus int32
+}
+
+// Drawn returns how many GPUs the job's share got in the last Split that
+// served the job, and the locality they span: the share's Total and
+// cluster.LocalityOf, recorded by the draw that filled it. An unresolvable
+// job gets none.
+func (j *SplitJob) Drawn() (gpus int, loc cluster.Locality) {
+	return int(j.gpus), cluster.Locality(j.span)
 }
 
 // SplitQueue is the order a job split serves the jobs wanting GPUs in: least
@@ -613,13 +674,15 @@ func (q *SplitQueue) At(pos int) int {
 // served, in order (valid until q changes). shares is indexed like q.Jobs;
 // it touches only the served jobs' shares (cleared, then filled in place;
 // allocated when nil) and those the previous Split through q served (cleared),
-// so shares empty at q's Reset stay empty outside the served prefix.
+// so shares empty at q's Reset stay empty outside the served prefix. Each
+// served job's SplitJob records what its share got (Drawn).
 func (p *Picker) Split(shares []cluster.Alloc, budget int, q *SplitQueue) []int {
 	pos := 0
 	for ; pos < len(q.order) && budget > 0 && p.total > 0; pos++ {
 		i := q.At(pos)
 		j := &q.Jobs[i]
 		if j.Unresolvable {
+			j.gpus, j.span = 0, int8(cluster.LocalitySlot)
 			continue
 		}
 		want := min(j.Want, budget)
@@ -629,7 +692,9 @@ func (p *Picker) Split(shares []cluster.Alloc, budget int, q *SplitQueue) []int 
 			got = p.drawConstrained(got, nil, want, j.Constraint)
 		}
 		shares[i] = got
-		budget -= want - p.need
+		gpus, loc := p.Drawn()
+		j.gpus, j.span = int32(gpus), int8(loc)
+		budget -= gpus
 	}
 	for _, i := range q.order[min(pos, q.served):q.served] {
 		clear(shares[i])

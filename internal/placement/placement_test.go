@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"themis/internal/cluster"
 	"themis/internal/race"
@@ -557,6 +558,14 @@ func TestDrawSpread(t *testing.T) {
 // TestSplit covers the job split's own rules on a hand-sized case: service
 // order, the parallelism limit, the budget, the constraint-aware re-draw, and
 // that a job whose domain cannot be resolved draws nothing.
+// TestSplitJobSize pins SplitJob at 72 bytes: what a Split records of a job's
+// share (Drawn) lives in the padding after Unresolvable.
+func TestSplitJobSize(t *testing.T) {
+	if got := unsafe.Sizeof(SplitJob{}); got != 72 {
+		t.Errorf("SplitJob is %d bytes, want 72", got)
+	}
+}
+
 func TestSplit(t *testing.T) {
 	topo := multiDomainTopo(t)
 	var p Picker

@@ -139,7 +139,7 @@ func (st *AppState) rejectInfeasible(now float64) bool {
 		}
 		c, ok := j.PlacementConstraint(st.topo)
 		if !ok || !c.Feasible(st.topo) {
-			j.Kill(now)
+			st.App.KillJob(j, now)
 			killed = true
 		}
 	}
@@ -390,7 +390,7 @@ func (st *AppState) advance(from, to float64) bool {
 	}
 	dt := to - start
 	for _, r := range st.runnable {
-		if _, done := r.job.Advance(start, dt, r.g, r.s); done {
+		if _, done := st.App.AdvanceJob(r.job, start, dt, r.g, r.s); done {
 			// A completed job leaves the active set, changing the app's
 			// placement-score sample.
 			st.scoreDirty = true

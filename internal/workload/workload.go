@@ -46,7 +46,8 @@ type Job struct {
 	// sometimes 2.
 	GangSize int
 	// MaxParallelism is the largest number of GPUs the job can exploit
-	// (G_ideal in §5.2). The tuner may lower it to deprioritise a job.
+	// (G_ideal in §5.2). The tuner may lower it to deprioritise a job
+	// (App.SetJobWidth).
 	MaxParallelism int
 	// MinGPUsPerMachine is an optional placement constraint (§6): every
 	// machine in the job's allocation must contribute at least this many
@@ -122,6 +123,8 @@ func (j *Job) RemainingWork() float64 {
 }
 
 // Active reports whether the job still needs GPUs (not done, not killed).
+// Once the job's app is being scheduled, what Active and Width report changes
+// only through the app's mutators (see App.Stamp).
 func (j *Job) Active() bool { return !j.Killed && j.DoneAt == NotFinished }
 
 // PlacementConstraint resolves the job's placement constraints against a
@@ -185,7 +188,8 @@ func (j *Job) IterationsDone() int {
 // Advance accrues work for running dt minutes on g GPUs with placement
 // slowdown s, marking the job done at time now+dt' if it finishes within the
 // interval. It returns the wall-clock minutes actually consumed (≤ dt) and
-// whether the job completed.
+// whether the job completed. A job whose app is being scheduled advances
+// through App.AdvanceJob.
 func (j *Job) Advance(now, dt float64, g int, s float64) (elapsed float64, done bool) {
 	if !j.Active() || g <= 0 || dt <= 0 {
 		return 0, false
@@ -209,7 +213,8 @@ func (j *Job) Advance(now, dt float64, g int, s float64) (elapsed float64, done 
 	return elapsed, done
 }
 
-// Kill marks the trial as terminated early by its tuner at time now.
+// Kill marks the trial as terminated early by its tuner at time now. A job
+// whose app is being scheduled is killed through App.KillJob.
 func (j *Job) Kill(now float64) {
 	if !j.Active() {
 		return
@@ -245,6 +250,61 @@ type App struct {
 	// TIdeal caches the app's ideal (dedicated-cluster) running time in
 	// minutes, computed by IdealRunningTime against a topology.
 	TIdeal float64
+
+	// stamp counts the changes to which jobs are active and how wide they
+	// are (Stamp).
+	stamp uint64
+}
+
+// Stamp returns the app's job stamp. It moves whenever one of the app's jobs
+// stops being active or changes width, which is done through the app's
+// mutators: AdvanceJob (a completion), FinishJob, KillJob and SetJobWidth.
+// Whatever is derived from the active jobs, their widths, gang sizes and
+// constraints — core's job context — stays valid while the stamp does, so a
+// reader revalidates it in O(1) rather than by walking the jobs. A job's
+// Killed, DoneAt, MaxParallelism and GangSize fields, and its constraints,
+// may be written directly only before the app is first scheduled.
+func (a *App) Stamp() uint64 { return a.stamp }
+
+// AdvanceJob is j.Advance for one of the app's jobs, moving the stamp when j
+// completes.
+func (a *App) AdvanceJob(j *Job, now, dt float64, g int, s float64) (elapsed float64, done bool) {
+	elapsed, done = j.Advance(now, dt, g, s)
+	if done {
+		a.stamp++
+	}
+	return elapsed, done
+}
+
+// FinishJob marks j, one of the app's jobs, as having completed all its work
+// at time at — a completion reported rather than integrated by AdvanceJob —
+// and moves the stamp. An inactive job is left as it is.
+func (a *App) FinishJob(j *Job, at float64) {
+	if !j.Active() {
+		return
+	}
+	j.DoneWork, j.DoneAt = j.TotalWork, at
+	a.stamp++
+}
+
+// KillJob is j.Kill for one of the app's jobs, moving the stamp when j was
+// active.
+func (a *App) KillJob(j *Job, now float64) {
+	if !j.Active() {
+		return
+	}
+	j.Kill(now)
+	a.stamp++
+}
+
+// SetJobWidth sets the maximum parallelism of j, one of the app's jobs (the
+// tuner's way to deprioritise a trial), moving the stamp when it changes.
+func (a *App) SetJobWidth(j *Job, width int) {
+	if j.MaxParallelism == width {
+		return
+	}
+	j.MaxParallelism = width
+	a.stamp++
 }
 
 // NewApp constructs an app with the given trials.

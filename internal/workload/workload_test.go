@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"themis/internal/placement"
 )
@@ -64,6 +65,48 @@ func TestJobKill(t *testing.T) {
 	j2.Kill(50)
 	if j2.Killed {
 		t.Error("finished job should not be marked killed")
+	}
+}
+
+// TestAppMutatorsMoveTheStamp pins when the app's job stamp moves: exactly
+// when a job stops being active or changes width, through whichever mutator
+// does it, and never for progress short of completion or for a no-op.
+func TestAppMutatorsMoveTheStamp(t *testing.T) {
+	jobs := []*Job{NewJob("a", 0, 100, 4), NewJob("a", 1, 100, 4), NewJob("a", 2, 100, 4)}
+	app := NewApp("a", 0, placement.ResNet50, jobs)
+	steps := []struct {
+		what  string
+		do    func()
+		moves bool
+	}{
+		{"progress", func() { app.AdvanceJob(jobs[0], 0, 5, 4, 1) }, false},
+		{"completion", func() { app.AdvanceJob(jobs[0], 5, 100, 4, 1) }, true},
+		{"advancing a finished job", func() { app.AdvanceJob(jobs[0], 30, 100, 4, 1) }, false},
+		{"a width change", func() { app.SetJobWidth(jobs[1], 2) }, true},
+		{"the same width", func() { app.SetJobWidth(jobs[1], 2) }, false},
+		{"a kill", func() { app.KillJob(jobs[1], 40) }, true},
+		{"killing a killed job", func() { app.KillJob(jobs[1], 41) }, false},
+		{"a reported completion", func() { app.FinishJob(jobs[2], 50) }, true},
+		{"finishing a finished job", func() { app.FinishJob(jobs[2], 51) }, false},
+	}
+	for _, s := range steps {
+		before := app.Stamp()
+		s.do()
+		if moved := app.Stamp() != before; moved != s.moves {
+			t.Errorf("%s: stamp moved %v, want %v", s.what, moved, s.moves)
+		}
+	}
+	if jobs[1].KilledAt != 40 || jobs[2].DoneAt != 50 || jobs[2].DoneWork != jobs[2].TotalWork {
+		t.Errorf("the mutators left job state %+v, %+v", *jobs[1], *jobs[2])
+	}
+}
+
+// TestJobSize pins Job at 176 bytes, a size class of its own: the job stamp
+// lives on the App because a pointer to it in every Job would move each one
+// into the 192-byte class.
+func TestJobSize(t *testing.T) {
+	if got := unsafe.Sizeof(Job{}); got != 176 {
+		t.Errorf("Job is %d bytes, want 176", got)
 	}
 }
 
