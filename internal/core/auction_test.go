@@ -120,11 +120,20 @@ func TestAgentUnmetParallelism(t *testing.T) {
 	}
 }
 
-// splitOf loads total into the estimator's picker and splits it across the
-// current call's active jobs.
+// splitOf loads total into the estimator's picker, splits it across the
+// current call's active jobs and returns every job's run summed per machine
+// (indexed like the active jobs) and the jobs served.
 func splitOf(e *RhoEstimator, total cluster.Alloc) (shares []cluster.Alloc, served []int) {
 	e.picker.Load(e.Topo, total)
-	return e.splitAcrossJobs()
+	served = e.splitAcrossJobs()
+	for i := range e.split.Jobs {
+		share := cluster.NewAlloc()
+		for _, tk := range e.split.Run(i) {
+			share[tk.Machine] += tk.GPUs
+		}
+		shares = append(shares, share)
+	}
+	return shares, served
 }
 
 // TestAgentSplitForJobs covers the job split an Agent values its bids with
@@ -154,8 +163,8 @@ func TestAgentSplitForJobs(t *testing.T) {
 // TestSplitAcrossJobsEmptiesUnservedShares pins the split's served-prefix
 // contract across valuation calls: after a wide split, a job finishing (which
 // shifts the active jobs' indices) and a narrow split in the next call, the
-// served jobs hold what the reference split gives them and every other share
-// the estimator owns is empty.
+// served jobs' runs hold what the reference split gives them and every other
+// job's run is empty.
 func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 	ps, free := wideFixture(t)
 	for i, p := range ps {
@@ -174,10 +183,13 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 		e.beginCall()
 		shares, served := splitOf(e, narrow)
 		ref := refSplitAcrossJobs(e, narrow, ag.App.ActiveJobs())
-		for k, share := range e.shares {
+		if len(shares) != len(ref) {
+			t.Fatalf("agent %d: %d runs for %d active jobs", i, len(shares), len(ref))
+		}
+		for k, share := range shares {
 			switch {
 			case slices.Contains(served, k):
-				if !share.Equal(ref[k]) || !shares[k].Equal(share) {
+				if !share.Equal(ref[k]) {
 					t.Errorf("agent %d job %d: served share %v, reference %v", i, k, share, ref[k])
 				}
 			case share.Total() != 0:

@@ -172,7 +172,7 @@ func TestArbiterEndToEndWithConstrainedApp(t *testing.T) {
 		if e.Alloc.Total() == 0 {
 			continue
 		}
-		if !placement.SatisfiesMinPerMachine(e.Alloc, 4) && e.Rho < current*0.999 {
+		if !placement.Satisfies(nil, e.Alloc, placement.Constraint{MinGPUsPerMachine: 4}) && e.Rho < current*0.999 {
 			t.Errorf("constraint-violating bid row %v claims improvement: rho %v vs current %v", e.Alloc, e.Rho, current)
 		}
 	}

@@ -35,14 +35,13 @@ type RhoEstimator struct {
 	// placement sensitivity (Figure 11). Nil disables perturbation.
 	Errors *estimator.ErrorModel
 
-	// Estimator scratch, recycled across calls: the per-job shares of the
-	// allocation being split, the picker whose pool holds that allocation
-	// (Rho's current+extra, loaded once per valuation and debited by the
-	// split), and the job context. Everything an estimate touches is either
+	// Estimator scratch, recycled across calls: the picker whose pool holds
+	// the allocation being split (Rho's current+extra, loaded once per
+	// valuation and debited by the split), and the job context, whose queue
+	// logs the split's takes. Everything an estimate touches is either
 	// caller-owned input (read only) or one of these buffers, so a
 	// steady-state ρ probe allocates nothing. An estimator is per-app,
 	// per-goroutine state, so plain fields suffice.
-	shares []cluster.Alloc
 	picker placement.Picker
 
 	// The job context: what the valuation needs of App's jobs that moves
@@ -75,8 +74,6 @@ func (e *RhoEstimator) refresh() {
 	for _, j := range e.jobs {
 		e.width += j.Width()
 	}
-	// The queue's order still names the shares its last split filled, which
-	// the next split empties; only its jobs go.
 	e.split.Jobs = e.split.Jobs[:0]
 	e.splitReady = false
 }
@@ -114,15 +111,13 @@ func gangMode(jobs []*workload.Job) int {
 
 // splitAcrossJobs divides the app-level allocation loaded into the picker
 // among the call's active jobs (placement.Picker.Split, §5.2 step 4), least
-// work left by the tuner's estimate first, and returns the shares (indexed
-// like e.jobs, empty but for the served jobs) and the jobs served. The call's
-// first split refreshes the jobs' work left and starts the order its rows
-// share, building the SplitJobs first if the context was rebuilt.
-func (e *RhoEstimator) splitAcrossJobs() (shares []cluster.Alloc, served []int) {
+// work left by the tuner's estimate first, and returns the jobs served
+// (indices into e.jobs and e.split.Jobs, whose Drawn and Run tell what each
+// got). The call's first split refreshes the jobs' work left and starts the
+// order its rows share, building the SplitJobs first if the context was
+// rebuilt.
+func (e *RhoEstimator) splitAcrossJobs() []int {
 	if q := &e.split; !e.splitReady {
-		// A split of nothing empties the shares the previous call's last
-		// split filled, before the queue forgets which they were.
-		e.picker.Split(e.shares, 0, q)
 		if len(q.Jobs) != len(e.jobs) {
 			for _, j := range e.jobs {
 				q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, 0))
@@ -134,11 +129,7 @@ func (e *RhoEstimator) splitAcrossJobs() (shares []cluster.Alloc, served []int) 
 		q.Reset()
 		e.splitReady = true
 	}
-	for len(e.shares) < len(e.jobs) {
-		e.shares = append(e.shares, cluster.NewAlloc())
-	}
-	shares = e.shares[:len(e.jobs)]
-	return shares, e.picker.Split(shares, e.picker.Total(), &e.split)
+	return e.picker.Split(e.picker.Total(), &e.split)
 }
 
 // NewRhoEstimator returns an estimator for app using the given tuner for
@@ -201,17 +192,14 @@ func (e *RhoEstimator) tShared(now float64) float64 {
 	}
 	// Only the served jobs hold GPUs, so only they can finish first. The
 	// split records each one's GPU count and locality, so no share is walked
-	// for them.
-	shares, served := e.splitAcrossJobs()
+	// for them, and every share it serves satisfies its job's placement
+	// constraint (Picker.Split): a job it could not place drew nothing, and
+	// a bid that feeds no job values out at an unbounded ρ.
 	best := math.Inf(1)
-	for _, idx := range served {
+	for _, idx := range e.splitAcrossJobs() {
 		js := &e.split.Jobs[idx]
 		g, loc := js.Drawn()
-		// A job whose share violates its placement constraint — the §6
-		// floor/cap or a trace v2 domain/flavor affinity — has S = 0: it
-		// contributes no finish time, so a bid built on such an allocation
-		// values out at an unbounded ρ.
-		if g == 0 || !placement.Satisfies(e.Topo, shares[idx], js.Constraint) {
+		if g == 0 {
 			continue
 		}
 		s := 1.0 // a single GPU never synchronises over the network (Profile.SOf)

@@ -59,13 +59,11 @@ func BenchmarkSplit(b *testing.B) {
 		b.Run(fmt.Sprint(budget), func(b *testing.B) {
 			var p Picker
 			q := SplitQueue{Jobs: jobs}
-			shares := make([]cluster.Alloc, len(jobs))
 			b.ReportAllocs()
 			for b.Loop() {
-				p.Split(shares, 0, &q) // empty the last op's shares
 				q.Reset()
 				p.Load(topo, free)
-				p.Split(shares, budget, &q)
+				p.Split(budget, &q)
 			}
 		})
 	}

@@ -489,8 +489,8 @@ func checkTallies(t *testing.T, p *Picker, what string) {
 // p and on the oracle o, and fails unless every dst and share is identical
 // key for key, the picker's pool read back is the oracle's map pool, and the
 // picker's tallies add up after every form. What every draw reports of itself
-// (Drawn), and what every Split records of each job it served — after a
-// constrained redraw too — must be its share's Total and locality.
+// (Drawn) must be its dst's Total and locality; every Split must hold to
+// checkSplit.
 func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topology, dc drawCase, what string) {
 	t.Helper()
 	same := func(form string, got, want cluster.Alloc) {
@@ -511,13 +511,6 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 		t.Helper()
 		checkDrawn(t, topo, what+": "+form, dst, p.Drawn)
 		return dst
-	}
-	// served checks what a Split recorded of every job it served.
-	served := func(form string, q *SplitQueue, shares []cluster.Alloc, idx []int) {
-		t.Helper()
-		for _, i := range idx {
-			checkDrawn(t, topo, fmt.Sprintf("%s: %s job %d", what, form, i), shares[i], q.Jobs[i].Drawn)
-		}
 	}
 	// load loads free into p and returns the oracle's map of it.
 	load := func() cluster.Alloc {
@@ -544,23 +537,17 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 	oPool = load()
 	q := SplitQueue{Jobs: dc.jobs}
 	q.Reset()
-	shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
-	served("Split", &q, shares, p.Split(shares, dc.budget, &q))
+	oShares := make([]cluster.Alloc, len(dc.jobs))
 	o.Split(oShares, topo, oPool, dc.budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
-	for i := range shares {
-		same("Split share", shares[i], oShares[i])
-	}
+	checkSplit(t, p, &q, dc.budget, oShares, what+": Split")
 	left("Split", oPool)
 
-	// Again through the same queue onto the same shares, with another budget:
-	// the shares the first split served and this one does not must be empty.
+	// Again through the same queue, with another budget: the runs of the
+	// jobs the first split served and this one does not must be empty.
 	budget := dc.free.Total() - dc.budget
 	oPool = load()
-	served("re-Split", &q, shares, p.Split(shares, budget, &q))
 	o.Split(oShares, topo, oPool, budget, dc.jobs, splitOrderExchange(nil, dc.jobs))
-	for i := range shares {
-		same("re-Split share", shares[i], oShares[i])
-	}
+	checkSplit(t, p, &q, budget, oShares, what+": re-Split")
 	left("re-Split", oPool)
 
 	// Several draws from one load, each seeing what the last left.
@@ -583,14 +570,97 @@ func checkAgainstOracle(t *testing.T, p *Picker, o *oracle, topo *cluster.Topolo
 			oPool.Credit(s.extra)
 		case stepSplit:
 			q.Reset()
-			shares, oShares := make([]cluster.Alloc, len(dc.jobs)), make([]cluster.Alloc, len(dc.jobs))
-			served(form, &q, shares, p.Split(shares, s.count, &q))
 			o.Split(oShares, topo, oPool, s.count, dc.jobs, splitOrderExchange(nil, dc.jobs))
-			for i := range shares {
-				same(form+" share", shares[i], oShares[i])
-			}
+			checkSplit(t, p, &q, s.count, oShares, what+": "+form)
 		}
 		left(form, oPool)
+	}
+}
+
+// mapSplit is Picker.Split as it was before it logged its takes, verbatim:
+// it filled a map per served job (shares, indexed like q.Jobs; allocated when
+// nil) and cleared the shares the previous Split through q served. It is the
+// dense picker's split with shares for the log, so it holds the log, the runs
+// and the hand-back to the map-filling draws.
+func mapSplit(p *Picker, shares []cluster.Alloc, budget int, q *SplitQueue) []int {
+	pos := 0
+	for ; pos < len(q.order) && budget > 0 && p.total > 0; pos++ {
+		i := q.At(pos)
+		j := &q.Jobs[i]
+		if j.Unresolvable {
+			j.gpus, j.span = 0, int8(cluster.LocalitySlot)
+			continue
+		}
+		want := min(j.Want, budget)
+		got := p.Draw(shares[i], nil, want)
+		if !j.Constraint.IsZero() && !Satisfies(p.topo, got, j.Constraint) {
+			p.Credit(got)
+			got = p.drawConstrained(got, nil, want, j.Constraint)
+		}
+		shares[i] = got
+		gpus, loc := p.Drawn()
+		j.gpus, j.span = int32(gpus), int8(loc)
+		budget -= gpus
+	}
+	for _, i := range q.order[min(pos, q.served):q.served] {
+		clear(shares[i])
+	}
+	q.served = pos
+	return q.order[:pos]
+}
+
+// runAlloc sums a run of takes per machine, failing if the run takes from a
+// machine twice or takes nothing.
+func runAlloc(t *testing.T, run []Take, what string) cluster.Alloc {
+	t.Helper()
+	a := cluster.NewAlloc()
+	for _, tk := range run {
+		if _, twice := a[tk.Machine]; twice || tk.GPUs <= 0 {
+			t.Fatalf("%s: run %v takes from machine %d twice or takes nothing", what, run, tk.Machine)
+		}
+		a[tk.Machine] = tk.GPUs
+	}
+	return a
+}
+
+// checkSplit splits p's pool through q (already Reset, perhaps split through
+// before) with budget, and mapSplit a copy of the pool through a fresh queue
+// over the same jobs. Both must serve the same jobs and leave the same pool;
+// every job's run, summed per machine, must be mapSplit's share and the
+// map-pool oracle's (want, indexed like q.Jobs), empty unless the job was
+// served; and every served job's run must satisfy its constraint, with
+// Drawn its Total and locality.
+func checkSplit(t *testing.T, p *Picker, q *SplitQueue, budget int, want []cluster.Alloc, what string) {
+	t.Helper()
+	var mp Picker
+	mp.Load(p.topo, p.Remaining(nil))
+	mq := SplitQueue{Jobs: slices.Clone(q.Jobs)}
+	mq.Reset()
+	shares := make([]cluster.Alloc, len(q.Jobs))
+	mServed := slices.Clone(mapSplit(&mp, shares, budget, &mq))
+	served := p.Split(budget, q)
+	if !slices.Equal(served, mServed) {
+		t.Fatalf("%s: served %v, the map-filling split served %v", what, served, mServed)
+	}
+	if got, mLeft := p.Remaining(nil), mp.Remaining(nil); !maps.Equal(got, mLeft) {
+		t.Fatalf("%s: the split leaves %v, the map-filling split %v", what, got, mLeft)
+	}
+	for i := range q.Jobs {
+		job := fmt.Sprintf("%s job %d", what, i)
+		got := runAlloc(t, q.Run(i), job)
+		if !maps.Equal(got, shares[i]) || !maps.Equal(got, want[i]) {
+			t.Fatalf("%s: run %v, the map-filling split's share %v, the oracle's %v", job, q.Run(i), shares[i], want[i])
+		}
+		if !slices.Contains(served, i) {
+			if len(got) > 0 {
+				t.Fatalf("%s: not served, but its run is %v", job, q.Run(i))
+			}
+			continue
+		}
+		checkDrawn(t, p.topo, job, got, q.Jobs[i].Drawn)
+		if !Satisfies(p.topo, got, q.Jobs[i].Constraint) {
+			t.Fatalf("%s: run %v breaks its constraint %+v", job, q.Run(i), q.Jobs[i].Constraint)
+		}
 	}
 }
 

@@ -10,52 +10,6 @@ import (
 	"themis/internal/cluster"
 )
 
-// SatisfiesMinPerMachine reports whether an allocation meets a per-machine
-// minimum: every machine used holds at least min GPUs. It implements the
-// placement constraints of §6 — allocations that violate a job's constraint
-// have placement sensitivity 0 and therefore cannot make progress.
-func SatisfiesMinPerMachine(alloc cluster.Alloc, min int) bool {
-	if min <= 0 {
-		return true
-	}
-	for _, n := range alloc {
-		if n > 0 && n < min {
-			return false
-		}
-	}
-	return true
-}
-
-// SatisfiesMaxMachines reports whether an allocation meets a machine-spread
-// cap: the GPUs span at most max machines. It implements the slot/locality
-// placement constraint a trace's placement block can carry — a gang that
-// synchronises over NVLink only (or must stay rack-dense) cannot make
-// progress when scattered wider, so such allocations value out like a
-// violated per-machine minimum. max <= 0 means unconstrained.
-func SatisfiesMaxMachines(alloc cluster.Alloc, max int) bool {
-	if max <= 0 {
-		return true
-	}
-	used := 0
-	for _, n := range alloc {
-		if n > 0 {
-			used++
-			if used > max {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SatisfiesConstraints combines the per-machine minimum and machine-spread
-// placement checks — the full constraint set a job can carry (§6 and the
-// trace v2 placement block). Allocations violating either constraint have
-// placement sensitivity 0 and cannot make progress.
-func SatisfiesConstraints(alloc cluster.Alloc, minPerMachine, maxMachines int) bool {
-	return SatisfiesMinPerMachine(alloc, minPerMachine) && SatisfiesMaxMachines(alloc, maxMachines)
-}
-
 // Constraint is the full placement-constraint set a job can carry: the §6
 // per-machine GPU floor and machine-spread cap, plus the trace v2 affinity
 // constraints binding the job to one fabric domain or GPU flavor. The zero
@@ -109,17 +63,21 @@ func (c Constraint) Feasible(topo *cluster.Topology) bool {
 	return false
 }
 
-// Satisfies reports whether alloc meets the full constraint set on topo.
-// An empty allocation trivially satisfies any constraint.
+// Satisfies reports whether alloc meets the full constraint set on topo:
+// every machine it uses is admitted and holds at least the per-machine floor,
+// and it spans at most MaxMachines machines. Allocations violating the
+// constraint have placement sensitivity 0 and cannot make progress (§6 and the
+// trace v2 placement block). An empty allocation trivially satisfies any
+// constraint.
 func Satisfies(topo *cluster.Topology, alloc cluster.Alloc, c Constraint) bool {
-	if !SatisfiesConstraints(alloc, c.MinGPUsPerMachine, c.MaxMachines) {
-		return false
-	}
-	if c.HasDomain || c.Flavor != "" {
-		for m, n := range alloc {
-			if n > 0 && !c.Admits(topo, m) {
-				return false
-			}
+	used := 0
+	for m, n := range alloc {
+		if n <= 0 {
+			continue
+		}
+		used++
+		if n < c.MinGPUsPerMachine || c.MaxMachines > 0 && used > c.MaxMachines || !c.Admits(topo, m) {
+			return false
 		}
 	}
 	return true
@@ -171,13 +129,14 @@ type Picker struct {
 	anchored []bool              // per domain index: the anchor holds GPUs there
 	racks    []int               // rack indices, in the order a pass visits them
 
-	// The draw in progress (Begin … Take): where GPUs go to, how many are
-	// still wanted, what the constraint still allows, and what the draw has
-	// taken so far (Drawn): GPUs, the first machine taken from, and span —
-	// the widest boundary the other machines lie beyond it, a
-	// cluster.Locality kept in constrained's padding, slot until a second
-	// machine is taken.
+	// The draw in progress (Begin … Take): where GPUs go to (dst, or with no
+	// dst the log of a Split's takes), how many are still wanted, what the
+	// constraint still allows, and what the draw has taken so far (Drawn):
+	// GPUs, the first machine taken from, and span — the widest boundary the
+	// other machines lie beyond it, a cluster.Locality kept in constrained's
+	// padding, slot until a second machine is taken.
 	dst         cluster.Alloc
+	log         *[]Take
 	anchor      cluster.Alloc
 	need        int
 	c           Constraint
@@ -255,6 +214,12 @@ func (p *Picker) Remaining(dst cluster.Alloc) cluster.Alloc {
 // caller's policy prefers. anchor is only read.
 func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
 	dst = dst.Reset()
+	p.begin(dst, anchor, count, c)
+	return dst
+}
+
+// begin is Begin into dst as given: a nil dst makes every take go to the log.
+func (p *Picker) begin(dst, anchor cluster.Alloc, count int, c Constraint) {
 	p.dst, p.anchor = dst, anchor
 	p.need = max(count, 0)
 	p.drawn, p.span = 0, int8(cluster.LocalitySlot)
@@ -269,7 +234,6 @@ func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) clust
 			}
 		}
 	}
-	return dst
 }
 
 // Need returns how many GPUs the draw in progress still wants.
@@ -278,7 +242,8 @@ func (p *Picker) Need() int { return p.need }
 // Take moves as many GPUs as the draw still needs from machine m of the pool
 // into dst — or none, when that would break the draw's constraint: a machine
 // outside the domain/flavor affinity, a machine left under the per-machine
-// floor, or a fresh machine beyond the spread cap.
+// floor, or a fresh machine beyond the spread cap. The draw holds nothing on m
+// yet (see took), so only the anchor counts towards the floor.
 func (p *Picker) Take(m cluster.MachineID) {
 	n := min(p.free[m], p.need)
 	if n <= 0 {
@@ -288,7 +253,7 @@ func (p *Picker) Take(m cluster.MachineID) {
 		if !p.c.Admits(p.topo, m) {
 			return
 		}
-		base := p.anchor[m] + p.dst[m]
+		base := p.anchor[m]
 		if base+n < p.floor {
 			return
 		}
@@ -299,7 +264,11 @@ func (p *Picker) Take(m cluster.MachineID) {
 			p.fresh--
 		}
 	}
-	p.dst[m] += n
+	if p.dst != nil {
+		p.dst[m] += n
+	} else {
+		*p.log = append(*p.log, Take{Machine: m, GPUs: n})
+	}
 	p.need -= n
 	p.add(m, -n)
 	p.took(m, n)
@@ -434,22 +403,32 @@ func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, ancho
 // loop that hands out GPUs until the pool runs dry loads it once and draws.
 func (p *Picker) Draw(dst, anchor cluster.Alloc, count int) cluster.Alloc {
 	dst = p.Begin(dst, anchor, count, Constraint{})
+	p.drawBest()
+	return dst
+}
+
+// drawBest runs the locality-best ladder for the draw begun.
+func (p *Picker) drawBest() {
 	if p.takeNearAnchor() {
 		p.takePacked()
 	}
-	return dst
 }
 
 // drawConstrained is Draw under a constraint set: the same anchor passes, then
 // plain most-free-first packing, every take constraint-checked.
 func (p *Picker) drawConstrained(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
 	dst = p.Begin(dst, anchor, count, c)
+	p.drawFitting()
+	return dst
+}
+
+// drawFitting runs the constraint-aware ladder for the draw begun.
+func (p *Picker) drawFitting() {
 	if p.takeNearAnchor() {
 		for _, m := range p.ByFree() {
 			p.Take(m)
 		}
 	}
-	return dst
 }
 
 // takeNearAnchor runs the ladder's first two passes and reports whether the
@@ -623,8 +602,16 @@ func (j *SplitJob) Drawn() (gpus int, loc cluster.Locality) {
 	return int(j.gpus), cluster.Locality(j.span)
 }
 
+// Take is one take of a split's draw: GPUs from Machine.
+type Take struct {
+	Machine cluster.MachineID
+	GPUs    int
+}
+
 // SplitQueue is the order a job split serves the jobs wanting GPUs in: least
 // work left first, as the job that finishes first sets the app's finish time.
+// It also holds what the last Split through it drew: Takes, in which each
+// served job's share is one run of takes (Run), one per machine.
 //
 // The order is an exchange sort's — it is not stable, and neither bid tables
 // nor job splits may change with how ties happen to fall — run lazily. The
@@ -634,19 +621,36 @@ func (j *SplitJob) Drawn() (gpus int, loc cluster.Locality) {
 // operations in the eager sort's order: the prefix is the eager sort's, ties
 // included, and a split serving p of n jobs costs O(p·n), not O(n²).
 type SplitQueue struct {
-	Jobs           []SplitJob // the caller's to fill before Reset; shares index like it
-	order          []int      // indices of the jobs wanting GPUs; order[:sorted] is final
-	sorted, served int        // served: positions the last Split through q served
+	Jobs []SplitJob // the caller's to fill before Reset; runs index like it
+	// Takes is the last Split's log: every served job's takes, job after job
+	// in the order served. It is valid until the next Split or Reset.
+	Takes          []Take
+	runs           []run // per job: its run in Takes, empty unless the last Split served it
+	order          []int // indices of the jobs wanting GPUs; order[:sorted] is final
+	sorted, served int   // served: positions the last Split through q served
 }
 
-// Reset starts a new order over q.Jobs, forgetting the old one.
+// run is the stretch Takes[lo:hi] of a split's log holding one job's takes.
+type run struct{ lo, hi int32 }
+
+// Reset starts a new order over q.Jobs, forgetting the old one and the last
+// split's log.
 func (q *SplitQueue) Reset() {
-	q.order, q.sorted, q.served = q.order[:0], 0, 0
+	q.order, q.sorted, q.served = slices.Grow(q.order[:0], len(q.Jobs)), 0, 0
 	for i := range q.Jobs {
 		if q.Jobs[i].Want > 0 {
 			q.order = append(q.order, i)
 		}
 	}
+	q.runs, q.Takes = zeroed(q.runs, len(q.Jobs)), q.Takes[:0]
+}
+
+// Run returns job i's share in the last Split through q: its takes, at most
+// one per machine, or none when the split did not feed the job. It is valid
+// until the next Split or Reset.
+func (q *SplitQueue) Run(i int) []Take {
+	r := q.runs[i]
+	return q.Takes[r.lo:r.hi]
 }
 
 // At returns the index of the job served at position pos, running the sort
@@ -671,12 +675,17 @@ func (q *SplitQueue) At(pos int) int {
 // other jobs rather than being stranded on an unrunnable share.
 //
 // It stops where the budget or the pool runs out and returns the jobs it
-// served, in order (valid until q changes). shares is indexed like q.Jobs;
-// it touches only the served jobs' shares (cleared, then filled in place;
-// allocated when nil) and those the previous Split through q served (cleared),
-// so shares empty at q's Reset stay empty outside the served prefix. Each
-// served job's SplitJob records what its share got (Drawn).
-func (p *Picker) Split(shares []cluster.Alloc, budget int, q *SplitQueue) []int {
+// served, in order (valid until q changes). What each served job drew is its
+// run of q.Takes (Run) and, totalled, its SplitJob's Drawn; the log is
+// rewritten and every other job's run emptied. Every run satisfies its job's
+// constraint: the locality-best draw is kept only if it does, and every take
+// of the redraw keeps to it.
+func (p *Picker) Split(budget int, q *SplitQueue) []int {
+	for _, i := range q.order[:q.served] {
+		q.runs[i] = run{}
+	}
+	q.Takes = q.Takes[:0]
+	p.log = &q.Takes
 	pos := 0
 	for ; pos < len(q.order) && budget > 0 && p.total > 0; pos++ {
 		i := q.At(pos)
@@ -686,19 +695,37 @@ func (p *Picker) Split(shares []cluster.Alloc, budget int, q *SplitQueue) []int 
 			continue
 		}
 		want := min(j.Want, budget)
-		got := p.Draw(shares[i], nil, want)
-		if !j.Constraint.IsZero() && !Satisfies(p.topo, got, j.Constraint) {
-			p.Credit(got)
-			got = p.drawConstrained(got, nil, want, j.Constraint)
+		lo := len(q.Takes)
+		p.begin(nil, nil, want, Constraint{})
+		p.drawBest()
+		if !j.Constraint.IsZero() && !satisfiedBy(p.topo, q.Takes[lo:], j.Constraint) {
+			for _, t := range q.Takes[lo:] {
+				p.add(t.Machine, t.GPUs)
+			}
+			q.Takes = q.Takes[:lo]
+			p.begin(nil, nil, want, j.Constraint)
+			p.drawFitting()
 		}
-		shares[i] = got
+		q.runs[i] = run{int32(lo), int32(len(q.Takes))}
 		gpus, loc := p.Drawn()
 		j.gpus, j.span = int32(gpus), int8(loc)
 		budget -= gpus
 	}
-	for _, i := range q.order[min(pos, q.served):q.served] {
-		clear(shares[i])
-	}
+	p.log = nil
 	q.served = pos
 	return q.order[:pos]
+}
+
+// satisfiedBy is Satisfies of a draw's run, which takes from each machine
+// once.
+func satisfiedBy(topo *cluster.Topology, run []Take, c Constraint) bool {
+	if c.MaxMachines > 0 && len(run) > c.MaxMachines {
+		return false
+	}
+	for _, t := range run {
+		if t.GPUs < c.MinGPUsPerMachine || !c.Admits(topo, t.Machine) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -188,18 +189,18 @@ func TestSatisfiesMaxMachines(t *testing.T) {
 		{cluster.NewAlloc(), 1, true},
 	}
 	for _, c := range cases {
-		if got := SatisfiesMaxMachines(c.alloc, c.max); got != c.want {
-			t.Errorf("SatisfiesMaxMachines(%v, %d) = %t, want %t", c.alloc, c.max, got, c.want)
+		if got := Satisfies(nil, c.alloc, Constraint{MaxMachines: c.max}); got != c.want {
+			t.Errorf("Satisfies(%v, cap %d) = %t, want %t", c.alloc, c.max, got, c.want)
 		}
 	}
-	if SatisfiesConstraints(cluster.Alloc{0: 1, 1: 3}, 2, 2) {
-		t.Error("SatisfiesConstraints ignored the per-machine minimum")
+	if Satisfies(nil, cluster.Alloc{0: 1, 1: 3}, Constraint{MinGPUsPerMachine: 2, MaxMachines: 2}) {
+		t.Error("Satisfies ignored the per-machine minimum")
 	}
-	if SatisfiesConstraints(cluster.Alloc{0: 2, 1: 2}, 2, 1) {
-		t.Error("SatisfiesConstraints ignored the machine-spread cap")
+	if Satisfies(nil, cluster.Alloc{0: 2, 1: 2}, Constraint{MinGPUsPerMachine: 2, MaxMachines: 1}) {
+		t.Error("Satisfies ignored the machine-spread cap")
 	}
-	if !SatisfiesConstraints(cluster.Alloc{0: 2, 1: 2}, 2, 2) {
-		t.Error("SatisfiesConstraints rejected a conforming allocation")
+	if !Satisfies(nil, cluster.Alloc{0: 2, 1: 2}, Constraint{MinGPUsPerMachine: 2, MaxMachines: 2}) {
+		t.Error("Satisfies rejected a conforming allocation")
 	}
 }
 
@@ -589,10 +590,23 @@ func TestSplit(t *testing.T) {
 	// so job 1's locality-best draw is two singles — under its floor of 2. It
 	// must hand them back and take the pair instead.
 	p.Load(topo, cluster.Alloc{0: 1, 1: 1, 2: 1, 4: 2})
-	shares := make([]cluster.Alloc, len(jobs))
-	if served := p.Split(shares, 5, &q); !reflect.DeepEqual(served, []int{2, 1, 4}) {
+	sharesOf := func() []cluster.Alloc {
+		out := make([]cluster.Alloc, len(jobs))
+		for i := range out {
+			out[i] = runAlloc(t, q.Run(i), fmt.Sprintf("job %d", i))
+		}
+		return out
+	}
+	if served := p.Split(5, &q); !reflect.DeepEqual(served, []int{2, 1, 4}) {
 		t.Errorf("served %v, want [2 1 4]: the split stops once the pool is spent", served)
 	}
+	if want := (cluster.Alloc{4: 2}); !runAlloc(t, q.Run(1), "job 1").Equal(want) {
+		t.Errorf("constrained job drew %v, want %v", q.Run(1), want)
+	}
+	if len(q.Takes) != 1+len(q.Run(4)) {
+		t.Errorf("log %v: the constrained job's handed-back draw must leave it", q.Takes)
+	}
+	shares := sharesOf()
 	if shares[2].Total() != 0 {
 		t.Errorf("unresolvable job drew %v, want nothing", shares[2])
 	}
@@ -611,7 +625,8 @@ func TestSplit(t *testing.T) {
 
 	// The budget caps what leaves the pool, across jobs.
 	p.Load(topo, cluster.Alloc{2: 4, 3: 4})
-	p.Split(shares, 5, &q)
+	p.Split(5, &q)
+	shares = sharesOf()
 	if shares[1].Total() != 2 || shares[4].Total() != 3 || p.Total() != 3 {
 		t.Errorf("budget 5: shares %v pool %v, want 2 + 3 drawn and 3 left", shares, p.Remaining(nil))
 	}
@@ -633,7 +648,6 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 	}
 	jobs := []SplitJob{{Want: 4, WorkLeft: 2}, {Want: 4, WorkLeft: 1, Constraint: Constraint{MaxMachines: 1}}, {Want: 8, WorkLeft: 3}}
 	q := SplitQueue{Jobs: jobs}
-	shares := make([]cluster.Alloc, len(jobs))
 	var p Picker
 	dst, rest := cluster.NewAlloc(), cluster.NewAlloc()
 	for _, s := range []struct {
@@ -655,7 +669,7 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 			"constrained": func() { load(); p.drawConstrained(dst, s.anchor, s.count, s.c) },
 			"Draw+Credit": func() { load(); p.Credit(p.Draw(dst, s.anchor, s.count)) },
 			"DrawSpread":  func() { load(); p.DrawSpread(dst, s.count) },
-			"Reset+Split": func() { load(); q.Reset(); p.Split(shares, 14, &q) },
+			"Reset+Split": func() { load(); q.Reset(); p.Split(14, &q) },
 			"Remaining":   func() { load(); p.Draw(dst, s.anchor, s.count); p.Remaining(rest) },
 		} {
 			pick()

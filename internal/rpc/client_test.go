@@ -82,10 +82,13 @@ func TestClientReusesConnections(t *testing.T) {
 // TestFanoutReusesConnections: the shared agent transport keeps enough idle
 // connections per host for a whole fan-out, so rounds that ask 16 agents on
 // one host through the pool dial no more connections than the pool is wide.
+// The farm's overlap barrier holds the first call until a second joins it, so
+// the rounds are seen to fan out whatever else loads the CPU.
 func TestFanoutReusesConnections(t *testing.T) {
 	topo := fanoutTopo(t)
 	server := newServer(t, topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 1)
 	farm := newAgentFarm(t, topo, generatedApps(t, 16))
+	farm.holdForOverlap()
 	farm.register(t, server)
 	for round := 0; round < 5; round++ {
 		if _, err := server.RunAuction(float64(1000 + 21*round)); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,12 @@ import (
 // accepts, the ρ requests it has served and the most ρ and bid requests it
 // has had in flight at once; a non-zero rhoDelay holds every ρ answer that
 // long, so calls that are issued concurrently are seen to overlap.
+//
+// holdForOverlap opts into a barrier instead: the first ρ or bid call is held
+// until a second one is in flight with it, or until overlapWait has passed.
+// Calls issued concurrently are then seen to overlap however the scheduler
+// runs them, and a serial caller, whose second call never comes while the
+// first is held, waits the bound out once and shows one call in flight.
 type agentFarm struct {
 	url         string
 	agents      map[string]*AgentServer
@@ -33,6 +40,35 @@ type agentFarm struct {
 	conns       atomic.Int64
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
+
+	overlapped  chan struct{} // non-nil: the barrier is on; closed once it has released
+	releaseOnce sync.Once
+}
+
+// overlapWait bounds how long the overlap barrier holds the first call. It
+// stays under a remote call's 5 s timeout, so a held call is answered rather
+// than abandoned: a serial caller's next call cannot start while it is held.
+const overlapWait = 2 * time.Second
+
+// holdForOverlap turns the overlap barrier on; call it before any round.
+func (f *agentFarm) holdForOverlap() {
+	f.overlapped = make(chan struct{})
+}
+
+// awaitOverlap is the barrier, for a call that found n calls in flight
+// counting itself: a second call releases the first, and a first call held
+// for overlapWait releases itself, so only one call is ever held.
+func (f *agentFarm) awaitOverlap(n int64) {
+	release := func() { f.releaseOnce.Do(func() { close(f.overlapped) }) }
+	if n >= 2 {
+		release()
+		return
+	}
+	select {
+	case <-f.overlapped:
+	case <-time.After(overlapWait):
+		release()
+	}
 }
 
 func newAgentFarm(tb testing.TB, topo *cluster.Topology, apps []*workload.App) *agentFarm {
@@ -50,6 +86,9 @@ func newAgentFarm(tb testing.TB, topo *cluster.Topology, apps []*workload.App) *
 			n := f.inFlight.Add(1)
 			defer f.inFlight.Add(-1)
 			for m := f.maxInFlight.Load(); n > m && !f.maxInFlight.CompareAndSwap(m, n); m = f.maxInFlight.Load() {
+			}
+			if f.overlapped != nil {
+				f.awaitOverlap(n)
 			}
 			if strings.HasSuffix(r.URL.Path, "/v1/rho") {
 				f.rhoCalls.Add(1)

@@ -1,7 +1,8 @@
 package schedulers
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/estimator"
@@ -16,7 +17,16 @@ import (
 // placement score at every lease boundary. Gandiva has no fairness
 // objective. (GPU time-slicing is deliberately not modelled, as in the
 // paper, since it would benefit all schemes equally.)
-type Gandiva struct{}
+//
+// Like every baseline here, a Gandiva keeps its scratch across Allocate
+// calls, so an instance belongs to one simulation and one goroutine; the
+// policy factories build one per run.
+type Gandiva struct {
+	picker  placement.Picker
+	demand  map[workload.AppID]int
+	anchors []cluster.Alloc // per view.Apps index; refilled per call
+	cand    cluster.Alloc
+}
 
 // NewGandiva returns the Gandiva baseline policy.
 func NewGandiva() *Gandiva { return &Gandiva{} }
@@ -26,20 +36,30 @@ func (*Gandiva) Name() string { return "gandiva" }
 
 // Allocate greedily hands gang-sized chunks to whichever app places them
 // best, repeating until demand or supply is exhausted.
-func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
+func (g *Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	demand := demandOf(view)
-	var picker placement.Picker
+	g.demand = demandInto(g.demand, view)
+	demand, picker := g.demand, &g.picker
 	picker.Load(view.Topo, free)
 	// anchors[i] is what view.Apps[i] holds plus what it has won this call:
-	// copied from Held the first time the app is asked, credited with each
-	// win. A candidate is scored on its anchor with the candidate credited
-	// in, then debited back out; the placement score does not depend on the
-	// map's order, so the round trip leaves it as a fresh sum would.
-	anchors := make([]cluster.Alloc, len(view.Apps))
+	// refilled from Held for every app with demand (the only ones asked),
+	// credited with each win. A candidate is scored on its anchor with the
+	// candidate credited in, then debited back out; the placement score does
+	// not depend on the map's order, so the round trip leaves it as a fresh
+	// sum would.
+	for len(g.anchors) < len(view.Apps) {
+		g.anchors = append(g.anchors, cluster.NewAlloc())
+	}
+	anchors := g.anchors
+	for i, st := range view.Apps {
+		if demand[st.App.ID] > 0 {
+			clear(anchors[i])
+			anchors[i].Credit(st.Held)
+		}
+	}
 	// Every app is asked what it would do with the pool before any of it is
 	// committed, so each candidate is drawn and handed back.
-	var cand cluster.Alloc
+	cand := g.cand
 	for picker.Total() > 0 {
 		best := -1
 		bestScore := 0.0
@@ -47,9 +67,6 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 			unmet := demand[st.App.ID]
 			if unmet <= 0 {
 				continue
-			}
-			if anchors[i] == nil {
-				anchors[i] = st.Held.Clone()
 			}
 			anchor := anchors[i]
 			cand = picker.Draw(cand, anchor, chunkFor(st, unmet))
@@ -76,14 +93,21 @@ func (*Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[w
 		anchors[best].Credit(cand)
 		demand[st.App.ID] -= cand.Total()
 	}
+	g.cand = cand
 	return out, nil
 }
 
 // Tiresias models Gu et al.'s least-attained-service (LAS) discipline as the
 // paper does (§8): apps report their total GPU service so far and the GPUs
 // go to the apps with the least attained service. The policy is placement
-// unaware, so chunks are picked spread across machines.
-type Tiresias struct{}
+// unaware, so chunks are picked spread across machines. It keeps its scratch
+// across Allocate calls (see Gandiva).
+type Tiresias struct {
+	picker  placement.Picker
+	demand  map[workload.AppID]int
+	service map[workload.AppID]float64
+	alloc   cluster.Alloc
+}
 
 // NewTiresias returns the Tiresias baseline policy.
 func NewTiresias() *Tiresias { return &Tiresias{} }
@@ -93,14 +117,18 @@ func (*Tiresias) Name() string { return "tiresias" }
 
 // Allocate assigns gang-sized chunks to apps in ascending order of attained
 // GPU service until supply or demand runs out.
-func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
+func (t *Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	demand := demandOf(view)
-	var picker placement.Picker
+	t.demand = demandInto(t.demand, view)
+	demand, picker := t.demand, &t.picker
 	picker.Load(view.Topo, free)
-	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
+	alloc := t.alloc // scratch: mergeGrant copies out of it
 
-	service := make(map[workload.AppID]float64, len(view.Apps))
+	if t.service == nil {
+		t.service = make(map[workload.AppID]float64, len(view.Apps))
+	}
+	service := t.service
+	clear(service)
 	for _, st := range view.Apps {
 		service[st.App.ID] = st.AttainedService()
 	}
@@ -131,6 +159,7 @@ func (*Tiresias) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 		// Bias future picks away from this app proportionally to the grant.
 		service[best.App.ID] += float64(alloc.Total())
 	}
+	t.alloc = alloc
 	return out, nil
 }
 
@@ -142,6 +171,12 @@ type SLAQ struct {
 	// WindowMinutes is the horizon over which marginal loss reduction is
 	// evaluated (defaults to a lease length).
 	WindowMinutes float64
+
+	// Scratch kept across Allocate calls (see Gandiva).
+	picker placement.Picker
+	alloc  cluster.Alloc
+	apps   []slaqApp
+	memo   []slaqTrial
 }
 
 // NewSLAQ returns the SLAQ baseline policy.
@@ -156,20 +191,23 @@ func (*SLAQ) Name() string { return "slaq" }
 // only the winner's holding and demand change, so the others' gains stand.
 func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	var picker placement.Picker
+	picker := &s.picker
 	picker.Load(view.Topo, free)
-	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
+	alloc := s.alloc // scratch: mergeGrant copies out of it
 
 	// Indexed like view.Apps. The apps with demand share one memo slice,
-	// each holding the stretch of it that covers its active trials.
-	apps := make([]slaqApp, len(view.Apps))
+	// each holding the stretch of it that covers its active trials; it is
+	// grown to fit them all before any is appended, so the stretches stay put.
+	s.apps = slices.Grow(s.apps[:0], len(view.Apps))[:len(view.Apps)]
+	apps := s.apps
+	clear(apps)
 	trials := 0
 	for i, st := range view.Apps {
 		if apps[i].demand = st.UnmetDemand(); apps[i].demand > 0 {
 			trials += st.App.NumActiveJobs()
 		}
 	}
-	memo := make([]slaqTrial, 0, trials)
+	memo := slices.Grow(s.memo[:0], trials)
 	for i, st := range view.Apps {
 		a := &apps[i]
 		if a.demand <= 0 {
@@ -211,6 +249,7 @@ func (s *SLAQ) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[wo
 			a.gain = s.lossReduction(a.trials, a.have, chunkFor(st, a.demand))
 		}
 	}
+	s.alloc, s.memo = alloc, memo
 	return out, nil
 }
 
@@ -274,7 +313,14 @@ func (s *SLAQ) lossReduction(trials []slaqTrial, have, extra int) float64 {
 // it equalises GPU counts across active apps at every scheduling round,
 // ignoring placement and finish times. It is not part of the paper's
 // comparison set but is useful as an extra reference point in experiments.
-type ResourceFair struct{}
+// It keeps its scratch across Allocate calls (see Gandiva).
+type ResourceFair struct {
+	picker  placement.Picker
+	demand  map[workload.AppID]int
+	holding map[workload.AppID]int
+	apps    []*sim.AppState
+	alloc   cluster.Alloc
+}
 
 // NewResourceFair returns the resource-fair reference policy.
 func NewResourceFair() *ResourceFair { return &ResourceFair{} }
@@ -284,20 +330,24 @@ func (*ResourceFair) Name() string { return "resource-fair" }
 
 // Allocate gives one gang-sized chunk at a time to the app currently holding
 // the fewest GPUs.
-func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
+func (r *ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	demand := demandOf(view)
-	var picker placement.Picker
+	r.demand = demandInto(r.demand, view)
+	demand, picker := r.demand, &r.picker
 	picker.Load(view.Topo, free)
-	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
-	holding := make(map[workload.AppID]int, len(view.Apps))
+	alloc := r.alloc // scratch: mergeGrant copies out of it
+	if r.holding == nil {
+		r.holding = make(map[workload.AppID]int, len(view.Apps))
+	}
+	holding := r.holding
+	clear(holding)
 	for _, st := range view.Apps {
 		holding[st.App.ID] = st.Held.Total()
 	}
 	// Deterministic ordering of apps for tie-breaks.
-	apps := make([]*sim.AppState, len(view.Apps))
-	copy(apps, view.Apps)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].App.ID < apps[j].App.ID })
+	r.apps = append(r.apps[:0], view.Apps...)
+	apps := r.apps
+	slices.SortFunc(apps, func(a, b *sim.AppState) int { return cmp.Compare(a.App.ID, b.App.ID) })
 
 	for picker.Total() > 0 {
 		var best *sim.AppState
@@ -321,6 +371,8 @@ func (*ResourceFair) Allocate(now float64, free cluster.Alloc, view *sim.View) (
 		demand[best.App.ID] -= alloc.Total()
 		holding[best.App.ID] += alloc.Total()
 	}
+	r.alloc = alloc
+	clear(apps) // hold no AppState past the call
 	return out, nil
 }
 

@@ -17,7 +17,7 @@ import (
 // candidate is scored on a fresh Held.Add(out[id]) plus anchor.Add(cand).
 func gandivaOracle(free cluster.Alloc, view *sim.View) map[workload.AppID]cluster.Alloc {
 	out := make(map[workload.AppID]cluster.Alloc)
-	demand := demandOf(view)
+	demand := demandInto(nil, view)
 	var picker placement.Picker
 	picker.Load(view.Topo, free)
 	// Every app is asked what it would do with the pool before any of it is
@@ -162,7 +162,7 @@ func TestGandivaViewsCoverPoolShapes(t *testing.T) {
 		fabric := seed%2 == 1
 		free, view := randomGandivaView(rand.New(rand.NewSource(seed)), fabric)
 		total := 0
-		for _, d := range demandOf(view) {
+		for _, d := range demandInto(nil, view) {
 			total += d
 		}
 		if free.Total() < total {

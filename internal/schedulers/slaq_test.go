@@ -20,7 +20,7 @@ import (
 // shares none of its valuation or merging code.
 func slaqFullRevaluation(s *SLAQ, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	demand := demandOf(view)
+	demand := demandInto(nil, view)
 	granted := make(map[workload.AppID]int)
 	var picker placement.Picker
 	picker.Load(view.Topo, free)
@@ -181,7 +181,7 @@ func TestSLAQMatchesFullRevaluation(t *testing.T) {
 				t.Fatalf("%s seed %d: Allocate = %v, full re-valuation gives %v", name, seed, got, want)
 			}
 
-			demand, total := demandOf(view), 0
+			demand, total := demandInto(nil, view), 0
 			gains := map[float64]int{}
 			for _, st := range view.Apps {
 				if d := demand[st.App.ID]; d > 0 {

@@ -21,6 +21,8 @@ import (
 type Strawman struct {
 	estimators map[workload.AppID]*core.RhoEstimator
 	tuners     map[workload.AppID]hyperparam.Tuner
+	picker     placement.Picker
+	demand     map[workload.AppID]int
 }
 
 // NewStrawman returns the §4 strawman policy.
@@ -38,9 +40,9 @@ func (*Strawman) Name() string { return "strawman-ftf" }
 // worst current ρ, then repeats with the next-worst app while GPUs remain.
 func (s *Strawman) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
-	demand := demandOf(view)
+	s.demand = demandInto(s.demand, view)
+	demand, picker := s.demand, &s.picker
 	granted := make(map[workload.AppID]bool)
-	var picker placement.Picker
 	picker.Load(view.Topo, free)
 	var alloc cluster.Alloc // scratch: mergeGrant copies out of it
 

@@ -6,15 +6,19 @@ import (
 	"themis/internal/workload"
 )
 
-// demandOf returns how many GPUs each active app can still use, keyed by ID.
-func demandOf(view *sim.View) map[workload.AppID]int {
-	out := make(map[workload.AppID]int, len(view.Apps))
+// demandInto fills demand (cleared first; allocated when nil) with how many
+// GPUs each active app can still use, keyed by ID, and returns it.
+func demandInto(demand map[workload.AppID]int, view *sim.View) map[workload.AppID]int {
+	if demand == nil {
+		demand = make(map[workload.AppID]int, len(view.Apps))
+	}
+	clear(demand)
 	for _, st := range view.Apps {
 		if d := st.UnmetDemand(); d > 0 {
-			out[st.App.ID] = d
+			demand[st.App.ID] = d
 		}
 	}
-	return out
+	return demand
 }
 
 // chunkFor bounds a single grant: policies hand out GPUs in gang-size chunks

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"themis/internal/cluster"
 	"themis/internal/hyperparam"
@@ -25,10 +26,13 @@ type AppState struct {
 	TIdealAtArrival float64
 
 	topo *cluster.Topology
-	// jobAllocs is the current job split: the GPUs assigned to each job,
-	// indexed like App.Jobs. The maps are the app's own and are refilled in
-	// place on every allocation change.
-	jobAllocs   []cluster.Alloc
+	// shares and takes are the app's copy of its current job split: per job
+	// (indexed like App.Jobs; empty until the first allocation change) what
+	// it drew and where its run of takes lies, and the split's log of takes.
+	// Both are the app's own and refilled in place on every allocation
+	// change.
+	shares      []jobShare
+	takes       []placement.Take
 	split       *splitScratch
 	pausedUntil float64
 
@@ -82,16 +86,22 @@ type runnableJob struct {
 	s   float64
 }
 
+// jobShare is one job's part of an app's job split: the GPUs it drew, the
+// locality they span, and its run takes[lo:hi] of the app's log.
+type jobShare struct {
+	lo, hi, gpus int32
+	loc          int8
+}
+
 // splitScratch is the working set of the job split. One simulation's apps
 // share it (the simulator is single-goroutine; sweep workers each own a
-// Simulator), so what an app keeps between allocation changes is its split
-// alone. The picker's pool is what the split in progress divides.
+// Simulator), so what an app keeps between allocation changes is its copy of
+// its split alone. The picker's pool is what the split in progress divides,
+// and the queue's log what it drew; a what-if split (usableWith, repairGrant)
+// reads the queue and leaves the app's copy alone.
 type splitScratch struct {
 	picker placement.Picker
 	queue  placement.SplitQueue // Jobs: the splitting app's, like App.Jobs
-	// shares receives what-if splits (usableWith, repairGrant); resplit
-	// writes the app's own jobAllocs instead.
-	shares []cluster.Alloc
 }
 
 func newAppState(app *workload.App, tuner hyperparam.Tuner, topo *cluster.Topology, split *splitScratch) *AppState {
@@ -100,7 +110,6 @@ func newAppState(app *workload.App, tuner hyperparam.Tuner, topo *cluster.Topolo
 		Tuner:      tuner,
 		Held:       cluster.NewAlloc(),
 		topo:       topo,
-		jobAllocs:  make([]cluster.Alloc, len(app.Jobs)),
 		split:      split,
 		proj:       math.Inf(1),
 		activeIdx:  -1,
@@ -180,14 +189,20 @@ func (st *AppState) UnmetDemand() int { return st.App.UnmetWidth(st.heldTotal) }
 // because of checkpoint/restart churn after its last allocation change.
 func (st *AppState) PausedUntil() float64 { return st.pausedUntil }
 
-// JobAlloc returns the GPUs currently assigned to job id within the app.
+// JobAlloc returns the GPUs currently assigned to job id within the app, in
+// a map of the caller's.
 func (st *AppState) JobAlloc(id workload.JobID) cluster.Alloc {
+	out := cluster.NewAlloc()
 	for i, j := range st.App.Jobs {
-		if j.ID == id {
-			return st.jobAllocs[i].Clone()
+		if j.ID == id && i < len(st.shares) {
+			sh := st.shares[i]
+			for _, t := range st.takes[sh.lo:sh.hi] {
+				out[t.Machine] += t.GPUs
+			}
+			break
 		}
 	}
-	return cluster.NewAlloc()
+	return out
 }
 
 // onAllocationChange re-splits the app's (new) total allocation across its
@@ -216,16 +231,12 @@ func (st *AppState) placementScore() (score, weight float64) {
 	if st.scoreDirty {
 		st.scoreDirty = false
 		var sum, gpus float64
-		for i, j := range st.App.Jobs {
-			if !j.Active() {
+		for i, sh := range st.shares {
+			if sh.gpus == 0 || !st.App.Jobs[i].Active() {
 				continue
 			}
-			alloc := st.jobAllocs[i]
-			g := float64(alloc.Total())
-			if g == 0 {
-				continue
-			}
-			sum += cluster.PlacementScore(st.topo, alloc) * g
+			g := float64(sh.gpus)
+			sum += cluster.LocalityScore(cluster.Locality(sh.loc)) * g
 			gpus += g
 		}
 		if gpus > 0 {
@@ -238,16 +249,22 @@ func (st *AppState) placementScore() (score, weight float64) {
 }
 
 // refreshRunnable rebuilds the cached runnable-job set from the current job
-// split and re-projects the app's completion time at now.
+// split and re-projects the app's completion time at now. Every share the
+// split serves satisfies its job's placement constraint (Picker.Split), so a
+// job that drew GPUs can run; its slowdown is Profile.SOf of its share, read
+// off the split's record.
 func (st *AppState) refreshRunnable(now float64) {
-	st.runnable = st.runnable[:0]
-	for i, j := range st.App.Jobs {
-		alloc := st.jobAllocs[i]
-		g := alloc.Total()
-		if g == 0 || !j.Active() || !st.jobCanRun(j, alloc) {
+	st.runnable = slices.Grow(st.runnable[:0], len(st.takes)) // a job fed has a take
+	for i, sh := range st.shares {
+		j := st.App.Jobs[i]
+		if sh.gpus == 0 || !j.Active() {
 			continue
 		}
-		st.runnable = append(st.runnable, runnableJob{job: j, g: g, s: st.App.Profile.SOf(st.topo, alloc)})
+		s := 1.0 // a single GPU never synchronises over the network
+		if sh.gpus > 1 {
+			s = st.App.Profile.S(cluster.Locality(sh.loc))
+		}
+		st.runnable = append(st.runnable, runnableJob{job: j, g: int(sh.gpus), s: s})
 	}
 	st.project(now)
 }
@@ -273,58 +290,49 @@ func (st *AppState) project(now float64) {
 }
 
 // resplit assigns the app's held GPUs to its active jobs greedily and
-// placement-sensitively, honouring per-job parallelism limits. Jobs nearest
-// completion are placed first (they determine the app's finish time).
+// placement-sensitively, honouring per-job parallelism limits, and copies the
+// split into the app's own record, job by job. Jobs nearest completion are
+// placed first (they determine the app's finish time).
 func (st *AppState) resplit() {
 	st.split.picker.Load(st.topo, st.Held)
-	st.splitInto(st.jobAllocs, st.heldTotal)
+	q := st.splitLoaded(st.heldTotal)
+	if len(st.shares) != len(q.Jobs) {
+		st.shares = make([]jobShare, len(q.Jobs))
+	}
+	st.takes = slices.Grow(st.takes[:0], len(q.Takes))
+	for i := range q.Jobs {
+		g, loc := q.Jobs[i].Drawn()
+		lo := len(st.takes)
+		st.takes = append(st.takes, q.Run(i)...)
+		st.shares[i] = jobShare{lo: int32(lo), hi: int32(len(st.takes)), gpus: int32(g), loc: int8(loc)}
+	}
 }
 
-// splitInto runs the job split (placement.Picker.Split, §5.2 step 4) of the
+// splitLoaded runs the job split (placement.Picker.Split, §5.2 step 4) of the
 // pool loaded into the split scratch's picker over the app's jobs, least true
-// remaining work first, handing out at most budget GPUs. shares is indexed
-// like App.Jobs. It returns the job facts the split used, valid until the
-// next split.
-func (st *AppState) splitInto(shares []cluster.Alloc, budget int) []placement.SplitJob {
+// remaining work first, handing out at most budget GPUs, and returns the
+// queue: its Jobs, indexed like App.Jobs, and their runs are what the split
+// drew, valid until the next split.
+func (st *AppState) splitLoaded(budget int) *placement.SplitQueue {
 	sc, q := st.split, &st.split.queue
-	q.Jobs = q.Jobs[:0]
+	q.Jobs = slices.Grow(q.Jobs[:0], len(st.App.Jobs))
 	for _, j := range st.App.Jobs {
 		q.Jobs = append(q.Jobs, j.SplitJob(st.topo, j.RemainingWork()))
 	}
 	q.Reset()
-	// The simulator reads every share; the queue is shared, so empty them all.
-	for _, share := range shares {
-		clear(share)
-	}
-	sc.picker.Split(shares, budget, q)
-	return q.Jobs
-}
-
-// whatIf splits the loaded pool like splitInto, but into the shared scratch
-// shares (valid until the next what-if) instead of the app's own job split.
-func (st *AppState) whatIf(budget int) ([]cluster.Alloc, []placement.SplitJob) {
-	sc := st.split
-	for len(sc.shares) < len(st.App.Jobs) {
-		sc.shares = append(sc.shares, nil)
-	}
-	shares := sc.shares[:len(st.App.Jobs)]
-	return shares, st.splitInto(shares, budget)
+	sc.picker.Split(budget, q)
+	return q
 }
 
 // usableWith reports whether granting extra on top of the app's current
 // holding would leave at least one job runnable under its placement
-// constraints. schedule uses it to detect grants a constrained app cannot
-// convert into progress.
+// constraints: whether the split of the two feeds any job, as every share the
+// split serves satisfies its job's constraint (Picker.Split). schedule uses it
+// to detect grants a constrained app cannot convert into progress.
 func (st *AppState) usableWith(extra cluster.Alloc) bool {
 	st.split.picker.Load(st.topo, st.Held)
 	st.split.picker.Credit(extra)
-	shares, jobs := st.whatIf(st.split.picker.Total())
-	for i, share := range shares {
-		if share.Total() > 0 && placement.Satisfies(st.topo, share, jobs[i].Constraint) {
-			return true
-		}
-	}
-	return false
+	return len(st.splitLoaded(st.split.picker.Total()).Takes) > 0
 }
 
 // packConstraint derives the app-level constraint handed to a Packer when
@@ -365,15 +373,6 @@ func (st *AppState) packConstraint() placement.Constraint {
 		}
 	}
 	return shared
-}
-
-// jobCanRun reports whether alloc lets j make progress: the full §6 / trace
-// v2 constraint set (per-machine floor, spread cap, domain and flavor
-// affinity) must hold. For unconstrained jobs this reduces to the plain
-// min/max check the flat model used.
-func (st *AppState) jobCanRun(j *workload.Job, alloc cluster.Alloc) bool {
-	c, ok := j.PlacementConstraint(st.topo)
-	return ok && placement.Satisfies(st.topo, alloc, c)
 }
 
 // advance integrates all runnable jobs' progress over [from, to] and, when

@@ -57,18 +57,18 @@ func scanDueLeases(s *Simulator) []core.Lease {
 }
 
 // scanNextCompletion returns the projected completion time of the app's
-// fastest-finishing running job, if any job is running, recomputed from the
-// job split.
+// fastest-finishing running job, if any job is running, recomputed from each
+// job's share of the job split.
 func scanNextCompletion(st *AppState, now float64) (float64, bool) {
 	start := now
 	if st.pausedUntil > start {
 		start = st.pausedUntil
 	}
 	best := math.Inf(1)
-	for i, j := range st.App.Jobs {
-		alloc := st.jobAllocs[i]
+	for _, j := range st.App.Jobs {
+		alloc := st.JobAlloc(j.ID)
 		g := alloc.Total()
-		if !j.Active() || g == 0 || !st.jobCanRun(j, alloc) {
+		if !j.Active() || g == 0 || !jobCanRun(st, j, alloc) {
 			continue
 		}
 		s := st.App.Profile.SOf(st.topo, alloc)
@@ -81,6 +81,14 @@ func scanNextCompletion(st *AppState, now float64) (float64, bool) {
 		return 0, false
 	}
 	return best, true
+}
+
+// jobCanRun reports whether alloc lets j make progress: the full §6 / trace
+// v2 constraint set (per-machine floor, spread cap, domain and flavor
+// affinity) must hold.
+func jobCanRun(st *AppState, j *workload.Job, alloc cluster.Alloc) bool {
+	c, ok := j.PlacementConstraint(st.topo)
+	return ok && placement.Satisfies(st.topo, alloc, c)
 }
 
 // scanEventTimes returns the earliest event time and the earliest

@@ -172,8 +172,8 @@ func TestSatisfiesMinPerMachine(t *testing.T) {
 		{cluster.NewAlloc(), 4, true},
 	}
 	for _, c := range cases {
-		if got := placement.SatisfiesMinPerMachine(c.alloc, c.min); got != c.want {
-			t.Errorf("SatisfiesMinPerMachine(%v, %d) = %v, want %v", c.alloc, c.min, got, c.want)
+		if got := placement.Satisfies(nil, c.alloc, placement.Constraint{MinGPUsPerMachine: c.min}); got != c.want {
+			t.Errorf("Satisfies(%v, floor %d) = %v, want %v", c.alloc, c.min, got, c.want)
 		}
 	}
 }

@@ -547,11 +547,8 @@ func (s *Simulator) repairGrant(st *AppState, alloc, leftover cluster.Alloc) (cl
 	picker.Load(st.topo, alloc)
 	picker.Credit(leftover)
 	repaired := cluster.NewAlloc()
-	shares, _ := st.whatIf(alloc.Total())
-	for _, share := range shares {
-		for m, n := range share {
-			repaired[m] += n
-		}
+	for _, t := range st.splitLoaded(alloc.Total()).Takes {
+		repaired[t.Machine] += t.GPUs
 	}
 	// Read back before usableWith reloads the picker.
 	rest := picker.Remaining(nil)

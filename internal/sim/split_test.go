@@ -172,8 +172,8 @@ func TestSharedSplitMatchesSimulatorSplit(t *testing.T) {
 					held := randomHolding(rng, topo, 2+rng.Intn(3))
 					st.onAllocationChange(0, held, 0)
 					want := refSplitHeld(st, held)
-					for i, j := range app.Jobs {
-						if got := st.JobAlloc(j.ID); !got.Equal(want[j.ID]) || !got.Equal(st.jobAllocs[i]) {
+					for _, j := range app.Jobs {
+						if got := st.JobAlloc(j.ID); !got.Equal(want[j.ID]) {
 							t.Fatalf("trial %d: job %s holds %v, the simulator's split gave %v (held %v)", trial, j.ID, got, want[j.ID], held)
 						}
 					}
@@ -181,8 +181,8 @@ func TestSharedSplitMatchesSimulatorSplit(t *testing.T) {
 					if got, want := st.usableWith(extra), refUsableWith(st, extra); got != want {
 						t.Fatalf("trial %d: usableWith(%v) = %t, the simulator's split says %t (held %v)", trial, extra, got, want, held)
 					}
-					for i, j := range app.Jobs {
-						if !st.jobAllocs[i].Equal(want[j.ID]) {
+					for _, j := range app.Jobs {
+						if !st.JobAlloc(j.ID).Equal(want[j.ID]) {
 							t.Fatalf("trial %d: the what-if split disturbed job %s's share", trial, j.ID)
 						}
 					}
@@ -218,6 +218,59 @@ func TestResplitZeroAlloc(t *testing.T) {
 	change()
 	if allocs := testing.AllocsPerRun(200, change); allocs != 0 {
 		t.Errorf("a warmed allocation change allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestResplitAllocsPerApp: an app's first allocation change allocates its
+// copy of the split (the per-job records and the log) and the runnable cache,
+// three objects whatever the app's job count — no map or object per job. The
+// simulator-wide scratch is warmed on the largest app first, as a run's
+// earlier apps warm it; each measured change is a fresh app's first, holding
+// the same 16 GPUs, with a third of its jobs under a per-machine floor.
+func TestResplitAllocsPerApp(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; the allocation contract is checked without -race")
+	}
+	const (
+		runs   = 20
+		bound  = 3 // the records, the log and the runnable cache
+		unfeed = 2 // the floor's jobs need 2 GPUs per machine
+	)
+	topo := simTopo(t, 8, 4, 4)
+	held := cluster.Alloc{0: 4, 1: 3, 4: 4, 6: 1, 7: 4}
+	var scratch splitScratch
+	newState := func(n int) *AppState {
+		app := simApp(fmt.Sprintf("a%d", n), 0, placement.VGG16, n, 100)
+		for i, j := range app.Jobs {
+			j.DoneWork = float64(i%7) * 10
+			if i%3 == 0 {
+				j.MinGPUsPerMachine = unfeed
+			}
+		}
+		return newAppState(app, fifoTuner{}, topo, &scratch)
+	}
+	newState(1024).onAllocationChange(0, held, 0)
+	counts := map[int]float64{}
+	for _, n := range []int{16, 128, 1024} {
+		states := make([]*AppState, runs+1)
+		for k := range states {
+			states[k] = newState(n)
+		}
+		next := 0
+		counts[n] = testing.AllocsPerRun(runs, func() {
+			states[next].onAllocationChange(0, held, 0)
+			next++
+		})
+		if len(states[0].runnable) == 0 {
+			t.Fatalf("%d jobs: no job runs on %v", n, held)
+		}
+	}
+	t.Logf("objects per first allocation change, by job count: %v", counts)
+	for n, c := range counts {
+		if c > bound || c != counts[16] {
+			t.Errorf("an app of %d jobs allocates %.0f objects on its first allocation change; want at most %d, and as many as an app of 16 jobs (%.0f)",
+				n, c, bound, counts[16])
+		}
 	}
 }
 

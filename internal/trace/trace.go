@@ -254,9 +254,10 @@ func (t Trace) ToApps() ([]*workload.App, error) {
 	var apps []*workload.App
 	for _, spec := range t.Apps {
 		profile := spec.resolveProfile()
-		var jobs []*workload.Job
+		jobs := make([]*workload.Job, 0, len(spec.Jobs))
+		slab := workload.NewJobSlab(workload.AppID(spec.ID), len(spec.Jobs))
 		for i, js := range spec.Jobs {
-			j := workload.NewJob(workload.AppID(spec.ID), i, js.TotalWork, js.GangSize)
+			j := slab.Job(i, js.TotalWork, js.GangSize)
 			if js.MaxParallelism > 0 {
 				j.MaxParallelism = js.MaxParallelism
 			}

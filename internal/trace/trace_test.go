@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"themis/internal/workload"
 )
@@ -141,5 +143,51 @@ func TestReadValidates(t *testing.T) {
 		{"id":"a","jobs":[{"total_work":1,"gang_size":1}]}]}`
 	if _, err := Read(strings.NewReader(dup)); !errors.As(err, &dupErr) {
 		t.Errorf("duplicate ID error = %v, want DuplicateAppIDError", err)
+	}
+}
+
+// TestToAppsJobsAreNewJobs: ToApps makes an app's jobs in one slab, and every
+// job comes out field for field as NewJob makes it, with the trace's
+// per-job and placement-block fields set on top and its ID "<app>/j<index>",
+// a slice of the app's one ID string.
+func TestToAppsJobsAreNewJobs(t *testing.T) {
+	tr := FromApps("unit", genApps(t, 12))
+	tr.Apps[0].Placement = &PlacementSpec{MinGPUsPerMachine: 2, MaxMachines: 3, Domain: "pod-a", Flavor: "V100"}
+	tr.Apps[1].Jobs[0].MaxParallelism = 8
+	tr.Apps[1].Jobs[0].MaxMachines = 1
+	apps, err := tr.ToApps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, app := range apps {
+		base := unsafe.StringData(string(app.Jobs[0].ID))
+		off := 0
+		for i, j := range app.Jobs {
+			want := *workload.NewJob(app.ID, i, j.TotalWork, j.GangSize)
+			want.MaxParallelism, want.TotalIterations = j.MaxParallelism, j.TotalIterations
+			want.MinGPUsPerMachine, want.MaxMachines = j.MinGPUsPerMachine, j.MaxMachines
+			want.DomainAffinity, want.FlavorAffinity = j.DomainAffinity, j.FlavorAffinity
+			want.Quality, want.Seed = j.Quality, j.Seed
+			if *j != want {
+				t.Fatalf("app %s job %d = %+v, NewJob makes %+v", app.ID, i, *j, want)
+			}
+			if id := workload.JobID(fmt.Sprintf("%s/j%d", app.ID, i)); j.ID != id {
+				t.Fatalf("app %s job %d has ID %q, want %q", app.ID, i, j.ID, id)
+			}
+			if unsafe.StringData(string(j.ID)) != (*byte)(unsafe.Add(unsafe.Pointer(base), off)) {
+				t.Fatalf("app %s job %d: its ID is not the next slice of the app's ID string", app.ID, i)
+			}
+			off += len(j.ID)
+			spec := tr.Apps[a].Jobs[i]
+			if j.TotalWork != spec.TotalWork || j.GangSize != spec.GangSize || j.Quality != spec.Quality || j.Seed != spec.Seed {
+				t.Fatalf("app %s job %d = %+v, the trace says %+v", app.ID, i, *j, spec)
+			}
+		}
+	}
+	if j := apps[0].Jobs[0]; j.MinGPUsPerMachine != 2 || j.MaxMachines != 3 || j.DomainAffinity != "pod-a" || j.FlavorAffinity != "V100" {
+		t.Errorf("placement block not applied: %+v", *j)
+	}
+	if j := apps[1].Jobs[0]; j.MaxParallelism != 8 || j.MaxMachines != 1 {
+		t.Errorf("per-job fields not applied: %+v", *j)
 	}
 }

@@ -197,7 +197,7 @@ func generateApp(cfg GeneratorConfig, rng *rand.Rand, index int, submit float64)
 	nJobs := clampInt(int(math.Round(lognormal(rng, cfg.JobsPerAppMedian, cfg.JobsPerAppSigma))),
 		cfg.MinJobsPerApp, cfg.MaxJobsPerApp)
 
-	jobs := make([]*Job, 0, nJobs)
+	jobs, slab := make([]*Job, 0, nJobs), NewJobSlab(id, nJobs)
 	for j := 0; j < nJobs; j++ {
 		median := cfg.ShortTaskMedian
 		if rng.Float64() < cfg.LongTaskFraction {
@@ -212,7 +212,7 @@ func generateApp(cfg GeneratorConfig, rng *rand.Rand, index int, submit float64)
 		if rng.Float64() < cfg.GangSizeFourFraction {
 			gang = 4
 		}
-		job := NewJob(id, j, duration*float64(gang), gang)
+		job := slab.Job(j, duration*float64(gang), gang)
 		job.Quality = rng.Float64()
 		job.Seed = rng.Int63()
 		job.TotalIterations = 200 + rng.Intn(1800)

@@ -14,6 +14,8 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"themis/internal/cluster"
 	"themis/internal/placement"
@@ -94,10 +96,16 @@ type Job struct {
 	DoneAt float64
 }
 
-// NewJob returns a Job with runtime fields initialised.
+// NewJob returns a Job with runtime fields initialised. Its ID is
+// "<app>/j<index>".
 func NewJob(app AppID, index int, totalWork float64, gangSize int) *Job {
-	return &Job{
-		ID:              JobID(fmt.Sprintf("%s/j%d", app, index)),
+	j := newJob(JobID(string(app)+"/j"+strconv.Itoa(index)), app, index, totalWork, gangSize)
+	return &j
+}
+
+func newJob(id JobID, app AppID, index int, totalWork float64, gangSize int) Job {
+	return Job{
+		ID:              id,
 		App:             app,
 		Index:           index,
 		TotalWork:       totalWork,
@@ -107,6 +115,46 @@ func NewJob(app AppID, index int, totalWork float64, gangSize int) *Job {
 		KilledAt:        NotFinished,
 		DoneAt:          NotFinished,
 	}
+}
+
+// JobSlab makes the n jobs of one app in two allocations, whatever n is: one
+// slice of Jobs, and one string of which every job's ID is a slice.
+type JobSlab struct {
+	app  AppID
+	ids  string // every job's ID, back to back in index order
+	jobs []Job
+}
+
+// NewJobSlab returns a slab for jobs 0 … n-1 of app.
+func NewJobSlab(app AppID, n int) JobSlab {
+	var b strings.Builder
+	b.Grow(idOffset(app, n))
+	var digits [20]byte
+	for i := range n {
+		b.WriteString(string(app))
+		b.WriteString("/j")
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	return JobSlab{app: app, ids: b.String(), jobs: make([]Job, n)}
+}
+
+// Job returns job index of the slab, field for field what NewJob(app, index,
+// totalWork, gangSize) returns. Each index is the slab's one job: asking
+// twice returns the same job, made afresh.
+func (s JobSlab) Job(index int, totalWork float64, gangSize int) *Job {
+	id := JobID(s.ids[idOffset(s.app, index):idOffset(s.app, index+1)])
+	s.jobs[index] = newJob(id, s.app, index, totalWork, gangSize)
+	return &s.jobs[index]
+}
+
+// idOffset returns where job i's ID starts in a slab's ID string: the length
+// of the IDs of jobs 0 … i-1, each "<app>/j" and its index's digits.
+func idOffset(app AppID, i int) int {
+	n := i * (len(app) + len("/j"))
+	for d, lo, hi := 1, 0, 10; i > lo; d, lo, hi = d+1, hi, hi*10 {
+		n += d * (min(i, hi) - lo) // the indices in [lo, hi) have d digits
+	}
+	return n
 }
 
 // defaultIterations is the iteration count assigned to synthetic jobs when a

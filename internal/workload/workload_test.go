@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"unsafe"
 
 	"themis/internal/placement"
+	"themis/internal/race"
 )
 
 func TestJobAdvance(t *testing.T) {
@@ -329,5 +331,73 @@ func TestAdvanceWorkConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkJobsAreNewJobs fails unless every job of apps is field for field what
+// NewJob returns for its app, index, work and gang size, once the fields its
+// maker sets after construction are copied over, and its ID is
+// "<app>/j<index>". The IDs of an app's jobs must be slices of one string,
+// back to back in index order.
+func checkJobsAreNewJobs(t *testing.T, apps []*App) {
+	t.Helper()
+	for _, a := range apps {
+		base := unsafe.StringData(string(a.Jobs[0].ID))
+		off := 0
+		for i, j := range a.Jobs {
+			want := *NewJob(a.ID, i, j.TotalWork, j.GangSize)
+			want.MaxParallelism, want.TotalIterations = j.MaxParallelism, j.TotalIterations
+			want.MinGPUsPerMachine, want.MaxMachines = j.MinGPUsPerMachine, j.MaxMachines
+			want.DomainAffinity, want.FlavorAffinity = j.DomainAffinity, j.FlavorAffinity
+			want.Quality, want.Seed = j.Quality, j.Seed
+			if *j != want {
+				t.Fatalf("app %s job %d = %+v, NewJob makes %+v", a.ID, i, *j, want)
+			}
+			if id := JobID(fmt.Sprintf("%s/j%d", a.ID, i)); j.ID != id {
+				t.Fatalf("app %s job %d has ID %q, want %q", a.ID, i, j.ID, id)
+			}
+			if unsafe.StringData(string(j.ID)) != (*byte)(unsafe.Add(unsafe.Pointer(base), off)) {
+				t.Fatalf("app %s job %d: its ID is not the next slice of the app's ID string", a.ID, i)
+			}
+			off += len(j.ID)
+		}
+	}
+}
+
+// TestGeneratedJobsAreNewJobs: the base and scenario generators make an
+// app's jobs in one slab, and every job comes out as NewJob makes it.
+func TestGeneratedJobsAreNewJobs(t *testing.T) {
+	cfg := DefaultGeneratorConfig()
+	cfg.NumApps, cfg.Seed = 40, 3
+	apps, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJobsAreNewJobs(t, apps)
+	sc := scenarioBase(40)
+	sc.JobSize, sc.GangSizes = SizePareto, []GangMix{{Size: 1, Weight: 1}, {Size: 8, Weight: 1}}
+	if apps, err = GenerateScenario(sc); err != nil {
+		t.Fatal(err)
+	}
+	checkJobsAreNewJobs(t, apps)
+}
+
+// TestJobSlabAllocs: a slab spends one allocation on its jobs and one on
+// their IDs, whatever the number of jobs — 1, 98 (the generators' largest
+// app) or 1000.
+func TestJobSlabAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; the allocation contract is checked without -race")
+	}
+	for _, n := range []int{1, 98, 1000} {
+		allocs := testing.AllocsPerRun(20, func() {
+			slab := NewJobSlab("app-007", n)
+			for i := range n {
+				slab.Job(i, 10, 4)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("a slab of %d jobs allocates %v objects, want 2", n, allocs)
+		}
 	}
 }
