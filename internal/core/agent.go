@@ -75,17 +75,20 @@ func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable 
 // math are exactly PrepareBid's — the batched and standalone paths must stay
 // bit-identical.
 func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *BidValuator, entries []BidEntry) BidTable {
-	// One job context values every row: nothing below changes job state.
-	ag.Estimator.beginCall()
+	// One job context and one load of current value every row: nothing below
+	// changes job state, and each row leaves the estimator's pool as it was.
+	e := ag.Estimator
+	e.beginCall(current)
 	rows := nextRow(entries[:0])
-	rows[0].Rho = ag.Estimator.rho(now, current, nil)
-	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), ag.GangSize())
+	rows[0].Rho = e.rho(now)
+	unmet := max(e.width-e.picker.Total(), 0)
+	if unmet > 0 {
+		v.picker.Load(e.Topo, offer)
+	}
+	sizes := v.candidateSizes(v.picker.Total(), unmet, e.gang) // with unmet = 0 the total is not read
 	maxRows := ag.MaxBidRows
 	if maxRows <= 0 {
 		maxRows = DefaultMaxBidRows
-	}
-	if len(sizes) > 0 {
-		v.picker.Load(ag.Estimator.Topo, offer)
 	}
 	// Every candidate is drawn from the whole offer (the draw is handed back
 	// before the next), no size exceeds it, an unconstrained draw fills its
@@ -97,13 +100,13 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		}
 		rows = nextRow(rows)
 		row := &rows[len(rows)-1]
-		if ag.PlacementBlind {
-			v.picker.DrawSpread(row.Alloc, size)
-		} else {
-			v.picker.Draw(row.Alloc, current, size)
+		log := e.readySplit()
+		v.picker.DrawTakes(log, current, size, ag.PlacementBlind)
+		for _, t := range *log {
+			row.Alloc[t.Machine] += t.GPUs
 		}
-		v.picker.Credit(row.Alloc)
-		row.Rho = ag.Estimator.rho(now, current, row.Alloc)
+		v.picker.CreditTakes(*log, 1)
+		row.Rho = e.rho(now)
 	}
 	return BidTable{App: ag.App.ID, Entries: rows}
 }

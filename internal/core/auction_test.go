@@ -120,12 +120,13 @@ func TestAgentUnmetParallelism(t *testing.T) {
 	}
 }
 
-// splitOf loads total into the estimator's picker, splits it across the
-// current call's active jobs and returns every job's run summed per machine
-// (indexed like the active jobs) and the jobs served.
+// splitOf begins a valuation call of total, splits it across the active
+// jobs without the estimator's early stop, so that every job the pool can
+// feed is served, and returns every job's run summed per machine (indexed
+// like the active jobs) and the jobs served.
 func splitOf(e *RhoEstimator, total cluster.Alloc) (shares []cluster.Alloc, served []int) {
-	e.picker.Load(e.Topo, total)
-	served = e.splitAcrossJobs()
+	e.beginCall(total)
+	served = e.splitAcrossJobs(nil)
 	for i := range e.split.Jobs {
 		share := cluster.NewAlloc()
 		for _, tk := range e.split.Run(i) {
@@ -143,7 +144,6 @@ func TestAgentSplitForJobs(t *testing.T) {
 	topo := testTopo(t, 4, 4, 2)
 	app := testApp("a", 0, placement.VGG16, 3, 100, 4)
 	est := agentFor(topo, app).Estimator
-	est.beginCall()
 	shares, _ := splitOf(est, cluster.Alloc{0: 4, 1: 4})
 	if len(shares) != len(app.Jobs) {
 		t.Fatalf("%d shares for %d jobs", len(shares), len(app.Jobs))
@@ -170,7 +170,6 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 	for i, p := range ps {
 		ag := p.state.Agent.(*Agent)
 		e := ag.Estimator
-		e.beginCall()
 		if _, served := splitOf(e, free); len(served) < 3 {
 			t.Fatalf("agent %d: the wide split served %d jobs; the fixture must feed several", i, len(served))
 		}
@@ -180,7 +179,6 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 			narrow[m] = n
 			break
 		}
-		e.beginCall()
 		shares, served := splitOf(e, narrow)
 		ref := refSplitAcrossJobs(e, narrow, ag.App.ActiveJobs())
 		if len(shares) != len(ref) {

@@ -304,7 +304,6 @@ func TestWideAppBidEquivalence(t *testing.T) {
 				ag := p.state.Agent.(*Agent)
 				total := p.state.Current.Add(want[i].Entries[len(want[i].Entries)-1].Alloc)
 				ref := refSplitAcrossJobs(ag.Estimator, total, ag.App.ActiveJobs())
-				ag.Estimator.beginCall()
 				got, _ := splitOf(ag.Estimator, total)
 				for k, j := range ag.App.ActiveJobs() {
 					if !got[k].Equal(ref[k]) {

@@ -36,26 +36,28 @@ type RhoEstimator struct {
 	Errors *estimator.ErrorModel
 
 	// Estimator scratch, recycled across calls: the picker whose pool holds
-	// the allocation being split (Rho's current+extra, loaded once per
-	// valuation and debited by the split), and the job context, whose queue
-	// logs the split's takes. Everything an estimate touches is either
-	// caller-owned input (read only) or one of these buffers, so a
-	// steady-state ρ probe allocates nothing. An estimator is per-app,
-	// per-goroutine state, so plain fields suffice.
+	// the holding being valued (loaded once per call; each bid row's takes
+	// are credited to it for the row's split and debited after), and the job
+	// context, whose queue logs the row's takes and the split's. Everything
+	// an estimate touches is either caller-owned input (read only) or one of
+	// these buffers, so a steady-state ρ probe allocates nothing. An
+	// estimator is per-app, per-goroutine state, so plain fields suffice.
 	picker placement.Picker
 
 	// The job context: what the valuation needs of App's jobs that moves
 	// only with its stamp (workload.App.Stamp) — the active jobs, T_ID, their
-	// gang-size mode and summed width, and each one's SplitJob (want,
-	// resolved constraint, unresolvable). refresh rebuilds it when the stamp
-	// has moved since it was built; the SplitJobs are built by the first
-	// split after that. splitReady marks that the call in progress has
-	// refreshed the jobs' WorkLeft and reset the queue.
+	// gang-size mode and summed width, the split's bound (the widest job and
+	// the profile's largest S), and each job's SplitJob (want, resolved
+	// constraint, unresolvable). refresh rebuilds it when the stamp has moved
+	// since it was built; the SplitJobs are built by the first split after
+	// that. splitReady marks that the call in progress has refreshed the
+	// jobs' WorkLeft and reset the queue.
 	stamp             uint64 // App's stamp when the context was built
 	jobs              []*workload.Job
 	tIdeal            float64
 	gang              int                  // GangSize
 	width             int                  // the active jobs' summed Width
+	finish            placement.Finish     // Profile, MaxWidth, SMax; each split sets Elapsed and Best
 	split             placement.SplitQueue // Jobs: per active job, same indexing as jobs; empty until built
 	built, splitReady bool
 }
@@ -71,20 +73,32 @@ func (e *RhoEstimator) refresh() {
 	e.tIdeal = e.TIdeal()
 	e.gang = gangMode(e.jobs)
 	e.width = 0
+	f := &e.finish
+	f.Profile, f.MaxWidth, f.SMax = &e.App.Profile, 0, 1
 	for _, j := range e.jobs {
 		e.width += j.Width()
+		f.MaxWidth = max(f.MaxWidth, j.Width())
+	}
+	for l := cluster.LocalitySlot; l <= cluster.LocalityNone; l++ {
+		s := e.App.Profile.S(l)
+		if !(s > 0) {
+			s = math.NaN() // no bound holds under a slowdown of zero or less
+		}
+		f.SMax = max(f.SMax, s)
 	}
 	e.split.Jobs = e.split.Jobs[:0]
 	e.splitReady = false
 }
 
 // beginCall starts a valuation call (a ρ probe, or all the rows of one bid
-// table): job state does not change while it is in flight, so the call's
-// rows share the job context and, once the first of them has split, the
-// work-left order.
-func (e *RhoEstimator) beginCall() {
+// table) of holding, which it loads into the picker: job state does not
+// change while it is in flight, so the call's rows share the job context
+// and, once the first of them has split, the work-left order.
+func (e *RhoEstimator) beginCall(holding cluster.Alloc) {
 	e.refresh()
 	e.splitReady = false
+	e.split.Takes = e.split.Takes[:0]
+	e.picker.Load(e.Topo, holding)
 }
 
 // gangMode returns the gang size jobs typically need: the mode (the larger
@@ -111,12 +125,20 @@ func gangMode(jobs []*workload.Job) int {
 
 // splitAcrossJobs divides the app-level allocation loaded into the picker
 // among the call's active jobs (placement.Picker.Split, §5.2 step 4), least
-// work left by the tuner's estimate first, and returns the jobs served
-// (indices into e.jobs and e.split.Jobs, whose Drawn and Run tell what each
-// got). The call's first split refreshes the jobs' work left and starts the
-// order its rows share, building the SplitJobs first if the context was
-// rebuilt.
-func (e *RhoEstimator) splitAcrossJobs() []int {
+// work left by the tuner's estimate first, stopping early as f allows (nil:
+// never), and returns the jobs served (indices into e.jobs and e.split.Jobs,
+// whose Drawn and Run tell what each got).
+func (e *RhoEstimator) splitAcrossJobs(f *placement.Finish) []int {
+	e.readySplit()
+	return e.picker.Split(e.picker.Total(), &e.split, f)
+}
+
+// readySplit readies the call's split and returns its log, for a bid row to
+// be drawn into and valued by rho. The call's first use refreshes the jobs'
+// work left and starts the order its rows share, building the SplitJobs first
+// if the context was rebuilt; that empties the log, so it comes before any
+// row is drawn.
+func (e *RhoEstimator) readySplit() *[]placement.Take {
 	if q := &e.split; !e.splitReady {
 		if len(q.Jobs) != len(e.jobs) {
 			for _, j := range e.jobs {
@@ -129,7 +151,7 @@ func (e *RhoEstimator) splitAcrossJobs() []int {
 		q.Reset()
 		e.splitReady = true
 	}
-	return e.picker.Split(e.picker.Total(), &e.split)
+	return &e.split.Takes
 }
 
 // NewRhoEstimator returns an estimator for app using the given tuner for
@@ -165,10 +187,10 @@ func (e *RhoEstimator) TIdeal() float64 {
 // onward, it holds the aggregate allocation total until completion (§5.2
 // step 4): elapsed time so far plus the time for the quickest constituent
 // job to finish given a greedy placement-sensitive split of total across
-// jobs. It returns Unbounded when total is empty and work remains.
+// jobs. With work remaining it returns Unbounded·(1+elapsed) when total is
+// empty, and Unbounded when the split feeds no job.
 func (e *RhoEstimator) TShared(now float64, total cluster.Alloc) float64 {
-	e.beginCall()
-	e.picker.Load(e.Topo, total)
+	e.beginCall(total)
 	return e.tShared(now)
 }
 
@@ -190,55 +212,50 @@ func (e *RhoEstimator) tShared(now float64) float64 {
 		// of the one waiting longest.
 		return Unbounded * (1 + elapsed)
 	}
-	// Only the served jobs hold GPUs, so only they can finish first. The
-	// split records each one's GPU count and locality, so no share is walked
-	// for them, and every share it serves satisfies its job's placement
-	// constraint (Picker.Split): a job it could not place drew nothing, and
-	// a bid that feeds no job values out at an unbounded ρ.
-	best := math.Inf(1)
-	for _, idx := range e.splitAcrossJobs() {
-		js := &e.split.Jobs[idx]
-		g, loc := js.Drawn()
-		if g == 0 {
-			continue
-		}
-		s := 1.0 // a single GPU never synchronises over the network (Profile.SOf)
-		if g > 1 {
-			s = e.App.Profile.S(loc)
-		}
-		t := elapsed + js.WorkLeft/(float64(g)*s)
-		if t < best {
-			best = t
-		}
-	}
-	if math.IsInf(best, 1) {
+	// Only the served jobs hold GPUs, so only they can finish first, and the
+	// split serves jobs only while one could still finish before those it
+	// has served (placement.Finish). Every share it serves satisfies its
+	// job's placement constraint (Picker.Split): a job it could not place
+	// drew nothing, and a bid that feeds no job values out at an unbounded ρ.
+	f := &e.finish
+	f.Elapsed, f.Best = elapsed, math.Inf(1)
+	e.splitAcrossJobs(f)
+	if math.IsInf(f.Best, 1) {
 		return Unbounded
 	}
-	return best
+	return f.Best
 }
 
 // Rho estimates the finish-time fairness metric ρ = T_SH / T_ID the app
 // would achieve if extra were added to current and held until completion
 // (§5.2 steps 1–7). Perturbation, if configured, is applied to the result.
 func (e *RhoEstimator) Rho(now float64, current, extra cluster.Alloc) float64 {
-	e.beginCall()
-	return e.rho(now, current, extra)
+	e.beginCall(current)
+	e.picker.Credit(extra)
+	return e.rho(now)
 }
 
-// rho is Rho within the current call's job context: prepareBidInto begins
-// one call and values every row of the table through it. current+extra is
-// loaded into the picker, not summed into a map.
-func (e *RhoEstimator) rho(now float64, current, extra cluster.Alloc) float64 {
-	e.picker.Load(e.Topo, current)
-	e.picker.Credit(extra)
-	return e.Errors.Perturb(e.tShared(now) / e.tIdeal)
+// rho is ρ, within the current call, of the holding loaded into the picker
+// plus the takes the split's log holds (a bid row drawn into it, or none).
+// The row is credited for the split, the split's takes are handed back and
+// the row debited again, so the pool is left as the call loaded it and the
+// log empty: prepareBidInto values every row of a table this way.
+func (e *RhoEstimator) rho(now float64) float64 {
+	p, q := &e.picker, &e.split
+	row := len(q.Takes)
+	p.CreditTakes(q.Takes, 1)
+	t := e.tShared(now)
+	p.CreditTakes(q.Takes[row:], 1)
+	p.CreditTakes(q.Takes[:row], -1)
+	q.Takes = q.Takes[:0]
+	return e.Errors.Perturb(t / e.tIdeal)
 }
 
 // CurrentRho estimates ρ with the app's present allocation only — the value
 // the Arbiter probes before each auction (step 1 in Figure 3).
 func (e *RhoEstimator) CurrentRho(now float64, current cluster.Alloc) float64 {
-	e.beginCall()
-	return e.rho(now, current, nil)
+	e.beginCall(current)
+	return e.rho(now)
 }
 
 // FinalRho returns the realised finish-time fairness of a finished app:

@@ -112,6 +112,37 @@ func TestBidValuationBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestStandalonePrepareBidAllocs pins what a warmed standalone PrepareBid
+// allocates, agent by agent over the small and the wide fixtures: the
+// valuator it builds (its picker's pool and tallies, the candidate sizes),
+// the table and its row maps. Valuing the rows adds nothing: each row's takes
+// are logged in the estimator's own split log, not in a buffer of the call.
+func TestStandalonePrepareBidAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; the allocation bound is checked without -race")
+	}
+	for name, c := range map[string]struct {
+		fixture func(testing.TB) ([]probedAgent, cluster.Alloc)
+		limit   float64 // summed over the agents: what valuing rows from maps allocated
+	}{
+		"16 agents": {func(tb testing.TB) ([]probedAgent, cluster.Alloc) { return valuationFixture(tb, 16) }, 355},
+		"wide":      {wideFixture, 224},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ps, free := c.fixture(t)
+			total := 0.0
+			for _, p := range ps {
+				prepare := func() { p.state.Agent.PrepareBid(0, free, p.state.Current) }
+				prepare()
+				total += testing.AllocsPerRun(50, prepare)
+			}
+			if total > c.limit {
+				t.Errorf("a warmed standalone PrepareBid of every agent allocates %.0f objects, want at most %.0f", total, c.limit)
+			}
+		})
+	}
+}
+
 // TestAuctionRoundAllocs pins what a warmed OfferResources round may allocate:
 // what it hands back — a map or two per auction winner and per leftover
 // recipient, plus a constant for the round's own slices — and nothing per

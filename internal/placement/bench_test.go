@@ -63,7 +63,7 @@ func BenchmarkSplit(b *testing.B) {
 			for b.Loop() {
 				q.Reset()
 				p.Load(topo, free)
-				p.Split(budget, &q)
+				p.Split(budget, &q, nil)
 			}
 		})
 	}

@@ -638,7 +638,7 @@ func checkSplit(t *testing.T, p *Picker, q *SplitQueue, budget int, want []clust
 	mq.Reset()
 	shares := make([]cluster.Alloc, len(q.Jobs))
 	mServed := slices.Clone(mapSplit(&mp, shares, budget, &mq))
-	served := p.Split(budget, q)
+	served := p.Split(budget, q, nil)
 	if !slices.Equal(served, mServed) {
 		t.Fatalf("%s: served %v, the map-filling split served %v", what, served, mServed)
 	}

@@ -190,6 +190,14 @@ func (p *Picker) add(m cluster.MachineID, n int) {
 	p.total += n
 }
 
+// CreditTakes adds k times each take's GPUs to the pool: k = 1 hands a
+// logged draw back, k = -1 debits what was handed back again.
+func (p *Picker) CreditTakes(takes []Take, k int) {
+	for _, t := range takes {
+		p.add(t.Machine, k*t.GPUs)
+	}
+}
+
 // Total returns the GPUs left in the pool.
 func (p *Picker) Total() int { return p.total }
 
@@ -264,14 +272,20 @@ func (p *Picker) Take(m cluster.MachineID) {
 			p.fresh--
 		}
 	}
+	p.need -= n
+	p.put(m, n)
+	p.took(m, n)
+}
+
+// put moves n GPUs of machine m out of the pool into the draw's dst, or with
+// no dst onto its log.
+func (p *Picker) put(m cluster.MachineID, n int) {
 	if p.dst != nil {
 		p.dst[m] += n
 	} else {
 		*p.log = append(*p.log, Take{Machine: m, GPUs: n})
 	}
-	p.need -= n
 	p.add(m, -n)
-	p.took(m, n)
 }
 
 // took records that the draw took n GPUs from machine m, which it had taken
@@ -545,31 +559,47 @@ func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, coun
 // placement-blind bidding ablation): their allocations straddle machines and
 // racks.
 func (p *Picker) DrawSpread(dst cluster.Alloc, count int) cluster.Alloc {
-	dst = dst.Reset()
-	p.drawn, p.span = 0, int8(cluster.LocalitySlot)
+	dst = p.Begin(dst, nil, count, Constraint{})
+	p.drawSpread()
+	return dst
+}
+
+// DrawTakes is Draw, or with spread DrawSpread, appending the draw's takes to
+// *log instead of filling a map (a spread draw logs one take per GPU).
+func (p *Picker) DrawTakes(log *[]Take, anchor cluster.Alloc, count int, spread bool) {
+	p.log = log
+	p.begin(nil, anchor, count, Constraint{})
+	if spread {
+		p.drawSpread()
+	} else {
+		p.drawBest()
+	}
+	p.log = nil
+}
+
+// drawSpread runs DrawSpread's sweeps for the draw begun.
+func (p *Picker) drawSpread() {
 	// The first sweep opens every machine the draw uses; later sweeps find
 	// GPUs only on those.
-	for first, progress := true, true; count > 0 && progress; first = false {
+	for first, progress := true, true; p.need > 0 && progress; first = false {
 		progress = false
 		for m, have := range p.free {
-			if count == 0 {
+			if p.need == 0 {
 				break
 			}
 			if have > 0 {
 				id := cluster.MachineID(m)
-				dst[id]++
-				p.add(id, -1)
+				p.put(id, 1)
 				if first {
 					p.took(id, 1)
 				} else {
 					p.drawn++
 				}
-				count--
+				p.need--
 				progress = true
 			}
 		}
 	}
-	return dst
 }
 
 // SplitJob is what the job split needs to know about one of an app's jobs.
@@ -608,6 +638,20 @@ type Take struct {
 	GPUs    int
 }
 
+// Finish is the earliest finish among the jobs a Split serves (§5.2 step 4):
+// Elapsed + WorkLeft/(g·s) for a job that drew g GPUs spanning locality l,
+// with s = 1 for one GPU and Profile.S(l) otherwise. The split stops before a
+// job with WorkLeft w ≥ 0 once Elapsed + w/(min(MaxWidth, budget left)·SMax)
+// ≥ Best: later jobs have WorkLeft ≥ w or NaN, draw no more GPUs and run no
+// faster, and IEEE + · / are monotone in each operand, so none can lower Best.
+type Finish struct {
+	Elapsed  float64
+	Profile  *Profile
+	MaxWidth int     // the widest job's Want
+	SMax     float64 // max(1, every Profile.S); NaN never stops the split
+	Best     float64 // the caller's to set (+Inf: none yet); the split lowers it
+}
+
 // SplitQueue is the order a job split serves the jobs wanting GPUs in: least
 // work left first, as the job that finishes first sets the app's finish time.
 // It also holds what the last Split through it drew: Takes, in which each
@@ -622,8 +666,9 @@ type Take struct {
 // included, and a split serving p of n jobs costs O(p·n), not O(n²).
 type SplitQueue struct {
 	Jobs []SplitJob // the caller's to fill before Reset; runs index like it
-	// Takes is the last Split's log: every served job's takes, job after job
-	// in the order served. It is valid until the next Split or Reset.
+	// Takes is the log: whatever the caller put there since Reset emptied
+	// it, then the last Split's takes, job after job in the order served.
+	// They are valid until the caller truncates it, or the next Reset.
 	Takes          []Take
 	runs           []run // per job: its run in Takes, empty unless the last Split served it
 	order          []int // indices of the jobs wanting GPUs; order[:sorted] is final
@@ -674,22 +719,25 @@ func (q *SplitQueue) At(pos int) int {
 // instead, so GPUs it cannot use in the shape on offer flow to the app's
 // other jobs rather than being stranded on an unrunnable share.
 //
-// It stops where the budget or the pool runs out and returns the jobs it
-// served, in order (valid until q changes). What each served job drew is its
-// run of q.Takes (Run) and, totalled, its SplitJob's Drawn; the log is
-// rewritten and every other job's run emptied. Every run satisfies its job's
-// constraint: the locality-best draw is kept only if it does, and every take
-// of the redraw keeps to it.
-func (p *Picker) Split(budget int, q *SplitQueue) []int {
+// It stops where the budget or the pool runs out, or with a non-nil f where
+// no later job can finish before f.Best (which it lowers), and returns the
+// jobs it served, in order (valid until q changes). What each served job drew
+// is its run of q.Takes (Run) and, totalled, its SplitJob's Drawn; the takes
+// are appended to the log and every other job's run emptied. Every run
+// satisfies its job's constraint: the locality-best draw is kept only if it
+// does, and every take of the redraw keeps to it.
+func (p *Picker) Split(budget int, q *SplitQueue, f *Finish) []int {
 	for _, i := range q.order[:q.served] {
 		q.runs[i] = run{}
 	}
-	q.Takes = q.Takes[:0]
 	p.log = &q.Takes
 	pos := 0
 	for ; pos < len(q.order) && budget > 0 && p.total > 0; pos++ {
 		i := q.At(pos)
 		j := &q.Jobs[i]
+		if f != nil && j.WorkLeft >= 0 && f.Elapsed+j.WorkLeft/(float64(min(f.MaxWidth, budget))*f.SMax) >= f.Best {
+			break // no job from here on can finish before f.Best
+		}
 		if j.Unresolvable {
 			j.gpus, j.span = 0, int8(cluster.LocalitySlot)
 			continue
@@ -699,9 +747,7 @@ func (p *Picker) Split(budget int, q *SplitQueue) []int {
 		p.begin(nil, nil, want, Constraint{})
 		p.drawBest()
 		if !j.Constraint.IsZero() && !satisfiedBy(p.topo, q.Takes[lo:], j.Constraint) {
-			for _, t := range q.Takes[lo:] {
-				p.add(t.Machine, t.GPUs)
-			}
+			p.CreditTakes(q.Takes[lo:], 1)
 			q.Takes = q.Takes[:lo]
 			p.begin(nil, nil, want, j.Constraint)
 			p.drawFitting()
@@ -710,6 +756,15 @@ func (p *Picker) Split(budget int, q *SplitQueue) []int {
 		gpus, loc := p.Drawn()
 		j.gpus, j.span = int32(gpus), int8(loc)
 		budget -= gpus
+		if f != nil && gpus > 0 {
+			s := 1.0 // a single GPU never synchronises over the network (Profile.SOf)
+			if gpus > 1 {
+				s = f.Profile.S(loc)
+			}
+			if t := f.Elapsed + j.WorkLeft/(float64(gpus)*s); t < f.Best {
+				f.Best = t
+			}
+		}
 	}
 	p.log = nil
 	q.served = pos

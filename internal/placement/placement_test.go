@@ -597,7 +597,7 @@ func TestSplit(t *testing.T) {
 		}
 		return out
 	}
-	if served := p.Split(5, &q); !reflect.DeepEqual(served, []int{2, 1, 4}) {
+	if served := p.Split(5, &q, nil); !reflect.DeepEqual(served, []int{2, 1, 4}) {
 		t.Errorf("served %v, want [2 1 4]: the split stops once the pool is spent", served)
 	}
 	if want := (cluster.Alloc{4: 2}); !runAlloc(t, q.Run(1), "job 1").Equal(want) {
@@ -625,7 +625,7 @@ func TestSplit(t *testing.T) {
 
 	// The budget caps what leaves the pool, across jobs.
 	p.Load(topo, cluster.Alloc{2: 4, 3: 4})
-	p.Split(5, &q)
+	p.Split(5, &q, nil)
 	shares = sharesOf()
 	if shares[1].Total() != 2 || shares[4].Total() != 3 || p.Total() != 3 {
 		t.Errorf("budget 5: shares %v pool %v, want 2 + 3 drawn and 3 left", shares, p.Remaining(nil))
@@ -669,7 +669,7 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 			"constrained": func() { load(); p.drawConstrained(dst, s.anchor, s.count, s.c) },
 			"Draw+Credit": func() { load(); p.Credit(p.Draw(dst, s.anchor, s.count)) },
 			"DrawSpread":  func() { load(); p.DrawSpread(dst, s.count) },
-			"Reset+Split": func() { load(); q.Reset(); p.Split(14, &q) },
+			"Reset+Split": func() { load(); q.Reset(); p.Split(14, &q, nil) },
 			"Remaining":   func() { load(); p.Draw(dst, s.anchor, s.count); p.Remaining(rest) },
 		} {
 			pick()

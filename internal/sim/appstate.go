@@ -320,7 +320,7 @@ func (st *AppState) splitLoaded(budget int) *placement.SplitQueue {
 		q.Jobs = append(q.Jobs, j.SplitJob(st.topo, j.RemainingWork()))
 	}
 	q.Reset()
-	sc.picker.Split(budget, q)
+	sc.picker.Split(budget, q, nil)
 	return q
 }
 
