@@ -56,6 +56,7 @@ func TestConfigurationErrors(t *testing.T) {
 		{"bid error", []themis.Option{themis.WithBidError(1.2)}, "bid error"},
 		{"nil topology", []themis.Option{themis.WithTopology(nil)}, "WithTopology"},
 		{"missing trace file", []themis.Option{themis.WithTraceFile("/nonexistent/trace.json")}, "trace"},
+		{"failure outside the cluster", []themis.Option{themis.WithWorkload(quickSpec()), themis.WithFailures(themis.Failure{Time: 5, Machine: 9999, Duration: 10})}, "outside the topology"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

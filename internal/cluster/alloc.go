@@ -179,9 +179,6 @@ func (s *State) FreeOn(m MachineID) int {
 	return s.topo.Machine(m).NumGPUs - s.used[m]
 }
 
-// UsedOn returns the number of GPUs in use on machine m.
-func (s *State) UsedOn(m MachineID) int { return s.used[m] }
-
 // TotalFree returns the number of free GPUs across the whole cluster,
 // excluding offline machines. It iterates machines by index rather than via
 // Machines() — which copies the machine slice — because the simulator calls

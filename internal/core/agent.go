@@ -14,11 +14,8 @@ import (
 // the app's placement-sensitivity profile.
 type Agent struct {
 	App       *workload.App
-	Tuner     hyperparam.Tuner
 	Estimator *RhoEstimator
 
-	// MaxBidRows caps the bid table size; zero means DefaultMaxBidRows.
-	MaxBidRows int
 	// PlacementBlind makes the Agent bid on arbitrarily spread GPU subsets
 	// instead of placement-packed ones. It exists only for the ablation
 	// benchmarks that quantify the value of placement-aware bidding; the
@@ -34,7 +31,7 @@ const DefaultMaxBidRows = 12
 func NewAgent(topo *cluster.Topology, app *workload.App, tuner hyperparam.Tuner, errs *estimator.ErrorModel) *Agent {
 	est := NewRhoEstimator(topo, app, tuner)
 	est.Errors = errs
-	return &Agent{App: app, Tuner: tuner, Estimator: est}
+	return &Agent{App: app, Estimator: est}
 }
 
 // ID returns the app's identifier.
@@ -86,16 +83,12 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		v.picker.Load(e.Topo, offer)
 	}
 	sizes := v.candidateSizes(v.picker.Total(), unmet, e.gang) // with unmet = 0 the total is not read
-	maxRows := ag.MaxBidRows
-	if maxRows <= 0 {
-		maxRows = DefaultMaxBidRows
-	}
 	// Every candidate is drawn from the whole offer (the draw is handed back
 	// before the next), no size exceeds it, an unconstrained draw fills its
 	// size and the sizes are distinct: so every row holds exactly its size,
 	// and no row is empty or equal to another (TestBidRowsHoldTheirSizes).
 	for _, size := range sizes {
-		if len(rows) >= maxRows {
+		if len(rows) >= DefaultMaxBidRows {
 			break
 		}
 		rows = nextRow(rows)

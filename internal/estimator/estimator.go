@@ -1,9 +1,8 @@
-// Package estimator reproduces the profiling machinery the Themis Agent uses
-// to prepare bids (§5.2, §7): it synthesises per-trial loss curves, fits
-// sub-/super-linear convergence curves to the observed prefix of a curve,
-// projects the iterations remaining to reach a target loss (the tuners'
-// "work left" input), and injects controlled error into bid valuations for
-// the Figure 11 sensitivity study.
+// Package estimator models the profiling side of the Themis Agent (§5.2,
+// §7): it synthesises per-trial loss curves, which HyperBand's rung decisions
+// and SLAQ's loss-reduction ranking observe, and injects controlled error
+// into bid valuations for the Figure 11 sensitivity study. The tuners' work
+// left is the trials' true remaining work, so no curve is fitted.
 //
 // A trial's curve and its noisy observations are pure functions of a seed:
 // the first draws of math/rand seeded with it, computed by jump-ahead in tens
@@ -11,7 +10,6 @@
 package estimator
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -126,27 +124,6 @@ func (c LossCurve) Loss(i int) float64 {
 	return c.Floor + (c.Init-c.Floor)*math.Pow(1+float64(i)/c.Scale, -c.Alpha)
 }
 
-// IterationsToLoss returns the first iteration at which the curve reaches
-// target, or max if it never does within max iterations.
-func (c LossCurve) IterationsToLoss(target float64, max int) int {
-	if target >= c.Init {
-		return 0
-	}
-	if target <= c.Floor {
-		return max
-	}
-	// Invert the power law analytically.
-	ratio := (target - c.Floor) / (c.Init - c.Floor)
-	i := c.Scale * (math.Pow(ratio, -1/c.Alpha) - 1)
-	if i < 0 {
-		return 0
-	}
-	if i > float64(max) {
-		return max
-	}
-	return int(math.Ceil(i))
-}
-
 // Observe returns the loss observed at iteration i, with optional
 // multiplicative observation noise of relative magnitude noise (e.g. 0.01
 // for ±1%) drawn as the first Float64 of math/rand seeded with seed.
@@ -156,84 +133,6 @@ func (c LossCurve) Observe(i int, noise float64, seed int64) float64 {
 		l *= 1 + (seededDraws(seed)[0]*2-1)*noise
 	}
 	return l
-}
-
-// Fit is a fitted convergence curve together with the fit's goodness.
-type Fit struct {
-	Curve LossCurve
-	// RMSE is the root-mean-square error of the fit over the observations.
-	RMSE float64
-	// Points is the number of observations used.
-	Points int
-}
-
-// FitCurve fits a shifted power law to observed (iteration, loss) pairs by a
-// coarse-to-fine grid search over (Floor, Alpha, Scale) minimising squared
-// error, mirroring the best-fit sub-linear/super-linear curve fitting the
-// paper's profiler performs on TensorFlow loss logs. At least three points
-// are required.
-func FitCurve(iters []int, losses []float64) (Fit, error) {
-	if len(iters) != len(losses) {
-		return Fit{}, fmt.Errorf("estimator: %d iterations but %d losses", len(iters), len(losses))
-	}
-	if len(iters) < 3 {
-		return Fit{}, fmt.Errorf("estimator: need at least 3 observations, got %d", len(iters))
-	}
-	init := losses[0]
-	minLoss := losses[0]
-	for _, l := range losses {
-		if l < minLoss {
-			minLoss = l
-		}
-	}
-	best := Fit{RMSE: math.Inf(1)}
-	// Grid search: floors below the minimum observed loss, a range of decay
-	// exponents and scales. The grid is deliberately small — bid preparation
-	// must stay in the low-millisecond range (§8.3.2).
-	for _, floorFrac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		floor := minLoss * floorFrac
-		for _, alpha := range []float64{0.4, 0.6, 0.8, 1.0, 1.3, 1.6, 2.0} {
-			for _, scale := range []float64{20, 50, 100, 200, 400, 800} {
-				c := LossCurve{Init: init, Floor: floor, Scale: scale, Alpha: alpha}
-				rmse := rmse(c, iters, losses)
-				if rmse < best.RMSE {
-					best = Fit{Curve: c, RMSE: rmse, Points: len(iters)}
-				}
-			}
-		}
-	}
-	return best, nil
-}
-
-func rmse(c LossCurve, iters []int, losses []float64) float64 {
-	var sum float64
-	for k, i := range iters {
-		d := c.Loss(i) - losses[k]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(iters)))
-}
-
-// ProjectRemainingIterations estimates, from a fitted curve, how many more
-// iterations a trial needs to reach the target loss given it has already run
-// done iterations. The projection is capped at maxIterations (beyond which
-// tuners classify a trial as poor).
-func (f Fit) ProjectRemainingIterations(done int, targetLoss float64, maxIterations int) int {
-	total := f.Curve.IterationsToLoss(targetLoss, maxIterations)
-	if total <= done {
-		return 0
-	}
-	return total - done
-}
-
-// WorkEstimate converts a remaining-iteration projection into serial
-// GPU-minutes using the trial's declared per-iteration cost.
-func WorkEstimate(j *workload.Job, remainingIterations int) float64 {
-	if j.TotalIterations <= 0 {
-		return j.RemainingWork()
-	}
-	perIter := j.TotalWork / float64(j.TotalIterations)
-	return perIter * float64(remainingIterations)
 }
 
 // ErrorModel perturbs bid valuations to study Themis's robustness to

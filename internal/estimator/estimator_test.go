@@ -27,24 +27,6 @@ func TestLossCurveMonotone(t *testing.T) {
 	}
 }
 
-func TestIterationsToLoss(t *testing.T) {
-	c := LossCurve{Init: 2.0, Floor: 0.1, Scale: 100, Alpha: 1.0}
-	if got := c.IterationsToLoss(2.5, 10000); got != 0 {
-		t.Errorf("target above init should need 0 iterations, got %d", got)
-	}
-	if got := c.IterationsToLoss(0.05, 10000); got != 10000 {
-		t.Errorf("unreachable target should return max, got %d", got)
-	}
-	iters := c.IterationsToLoss(0.5, 100000)
-	// Verify by evaluating.
-	if c.Loss(iters) > 0.5+1e-6 {
-		t.Errorf("loss at projected iteration %d is %v, above target", iters, c.Loss(iters))
-	}
-	if iters > 0 && c.Loss(iters-1) < 0.5-1e-6 {
-		t.Errorf("projection %d not tight: loss(%d)=%v already below target", iters, iters-1, c.Loss(iters-1))
-	}
-}
-
 func TestCurveForJobQualityOrdering(t *testing.T) {
 	good := workload.NewJob("a", 0, 100, 4)
 	good.Quality, good.Seed = 0.05, 42
@@ -57,50 +39,6 @@ func TestCurveForJobQualityOrdering(t *testing.T) {
 	// Deterministic under the same seed.
 	if CurveForJob(good) != cg {
 		t.Error("CurveForJob not deterministic")
-	}
-}
-
-func TestFitCurveRecoversProjection(t *testing.T) {
-	truth := LossCurve{Init: 2.2, Floor: 0.3, Scale: 120, Alpha: 0.9}
-	iters := []int{0, 10, 20, 40, 80, 120, 160, 200}
-	losses := sample(truth, iters, 0.005, 99)
-	fit, err := FitCurve(iters, losses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.RMSE > 0.08 {
-		t.Errorf("fit RMSE too high: %v", fit.RMSE)
-	}
-	target := truth.Loss(600)
-	trueRemaining := truth.IterationsToLoss(target, 5000) - 200
-	fitRemaining := fit.ProjectRemainingIterations(200, target, 5000)
-	if trueRemaining <= 0 {
-		t.Fatalf("bad test setup: trueRemaining=%d", trueRemaining)
-	}
-	ratio := float64(fitRemaining) / float64(trueRemaining)
-	if ratio < 0.3 || ratio > 3.0 {
-		t.Errorf("projected remaining %d too far from true %d", fitRemaining, trueRemaining)
-	}
-}
-
-func TestFitCurveErrors(t *testing.T) {
-	if _, err := FitCurve([]int{1, 2}, []float64{1, 0.5}); err == nil {
-		t.Error("fit with <3 points should fail")
-	}
-	if _, err := FitCurve([]int{1, 2, 3}, []float64{1, 0.5}); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-}
-
-func TestWorkEstimate(t *testing.T) {
-	j := workload.NewJob("a", 0, 500, 4)
-	j.TotalIterations = 1000
-	if got := WorkEstimate(j, 200); math.Abs(got-100) > 1e-9 {
-		t.Errorf("WorkEstimate = %v, want 100", got)
-	}
-	j.TotalIterations = 0
-	if got := WorkEstimate(j, 200); got != j.RemainingWork() {
-		t.Errorf("WorkEstimate with no iteration info should fall back to remaining work")
 	}
 }
 

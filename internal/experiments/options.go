@@ -11,7 +11,6 @@ import (
 
 	"themis/internal/cluster"
 	"themis/internal/core"
-	"themis/internal/hyperparam"
 	"themis/internal/sim"
 	"themis/internal/workload"
 )
@@ -150,7 +149,6 @@ func (o Options) spec(name string, topo *cluster.Topology, apps func() ([]*workl
 		Topology:        topo,
 		Workload:        apps,
 		Policy:          policy,
-		TunerFor:        hyperparam.ForApp,
 		LeaseDuration:   o.LeaseDuration,
 		RestartOverhead: o.RestartOverhead,
 		Horizon:         o.Horizon,

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"themis/internal/cluster"
-	"themis/internal/hyperparam"
 	"themis/internal/sim"
 	"themis/internal/workload"
 )
@@ -36,14 +35,10 @@ type RunSpec struct {
 	Workload func() ([]*workload.App, error)
 	// Policy builds the run's scheduling policy.
 	Policy func() (sim.Policy, error)
-	// TunerFor optionally overrides the app-level tuner choice; tuners must
-	// follow the hyperparam.Tuner progress-purity contract.
-	TunerFor func(*workload.App) hyperparam.Tuner
 	// Simulation knobs, as in sim.Config.
 	LeaseDuration   float64
 	RestartOverhead float64
 	Horizon         float64
-	MaxIdleRounds   int
 }
 
 // run executes the spec once.
@@ -60,11 +55,9 @@ func (r RunSpec) run(ctx context.Context) (*sim.Result, error) {
 		Topology:        r.Topology,
 		Apps:            apps,
 		Policy:          policy,
-		TunerFor:        r.TunerFor,
 		LeaseDuration:   r.LeaseDuration,
 		RestartOverhead: r.RestartOverhead,
 		Horizon:         r.Horizon,
-		MaxIdleRounds:   r.MaxIdleRounds,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", r.Name, err)

@@ -3,15 +3,14 @@
 // that decide which of an app's trials to keep running, which to terminate
 // early, and how many GPUs each surviving trial may use (§2.3, §5.2).
 //
-// Two tuners from the paper are provided — HyperBand (successive halving)
-// and HyperDrive (good/promising/poor classification) — plus a trivial
-// single-job tuner for apps that train one model with known
-// hyperparameters. All tuners expose the narrow API the Themis Agent needs:
-// per-trial work-left estimates and per-trial maximum parallelism.
+// HyperBand (successive halving), the tuner the paper's prototype
+// implements, is provided for multi-trial apps, plus a trivial single-job
+// tuner for apps that train one model with known hyperparameters. Both
+// expose the narrow API the Themis Agent needs: per-trial work left and
+// per-trial maximum parallelism.
 package hyperparam
 
 import (
-	"math"
 	"sort"
 
 	"themis/internal/estimator"
@@ -22,7 +21,7 @@ import (
 // scheduling event; the Themis Agent calls WorkLeft and the app's job fields
 // when preparing bids.
 type Tuner interface {
-	// Name identifies the tuner ("hyperband", "hyperdrive", "single").
+	// Name identifies the tuner ("hyperband" or "single").
 	Name() string
 	// Update lets the tuner observe progress at simulation time now: it may
 	// kill trials and adjust per-trial MaxParallelism, through the app's
@@ -82,26 +81,21 @@ func (*Single) Done(app *workload.App) bool { return appDone(app) }
 // fixed number of iterations (a "rung") the half with the worst observed
 // loss is terminated, until a single trial remains (§5.2).
 type HyperBand struct {
-	// RungIterations is the number of iterations between halving decisions.
-	RungIterations int
-	// ObservationNoise perturbs observed losses to model measurement noise.
-	ObservationNoise float64
-
 	nextRung map[workload.AppID]int
 	active   []*workload.Job // Update's snapshot: the loop kills what it ranges over
 }
 
-// NewHyperBand returns a HyperBand tuner with the given rung length in
-// iterations. A non-positive rung length uses 100 iterations.
-func NewHyperBand(rungIterations int) *HyperBand {
-	if rungIterations <= 0 {
-		rungIterations = 100
-	}
-	return &HyperBand{
-		RungIterations:   rungIterations,
-		ObservationNoise: 0.01,
-		nextRung:         make(map[workload.AppID]int),
-	}
+const (
+	// rungIterations is the number of iterations between halving decisions.
+	rungIterations = 100
+	// observationNoise perturbs observed losses (±1%) to model measurement
+	// noise.
+	observationNoise = 0.01
+)
+
+// NewHyperBand returns a HyperBand tuner.
+func NewHyperBand() *HyperBand {
+	return &HyperBand{nextRung: make(map[workload.AppID]int)}
 }
 
 // Name implements Tuner.
@@ -117,7 +111,7 @@ func (h *HyperBand) Update(now float64, app *workload.App) {
 			return
 		}
 		rung := h.nextRung[app.ID]
-		boundary := (rung + 1) * h.RungIterations
+		boundary := (rung + 1) * rungIterations
 		// A rung is evaluated once every active trial has reached it (the
 		// synchronous successive-halving the paper describes).
 		for _, j := range active {
@@ -132,7 +126,7 @@ func (h *HyperBand) Update(now float64, app *workload.App) {
 		}
 		ranked := make([]scored, 0, len(active))
 		for _, j := range active {
-			obs := estimator.CurveForJob(j).Observe(boundary, h.ObservationNoise, j.Seed+int64(boundary))
+			obs := estimator.CurveForJob(j).Observe(boundary, observationNoise, j.Seed+int64(boundary))
 			ranked = append(ranked, scored{job: j, loss: obs})
 		}
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].loss < ranked[j].loss })
@@ -144,157 +138,11 @@ func (h *HyperBand) Update(now float64, app *workload.App) {
 	}
 }
 
-// WorkLeft implements Tuner using the trial's projected remaining work.
+// WorkLeft implements Tuner using the trial's true remaining work.
 func (h *HyperBand) WorkLeft(j *workload.Job) float64 { return j.RemainingWork() }
 
 // Done implements Tuner.
 func (h *HyperBand) Done(app *workload.App) bool { return appDone(app) }
-
-// Classification labels used by HyperDrive.
-type Classification int
-
-// HyperDrive's trial classes (§5.2): good trials get full parallelism,
-// promising trials get reduced parallelism, poor trials are terminated.
-const (
-	ClassGood Classification = iota
-	ClassPromising
-	ClassPoor
-)
-
-// String returns the class name.
-func (c Classification) String() string {
-	switch c {
-	case ClassGood:
-		return "good"
-	case ClassPromising:
-		return "promising"
-	case ClassPoor:
-		return "poor"
-	default:
-		return "unknown"
-	}
-}
-
-// HyperDrive implements the POP-scheduling tuner of Rasley et al. as the
-// paper models it: it continually classifies trials as good, promising or
-// poor from their projected final loss, terminating poor trials immediately
-// and giving good trials higher execution priority (more parallelism).
-type HyperDrive struct {
-	// MinIterations is the warm-up before a trial can be classified.
-	MinIterations int
-	// GoodMargin and PromisingMargin are the relative distances from the
-	// best projected loss that bound the good and promising classes.
-	GoodMargin      float64
-	PromisingMargin float64
-	// PromisingParallelismFraction scales a promising trial's maximum
-	// parallelism relative to its gang size.
-	PromisingParallelismFraction float64
-
-	class  map[workload.JobID]Classification
-	active []*workload.Job // Update's snapshot: the loop kills what it ranges over
-}
-
-// NewHyperDrive returns a HyperDrive tuner with the defaults used in the
-// evaluation.
-func NewHyperDrive() *HyperDrive {
-	return &HyperDrive{
-		MinIterations:                50,
-		GoodMargin:                   0.10,
-		PromisingMargin:              0.35,
-		PromisingParallelismFraction: 0.5,
-		class:                        make(map[workload.JobID]Classification),
-	}
-}
-
-// Name implements Tuner.
-func (*HyperDrive) Name() string { return "hyperdrive" }
-
-// Update implements Tuner: it reclassifies every active trial that has run
-// long enough, kills poor trials and adjusts parallelism of the rest.
-func (h *HyperDrive) Update(now float64, app *workload.App) {
-	h.active = app.AppendActiveJobs(h.active[:0])
-	active := h.active
-	if len(active) <= 1 {
-		return
-	}
-	// Project each trial's final loss by extrapolating its convergence curve
-	// well past the trial's iteration budget — the asymptote is what
-	// distinguishes good from poor hyperparameters.
-	projected := make(map[workload.JobID]float64, len(active))
-	best := math.Inf(1)
-	for _, j := range active {
-		if j.IterationsDone() < h.MinIterations {
-			continue
-		}
-		p := estimator.CurveForJob(j).Loss(5 * j.TotalIterations)
-		projected[j.ID] = p
-		if p < best {
-			best = p
-		}
-	}
-	if math.IsInf(best, 1) {
-		return // nothing classifiable yet
-	}
-	// Classify, then make sure at least the best-projected trial survives:
-	// HyperDrive never abandons the exploration entirely.
-	classes := make(map[workload.JobID]Classification, len(projected))
-	survivors := 0
-	var bestJob workload.JobID
-	for id, p := range projected {
-		classes[id] = h.classOf(p, best)
-		if classes[id] != ClassPoor {
-			survivors++
-		}
-		if p == best {
-			bestJob = id
-		}
-	}
-	if survivors == 0 {
-		classes[bestJob] = ClassGood
-	}
-	for _, j := range active {
-		cls, ok := classes[j.ID]
-		if !ok {
-			continue
-		}
-		h.class[j.ID] = cls
-		switch cls {
-		case ClassGood:
-			app.SetJobWidth(j, j.GangSize)
-		case ClassPromising:
-			mp := int(math.Max(1, math.Round(float64(j.GangSize)*h.PromisingParallelismFraction)))
-			app.SetJobWidth(j, mp)
-		case ClassPoor:
-			app.KillJob(j, now)
-		}
-	}
-}
-
-func (h *HyperDrive) classOf(projected, best float64) Classification {
-	switch {
-	case projected <= best*(1+h.GoodMargin):
-		return ClassGood
-	case projected <= best*(1+h.PromisingMargin):
-		return ClassPromising
-	default:
-		return ClassPoor
-	}
-}
-
-// Class returns the current classification of trial j (defaults to good
-// before the first classification).
-func (h *HyperDrive) Class(j workload.JobID) Classification {
-	if c, ok := h.class[j]; ok {
-		return c
-	}
-	return ClassGood
-}
-
-// WorkLeft implements Tuner using the trial's remaining work.
-func (h *HyperDrive) WorkLeft(j *workload.Job) float64 { return j.RemainingWork() }
-
-// Done implements Tuner.
-func (h *HyperDrive) Done(app *workload.App) bool { return appDone(app) }
 
 // ForApp returns the natural tuner for an app: Single for one-trial apps,
 // HyperBand otherwise (the tuner the paper's prototype implements).
@@ -302,5 +150,5 @@ func ForApp(app *workload.App) Tuner {
 	if len(app.Jobs) == 1 {
 		return NewSingle()
 	}
-	return NewHyperBand(0)
+	return NewHyperBand()
 }

@@ -54,7 +54,7 @@ func TestSingleTuner(t *testing.T) {
 
 func TestHyperBandSuccessiveHalving(t *testing.T) {
 	app := makeApp(t, 8, 4000) // 4000 serial minutes, 1000 iterations
-	hb := NewHyperBand(100)
+	hb := NewHyperBand()
 	// Run everything past the first rung boundary (100 iters = 10% of work
 	// = 400 serial minutes = 100 minutes on 4 GPUs).
 	advanceAll(app, 0, 101)
@@ -98,7 +98,7 @@ func TestHyperBandSuccessiveHalving(t *testing.T) {
 
 func TestHyperBandWaitsForStragglers(t *testing.T) {
 	app := makeApp(t, 4, 4000)
-	hb := NewHyperBand(100)
+	hb := NewHyperBand()
 	// Only advance three of the four trials past the rung.
 	for _, j := range app.Jobs[:3] {
 		j.Advance(0, 101, 4, 1)
@@ -109,74 +109,21 @@ func TestHyperBandWaitsForStragglers(t *testing.T) {
 	}
 }
 
+// TestHyperBandDefaultRung pins the rung length at 100 iterations: no trial
+// is killed while one is short of iteration 100, and half go once all reach
+// it.
 func TestHyperBandDefaultRung(t *testing.T) {
-	if hb := NewHyperBand(0); hb.RungIterations != 100 {
-		t.Errorf("default rung = %d, want 100", hb.RungIterations)
-	}
-}
-
-func TestHyperDriveClassification(t *testing.T) {
-	app := makeApp(t, 6, 4000)
-	hd := NewHyperDrive()
-	// Warm up all trials past MinIterations (50 iters = 5% = 200 serial
-	// minutes = 50 minutes on 4 GPUs).
-	advanceAll(app, 0, 60)
-	hd.Update(60, app)
-	active := app.ActiveJobs()
-	if len(active) >= 6 {
-		t.Errorf("HyperDrive should have killed at least one poor trial, %d active", len(active))
-	}
-	if len(active) < 1 {
-		t.Fatal("HyperDrive must keep at least one trial")
-	}
-	// The best trial must survive and keep full parallelism.
-	best := app.Jobs[0]
-	if best.Killed {
-		t.Fatal("best trial killed")
-	}
-	if hd.Class(best.ID) != ClassGood {
-		t.Errorf("best trial classified %v, want good", hd.Class(best.ID))
-	}
-	if best.MaxParallelism != best.GangSize {
-		t.Errorf("good trial parallelism = %d, want %d", best.MaxParallelism, best.GangSize)
-	}
-	// Any promising trial has reduced parallelism.
-	for _, j := range active {
-		if hd.Class(j.ID) == ClassPromising && j.MaxParallelism >= j.GangSize {
-			t.Errorf("promising trial %s kept full parallelism %d", j.ID, j.MaxParallelism)
-		}
-	}
-}
-
-func TestHyperDriveNeverKillsLastTrial(t *testing.T) {
-	app := makeApp(t, 2, 4000)
-	// Make both trials bad but one worse.
-	app.Jobs[0].Quality = 0.9
-	app.Jobs[1].Quality = 0.99
-	hd := NewHyperDrive()
-	advanceAll(app, 0, 60)
-	hd.Update(60, app)
-	if len(app.ActiveJobs()) < 1 {
-		t.Fatal("HyperDrive killed every trial")
-	}
-}
-
-func TestHyperDriveWarmup(t *testing.T) {
-	app := makeApp(t, 4, 4000)
-	hd := NewHyperDrive()
-	advanceAll(app, 0, 1) // well under MinIterations
-	hd.Update(1, app)
+	app := makeApp(t, 4, 4000) // 1000 iterations: one minute each on 4 GPUs
+	hb := NewHyperBand()
+	advanceAll(app, 0, 99.5)
+	hb.Update(99.5, app)
 	if got := len(app.ActiveJobs()); got != 4 {
-		t.Errorf("no trial should be killed before warm-up, %d active", got)
+		t.Fatalf("at iteration 99: %d active trials, want 4", got)
 	}
-}
-
-func TestClassificationString(t *testing.T) {
-	if ClassGood.String() != "good" || ClassPromising.String() != "promising" || ClassPoor.String() != "poor" {
-		t.Error("classification names wrong")
-	}
-	if Classification(42).String() != "unknown" {
-		t.Error("unknown classification should stringify to unknown")
+	advanceAll(app, 99.5, 1)
+	hb.Update(100.5, app)
+	if got := len(app.ActiveJobs()); got != 2 {
+		t.Fatalf("at iteration 100: %d active trials, want 2", got)
 	}
 }
 

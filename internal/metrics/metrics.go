@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"themis/internal/sim"
-	"themis/internal/workload"
 )
 
 // FairnessValues extracts the realised finish-time fairness (ρ) of every
@@ -232,14 +231,4 @@ func Summarize(r *sim.Result) Summary {
 		PeakContention:     r.PeakContention,
 		Makespan:           r.Makespan,
 	}
-}
-
-// TimelineSeries converts an app's allocation timeline into step-series
-// points (time, GPUs) suitable for plotting Figure 8.
-func TimelineSeries(r *sim.Result, id workload.AppID) (times []float64, gpus []int) {
-	for _, e := range r.TimelineFor(id) {
-		times = append(times, e.Time)
-		gpus = append(gpus, e.GPUs)
-	}
-	return times, gpus
 }

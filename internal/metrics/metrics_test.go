@@ -138,8 +138,7 @@ func TestSummarizeOnSimulation(t *testing.T) {
 	if sum.MeanPlacementScore <= 0 {
 		t.Errorf("placement score = %v", sum.MeanPlacementScore)
 	}
-	times, gpus := TimelineSeries(res, apps[0].ID)
-	if len(times) != len(gpus) || len(times) < 2 {
-		t.Errorf("timeline series malformed: %v %v", times, gpus)
+	if tl := res.TimelineFor(apps[0].ID); len(tl) < 2 {
+		t.Errorf("timeline has %d events, want at least 2: %v", len(tl), tl)
 	}
 }

@@ -8,11 +8,13 @@ import (
 )
 
 // Failure injects a machine failure: at Time the machine goes offline for
-// Duration minutes, every allocation on it is revoked (the affected apps
-// lose those GPUs immediately and pay the restart overhead), and the machine
-// rejoins the free pool when it recovers. The paper leaves failure-aware
-// scheduling to future work (§6); the injector exists so schedulers can be
-// studied under failures and so tests can exercise the revocation path.
+// Duration minutes (0 means for good), every allocation on it is revoked (the
+// affected apps lose those GPUs immediately and pay the restart overhead),
+// and the machine rejoins the free pool when it recovers. Machine must lie in
+// the topology; Time and Duration must be finite and non-negative. The paper
+// leaves failure-aware scheduling to future work (§6); the injector exists so
+// schedulers can be studied under failures and so tests can exercise the
+// revocation path.
 type Failure struct {
 	Time     float64
 	Machine  cluster.MachineID
@@ -32,8 +34,8 @@ type recoveryRec struct {
 	ev      event
 }
 
-// initFailures validates and orders the configured failures and enqueues
-// their events.
+// initFailures orders the configured failures, which Config.Validate has
+// checked, and enqueues their events.
 func (s *Simulator) initFailures() {
 	fs := append([]Failure(nil), s.cfg.Failures...)
 	sort.Slice(fs, func(i, j int) bool { return fs[i].Time < fs[j].Time })

@@ -97,6 +97,41 @@ func TestPermanentFailureShrinksCluster(t *testing.T) {
 	}
 }
 
+func TestConfigRejectsMalformedFailures(t *testing.T) {
+	topo := simTopo(t, 2, 4, 2)
+	cases := []struct {
+		name string
+		f    Failure
+		ok   bool
+	}{
+		{"valid", Failure{Time: 5, Machine: 1, Duration: 10}, true},
+		{"permanent", Failure{Time: 5, Machine: 0, Duration: 0}, true},
+		{"at time zero", Failure{Time: 0, Machine: 0, Duration: 10}, true},
+		{"machine past the topology", Failure{Time: 5, Machine: 9999, Duration: 10}, false},
+		{"machine just past the topology", Failure{Time: 5, Machine: 2, Duration: 10}, false},
+		{"negative machine", Failure{Time: 5, Machine: -1, Duration: 10}, false},
+		{"NaN time", Failure{Time: math.NaN(), Machine: 0, Duration: 10}, false},
+		{"infinite time", Failure{Time: math.Inf(1), Machine: 0, Duration: 10}, false},
+		{"negative time", Failure{Time: -1, Machine: 0, Duration: 10}, false},
+		{"NaN duration", Failure{Time: 5, Machine: 0, Duration: math.NaN()}, false},
+		{"infinite duration", Failure{Time: 5, Machine: 0, Duration: math.Inf(1)}, false},
+		{"negative duration", Failure{Time: 5, Machine: 0, Duration: -10}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(Config{
+				Topology: topo,
+				Apps:     []*workload.App{simApp("a", 0, placement.ResNet50, 1, 40)},
+				Policy:   fifoPolicy{},
+				Failures: []Failure{tc.f},
+			})
+			if (err == nil) != tc.ok {
+				t.Errorf("New with %+v: err = %v, want ok = %v", tc.f, err, tc.ok)
+			}
+		})
+	}
+}
+
 func TestClusterOfflineAccounting(t *testing.T) {
 	topo := simTopo(t, 2, 4, 2)
 	cs := cluster.NewState(topo)

@@ -65,12 +65,6 @@ type Config struct {
 	Topology *cluster.Topology
 	Apps     []*workload.App
 	Policy   Policy
-	// TunerFor builds the app-level scheduler for an app; nil uses
-	// hyperparam.ForApp. Tuners must follow the hyperparam.Tuner contract:
-	// Update/Done decisions are pure functions of job progress, because the
-	// simulator only re-observes an app after it progresses or changes
-	// allocation.
-	TunerFor func(*workload.App) hyperparam.Tuner
 	// LeaseDuration is the GPU lease length in minutes (paper default 20).
 	LeaseDuration float64
 	// RestartOverhead is the wall-clock pause (minutes) an app's jobs suffer
@@ -79,10 +73,6 @@ type Config struct {
 	RestartOverhead float64
 	// Horizon caps simulated time (minutes); 0 means no cap.
 	Horizon float64
-	// MaxIdleRounds aborts the run if this many consecutive scheduling
-	// rounds must force the clock forward without a real event (safety net
-	// against policy or projection bugs); 0 uses a generous default.
-	MaxIdleRounds int
 	// Failures optionally injects machine failures (§6 of the paper leaves
 	// failure-aware scheduling to future work; the injector lets schedulers
 	// be studied under failures anyway).
@@ -97,8 +87,12 @@ type Config struct {
 const (
 	DefaultLeaseDuration   = 20.0
 	DefaultRestartOverhead = 0.75
-	defaultMaxIdleRounds   = 10000
 )
+
+// maxIdleRounds aborts the run if this many consecutive scheduling rounds
+// must force the clock forward without a real event (a safety net against
+// policy or projection bugs).
+const maxIdleRounds = 10000
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
@@ -113,6 +107,15 @@ func (c Config) Validate() error {
 	}
 	if c.LeaseDuration < 0 || c.RestartOverhead < 0 || c.Horizon < 0 {
 		return fmt.Errorf("sim: negative durations")
+	}
+	for _, f := range c.Failures {
+		if f.Machine < 0 || int(f.Machine) >= c.Topology.NumMachines() {
+			return fmt.Errorf("sim: failure on machine %d, outside the topology's %d machines", f.Machine, c.Topology.NumMachines())
+		}
+		// The comparisons are false for NaN as well as out of range.
+		if !(f.Time >= 0 && f.Time <= math.MaxFloat64 && f.Duration >= 0 && f.Duration <= math.MaxFloat64) {
+			return fmt.Errorf("sim: failure on machine %d: time %v and duration %v must be finite and non-negative", f.Machine, f.Time, f.Duration)
+		}
 	}
 	for _, a := range c.Apps {
 		if err := a.Validate(); err != nil {
@@ -180,13 +183,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.LeaseDuration == 0 {
 		cfg.LeaseDuration = DefaultLeaseDuration
 	}
-	if cfg.MaxIdleRounds == 0 {
-		cfg.MaxIdleRounds = defaultMaxIdleRounds
-	}
-	tunerFor := cfg.TunerFor
-	if tunerFor == nil {
-		tunerFor = hyperparam.ForApp
-	}
 	s := &Simulator{
 		cfg:     cfg,
 		cs:      cluster.NewState(cfg.Topology),
@@ -198,7 +194,7 @@ func New(cfg Config) (*Simulator, error) {
 	copy(apps, cfg.Apps)
 	sort.SliceStable(apps, func(i, j int) bool { return apps[i].SubmitTime < apps[j].SubmitTime })
 	for _, a := range apps {
-		st := newAppState(a, tunerFor(a), cfg.Topology, &s.split)
+		st := newAppState(a, hyperparam.ForApp(a), cfg.Topology, &s.split)
 		s.apps = append(s.apps, st)
 		s.pending = append(s.pending, st)
 		s.events.push(&st.arrivalEv)
@@ -242,7 +238,7 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 		}
 		if forced {
 			forcedRounds++
-			if forcedRounds > s.cfg.MaxIdleRounds {
+			if forcedRounds > maxIdleRounds {
 				return nil, fmt.Errorf("sim: no progress after %d forced rounds at t=%.2f under policy %s", forcedRounds, s.now, s.cfg.Policy.Name())
 			}
 		} else {

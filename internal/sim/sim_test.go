@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"themis/internal/cluster"
+	"themis/internal/hyperparam"
 	"themis/internal/placement"
 	"themis/internal/workload"
 )
@@ -304,6 +305,43 @@ func TestTunerKillsReduceWork(t *testing.T) {
 	}
 	if rec.JobsKilled >= rec.JobsTotal {
 		t.Error("at least one trial must run to completion")
+	}
+}
+
+// tunerSpy is fifoPolicy that records the tuner of every app it sees.
+type tunerSpy struct {
+	fifoPolicy
+	tuners map[workload.AppID]hyperparam.Tuner
+}
+
+func (p *tunerSpy) Allocate(now float64, free cluster.Alloc, view *View) (map[workload.AppID]cluster.Alloc, error) {
+	for _, st := range view.Apps {
+		p.tuners[st.App.ID] = st.Tuner
+	}
+	return p.fifoPolicy.Allocate(now, free, view)
+}
+
+// TestTunerChoicePerApp pins the simulator's tuner choice: a one-trial app
+// runs under Single, a multi-trial app under HyperBand.
+func TestTunerChoicePerApp(t *testing.T) {
+	topo := simTopo(t, 4, 4, 2)
+	apps := []*workload.App{
+		simApp("one", 0, placement.ResNet50, 1, 40),
+		simApp("many", 0, placement.ResNet50, 4, 40),
+	}
+	spy := &tunerSpy{tuners: make(map[workload.AppID]hyperparam.Tuner)}
+	s, err := New(Config{Topology: topo, Apps: apps, Policy: spy, LeaseDuration: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := spy.tuners["one"].(*hyperparam.Single); !ok {
+		t.Errorf("one-trial app runs under %T, want *hyperparam.Single", spy.tuners["one"])
+	}
+	if _, ok := spy.tuners["many"].(*hyperparam.HyperBand); !ok {
+		t.Errorf("multi-trial app runs under %T, want *hyperparam.HyperBand", spy.tuners["many"])
 	}
 }
 

@@ -23,9 +23,6 @@ type PolicyConfig struct {
 	BidErrorTheta float64
 	// ErrorSeed seeds the per-agent bid error models.
 	ErrorSeed int64
-	// PlacementBlind makes Themis agents bid placement-obliviously (used by
-	// the ablation benchmarks).
-	PlacementBlind bool
 }
 
 // DefaultPolicyConfig returns the configuration the paper converges on
@@ -99,7 +96,6 @@ func init() {
 		}
 		p.BidErrorTheta = cfg.BidErrorTheta
 		p.ErrorSeed = cfg.ErrorSeed
-		p.PlacementBlind = cfg.PlacementBlind
 		return p, nil
 	})
 	mustRegister("gandiva", func(PolicyConfig) (SchedulerPolicy, error) {
