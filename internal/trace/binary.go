@@ -87,114 +87,71 @@ func (t Trace) WriteBinary(w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	var enc binaryEncoder
-	enc.intern("") // index 0 is the empty string
-	enc.intern(t.Name)
-	for i := range t.Apps {
-		a := &t.Apps[i]
-		enc.intern(a.ID)
-		enc.intern(a.Model)
-		if p := a.Placement; p != nil {
-			enc.intern(p.Profile)
-			enc.intern(p.Domain)
-			enc.intern(p.Flavor)
+	// Names are interned as the apps section first references them, so the
+	// table lists them in first-use order.
+	var strs []byte
+	index := make(map[string]uint64)
+	ref := func(b []byte, s string) []byte {
+		i, ok := index[s]
+		if !ok {
+			i = uint64(len(index))
+			index[s] = i
+			strs = binary.AppendUvarint(strs, uint64(len(s)))
+			strs = append(strs, s...)
 		}
+		return binary.AppendUvarint(b, i)
 	}
+	ref(nil, "") // index 0 is the empty string
 
-	var apps bytes.Buffer
-	enc.putUvarint(&apps, uint64(enc.index[t.Name]))
-	enc.putUvarint(&apps, uint64(len(t.Apps)))
+	apps := ref(nil, t.Name)
+	apps = binary.AppendUvarint(apps, uint64(len(t.Apps)))
 	prevBits := uint64(0)
 	for i := range t.Apps {
 		a := &t.Apps[i]
-		enc.putUvarint(&apps, uint64(enc.index[a.ID]))
+		apps = ref(apps, a.ID)
 		bits := math.Float64bits(a.SubmitTime)
-		enc.putVarint(&apps, int64(bits-prevBits))
+		apps = binary.AppendVarint(apps, int64(bits-prevBits))
 		prevBits = bits
-		enc.putUvarint(&apps, uint64(enc.index[a.Model]))
+		apps = ref(apps, a.Model)
 		if p := a.Placement; p != nil {
-			apps.WriteByte(appFlagPlacement)
-			enc.putUvarint(&apps, uint64(enc.index[p.Profile]))
-			enc.putUvarint(&apps, uint64(p.MinGPUsPerMachine))
-			enc.putUvarint(&apps, uint64(p.MaxMachines))
-			enc.putUvarint(&apps, uint64(enc.index[p.Domain]))
-			enc.putUvarint(&apps, uint64(enc.index[p.Flavor]))
+			apps = append(apps, appFlagPlacement)
+			apps = ref(apps, p.Profile)
+			apps = binary.AppendUvarint(apps, uint64(p.MinGPUsPerMachine))
+			apps = binary.AppendUvarint(apps, uint64(p.MaxMachines))
+			apps = ref(apps, p.Domain)
+			apps = ref(apps, p.Flavor)
 		} else {
-			apps.WriteByte(0)
+			apps = append(apps, 0)
 		}
-		enc.putUvarint(&apps, uint64(len(a.Jobs)))
+		apps = binary.AppendUvarint(apps, uint64(len(a.Jobs)))
 		for _, j := range a.Jobs {
-			enc.putFixed64(&apps, math.Float64bits(j.TotalWork))
-			enc.putUvarint(&apps, uint64(j.GangSize))
-			enc.putVarint(&apps, int64(j.MaxParallelism))
-			enc.putUvarint(&apps, uint64(j.MinGPUsPerMachine))
-			enc.putUvarint(&apps, uint64(j.MaxMachines))
-			enc.putVarint(&apps, int64(j.TotalIterations))
-			enc.putFixed64(&apps, math.Float64bits(j.Quality))
-			enc.putVarint(&apps, j.Seed)
+			apps = binary.LittleEndian.AppendUint64(apps, math.Float64bits(j.TotalWork))
+			apps = binary.AppendUvarint(apps, uint64(j.GangSize))
+			apps = binary.AppendVarint(apps, int64(j.MaxParallelism))
+			apps = binary.AppendUvarint(apps, uint64(j.MinGPUsPerMachine))
+			apps = binary.AppendUvarint(apps, uint64(j.MaxMachines))
+			apps = binary.AppendVarint(apps, int64(j.TotalIterations))
+			apps = binary.LittleEndian.AppendUint64(apps, math.Float64bits(j.Quality))
+			apps = binary.AppendVarint(apps, j.Seed)
 		}
 	}
 
-	var strtab bytes.Buffer
-	enc.putUvarint(&strtab, uint64(len(enc.table)))
-	for _, s := range enc.table {
-		enc.putUvarint(&strtab, uint64(len(s)))
-		strtab.WriteString(s)
-	}
-
-	var out bytes.Buffer
-	out.WriteString(binaryMagic)
-	enc.putUvarint(&out, BinaryVersion)
-	enc.putSection(&out, secStrings, strtab.Bytes())
-	enc.putSection(&out, secApps, apps.Bytes())
-	out.WriteByte(secEnd)
-	enc.putUvarint(&out, 0)
-	_, err := w.Write(out.Bytes())
-	if err != nil {
+	strtab := append(binary.AppendUvarint(nil, uint64(len(index))), strs...)
+	out := binary.AppendUvarint([]byte(binaryMagic), BinaryVersion)
+	out = appendSection(out, secStrings, strtab)
+	out = appendSection(out, secApps, apps)
+	out = appendSection(out, secEnd, nil)
+	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("trace: writing binary trace: %w", err)
 	}
 	return nil
 }
 
-// binaryEncoder holds the string-interning state and varint scratch of one
-// WriteBinary call.
-type binaryEncoder struct {
-	table   []string
-	index   map[string]int
-	scratch [binary.MaxVarintLen64]byte
-}
-
-// intern records s in the string table (first use wins the index).
-func (e *binaryEncoder) intern(s string) {
-	if e.index == nil {
-		e.index = make(map[string]int)
-	}
-	if _, ok := e.index[s]; ok {
-		return
-	}
-	e.index[s] = len(e.table)
-	e.table = append(e.table, s)
-}
-
-func (e *binaryEncoder) putUvarint(b *bytes.Buffer, v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	b.Write(e.scratch[:n])
-}
-
-func (e *binaryEncoder) putVarint(b *bytes.Buffer, v int64) {
-	n := binary.PutVarint(e.scratch[:], v)
-	b.Write(e.scratch[:n])
-}
-
-func (e *binaryEncoder) putFixed64(b *bytes.Buffer, v uint64) {
-	binary.LittleEndian.PutUint64(e.scratch[:8], v)
-	b.Write(e.scratch[:8])
-}
-
-func (e *binaryEncoder) putSection(b *bytes.Buffer, id byte, payload []byte) {
-	b.WriteByte(id)
-	e.putUvarint(b, uint64(len(payload)))
-	b.Write(payload)
+// appendSection appends one framed section: its identifier, the payload
+// length and the payload.
+func appendSection(b []byte, id byte, payload []byte) []byte {
+	b = binary.AppendUvarint(append(b, id), uint64(len(payload)))
+	return append(b, payload...)
 }
 
 // BinaryDecoder streams apps out of a v3 binary trace without materialising
@@ -206,12 +163,16 @@ func (e *binaryEncoder) putSection(b *bytes.Buffer, id byte, payload []byte) {
 // The *AppSpec returned by Next — including its Jobs slice and Placement
 // block — is only valid until the next Next call; callers retaining an app
 // must copy it (ReadBinary does).
+//
+// Every read helper returns its value and records the first failure in err;
+// once err is set they return zero values without touching the stream. So a
+// record decodes in straight-line code and is checked once, at its end.
 type BinaryDecoder struct {
 	br     *bufio.Reader
 	table  []string
 	name   string
 	remain int    // apps not yet decoded
-	left   int64  // bytes left in the current section frame
+	left   int64  // bytes left in the current frame
 	offset int64  // bytes consumed from the stream, for error positions
 	prev   uint64 // previous app's SubmitTime bits (delta base)
 
@@ -219,7 +180,7 @@ type BinaryDecoder struct {
 	jobs    []JobSpec
 	block   PlacementSpec
 	scratch [8]byte
-	err     error // sticky decode error
+	err     error // sticky decode error: the first failure
 }
 
 // NewBinaryDecoder reads the container header, the string table and the apps
@@ -227,8 +188,8 @@ type BinaryDecoder struct {
 // input fails with *CorruptTraceError.
 func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
 	d := &BinaryDecoder{br: bufio.NewReader(r)}
-	if err := d.readHeader(); err != nil {
-		return nil, err
+	if d.readHeader(); d.err != nil {
+		return nil, d.err
 	}
 	return d, nil
 }
@@ -248,65 +209,60 @@ func (d *BinaryDecoder) Next() (*AppSpec, error) {
 	}
 	if d.remain == 0 {
 		if d.left != 0 {
-			return nil, d.corrupt("%d trailing bytes in apps section", d.left)
+			d.corrupt("%d trailing bytes in apps section", d.left)
 		}
-		if err := d.readEndMarker(); err != nil {
-			return nil, err
+		// The end marker: section 0x00 with an empty payload.
+		d.left = 1 + binary.MaxVarintLen64
+		if id := d.readByte(); id != secEnd {
+			d.corrupt("expected end marker, found section 0x%02x", id)
 		}
-		d.err = io.EOF
-		return nil, io.EOF
+		if length := d.uvarint(); length != 0 {
+			d.corrupt("end marker declares %d payload bytes", length)
+		}
+		if d.err == nil {
+			d.err = io.EOF
+		}
+		return nil, d.err
 	}
 	d.remain--
 
-	idIdx, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	id, err := d.str(idIdx)
-	if err != nil {
-		return nil, err
-	}
-	delta, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	d.prev += uint64(delta)
-	modelIdx, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	model, err := d.str(modelIdx)
-	if err != nil {
-		return nil, err
-	}
-	flags, err := d.readByte()
-	if err != nil {
-		return nil, err
-	}
+	id := d.str(d.uvarint())
+	d.prev += uint64(d.varint())
+	model := d.str(d.uvarint())
+	flags := d.readByte()
 	if flags&^appFlagPlacement != 0 {
-		return nil, d.corrupt("unknown app flag bits 0x%02x", flags&^appFlagPlacement)
+		d.corrupt("unknown app flag bits 0x%02x", flags&^appFlagPlacement)
 	}
 	d.app = AppSpec{ID: id, SubmitTime: math.Float64frombits(d.prev), Model: model}
 	if flags&appFlagPlacement != 0 {
-		if err := d.readPlacement(); err != nil {
-			return nil, err
+		d.block = PlacementSpec{
+			Profile:           d.str(d.uvarint()),
+			MinGPUsPerMachine: d.uvarintInt("placement min_gpus_per_machine"),
+			MaxMachines:       d.uvarintInt("placement max_machines"),
+			Domain:            d.str(d.uvarint()),
+			Flavor:            d.str(d.uvarint()),
 		}
 		d.app.Placement = &d.block
 	}
-	jobCount, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	jobCount := d.uvarint()
 	if jobCount > uint64(d.left)/minJobEncodedBytes {
-		return nil, d.corrupt("job count %d exceeds the %d bytes left in the apps section", jobCount, d.left)
+		d.corrupt("job count %d exceeds the %d bytes left in the apps section", jobCount, d.left)
 	}
 	d.jobs = d.jobs[:0]
-	for i := uint64(0); i < jobCount; i++ {
-		js, err := d.readJob()
-		if err != nil {
-			return nil, err
-		}
-		d.jobs = append(d.jobs, js)
+	for i := uint64(0); i < jobCount && d.err == nil; i++ {
+		d.jobs = append(d.jobs, JobSpec{
+			TotalWork:         d.fixed64(),
+			GangSize:          d.uvarintInt("gang_size"),
+			MaxParallelism:    d.varintInt("max_parallelism"),
+			MinGPUsPerMachine: d.uvarintInt("min_gpus_per_machine"),
+			MaxMachines:       d.uvarintInt("max_machines"),
+			TotalIterations:   d.varintInt("total_iterations"),
+			Quality:           d.fixed64(),
+			Seed:              d.varint(),
+		})
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	d.app.Jobs = d.jobs
 	return &d.app, nil
@@ -314,85 +270,23 @@ func (d *BinaryDecoder) Next() (*AppSpec, error) {
 
 // readHeader consumes the magic, container version, string table and the
 // apps-section header.
-func (d *BinaryDecoder) readHeader() error {
-	if err := d.readFullRaw(d.scratch[:len(binaryMagic)]); err != nil {
-		return err
-	}
-	if string(d.scratch[:len(binaryMagic)]) != binaryMagic {
-		return d.corrupt("bad magic %q (want %q)", d.scratch[:len(binaryMagic)], binaryMagic)
+func (d *BinaryDecoder) readHeader() {
+	d.left = int64(len(binaryMagic)) + binary.MaxVarintLen64 // the magic and the version
+	magic := d.scratch[:len(binaryMagic)]
+	if d.readFull(magic); d.err == nil && string(magic) != binaryMagic {
+		d.corrupt("bad magic %q (want %q)", magic, binaryMagic)
 	}
 	// The container version frames everything after it; an unknown version is
 	// a negotiation failure, not corruption.
-	d.left = binary.MaxVarintLen64 // bound the header varint read
-	version, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if version != BinaryVersion {
+	if version := d.uvarint(); d.err == nil && version != BinaryVersion {
 		d.err = &UnsupportedVersionError{Version: int(version)}
-		return d.err
 	}
-	if err := d.readStringTable(); err != nil {
-		return err
-	}
-	// Apps section header: id, frame length, trace-name index, app count.
-	if err := d.readSectionHeader(secApps, "apps"); err != nil {
-		return err
-	}
-	nameIdx, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if d.name, err = d.str(nameIdx); err != nil {
-		return err
-	}
-	count, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	// The smallest app record (id, delta, model, flags, job count) is 5
-	// bytes; a count the frame cannot back is corrupt.
-	if count > uint64(d.left)/5 {
-		return d.corrupt("app count %d exceeds the %d-byte apps section", count, d.left)
-	}
-	d.remain = int(count)
-	return nil
-}
 
-// readSectionHeader consumes one section header and checks its identifier,
-// setting the frame bound for subsequent reads.
-func (d *BinaryDecoder) readSectionHeader(want byte, name string) error {
-	id, err := d.readByteRaw()
-	if err != nil {
-		return err
-	}
-	if id != want {
-		return d.corrupt("expected %s section (0x%02x), found 0x%02x", name, want, id)
-	}
-	d.left = binary.MaxVarintLen64
-	length, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if length > math.MaxInt64 {
-		return d.corrupt("%s section length %d overflows", name, length)
-	}
-	d.left = int64(length)
-	return nil
-}
-
-// readStringTable loads the interned-name table.
-func (d *BinaryDecoder) readStringTable() error {
-	if err := d.readSectionHeader(secStrings, "string table"); err != nil {
-		return err
-	}
-	count, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	d.section(secStrings, "string table")
+	count := d.uvarint()
 	// Every entry takes at least its one-byte length prefix.
 	if count > uint64(d.left) {
-		return d.corrupt("string table claims %d entries in %d bytes", count, d.left)
+		d.corrupt("string table claims %d entries in %d bytes", count, d.left)
 	}
 	// The declared section length is attacker-controlled and unverifiable in
 	// a streaming read, so the count check above does not bound memory by
@@ -401,271 +295,178 @@ func (d *BinaryDecoder) readStringTable() error {
 	// of truncation instead of a giant up-front make.
 	d.table = make([]string, 0, min(count, 1024))
 	var chunk []byte
-	for i := uint64(0); i < count; i++ {
-		slen, err := d.uvarint()
-		if err != nil {
-			return err
-		}
+	for i := uint64(0); i < count && d.err == nil; i++ {
+		slen := d.uvarint()
 		if slen > uint64(d.left) {
-			return d.corrupt("string %d length %d exceeds the %d bytes left in the table", i, slen, d.left)
+			d.corrupt("string %d length %d exceeds the %d bytes left in the table", i, slen, d.left)
 		}
 		const maxChunk = 64 << 10
 		var buf bytes.Buffer
-		for n := slen; n > 0; {
+		for n := slen; n > 0 && d.err == nil; {
 			c := min(n, maxChunk)
 			if uint64(len(chunk)) < c {
 				chunk = make([]byte, c)
 			}
-			if err := d.readFull(chunk[:c]); err != nil {
-				return err
-			}
+			d.readFull(chunk[:c])
 			buf.Write(chunk[:c])
 			n -= c
 		}
 		if !utf8.Valid(buf.Bytes()) {
 			// The JSON encoding cannot represent invalid UTF-8, so accepting
 			// it here would break the cross-format round-trip guarantee.
-			return d.corrupt("string %d is not valid UTF-8", i)
+			d.corrupt("string %d is not valid UTF-8", i)
 		}
 		d.table = append(d.table, buf.String())
 	}
 	if d.left != 0 {
-		return d.corrupt("%d trailing bytes in string table", d.left)
+		d.corrupt("%d trailing bytes in string table", d.left)
 	}
-	return nil
+
+	// Apps section header: id, frame length, trace-name index, app count.
+	d.section(secApps, "apps")
+	d.name = d.str(d.uvarint())
+	count = d.uvarint()
+	// The smallest app record (id, delta, model, flags, job count) is 5
+	// bytes; a count the frame cannot back is corrupt.
+	if count > uint64(d.left)/5 {
+		d.corrupt("app count %d exceeds the %d-byte apps section", count, d.left)
+	}
+	d.remain = int(count)
 }
 
-// readPlacement decodes a placement block into the reused d.block.
-func (d *BinaryDecoder) readPlacement() error {
-	profIdx, err := d.uvarint()
-	if err != nil {
-		return err
+// section consumes one section header and checks its identifier, setting
+// the frame bound for subsequent reads.
+func (d *BinaryDecoder) section(want byte, name string) {
+	d.left = 1 + binary.MaxVarintLen64 // bound the header reads
+	if id := d.readByte(); id != want {
+		d.corrupt("expected %s section (0x%02x), found 0x%02x", name, want, id)
 	}
-	profile, err := d.str(profIdx)
-	if err != nil {
-		return err
+	length := d.uvarint()
+	if length > math.MaxInt64 {
+		d.corrupt("%s section length %d overflows", name, length)
 	}
-	minGPUs, err := d.uvarintInt("placement min_gpus_per_machine")
-	if err != nil {
-		return err
-	}
-	maxMach, err := d.uvarintInt("placement max_machines")
-	if err != nil {
-		return err
-	}
-	domIdx, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	domain, err := d.str(domIdx)
-	if err != nil {
-		return err
-	}
-	flavIdx, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	flavor, err := d.str(flavIdx)
-	if err != nil {
-		return err
-	}
-	d.block = PlacementSpec{Profile: profile, MinGPUsPerMachine: minGPUs, MaxMachines: maxMach, Domain: domain, Flavor: flavor}
-	return nil
-}
-
-// readJob decodes one job record.
-func (d *BinaryDecoder) readJob() (JobSpec, error) {
-	var js JobSpec
-	work, err := d.fixed64()
-	if err != nil {
-		return js, err
-	}
-	js.TotalWork = math.Float64frombits(work)
-	if js.GangSize, err = d.uvarintInt("gang_size"); err != nil {
-		return js, err
-	}
-	if js.MaxParallelism, err = d.varintInt("max_parallelism"); err != nil {
-		return js, err
-	}
-	if js.MinGPUsPerMachine, err = d.uvarintInt("min_gpus_per_machine"); err != nil {
-		return js, err
-	}
-	if js.MaxMachines, err = d.uvarintInt("max_machines"); err != nil {
-		return js, err
-	}
-	if js.TotalIterations, err = d.varintInt("total_iterations"); err != nil {
-		return js, err
-	}
-	quality, err := d.fixed64()
-	if err != nil {
-		return js, err
-	}
-	js.Quality = math.Float64frombits(quality)
-	if js.Seed, err = d.varint(); err != nil {
-		return js, err
-	}
-	return js, nil
-}
-
-// readEndMarker consumes and checks the container's end-of-sections marker.
-func (d *BinaryDecoder) readEndMarker() error {
-	id, err := d.readByteRaw()
-	if err != nil {
-		return err
-	}
-	if id != secEnd {
-		return d.corrupt("expected end marker, found section 0x%02x", id)
-	}
-	d.left = binary.MaxVarintLen64
-	length, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if length != 0 {
-		return d.corrupt("end marker declares %d payload bytes", length)
-	}
-	return nil
+	d.left = int64(length)
 }
 
 // str resolves a string-table index, range-checked.
-func (d *BinaryDecoder) str(idx uint64) (string, error) {
+func (d *BinaryDecoder) str(idx uint64) string {
 	if idx >= uint64(len(d.table)) {
-		return "", d.corrupt("string index %d out of range (table has %d entries)", idx, len(d.table))
+		d.corrupt("string index %d out of range (table has %d entries)", idx, len(d.table))
+		return ""
 	}
-	return d.table[idx], nil
+	return d.table[idx]
 }
 
-// readByteRaw reads one byte outside any section frame (section identifiers
-// and the header magic).
-func (d *BinaryDecoder) readByteRaw() (byte, error) {
-	b, err := d.br.ReadByte()
-	if err != nil {
-		return 0, d.ioErr(err)
+// readByte reads one byte inside the current frame.
+func (d *BinaryDecoder) readByte() byte {
+	if d.err != nil {
+		return 0
 	}
-	d.offset++
-	return b, nil
-}
-
-// readFullRaw fills p outside any section frame.
-func (d *BinaryDecoder) readFullRaw(p []byte) error {
-	n, err := io.ReadFull(d.br, p)
-	d.offset += int64(n)
-	if err != nil {
-		return d.ioErr(err)
-	}
-	return nil
-}
-
-// readByte reads one byte inside the current section frame.
-func (d *BinaryDecoder) readByte() (byte, error) {
 	if d.left <= 0 {
-		return 0, d.corrupt("read past the end of the section frame")
+		d.corrupt("read past the end of the section frame")
+		return 0
 	}
 	b, err := d.br.ReadByte()
 	if err != nil {
-		return 0, d.ioErr(err)
+		d.ioErr(err)
+		return 0
 	}
 	d.left--
 	d.offset++
-	return b, nil
+	return b
 }
 
-// readFull fills p from inside the current section frame.
-func (d *BinaryDecoder) readFull(p []byte) error {
+// readFull fills p from inside the current frame.
+func (d *BinaryDecoder) readFull(p []byte) {
+	if d.err != nil {
+		return
+	}
 	if int64(len(p)) > d.left {
-		return d.corrupt("read of %d bytes past the end of the section frame", len(p))
+		d.corrupt("read of %d bytes past the end of the section frame", len(p))
+		return
 	}
 	n, err := io.ReadFull(d.br, p)
 	d.left -= int64(n)
 	d.offset += int64(n)
 	if err != nil {
-		return d.ioErr(err)
+		d.ioErr(err)
 	}
-	return nil
 }
 
 // uvarint reads an unsigned varint, rejecting 64-bit overflow.
-func (d *BinaryDecoder) uvarint() (uint64, error) {
+func (d *BinaryDecoder) uvarint() uint64 {
 	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := d.readByte()
-		if err != nil {
-			return 0, err
+	for i, s := 0, uint(0); i < binary.MaxVarintLen64; i, s = i+1, s+7 {
+		b := d.readByte()
+		if d.err != nil {
+			return 0
 		}
 		if b < 0x80 {
 			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, d.corrupt("varint overflows 64 bits")
+				break
 			}
-			return x | uint64(b)<<s, nil
+			return x | uint64(b)<<s
 		}
 		x |= uint64(b&0x7f) << s
-		s += 7
 	}
-	return 0, d.corrupt("varint overflows 64 bits")
+	d.corrupt("varint overflows 64 bits")
+	return 0
 }
 
 // varint reads a zigzag-encoded signed varint.
-func (d *BinaryDecoder) varint() (int64, error) {
-	ux, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (d *BinaryDecoder) varint() int64 {
+	ux := d.uvarint()
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
 		x = ^x
 	}
-	return x, nil
+	return x
 }
 
 // uvarintInt reads an unsigned varint that must fit an int.
-func (d *BinaryDecoder) uvarintInt(field string) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (d *BinaryDecoder) uvarintInt(field string) int {
+	v := d.uvarint()
 	if v > math.MaxInt {
-		return 0, d.corrupt("%s value %d overflows int", field, v)
+		d.corrupt("%s value %d overflows int", field, v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
 // varintInt reads a signed varint that must fit an int.
-func (d *BinaryDecoder) varintInt(field string) (int, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
-	}
+func (d *BinaryDecoder) varintInt(field string) int {
+	v := d.varint()
 	if v > math.MaxInt || v < math.MinInt {
-		return 0, d.corrupt("%s value %d overflows int", field, v)
+		d.corrupt("%s value %d overflows int", field, v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-// fixed64 reads a little-endian 8-byte value.
-func (d *BinaryDecoder) fixed64() (uint64, error) {
-	if err := d.readFull(d.scratch[:8]); err != nil {
-		return 0, err
+// fixed64 reads a little-endian 8-byte float64.
+func (d *BinaryDecoder) fixed64() float64 {
+	if d.readFull(d.scratch[:8]); d.err != nil {
+		return 0
 	}
-	return binary.LittleEndian.Uint64(d.scratch[:8]), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.scratch[:8]))
 }
 
-// corrupt records and returns a typed corruption error at the current
-// stream position.
-func (d *BinaryDecoder) corrupt(format string, args ...any) error {
-	d.err = &CorruptTraceError{Offset: d.offset, Reason: fmt.Sprintf(format, args...)}
-	return d.err
+// corrupt records a typed corruption error at the current stream position,
+// unless an earlier failure is already recorded.
+func (d *BinaryDecoder) corrupt(format string, args ...any) {
+	if d.err == nil {
+		d.err = &CorruptTraceError{Offset: d.offset, Reason: fmt.Sprintf(format, args...)}
+	}
 }
 
-// ioErr converts a read failure into the decoder's sticky error: EOF inside
-// a structure is truncation (corruption); anything else is a real I/O error
-// and is surfaced as such.
-func (d *BinaryDecoder) ioErr(err error) error {
+// ioErr records a read failure: EOF inside a structure is truncation
+// (corruption); anything else is a real I/O error and is surfaced as such.
+func (d *BinaryDecoder) ioErr(err error) {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return d.corrupt("truncated input")
+		d.corrupt("truncated input")
+	} else {
+		d.err = fmt.Errorf("trace: reading binary trace: %w", err)
 	}
-	d.err = fmt.Errorf("trace: reading binary trace: %w", err)
-	return d.err
 }
 
 // ReadBinary parses and validates a complete trace from a v3 binary stream.

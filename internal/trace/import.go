@@ -133,9 +133,9 @@ func Import(r io.Reader, f Format, opts ImportOptions) (Trace, error) {
 	}
 	switch f {
 	case FormatJSON:
-		return importJSON(r, opts)
+		return importNative(r, opts, Read, FormatJSON)
 	case FormatBinary:
-		return importBinary(r, opts)
+		return importNative(r, opts, ReadBinary, FormatBinary)
 	case FormatPhilly:
 		return ImportPhilly(r, opts)
 	case FormatAlibaba:
@@ -216,41 +216,21 @@ func deriveQuality(id string) float64 {
 	return float64(deriveSeed(id)%1_000_000) / 1_000_000
 }
 
-// importJSON adapts the native decoder to the importer contract, so the
-// options a caller hands Import apply uniformly across formats instead of
-// being silently ignored on JSON input: Name, Model and Placement stamp the
-// decoded apps, MaxApps keeps the earliest by (submit time, ID) — without
-// the CSV adapters' rebase to t = 0, since a native trace owns its time
-// base — and a Progress callback still receives its final Done snapshot
-// (Rows counts decoded app entries; JSON has no data rows).
-func importJSON(r io.Reader, opts ImportOptions) (Trace, error) {
+// importNative adapts a native decoder (Read or ReadBinary) to the importer
+// contract, so the options a caller hands Import apply uniformly across
+// formats instead of being silently ignored on native input: Name, Model and
+// Placement stamp the decoded apps, MaxApps keeps the earliest by (submit
+// time, ID) — without the CSV adapters' rebase to t = 0, since a native
+// trace owns its time base — and a Progress callback still receives its
+// final Done snapshot (Rows counts decoded app entries; native traces have
+// no data rows). The two encodings import identically apart from the Format
+// in that snapshot.
+func importNative(r io.Reader, opts ImportOptions, decode func(io.Reader) (Trace, error), f Format) (Trace, error) {
 	count := &countingReader{r: r}
-	tr, err := Read(count)
+	tr, err := decode(count)
 	if err != nil {
 		return Trace{}, err
 	}
-	return finishNativeImport(tr, opts, FormatJSON, count)
-}
-
-// importBinary adapts the v3 binary decoder to the importer contract,
-// applying exactly the native post-processing importJSON does: the two
-// encodings import identically apart from the Format in progress snapshots.
-func importBinary(r io.Reader, opts ImportOptions) (Trace, error) {
-	count := &countingReader{r: r}
-	tr, err := ReadBinary(count)
-	if err != nil {
-		return Trace{}, err
-	}
-	return finishNativeImport(tr, opts, FormatBinary, count)
-}
-
-// finishNativeImport applies the importer options shared by the native
-// encodings (JSON and binary) to a decoded trace: Name, Model and Placement
-// stamping, the MaxApps earliest-by-(submit,ID) cap — without the CSV
-// adapters' rebase to t = 0, since a native trace owns its time base — and
-// the final Done progress snapshot (Rows counts decoded app entries; native
-// traces have no data rows).
-func finishNativeImport(tr Trace, opts ImportOptions, f Format, count *countingReader) (Trace, error) {
 	if opts.Name != "" {
 		tr.Name = opts.Name
 	}

@@ -323,15 +323,23 @@ func (t Trace) Write(w io.Writer) error {
 // current format version (lossless; see Upgrade), so Write on the result
 // emits valid current-format JSON.
 func Read(r io.Reader) (Trace, error) {
+	t, _, err := readJSON(r)
+	return t, err
+}
+
+// readJSON is Read, also reporting what the file declared: a zero LoadInfo
+// when the JSON does not decode, its declared version otherwise.
+func readJSON(r io.Reader) (Trace, LoadInfo, error) {
 	var t Trace
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return Trace{}, fmt.Errorf("trace: decoding: %w", err)
+		return Trace{}, LoadInfo{}, fmt.Errorf("trace: decoding: %w", err)
 	}
+	info := LoadInfo{Encoding: FormatJSON, WireVersion: t.Version}
 	if err := t.Validate(); err != nil {
-		return Trace{}, err
+		return Trace{}, info, err
 	}
 	t.Upgrade()
-	return t, nil
+	return t, info, nil
 }
 
 // Save writes the trace to a file.
@@ -385,14 +393,5 @@ func LoadWithInfo(path string) (Trace, LoadInfo, error) {
 		t, err := ReadBinary(br)
 		return t, LoadInfo{Encoding: FormatBinary, WireVersion: BinaryVersion}, err
 	}
-	var t Trace
-	if err := json.NewDecoder(br).Decode(&t); err != nil {
-		return Trace{}, LoadInfo{}, fmt.Errorf("trace: decoding: %w", err)
-	}
-	info := LoadInfo{Encoding: FormatJSON, WireVersion: t.Version}
-	if err := t.Validate(); err != nil {
-		return Trace{}, info, err
-	}
-	t.Upgrade()
-	return t, info, nil
+	return readJSON(br)
 }

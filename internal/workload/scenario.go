@@ -240,8 +240,9 @@ func arrivalTimes(cfg ScenarioConfig, rng *rand.Rand) []float64 {
 	return times
 }
 
-// scenarioApp builds one synthetic application, mirroring generateApp but
-// with the scenario's job-size and gang-size models plugged in.
+// scenarioApp builds one synthetic application arriving at time submit,
+// drawing job sizes and gang sizes from the scenario's models. Both
+// generators build their apps here.
 func scenarioApp(cfg ScenarioConfig, rng *rand.Rand, index int, submit float64) *App {
 	id := AppID(fmt.Sprintf("app-%03d", index))
 

@@ -174,51 +174,16 @@ func Generate(cfg GeneratorConfig) ([]*App, error) {
 	apps := make([]*App, 0, cfg.NumApps)
 	now := 0.0
 	meanIA := cfg.MeanInterArrival / cfg.ContentionFactor
+	// A scenario with no knobs set builds the base family's apps; only the
+	// arrival draws, interleaved with each app's here, set Generate apart.
+	scenario := ScenarioConfig{GeneratorConfig: cfg}
 	for i := 0; i < cfg.NumApps; i++ {
 		if i > 0 {
 			now += rng.ExpFloat64() * meanIA
 		}
-		apps = append(apps, generateApp(cfg, rng, i, now))
+		apps = append(apps, scenarioApp(scenario, rng, i, now))
 	}
 	return apps, nil
-}
-
-// generateApp builds one synthetic application arriving at time submit.
-func generateApp(cfg GeneratorConfig, rng *rand.Rand, index int, submit float64) *App {
-	id := AppID(fmt.Sprintf("app-%03d", index))
-
-	var profile placement.Profile
-	if rng.Float64() < cfg.FractionNetworkIntensive {
-		profile = cfg.NetworkProfiles[rng.Intn(len(cfg.NetworkProfiles))]
-	} else {
-		profile = cfg.ComputeProfiles[rng.Intn(len(cfg.ComputeProfiles))]
-	}
-
-	nJobs := clampInt(int(math.Round(lognormal(rng, cfg.JobsPerAppMedian, cfg.JobsPerAppSigma))),
-		cfg.MinJobsPerApp, cfg.MaxJobsPerApp)
-
-	jobs, slab := make([]*Job, 0, nJobs), NewJobSlab(id, nJobs)
-	for j := 0; j < nJobs; j++ {
-		median := cfg.ShortTaskMedian
-		if rng.Float64() < cfg.LongTaskFraction {
-			median = cfg.LongTaskMedian
-		}
-		duration := lognormal(rng, median, cfg.TaskSigma)
-		if duration > cfg.MaxTaskDuration {
-			duration = cfg.MaxTaskDuration
-		}
-		duration *= cfg.DurationScale
-		gang := 2
-		if rng.Float64() < cfg.GangSizeFourFraction {
-			gang = 4
-		}
-		job := slab.Job(j, duration*float64(gang), gang)
-		job.Quality = rng.Float64()
-		job.Seed = rng.Int63()
-		job.TotalIterations = 200 + rng.Intn(1800)
-		jobs = append(jobs, job)
-	}
-	return NewApp(id, submit, profile, jobs)
 }
 
 // lognormal samples a lognormal variate with the given median and log-space
