@@ -42,6 +42,17 @@ func TestOptionDefaults(t *testing.T) {
 }
 
 func TestConfigurationErrors(t *testing.T) {
+	profile, err := themis.Model("ResNet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := func() *themis.App {
+		app, err := themis.NewApp("dup", 0, profile, []*themis.Job{themis.NewJob("dup", 0, 60, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
 	cases := []struct {
 		name string
 		opts []themis.Option
@@ -57,6 +68,7 @@ func TestConfigurationErrors(t *testing.T) {
 		{"nil topology", []themis.Option{themis.WithTopology(nil)}, "WithTopology"},
 		{"missing trace file", []themis.Option{themis.WithTraceFile("/nonexistent/trace.json")}, "trace"},
 		{"failure outside the cluster", []themis.Option{themis.WithWorkload(quickSpec()), themis.WithFailures(themis.Failure{Time: 5, Machine: 9999, Duration: 10})}, "outside the topology"},
+		{"two apps sharing an ID", []themis.Option{themis.WithCluster("testbed"), themis.WithApps(dup(), dup())}, `share the ID "dup"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

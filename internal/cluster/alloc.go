@@ -151,19 +151,18 @@ func (a Alloc) Key() string { return a.String() }
 // State is not safe for concurrent use; callers serialise access.
 type State struct {
 	topo    *Topology
-	used    map[MachineID]int            // GPUs in use per machine
-	held    map[string]Alloc             // app ID -> allocation
-	on      map[MachineID]map[string]int // machine -> app ID -> count
-	offline map[MachineID]bool           // machines currently failed
+	used    []int            // per machine ID: GPUs in use
+	held    map[string]Alloc // app ID -> allocation
+	offline []bool           // per machine ID: currently failed
 }
 
 // NewState returns an empty occupancy state over topo.
 func NewState(topo *Topology) *State {
 	return &State{
-		topo: topo,
-		used: make(map[MachineID]int),
-		held: make(map[string]Alloc),
-		on:   make(map[MachineID]map[string]int),
+		topo:    topo,
+		used:    make([]int, topo.NumMachines()),
+		held:    make(map[string]Alloc),
+		offline: make([]bool, topo.NumMachines()),
 	}
 }
 
@@ -255,17 +254,6 @@ func (s *State) Apps() []string {
 	return out
 }
 
-// AppsOn returns the per-app GPU counts on machine m, as a copy.
-func (s *State) AppsOn(m MachineID) map[string]int {
-	out := make(map[string]int, len(s.on[m]))
-	for app, n := range s.on[m] {
-		if n > 0 {
-			out[app] = n
-		}
-	}
-	return out
-}
-
 // Grant assigns the GPUs in alloc to app. It fails (without partial effect)
 // if any machine lacks sufficient free GPUs. The app's holding is credited
 // in place; alloc is copied, never kept.
@@ -286,10 +274,6 @@ func (s *State) Grant(app string, alloc Alloc) error {
 			continue
 		}
 		s.used[m] += n
-		if s.on[m] == nil {
-			s.on[m] = make(map[string]int)
-		}
-		s.on[m][app] += n
 	}
 	if held, ok := s.held[app]; ok {
 		held.Credit(alloc)
@@ -315,10 +299,6 @@ func (s *State) Release(app string, alloc Alloc) error {
 			continue
 		}
 		s.used[m] -= n
-		s.on[m][app] -= n
-		if s.on[m][app] == 0 {
-			delete(s.on[m], app)
-		}
 	}
 	if held.IsEmpty() {
 		delete(s.held, app)
@@ -347,25 +327,16 @@ func (s *State) ReleaseAll(app string) Alloc {
 // of per-app holdings and never exceed capacity. It is used by tests and the
 // simulator's self-checks.
 func (s *State) Validate() error {
-	for _, m := range s.topo.Machines() {
-		sum := 0
-		for _, n := range s.on[m.ID] {
-			sum += n
-		}
-		if sum != s.used[m.ID] {
-			return fmt.Errorf("machine %d: used=%d but per-app sum=%d", m.ID, s.used[m.ID], sum)
-		}
-		if s.used[m.ID] > m.NumGPUs || s.used[m.ID] < 0 {
-			return fmt.Errorf("machine %d: used=%d out of range [0,%d]", m.ID, s.used[m.ID], m.NumGPUs)
-		}
-	}
 	total := NewAlloc()
 	for _, a := range s.held {
 		total = total.Add(a)
 	}
-	for m, n := range total {
-		if n != s.used[m] {
-			return fmt.Errorf("machine %d: held sum %d != used %d", m, n, s.used[m])
+	for _, m := range s.topo.Machines() {
+		if s.used[m.ID] > m.NumGPUs || s.used[m.ID] < 0 {
+			return fmt.Errorf("machine %d: used=%d out of range [0,%d]", m.ID, s.used[m.ID], m.NumGPUs)
+		}
+		if total[m.ID] != s.used[m.ID] {
+			return fmt.Errorf("machine %d: held sum %d != used %d", m.ID, total[m.ID], s.used[m.ID])
 		}
 	}
 	return nil

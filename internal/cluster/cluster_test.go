@@ -180,9 +180,8 @@ func TestStateFreeVectorAndApps(t *testing.T) {
 	if len(apps) != 2 || apps[0] != "a" || apps[1] != "b" {
 		t.Errorf("Apps = %v, want [a b]", apps)
 	}
-	on := s.AppsOn(0)
-	if on["b"] != 4 || len(on) != 1 {
-		t.Errorf("AppsOn(0) = %v", on)
+	if s.Held("b")[0] != 4 || s.Held("a")[0] != 0 {
+		t.Errorf("machine 0 holds %d of b's GPUs and %d of a's, want 4 and 0", s.Held("b")[0], s.Held("a")[0])
 	}
 }
 

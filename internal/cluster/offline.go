@@ -1,7 +1,5 @@
 package cluster
 
-import "sort"
-
 // Machine availability. The paper leaves failure-aware scheduling to future
 // work (§6); the simulator's failure injector uses these hooks to take
 // machines out of (and back into) service so schedulers can be studied under
@@ -12,28 +10,13 @@ import "sort"
 // SetOffline marks machine m as failed (offline=true) or recovered
 // (offline=false). Marking an unknown machine is a no-op.
 func (s *State) SetOffline(m MachineID, offline bool) {
-	if int(m) < 0 || int(m) >= s.topo.NumMachines() {
-		return
-	}
-	if s.offline == nil {
-		s.offline = make(map[MachineID]bool)
-	}
-	if offline {
-		s.offline[m] = true
-	} else {
-		delete(s.offline, m)
+	if int(m) >= 0 && int(m) < len(s.offline) {
+		s.offline[m] = offline
 	}
 }
 
-// Offline reports whether machine m is currently marked failed.
-func (s *State) Offline(m MachineID) bool { return s.offline[m] }
-
-// OfflineMachines returns the currently failed machines in ID order.
-func (s *State) OfflineMachines() []MachineID {
-	out := make([]MachineID, 0, len(s.offline))
-	for m := range s.offline {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Offline reports whether machine m is currently marked failed; an unknown
+// machine never is.
+func (s *State) Offline(m MachineID) bool {
+	return int(m) >= 0 && int(m) < len(s.offline) && s.offline[m]
 }

@@ -8,15 +8,53 @@ import (
 	"themis/internal/race"
 )
 
-// cloneState is the State of before holdings were updated in place: Grant,
-// Release and ReleaseAll below are the parent's bodies, verbatim, which
-// rebuild the app's holding from a Held copy (two or three clones per call).
-// Every other method is State's own, which the change left alone.
-type cloneState struct{ State }
+// mapState is a model of State that shares none of its layout: per-app
+// holdings, per-machine used counts and the offline set are all maps. Grant,
+// Release and ReleaseAll keep the semantics of the State that rebuilt an
+// app's holding from a Held copy on every call (two or three clones), before
+// holdings were updated in place.
+type mapState struct {
+	topo    *Topology
+	held    map[string]Alloc
+	used    map[MachineID]int
+	offline map[MachineID]bool
+}
 
-func newCloneState(topo *Topology) *cloneState { return &cloneState{*NewState(topo)} }
+func newMapState(topo *Topology) *mapState {
+	return &mapState{topo: topo, held: map[string]Alloc{}, used: map[MachineID]int{}, offline: map[MachineID]bool{}}
+}
 
-func (s *cloneState) Grant(app string, alloc Alloc) error {
+func (s *mapState) FreeOn(m MachineID) int {
+	if s.offline[m] {
+		return 0
+	}
+	return s.topo.Machine(m).NumGPUs - s.used[m]
+}
+
+func (s *mapState) Held(app string) Alloc { return s.held[app].Clone() }
+
+func (s *mapState) HeldTotal(app string) int { return s.held[app].Total() }
+
+func (s *mapState) Apps() []string {
+	var out []string
+	for app, a := range s.held {
+		if !a.IsEmpty() {
+			out = append(out, app)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (s *mapState) SetOffline(m MachineID, offline bool) {
+	if int(m) >= 0 && int(m) < s.topo.NumMachines() {
+		s.offline[m] = offline
+	}
+}
+
+func (s *mapState) Offline(m MachineID) bool { return s.offline[m] }
+
+func (s *mapState) Grant(app string, alloc Alloc) error {
 	for m, n := range alloc {
 		if n < 0 {
 			return fmt.Errorf("cluster: negative grant of %d GPUs on machine %d", n, m)
@@ -29,44 +67,29 @@ func (s *cloneState) Grant(app string, alloc Alloc) error {
 		}
 	}
 	for m, n := range alloc {
-		if n == 0 {
-			continue
-		}
 		s.used[m] += n
-		if s.on[m] == nil {
-			s.on[m] = make(map[string]int)
-		}
-		s.on[m][app] += n
 	}
 	s.held[app] = s.Held(app).Add(alloc)
 	return nil
 }
 
-func (s *cloneState) Release(app string, alloc Alloc) error {
-	held := s.Held(app)
-	if _, err := held.Sub(alloc); err != nil {
+func (s *mapState) Release(app string, alloc Alloc) error {
+	held, err := s.Held(app).Sub(alloc)
+	if err != nil {
 		return fmt.Errorf("cluster: app %s: %w", app, err)
 	}
 	for m, n := range alloc {
-		if n == 0 {
-			continue
-		}
 		s.used[m] -= n
-		s.on[m][app] -= n
-		if s.on[m][app] == 0 {
-			delete(s.on[m], app)
-		}
 	}
-	newHeld, _ := held.Sub(alloc)
-	if newHeld.IsEmpty() {
+	if held.IsEmpty() {
 		delete(s.held, app)
 	} else {
-		s.held[app] = newHeld
+		s.held[app] = held
 	}
 	return nil
 }
 
-func (s *cloneState) ReleaseAll(app string) Alloc {
+func (s *mapState) ReleaseAll(app string) Alloc {
 	held := s.Held(app)
 	if held.IsEmpty() {
 		return held
@@ -75,6 +98,25 @@ func (s *cloneState) ReleaseAll(app string) Alloc {
 		panic("cluster: ReleaseAll internal inconsistency: " + err.Error())
 	}
 	return held
+}
+
+// Validate checks the model's used counts against its capacities and its
+// holdings, machine by machine, in State.Validate's words.
+func (s *mapState) Validate() error {
+	for id := range MachineID(s.topo.NumMachines()) {
+		used, capacity := s.used[id], s.topo.Machine(id).NumGPUs
+		if used > capacity || used < 0 {
+			return fmt.Errorf("machine %d: used=%d out of range [0,%d]", id, used, capacity)
+		}
+		sum := 0
+		for _, a := range s.held {
+			sum += a[id]
+		}
+		if sum != used {
+			return fmt.Errorf("machine %d: held sum %d != used %d", id, sum, used)
+		}
+	}
+	return nil
 }
 
 // stateOps decodes a fuzz input into operations on four apps over six 4-GPU
@@ -105,8 +147,8 @@ func stateOps(data []byte) []stateOp {
 }
 
 // FuzzStateMatchesCloneOracle: over any sequence of grants, releases, whole
-// releases and machine failures, the in-place State and the clone-based
-// oracle agree on every call's error (its text when the allocation names one
+// releases and machine failures, the in-place State and the map model that
+// clones every holding it changes agree on every call's error (its text when the allocation names one
 // machine, whose check order a map walk cannot change), on what ReleaseAll
 // returns, and after every call on Held, HeldTotal, FreeOn, Apps and
 // Validate.
@@ -119,7 +161,7 @@ func FuzzStateMatchesCloneOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := NewState(topo), newCloneState(topo)
+		got, want := NewState(topo), newMapState(topo)
 		apps := []string{"app-0", "app-1", "app-2", "app-3"}
 		for i, op := range stateOps(data) {
 			var gErr, wErr error

@@ -63,11 +63,12 @@ type AppState struct {
 	// Heap entries owned by this app (see events.go).
 	arrivalEv    event
 	completionEv event
-	// activeIdx/runningIdx/holdingIdx are the app's positions in the
-	// simulator's active, running and holding lists, or -1 when absent.
-	activeIdx  int
-	runningIdx int
-	holdingIdx int
+	// heldGPUTime, scoreSum and scoreWeightSum accrue the app's Result
+	// record over the intervals it holds GPUs: GPU-minutes held, and the
+	// time- and GPU-weighted placement-score sum and its weight.
+	heldGPUTime    float64
+	scoreSum       float64
+	scoreWeightSum float64
 	// tunerDirty marks that the app progressed, changed allocation or had
 	// trials killed since its tuner last observed it. Tuner decisions are
 	// pure functions of job progress, so Update/Done on a clean app is a
@@ -112,9 +113,6 @@ func newAppState(app *workload.App, tuner hyperparam.Tuner, topo *cluster.Topolo
 		topo:       topo,
 		split:      split,
 		proj:       math.Inf(1),
-		activeIdx:  -1,
-		runningIdx: -1,
-		holdingIdx: -1,
 		scoreDirty: true,
 		tunerDirty: true,
 	}

@@ -7,8 +7,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,6 +33,14 @@ func equivalenceWorkload(t *testing.T, seed int64, apps int) []*workload.App {
 	out, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Renamed in reverse arrival order, so the simulator's ID-ordered active
+	// list is not in the order the apps arrive.
+	for i, a := range out {
+		a.ID = workload.AppID(fmt.Sprintf("rev-%03d", len(out)-1-i))
+		for _, j := range a.Jobs {
+			j.App = a.ID
+		}
 	}
 	return out
 }
@@ -120,7 +130,7 @@ func scanEventTimes(s *Simulator) (best, future float64) {
 			note(l.Expiry)
 		}
 	}
-	for _, st := range s.activeList {
+	for _, st := range s.active {
 		if t, ok := scanNextCompletion(st, s.now); ok {
 			note(t)
 		}
@@ -128,9 +138,37 @@ func scanEventTimes(s *Simulator) (best, future float64) {
 	return best, future
 }
 
+// checkActive requires s.active, the simulator's one list of live apps, to be
+// strictly ID-ordered, to hold exactly the arrived, unfinished apps, and to
+// hold every app the cluster state reports holding GPUs.
+func checkActive(t *testing.T, s *Simulator) {
+	t.Helper()
+	for i := 1; i < len(s.active); i++ {
+		if s.active[i-1].App.ID >= s.active[i].App.ID {
+			t.Fatalf("t=%v: active apps %s and %s are out of ID order", s.now, s.active[i-1].App.ID, s.active[i].App.ID)
+		}
+	}
+	var live []*AppState
+	for _, st := range s.apps[:len(s.apps)-len(s.pending)] {
+		if !st.App.Finished() {
+			live = append(live, st)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].App.ID < live[j].App.ID })
+	if !slices.Equal(s.active, live) {
+		t.Fatalf("t=%v: the active list holds %d apps, %d have arrived and not finished", s.now, len(s.active), len(live))
+	}
+	for _, app := range s.cs.Apps() {
+		if !slices.ContainsFunc(s.active, func(st *AppState) bool { return st.App.ID == workload.AppID(app) }) {
+			t.Fatalf("t=%v: %s holds GPUs but is not in the active list", s.now, app)
+		}
+	}
+}
+
 // runAgainstScan drives s the way Run does and, at every decision point,
 // checks the lease book's due leases and the heap's event times against the
-// scan oracle, and that no lease outlives its app.
+// scan oracle, that no lease outlives its app, and the active list's
+// invariant (checkActive).
 func runAgainstScan(t *testing.T, s *Simulator) *Result {
 	t.Helper()
 	for round := 0; ; round++ {
@@ -153,13 +191,14 @@ func runAgainstScan(t *testing.T, s *Simulator) *Result {
 		s.runTuners()
 		s.finishApps()
 		for _, l := range s.leases.Leases() {
-			if _, ok := s.active[l.App]; !ok {
+			if s.lookup(l.App) == nil {
 				t.Fatalf("t=%v: the book holds a lease of %s, which is not active", s.now, l.App)
 			}
 		}
 		if _, err := s.schedule(); err != nil {
 			t.Fatal(err)
 		}
+		checkActive(t, s)
 		if s.done() {
 			break
 		}

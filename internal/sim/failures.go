@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"themis/internal/cluster"
-	"themis/internal/workload"
 )
 
 // Failure injects a machine failure: at Time the machine goes offline for
@@ -70,20 +69,23 @@ func (s *Simulator) processFailures() {
 	}
 }
 
-// failMachine takes a machine offline, revoking every allocation on it.
+// failMachine takes a machine offline, revoking every allocation on it. It
+// reads each app's GPUs there from its Held, which mirrors the cluster state
+// (only active apps hold GPUs), so apps are revoked in ID order.
 func (s *Simulator) failMachine(m cluster.MachineID) {
-	for app, n := range s.cs.AppsOn(m) {
-		id := workload.AppID(app)
-		revoked := cluster.Alloc{m: n}
-		if err := s.cs.Release(app, revoked); err != nil {
+	for _, st := range s.active {
+		n := st.Held[m]
+		if n == 0 {
+			continue
+		}
+		app := string(st.App.ID)
+		if err := s.cs.Release(app, cluster.Alloc{m: n}); err != nil {
 			panic("sim: revoking failed machine's GPUs: " + err.Error())
 		}
-		if st, ok := s.active[id]; ok {
-			s.leases.Trim(id, m, n)
-			st.onAllocationChange(s.now, s.cs.HeldInto(st.Held, app), s.cfg.RestartOverhead)
-			s.appStateChanged(st)
-			s.result.noteAllocation(s.now, st, st.Held)
-		}
+		s.leases.Trim(st.App.ID, m, n)
+		st.onAllocationChange(s.now, s.cs.HeldInto(st.Held, app), s.cfg.RestartOverhead)
+		s.appStateChanged(st)
+		s.result.noteAllocation(s.now, st, st.Held)
 	}
 	s.cs.SetOffline(m, true)
 }

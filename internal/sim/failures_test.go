@@ -50,6 +50,86 @@ func TestFailureRevokesGPUsAndRecovers(t *testing.T) {
 	}
 }
 
+// fixedPolicy grants each app its allocation whenever it is asked.
+type fixedPolicy map[workload.AppID]cluster.Alloc
+
+func (fixedPolicy) Name() string { return "fixed-test" }
+
+func (p fixedPolicy) Allocate(float64, cluster.Alloc, *View) (map[workload.AppID]cluster.Alloc, error) {
+	out := make(map[workload.AppID]cluster.Alloc, len(p))
+	for id, a := range p {
+		out[id] = a.Clone()
+	}
+	return out, nil
+}
+
+// TestFailureRevokesEveryAppOnTheMachine fails a machine holding GPUs of two
+// apps: each loses exactly its GPUs there, its Held matches the cluster state
+// and the sum of its leases left in the book, and the timeline records one
+// event per revoked app at the failure time. An app holding GPUs only on
+// another machine keeps them.
+func TestFailureRevokesEveryAppOnTheMachine(t *testing.T) {
+	const failAt = 5
+	var apps []*workload.App
+	for _, id := range []string{"a", "b", "c"} {
+		apps = append(apps, simApp(id, 0, placement.ResNet50, 1, 1000))
+	}
+	s, err := New(Config{
+		Topology:      simTopo(t, 2, 4, 2),
+		Apps:          apps,
+		Policy:        fixedPolicy{"a": {0: 2}, "b": {0: 2, 1: 1}, "c": {1: 2}},
+		LeaseDuration: 20,
+		Failures:      []Failure{{Time: failAt, Machine: 0, Duration: 10}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.processArrivals()
+	if _, err := s.schedule(); err != nil {
+		t.Fatal(err)
+	}
+	var revoked []string
+	for _, app := range s.cs.Apps() {
+		if s.cs.Held(app)[0] > 0 {
+			revoked = append(revoked, app)
+		}
+	}
+	if len(revoked) < 2 {
+		t.Fatalf("machine 0 holds GPUs of %v; the fixture needs two apps or more there", revoked)
+	}
+	s.advanceTo(failAt)
+	s.processFailures()
+	for _, app := range revoked {
+		st := s.lookup(workload.AppID(app))
+		leased := cluster.NewAlloc()
+		for _, l := range s.leases.Leases() {
+			if l.App == st.App.ID {
+				leased.Credit(l.Alloc)
+			}
+		}
+		if held := s.cs.Held(app); held[0] != 0 || !st.Held.Equal(held) || !leased.Equal(held) {
+			t.Errorf("%s after the failure: Held %v, cluster state %v, leases %v", app, st.Held, held, leased)
+		}
+	}
+	if held := s.cs.Held("c"); !held.Equal(cluster.Alloc{1: 2}) {
+		t.Errorf("c holds %v after machine 0 failed, want its GPUs on machine 1", held)
+	}
+	events := map[workload.AppID]int{}
+	for _, e := range s.result.Timeline {
+		if e.Time == failAt {
+			events[e.App]++
+		}
+	}
+	if len(events) != len(revoked) {
+		t.Errorf("timeline events at the failure: %v, want one for each of %v", events, revoked)
+	}
+	for _, app := range revoked {
+		if n := events[workload.AppID(app)]; n != 1 {
+			t.Errorf("%d timeline events for %s at the failure, want 1", n, app)
+		}
+	}
+}
+
 func TestFailureOfIdleMachineIsHarmless(t *testing.T) {
 	topo := simTopo(t, 2, 4, 2)
 	app := simApp("a", 0, placement.ResNet50, 1, 40)
@@ -155,9 +235,8 @@ func TestClusterOfflineAccounting(t *testing.T) {
 	if err := cs.Grant("b", cluster.Alloc{0: 1}); err == nil {
 		t.Error("granting on an offline machine should fail")
 	}
-	off := cs.OfflineMachines()
-	if len(off) != 1 || off[0] != 0 || !cs.Offline(0) {
-		t.Errorf("OfflineMachines = %v", off)
+	if !cs.Offline(0) || cs.Offline(1) {
+		t.Errorf("Offline(0), Offline(1) = %v, %v; want true, false", cs.Offline(0), cs.Offline(1))
 	}
 	cs.SetOffline(0, false)
 	if cs.FreeOn(0) != 2 {
@@ -165,7 +244,7 @@ func TestClusterOfflineAccounting(t *testing.T) {
 	}
 	// Unknown machines are ignored.
 	cs.SetOffline(99, true)
-	if len(cs.OfflineMachines()) != 0 {
+	if cs.Offline(99) || cs.Offline(0) || cs.Offline(1) {
 		t.Error("unknown machine should not be recorded as offline")
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"themis/internal/cluster"
@@ -60,8 +61,7 @@ type Result struct {
 	Apps     []AppRecord
 	Timeline []AllocationEvent
 
-	records map[workload.AppID]*appAccumulator
-	topo    *cluster.Topology
+	topo *cluster.Topology // nil once finalized
 
 	// frag is the free-pool fragmentation snapshot for the current interval,
 	// recomputed lazily (fragDirty) after allocation changes; fragWeight and
@@ -74,10 +74,10 @@ type Result struct {
 	fragSumScore float64 // Σ score·dt
 	fragSumFree  float64 // Σ freeGPUs·dt
 	// rackFree and domainFree are snapshotFrag's per-level free counts,
-	// cleared and refilled per snapshot. Rack and domain IDs are not
-	// promised dense, so they stay maps.
-	rackFree   map[cluster.RackID]int
-	domainFree map[cluster.DomainID]int
+	// indexed by Topology.RackIndex and DomainIndex, cleared and refilled
+	// per snapshot.
+	rackFree   []int
+	domainFree []int
 }
 
 // FragStats is the run-level fragmentation summary of the free GPU pool: the
@@ -111,7 +111,7 @@ type fragSnapshot struct {
 
 // snapshotFrag computes the free-pool fragmentation from the cluster state.
 // It runs only on intervals following an allocation change, and allocates
-// nothing once the per-level maps have seen every rack and domain.
+// nothing.
 func (r *Result) snapshotFrag(cs *cluster.State) fragSnapshot {
 	var snap fragSnapshot
 	clear(r.rackFree)
@@ -125,67 +125,37 @@ func (r *Result) snapshotFrag(cs *cluster.State) fragSnapshot {
 		if n > snap.largestMachine {
 			snap.largestMachine = n
 		}
-		m := r.topo.Machine(cluster.MachineID(id))
-		r.rackFree[m.Rack] += n
-		r.domainFree[m.Domain] += n
+		r.rackFree[r.topo.RackIndex(cluster.MachineID(id))] += n
+		r.domainFree[r.topo.DomainIndex(cluster.MachineID(id))] += n
 	}
-	for _, n := range r.rackFree {
-		if n > snap.largestRack {
-			snap.largestRack = n
-		}
-	}
-	for _, n := range r.domainFree {
-		if n > snap.largestDomain {
-			snap.largestDomain = n
-		}
-	}
+	snap.largestRack, snap.largestDomain = slices.Max(r.rackFree), slices.Max(r.domainFree)
 	if snap.freeGPUs > 0 {
 		snap.score = 1 - float64(snap.largestMachine)/float64(snap.freeGPUs)
 	}
 	return snap
 }
 
-// appAccumulator holds in-flight per-app accounting during the run.
-type appAccumulator struct {
-	heldGPUTime float64
-	scoreWeight float64
-	scoreSum    float64
-}
-
 func newResult(cfg Config) *Result {
 	return &Result{
 		Policy:     cfg.Policy.Name(),
 		TotalGPUs:  cfg.Topology.TotalGPUs(),
-		records:    make(map[workload.AppID]*appAccumulator),
 		topo:       cfg.Topology,
 		fragDirty:  true,
-		rackFree:   make(map[cluster.RackID]int),
-		domainFree: make(map[cluster.DomainID]int),
+		rackFree:   make([]int, cfg.Topology.NumRacks()),
+		domainFree: make([]int, cfg.Topology.NumDomains()),
 	}
-}
-
-func (r *Result) acc(st *AppState) *appAccumulator {
-	a, ok := r.records[st.App.ID]
-	if !ok {
-		a = &appAccumulator{}
-		r.records[st.App.ID] = a
-	}
-	return a
 }
 
 func (r *Result) noteArrival(now float64, st *AppState) {
-	r.acc(st)
 	r.Timeline = append(r.Timeline, AllocationEvent{Time: now, App: st.App.ID, GPUs: 0})
 }
 
 func (r *Result) noteAllocation(now float64, st *AppState, held cluster.Alloc) {
-	r.acc(st)
 	r.fragDirty = true
 	r.Timeline = append(r.Timeline, AllocationEvent{Time: now, App: st.App.ID, GPUs: held.Total()})
 }
 
 func (r *Result) noteFinish(now float64, st *AppState) {
-	r.acc(st)
 	r.fragDirty = true
 	r.Timeline = append(r.Timeline, AllocationEvent{Time: now, App: st.App.ID, GPUs: 0})
 }
@@ -222,28 +192,22 @@ func (r *Result) noteInterval(from, to float64, cs *cluster.State, active []*App
 		r.Fragmentation.PeakScore = r.frag.score
 	}
 	// Apps holding GPUs are exactly the active apps with a non-empty Held
-	// (finished apps release everything), and every accumulation below is
-	// per-app independent, so the active list's order does not affect
-	// results.
+	// (finished apps release everything).
 	for _, st := range active {
 		g := st.heldTotal
 		if g == 0 {
 			continue
 		}
-		acc, ok := r.records[st.App.ID]
-		if !ok {
-			continue
-		}
-		acc.heldGPUTime += float64(g) * dt
+		st.heldGPUTime += float64(g) * dt
 		score, weight := st.placementScore()
-		acc.scoreSum += score * dt * weight
-		acc.scoreWeight += dt * weight
+		st.scoreSum += score * dt * weight
+		st.scoreWeightSum += dt * weight
 	}
 }
 
 // finalize converts accumulators into AppRecords at the end of the run.
 func (r *Result) finalize(now float64, apps []*AppState) {
-	if r.records == nil {
+	if r.topo == nil {
 		return // already finalized
 	}
 	r.Makespan = now
@@ -256,7 +220,6 @@ func (r *Result) finalize(now float64, apps []*AppState) {
 	}
 	r.Apps = r.Apps[:0]
 	for _, st := range apps {
-		acc := r.acc(st)
 		rec := AppRecord{
 			App:        st.App.ID,
 			Model:      st.App.Profile.Name,
@@ -272,9 +235,9 @@ func (r *Result) finalize(now float64, apps []*AppState) {
 			}
 		}
 		rec.BusyGPUTime = st.App.GPUTime()
-		rec.HeldGPUTime = acc.heldGPUTime
-		if acc.scoreWeight > 0 {
-			rec.PlacementScore = acc.scoreSum / acc.scoreWeight
+		rec.HeldGPUTime = st.heldGPUTime
+		if st.scoreWeightSum > 0 {
+			rec.PlacementScore = st.scoreSum / st.scoreWeightSum
 		}
 		elapsed := now - st.App.SubmitTime
 		if st.App.Finished() {
@@ -295,9 +258,8 @@ func (r *Result) finalize(now float64, apps []*AppState) {
 		}
 		return r.Timeline[i].App < r.Timeline[j].App
 	})
-	// The accumulators have been folded into Apps; a finished Result keeps
-	// nothing of the run's working state alive.
-	r.records, r.rackFree, r.domainFree = nil, nil, nil
+	// A finished Result keeps nothing of the run's working state alive.
+	r.topo, r.rackFree, r.domainFree = nil, nil, nil
 }
 
 // Finished returns the records of apps that completed within the run.

@@ -15,9 +15,11 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"themis/internal/cluster"
@@ -63,8 +65,9 @@ type Packer interface {
 // Config describes one simulation run.
 type Config struct {
 	Topology *cluster.Topology
-	Apps     []*workload.App
-	Policy   Policy
+	// Apps are the apps to replay; their IDs must be unique.
+	Apps   []*workload.App
+	Policy Policy
 	// LeaseDuration is the GPU lease length in minutes (paper default 20).
 	LeaseDuration float64
 	// RestartOverhead is the wall-clock pause (minutes) an app's jobs suffer
@@ -117,34 +120,31 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: failure on machine %d: time %v and duration %v must be finite and non-negative", f.Machine, f.Time, f.Duration)
 		}
 	}
+	seen := make(map[workload.AppID]bool, len(c.Apps))
 	for _, a := range c.Apps {
 		if err := a.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
+		if seen[a.ID] {
+			return fmt.Errorf("sim: two apps share the ID %q", a.ID)
+		}
+		seen[a.ID] = true
 	}
 	return nil
 }
 
 // Simulator runs one configured simulation.
 type Simulator struct {
-	cfg    Config
-	cs     *cluster.State
-	apps   []*AppState // all apps in arrival order
-	active map[workload.AppID]*AppState
-	// activeList holds the active apps in an unspecified but deterministic
-	// order (arrival order, perturbed by swap-removal on finish); every use
-	// is order-independent. activeSorted holds the same apps sorted by ID —
-	// the View order.
-	activeList   []*AppState
-	activeSorted []*AppState
-	// runningList holds the active apps with at least one runnable job (the
-	// only ones progress integration touches); holdingList holds the active
-	// apps currently holding GPUs (the only ones interval accounting
-	// touches). Both are synced on every allocation change.
-	runningList []*AppState
-	holdingList []*AppState
-	viewBuf     []*AppState // reused backing array for View.Apps
-	pending     []*AppState // not yet arrived, in arrival order
+	cfg  Config
+	cs   *cluster.State
+	apps []*AppState // all apps in arrival order
+	// active holds the arrived, unfinished apps in ID order — the View's
+	// order — and is searched by ID (lookup). Every pass over it skips the
+	// apps it has nothing to do for: tuners those not tunerDirty, progress
+	// those with nothing runnable, interval accounting those holding no GPU.
+	active  []*AppState
+	viewBuf []*AppState // reused backing array for View.Apps
+	pending []*AppState // not yet arrived, in arrival order
 
 	events     eventHeap
 	failures   []*failureRec  // pending failures, in time order
@@ -186,7 +186,6 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:     cfg,
 		cs:      cluster.NewState(cfg.Topology),
-		active:  make(map[workload.AppID]*AppState),
 		leaseEv: event{kind: evLeaseExpiry, index: -1},
 		result:  newResult(cfg),
 	}
@@ -264,10 +263,8 @@ func (s *Simulator) processArrivals() {
 		st := s.pending[0]
 		s.pending = s.pending[1:]
 		s.events.remove(&st.arrivalEv)
-		s.active[st.App.ID] = st
-		st.activeIdx = len(s.activeList)
-		s.activeList = append(s.activeList, st)
-		s.insertActiveSorted(st)
+		i, _ := s.search(st.App.ID)
+		s.active = slices.Insert(s.active, i, st)
 		s.result.noteArrival(s.now, st)
 		// Jobs whose constraints no allocation on this topology can satisfy
 		// are rejected now rather than starved forever; the app's tuner then
@@ -278,85 +275,35 @@ func (s *Simulator) processArrivals() {
 	}
 }
 
-// removeActive drops st from the active set (map, lists and sorted slice).
-func (s *Simulator) removeActive(st *AppState) {
-	delete(s.active, st.App.ID)
-	last := len(s.activeList) - 1
-	if st.activeIdx != last {
-		moved := s.activeList[last]
-		s.activeList[st.activeIdx] = moved
-		moved.activeIdx = st.activeIdx
-	}
-	s.activeList[last] = nil
-	s.activeList = s.activeList[:last]
-	st.activeIdx = -1
-	setListed(&s.runningList, st, &st.runningIdx, runningIdxOf, false)
-	setListed(&s.holdingList, st, &st.holdingIdx, holdingIdxOf, false)
-	s.removeActiveSorted(st)
+// search returns the position of the active app with the given ID, or where
+// it would be inserted, and whether it is there.
+func (s *Simulator) search(id workload.AppID) (int, bool) {
+	return slices.BinarySearchFunc(s.active, id, func(st *AppState, id workload.AppID) int {
+		return cmp.Compare(st.App.ID, id)
+	})
 }
 
-// runningIdxOf and holdingIdxOf select the membership index fields for
-// setListed's swap-removal bookkeeping.
-func runningIdxOf(st *AppState) *int { return &st.runningIdx }
-func holdingIdxOf(st *AppState) *int { return &st.holdingIdx }
-
-// setListed adds st to or removes st from a swap-removal list, keeping
-// the per-app index (selected by idxOf) consistent for the moved element.
-func setListed(list *[]*AppState, st *AppState, idx *int, idxOf func(*AppState) *int, want bool) {
-	has := *idx >= 0
-	if want == has {
-		return
+// lookup returns the active app with the given ID, or nil.
+func (s *Simulator) lookup(id workload.AppID) *AppState {
+	if i, ok := s.search(id); ok {
+		return s.active[i]
 	}
-	if want {
-		*idx = len(*list)
-		*list = append(*list, st)
-		return
-	}
-	l := *list
-	last := len(l) - 1
-	if *idx != last {
-		moved := l[last]
-		l[*idx] = moved
-		*idxOf(moved) = *idx
-	}
-	l[last] = nil
-	*list = l[:last]
-	*idx = -1
+	return nil
 }
 
-// appStateChanged re-aims st's completion event and re-syncs its running
-// and holding list memberships after an allocation change.
+// appStateChanged re-aims st's completion event after an allocation change
+// and marks it for its tuner.
 func (s *Simulator) appStateChanged(st *AppState) {
 	s.refreshCompletion(st)
 	st.tunerDirty = true
-	setListed(&s.runningList, st, &st.runningIdx, runningIdxOf, len(st.runnable) > 0)
-	setListed(&s.holdingList, st, &st.holdingIdx, holdingIdxOf, st.heldTotal > 0)
-}
-
-// insertActiveSorted adds st to the ID-sorted active slice.
-func (s *Simulator) insertActiveSorted(st *AppState) {
-	id := st.App.ID
-	i := sort.Search(len(s.activeSorted), func(i int) bool { return s.activeSorted[i].App.ID >= id })
-	s.activeSorted = append(s.activeSorted, nil)
-	copy(s.activeSorted[i+1:], s.activeSorted[i:])
-	s.activeSorted[i] = st
-}
-
-// removeActiveSorted removes st from the ID-sorted active slice.
-func (s *Simulator) removeActiveSorted(st *AppState) {
-	id := st.App.ID
-	i := sort.Search(len(s.activeSorted), func(i int) bool { return s.activeSorted[i].App.ID >= id })
-	if i < len(s.activeSorted) && s.activeSorted[i] == st {
-		s.activeSorted = append(s.activeSorted[:i], s.activeSorted[i+1:]...)
-	}
 }
 
 // expireLeases returns the GPUs of the due leases — the book's Expire at now,
 // soonest expiry first and in grant order among ties — to the free pool.
 func (s *Simulator) expireLeases(due []core.Lease) error {
 	for _, l := range due {
-		st, ok := s.active[l.App]
-		if !ok {
+		st := s.lookup(l.App)
+		if st == nil {
 			return fmt.Errorf("sim: lease outlived its app %s", l.App)
 		}
 		if err := s.cs.Release(string(l.App), l.Alloc); err != nil {
@@ -382,7 +329,7 @@ func (s *Simulator) aimLeaseExpiry() {
 
 // runTuners lets every active app's tuner observe progress and kill trials.
 func (s *Simulator) runTuners() {
-	for _, st := range s.activeList {
+	for _, st := range s.active {
 		if !st.tunerDirty {
 			// Tuner decisions are pure functions of job progress; an app
 			// that has not progressed or changed allocation since the last
@@ -402,26 +349,24 @@ func (s *Simulator) runTuners() {
 // finishApps completes apps whose tuner declares them done, releasing GPUs
 // and detaching every event the app still owns.
 func (s *Simulator) finishApps() {
-	for i := 0; i < len(s.activeList); {
-		st := s.activeList[i]
-		if !st.tunerDirty {
-			i++
-			continue
+	kept := s.active[:0]
+	for _, st := range s.active {
+		if st.tunerDirty {
+			st.tunerDirty = false
+			if st.Tuner.Done(st.App) {
+				st.App.FinishedAt = s.now
+				s.cs.ReleaseAll(string(st.App.ID))
+				s.leases.Drop(st.App.ID)
+				s.aimLeaseExpiry()
+				s.events.remove(&st.completionEv)
+				s.result.noteFinish(s.now, st)
+				continue
+			}
 		}
-		st.tunerDirty = false
-		if !st.Tuner.Done(st.App) {
-			i++
-			continue
-		}
-		st.App.FinishedAt = s.now
-		s.cs.ReleaseAll(string(st.App.ID))
-		s.leases.Drop(st.App.ID)
-		s.aimLeaseExpiry()
-		s.events.remove(&st.completionEv)
-		s.result.noteFinish(s.now, st)
-		s.removeActive(st)
-		// removeActive swapped another app into slot i; revisit it.
+		kept = append(kept, st)
 	}
+	clear(s.active[len(kept):])
+	s.active = kept
 }
 
 // schedule invokes the policy over the free pool and applies its decisions.
@@ -474,8 +419,8 @@ func (s *Simulator) schedule() (bool, error) {
 		if alloc.Total() == 0 {
 			continue
 		}
-		st, ok := s.active[id]
-		if !ok {
+		st := s.lookup(id)
+		if st == nil {
 			return changed, fmt.Errorf("sim: policy %s allocated to unknown app %s", s.cfg.Policy.Name(), id)
 		}
 		if s.cfg.Packer != nil {
@@ -629,12 +574,12 @@ func (s *Simulator) advanceTo(t float64) {
 	if t <= s.now {
 		return
 	}
-	for _, st := range s.runningList {
+	for _, st := range s.active {
 		if st.advance(s.now, t) {
 			s.refreshCompletion(st)
 		}
 	}
-	s.result.noteInterval(s.now, t, s.cs, s.holdingList)
+	s.result.noteInterval(s.now, t, s.cs, s.active)
 	s.now = t
 }
 
@@ -648,7 +593,7 @@ func (s *Simulator) view() *View {
 	// documented on View.
 	v := &s.viewStruct
 	v.Topo, v.Cluster, v.Now = s.cfg.Topology, s.cs, s.now
-	v.Apps = append(s.viewBuf[:0], s.activeSorted...)
+	v.Apps = append(s.viewBuf[:0], s.active...)
 	s.viewBuf = v.Apps
 	return v
 }
