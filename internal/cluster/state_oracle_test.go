@@ -156,6 +156,10 @@ func FuzzStateMatchesCloneOracle(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 0, 0, 1, 14, 3, 4, 0, 7, 0, 6, 1, 0, 0})
 	f.Add([]byte{0, 0, 21, 15, 1, 0, 22, 0, 5, 0, 21, 1, 4, 0, 7, 0, 6, 0, 0, 0, 0, 2, 6, 0})
 	f.Add([]byte{7, 0, 0, 0, 0, 1, 0, 0, 7, 0, 0, 0, 0, 1, 0, 0, 2, 2, 13, 0, 4, 2, 6, 29})
+	// app-0 is granted 3 GPUs on machines 1 and 2 and app-1 one more on
+	// machine 1; app-0 then releases 1 and 2 of them, and 1 more: odd counts
+	// granted and partly released, on two machines at once.
+	f.Add([]byte{0, 0, 29, 61, 1, 1, 15, 0, 4, 0, 8, 33, 5, 0, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo, err := Config{MachineSpecs: []MachineSpec{{Count: 6, GPUs: 4, SlotSize: 2}}}.Build()
 		if err != nil {

@@ -81,6 +81,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	unmet := max(e.width-e.picker.Total(), 0)
 	if unmet > 0 {
 		v.picker.Load(e.Topo, offer)
+		e.anchor.Load(e.Topo, current)
 	}
 	sizes := v.candidateSizes(v.picker.Total(), unmet, e.gang) // with unmet = 0 the total is not read
 	// Every candidate is drawn from the whole offer (the draw is handed back
@@ -94,7 +95,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		rows = nextRow(rows)
 		row := &rows[len(rows)-1]
 		log := e.readySplit()
-		v.picker.DrawTakes(log, current, size, ag.PlacementBlind)
+		v.picker.DrawTakesAt(log, &e.anchor, size, ag.PlacementBlind)
 		for _, t := range *log {
 			row.Alloc[t.Machine] += t.GPUs
 		}

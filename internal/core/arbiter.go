@@ -391,7 +391,9 @@ func (a *Arbiter) grantLeftovers(out []Allocation, candidates []probedAgent, awa
 			cur = cur.Add(awards[i].Won)
 		}
 		if want := c.state.Agent.UnmetParallelism(cur); want > 0 {
-			cands = append(cands, LeftoverCandidate{ID: c.id, Current: cur, Want: want, Chunk: c.state.Agent.GangSize()})
+			cands = slices.Grow(cands, 1)[:len(cands)+1] // reuses the slot's buffers
+			lc := &cands[len(cands)-1]
+			lc.ID, lc.Current, lc.Want, lc.Chunk = c.id, cur, want, c.state.Agent.GangSize()
 		}
 	}
 	slices.SortFunc(cands, func(x, y LeftoverCandidate) int { return cmp.Compare(x.ID, y.ID) })
@@ -401,7 +403,9 @@ func (a *Arbiter) grantLeftovers(out []Allocation, candidates []probedAgent, awa
 			out = append(out, Allocation{App: c.ID, Alloc: c.Grant})
 		}
 	}
-	clear(cands) // keep the capacity, not the round's maps
+	for i := range cands {
+		cands[i].Current, cands[i].Grant = nil, nil // keep the capacity and the anchors, not the round's maps
+	}
 	a.cands = cands[:0]
 	return out
 }

@@ -176,6 +176,12 @@ type LeftoverCandidate struct {
 	// Grant accumulates what AllocateLeftovers hands the app: nil until the
 	// first grant, the candidate's own map from then on.
 	Grant cluster.Alloc
+
+	// anchor is Current prepared for the picks, loaded on the first visit
+	// and extended by every grant; pick logs a visit's pick. Their buffers
+	// outlive the round when the caller reuses the candidate.
+	anchor placement.Anchor
+	pick   []placement.Take
 }
 
 // AllocateLeftovers distributes leftover GPUs placement-sensitively among
@@ -195,7 +201,6 @@ func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate) {
 		return
 	}
 	rotation := 0
-	var pick cluster.Alloc // scratch: copied into the candidate below
 	for picker.Total() > 0 {
 		progress := false
 		for k := 0; k < len(cands) && picker.Total() > 0; k++ {
@@ -203,18 +208,23 @@ func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate) {
 			if c.Want <= 0 {
 				continue
 			}
-			pick = picker.Draw(pick, c.Current, min(max(c.Chunk, 1), c.Want))
-			if len(pick) == 0 {
+			if c.Grant == nil {
+				c.anchor.Load(picker.Topology(), c.Current)
+			}
+			c.pick = c.pick[:0]
+			picker.DrawTakesAt(&c.pick, &c.anchor, min(max(c.Chunk, 1), c.Want), false)
+			if len(c.pick) == 0 {
 				continue
 			}
 			if c.Grant == nil {
 				c.Grant, c.Current = cluster.NewAlloc(), c.Current.Clone()
 			}
-			for m, n := range pick {
-				c.Grant[m] += n
-				c.Current[m] += n
-				c.Want -= n
+			for _, t := range c.pick {
+				c.Grant[t.Machine] += t.GPUs
+				c.Current[t.Machine] += t.GPUs
+				c.Want -= t.GPUs
 			}
+			c.anchor.Add(c.pick)
 			rotation++
 			progress = true
 		}

@@ -37,12 +37,14 @@ type RhoEstimator struct {
 
 	// Estimator scratch, recycled across calls: the picker whose pool holds
 	// the holding being valued (loaded once per call; each bid row's takes
-	// are credited to it for the row's split and debited after), and the job
+	// are credited to it for the row's split and debited after), the anchor
+	// every bid row extends (current, prepared once per table), and the job
 	// context, whose queue logs the row's takes and the split's. Everything
 	// an estimate touches is either caller-owned input (read only) or one of
 	// these buffers, so a steady-state ρ probe allocates nothing. An
 	// estimator is per-app, per-goroutine state, so plain fields suffice.
 	picker placement.Picker
+	anchor placement.Anchor
 
 	// The job context: what the valuation needs of App's jobs that moves
 	// only with its stamp (workload.App.Stamp) — the active jobs, T_ID, their

@@ -58,15 +58,13 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 
 	// Step 1: extend the anchor in place — its machines first (largest share
 	// first), then the remaining machines of domains it already occupies, so
-	// a growing gang stays inside its fabric.
-	anchored := anchor.Total() > 0
-	if anchored {
-		for _, m := range p.ByCount(anchor) {
-			p.Take(m)
-		}
-		if p.Need() == 0 {
-			return picked
-		}
+	// a growing gang stays inside its fabric. Begin prepared the anchor.
+	a := p.Anchor()
+	for _, t := range a.Entries() {
+		p.Take(t.Machine)
+	}
+	if p.Need() == 0 {
+		return picked
 	}
 	// Every later offer follows this one descending-free, ascending-ID order
 	// of the pool, sorted once: a step that leaves the draw unfinished has
@@ -76,21 +74,13 @@ func (e *Engine) Place(free cluster.Alloc, anchor cluster.Alloc, want int, c pla
 	// The per-domain slices are indexed by dense domain index, which ascends
 	// with the domain ID.
 	domainFree := make([]int, topo.NumDomains())
-	if anchored {
-		anchorDomains := make([]bool, len(domainFree))
-		for m, n := range anchor {
-			if n > 0 {
-				anchorDomains[topo.DomainIndex(m)] = true
-			}
+	for _, m := range order {
+		if a.HasDomain(topo.DomainIndex(m)) {
+			p.Take(m)
 		}
-		for _, m := range order {
-			if anchorDomains[topo.DomainIndex(m)] {
-				p.Take(m)
-			}
-		}
-		if p.Need() == 0 {
-			return picked
-		}
+	}
+	if p.Need() == 0 {
+		return picked
 	}
 
 	// Free capacity per domain, over what remains on machines c admits.

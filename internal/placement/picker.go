@@ -108,6 +108,9 @@ func PickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.
 // once and draws until the pool runs dry. A locality-best draw ranks racks
 // from the tallies and sorts only the racks it visits (see takePacked).
 //
+// Every draw reads a prepared Anchor: the entry points taking a map prepare it
+// into the picker's own first, and DrawTakesAt takes the caller's.
+//
 // Every buffer is reused, so steady-state loads and draws allocate nothing
 // (TestPickerSteadyStateAllocs). The zero value is ready to use. A Picker is
 // single-goroutine state; each estimator, simulator, arbiter and policy loop
@@ -125,9 +128,9 @@ type Picker struct {
 	loaded     []cluster.MachineID
 	listed     []bool
 
-	byCount  []cluster.MachineID // ByCount's result, and its sort keys while it sorts
-	anchored []bool              // per domain index: the anchor holds GPUs there
+	byCount  []cluster.MachineID // ByFree's result, and its sort keys while it sorts
 	racks    []int               // rack indices, in the order a pass visits them
+	prepared Anchor              // the anchor of a draw begun from a map
 
 	// The draw in progress (Begin … Take): where GPUs go to (dst, or with no
 	// dst the log of a Split's takes), how many are still wanted, what the
@@ -137,7 +140,7 @@ type Picker struct {
 	// padding, slot until a second machine is taken.
 	dst         cluster.Alloc
 	log         *[]Take
-	anchor      cluster.Alloc
+	anchor      *Anchor
 	need        int
 	c           Constraint
 	constrained bool
@@ -198,6 +201,9 @@ func (p *Picker) CreditTakes(takes []Take, k int) {
 	}
 }
 
+// Topology returns the topology of the pool last loaded.
+func (p *Picker) Topology() *cluster.Topology { return p.topo }
+
 // Total returns the GPUs left in the pool.
 func (p *Picker) Total() int { return p.total }
 
@@ -222,25 +228,25 @@ func (p *Picker) Remaining(dst cluster.Alloc) cluster.Alloc {
 // caller's policy prefers. anchor is only read.
 func (p *Picker) Begin(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
 	dst = dst.Reset()
-	p.begin(dst, anchor, count, c)
+	p.prepared.Load(p.topo, anchor)
+	p.begin(dst, &p.prepared, count, c)
 	return dst
 }
 
-// begin is Begin into dst as given: a nil dst makes every take go to the log.
-func (p *Picker) begin(dst, anchor cluster.Alloc, count int, c Constraint) {
-	p.dst, p.anchor = dst, anchor
+// Anchor returns the anchor of the draw begun, prepared.
+func (p *Picker) Anchor() *Anchor { return p.anchor }
+
+// begin is Begin from a prepared anchor into dst as given: a nil dst makes
+// every take go to the log.
+func (p *Picker) begin(dst cluster.Alloc, a *Anchor, count int, c Constraint) {
+	p.dst, p.anchor = dst, a
 	p.need = max(count, 0)
 	p.drawn, p.span = 0, int8(cluster.LocalitySlot)
 	p.c, p.constrained = c, !c.IsZero()
 	p.floor = max(c.MinGPUsPerMachine, 1)
 	p.fresh = -1
 	if c.MaxMachines > 0 {
-		p.fresh = c.MaxMachines
-		for _, n := range anchor {
-			if n > 0 && p.fresh > 0 {
-				p.fresh--
-			}
-		}
+		p.fresh = max(c.MaxMachines-len(a.entries), 0)
 	}
 }
 
@@ -261,7 +267,10 @@ func (p *Picker) Take(m cluster.MachineID) {
 		if !p.c.Admits(p.topo, m) {
 			return
 		}
-		base := p.anchor[m]
+		base := 0
+		if i := p.anchor.find(m); i >= 0 {
+			base = p.anchor.entries[i].GPUs
+		}
 		if base+n < p.floor {
 			return
 		}
@@ -318,21 +327,9 @@ func (p *Picker) Drawn() (gpus int, loc cluster.Locality) {
 	return p.drawn, loc
 }
 
-// ByCount returns a's machines ordered by descending GPU count then ascending
-// ID — the order in which a pool packs tightest and an anchor extends best.
-// The slice is valid until the next ByCount or ByFree call.
-func (p *Picker) ByCount(a cluster.Alloc) []cluster.MachineID {
-	keys := p.byCount[:0]
-	for m, n := range a {
-		if n > 0 {
-			keys = append(keys, countKey(m, n))
-		}
-	}
-	return p.sortByCount(keys)
-}
-
-// ByFree returns the pool's machines in ByCount's order. The slice is valid
-// until the next ByCount or ByFree call.
+// ByFree returns the pool's machines ordered by descending free GPUs then
+// ascending ID — the order in which a pool packs tightest. The slice is valid
+// until the next ByFree call or draw.
 func (p *Picker) ByFree() []cluster.MachineID {
 	keys := p.byCount[:0]
 	for _, m := range p.loaded {
@@ -344,7 +341,7 @@ func (p *Picker) ByFree() []cluster.MachineID {
 }
 
 // countKey packs machine m holding n > 0 GPUs into one integer whose
-// ascending order is ByCount's order — more GPUs first, then lower ID — so
+// ascending order is ByFree's order — more GPUs first, then lower ID — so
 // sorting compares plain integers and reads no map. The count takes the high
 // 31 bits and the ID the low 32, far more than any machine needs.
 func countKey(m cluster.MachineID, n int) cluster.MachineID {
@@ -358,7 +355,7 @@ func countKey(m cluster.MachineID, n int) cluster.MachineID {
 var _ [bits.UintSize - 64]struct{}
 
 // sortByCount sorts count keys and turns each back into its machine ID, in
-// place, keeping the storage as the picker's ByCount buffer.
+// place, keeping the storage as the picker's ByFree buffer.
 func (p *Picker) sortByCount(keys []cluster.MachineID) []cluster.MachineID {
 	slices.Sort(keys)
 	for i, k := range keys {
@@ -452,25 +449,16 @@ func (p *Picker) takeNearAnchor() bool {
 		return false
 	}
 	// Pass 1: machines the anchor already uses, largest anchor share first.
-	for _, m := range p.ByCount(p.anchor) {
-		p.Take(m)
+	for _, e := range p.anchor.entries {
+		p.Take(e.Machine)
 	}
 	if p.need == 0 {
 		return false
 	}
 	// Pass 2: machines in racks the anchor already touches, by free count as
 	// it stood before any pass-2 take. Only those racks' machines are read.
-	racks := p.racks[:0]
-	for m, n := range p.anchor {
-		if n > 0 {
-			racks = append(racks, p.topo.RackIndex(m))
-		}
-	}
-	slices.Sort(racks)
-	racks = slices.Compact(racks)
-	p.racks = racks
 	keys := p.byCount[:0]
-	for _, r := range racks {
+	for _, r := range p.anchor.racks {
 		keys = p.appendPooled(keys, r)
 	}
 	for _, m := range p.sortByCount(keys) {
@@ -497,14 +485,7 @@ func (p *Picker) takeNearAnchor() bool {
 // sorts a rack's own machines only when it reaches that rack — most draws end
 // inside the first.
 func (p *Picker) takePacked() {
-	topo := p.topo
-	anchored := zeroed(p.anchored, topo.NumDomains())
-	p.anchored = anchored
-	for m, n := range p.anchor {
-		if n > 0 {
-			anchored[topo.DomainIndex(m)] = true
-		}
-	}
+	topo, a := p.topo, p.anchor
 	rackFree, domainFree := p.rackFree, p.domainFree
 	racks := p.racks[:0]
 	for r, n := range rackFree {
@@ -519,8 +500,8 @@ func (p *Picker) takePacked() {
 		_, dj := topo.RackAt(rj)
 		switch {
 		case di == dj:
-		case anchored[di] != anchored[dj]:
-			if anchored[di] {
+		case a.HasDomain(di) != a.HasDomain(dj):
+			if a.HasDomain(di) {
 				return -1
 			}
 			return 1
@@ -567,8 +548,14 @@ func (p *Picker) DrawSpread(dst cluster.Alloc, count int) cluster.Alloc {
 // DrawTakes is Draw, or with spread DrawSpread, appending the draw's takes to
 // *log instead of filling a map (a spread draw logs one take per GPU).
 func (p *Picker) DrawTakes(log *[]Take, anchor cluster.Alloc, count int, spread bool) {
+	p.prepared.Load(p.topo, anchor)
+	p.DrawTakesAt(log, &p.prepared, count, spread)
+}
+
+// DrawTakesAt is DrawTakes for a prepared anchor, which the draw only reads.
+func (p *Picker) DrawTakesAt(log *[]Take, a *Anchor, count int, spread bool) {
 	p.log = log
-	p.begin(nil, anchor, count, Constraint{})
+	p.begin(nil, a, count, Constraint{})
 	if spread {
 		p.drawSpread()
 	} else {
@@ -632,7 +619,8 @@ func (j *SplitJob) Drawn() (gpus int, loc cluster.Locality) {
 	return int(j.gpus), cluster.Locality(j.span)
 }
 
-// Take is one take of a split's draw: GPUs from Machine.
+// Take is one take of a draw, GPUs from Machine, or one entry of an Anchor,
+// GPUs held on Machine.
 type Take struct {
 	Machine cluster.MachineID
 	GPUs    int
@@ -731,6 +719,7 @@ func (p *Picker) Split(budget int, q *SplitQueue, f *Finish) []int {
 		q.runs[i] = run{}
 	}
 	p.log = &q.Takes
+	p.prepared.Load(p.topo, nil) // jobs draw unanchored
 	pos := 0
 	for ; pos < len(q.order) && budget > 0 && p.total > 0; pos++ {
 		i := q.At(pos)
@@ -744,12 +733,12 @@ func (p *Picker) Split(budget int, q *SplitQueue, f *Finish) []int {
 		}
 		want := min(j.Want, budget)
 		lo := len(q.Takes)
-		p.begin(nil, nil, want, Constraint{})
+		p.begin(nil, &p.prepared, want, Constraint{})
 		p.drawBest()
 		if !j.Constraint.IsZero() && !satisfiedBy(p.topo, q.Takes[lo:], j.Constraint) {
 			p.CreditTakes(q.Takes[lo:], 1)
 			q.Takes = q.Takes[:lo]
-			p.begin(nil, nil, want, j.Constraint)
+			p.begin(nil, &p.prepared, want, j.Constraint)
 			p.drawFitting()
 		}
 		q.runs[i] = run{int32(lo), int32(len(q.Takes))}

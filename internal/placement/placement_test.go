@@ -634,9 +634,9 @@ func TestSplit(t *testing.T) {
 
 // TestPickerSteadyStateAllocs pins the point of the Picker: after warmup no
 // form of it allocates — Load, every draw from a loaded pool, the hand-back
-// and the read-back — on a small two-domain cluster and on sim-fabric,
-// unanchored and with an anchor in two pods whose draw runs through pass 2
-// into the rack walk.
+// and the read-back, and a prepared anchor's Load and Add with the draws from
+// it — on a small two-domain cluster and on sim-fabric, unanchored and with an
+// anchor in two pods whose draw runs through pass 2 into the rack walk.
 func TestPickerSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -649,6 +649,8 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 	jobs := []SplitJob{{Want: 4, WorkLeft: 2}, {Want: 4, WorkLeft: 1, Constraint: Constraint{MaxMachines: 1}}, {Want: 8, WorkLeft: 3}}
 	q := SplitQueue{Jobs: jobs}
 	var p Picker
+	var a Anchor
+	var log, won []Take
 	dst, rest := cluster.NewAlloc(), cluster.NewAlloc()
 	for _, s := range []struct {
 		name         string
@@ -671,6 +673,21 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 			"DrawSpread":  func() { load(); p.DrawSpread(dst, s.count) },
 			"Reset+Split": func() { load(); q.Reset(); p.Split(14, &q, nil) },
 			"Remaining":   func() { load(); p.Draw(dst, s.anchor, s.count); p.Remaining(rest) },
+			// Gandiva's loop: a prepared anchor extended by a won draw, then
+			// a logged candidate handed back and a constrained draw from it.
+			"prepared": func() {
+				load()
+				a.Load(s.topo, s.anchor)
+				won = won[:0]
+				p.DrawTakesAt(&won, &a, 3, false)
+				a.Add(won)
+				log = log[:0]
+				p.DrawTakesAt(&log, &a, s.count, false)
+				p.CreditTakes(log, 1)
+				_ = a.LocalityWith(log)
+				p.begin(dst.Reset(), &a, s.count, s.c)
+				p.drawFitting()
+			},
 		} {
 			pick()
 			if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {

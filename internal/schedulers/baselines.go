@@ -22,10 +22,10 @@ import (
 // calls, so an instance belongs to one simulation and one goroutine; the
 // policy factories build one per run.
 type Gandiva struct {
-	picker  placement.Picker
-	demand  map[workload.AppID]int
-	anchors []cluster.Alloc // per view.Apps index; refilled per call
-	cand    cluster.Alloc
+	picker      placement.Picker
+	demand      map[workload.AppID]int
+	anchors     []placement.Anchor // per view.Apps index; loaded per call
+	cand, taken []placement.Take   // a candidate's draw, and the best so far
 }
 
 // NewGandiva returns the Gandiva baseline policy.
@@ -42,24 +42,20 @@ func (g *Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map
 	demand, picker := g.demand, &g.picker
 	picker.Load(view.Topo, free)
 	// anchors[i] is what view.Apps[i] holds plus what it has won this call:
-	// refilled from Held for every app with demand (the only ones asked),
-	// credited with each win. A candidate is scored on its anchor with the
-	// candidate credited in, then debited back out; the placement score does
-	// not depend on the map's order, so the round trip leaves it as a fresh
-	// sum would.
-	for len(g.anchors) < len(view.Apps) {
-		g.anchors = append(g.anchors, cluster.NewAlloc())
+	// loaded from Held for every app with demand (the only ones asked),
+	// extended by each win.
+	if n := len(view.Apps) - len(g.anchors); n > 0 {
+		g.anchors = append(g.anchors, make([]placement.Anchor, n)...)
 	}
 	anchors := g.anchors
 	for i, st := range view.Apps {
 		if demand[st.App.ID] > 0 {
-			clear(anchors[i])
-			anchors[i].Credit(st.Held)
+			anchors[i].Load(view.Topo, st.Held)
 		}
 	}
 	// Every app is asked what it would do with the pool before any of it is
-	// committed, so each candidate is drawn and handed back.
-	cand := g.cand
+	// committed, so each candidate is drawn into a log and handed back, and
+	// the best log so far is kept.
 	for picker.Total() > 0 {
 		best := -1
 		bestScore := 0.0
@@ -68,32 +64,35 @@ func (g *Gandiva) Allocate(now float64, free cluster.Alloc, view *sim.View) (map
 			if unmet <= 0 {
 				continue
 			}
-			anchor := anchors[i]
-			cand = picker.Draw(cand, anchor, chunkFor(st, unmet))
-			picker.Credit(cand)
-			if cand.Total() == 0 {
+			g.cand = g.cand[:0]
+			picker.DrawTakesAt(&g.cand, &anchors[i], chunkFor(st, unmet), false)
+			picker.CreditTakes(g.cand, 1)
+			if len(g.cand) == 0 {
 				continue
 			}
-			anchor.Credit(cand)
-			score := cluster.PlacementScore(view.Topo, anchor)
-			_ = anchor.Debit(cand) // cannot fail: cand was just credited
+			score := cluster.LocalityScore(anchors[i].LocalityWith(g.cand))
 			if best < 0 || score > bestScore ||
 				(score == bestScore && st.App.SubmitTime < view.Apps[best].App.SubmitTime) {
 				best, bestScore = i, score
+				g.cand, g.taken = g.taken, g.cand
 			}
 		}
 		if best < 0 {
 			break
 		}
-		// The pool is as the winner saw it, so drawing its pick again takes
-		// exactly the GPUs it was scored on.
-		st := view.Apps[best]
-		cand = picker.Draw(cand, anchors[best], chunkFor(st, demand[st.App.ID]))
-		mergeGrant(out, st.App.ID, cand)
-		anchors[best].Credit(cand)
-		demand[st.App.ID] -= cand.Total()
+		// The pool is as the winner saw it, so its log is exactly what it
+		// takes.
+		picker.CreditTakes(g.taken, -1)
+		anchors[best].Add(g.taken)
+		id := view.Apps[best].App.ID
+		if out[id] == nil {
+			out[id] = make(cluster.Alloc, len(g.taken))
+		}
+		for _, t := range g.taken {
+			out[id][t.Machine] += t.GPUs
+			demand[id] -= t.GPUs
+		}
 	}
-	g.cand = cand
 	return out, nil
 }
 
