@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -252,11 +253,10 @@ func (r *Result) finalize(now float64, apps []*AppState) {
 		r.Apps = append(r.Apps, rec)
 	}
 	sort.Slice(r.Apps, func(i, j int) bool { return r.Apps[i].App < r.Apps[j].App })
-	sort.Slice(r.Timeline, func(i, j int) bool {
-		if r.Timeline[i].Time != r.Timeline[j].Time {
-			return r.Timeline[i].Time < r.Timeline[j].Time
-		}
-		return r.Timeline[i].App < r.Timeline[j].App
+	// Stable, so an app's events at one instant keep their recording order
+	// (an arrival before the grant of its round).
+	slices.SortStableFunc(r.Timeline, func(x, y AllocationEvent) int {
+		return cmp.Or(cmp.Compare(x.Time, y.Time), cmp.Compare(x.App, y.App))
 	})
 	// A finished Result keeps nothing of the run's working state alive.
 	r.topo, r.rackFree, r.domainFree = nil, nil, nil

@@ -390,3 +390,47 @@ func (fifoTuner) Name() string                     { return "test" }
 func (fifoTuner) Update(float64, *workload.App)    {}
 func (fifoTuner) WorkLeft(j *workload.Job) float64 { return j.RemainingWork() }
 func (fifoTuner) Done(a *workload.App) bool        { return len(a.ActiveJobs()) == 0 }
+
+// TestTimelineKeepsRecordingOrder pins how the timeline breaks ties: it is
+// ordered by time, then app, and an app's events at one instant stay in the
+// order they were recorded. An app's arrival is recorded before the grant of
+// the round it arrives in, so every app's first event is its 0-GPU arrival at
+// its submit time. On this run the sort used to put rev-005's 6-GPU grant at
+// t = 15.38 before its arrival, so a reader taking an instant's last event
+// saw the app at 0 GPUs.
+func TestTimelineKeepsRecordingOrder(t *testing.T) {
+	apps := equivalenceWorkload(t, 1, 10)
+	s, err := New(Config{
+		Topology:        simTopo(t, 6, 4, 3),
+		Apps:            apps,
+		Policy:          fifoPolicy{},
+		LeaseDuration:   10,
+		RestartOverhead: 0.5,
+		Horizon:         5000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(map[workload.AppID]AllocationEvent)
+	ties := 0
+	for i, e := range res.Timeline {
+		if _, ok := first[e.App]; !ok {
+			first[e.App] = e
+		}
+		if i > 0 && res.Timeline[i-1].Time == e.Time && res.Timeline[i-1].App == e.App {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no app has two events at one instant: the run does not exercise the tie")
+	}
+	for _, a := range apps {
+		if e := first[a.ID]; e.Time != a.SubmitTime || e.GPUs != 0 {
+			t.Errorf("%s's first timeline event is %+v, want its 0-GPU arrival at %v", a.ID, e, a.SubmitTime)
+		}
+	}
+}
