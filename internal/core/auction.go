@@ -208,17 +208,14 @@ func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate) {
 			if c.Want <= 0 {
 				continue
 			}
+			// A locality-best draw of at least one GPU from a non-empty pool
+			// always takes some, so the first visit is the first grant.
 			if c.Grant == nil {
 				c.anchor.Load(picker.Topology(), c.Current)
+				c.Grant, c.Current = cluster.NewAlloc(), c.Current.Clone()
 			}
 			c.pick = c.pick[:0]
 			picker.DrawTakesAt(&c.pick, &c.anchor, min(max(c.Chunk, 1), c.Want), false)
-			if len(c.pick) == 0 {
-				continue
-			}
-			if c.Grant == nil {
-				c.Grant, c.Current = cluster.NewAlloc(), c.Current.Clone()
-			}
 			for _, t := range c.pick {
 				c.Grant[t.Machine] += t.GPUs
 				c.Current[t.Machine] += t.GPUs
