@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"themis/internal/cluster"
-	"themis/internal/placement"
 	"themis/internal/workload"
 )
 
@@ -58,11 +57,17 @@ type Arbiter struct {
 	// auctions instead of reallocating it per participant; step 1 uses its
 	// Fanout too.
 	val BidValuator
-	// cands is the leftover pass's candidate scratch, emptied after each use;
-	// picker scales the auction's awards down and holds the leftover pool the
-	// leftover pass draws from.
-	cands  []LeftoverCandidate
-	picker placement.Picker
+	// probes is step 1's scratch, one 16-byte record per agent, and offered
+	// marks the participants by agent index for the leftover pass; neither
+	// references a map or a bidder. auction is the partial allocation's
+	// scratch, whose picker then holds the leftover pool. cands is the
+	// leftover pass's candidate scratch and rank orders it by ID. Whatever
+	// holds a map is emptied after each round.
+	probes  []probe
+	offered []uint64
+	auction auctionScratch
+	cands   []LeftoverCandidate
+	rank    []int32
 
 	// Stats accumulates scheduling telemetry (auction counts, latencies).
 	Stats ArbiterStats
@@ -206,10 +211,12 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 
 	// Step 1: probe every app for its current ρ, in index order; the fanout
 	// probes the Remote ones afterwards, each into its own slot.
-	ps := make([]probedAgent, len(agents))
+	n := len(agents)
+	ps := slices.Grow(a.probes[:0], n)[:n]
+	a.probes = ps
 	remote := a.val.remote[:0]
 	for i, st := range agents {
-		ps[i] = probedAgent{state: st, id: st.Agent.ID()}
+		ps[i] = probe{at: int32(i)}
 		if a.val.isRemote(st.Agent) {
 			remote = append(remote, i)
 		} else {
@@ -218,17 +225,16 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	}
 	if idx := remote; len(idx) > 0 {
 		a.val.fanout(len(idx), func(k int) {
-			p := &ps[idx[k]]
-			p.rho = p.state.Agent.ReportRho(now, p.state.Current)
+			st := agents[idx[k]]
+			ps[idx[k]].rho = st.Agent.ReportRho(now, st.Current)
 		})
 	}
 	a.val.remote = remote
 	// Step 2: offer to the worst 1−f fraction, always at least one app, in
 	// WorseOff order. Only they are ordered: the rest go to the leftover pass,
 	// which orders its candidates by ID.
-	n := len(ps)
 	participants := min(max(int(math.Ceil((1-a.cfg.FairnessKnob)*float64(n))), 1), n)
-	selectWorst(ps, participants)
+	selectWorst(ps, agents, participants)
 	a.Stats.OffersMade += participants
 	probed := time.Now()
 	a.lastRound.Probe = probed.Sub(start)
@@ -237,12 +243,13 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	// Step 3: collect bids from the participants, batched through the
 	// Arbiter's valuator so the round reuses the previous round's scratch.
 	bidding := ps[:participants]
-	bids := a.val.prepareBids(now, free, bidding)
+	bids := a.val.prepareBids(now, free, agents, bidding)
 	bid := time.Now()
 	a.lastRound.Bid = bid.Sub(probed)
 
 	// Step 4: partial allocation over the bids.
-	auction, err := runPartialAllocation(&a.picker, a.topo, free, bids, a.cfg.Auction)
+	auction, err := runPartialAllocation(&a.auction, a.topo, free, bids, a.cfg.Auction)
+	defer clear(auction.Awards) // the awards hold the round's maps
 	solved := time.Now()
 	a.lastRound.Solve = solved.Sub(bid)
 	if err != nil {
@@ -270,11 +277,17 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	// use them, participants may take them so no GPU is left idle. Both passes
 	// draw from one load of the leftover, so the second sees only what is
 	// still unplaced.
-	a.picker.Load(a.topo, auction.Leftover)
-	a.Stats.GPUsLeftOver += a.picker.Total()
-	a.lastRound.LeftoverGPUs = a.picker.Total()
-	out = a.grantLeftovers(out, ps[participants:], nil)
-	out = a.grantLeftovers(out, bidding, auction.Awards)
+	a.auction.picker.Load(a.topo, auction.Leftover)
+	a.Stats.GPUsLeftOver += a.auction.picker.Total()
+	a.lastRound.LeftoverGPUs = a.auction.picker.Total()
+	offered := slices.Grow(a.offered[:0], (n+63)/64)[:(n+63)/64]
+	clear(offered)
+	for _, p := range bidding {
+		offered[p.at/64] |= 1 << (p.at % 64)
+	}
+	a.offered = offered
+	out = a.grantLeftovers(out, agents, nil, nil)
+	out = a.grantLeftovers(out, agents, bidding, auction.Awards)
 
 	end := time.Now()
 	elapsed := end.Sub(start)
@@ -296,12 +309,11 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	return out, nil
 }
 
-// probedAgent pairs an agent's state with its ID and the ρ it reported to this
-// auction.
-type probedAgent struct {
-	state AgentState
-	id    workload.AppID
-	rho   float64
+// probe is an agent's answer to this round's ρ probe: the ρ and the agent's
+// index in the round's agents, which hold its state and ID.
+type probe struct {
+	rho float64
+	at  int32
 }
 
 // WorseOff orders apps for an offer, worst-off first: higher ρ, then lower app
@@ -317,16 +329,21 @@ func WorseOff(rhoA float64, a workload.AppID, rhoB float64, b workload.AppID) in
 	return cmp.Compare(a, b)
 }
 
-func worseOff(a, b probedAgent) int { return WorseOff(a.rho, a.id, b.rho, b.id) }
-
 // selectWorst reorders ps so that ps[:k] holds its k worst-off probes in
-// WorseOff order; the order of ps[k:] is unspecified. Quickselect
+// WorseOff order, reading a probe's ID from agents only when two ρ tie;
+// the order of ps[k:] is unspecified. Quickselect
 // (median-of-three pivot, Hoare partition) narrows a window [lo, hi) around
 // position k, keeping everything before the window ahead of it and
 // everything after it behind; a small window, or one that stops shrinking
 // within the depth budget, is sorted outright, so no input costs more than a
 // sort. Then only the prefix is sorted.
-func selectWorst(ps []probedAgent, k int) {
+func selectWorst(ps []probe, agents []AgentState, k int) {
+	worseOff := func(a, b probe) int {
+		if c := cmp.Compare(b.rho, a.rho); c != 0 {
+			return c
+		}
+		return cmp.Compare(agents[a.at].Agent.ID(), agents[b.at].Agent.ID())
+	}
 	lo, hi := 0, len(ps)
 	for depth := 2 * bits.Len(uint(hi)); lo < k && k < hi; depth-- {
 		if hi-lo <= 12 || depth == 0 {
@@ -374,38 +391,55 @@ func selectWorst(ps []probedAgent, k int) {
 
 // grantLeftovers runs the leftover-allocation rule over a candidate set and
 // appends the grants, drawn from the leftover pool loaded into the Arbiter's
-// picker, to out. awards, when non-nil, is parallel to candidates: what each
-// has just won in this round's auction counts as held.
-func (a *Arbiter) grantLeftovers(out []Allocation, candidates []probedAgent, awards []Award) []Allocation {
-	if a.picker.Total() == 0 {
+// picker, to out. Without bidding the candidates are the agents not marked
+// offered, in the caller's order; with it they are the bidders, and awards,
+// parallel to bidding, says what each has just won in this round's auction,
+// which counts as held. Either way they are visited by ID.
+func (a *Arbiter) grantLeftovers(out []Allocation, agents []AgentState, bidding []probe, awards []Award) []Allocation {
+	if a.auction.picker.Total() == 0 {
 		return out
 	}
 	cands := a.cands[:0]
-	for i, c := range candidates {
-		// Most candidates at scale neither won anything this round nor have
-		// unmet demand; weed them out before they cost a merged-allocation
-		// clone. Candidates without a fresh win keep their (caller-owned,
-		// read-only) Current as-is.
-		cur := c.state.Current
-		if awards != nil && awards[i].Won.Total() > 0 {
-			cur = cur.Add(awards[i].Won)
-		}
-		if want := c.state.Agent.UnmetParallelism(cur); want > 0 {
-			cands = slices.Grow(cands, 1)[:len(cands)+1] // reuses the slot's buffers
-			lc := &cands[len(cands)-1]
-			lc.ID, lc.Current, lc.Want, lc.Chunk = c.id, cur, want, c.state.Agent.GangSize()
+	if bidding == nil {
+		for i, st := range agents {
+			if a.offered[i/64]&(1<<(i%64)) == 0 {
+				cands = addCandidate(cands, st.Agent, st.Current)
+			}
 		}
 	}
-	slices.SortFunc(cands, func(x, y LeftoverCandidate) int { return cmp.Compare(x.ID, y.ID) })
-	AllocateLeftovers(&a.picker, cands)
-	for _, c := range cands {
+	for j, p := range bidding {
+		// Candidates without a fresh win keep their (caller-owned, read-only)
+		// Current as-is.
+		st := agents[p.at]
+		if won := awards[j].Won; won.Total() > 0 {
+			st.Current = st.Current.Add(won)
+		}
+		cands = addCandidate(cands, st.Agent, st.Current)
+	}
+	rank := a.rank[:0]
+	for j := range cands {
+		rank = append(rank, int32(j))
+	}
+	slices.SortFunc(rank, func(x, y int32) int { return cmp.Compare(cands[x].ID, cands[y].ID) })
+	AllocateLeftovers(&a.auction.picker, cands, rank)
+	for i := range cands {
+		c := &cands[i]
 		if c.Grant != nil {
 			out = append(out, Allocation{App: c.ID, Alloc: c.Grant})
 		}
+		c.Current, c.Grant = nil, nil // keep the capacity and the anchors, not the round's maps
 	}
-	for i := range cands {
-		cands[i].Current, cands[i].Grant = nil, nil // keep the capacity and the anchors, not the round's maps
-	}
-	a.cands = cands[:0]
+	a.cands, a.rank = cands[:0], rank[:0]
 	return out
+}
+
+// addCandidate appends the agent to cands if it can use more GPUs than cur.
+// Most agents at scale cannot; the slot appended reuses its buffers.
+func addCandidate(cands []LeftoverCandidate, b Bidder, cur cluster.Alloc) []LeftoverCandidate {
+	if want := b.UnmetParallelism(cur); want > 0 {
+		cands = slices.Grow(cands, 1)[:len(cands)+1]
+		lc := &cands[len(cands)-1]
+		lc.ID, lc.Current, lc.Want, lc.Chunk = b.ID(), cur, want, b.GangSize()
+	}
+	return cands
 }

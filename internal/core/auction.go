@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"themis/internal/cluster"
@@ -65,13 +66,22 @@ type AuctionOptions struct {
 // with it — so its c_i is 1 without a solve (and scaling an empty bundle
 // yields the empty bundle whatever c_i is).
 func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
-	var picker placement.Picker
-	return runPartialAllocation(&picker, topo, offer, bids, opts)
+	var sc auctionScratch
+	return runPartialAllocation(&sc, topo, offer, bids, opts)
 }
 
-// runPartialAllocation is RunPartialAllocation scaling awards down through
-// the caller's picker: the Arbiter's own, which its rounds reuse.
-func runPartialAllocation(picker *placement.Picker, topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
+// auctionScratch is what the Arbiter's auctions reuse from round to round:
+// the picker that scales awards down (and then holds the leftover pool), the
+// awards, and the bidders' log valuations.
+type auctionScratch struct {
+	picker placement.Picker
+	awards []Award
+	logs   []float64
+}
+
+// runPartialAllocation is RunPartialAllocation on the caller's scratch: the
+// result's Awards are sc.awards, valid until the next call.
+func runPartialAllocation(sc *auctionScratch, topo *cluster.Topology, offer cluster.Alloc, bids []BidTable, opts AuctionOptions) (AuctionResult, error) {
 	res := AuctionResult{Leftover: offer.Clone()}
 	if len(bids) == 0 || offer.Total() == 0 {
 		return res, nil
@@ -91,8 +101,9 @@ func runPartialAllocation(picker *placement.Picker, topo *cluster.Topology, offe
 	res.Objective = inst.Solve(opts.Solver, solver.NoSkip)
 	// Read the full solution out before the masked re-solves overwrite the
 	// instance's choices: each bidder's bundle and its log valuation.
-	res.Awards = make([]Award, len(bids))
-	logs := make([]float64, len(bids))
+	res.Awards = slices.Grow(sc.awards[:0], len(bids))[:len(bids)]
+	logs := slices.Grow(sc.logs[:0], len(bids))[:len(bids)]
+	sc.awards, sc.logs = res.Awards, logs
 	for i := range bids {
 		row, l := inst.Choice(i)
 		res.Awards[i].PF = bids[i].Entries[row].Alloc
@@ -106,7 +117,7 @@ func runPartialAllocation(picker *placement.Picker, topo *cluster.Topology, offe
 		if !opts.DisableHiddenPayments && aw.PF.Total() > 0 {
 			aw.C = hiddenPayment(inst, logs, i, opts.Solver)
 		}
-		aw.Won = scaleAllocation(picker, topo, aw.PF, aw.C)
+		aw.Won = scaleAllocation(&sc.picker, topo, aw.PF, aw.C)
 		if err := res.Leftover.Debit(aw.Won); err != nil {
 			return res, fmt.Errorf("core: auction allocated more than offered: %w", err)
 		}
@@ -165,9 +176,8 @@ func scaleAllocation(picker *placement.Picker, topo *cluster.Topology, pf cluste
 type LeftoverCandidate struct {
 	ID workload.AppID
 	// Current is the app's existing allocation, this round's auction win
-	// included. The caller's map is only read: the first grant replaces it
-	// with a copy, which that and every later grant extend, so the next pick
-	// anchors on what the app holds by then.
+	// included. It is only read, on the candidate's first visit, into its
+	// anchor.
 	Current cluster.Alloc
 	// Want is the number of additional GPUs the app can still use, counted
 	// down as grants land; Chunk its preferred grant granularity (its gang
@@ -178,8 +188,9 @@ type LeftoverCandidate struct {
 	Grant cluster.Alloc
 
 	// anchor is Current prepared for the picks, loaded on the first visit
-	// and extended by every grant; pick logs a visit's pick. Their buffers
-	// outlive the round when the caller reuses the candidate.
+	// and extended by every grant: it holds Current + Grant, what the app
+	// holds by the next pick. pick logs a visit's pick. Their buffers outlive
+	// the round when the caller reuses the candidate.
 	anchor placement.Anchor
 	pick   []placement.Take
 }
@@ -188,23 +199,27 @@ type LeftoverCandidate struct {
 // candidate apps (§5.1 step 3): each grant extends an app's existing
 // allocation — a machine it already uses when possible, otherwise the
 // tightest-packing pick from what remains. Apps are visited in a
-// deterministic rotation (the paper breaks ties randomly; a rotation keeps
-// simulations reproducible without biasing any app), receiving a chunk of up
-// to Chunk GPUs per visit so different apps' grants do not interleave on the
-// same machines.
+// deterministic rotation over order (the paper breaks ties randomly), each
+// visit granting a chunk of up to Chunk GPUs so different apps' grants do not
+// interleave on the same machines. The rotation is not the fair one it was
+// meant to be: a sweep visits order[(rotation+k) % len], and both k and
+// rotation advance after a grant, so each grant skips the next candidate.
+// Four candidates that all keep wanting are granted as a, c, a, c, …, and b
+// and d get nothing until a and c are sated (ROADMAP item 19).
 //
-// cands must be sorted by ID and hold only apps with Want > 0; each grant is
-// accumulated in its candidate. The grants are drawn from the pool loaded
-// into picker, and what it holds on return is what nobody could use.
-func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate) {
-	if len(cands) == 0 {
+// order lists the indices of cands in ID order, and cands hold only apps with
+// Want > 0; each grant is accumulated in its candidate. The grants are drawn
+// from the pool loaded into picker, and what it holds on return is what
+// nobody could use.
+func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate, order []int32) {
+	if len(order) == 0 {
 		return
 	}
 	rotation := 0
 	for picker.Total() > 0 {
 		progress := false
-		for k := 0; k < len(cands) && picker.Total() > 0; k++ {
-			c := &cands[(rotation+k)%len(cands)]
+		for k := 0; k < len(order) && picker.Total() > 0; k++ {
+			c := &cands[order[(rotation+k)%len(order)]]
 			if c.Want <= 0 {
 				continue
 			}
@@ -212,13 +227,12 @@ func AllocateLeftovers(picker *placement.Picker, cands []LeftoverCandidate) {
 			// always takes some, so the first visit is the first grant.
 			if c.Grant == nil {
 				c.anchor.Load(picker.Topology(), c.Current)
-				c.Grant, c.Current = cluster.NewAlloc(), c.Current.Clone()
+				c.Grant = cluster.NewAlloc()
 			}
 			c.pick = c.pick[:0]
 			picker.DrawTakesAt(&c.pick, &c.anchor, min(max(c.Chunk, 1), c.Want), false)
 			for _, t := range c.pick {
 				c.Grant[t.Machine] += t.GPUs
-				c.Current[t.Machine] += t.GPUs
 				c.Want -= t.GPUs
 			}
 			c.anchor.Add(c.pick)

@@ -463,7 +463,8 @@ func TestAllocateLeftovers(t *testing.T) {
 	cands := candidates(4, 1)
 	var picker placement.Picker
 	picker.Load(topo, leftover)
-	AllocateLeftovers(&picker, cands)
+	byID := []int32{0, 1}
+	AllocateLeftovers(&picker, cands, byID)
 	total := 0
 	for _, c := range cands {
 		total += c.Grant.Total()
@@ -479,26 +480,37 @@ func TestAllocateLeftovers(t *testing.T) {
 	if a, b := cands[0], cands[1]; a.Grant.Total() > 4 || b.Grant.Total() > 1 || a.Want != 4-a.Grant.Total() || b.Want != 1-b.Grant.Total() {
 		t.Errorf("grants %v / %v against wants 4 / 1, remaining %d / %d", a.Grant, b.Grant, a.Want, b.Want)
 	}
-	// The grants were drawn out of the loaded pool, and the candidates'
-	// holdings were extended on copies: the caller's maps are only read.
+	// The grants were drawn out of the loaded pool, and the caller's maps,
+	// Current included, are only read: each candidate's anchor carries its
+	// holding extended by its grant.
 	if picker.Total() != 0 {
 		t.Errorf("pool after granting everything = %v, want empty", picker.Remaining(nil))
 	}
 	if !leftover.Equal(cluster.Alloc{0: 2, 3: 1}) || !curA.Equal(cluster.Alloc{0: 2}) || !curB.Equal(cluster.Alloc{1: 4}) {
 		t.Errorf("caller's maps were written: leftover %v, currents %v %v", leftover, curA, curB)
 	}
-	if got, want := cands[0].Current, curA.Add(cands[0].Grant); !got.Equal(want) {
-		t.Errorf("a's anchor after its grants = %v, want %v", got, want)
+	for i, cur := range []cluster.Alloc{curA, curB} {
+		c := &cands[i]
+		if !c.Current.Equal(cur) {
+			t.Errorf("%s's Current after its grants = %v, want the caller's %v", c.ID, c.Current, cur)
+		}
+		held := cluster.NewAlloc()
+		for _, e := range c.anchor.Entries() {
+			held[e.Machine] += e.GPUs
+		}
+		if want := cur.Add(c.Grant); c.Grant != nil && !held.Equal(want) {
+			t.Errorf("%s's anchor after its grants = %v, want %v", c.ID, held, want)
+		}
 	}
 	// With no candidates, nothing is granted.
 	picker.Load(topo, leftover)
-	AllocateLeftovers(&picker, nil)
+	AllocateLeftovers(&picker, nil, nil)
 	if picker.Total() != 3 {
 		t.Errorf("pool drawn from with no candidates: %v", picker.Remaining(nil))
 	}
 	// Wants of zero leave GPUs unallocated.
 	none := candidates(0, 0)
-	AllocateLeftovers(&picker, none)
+	AllocateLeftovers(&picker, none, byID)
 	if none[0].Grant != nil || none[1].Grant != nil || picker.Total() != 3 {
 		t.Errorf("grants despite zero wants: %+v (pool %v)", none, picker.Remaining(nil))
 	}

@@ -32,24 +32,26 @@ var offerRhos = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 1e-12,
 }
 
-// probesFrom decodes data into at most 160 probes, two bytes each: the ρ's
-// palette index and the high part of the app ID (the probe's index keeps IDs
-// unique).
+// probesFrom decodes data into at most 160 probed agents, two bytes each: the
+// ρ's palette index and the high part of the app ID (the agent's index keeps
+// IDs unique).
 func probesFrom(data []byte) []probedAgent {
 	ps := make([]probedAgent, min(len(data)/2, 160))
 	for i := range ps {
+		id := workload.AppID(fmt.Sprintf("%02x-%03d", data[2*i+1]%16, i))
 		ps[i] = probedAgent{
-			rho: offerRhos[int(data[2*i])%len(offerRhos)],
-			id:  workload.AppID(fmt.Sprintf("%02x-%03d", data[2*i+1]%16, i)),
+			state: AgentState{Agent: nanBidder{id: id}},
+			id:    id,
+			rho:   offerRhos[int(data[2*i])%len(offerRhos)],
 		}
 	}
 	return ps
 }
 
 // FuzzOfferSelectMatchesSort: for every k, selectWorst puts in ps[:k] exactly
-// the first k probes of a full WorseOff sort, in that order, and leaves a
-// permutation of the input behind. Without two NaNs the parent's full sort
-// gives the same prefix too.
+// the first k probes of a full WorseOff sort, in that order, reading the IDs
+// from the agents the probes index, and leaves a permutation of the input
+// behind. Without two NaNs the parent's full sort gives the same prefix too.
 func FuzzOfferSelectMatchesSort(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12, 0, 13, 0, 14, 9, 1, 10, 2})
 	f.Add([]byte{15, 3, 15, 1, 16, 2, 17, 0, 13, 4, 14, 5, 9, 9, 11, 0, 10, 0, 12, 0, 15, 2})
@@ -65,8 +67,9 @@ func FuzzOfferSelectMatchesSort(f *testing.F) {
 	f.Add(ties)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := probesFrom(data)
+		agents, probes := bidAll(in)
 		want := slices.Clone(in)
-		slices.SortFunc(want, worseOff)
+		slices.SortFunc(want, func(a, b probedAgent) int { return WorseOff(a.rho, a.id, b.rho, b.id) })
 		nans := 0
 		for _, p := range in {
 			if math.IsNaN(p.rho) {
@@ -81,21 +84,25 @@ func FuzzOfferSelectMatchesSort(f *testing.F) {
 			}
 		}
 		for k := 0; k <= len(in); k++ {
-			got := slices.Clone(in)
-			selectWorst(got, k)
+			sel := slices.Clone(probes)
+			selectWorst(sel, agents, k)
+			got := make([]probedAgent, len(sel))
+			for i, p := range sel {
+				got[i] = in[p.at]
+				got[i].rho = p.rho
+			}
 			if !sameProbes(got[:k], want[:k]) {
 				t.Fatalf("k=%d: selected %v, full sort's prefix %v", k, got[:k], want[:k])
 			}
-			ids := func(ps []probedAgent) []workload.AppID {
-				out := make([]workload.AppID, len(ps))
-				for i, p := range ps {
-					out[i] = p.id
-				}
-				slices.Sort(out)
-				return out
+			at := make([]int32, len(sel))
+			for i, p := range sel {
+				at[i] = p.at
 			}
-			if !slices.Equal(ids(got), ids(in)) {
-				t.Fatalf("k=%d: selection is not a permutation of its input", k)
+			slices.Sort(at)
+			for i, a := range at {
+				if a != int32(i) {
+					t.Fatalf("k=%d: selection is not a permutation of its input", k)
+				}
 			}
 		}
 	})

@@ -287,9 +287,10 @@ func TestWideAppBidEquivalence(t *testing.T) {
 			checkTablesAgainstReference(t, ps, want, now, theta)
 
 			var v BidValuator
+			states, bidding := bidAll(ps)
 			for round := 0; round < 3; round++ {
 				reseed()
-				got := v.prepareBids(now, free, ps)
+				got := v.prepareBids(now, free, states, bidding)
 				for i := range want {
 					if !reflect.DeepEqual(got[i], want[i]) {
 						t.Errorf("round %d: table %d differs:\n got %v\nwant %v", round, i, got[i], want[i])
@@ -719,6 +720,25 @@ func refGrantLeftovers(topo *cluster.Topology, leftover cluster.Alloc, candidate
 	return refAllocateLeftovers(topo, leftover, currents, wants, chunks)
 }
 
+// probedAgent is the probe record the ID-keyed round kept per agent: its
+// state, ID and ρ. The reference round and the test fixtures use it.
+type probedAgent struct {
+	state AgentState
+	id    workload.AppID
+	rho   float64
+}
+
+// bidAll splits probed agents into the round's agents and the bidding
+// probes that name every one of them, in order: prepareBids's arguments for
+// everyone bidding.
+func bidAll(ps []probedAgent) ([]AgentState, []probe) {
+	states, bidding := make([]AgentState, len(ps)), make([]probe, len(ps))
+	for i, p := range ps {
+		states[i], bidding[i] = p.state, probe{rho: p.rho, at: int32(i)}
+	}
+	return states, bidding
+}
+
 // refOfferResources is the parent's Arbiter.OfferResources without its clocks
 // and phase breakdown: probe, rank, bid (through each Bidder's own
 // PrepareBid), the ID-keyed auction, the map-reading tail. stats takes what
@@ -904,16 +924,21 @@ func counters(st ArbiterStats) ArbiterStats {
 // by-index auction and leftover passes) and through the ID-keyed reference
 // round on an identically seeded second copy of the agents: the decisions,
 // once both are put in one order, and every counter including the
-// TruthfulPayments bits must agree, round after round.
+// TruthfulPayments bits must agree, round after round. The shuffled cases
+// list the Arbiter's agents in a seeded random order, as the serving layer's
+// map order does, and the reference's in fixture (ID) order.
 func TestRoundMatchesIDKeyedReference(t *testing.T) {
 	for _, c := range []struct {
 		name             string
 		agents, machines int
 		knob             float64
+		shuffle          bool
 	}{
-		{"exact-12-worst-half", 12, 16, 0.5},
-		{"greedy-80-everyone", 80, 64, 0},
-		{"greedy-80-worst-half", 80, 64, 0.5},
+		{"exact-12-worst-half", 12, 16, 0.5, false},
+		{"greedy-80-everyone", 80, 64, 0, false},
+		{"greedy-80-worst-half", 80, 64, 0.5, false},
+		{"exact-12-worst-half-shuffled", 12, 16, 0.5, true},
+		{"greedy-80-worst-half-shuffled", 80, 64, 0.5, true},
 	} {
 		for _, theta := range []float64{0, 0.2} {
 			for _, noPay := range []bool{false, true} {
@@ -933,6 +958,10 @@ func TestRoundMatchesIDKeyedReference(t *testing.T) {
 					}
 					states, free, topo := build()
 					refStates, refFree, refTopo := build()
+					if c.shuffle {
+						rng := rand.New(rand.NewSource(int64(c.agents)))
+						rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
+					}
 					arb, err := NewArbiter(topo, cfg)
 					if err != nil {
 						t.Fatal(err)

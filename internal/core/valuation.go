@@ -79,29 +79,30 @@ func nextRow(entries []BidEntry) []BidEntry {
 // bid order is the same either way. The returned slice, the Entries backing
 // arrays and the rows' Alloc maps are owned by the valuator and valid until the
 // next prepareBids call — exactly the lifetime OfferResources needs (the
-// auction copies what it keeps).
-func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []probedAgent) []BidTable {
+// auction copies what it keeps). Bidder i is agents[bidding[i].at].
+func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, agents []AgentState, bidding []probe) []BidTable {
 	bids, remote := v.bids[:0], v.remote[:0]
 	for len(v.entries) < len(bidding) {
 		v.entries = append(v.entries, nil)
 	}
 	for i, p := range bidding {
-		if ag, ok := p.state.Agent.(*Agent); ok {
-			table := ag.prepareBidInto(now, offer, p.state.Current, v, v.entries[i][:0])
+		st := agents[p.at]
+		if ag, ok := st.Agent.(*Agent); ok {
+			table := ag.prepareBidInto(now, offer, st.Current, v, v.entries[i][:0])
 			v.entries[i] = table.Entries
 			bids = append(bids, table)
-		} else if v.isRemote(p.state.Agent) {
+		} else if v.isRemote(st.Agent) {
 			remote = append(remote, i)
 			bids = append(bids, BidTable{})
 		} else {
-			bids = append(bids, p.state.Agent.PrepareBid(now, offer, p.state.Current))
+			bids = append(bids, st.Agent.PrepareBid(now, offer, st.Current))
 		}
 	}
 	// Built only for a remote bidder: an inline round allocates no closure.
 	if out, idx := bids, remote; len(idx) > 0 {
 		v.fanout(len(idx), func(k int) {
-			p := bidding[idx[k]]
-			out[idx[k]] = p.state.Agent.PrepareBid(now, offer, p.state.Current)
+			st := agents[bidding[idx[k]].at]
+			out[idx[k]] = st.Agent.PrepareBid(now, offer, st.Current)
 		})
 	}
 	v.bids, v.remote = bids, remote

@@ -184,6 +184,9 @@ func compareFanout(t *testing.T, cfg core.Config) int {
 			server.Arbiter().SetFanout(nil)
 		}
 		farm := newAgentFarm(t, topo, generatedApps(t, apps))
+		if fanned {
+			farm.holdForOverlap() // calls issued together overlap on any schedule
+		}
 		farm.register(t, server)
 		return server, farm
 	}

@@ -35,6 +35,8 @@ type Themis struct {
 	arbiter *core.Arbiter
 	agents  map[workload.AppID]*core.Agent
 	nextErr int64
+	// states is Allocate's scratch, cleared after each round.
+	states []core.AgentState
 }
 
 // NewThemis returns a Themis policy with the given arbiter configuration.
@@ -64,11 +66,13 @@ func (t *Themis) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[
 		}
 		t.arbiter = arb
 	}
-	states := make([]core.AgentState, 0, len(view.Apps))
+	states := t.states[:0]
 	for _, st := range view.Apps {
 		states = append(states, core.AgentState{Agent: t.agentFor(view, st), Current: st.Held})
 	}
 	decisions, err := t.arbiter.OfferResources(now, free, states)
+	clear(states) // holds no agent or holding past the round
+	t.states = states[:0]
 	if err != nil {
 		return nil, fmt.Errorf("schedulers: Themis auction failed: %w", err)
 	}
