@@ -61,17 +61,18 @@ func (ag *Agent) UnmetParallelism(current cluster.Alloc) int {
 // round's calls through one BidValuator instead (same result, recycled
 // buffers).
 func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable {
-	var v BidValuator
-	return ag.prepareBidInto(now, offer, current, &v, nil)
+	v := BidValuator{offer: offer}
+	return ag.prepareBidInto(now, current, &v, nil)
 }
 
-// prepareBidInto is PrepareBid with caller-owned scratch: the valuator
-// provides the candidate-size buffer and the picker, and entries is the
-// (possibly recycled) backing buffer for the table rows, whose slots' maps
-// are reused (nextRow). The candidate enumeration order and the valuation
-// math are exactly PrepareBid's — the batched and standalone paths must stay
+// prepareBidInto is PrepareBid of the valuator's offer with caller-owned
+// scratch: the valuator provides the candidate-size buffer, the pool and, in
+// a batched round, the unanchored draws, and entries is the (possibly
+// recycled) backing buffer for the table rows, whose slots' maps are reused
+// (nextRow). The candidate enumeration order and the valuation math are
+// exactly PrepareBid's — the batched and standalone paths must stay
 // bit-identical.
-func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *BidValuator, entries []BidEntry) BidTable {
+func (ag *Agent) prepareBidInto(now float64, current cluster.Alloc, v *BidValuator, entries []BidEntry) BidTable {
 	// One job context and one load of current value every row: nothing below
 	// changes job state, and each row leaves the estimator's pool as it was.
 	e := ag.Estimator
@@ -79,27 +80,32 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	rows := nextRow(entries[:0])
 	rows[0].Rho = e.rho(now)
 	unmet := max(e.width-e.picker.Total(), 0)
-	if unmet > 0 {
-		v.picker.Load(e.Topo, offer)
-		e.anchor.Load(e.Topo, current)
+	if unmet == 0 {
+		return BidTable{App: ag.App.ID, Entries: rows}
 	}
-	sizes := v.candidateSizes(v.picker.Total(), unmet, e.gang) // with unmet = 0 the total is not read
+	pool := v.pool(e.Topo)
+	e.anchor.Load(e.Topo, current)
+	unanchored := v.shared != nil && !ag.PlacementBlind && len(e.anchor.Entries()) == 0
 	// Every candidate is drawn from the whole offer (the draw is handed back
 	// before the next), no size exceeds it, an unconstrained draw fills its
 	// size and the sizes are distinct: so every row holds exactly its size,
 	// and no row is empty or equal to another (TestBidRowsHoldTheirSizes).
-	for _, size := range sizes {
+	for _, size := range v.candidateSizes(pool.Total(), unmet, e.gang) {
 		if len(rows) >= DefaultMaxBidRows {
 			break
 		}
 		rows = nextRow(rows)
 		row := &rows[len(rows)-1]
 		log := e.readySplit()
-		v.picker.DrawTakesAt(log, &e.anchor, size, ag.PlacementBlind)
+		if unanchored {
+			*log = append(*log, v.unanchoredDraw(size)...)
+		} else {
+			pool.DrawTakesAt(log, &e.anchor, size, ag.PlacementBlind)
+			pool.CreditTakes(*log, 1)
+		}
 		for _, t := range *log {
 			row.Alloc[t.Machine] += t.GPUs
 		}
-		v.picker.CreditTakes(*log, 1)
 		row.Rho = e.rho(now)
 	}
 	return BidTable{App: ag.App.ID, Entries: rows}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"themis/internal/cluster"
+	"themis/internal/estimator"
+	"themis/internal/hyperparam"
 	"themis/internal/placement"
 	"themis/internal/race"
 	"themis/internal/workload"
@@ -120,7 +122,8 @@ func FuzzJobContextMatchesRebuild(f *testing.F) {
 				sameCounts("before the calls")
 			}
 			sameRho("probe")
-			table := ag.prepareBidInto(now, offer, current, &v, entries[:0])
+			v.startRound(offer) // one table a round: its unanchored rows go through the arena
+			table := ag.prepareBidInto(now, current, &v, entries[:0])
 			entries = table.Entries
 			want := fresh.PrepareBid(now, offer, current)
 			if len(table.Entries) != len(want.Entries) {
@@ -134,6 +137,76 @@ func FuzzJobContextMatchesRebuild(f *testing.F) {
 			}
 			sameRho("probe after the bid")
 			sameCounts("after the calls")
+		}
+	})
+}
+
+// FuzzKeptOrderMatchesFresh holds the work-left order an estimator keeps
+// from call to call to one built afresh: one long-lived Agent, with an error
+// model at θ = 0.2, values a wideFixture-style app again and again through one
+// recycled BidValuator, half the time holding nothing (its rows are the
+// round's shared unanchored draws). Between valuations a fuzzed step makes no
+// progress (none, or an AdvanceJob that integrates nothing), advances a job
+// short of completion, which reorders the jobs, or advances one a hair,
+// which breaks its work-left ties. After every step an Agent built afresh on
+// the app, its error model kept in step with the long-lived one's, must
+// report the same ρ bits and prepare the same table (allocations and ρ
+// bits), and the two error models must be left in the same state.
+func FuzzKeptOrderMatchesFresh(f *testing.F) {
+	topo := wideTopo(f)
+	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 0, 9, 10, 17, 18})
+	f.Add(int64(2), []byte{2, 2, 2, 10, 10, 18, 18, 0, 0, 3, 3})
+	f.Add(int64(3), []byte{1, 0, 1, 0, 9, 8, 17, 16, 25, 24})
+	f.Add(int64(4), []byte{3, 11, 19, 27, 2, 10, 18, 26, 0, 8, 16, 24})
+	f.Add(int64(5), []byte{255, 254, 253, 252, 6, 5, 4, 7})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		app := contextApp(rng, 2+rng.Intn(40))
+		ag := NewAgent(topo, app, hyperparam.ForApp(app), estimator.NewErrorModel(0.2, seed))
+		errs := estimator.NewErrorModel(0.2, seed)
+		var v BidValuator
+		var entries []BidEntry
+		now := 0.0
+		for step, op := range ops[:min(len(ops), 48)] {
+			j := app.Jobs[int(op>>2)%len(app.Jobs)]
+			switch op % 4 {
+			case 1: // no progress: AdvanceJob integrates nothing
+				app.AdvanceJob(j, now, 0, j.Width(), 1)
+			case 2: // progress short of completion, which reorders the jobs
+				if j.Active() {
+					app.AdvanceJob(j, now, j.RemainingWork()/float64(j.Width())*0.9*rng.Float64(), j.Width(), 1)
+				}
+			case 3: // a hair of progress, which breaks the job's work-left ties
+				app.AdvanceJob(j, now, 1e-6, 1, 1)
+			}
+			now += 10 * rng.Float64()
+			current, offer := randomHolding(rng, topo)
+			if rng.Intn(2) == 0 {
+				current = cluster.NewAlloc()
+			}
+			ag.PlacementBlind = rng.Intn(4) == 0
+			fresh := NewAgent(topo, app, hyperparam.ForApp(app), errs)
+			fresh.PlacementBlind = ag.PlacementBlind
+			what := fmt.Sprintf("step %d (op %d, job %s)", step, op, j.ID)
+			if got, want := ag.ReportRho(now, current), fresh.ReportRho(now, current); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: ReportRho %v, fresh %v", what, got, want)
+			}
+			v.startRound(offer)
+			table := ag.prepareBidInto(now, current, &v, entries[:0])
+			entries = table.Entries
+			want := fresh.PrepareBid(now, offer, current)
+			if len(table.Entries) != len(want.Entries) {
+				t.Fatalf("%s: %d bid rows, fresh %d", what, len(table.Entries), len(want.Entries))
+			}
+			for r, e := range table.Entries {
+				w := want.Entries[r]
+				if !e.Alloc.Equal(w.Alloc) || math.Float64bits(e.Rho) != math.Float64bits(w.Rho) {
+					t.Fatalf("%s: row %d is %v at ρ %v, fresh %v at ρ %v", what, r, e.Alloc, e.Rho, w.Alloc, w.Rho)
+				}
+			}
+			if got, want := ag.Estimator.Errors.Perturb(1), errs.Perturb(1); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: error-model RNG diverged (next draw %v, fresh %v)", what, got, want)
+			}
 		}
 	})
 }
@@ -185,8 +258,9 @@ func TestBidRowsHoldTheirSizes(t *testing.T) {
 
 // TestRhoProbeZeroAlloc pins the ρ probe's allocation contract: once its
 // buffers are warm, ReportRho allocates nothing, whether the app is unchanged
-// since the last probe (the job context is reused) or its stamp has just
-// moved (the context is rebuilt into the recycled buffers). The wide
+// since the last probe (the job context and the work-left order are kept),
+// one of its jobs has just progressed (the order is rebuilt) or its stamp has
+// just moved (the context is rebuilt into the recycled buffers). The wide
 // fixture's apps of 9–96 jobs each probe a holding they split across jobs.
 func TestRhoProbeZeroAlloc(t *testing.T) {
 	if race.Enabled {
@@ -212,6 +286,9 @@ func TestRhoProbeZeroAlloc(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { ag.ReportRho(1, held) }); n != 0 {
 			t.Errorf("agent %d: a probe of an unchanged app allocates %.1f objects, want 0", i, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { ag.App.AdvanceJob(j, 1, 1e-3, 1, 1); ag.ReportRho(1, held) }); n != 0 {
+			t.Errorf("agent %d: a probe after progress allocates %.1f objects, want 0", i, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { bump(); ag.ReportRho(1, held) }); n != 0 {
 			t.Errorf("agent %d: a probe after a stamp move allocates %.1f objects, want 0", i, n)

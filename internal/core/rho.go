@@ -52,9 +52,13 @@ type RhoEstimator struct {
 	// the profile's largest S), and each job's SplitJob (want, resolved
 	// constraint, unresolvable). refresh rebuilds it when the stamp has moved
 	// since it was built; the SplitJobs are built by the first split after
-	// that. splitReady marks that the call in progress has refreshed the
-	// jobs' WorkLeft and reset the queue.
-	stamp             uint64 // App's stamp when the context was built
+	// that. The queue's work-left order — each job's WorkLeft and the lazy
+	// sort over them — is kept from call to call while the stamp and the
+	// app's progress counter (workload.App.Progress) stay where they were
+	// when it was built: WorkLeft is a pure function of the jobs' progress
+	// (hyperparam.Tuner). ordered marks the order valid; splitReady marks
+	// that the call in progress has readied the queue.
+	stamp, progress   uint64 // App's stamp when the context was built; its progress when the order was
 	jobs              []*workload.Job
 	tIdeal            float64
 	gang              int                  // GangSize
@@ -62,6 +66,7 @@ type RhoEstimator struct {
 	finish            placement.Finish     // Profile, MaxWidth, SMax; each split sets Elapsed and Best
 	split             placement.SplitQueue // Jobs: per active job, same indexing as jobs; empty until built
 	built, splitReady bool
+	ordered           bool
 }
 
 // refresh rebuilds the job context if the app's stamp has moved since it was
@@ -89,7 +94,7 @@ func (e *RhoEstimator) refresh() {
 		f.SMax = max(f.SMax, s)
 	}
 	e.split.Jobs = e.split.Jobs[:0]
-	e.splitReady = false
+	e.splitReady, e.ordered = false, false
 }
 
 // beginCall starts a valuation call (a ρ probe, or all the rows of one bid
@@ -136,21 +141,27 @@ func (e *RhoEstimator) splitAcrossJobs(f *placement.Finish) []int {
 }
 
 // readySplit readies the call's split and returns its log, for a bid row to
-// be drawn into and valued by rho. The call's first use refreshes the jobs'
-// work left and starts the order its rows share, building the SplitJobs first
-// if the context was rebuilt; that empties the log, so it comes before any
-// row is drawn.
+// be drawn into and valued by rho. The call's first use empties the log, so
+// it comes before any row is drawn. It keeps the work-left order the last
+// call left when no job has moved since (see ordered); otherwise it asks the
+// tuner for every job's work left and starts a new order, building the
+// SplitJobs first if the context was rebuilt.
 func (e *RhoEstimator) readySplit() *[]placement.Take {
 	if q := &e.split; !e.splitReady {
-		if len(q.Jobs) != len(e.jobs) {
-			for _, j := range e.jobs {
-				q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, 0))
+		if e.ordered && e.progress == e.App.Progress() {
+			q.Rewind()
+		} else {
+			if len(q.Jobs) != len(e.jobs) {
+				for _, j := range e.jobs {
+					q.Jobs = append(q.Jobs, j.SplitJob(e.Topo, 0))
+				}
 			}
+			for i, j := range e.jobs {
+				q.Jobs[i].WorkLeft = e.Tuner.WorkLeft(j)
+			}
+			q.Reset()
+			e.progress, e.ordered = e.App.Progress(), true
 		}
-		for i, j := range e.jobs {
-			q.Jobs[i].WorkLeft = e.Tuner.WorkLeft(j)
-		}
-		q.Reset()
 		e.splitReady = true
 	}
 	return &e.split.Takes

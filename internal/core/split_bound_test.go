@@ -164,7 +164,8 @@ func FuzzBoundedSplitMatchesFullSplit(f *testing.F) {
 				if got, want := ag.ReportRho(now, current), fullRho(full, now, current, nil); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: ReportRho %v, full split %v", what, got, want)
 				}
-				table := ag.prepareBidInto(now, offer, current, &v, entries[:0])
+				v.startRound(offer) // one table a round: its unanchored rows go through the arena
+				table := ag.prepareBidInto(now, current, &v, entries[:0])
 				entries = table.Entries
 				drawn.Load(topo, offer)
 				for r, e := range table.Entries {

@@ -10,10 +10,11 @@ import (
 // BidValuator batches bid-table preparation across the participants of one
 // auction round, reusing the scratch that a standalone PrepareBid call
 // allocates per app: the candidate-size slice, the per-participant entry
-// buffers with the Alloc map of every row in them, and the bid slice itself.
-// The Arbiter owns one valuator and runs every round's step 3 through it, so
-// in steady state bid preparation recycles one round's buffers into the next
-// instead of leaving them to the collector.
+// buffers with the Alloc map of every row in them, the bid slice itself, and
+// the pool the rows are drawn from. The Arbiter owns one valuator and runs
+// every round's step 3 through it, so in steady state bid preparation
+// recycles one round's buffers into the next instead of leaving them to the
+// collector.
 //
 // Rows have one lifetime: the tables prepareBids returns — slices, rows and
 // the rows' maps — are the valuator's, valid until its next prepareBids call.
@@ -31,12 +32,78 @@ type BidValuator struct {
 	// keep the map they were last written with; the next round clears and
 	// refills it (see nextRow).
 	entries [][]BidEntry
-	// picker holds the offer of the table being prepared, loaded once per
-	// table; each candidate row is drawn from it and handed back.
-	picker placement.Picker
+	// offer is the round's offer. picker holds it, loaded on
+	// loadedOn by the first table that draws a row: every row is drawn from
+	// it and handed back, so each table draws from the offer as loaded.
+	offer    cluster.Alloc
+	picker   placement.Picker
+	loadedOn *cluster.Topology
+	// shared is a batched round's unanchored draws; nil in a standalone
+	// PrepareBid, which draws every row.
+	shared *unanchoredDraws
 	// fanout asks the Remote bidders; remote is the scratch of their indexes.
 	fanout Fanout
 	remote []int
+}
+
+// unanchoredDraws holds a round's unanchored draws. A placement-aware row of
+// an agent that holds nothing is drawn from the offer with an empty anchor,
+// so it depends only on the pool and its size: drawn[size] is that draw's
+// run of takes in arena, drawn by the first table that asks for it (hi = 0:
+// not yet), and none is the empty anchor it is drawn from.
+type unanchoredDraws struct {
+	arena []placement.Take
+	drawn []takeRun
+	none  placement.Anchor
+}
+
+// takeRun is the stretch arena[lo:hi] of one unanchored draw.
+type takeRun struct{ lo, hi int32 }
+
+// startRound readies the valuator to value a batched round's tables for
+// offer, which is only read, sharing the round's unanchored draws among them.
+func (v *BidValuator) startRound(offer cluster.Alloc) {
+	v.offer, v.loadedOn = offer, nil
+	if v.shared == nil {
+		v.shared = new(unanchoredDraws)
+	}
+}
+
+// pool returns the picker holding the round's offer on topo, loading it (and
+// emptying the round's unanchored draws) on the first call, or when topo
+// changes.
+func (v *BidValuator) pool(topo *cluster.Topology) *placement.Picker {
+	if v.loadedOn != topo {
+		v.loadedOn = topo
+		v.picker.Load(topo, v.offer)
+		if u := v.shared; u != nil {
+			if u.drawn == nil { // sized once for any offer of the cluster
+				u.arena = make([]placement.Take, 0, topo.TotalGPUs())
+				u.drawn = make([]takeRun, 0, topo.TotalGPUs()+1)
+			}
+			u.none.Load(topo, nil)
+			n := v.picker.Total() + 1
+			u.arena, u.drawn = u.arena[:0], slices.Grow(u.drawn[:0], n)[:n]
+			clear(u.drawn)
+		}
+	}
+	return &v.picker
+}
+
+// unanchoredDraw returns the takes of a placement-aware draw of size GPUs
+// from the loaded offer with nothing held, drawing them into the arena and
+// handing them back the first time the round asks for size. They are valid
+// until the offer is next loaded.
+func (v *BidValuator) unanchoredDraw(size int) []placement.Take {
+	u := v.shared
+	r := &u.drawn[size]
+	if r.hi == 0 {
+		lo := len(u.arena)
+		v.picker.DrawTakesAt(&u.arena, &u.none, size, false)
+		v.picker.CreditTakes(u.arena[lo:], 1)
+		*r = takeRun{int32(lo), int32(len(u.arena))}
+	}
+	return u.arena[r.lo:r.hi]
 }
 
 // Fanout runs call(i) for every i in [0, n), possibly concurrently, and returns
@@ -82,13 +149,14 @@ func nextRow(entries []BidEntry) []BidEntry {
 // auction copies what it keeps). Bidder i is agents[bidding[i].at].
 func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, agents []AgentState, bidding []probe) []BidTable {
 	bids, remote := v.bids[:0], v.remote[:0]
+	v.startRound(offer)
 	for len(v.entries) < len(bidding) {
 		v.entries = append(v.entries, nil)
 	}
 	for i, p := range bidding {
 		st := agents[p.at]
 		if ag, ok := st.Agent.(*Agent); ok {
-			table := ag.prepareBidInto(now, offer, st.Current, v, v.entries[i][:0])
+			table := ag.prepareBidInto(now, st.Current, v, v.entries[i][:0])
 			v.entries[i] = table.Entries
 			bids = append(bids, table)
 		} else if v.isRemote(st.Agent) {
@@ -105,7 +173,7 @@ func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, agents []Age
 			out[idx[k]] = st.Agent.PrepareBid(now, offer, st.Current)
 		})
 	}
-	v.bids, v.remote = bids, remote
+	v.bids, v.remote, v.offer = bids, remote, nil
 	return bids
 }
 

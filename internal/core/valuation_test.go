@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -57,28 +58,51 @@ type foreignBidder struct{ *Agent }
 
 // TestBatchedBidEquivalence pins the valuator's contract: batching a round's
 // bid preparation through one BidValuator produces tables bit-identical to
-// standalone per-agent PrepareBid calls, on the first round and on a scratch-
-// reusing second round, for in-process Agents and for foreign Bidders alike.
+// standalone per-agent PrepareBid calls, round after scratch-reusing round,
+// for in-process Agents and for foreign Bidders alike. The rounds alternate
+// between two offers, and agents of gangs 1, 2 and 4 that hold nothing ask
+// for some row sizes in common — rows the round draws once and shares — while
+// one agent that holds nothing bids placement-blind and draws its own.
 func TestBatchedBidEquivalence(t *testing.T) {
 	ps, free := valuationFixture(t, 12)
 	// Route one participant through the foreign-Bidder fallback path.
 	ps[5].state.Agent = foreignBidder{ps[5].state.Agent.(*Agent)}
-
-	want := make([]BidTable, 0, len(ps))
-	for _, p := range ps {
-		want = append(want, p.state.Agent.PrepareBid(0, free, p.state.Current))
+	ps[6].state.Agent.(*Agent).PlacementBlind = true
+	half := cluster.NewAlloc()
+	for m, n := range free {
+		half[m] = n - n/2*(int(m)%2) // every second machine, half its GPUs
+	}
+	offers := []cluster.Alloc{free, half}
+	want := make([][]BidTable, len(offers))
+	for k, offer := range offers {
+		for _, p := range ps {
+			want[k] = append(want[k], p.state.Agent.PrepareBid(0, offer, p.state.Current))
+		}
+	}
+	gangs, asked := map[int]bool{}, map[int]int{}
+	for i, p := range ps {
+		if ag, ok := p.state.Agent.(*Agent); ok && !ag.PlacementBlind && p.state.Current.Total() == 0 {
+			gangs[ag.GangSize()] = true
+			for _, e := range want[0][i].Entries[1:] {
+				asked[e.Alloc.Total()]++
+			}
+		}
+	}
+	if shared := slices.ContainsFunc(slices.Collect(maps.Values(asked)), func(n int) bool { return n > 1 }); len(gangs) < 3 || !shared {
+		t.Fatalf("agents holding nothing have gangs %v and ask for row sizes %v: the fixture shares no row", gangs, asked)
 	}
 
 	var v BidValuator
 	states, bidding := bidAll(ps)
-	for round := 0; round < 3; round++ {
-		got := v.prepareBids(0, free, states, bidding)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d tables, want %d", round, len(got), len(want))
+	for round := 0; round < 5; round++ {
+		k := round / 2 % 2 // free, free, half, half, free: reused rounds and changed offers
+		got := v.prepareBids(0, offers[k], states, bidding)
+		if len(got) != len(want[k]) {
+			t.Fatalf("round %d: %d tables, want %d", round, len(got), len(want[k]))
 		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("round %d: table %d differs:\n got %v\nwant %v", round, i, got[i], want[i])
+		for i := range want[k] {
+			if !reflect.DeepEqual(got[i], want[k][i]) {
+				t.Errorf("round %d: table %d differs:\n got %v\nwant %v", round, i, got[i], want[k][i])
 			}
 		}
 	}

@@ -36,6 +36,12 @@ type Tuner interface {
 	Update(now float64, app *workload.App)
 	// WorkLeft returns the tuner's estimate of the serial GPU-minutes
 	// remaining for trial j (the paper's W′ per job).
+	//
+	// Contract: like Update and Done, WorkLeft must be a pure function of
+	// the job's progress. The Agent keeps its jobs' work-left order from
+	// one valuation to the next while the app's stamp and progress counter
+	// (workload.App.Stamp, Progress) stay put, and asks again only when
+	// they move.
 	WorkLeft(j *workload.Job) float64
 	// Done reports whether the app has identified and finished training its
 	// best model.

@@ -15,17 +15,24 @@ import (
 	"sort"
 
 	"themis/internal/sim"
+	"themis/internal/workload"
 )
 
 // FairnessValues extracts the realised finish-time fairness (ρ) of every
 // finished app in the result.
 func FairnessValues(r *sim.Result) []float64 {
 	var out []float64
-	for _, rec := range r.Finished() {
-		out = append(out, rec.FinishTimeFairness)
+	for i := range r.Apps {
+		if rec := &r.Apps[i]; finished(rec) {
+			out = append(out, rec.FinishTimeFairness)
+		}
 	}
 	return out
 }
+
+// finished reports whether rec is one of Result.Finished's records; the
+// metrics read the records in place rather than through that copy.
+func finished(rec *sim.AppRecord) bool { return rec.FinishTime != workload.NotFinished }
 
 // MaxFairness returns the worst (largest) finish-time fairness across
 // finished apps — the paper's "Max Fairness" metric. Lower is fairer.
@@ -77,8 +84,10 @@ func JainsIndexOf(r *sim.Result) float64 { return JainsIndex(FairnessValues(r)) 
 // CompletionTimes returns the completion times (minutes) of finished apps.
 func CompletionTimes(r *sim.Result) []float64 {
 	var out []float64
-	for _, rec := range r.Finished() {
-		out = append(out, rec.CompletionTime)
+	for i := range r.Apps {
+		if rec := &r.Apps[i]; finished(rec) {
+			out = append(out, rec.CompletionTime)
+		}
 	}
 	return out
 }
@@ -216,9 +225,15 @@ type Summary struct {
 
 // Summarize computes a Summary from a simulation result.
 func Summarize(r *sim.Result) Summary {
+	done := 0
+	for i := range r.Apps {
+		if finished(&r.Apps[i]) {
+			done++
+		}
+	}
 	return Summary{
 		Policy:             r.Policy,
-		AppsFinished:       len(r.Finished()),
+		AppsFinished:       done,
 		AppsTotal:          len(r.Apps),
 		MaxFairness:        MaxFairness(r),
 		MedianFairness:     MedianFairness(r),

@@ -87,12 +87,13 @@ func (fullPolicy) Name() string { return "full-test" }
 func (fullPolicy) Allocate(now float64, free cluster.Alloc, view *sim.View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
 	remaining := free.Clone()
+	var picker placement.Picker
 	for _, st := range view.Apps {
 		want := st.UnmetDemand()
 		if want == 0 || remaining.Total() == 0 {
 			continue
 		}
-		alloc := placement.Pick(view.Topo, remaining, st.Held, want)
+		alloc := picker.PickInto(nil, view.Topo, remaining, st.Held, want)
 		out[st.App.ID] = alloc
 		remaining, _ = remaining.Sub(alloc)
 	}

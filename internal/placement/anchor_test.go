@@ -28,8 +28,10 @@ func randomAdd(rng *rand.Rand, topo *cluster.Topology, sum cluster.Alloc) []Take
 	if rng.Intn(2) == 0 {
 		extra, _ := randomPool(rng, topo)
 		var q Picker
+		var a Anchor
 		q.Load(topo, extra)
-		q.DrawTakes(&takes, sum, 1+rng.Intn(12), false)
+		a.Load(topo, sum)
+		q.DrawTakesAt(&takes, &a, 1+rng.Intn(12), false)
 		return takes
 	}
 	for _, i := range rng.Perm(topo.NumMachines())[:1+rng.Intn(min(3, topo.NumMachines()))] {
@@ -82,7 +84,7 @@ func checkStands(t *testing.T, o *oracle, a *Anchor, topo *cluster.Topology, sum
 // locality-best draw (DrawTakesAt), the same into a map and the
 // constraint-aware ladder under c — must take what the map-pool oracle takes
 // anchored at sum, report that share's Total and locality (Drawn), and leave
-// the oracle's pool; so must DrawTakes given sum as a map.
+// the oracle's pool.
 func checkPreparedAnchor(t *testing.T, p *Picker, o *oracle, a *Anchor, topo *cluster.Topology, base cluster.Alloc, adds [][]Take, free cluster.Alloc, count int, c Constraint, what string) {
 	t.Helper()
 	what = fmt.Sprintf("%s: anchor %v + %v, free %v, count %d, constraint %+v", what, base, adds, free, count, c)
@@ -122,11 +124,6 @@ func checkPreparedAnchor(t *testing.T, p *Picker, o *oracle, a *Anchor, topo *cl
 	p.begin(share, a, count, Constraint{})
 	p.drawBest()
 	drew("into a map", log, share, oShare, oPool)
-
-	log = log[:0]
-	p.Load(topo, free)
-	p.DrawTakes(&log, sum, count, false)
-	drew("DrawTakes", log, sumTakes(nil, log), oShare, oPool)
 
 	p.Load(topo, free)
 	share = cluster.NewAlloc()

@@ -83,8 +83,8 @@ func Satisfies(topo *cluster.Topology, alloc cluster.Alloc, c Constraint) bool {
 	return true
 }
 
-// PickConstrained greedily selects up to count GPUs from free like Pick, but
-// only produces allocations that keep anchor+picked within the constraint
+// PickConstrained greedily selects up to count GPUs from free like PickInto,
+// but only produces allocations that keep anchor+picked within the constraint
 // set: machines outside the job's domain/flavor affinity are never used, no
 // machine ends up under the per-machine GPU floor, and the combined spread
 // stays within the machine cap. The result may hold fewer than count GPUs —
@@ -526,13 +526,6 @@ func (p *Picker) takePacked() {
 	}
 }
 
-// Pick is PickInto on a throwaway Picker, returning a fresh allocation: the
-// form for one-off picks. Anything that picks in a loop owns a Picker instead.
-func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int) cluster.Alloc {
-	var p Picker
-	return p.PickInto(nil, topo, free, anchor, count)
-}
-
 // DrawSpread draws up to count GPUs from the pool in a placement-blind way —
 // one GPU at a time, round-robin across machines in ascending ID order — and
 // returns them in dst (cleared first; allocated when nil). It models
@@ -545,14 +538,9 @@ func (p *Picker) DrawSpread(dst cluster.Alloc, count int) cluster.Alloc {
 	return dst
 }
 
-// DrawTakes is Draw, or with spread DrawSpread, appending the draw's takes to
-// *log instead of filling a map (a spread draw logs one take per GPU).
-func (p *Picker) DrawTakes(log *[]Take, anchor cluster.Alloc, count int, spread bool) {
-	p.prepared.Load(p.topo, anchor)
-	p.DrawTakesAt(log, &p.prepared, count, spread)
-}
-
-// DrawTakesAt is DrawTakes for a prepared anchor, which the draw only reads.
+// DrawTakesAt is Draw, or with spread DrawSpread, from a prepared anchor,
+// which the draw only reads, appending the draw's takes to *log instead of
+// filling a map (a spread draw logs one take per GPU).
 func (p *Picker) DrawTakesAt(log *[]Take, a *Anchor, count int, spread bool) {
 	p.log = log
 	p.begin(nil, a, count, Constraint{})
@@ -676,6 +664,17 @@ func (q *SplitQueue) Reset() {
 		}
 	}
 	q.runs, q.Takes = zeroed(q.runs, len(q.Jobs)), q.Takes[:0]
+}
+
+// Rewind empties the log and forgets the last split's shares, but keeps the
+// order and as much of its sort as earlier splits ran: the next Split serves
+// the jobs as it would after Reset, provided no job's Want or WorkLeft has
+// changed since then. It costs what the last split served, not q.Jobs.
+func (q *SplitQueue) Rewind() {
+	for _, i := range q.order[:q.served] {
+		q.runs[i] = run{}
+	}
+	q.served, q.Takes = 0, q.Takes[:0]
 }
 
 // Run returns job i's share in the last Split through q: its takes, at most

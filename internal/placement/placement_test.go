@@ -25,6 +25,12 @@ func testTopo(t *testing.T, machines, gpus, perRack int) *cluster.Topology {
 	return topo
 }
 
+// pick is PickInto on a throwaway Picker, returning a fresh allocation.
+func pick(topo *cluster.Topology, free, anchor cluster.Alloc, count int) cluster.Alloc {
+	var p Picker
+	return p.PickInto(nil, topo, free, anchor, count)
+}
+
 func TestCatalogProfilesValid(t *testing.T) {
 	for _, p := range append(Catalog(), GenericNetworkIntensive, GenericComputeIntensive) {
 		if err := p.Validate(); err != nil {
@@ -95,7 +101,7 @@ func TestPickPrefersAnchorMachines(t *testing.T) {
 	topo := testTopo(t, 4, 4, 2)
 	free := cluster.Alloc{0: 2, 1: 4, 2: 4}
 	anchor := cluster.Alloc{0: 2}
-	got := Pick(topo, free, anchor, 2)
+	got := pick(topo, free, anchor, 2)
 	if got[0] != 2 {
 		t.Errorf("Pick should extend anchor machine 0 first, got %v", got)
 	}
@@ -104,7 +110,7 @@ func TestPickPrefersAnchorMachines(t *testing.T) {
 func TestPickPacksFewMachines(t *testing.T) {
 	topo := testTopo(t, 4, 4, 2)
 	free := cluster.Alloc{0: 1, 1: 1, 2: 4, 3: 1}
-	got := Pick(topo, free, cluster.NewAlloc(), 4)
+	got := pick(topo, free, cluster.NewAlloc(), 4)
 	if got[2] != 4 || got.Total() != 4 {
 		t.Errorf("Pick should pack onto machine 2, got %v", got)
 	}
@@ -116,7 +122,7 @@ func TestPickPrefersAnchorRack(t *testing.T) {
 	topo := testTopo(t, 4, 4, 2)
 	free := cluster.Alloc{1: 2, 2: 2}
 	anchor := cluster.Alloc{0: 4}
-	got := Pick(topo, free, anchor, 2)
+	got := pick(topo, free, anchor, 2)
 	if got[1] != 2 {
 		t.Errorf("Pick should stay in anchor rack, got %v", got)
 	}
@@ -125,11 +131,11 @@ func TestPickPrefersAnchorRack(t *testing.T) {
 func TestPickBounded(t *testing.T) {
 	topo := testTopo(t, 2, 4, 2)
 	free := cluster.Alloc{0: 1, 1: 1}
-	got := Pick(topo, free, cluster.NewAlloc(), 10)
+	got := pick(topo, free, cluster.NewAlloc(), 10)
 	if got.Total() != 2 {
 		t.Errorf("Pick should be capped by free pool, got %v", got)
 	}
-	if got := Pick(topo, free, cluster.NewAlloc(), 0); !got.IsEmpty() {
+	if got := pick(topo, free, cluster.NewAlloc(), 0); !got.IsEmpty() {
 		t.Errorf("Pick with count=0 should be empty, got %v", got)
 	}
 }
@@ -150,7 +156,7 @@ func TestPickProperties(t *testing.T) {
 			}
 		}
 		want := int(count % 24)
-		got := Pick(topo, free, cluster.NewAlloc(), want)
+		got := pick(topo, free, cluster.NewAlloc(), want)
 		if got.Total() > want {
 			return false
 		}
@@ -240,7 +246,7 @@ func TestPickFillsDomainBeforeSpilling(t *testing.T) {
 	// Domain 0 has 6 free GPUs (4+2), domain 1 has 8. A 6-GPU pick should
 	// stay entirely inside domain 1 rather than straddle the fabric.
 	free := cluster.Alloc{0: 4, 1: 2, 4: 4, 5: 4}
-	got := Pick(topo, free, cluster.NewAlloc(), 6)
+	got := pick(topo, free, cluster.NewAlloc(), 6)
 	if got.Total() != 6 {
 		t.Fatalf("picked %d GPUs, want 6", got.Total())
 	}
@@ -255,7 +261,7 @@ func TestPickPrefersAnchorDomain(t *testing.T) {
 	topo := multiDomainTopo(t)
 	free := cluster.Alloc{2: 2, 4: 4}
 	anchor := cluster.Alloc{0: 2}
-	got := Pick(topo, free, anchor, 2)
+	got := pick(topo, free, anchor, 2)
 	if got[2] != 2 {
 		t.Errorf("pick should stay in anchor's domain 0: %v", got)
 	}
@@ -353,7 +359,7 @@ func TestPickConstrained(t *testing.T) {
 // the reference for the constrained ladder's pass order.
 func refPickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
 	if c.IsZero() {
-		return Pick(topo, free, anchor, count)
+		return pick(topo, free, anchor, count)
 	}
 	byCount := func(a cluster.Alloc) []cluster.MachineID {
 		ids := a.Machines()
@@ -494,7 +500,7 @@ func TestPickerMatchesPick(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		free, anchor := randomPool(rng, topo)
 		count := rng.Intn(12)
-		sameAlloc(t, trial, "PickInto", p.PickInto(dst, topo, free, anchor, count), Pick(topo, free, anchor, count))
+		sameAlloc(t, trial, "PickInto", p.PickInto(dst, topo, free, anchor, count), pick(topo, free, anchor, count))
 
 		c := randomConstraint(rng, topo)
 		want := refPickConstrained(topo, free, anchor, count, c)

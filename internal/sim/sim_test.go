@@ -21,6 +21,7 @@ func (fifoPolicy) Name() string { return "fifo-test" }
 func (fifoPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[workload.AppID]cluster.Alloc, error) {
 	out := make(map[workload.AppID]cluster.Alloc)
 	remaining := free.Clone()
+	var picker placement.Picker
 	apps := make([]*AppState, len(view.Apps))
 	copy(apps, view.Apps)
 	sort.Slice(apps, func(i, j int) bool { return apps[i].App.SubmitTime < apps[j].App.SubmitTime })
@@ -29,7 +30,7 @@ func (fifoPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[wor
 		if want <= 0 || remaining.Total() == 0 {
 			continue
 		}
-		alloc := placement.Pick(view.Topo, remaining, st.Held, want)
+		alloc := picker.PickInto(nil, view.Topo, remaining, st.Held, want)
 		if alloc.Total() == 0 {
 			continue
 		}

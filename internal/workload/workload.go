@@ -300,8 +300,9 @@ type App struct {
 	TIdeal float64
 
 	// stamp counts the changes to which jobs are active and how wide they
-	// are (Stamp).
-	stamp uint64
+	// are (Stamp); progress counts the AdvanceJob calls that integrated work
+	// (Progress).
+	stamp, progress uint64
 }
 
 // Stamp returns the app's job stamp. It moves whenever one of the app's jobs
@@ -312,12 +313,25 @@ type App struct {
 // reader revalidates it in O(1) rather than by walking the jobs. A job's
 // Killed, DoneAt, MaxParallelism and GangSize fields, and its constraints,
 // may be written directly only before the app is first scheduled.
+//
+// Its companion, the progress counter (Progress), moves whenever AdvanceJob
+// integrates work. Whatever is derived from the jobs' DoneWork — core's
+// work-left order — stays valid while the stamp and the counter both do.
+// Once the app is scheduled, DoneWork moves only through AdvanceJob (and
+// FinishJob, which moves the stamp); a test that sets it after an agent has
+// valued the app calls AdvanceJob instead of writing it.
 func (a *App) Stamp() uint64 { return a.stamp }
 
-// AdvanceJob is j.Advance for one of the app's jobs, moving the stamp when j
-// completes.
+// Progress returns the app's progress counter (see Stamp).
+func (a *App) Progress() uint64 { return a.progress }
+
+// AdvanceJob is j.Advance for one of the app's jobs, moving the progress
+// counter when it integrates work and the stamp when j completes.
 func (a *App) AdvanceJob(j *Job, now, dt float64, g int, s float64) (elapsed float64, done bool) {
 	elapsed, done = j.Advance(now, dt, g, s)
+	if elapsed > 0 || done {
+		a.progress++
+	}
 	if done {
 		a.stamp++
 	}
