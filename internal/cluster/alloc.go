@@ -71,19 +71,9 @@ func (a Alloc) Credit(b Alloc) {
 	}
 }
 
-// Sub returns a new allocation with b's GPUs removed from a. It returns an
-// error if b holds GPUs on a machine where a holds fewer. Zero entries in b
-// are skipped, mirroring Add, so the result stays canonical.
-func (a Alloc) Sub(b Alloc) (Alloc, error) {
-	out := a.Clone()
-	if err := out.Debit(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Debit is Sub in place: it removes b's GPUs from a itself, deleting the keys
-// that reach zero. On error a is left untouched. It is for a pool the caller
+// Debit removes b's GPUs from a itself, deleting the keys that reach zero.
+// It returns an error if b holds GPUs on a machine where a holds fewer, and
+// then leaves a untouched. Zero entries in b are skipped, mirroring Credit. It is for a pool the caller
 // owns and has peeked into before committing; loops that pick and commit in
 // one step draw through placement.Picker instead.
 func (a Alloc) Debit(b Alloc) error {
@@ -142,10 +132,6 @@ func (a Alloc) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Key returns a canonical string usable as a map key for memoising valuation
-// lookups over allocations.
-func (a Alloc) Key() string { return a.String() }
-
 // State tracks which app currently holds which GPUs on a Topology. It is the
 // Arbiter's (and the simulator's) authoritative view of cluster occupancy.
 // State is not safe for concurrent use; callers serialise access.
@@ -165,9 +151,6 @@ func NewState(topo *Topology) *State {
 		offline: make([]bool, topo.NumMachines()),
 	}
 }
-
-// Topology returns the topology the state tracks.
-func (s *State) Topology() *Topology { return s.topo }
 
 // FreeOn returns the number of free GPUs on machine m (zero while the
 // machine is offline).

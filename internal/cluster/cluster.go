@@ -221,15 +221,6 @@ func (t *Topology) SetDomainName(d DomainID, name string) error {
 	return nil
 }
 
-// DomainName returns the name of a fabric domain, defaulting to
-// "domain-<id>" when none was set.
-func (t *Topology) DomainName(d DomainID) string {
-	if name, ok := t.domainNames[d]; ok {
-		return name
-	}
-	return fmt.Sprintf("domain-%d", d)
-}
-
 // DomainByName resolves a fabric domain by its name, accepting both assigned
 // names and the "domain-<id>" defaults every domain answers to.
 func (t *Topology) DomainByName(name string) (DomainID, bool) {

@@ -117,33 +117,3 @@ func LocalityScore(l Locality) float64 {
 		return 0.35
 	}
 }
-
-// SpreadStats summarises how an allocation is spread over the topology.
-type SpreadStats struct {
-	GPUs     int
-	Machines int
-	Racks    int
-	Domains  int
-	Locality Locality
-	Score    float64
-}
-
-// Spread computes SpreadStats for alloc on topo.
-func Spread(topo *Topology, alloc Alloc) SpreadStats {
-	machines := alloc.Machines()
-	racks := make(map[RackID]bool)
-	domains := make(map[DomainID]bool)
-	for _, m := range machines {
-		racks[topo.Rack(m)] = true
-		domains[topo.Domain(m)] = true
-	}
-	loc := LocalityOf(topo, alloc)
-	return SpreadStats{
-		GPUs:     alloc.Total(),
-		Machines: len(machines),
-		Racks:    len(racks),
-		Domains:  len(domains),
-		Locality: loc,
-		Score:    LocalityScore(loc),
-	}
-}

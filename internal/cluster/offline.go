@@ -14,9 +14,3 @@ func (s *State) SetOffline(m MachineID, offline bool) {
 		s.offline[m] = offline
 	}
 }
-
-// Offline reports whether machine m is currently marked failed; an unknown
-// machine never is.
-func (s *State) Offline(m MachineID) bool {
-	return int(m) >= 0 && int(m) < len(s.offline) && s.offline[m]
-}

@@ -74,8 +74,8 @@ func (s *mapState) Grant(app string, alloc Alloc) error {
 }
 
 func (s *mapState) Release(app string, alloc Alloc) error {
-	held, err := s.Held(app).Sub(alloc)
-	if err != nil {
+	held := s.Held(app).Clone()
+	if err := held.Debit(alloc); err != nil {
 		return fmt.Errorf("cluster: app %s: %w", app, err)
 	}
 	for m, n := range alloc {
@@ -181,8 +181,9 @@ func FuzzStateMatchesCloneOracle(f *testing.F) {
 				}
 			default:
 				for m := range op.alloc {
-					got.SetOffline(m, !got.Offline(m))
-					want.SetOffline(m, !want.Offline(m))
+					off := !want.Offline(m)
+					got.SetOffline(m, off)
+					want.SetOffline(m, off)
 				}
 			}
 			if (gErr == nil) != (wErr == nil) || (len(op.alloc) == 1 && gErr != nil && gErr.Error() != wErr.Error()) {

@@ -71,9 +71,10 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 }
 
 // auctionScratch is what the Arbiter's auctions reuse from round to round:
-// the picker that scales awards down (and then holds the leftover pool), the
-// awards, and the bidders' log valuations.
+// the compiled solver instance, the picker that scales awards down (and then
+// holds the leftover pool), the awards, and the bidders' log valuations.
 type auctionScratch struct {
+	inst   solver.Instance
 	picker placement.Picker
 	awards []Award
 	logs   []float64
@@ -86,8 +87,8 @@ func runPartialAllocation(sc *auctionScratch, topo *cluster.Topology, offer clus
 	if len(bids) == 0 || offer.Total() == 0 {
 		return res, nil
 	}
-	inst, err := solver.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries })
-	if err != nil {
+	inst := &sc.inst
+	if err := inst.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries }); err != nil {
 		// The solver knows positions only; name the app on the way out.
 		for _, b := range bids {
 			if named := b.Validate(offer); named != nil {
@@ -97,7 +98,6 @@ func runPartialAllocation(sc *auctionScratch, topo *cluster.Topology, offer clus
 		}
 		return res, fmt.Errorf("core: invalid bid: %w", err)
 	}
-	defer inst.Release()
 	res.Objective = inst.Solve(opts.Solver, solver.NoSkip)
 	// Read the full solution out before the masked re-solves overwrite the
 	// instance's choices: each bidder's bundle and its log valuation.

@@ -25,11 +25,8 @@ func TestBidTableValidateAndAccessors(t *testing.T) {
 	if err := good.Validate(offer); err != nil {
 		t.Errorf("valid bid rejected: %v", err)
 	}
-	if got := good.CurrentRho(); got != 8 {
-		t.Errorf("CurrentRho = %v, want 8", got)
-	}
-	if got := good.Best(); got.Rho != 2 {
-		t.Errorf("Best rho = %v, want 2", got.Rho)
+	if got := emptyRowRho(good); got != 8 {
+		t.Errorf("empty row's ρ = %v, want 8", got)
 	}
 	noEmpty := BidTable{App: "a", Entries: []BidEntry{{Alloc: cluster.Alloc{0: 1}, Rho: 2}}}
 	if err := noEmpty.Validate(offer); err == nil {
@@ -48,9 +45,17 @@ func TestBidTableValidateAndAccessors(t *testing.T) {
 			t.Errorf("ρ %v (1/ρ = %v) should fail validation", rho, 1/rho)
 		}
 	}
-	if got := (BidTable{App: "x"}).CurrentRho(); got != Unbounded {
-		t.Errorf("CurrentRho of empty table = %v, want Unbounded", got)
+}
+
+// emptyRowRho returns the ρ of t's empty-allocation row (the app's current
+// finish-time fairness), or Unbounded if t has no such row.
+func emptyRowRho(t BidTable) float64 {
+	for _, e := range t.Entries {
+		if e.Alloc.Total() == 0 {
+			return e.Rho
+		}
 	}
+	return Unbounded
 }
 
 func TestBidEntryValueHomogeneity(t *testing.T) {
@@ -93,15 +98,21 @@ func TestAgentPrepareBid(t *testing.T) {
 	}
 	// The empty row carries the (unbounded) current rho; all non-empty rows
 	// must improve on it.
-	cur := bid.CurrentRho()
+	cur := emptyRowRho(bid)
 	for _, e := range bid.Entries {
 		if e.Alloc.Total() > 0 && e.Rho > cur {
 			t.Errorf("allocation row %v has worse rho %v than current %v", e.Alloc, e.Rho, cur)
 		}
 	}
 	// More GPUs should never hurt: the best row should use several GPUs.
-	if bid.Best().Alloc.Total() < 4 {
-		t.Errorf("best bid row uses only %d GPUs", bid.Best().Alloc.Total())
+	best := BidEntry{Rho: Unbounded, Alloc: cluster.NewAlloc()}
+	for _, e := range bid.Entries {
+		if e.Rho < best.Rho {
+			best = e
+		}
+	}
+	if best.Alloc.Total() < 4 {
+		t.Errorf("best bid row uses only %d GPUs", best.Alloc.Total())
 	}
 }
 
@@ -173,14 +184,17 @@ func TestSplitAcrossJobsEmptiesUnservedShares(t *testing.T) {
 		if _, served := splitOf(e, free); len(served) < 3 {
 			t.Fatalf("agent %d: the wide split served %d jobs; the fixture must feed several", i, len(served))
 		}
-		ag.App.FinishJob(ag.App.Jobs[0], 1)
+		j := ag.App.Jobs[0]
+		if _, done := ag.App.AdvanceJob(j, 1, math.MaxFloat64, j.Width(), 1); !done {
+			t.Fatalf("agent %d: job %s did not finish", i, j.ID)
+		}
 		narrow := cluster.Alloc{}
 		for m, n := range free {
 			narrow[m] = n
 			break
 		}
 		shares, served := splitOf(e, narrow)
-		ref := refSplitAcrossJobs(e, narrow, ag.App.ActiveJobs())
+		ref := refSplitAcrossJobs(e, narrow, ag.App.AppendActiveJobs(nil))
 		if len(shares) != len(ref) {
 			t.Fatalf("agent %d: %d runs for %d active jobs", i, len(shares), len(ref))
 		}
@@ -348,7 +362,7 @@ func TestTruthTellingIncentive(t *testing.T) {
 		{Alloc: cluster.Alloc{0: 4, 1: 4}, Rho: 1.9},
 	}}
 	trueRho := func(alloc cluster.Alloc) float64 {
-		best := truthB.CurrentRho()
+		best := emptyRowRho(truthB)
 		for _, e := range truthB.Entries {
 			if e.Alloc.Total() <= alloc.Total() && e.Rho < best {
 				best = e.Rho
@@ -416,7 +430,10 @@ func TestParetoEfficiencyOfProportionalFair(t *testing.T) {
 	for _, aw := range res.Awards {
 		pfUsed = pfUsed.Add(aw.PF)
 	}
-	free, _ := offer.Sub(pfUsed)
+	free := offer.Clone()
+	if err := free.Debit(pfUsed); err != nil {
+		t.Fatal(err)
+	}
 	for i, b := range bids {
 		cur := res.Awards[i].PF
 		curRho := Unbounded
@@ -430,8 +447,8 @@ func TestParetoEfficiencyOfProportionalFair(t *testing.T) {
 				continue
 			}
 			// A strictly better bundle must not fit entirely in the unused pool.
-			extra, err := e.Alloc.Sub(cur)
-			if err != nil {
+			extra := e.Alloc.Clone()
+			if extra.Debit(cur) != nil {
 				continue // not a superset of the current allocation
 			}
 			if fitsWithin(extra, free) {

@@ -27,28 +27,6 @@ type BidTable struct {
 	Entries []BidEntry
 }
 
-// CurrentRho returns the ρ of the empty-allocation row (the app's current
-// finish-time fairness), or Unbounded if the table has no such row.
-func (t BidTable) CurrentRho() float64 {
-	for _, e := range t.Entries {
-		if e.Alloc.Total() == 0 {
-			return e.Rho
-		}
-	}
-	return Unbounded
-}
-
-// Best returns the entry with the lowest ρ (highest value).
-func (t BidTable) Best() BidEntry {
-	best := BidEntry{Rho: Unbounded, Alloc: cluster.NewAlloc()}
-	for _, e := range t.Entries {
-		if e.Rho < best.Rho {
-			best = e
-		}
-	}
-	return best
-}
-
 // String renders the table in the paper's Figure 3b style, one row per line.
 func (t BidTable) String() string {
 	rows := make([]string, 0, len(t.Entries))

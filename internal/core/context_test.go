@@ -58,16 +58,15 @@ func randomHolding(rng *rand.Rand, topo *cluster.Topology) (current, offer clust
 	return current, offer
 }
 
-// FuzzJobContextMatchesRebuild holds the stamped job context to a rebuild
-// from scratch: one long-lived Agent, valuing through one recycled
-// BidValuator, follows a fuzzed sequence of job progress, completions (by
-// AdvanceJob and FinishJob), kills, width changes and steps that change
-// nothing, on wideFixture-style apps. After every step an Agent built afresh
-// on the same app must report the same ρ bits, prepare the same bid table
-// (allocations and ρ bits), and give the same GangSize and UnmetParallelism —
-// asked before and after the valuation calls, as the arbiter's leftover pass
-// asks them outside any call — which must be the pairwise gang-size mode and
-// the app's unmet width.
+// FuzzJobContextMatchesRebuild holds the stamped job context to a rebuild from
+// scratch: one long-lived Agent, valuing through one recycled BidValuator,
+// follows a fuzzed sequence of job progress, completions (by AdvanceJob), kills
+// and steps that change nothing, on wideFixture-style apps of mixed job widths.
+// After every step an Agent built afresh on the same app must report the same ρ
+// bits, prepare the same bid table (allocations and ρ bits), and give the same
+// GangSize and UnmetParallelism — asked before and after the valuation calls,
+// as the arbiter's leftover pass asks them outside any call — which must be the
+// pairwise gang-size mode and the app's unmet width.
 func FuzzJobContextMatchesRebuild(f *testing.F) {
 	topo := wideTopo(f)
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -86,16 +85,12 @@ func FuzzJobContextMatchesRebuild(f *testing.F) {
 		for step, op := range ops[:min(len(ops), 48)] {
 			j := app.Jobs[int(op>>3)%len(app.Jobs)]
 			switch op % 8 {
-			case 0, 1: // progress, which may or may not complete the job
+			case 0, 1, 5, 6: // progress, which may or may not complete the job
 				app.AdvanceJob(j, now, 1+20*rng.Float64(), j.Width(), 0.5+rng.Float64()/2)
-			case 2:
+			case 2, 3:
 				app.AdvanceJob(j, now, math.MaxFloat64, j.Width(), 1)
-			case 3:
-				app.FinishJob(j, now)
 			case 4:
 				app.KillJob(j, now)
-			case 5, 6:
-				app.SetJobWidth(j, rng.Intn(9))
 			}
 			now += 10 * rng.Float64()
 			current, offer := randomHolding(rng, topo)
@@ -260,8 +255,9 @@ func TestBidRowsHoldTheirSizes(t *testing.T) {
 // buffers are warm, ReportRho allocates nothing, whether the app is unchanged
 // since the last probe (the job context and the work-left order are kept),
 // one of its jobs has just progressed (the order is rebuilt) or its stamp has
-// just moved (the context is rebuilt into the recycled buffers). The wide
-// fixture's apps of 9–96 jobs each probe a holding they split across jobs.
+// just moved because a job was killed (the context is rebuilt into the
+// recycled buffers). The wide fixture's apps of 9–96 jobs each probe a
+// holding they split across jobs.
 func TestRhoProbeZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
@@ -270,19 +266,10 @@ func TestRhoProbeZeroAlloc(t *testing.T) {
 	held := cluster.Alloc{0: 6, 1: 2, 9: 4, 24: 4}
 	for i, p := range ps {
 		ag := p.state.Agent.(*Agent)
-		j := ag.App.Jobs[0]
-		width, wider := j.Width(), false
-		bump := func() {
-			wider = !wider
-			if wider {
-				ag.App.SetJobWidth(j, width+1)
-			} else {
-				ag.App.SetJobWidth(j, width)
-			}
-		}
-		for range 4 {
+		jobs := ag.App.Jobs
+		j := jobs[0]
+		for range 2 {
 			ag.ReportRho(1, held)
-			bump()
 		}
 		if n := testing.AllocsPerRun(100, func() { ag.ReportRho(1, held) }); n != 0 {
 			t.Errorf("agent %d: a probe of an unchanged app allocates %.1f objects, want 0", i, n)
@@ -290,7 +277,11 @@ func TestRhoProbeZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { ag.App.AdvanceJob(j, 1, 1e-3, 1, 1); ag.ReportRho(1, held) }); n != 0 {
 			t.Errorf("agent %d: a probe after progress allocates %.1f objects, want 0", i, n)
 		}
-		if n := testing.AllocsPerRun(100, func() { bump(); ag.ReportRho(1, held) }); n != 0 {
+		// Each run kills the next job; the warm-up run and len(jobs)-2
+		// measured ones leave the last job active.
+		k := 0
+		kill := func() { ag.App.KillJob(jobs[k], 1); k++; ag.ReportRho(1, held) }
+		if n := testing.AllocsPerRun(len(jobs)-2, kill); n != 0 {
 			t.Errorf("agent %d: a probe after a stamp move allocates %.1f objects, want 0", i, n)
 		}
 	}

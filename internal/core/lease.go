@@ -125,10 +125,6 @@ func (b *LeaseBook) Trim(app workload.AppID, m cluster.MachineID, count int) {
 // Len returns the number of outstanding leases.
 func (b *LeaseBook) Len() int { return len(b.leases) }
 
-// Leases returns the outstanding leases in (expiry, grant) order. The slice
-// is the book's own, for reading only, and valid until the book next changes.
-func (b *LeaseBook) Leases() []Lease { return b.leases }
-
 // recycle clears m and returns it to the pool for the next Grant.
 func (b *LeaseBook) recycle(m cluster.Alloc) {
 	clear(m)

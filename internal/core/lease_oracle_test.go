@@ -143,7 +143,7 @@ func leaseBookMismatch(data []byte) error {
 			table.Trim(app, m, count)
 		}
 		want := table.byExpiry()
-		if got := book.Leases(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+		if got := book.leases; len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("op %d: the book holds %v, the table %v", op, got, want)
 		}
 		if book.Len() != table.Len() {

@@ -167,7 +167,7 @@ func TestArbiterEndToEndWithConstrainedApp(t *testing.T) {
 	// improvement over the app's current (GPU-less, unbounded) ρ.
 	offer := cluster.Alloc{0: 2, 1: 2, 2: 2, 3: 2}
 	bid := agent.PrepareBid(0, offer, cluster.NewAlloc())
-	current := bid.CurrentRho()
+	current := emptyRowRho(bid)
 	for _, e := range bid.Entries {
 		if e.Alloc.Total() == 0 {
 			continue
@@ -203,7 +203,6 @@ func TestRhoEstimateConsistentWithSimulatedOutcome(t *testing.T) {
 // fixedTuner is a trivial tuner for estimator tests.
 type fixedTuner struct{}
 
-func (fixedTuner) Name() string                     { return "fixed" }
 func (fixedTuner) Update(float64, *workload.App)    {}
 func (fixedTuner) WorkLeft(j *workload.Job) float64 { return j.RemainingWork() }
-func (fixedTuner) Done(a *workload.App) bool        { return len(a.ActiveJobs()) == 0 }
+func (fixedTuner) Done(a *workload.App) bool        { return a.NumActiveJobs() == 0 }

@@ -132,11 +132,10 @@ func refRho(e *RhoEstimator, errs *estimator.ErrorModel, now float64, current, e
 // solveBids is one fresh compile → unmasked search → read-out over bids: each
 // bidder's chosen row, that row's log valuation, and the objective.
 func solveBids(offer cluster.Alloc, bids []BidTable, opts solver.Options) (rows []int, logs []float64, obj float64, err error) {
-	inst, err := solver.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries })
-	if err != nil {
+	inst := new(solver.Instance)
+	if err := inst.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries }); err != nil {
 		return nil, nil, 0, err
 	}
-	defer inst.Release()
 	obj = inst.Solve(opts, solver.NoSkip)
 	for i := range bids {
 		row, l := inst.Choice(i)
@@ -304,9 +303,9 @@ func TestWideAppBidEquivalence(t *testing.T) {
 			for i, p := range ps {
 				ag := p.state.Agent.(*Agent)
 				total := p.state.Current.Add(want[i].Entries[len(want[i].Entries)-1].Alloc)
-				ref := refSplitAcrossJobs(ag.Estimator, total, ag.App.ActiveJobs())
+				ref := refSplitAcrossJobs(ag.Estimator, total, ag.App.AppendActiveJobs(nil))
 				got, _ := splitOf(ag.Estimator, total)
-				for k, j := range ag.App.ActiveJobs() {
+				for k, j := range ag.App.AppendActiveJobs(nil) {
 					if !got[k].Equal(ref[k]) {
 						t.Errorf("agent %d job %s: split %v, reference %v", i, j.ID, got[k], ref[k])
 					}
@@ -591,11 +590,10 @@ func refRunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids [
 	for _, b := range bids {
 		bidders = append(bidders, toBidder(b))
 	}
-	inst, err := solver.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries })
-	if err != nil {
+	inst := new(solver.Instance)
+	if err := inst.Compile(offer, len(bids), func(i int) []BidEntry { return bids[i].Entries }); err != nil {
 		return res, fmt.Errorf("core: proportional-fair solve: %w", err)
 	}
-	defer inst.Release()
 	res.Objective = inst.Solve(opts.Solver, solver.NoSkip)
 	// Read the full solution out before the masked re-solves overwrite the
 	// instance's choices: each bidder's bundle and its log valuation.

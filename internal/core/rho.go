@@ -196,19 +196,10 @@ func (e *RhoEstimator) TIdeal() float64 {
 	return best
 }
 
-// TShared estimates the app's total shared running time if, from time now
-// onward, it holds the aggregate allocation total until completion (§5.2
-// step 4): elapsed time so far plus the time for the quickest constituent
-// job to finish given a greedy placement-sensitive split of total across
-// jobs. With work remaining it returns Unbounded·(1+elapsed) when total is
-// empty, and Unbounded when the split feeds no job.
-func (e *RhoEstimator) TShared(now float64, total cluster.Alloc) float64 {
-	e.beginCall(total)
-	return e.tShared(now)
-}
-
-// tShared is TShared within the current call's job context, of the
-// allocation loaded into the picker.
+// tShared estimates the app's shared running time if it holds the
+// allocation loaded into the picker from now until completion (§5.2 step 4):
+// elapsed time plus the quickest job's finish under the placement-sensitive
+// split. It is Unbounded·(1+elapsed) with no GPUs, Unbounded if no job is fed.
 func (e *RhoEstimator) tShared(now float64) float64 {
 	elapsed := now - e.App.SubmitTime
 	if elapsed < 0 {
@@ -239,15 +230,6 @@ func (e *RhoEstimator) tShared(now float64) float64 {
 	return f.Best
 }
 
-// Rho estimates the finish-time fairness metric ρ = T_SH / T_ID the app
-// would achieve if extra were added to current and held until completion
-// (§5.2 steps 1–7). Perturbation, if configured, is applied to the result.
-func (e *RhoEstimator) Rho(now float64, current, extra cluster.Alloc) float64 {
-	e.beginCall(current)
-	e.picker.Credit(extra)
-	return e.rho(now)
-}
-
 // rho is ρ, within the current call, of the holding loaded into the picker
 // plus the takes the split's log holds (a bid row drawn into it, or none).
 // The row is credited for the split, the split's takes are handed back and
@@ -269,14 +251,4 @@ func (e *RhoEstimator) rho(now float64) float64 {
 func (e *RhoEstimator) CurrentRho(now float64, current cluster.Alloc) float64 {
 	e.beginCall(current)
 	return e.rho(now)
-}
-
-// FinalRho returns the realised finish-time fairness of a finished app:
-// actual shared running time over ideal running time. For unfinished apps it
-// returns the estimate at time now.
-func (e *RhoEstimator) FinalRho(now float64, current cluster.Alloc) float64 {
-	if e.App.Finished() {
-		return (e.App.FinishedAt - e.App.SubmitTime) / e.TIdeal()
-	}
-	return e.CurrentRho(now, current)
 }

@@ -236,10 +236,12 @@ func TestAuctionRoundAllocs(t *testing.T) {
 // and its leftover check all reuse the Arbiter's scratch. At f = 0.8, sated
 // agents, which can use no leftovers and rank below the fixture's 16
 // demanding ones, go from n to 8n (a fifth of the added ones then bid their
-// empty row); the bytes K warmed rounds allocate must not grow. The solver's
-// instances come from a sync.Pool, which a collection empties and which
-// misses when the test moves to another P; refilling it would show as bytes,
-// so the test runs on one P with the collector off.
+// empty row); the bytes K warmed rounds allocate must not grow. The solver
+// instance is the Arbiter's scratch too. TotalAlloc counts the whole
+// process's bytes, though: a collection allocates a few of its own (48 bytes
+// in about one run in four), and on two Ps a stray background allocation
+// lands between the reads about one run in 150, so the test runs on one P
+// with the collector off.
 func TestAuctionRoundBytesFlat(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; the byte bound is checked without -race")
@@ -266,7 +268,7 @@ func TestAuctionRoundBytesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for range 8 { // warm up the valuator, the solver pool and the Arbiter's scratch
+		for range 8 { // warm up the valuator and the Arbiter's scratch, solver instance included
 			round()
 		}
 		var before, after runtime.MemStats

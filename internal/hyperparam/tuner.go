@@ -21,11 +21,9 @@ import (
 // scheduling event; the Themis Agent calls WorkLeft and the app's job fields
 // when preparing bids.
 type Tuner interface {
-	// Name identifies the tuner ("hyperband" or "single").
-	Name() string
 	// Update lets the tuner observe progress at simulation time now: it may
-	// kill trials and adjust per-trial MaxParallelism, through the app's
-	// mutators (App.KillJob, App.SetJobWidth) so the app's stamp moves.
+	// kill trials, through the app's mutator App.KillJob so the app's stamp
+	// moves.
 	//
 	// Contract: Update and Done must be pure functions of the app's job
 	// progress — now may time-stamp decisions (e.g. kill times) but must not
@@ -70,9 +68,6 @@ type Single struct{}
 // NewSingle returns a Single tuner.
 func NewSingle() *Single { return &Single{} }
 
-// Name implements Tuner.
-func (*Single) Name() string { return "single" }
-
 // Update implements Tuner; it is a no-op.
 func (*Single) Update(float64, *workload.App) {}
 
@@ -103,9 +98,6 @@ const (
 func NewHyperBand() *HyperBand {
 	return &HyperBand{nextRung: make(map[workload.AppID]int)}
 }
-
-// Name implements Tuner.
-func (*HyperBand) Name() string { return "hyperband" }
 
 // Update implements Tuner: it processes any rung boundaries all active
 // trials have crossed, killing the worse-converging half each time.

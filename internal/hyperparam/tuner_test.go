@@ -28,7 +28,7 @@ func makeApp(t *testing.T, n int, work float64) *workload.App {
 
 // advanceAll runs every active trial for dt minutes on its gang size.
 func advanceAll(app *workload.App, now, dt float64) {
-	for _, j := range app.ActiveJobs() {
+	for _, j := range app.AppendActiveJobs(nil) {
 		j.Advance(now, dt, j.GangSize, 1)
 	}
 }
@@ -36,9 +36,6 @@ func advanceAll(app *workload.App, now, dt float64) {
 func TestSingleTuner(t *testing.T) {
 	app := makeApp(t, 1, 100)
 	s := NewSingle()
-	if s.Name() != "single" {
-		t.Errorf("Name = %q", s.Name())
-	}
 	s.Update(0, app)
 	if s.Done(app) {
 		t.Error("app with unfinished job should not be done")
@@ -59,24 +56,24 @@ func TestHyperBandSuccessiveHalving(t *testing.T) {
 	// = 400 serial minutes = 100 minutes on 4 GPUs).
 	advanceAll(app, 0, 101)
 	hb.Update(101, app)
-	if got := len(app.ActiveJobs()); got != 4 {
+	if got := app.NumActiveJobs(); got != 4 {
 		t.Fatalf("after rung 1: %d active trials, want 4", got)
 	}
 	// Second rung.
 	advanceAll(app, 101, 101)
 	hb.Update(202, app)
-	if got := len(app.ActiveJobs()); got != 2 {
+	if got := app.NumActiveJobs(); got != 2 {
 		t.Fatalf("after rung 2: %d active trials, want 2", got)
 	}
 	// Third rung: down to a single survivor, no further kills.
 	advanceAll(app, 202, 101)
 	hb.Update(303, app)
-	if got := len(app.ActiveJobs()); got != 1 {
+	if got := app.NumActiveJobs(); got != 1 {
 		t.Fatalf("after rung 3: %d active trials, want 1", got)
 	}
 	advanceAll(app, 303, 101)
 	hb.Update(404, app)
-	if got := len(app.ActiveJobs()); got != 1 {
+	if got := app.NumActiveJobs(); got != 1 {
 		t.Fatalf("survivor must not be killed, got %d active", got)
 	}
 	// Survivors should skew toward low-quality-value (better) trials: the
@@ -88,7 +85,7 @@ func TestHyperBandSuccessiveHalving(t *testing.T) {
 	if hb.Done(app) {
 		t.Error("app should not be done while survivor is active")
 	}
-	for _, j := range app.ActiveJobs() {
+	for _, j := range app.AppendActiveJobs(nil) {
 		j.Advance(404, 1e6, 4, 1)
 	}
 	if !hb.Done(app) {
@@ -104,7 +101,7 @@ func TestHyperBandWaitsForStragglers(t *testing.T) {
 		j.Advance(0, 101, 4, 1)
 	}
 	hb.Update(101, app)
-	if got := len(app.ActiveJobs()); got != 4 {
+	if got := app.NumActiveJobs(); got != 4 {
 		t.Errorf("rung must wait for stragglers; got %d active", got)
 	}
 }
@@ -117,23 +114,23 @@ func TestHyperBandDefaultRung(t *testing.T) {
 	hb := NewHyperBand()
 	advanceAll(app, 0, 99.5)
 	hb.Update(99.5, app)
-	if got := len(app.ActiveJobs()); got != 4 {
+	if got := app.NumActiveJobs(); got != 4 {
 		t.Fatalf("at iteration 99: %d active trials, want 4", got)
 	}
 	advanceAll(app, 99.5, 1)
 	hb.Update(100.5, app)
-	if got := len(app.ActiveJobs()); got != 2 {
+	if got := app.NumActiveJobs(); got != 2 {
 		t.Fatalf("at iteration 100: %d active trials, want 2", got)
 	}
 }
 
 func TestForApp(t *testing.T) {
 	single := makeApp(t, 1, 100)
-	if ForApp(single).Name() != "single" {
+	if _, ok := ForApp(single).(*Single); !ok {
 		t.Error("one-trial app should get the Single tuner")
 	}
 	multi := makeApp(t, 5, 100)
-	if ForApp(multi).Name() != "hyperband" {
+	if _, ok := ForApp(multi).(*HyperBand); !ok {
 		t.Error("multi-trial app should get HyperBand")
 	}
 }

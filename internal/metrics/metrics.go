@@ -147,20 +147,6 @@ func NewCDF(values []float64, points int) CDF {
 	return cdf
 }
 
-// At returns the fraction of values ≤ x.
-func (c CDF) At(x float64) float64 {
-	if len(c.Values) == 0 {
-		return 0
-	}
-	frac := 0.0
-	for i, v := range c.Values {
-		if v <= x {
-			frac = c.Fractions[i]
-		}
-	}
-	return frac
-}
-
 // Mean returns the arithmetic mean of values (0 for empty input).
 func Mean(values []float64) float64 {
 	if len(values) == 0 {

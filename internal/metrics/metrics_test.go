@@ -59,14 +59,11 @@ func TestCDF(t *testing.T) {
 	if c.Values[9] != 10 || c.Fractions[9] != 1 {
 		t.Errorf("CDF tail = (%v,%v)", c.Values[9], c.Fractions[9])
 	}
-	if got := c.At(5); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("At(5) = %v, want 0.5", got)
-	}
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0) = %v, want 0", got)
+	if c.Values[4] != 5 || math.Abs(c.Fractions[4]-0.5) > 1e-9 {
+		t.Errorf("CDF median point = (%v,%v), want (5,0.5)", c.Values[4], c.Fractions[4])
 	}
 	empty := NewCDF(nil, 5)
-	if len(empty.Values) != 0 || empty.At(3) != 0 {
+	if len(empty.Values) != 0 {
 		t.Error("empty CDF misbehaves")
 	}
 }
@@ -95,7 +92,7 @@ func (fullPolicy) Allocate(now float64, free cluster.Alloc, view *sim.View) (map
 		}
 		alloc := picker.PickInto(nil, view.Topo, remaining, st.Held, want)
 		out[st.App.ID] = alloc
-		remaining, _ = remaining.Sub(alloc)
+		_ = remaining.Debit(alloc)
 	}
 	return out, nil
 }

@@ -49,13 +49,22 @@ func fullyFree(topo *cluster.Topology) cluster.Alloc {
 	return free
 }
 
+// domainCount returns the number of fabric domains alloc spans.
+func domainCount(topo *cluster.Topology, alloc cluster.Alloc) int {
+	domains := make(map[cluster.DomainID]bool)
+	for _, m := range alloc.Machines() {
+		domains[topo.Domain(m)] = true
+	}
+	return len(domains)
+}
+
 func TestPackPrefersLeastResidualFittingDomain(t *testing.T) {
 	topo := buildFabric(t, 4, 3, 2) // capacities 16, 12, 8
 	e := New(topology.Lift(topo))
 	// 6 GPUs fit in every domain; the 8-GPU domain 2 has least residual.
 	alloc := e.Place(fullyFree(topo), nil, 6, placement.Constraint{})
-	if st := cluster.Spread(topo, alloc); st.GPUs != 6 || st.Domains != 1 {
-		t.Fatalf("placed %v: %+v", alloc, st)
+	if alloc.Total() != 6 || domainCount(topo, alloc) != 1 {
+		t.Fatalf("placed %v", alloc)
 	}
 	for _, m := range alloc.Machines() {
 		if topo.Domain(m) != 2 {
@@ -74,12 +83,11 @@ func TestPackNoCutWhenDomainFits(t *testing.T) {
 	delete(free, 8)
 	free[4] = 1 // domain 1 mostly busy
 	alloc := e.Place(free, nil, 8, placement.Constraint{})
-	st := cluster.Spread(topo, alloc)
-	if st.GPUs != 8 {
-		t.Fatalf("granted %d, want 8", st.GPUs)
+	if got := alloc.Total(); got != 8 {
+		t.Fatalf("granted %d, want 8", got)
 	}
-	if st.Domains != 1 {
-		t.Errorf("gang cut across %d domains despite a fitting domain: %v", st.Domains, alloc)
+	if d := domainCount(topo, alloc); d != 1 {
+		t.Errorf("gang cut across %d domains despite a fitting domain: %v", d, alloc)
 	}
 }
 
@@ -90,12 +98,11 @@ func TestPackSpillsByDescendingCapacity(t *testing.T) {
 	// and the rest from domain 1, leaving domain 2 untouched — two cuts,
 	// not three.
 	alloc := e.Place(fullyFree(topo), nil, 20, placement.Constraint{})
-	st := cluster.Spread(topo, alloc)
-	if st.GPUs != 20 {
-		t.Fatalf("granted %d, want 20", st.GPUs)
+	if got := alloc.Total(); got != 20 {
+		t.Fatalf("granted %d, want 20", got)
 	}
-	if st.Domains != 2 {
-		t.Errorf("spill spans %d domains, want 2: %v", st.Domains, alloc)
+	if d := domainCount(topo, alloc); d != 2 {
+		t.Errorf("spill spans %d domains, want 2: %v", d, alloc)
 	}
 	for _, m := range alloc.Machines() {
 		if topo.Domain(m) == 2 {
@@ -325,9 +332,8 @@ func TestGoldenPlans(t *testing.T) {
 				if err := free.Debit(alloc); err != nil {
 					t.Fatalf("request %d: placement exceeds free: %v", i, err)
 				}
-				st := cluster.Spread(c.topo, alloc)
 				fmt.Fprintf(&b, "req %d want %d: granted=%d domains=%d locality=%s alloc=%s\n",
-					i, req.gpus, st.GPUs, st.Domains, st.Locality, alloc.String())
+					i, req.gpus, alloc.Total(), domainCount(c.topo, alloc), cluster.LocalityOf(c.topo, alloc), alloc.String())
 			}
 			got := b.String()
 			path := filepath.Join("testdata", c.name+".golden")

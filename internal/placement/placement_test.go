@@ -32,11 +32,31 @@ func pick(topo *cluster.Topology, free, anchor cluster.Alloc, count int) cluster
 }
 
 func TestCatalogProfilesValid(t *testing.T) {
-	for _, p := range append(Catalog(), GenericNetworkIntensive, GenericComputeIntensive) {
-		if err := p.Validate(); err != nil {
+	for _, p := range append(Catalog(), GenericComputeIntensive) {
+		if err := validProfile(p); err != nil {
 			t.Errorf("profile %s invalid: %v", p.Name, err)
 		}
 	}
+}
+
+// validProfile reports whether p's slowdowns are within (0, 1] and
+// monotonically non-increasing as locality widens.
+func validProfile(p Profile) error {
+	prev := 1.0
+	for _, l := range []cluster.Locality{cluster.LocalitySlot, cluster.LocalityMachine, cluster.LocalityRack, cluster.LocalityDomain, cluster.LocalityNone} {
+		s := p.S(l)
+		if s <= 0 || s > 1 {
+			return fmt.Errorf("profile %s: S(%s)=%v outside (0,1]", p.Name, l, s)
+		}
+		if s > prev+1e-9 {
+			return fmt.Errorf("profile %s: S(%s)=%v exceeds tighter locality's %v", p.Name, l, s, prev)
+		}
+		prev = s
+	}
+	if p.ImagesPerSecPerGPU < 0 {
+		return fmt.Errorf("profile %s: negative throughput", p.Name)
+	}
+	return nil
 }
 
 func TestByName(t *testing.T) {
@@ -92,7 +112,7 @@ func TestSensitivityShape(t *testing.T) {
 
 func TestSpeedupMonotoneInGPUs(t *testing.T) {
 	topo := testTopo(t, 2, 4, 2)
-	if VGG16.Speedup(topo, cluster.Alloc{0: 4}) <= VGG16.Speedup(topo, cluster.Alloc{0: 2}) {
+	if VGG16.Throughput(topo, cluster.Alloc{0: 4}) <= VGG16.Throughput(topo, cluster.Alloc{0: 2}) {
 		t.Error("more GPUs on the same machine should increase speedup")
 	}
 }
@@ -527,8 +547,8 @@ func TestDrawMatchesPickIntoThenSub(t *testing.T) {
 		for pool.Total() > 0 {
 			count := 1 + rng.Intn(6)
 			wantPick := q.PickInto(nil, topo, pool, anchor, count)
-			wantPool, err := pool.Sub(wantPick)
-			if err != nil {
+			wantPool := pool.Clone()
+			if err := wantPool.Debit(wantPick); err != nil {
 				t.Fatal(err)
 			}
 			got := p.Draw(nil, anchor, count)

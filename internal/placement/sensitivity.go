@@ -9,11 +9,7 @@
 // GPU picker used for job-level assignment and leftover allocation.
 package placement
 
-import (
-	"fmt"
-
-	"themis/internal/cluster"
-)
+import "themis/internal/cluster"
 
 // Profile captures the placement sensitivity of one model family: the
 // slowdown factor observed at each locality level, and the single-GPU
@@ -59,32 +55,6 @@ func (p Profile) SOf(topo *cluster.Topology, alloc cluster.Alloc) float64 {
 func (p Profile) Throughput(topo *cluster.Topology, alloc cluster.Alloc) float64 {
 	g := float64(alloc.Total())
 	return g * p.SOf(topo, alloc) * p.ImagesPerSecPerGPU
-}
-
-// Speedup returns the effective parallelism G · S of alloc for this profile:
-// the factor by which serial time is divided.
-func (p Profile) Speedup(topo *cluster.Topology, alloc cluster.Alloc) float64 {
-	return float64(alloc.Total()) * p.SOf(topo, alloc)
-}
-
-// Validate reports whether the profile's slowdowns are within (0, 1] and
-// monotonically non-increasing as locality widens.
-func (p Profile) Validate() error {
-	prev := 1.0
-	for _, l := range []cluster.Locality{cluster.LocalitySlot, cluster.LocalityMachine, cluster.LocalityRack, cluster.LocalityDomain, cluster.LocalityNone} {
-		s := p.S(l)
-		if s <= 0 || s > 1 {
-			return fmt.Errorf("profile %s: S(%s)=%v outside (0,1]", p.Name, l, s)
-		}
-		if s > prev+1e-9 {
-			return fmt.Errorf("profile %s: S(%s)=%v exceeds tighter locality's %v", p.Name, l, s, prev)
-		}
-		prev = s
-	}
-	if p.ImagesPerSecPerGPU < 0 {
-		return fmt.Errorf("profile %s: negative throughput", p.Name)
-	}
-	return nil
 }
 
 // The model-family catalog. Slowdowns are calibrated so that the Figure 2
@@ -232,28 +202,15 @@ func ComputeIntensiveProfiles() []Profile {
 	return out
 }
 
-// GenericNetworkIntensive and GenericComputeIntensive are synthetic profiles
-// used by microbenchmarks that sweep the fraction of network-intensive apps
-// (Figure 9) without tying results to a specific model family.
-var (
-	GenericNetworkIntensive = Profile{
-		Name: "generic-network", NetworkIntensive: true, ImagesPerSecPerGPU: 60,
-		Slowdown: map[cluster.Locality]float64{
-			cluster.LocalitySlot:    1.0,
-			cluster.LocalityMachine: 0.95,
-			cluster.LocalityRack:    0.55,
-			cluster.LocalityDomain:  0.40,
-			cluster.LocalityNone:    0.32,
-		},
-	}
-	GenericComputeIntensive = Profile{
-		Name: "generic-compute", NetworkIntensive: false, ImagesPerSecPerGPU: 90,
-		Slowdown: map[cluster.Locality]float64{
-			cluster.LocalitySlot:    1.0,
-			cluster.LocalityMachine: 1.0,
-			cluster.LocalityRack:    0.96,
-			cluster.LocalityDomain:  0.92,
-			cluster.LocalityNone:    0.88,
-		},
-	}
-)
+// GenericComputeIntensive is a synthetic compute-intensive profile: trace apps
+// whose model the catalog does not know run with it.
+var GenericComputeIntensive = Profile{
+	Name: "generic-compute", NetworkIntensive: false, ImagesPerSecPerGPU: 90,
+	Slowdown: map[cluster.Locality]float64{
+		cluster.LocalitySlot:    1.0,
+		cluster.LocalityMachine: 1.0,
+		cluster.LocalityRack:    0.96,
+		cluster.LocalityDomain:  0.92,
+		cluster.LocalityNone:    0.88,
+	},
+}

@@ -171,11 +171,6 @@ func (c *AgentClient) DeliverAllocation(ctx context.Context, now float64, alloc 
 	}, nil)
 }
 
-// Health checks the Agent's liveness.
-func (c *AgentClient) Health(ctx context.Context) error {
-	return c.get(ctx, "/v1/health", nil)
-}
-
 // ArbiterClient is the Agent-side (or operator-side) client for an Arbiter. It
 // has AgentClient's fields and sends its requests through AgentClient's path.
 type ArbiterClient AgentClient
@@ -206,12 +201,5 @@ func (c *ArbiterClient) TriggerAuction(ctx context.Context) (AuctionResponse, er
 func (c *ArbiterClient) Status(ctx context.Context) (StatusResponse, error) {
 	var out StatusResponse
 	err := (*AgentClient)(c).get(ctx, "/v1/status", &out)
-	return out, err
-}
-
-// ShardStatus fetches the arbiter's per-shard detail.
-func (c *ArbiterClient) ShardStatus(ctx context.Context) (ShardStatusResponse, error) {
-	var out ShardStatusResponse
-	err := (*AgentClient)(c).get(ctx, "/v1/shards", &out)
 	return out, err
 }

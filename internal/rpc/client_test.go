@@ -33,11 +33,8 @@ func TestStatusSurfacesServerErrors(t *testing.T) {
 	if got := err.Error(); !strings.Contains(got, "500") || !strings.Contains(got, "auction engine on fire") {
 		t.Errorf("error should carry status and server message, got %q", got)
 	}
-	if _, err := client.ShardStatus(context.Background()); err == nil {
-		t.Error("ShardStatus on a 500 should error")
-	}
-	if err := (&AgentClient{BaseURL: ts.URL}).Health(context.Background()); err == nil {
-		t.Error("Health on a 500 should error")
+	if err := (*AgentClient)(client).get(context.Background(), "/v1/shards", new(ShardStatusResponse)); err == nil {
+		t.Error("a GET of /v1/shards on a 500 should error")
 	}
 }
 

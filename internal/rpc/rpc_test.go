@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"themis/internal/cluster"
@@ -79,7 +80,7 @@ func TestBidTableRoundTrip(t *testing.T) {
 	if back.App != "a" || len(back.Entries) != 2 {
 		t.Fatalf("round trip mangled table: %+v", back)
 	}
-	if back.CurrentRho() != 7 || back.Best().Rho != 2.5 {
+	if back.Entries[0].Rho != 7 || back.Entries[1].Rho != 2.5 || !back.Entries[1].Alloc.Equal(cluster.Alloc{0: 4}) {
 		t.Errorf("values lost in round trip: %+v", back)
 	}
 }
@@ -100,7 +101,7 @@ func TestAgentServerEndpoints(t *testing.T) {
 	client := NewAgentClient(url)
 	ctx := context.Background()
 
-	if err := client.Health(ctx); err != nil {
+	if err := client.get(ctx, "/v1/health", nil); err != nil {
 		t.Fatalf("health: %v", err)
 	}
 	rho, err := client.ProbeRho(ctx, 5, cluster.NewAlloc())
@@ -118,7 +119,7 @@ func TestAgentServerEndpoints(t *testing.T) {
 	if err := bid.Validate(offer); err != nil {
 		t.Errorf("remote bid invalid: %v", err)
 	}
-	if bid.Best().Alloc.Total() == 0 {
+	if !slices.ContainsFunc(bid.Entries, func(e core.BidEntry) bool { return e.Alloc.Total() > 0 }) {
 		t.Error("remote bid should request GPUs")
 	}
 	// Deliver an allocation and confirm the agent's view updates.

@@ -92,8 +92,8 @@ func TestShardedSmokeTwoShardsHTTP(t *testing.T) {
 		t.Errorf("free %d after granting %d of 24", st.FreeGPUs, granted)
 	}
 
-	shards, err := client.ShardStatus(ctx)
-	if err != nil {
+	var shards ShardStatusResponse
+	if err := (*AgentClient)(client).get(ctx, "/v1/shards", &shards); err != nil {
 		t.Fatal(err)
 	}
 	if len(shards.Shards) != 2 || shards.Rounds != 1 {

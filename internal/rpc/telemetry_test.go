@@ -45,8 +45,8 @@ func TestAuctionRoundRecordsTelemetry(t *testing.T) {
 					t.Errorf("shard %d rounds counter advanced by %d, want 1", i, got-rounds[i])
 				}
 				offeredAfter += e.tel.offered.Value()
-				if e.RoundTrace().Len() != 1 {
-					t.Errorf("shard %d ring holds %d rounds, want 1", i, e.RoundTrace().Len())
+				if len(e.RoundTrace().Snapshot()) != 1 {
+					t.Errorf("shard %d ring holds %d rounds, want 1", i, len(e.RoundTrace().Snapshot()))
 				}
 			}
 			if got := offeredAfter - offeredBefore; got != uint64(topo.TotalGPUs()) {
@@ -62,8 +62,8 @@ func TestAuctionRoundRecordsTelemetry(t *testing.T) {
 			}
 			hasSpans(t, rd, "reclaim", "probe", "bid", "solve", "leftover", "grant")
 
-			if server.RoundTrace().Len() != 1 {
-				t.Fatalf("RoundTrace holds %d rounds, want 1", server.RoundTrace().Len())
+			if len(server.RoundTrace().Snapshot()) != 1 {
+				t.Fatalf("RoundTrace holds %d rounds, want 1", len(server.RoundTrace().Snapshot()))
 			}
 			top := server.RoundTrace().Snapshot()[0]
 			if n == 1 {
@@ -96,8 +96,8 @@ func TestAuctionRoundRecordsTelemetry(t *testing.T) {
 			if got := idle.Shard(0).tel.rounds.Value(); got != before+1 {
 				t.Errorf("empty round advanced rounds counter by %d, want 1", got-before)
 			}
-			if idle.RoundTrace().Len() != 1 {
-				t.Errorf("idle server's trace ring holds %d rounds, want 1", idle.RoundTrace().Len())
+			if len(idle.RoundTrace().Snapshot()) != 1 {
+				t.Errorf("idle server's trace ring holds %d rounds, want 1", len(idle.RoundTrace().Snapshot()))
 			}
 
 			// The series surface on the process registry under every shard's

@@ -57,9 +57,6 @@ func (p *Partition) LocalID(global cluster.MachineID) (local cluster.MachineID, 
 	return local, ok
 }
 
-// Machines returns the number of machines in the partition.
-func (p *Partition) Machines() int { return len(p.global) }
-
 // Split carves a topology into n capacity partitions of roughly equal GPU
 // capacity. Whole racks are assigned greedily to the least-loaded shard
 // (racks in ID order, ties to the lowest shard index) so rack locality

@@ -32,7 +32,7 @@ func TestSplitCoversClusterExactly(t *testing.T) {
 			t.Errorf("partition %d has Index %d", i, p.Index)
 		}
 		gpus += p.Topo.TotalGPUs()
-		for local := 0; local < p.Machines(); local++ {
+		for local := 0; local < p.Topo.NumMachines(); local++ {
 			gid, err := p.GlobalID(cluster.MachineID(local))
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +71,7 @@ func TestSplitKeepsRacksTogether(t *testing.T) {
 	}
 	owner := make(map[cluster.RackID]int)
 	for i, p := range parts {
-		for local := 0; local < p.Machines(); local++ {
+		for local := 0; local < p.Topo.NumMachines(); local++ {
 			gid, _ := p.GlobalID(cluster.MachineID(local))
 			rack := topo.Machine(gid).Rack
 			if prev, ok := owner[rack]; ok && prev != i {
@@ -91,8 +91,8 @@ func TestSplitMachineGranularityFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range parts {
-		if p.Machines() != 1 || p.Topo.TotalGPUs() != 4 {
-			t.Errorf("partition %d: %d machines / %d GPUs, want 1 / 4", i, p.Machines(), p.Topo.TotalGPUs())
+		if p.Topo.NumMachines() != 1 || p.Topo.TotalGPUs() != 4 {
+			t.Errorf("partition %d: %d machines / %d GPUs, want 1 / 4", i, p.Topo.NumMachines(), p.Topo.TotalGPUs())
 		}
 	}
 }
@@ -136,7 +136,7 @@ func TestPartitionTranslation(t *testing.T) {
 	if _, ok := p.LocalID(foreign); ok {
 		t.Error("LocalID should reject machines outside the partition")
 	}
-	if _, err := p.GlobalID(cluster.MachineID(p.Machines())); err == nil {
+	if _, err := p.GlobalID(cluster.MachineID(p.Topo.NumMachines())); err == nil {
 		t.Error("GlobalID should reject out-of-range local IDs")
 	}
 	// Translating an allocation with an unknown local ID is a programming

@@ -79,19 +79,6 @@ func (r *Ring) sortPoints() {
 	})
 }
 
-// Members returns the member names in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Lookup returns the member owning key: the owner of the first ring point at
 // or after the key's hash, wrapping around. An empty ring returns "".
 func (r *Ring) Lookup(key string) string {

@@ -23,8 +23,8 @@ func TestRingDeterministicLookup(t *testing.T) {
 			t.Fatalf("lookup(%q) depends on insertion order: %q vs %q", key, got, want)
 		}
 	}
-	if a.Size() != 4 {
-		t.Errorf("size = %d, want 4", a.Size())
+	if len(a.members) != 4 {
+		t.Errorf("size = %d, want 4", len(a.members))
 	}
 }
 
@@ -57,13 +57,13 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Error("empty ring should return empty owner")
 	}
 	r.Add("")
-	if r.Size() != 0 {
+	if len(r.members) != 0 {
 		t.Error("empty member name must be ignored")
 	}
 	r.Add("only")
 	r.Add("only") // re-add is a no-op
-	if r.Size() != 1 || len(r.Members()) != 1 {
-		t.Errorf("re-add changed membership: %v", r.Members())
+	if len(r.members) != 1 {
+		t.Errorf("re-add changed membership: %v", r.members)
 	}
 	if r.Lookup("x") != "only" || r.Lookup("y") != "only" {
 		t.Error("single member must own every key")

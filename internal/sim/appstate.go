@@ -183,26 +183,6 @@ func (st *AppState) AttainedService() float64 { return st.App.GPUTime() }
 // UnmetDemand returns how many additional GPUs the app can still use.
 func (st *AppState) UnmetDemand() int { return st.App.UnmetWidth(st.heldTotal) }
 
-// PausedUntil returns the time before which the app's jobs make no progress
-// because of checkpoint/restart churn after its last allocation change.
-func (st *AppState) PausedUntil() float64 { return st.pausedUntil }
-
-// JobAlloc returns the GPUs currently assigned to job id within the app, in
-// a map of the caller's.
-func (st *AppState) JobAlloc(id workload.JobID) cluster.Alloc {
-	out := cluster.NewAlloc()
-	for i, j := range st.App.Jobs {
-		if j.ID == id && i < len(st.shares) {
-			sh := st.shares[i]
-			for _, t := range st.takes[sh.lo:sh.hi] {
-				out[t.Machine] += t.GPUs
-			}
-			break
-		}
-	}
-	return out
-}
-
 // onAllocationChange re-splits the app's (new) total allocation across its
 // active jobs, applies the checkpoint/restart pause, and rebuilds the
 // runnable cache and completion projection.
@@ -411,16 +391,6 @@ type View struct {
 	// Allocate call, so a policy that needs to retain an app list or a
 	// holding must copy it.
 	Apps []*AppState
-}
-
-// ByID returns the active app with the given ID, or nil.
-func (v *View) ByID(id workload.AppID) *AppState {
-	for _, st := range v.Apps {
-		if st.App.ID == id {
-			return st
-		}
-	}
-	return nil
 }
 
 // anyDemand reports whether any active app can still use more GPUs.

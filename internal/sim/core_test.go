@@ -52,18 +52,51 @@ func equivalenceWorkload(t *testing.T, seed int64, apps int) []*workload.App {
 // second core until the heap core had earned its keep; it lives on here as
 // what the heap core is checked against.
 
+// bookLeases returns a copy of the book's outstanding leases in its (expiry,
+// grant) order. The book exports no view of them, and the scan oracles here
+// read them without disturbing it, so the copy is read through reflection.
+func bookLeases(b *core.LeaseBook) []core.Lease {
+	v := reflect.ValueOf(b).Elem().FieldByName("leases")
+	out := make([]core.Lease, v.Len())
+	for i := range out {
+		l := v.Index(i)
+		alloc := cluster.NewAlloc()
+		for it := l.FieldByName("Alloc").MapRange(); it.Next(); {
+			alloc[cluster.MachineID(it.Key().Int())] = int(it.Value().Int())
+		}
+		out[i] = core.Lease{App: workload.AppID(l.FieldByName("App").String()), Alloc: alloc, Expiry: l.FieldByName("Expiry").Float()}
+	}
+	return out
+}
+
 // scanDueLeases returns the leases whose expiry time has been reached, found
 // by scanning every outstanding lease in the book's view rather than reading
 // its due prefix, soonest expiry first and in view order among ties.
 func scanDueLeases(s *Simulator) []core.Lease {
 	var due []core.Lease
-	for _, l := range s.leases.Leases() {
+	for _, l := range bookLeases(&s.leases) {
 		if l.Expiry <= s.now+timeEps {
 			due = append(due, l)
 		}
 	}
 	sort.SliceStable(due, func(i, j int) bool { return due[i].Expiry < due[j].Expiry })
 	return due
+}
+
+// jobAlloc returns the GPUs currently assigned to job id within st's app, in
+// a map of the caller's.
+func jobAlloc(st *AppState, id workload.JobID) cluster.Alloc {
+	out := cluster.NewAlloc()
+	for i, j := range st.App.Jobs {
+		if j.ID == id && i < len(st.shares) {
+			sh := st.shares[i]
+			for _, t := range st.takes[sh.lo:sh.hi] {
+				out[t.Machine] += t.GPUs
+			}
+			break
+		}
+	}
+	return out
 }
 
 // scanNextCompletion returns the projected completion time of the app's
@@ -76,7 +109,7 @@ func scanNextCompletion(st *AppState, now float64) (float64, bool) {
 	}
 	best := math.Inf(1)
 	for _, j := range st.App.Jobs {
-		alloc := st.JobAlloc(j.ID)
+		alloc := jobAlloc(st, j.ID)
 		g := alloc.Total()
 		if !j.Active() || g == 0 || !jobCanRun(st, j, alloc) {
 			continue
@@ -125,7 +158,7 @@ func scanEventTimes(s *Simulator) (best, future float64) {
 	if !math.IsInf(next, 1) && next > s.now {
 		note(next)
 	}
-	for _, l := range s.leases.Leases() {
+	for _, l := range bookLeases(&s.leases) {
 		if l.Expiry > s.now {
 			note(l.Expiry)
 		}
@@ -190,7 +223,7 @@ func runAgainstScan(t *testing.T, s *Simulator) *Result {
 		}
 		s.runTuners()
 		s.finishApps()
-		for _, l := range s.leases.Leases() {
+		for _, l := range bookLeases(&s.leases) {
 			if s.lookup(l.App) == nil {
 				t.Fatalf("t=%v: the book holds a lease of %s, which is not active", s.now, l.App)
 			}

@@ -52,8 +52,6 @@ type eventHeap struct {
 	seq   uint64
 }
 
-func (h *eventHeap) len() int { return len(h.items) }
-
 // peek returns the earliest event without removing it, or nil when empty.
 func (h *eventHeap) peek() *event {
 	if len(h.items) == 0 {

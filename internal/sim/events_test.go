@@ -59,8 +59,8 @@ func TestEventHeapRemoveAndUpdate(t *testing.T) {
 		t.Fatal("removed event retains heap index")
 	}
 	h.remove(b) // removing twice is a no-op
-	if h.len() != 2 {
-		t.Fatalf("len = %d after remove, want 2", h.len())
+	if len(h.items) != 2 {
+		t.Fatalf("len = %d after remove, want 2", len(h.items))
 	}
 
 	h.update(c, 0.5) // re-key to the front
@@ -71,7 +71,7 @@ func TestEventHeapRemoveAndUpdate(t *testing.T) {
 	if e := h.pop(); e != b {
 		t.Fatal("update should re-insert a detached event")
 	}
-	if e := h.pop(); e != c || h.pop() != a || h.len() != 0 {
+	if e := h.pop(); e != c || h.pop() != a || len(h.items) != 0 {
 		t.Fatalf("remaining pop order wrong (got %v)", e)
 	}
 }
@@ -82,7 +82,7 @@ func TestEventHeapRandomizedAgainstSort(t *testing.T) {
 	live := map[*event]bool{}
 	for op := 0; op < 5000; op++ {
 		switch {
-		case h.len() == 0 || rng.Float64() < 0.5:
+		case len(h.items) == 0 || rng.Float64() < 0.5:
 			e := &event{time: rng.Float64() * 100, index: -1}
 			h.push(e)
 			live[e] = true
@@ -101,8 +101,8 @@ func TestEventHeapRandomizedAgainstSort(t *testing.T) {
 				break
 			}
 		}
-		if h.len() != len(live) {
-			t.Fatalf("op %d: heap len %d != live %d", op, h.len(), len(live))
+		if len(h.items) != len(live) {
+			t.Fatalf("op %d: heap len %d != live %d", op, len(h.items), len(live))
 		}
 		for i := range h.items {
 			if h.items[i].index != i {
@@ -115,7 +115,7 @@ func TestEventHeapRandomizedAgainstSort(t *testing.T) {
 	}
 	// Drain: must come out time-ordered.
 	prev := -1.0
-	for h.len() > 0 {
+	for len(h.items) > 0 {
 		e := h.pop()
 		if e.time < prev {
 			t.Fatalf("drain out of order: %v after %v", e.time, prev)

@@ -86,11 +86,8 @@ type Config struct {
 	Packer Packer
 }
 
-// Defaults for Config fields.
-const (
-	DefaultLeaseDuration   = 20.0
-	DefaultRestartOverhead = 0.75
-)
+// DefaultLeaseDuration is the lease Config.LeaseDuration's zero value means.
+const DefaultLeaseDuration = 20.0
 
 // maxIdleRounds aborts the run if this many consecutive scheduling rounds
 // must force the clock forward without a real event (a safety net against

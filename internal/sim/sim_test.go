@@ -35,9 +35,7 @@ func (fifoPolicy) Allocate(now float64, free cluster.Alloc, view *View) (map[wor
 			continue
 		}
 		out[st.App.ID] = alloc
-		var err error
-		remaining, err = remaining.Sub(alloc)
-		if err != nil {
+		if err := remaining.Debit(alloc); err != nil {
 			return nil, err
 		}
 	}
@@ -360,12 +358,12 @@ func TestAppStateAccounting(t *testing.T) {
 	if st.UnmetDemand() != 0 {
 		t.Errorf("UnmetDemand after full grant = %d, want 0", st.UnmetDemand())
 	}
-	if st.PausedUntil() != 0.5 {
-		t.Errorf("PausedUntil = %v, want 0.5", st.PausedUntil())
+	if st.pausedUntil != 0.5 {
+		t.Errorf("pausedUntil = %v, want 0.5", st.pausedUntil)
 	}
 	// Each job gets one packed machine.
 	for _, j := range app.Jobs {
-		a := st.JobAlloc(j.ID)
+		a := jobAlloc(st, j.ID)
 		if a.Total() != 4 || len(a.Machines()) != 1 {
 			t.Errorf("job %s alloc %v, want one full machine", j.ID, a)
 		}
@@ -387,10 +385,9 @@ func TestAppStateAccounting(t *testing.T) {
 // fifoTuner is a minimal tuner for AppState unit tests.
 type fifoTuner struct{}
 
-func (fifoTuner) Name() string                     { return "test" }
 func (fifoTuner) Update(float64, *workload.App)    {}
 func (fifoTuner) WorkLeft(j *workload.Job) float64 { return j.RemainingWork() }
-func (fifoTuner) Done(a *workload.App) bool        { return len(a.ActiveJobs()) == 0 }
+func (fifoTuner) Done(a *workload.App) bool        { return a.NumActiveJobs() == 0 }
 
 // TestTimelineKeepsRecordingOrder pins how the timeline breaks ties: it is
 // ordered by time, then app, and an app's events at one instant stay in the

@@ -24,7 +24,7 @@ import (
 // RemainingWork, a clone of the holding debited by value, a fresh map per job.
 func refSplitHeld(st *AppState, held cluster.Alloc) map[workload.JobID]cluster.Alloc {
 	split := make(map[workload.JobID]cluster.Alloc)
-	active := st.App.ActiveJobs()
+	active := st.App.AppendActiveJobs(nil)
 	if len(active) == 0 || held.Total() == 0 {
 		return split
 	}
@@ -58,9 +58,7 @@ func refSplitHeld(st *AppState, held cluster.Alloc) map[workload.JobID]cluster.A
 			continue
 		}
 		split[j.ID] = picked
-		var err error
-		remaining, err = remaining.Sub(picked)
-		if err != nil {
+		if err := remaining.Debit(picked); err != nil {
 			panic("sim: resplit internal inconsistency: " + err.Error())
 		}
 	}
@@ -70,7 +68,7 @@ func refSplitHeld(st *AppState, held cluster.Alloc) map[workload.JobID]cluster.A
 // refUsableWith is AppState.usableWith over refSplitHeld, verbatim.
 func refUsableWith(st *AppState, extra cluster.Alloc) bool {
 	split := refSplitHeld(st, st.Held.Add(extra))
-	for _, j := range st.App.ActiveJobs() {
+	for _, j := range st.App.AppendActiveJobs(nil) {
 		alloc := split[j.ID]
 		if alloc.Total() == 0 {
 			continue
@@ -173,7 +171,7 @@ func TestSharedSplitMatchesSimulatorSplit(t *testing.T) {
 					st.onAllocationChange(0, held, 0)
 					want := refSplitHeld(st, held)
 					for _, j := range app.Jobs {
-						if got := st.JobAlloc(j.ID); !got.Equal(want[j.ID]) {
+						if got := jobAlloc(st, j.ID); !got.Equal(want[j.ID]) {
 							t.Fatalf("trial %d: job %s holds %v, the simulator's split gave %v (held %v)", trial, j.ID, got, want[j.ID], held)
 						}
 					}
@@ -182,7 +180,7 @@ func TestSharedSplitMatchesSimulatorSplit(t *testing.T) {
 						t.Fatalf("trial %d: usableWith(%v) = %t, the simulator's split says %t (held %v)", trial, extra, got, want, held)
 					}
 					for _, j := range app.Jobs {
-						if !st.JobAlloc(j.ID).Equal(want[j.ID]) {
+						if !jobAlloc(st, j.ID).Equal(want[j.ID]) {
 							t.Fatalf("trial %d: the what-if split disturbed job %s's share", trial, j.ID)
 						}
 					}

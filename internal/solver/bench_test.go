@@ -63,10 +63,10 @@ func shardShapedInstance(seed int64) (cluster.Alloc, []Bidder) {
 	return capacity, bidders
 }
 
-// TestSolveSteadyStateAllocs pins the pooled instance's contract at shard
-// scale, in the greedy regime: once warm, Compile, the unmasked solve, a
-// masked solve for every bidder and Release allocate nothing — the upgrade
-// list and the trail live in the instance beside its other buffers.
+// TestSolveSteadyStateAllocs pins a reused instance's contract at shard
+// scale, in the greedy regime: once warm, Compile, the unmasked solve and a
+// masked solve for every bidder allocate nothing — the upgrade list and the
+// trail live in the instance beside its other buffers.
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; the allocation bound is checked without -race")
@@ -75,23 +75,22 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	tables := tablesOf(asCompiled(bidders))
 	rows := func(i int) []Row { return tables[i] }
 	greedyBefore := solveGreedyCount.Value()
+	inst := new(Instance)
 	round := func() {
-		inst, err := Compile(capacity, len(tables), rows)
-		if err != nil {
+		if err := inst.Compile(capacity, len(tables), rows); err != nil {
 			t.Fatal(err)
 		}
 		benchSink += inst.Solve(Options{}, NoSkip)
 		for k := range tables {
 			benchSink += inst.Solve(Options{}, k)
 		}
-		inst.Release()
 	}
 	round()
 	if got := solveGreedyCount.Value() - greedyBefore; got != uint64(1+len(tables)) {
 		t.Fatalf("%d of %d solves were greedy; the instance should be past ExactLimit", got, 1+len(tables))
 	}
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-		t.Errorf("warmed Compile + %d solves + Release allocate %.1f objects, want 0", 1+len(tables), allocs)
+		t.Errorf("warmed Compile + %d solves allocate %.1f objects, want 0", 1+len(tables), allocs)
 	}
 }
 
@@ -109,16 +108,16 @@ func BenchmarkSolverGreedy(b *testing.B) {
 }
 
 // benchCompileSolve times what one auction pays the solver for its
-// proportional-fair solution: Compile over the rows, one unmasked solve, the
-// choices read out, Release.
+// proportional-fair solution: Compile over the rows into a reused instance,
+// one unmasked solve, the choices read out.
 func benchCompileSolve(b *testing.B, capacity cluster.Alloc, bidders []Bidder) {
 	tables := tablesOf(asCompiled(bidders))
 	rows := func(i int) []Row { return tables[i] }
+	inst := new(Instance)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst, err := Compile(capacity, len(tables), rows)
-		if err != nil {
+		if err := inst.Compile(capacity, len(tables), rows); err != nil {
 			b.Fatal(err)
 		}
 		benchSink += inst.Solve(Options{}, NoSkip)
@@ -126,7 +125,6 @@ func benchCompileSolve(b *testing.B, capacity cluster.Alloc, bidders []Bidder) {
 			row, _ := inst.Choice(k)
 			benchSink += float64(row)
 		}
-		inst.Release()
 	}
 }
 
@@ -160,9 +158,9 @@ func BenchmarkReferenceGreedy(b *testing.B) {
 }
 
 // BenchmarkHiddenPayments times all the searching one auction asks of the
-// solver: Compile, the unmasked solve, and one masked re-solve per bidder
-// whose chosen bundle is non-empty — the 1 + winners solves of
-// core.RunPartialAllocation — then Release.
+// solver: Compile into a reused instance, the unmasked solve, and one masked
+// re-solve per bidder whose chosen bundle is non-empty — the 1 + winners
+// solves of core.RunPartialAllocation.
 func BenchmarkHiddenPayments(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -177,11 +175,11 @@ func BenchmarkHiddenPayments(b *testing.B) {
 			tables := tablesOf(asCompiled(bidders))
 			rows := func(i int) []Row { return tables[i] }
 			var winners []int
+			inst := new(Instance)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst, err := Compile(capacity, len(tables), rows)
-				if err != nil {
+				if err := inst.Compile(capacity, len(tables), rows); err != nil {
 					b.Fatal(err)
 				}
 				benchSink += inst.Solve(Options{}, NoSkip)
@@ -194,7 +192,6 @@ func BenchmarkHiddenPayments(b *testing.B) {
 				for _, k := range winners {
 					benchSink += inst.Solve(Options{}, k)
 				}
-				inst.Release()
 			}
 		})
 	}

@@ -10,21 +10,20 @@
 //   - bidders are index-ordered slices, so greedy tie-breaks are
 //     deterministic instead of map-iteration-order dependent.
 //
-// The compiled instance lives in a pooled Instance; Compile borrows one and
-// builds it, each Instance.Solve searches it (optionally with one bidder
-// masked out), Choice reads the winning row indexes out, and Release returns
-// the storage. The search results are bit-identical to the previous map-based
-// implementation (pinned by TestDenseSolverMatchesReference): bidder ordering,
-// per-depth bundle ordering, pruning comparisons and float accumulation order
-// are all preserved; log values are computed once per bundle with the same
-// math.Log the old code called per visit.
+// The compiled instance lives in an Instance its caller owns and reuses:
+// Compile builds it, each Instance.Solve searches it (optionally with one
+// bidder masked out) and Choice reads the winning row indexes out. The search
+// results are bit-identical to the previous map-based implementation (pinned
+// by TestDenseSolverMatchesReference): bidder ordering, per-depth bundle
+// ordering, pruning comparisons and float accumulation order are all
+// preserved; log values are computed once per bundle with the same math.Log
+// the old code called per visit.
 package solver
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"themis/internal/cluster"
 )
@@ -54,13 +53,14 @@ type upgrade struct {
 }
 
 // Instance is one compiled auction instance plus every slice the search
-// needs, recycled through scratchPool. What Compile builds (capacity,
-// bundles, terms, spread, valIdx) is invariant across Solve calls; used,
-// order, maxLog and the choices are per-solve. The greedy walk's upgrade list
-// is built by the first greedy solve and its trail by the last unmasked one;
-// Compile invalidates both. It is single-goroutine state; concurrent callers
-// each compile their own. It references nothing of the caller's: rows are
-// compiled to machine indexes and values.
+// needs, kept by its owner from one auction to the next so a warmed instance
+// compiles and solves without allocating. The zero value is ready for
+// Compile. What Compile builds (capacity, bundles, terms, spread, valIdx) is
+// invariant across Solve calls; used, order, maxLog and the choices are
+// per-solve. The greedy walk's upgrade list is built by the first greedy
+// solve and its trail by the last unmasked one; Compile invalidates both. It
+// is single-goroutine state; concurrent auctions each own one. It references
+// nothing of the caller's: rows are compiled to machine indexes and values.
 type Instance struct {
 	capacity []int32
 	used     []int32
@@ -88,16 +88,18 @@ type Instance struct {
 	trailRounds int       // the move bound trail was walked with; 0 when there is none
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(Instance) }}
-
-// Release returns the instance's storage to the pool; the instance must not
-// be used afterwards.
-func (sc *Instance) Release() { scratchPool.Put(sc) }
-
-// compile validates the rows against capacity and builds the dense instance
-// in the same walk. A row's positive terms must fit capacity, so capacity's
-// machines bound the dense index range and each row's map is ranged once.
-func (sc *Instance) compile(capacity cluster.Alloc, n int, rows func(i int) []Row) error {
+// Compile builds the dense instance for n bidders whose tables rows(i)
+// returns, over the storage of whatever sc compiled before, reading every row
+// — and every row's Alloc map — exactly once. That one walk is also the
+// auction's input check: a row asking for negative GPUs or more than
+// capacity holds on a machine, a ρ that is not positive (NaN included) or
+// whose reciprocal overflows, or a table without the empty row (the bidder's
+// value for winning nothing) is an error, after which sc holds nothing to
+// solve. A row's positive terms must fit capacity, so capacity's machines
+// bound the dense index range. The rows are only read, and nothing of them
+// is kept: the Instance holds machine indexes and values, so the caller may
+// recycle the tables as soon as it has mapped the chosen row indexes back.
+func (sc *Instance) Compile(capacity cluster.Alloc, n int, rows func(i int) []Row) error {
 	minID, maxID := 0, -1
 	for m, c := range capacity {
 		if c == 0 {

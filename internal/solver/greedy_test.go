@@ -130,11 +130,10 @@ func greedyCase(data []byte) (capacity cluster.Alloc, tables [][]Row, rounds int
 // same instance just before it.
 func greedyWalkMismatch(data []byte) error {
 	capacity, tables, rounds := greedyCase(data)
-	inst, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] })
-	if err != nil {
+	inst := new(Instance)
+	if err := inst.Compile(capacity, len(tables), func(i int) []Row { return tables[i] }); err != nil {
 		return fmt.Errorf("decoded an invalid instance: %v", err)
 	}
-	defer inst.Release()
 	n := len(tables)
 	last := 0
 	if len(data) > 0 {

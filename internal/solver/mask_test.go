@@ -80,8 +80,8 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 				compiled := asCompiled(bidders)
 				tables := tablesOf(compiled)
 				exactBefore, greedyBefore := solveExactCount.Value(), solveGreedyCount.Value()
-				inst, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] })
-				if err != nil {
+				inst := new(Instance)
+				if err := inst.Compile(capacity, len(tables), func(i int) []Row { return tables[i] }); err != nil {
 					t.Fatal(err)
 				}
 				fullObj := inst.Solve(c.opts, NoSkip)
@@ -123,7 +123,6 @@ func TestMaskedSolveMatchesSolveOverOthers(t *testing.T) {
 					t.Fatalf("trial %d: unmasked re-solve %v, first solve %v", trial, obj, fullObj)
 				}
 				sameChoices(t, "unmasked re-solve", assignmentOf(inst, compiled), full)
-				inst.Release()
 
 				exact, greedy := solveExactCount.Value()-exactBefore, solveGreedyCount.Value()-greedyBefore
 				if c.wantMode == "exact" && greedy != 0 || c.wantMode == "greedy" && exact != 0 {
@@ -151,15 +150,13 @@ func TestCompileRejectsInvalidInput(t *testing.T) {
 		"no rows at all":      nil,
 	} {
 		tables := [][]Row{{empty}, table}
-		if inst, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] }); err == nil {
-			inst.Release()
+		if err := new(Instance).Compile(capacity, len(tables), func(i int) []Row { return tables[i] }); err == nil {
 			t.Errorf("%s: Compile accepted %+v", name, table)
 		}
 	}
 	ok := [][]Row{{empty, {Alloc: cluster.Alloc{0: 2, 5: 0}, Rho: 1}, {Alloc: cluster.Alloc{0: 1}, Rho: 1e-300}}}
-	inst, err := Compile(capacity, 1, func(i int) []Row { return ok[i] })
-	if err != nil {
+	inst := new(Instance)
+	if err := inst.Compile(capacity, 1, func(i int) []Row { return ok[i] }); err != nil {
 		t.Fatalf("valid table (zero entry on an unoffered machine, tiny but invertible ρ) rejected: %v", err)
 	}
-	inst.Release()
 }

@@ -96,11 +96,10 @@ func tablesOf(compiled []Bidder) [][]Row {
 func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, error) {
 	compiled := asCompiled(bidders)
 	tables := tablesOf(compiled)
-	sc, err := Compile(capacity, len(tables), func(i int) []Row { return tables[i] })
-	if err != nil {
+	sc := new(Instance)
+	if err := sc.Compile(capacity, len(tables), func(i int) []Row { return tables[i] }); err != nil {
 		return nil, 0, err
 	}
-	defer sc.Release()
 	obj := sc.Solve(opts, NoSkip)
 	return assignmentOf(sc, compiled), obj, nil
 }
@@ -306,8 +305,8 @@ func refSolveGreedy(capacity cluster.Alloc, bidders []Bidder, rounds int) Assign
 		var bestID string
 		var bestBundle Bundle
 		for id, cur := range asg {
-			without, err := used.Sub(cur.Alloc)
-			if err != nil {
+			without := used.Clone()
+			if without.Debit(cur.Alloc) != nil {
 				continue
 			}
 			for _, bun := range byID[id].Bundles {
@@ -349,12 +348,8 @@ func refFindPairMove(capacity cluster.Alloc, byID map[string]Bidder, asg Assignm
 			if a == v || curV.Alloc.Total() == 0 {
 				continue
 			}
-			freed, err := used.Sub(curA.Alloc)
-			if err != nil {
-				continue
-			}
-			freed, err = freed.Sub(curV.Alloc)
-			if err != nil {
+			freed := used.Clone()
+			if freed.Debit(curA.Alloc) != nil || freed.Debit(curV.Alloc) != nil {
 				continue
 			}
 			lossV := math.Log(curV.Value) - math.Log(refEmptyBundle(byID[v]).Value)

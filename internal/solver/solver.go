@@ -81,28 +81,6 @@ const NoSkip = -1
 // finite.
 const minValue = 1e-12
 
-// Compile builds the dense instance (see dense.go) for n bidders whose
-// tables rows(i) returns, reading every row — and every row's Alloc map —
-// exactly once. That one walk is also the auction's input check: a row
-// asking for negative GPUs or more than capacity holds on a machine, a ρ
-// that is not positive (NaN included) or whose reciprocal overflows, or a
-// table without the empty row (the bidder's value for winning nothing) is an
-// error. The rows are only read, and nothing of them is kept: the Instance
-// holds machine indexes and values, so the caller may recycle the tables as
-// soon as it has mapped the chosen row indexes back.
-//
-// The Instance borrows pooled storage: the caller owns it until Release and
-// must not share it across goroutines; concurrent auctions each compile
-// their own.
-func Compile(capacity cluster.Alloc, n int, rows func(i int) []Row) (*Instance, error) {
-	sc := scratchPool.Get().(*Instance)
-	if err := sc.compile(capacity, n, rows); err != nil {
-		sc.Release()
-		return nil, err
-	}
-	return sc, nil
-}
-
 // Solve runs the winner determination over the compiled bidders, leaving out
 // bidder index skip (a valid index, or NoSkip for none), and returns the objective summed in
 // bidder index order. The masked search sees exactly the bidder sequence a

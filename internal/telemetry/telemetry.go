@@ -57,7 +57,7 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an instantaneous int64 value. Set/Add are one atomic store/add.
+// Gauge is an instantaneous int64 value. Set is one atomic store.
 type Gauge struct {
 	labels string
 	v      atomic.Int64
@@ -65,9 +65,6 @@ type Gauge struct {
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

@@ -86,16 +86,6 @@ func (rr *RoundRing) Record(rd Round) {
 	rr.mu.Unlock()
 }
 
-// Len returns how many rounds have been recorded (capped at the ring size).
-func (rr *RoundRing) Len() int {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if rr.seq < uint64(len(rr.buf)) {
-		return int(rr.seq)
-	}
-	return len(rr.buf)
-}
-
 // Snapshot returns the retained rounds, oldest first. It allocates — it
 // serves the debug surface, never the round itself.
 func (rr *RoundRing) Snapshot() []Round {

@@ -52,8 +52,8 @@ func TestSpecBuild(t *testing.T) {
 	if m := topo.Machine(6); m.Domain != 1 || m.Rack != 2 || m.GPU != cluster.GPUTypeK80 || m.SlotSize != 1 {
 		t.Errorf("Machine(6) = %+v", m)
 	}
-	if got := topo.DomainName(0); got != "pod-a" {
-		t.Errorf("DomainName(0) = %q", got)
+	if d, ok := topo.DomainByName("pod-a"); !ok || d != 0 {
+		t.Errorf("DomainByName(pod-a) = %d, %v", d, ok)
 	}
 	if d, ok := topo.DomainByName("pod-b"); !ok || d != 1 {
 		t.Errorf("DomainByName(pod-b) = %d, %v", d, ok)

@@ -13,7 +13,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -271,17 +270,6 @@ func (j *Job) Kill(now float64) {
 	j.KilledAt = now
 }
 
-// TimeToCompletion estimates the wall-clock minutes to finish the trial on g
-// GPUs with slowdown s. It returns +Inf when g is zero.
-func (j *Job) TimeToCompletion(g int, s float64) float64 {
-	if g <= 0 || s <= 0 {
-		return inf
-	}
-	return j.RemainingWork() / (float64(g) * s)
-}
-
-const inf = float64(1 << 62)
-
 // App is one ML application: a set of trials plus the model family whose
 // placement sensitivity they share (§5.2 notes all jobs in an app have
 // correlated placement sensitivity, so a single S_i per app suffices).
@@ -299,15 +287,14 @@ type App struct {
 	// minutes, computed by IdealRunningTime against a topology.
 	TIdeal float64
 
-	// stamp counts the changes to which jobs are active and how wide they
-	// are (Stamp); progress counts the AdvanceJob calls that integrated work
-	// (Progress).
+	// stamp counts the changes to which jobs are active (Stamp); progress
+	// counts the AdvanceJob calls that integrated work (Progress).
 	stamp, progress uint64
 }
 
 // Stamp returns the app's job stamp. It moves whenever one of the app's jobs
-// stops being active or changes width, which is done through the app's
-// mutators: AdvanceJob (a completion), FinishJob, KillJob and SetJobWidth.
+// stops being active, which is done through the app's mutators: AdvanceJob
+// (a completion) and KillJob.
 // Whatever is derived from the active jobs, their widths, gang sizes and
 // constraints — core's job context — stays valid while the stamp does, so a
 // reader revalidates it in O(1) rather than by walking the jobs. A job's
@@ -317,9 +304,9 @@ type App struct {
 // Its companion, the progress counter (Progress), moves whenever AdvanceJob
 // integrates work. Whatever is derived from the jobs' DoneWork — core's
 // work-left order — stays valid while the stamp and the counter both do.
-// Once the app is scheduled, DoneWork moves only through AdvanceJob (and
-// FinishJob, which moves the stamp); a test that sets it after an agent has
-// valued the app calls AdvanceJob instead of writing it.
+// Once the app is scheduled, DoneWork moves only through AdvanceJob; a test
+// that sets it after an agent has valued the app calls AdvanceJob instead of
+// writing it.
 func (a *App) Stamp() uint64 { return a.stamp }
 
 // Progress returns the app's progress counter (see Stamp).
@@ -338,17 +325,6 @@ func (a *App) AdvanceJob(j *Job, now, dt float64, g int, s float64) (elapsed flo
 	return elapsed, done
 }
 
-// FinishJob marks j, one of the app's jobs, as having completed all its work
-// at time at — a completion reported rather than integrated by AdvanceJob —
-// and moves the stamp. An inactive job is left as it is.
-func (a *App) FinishJob(j *Job, at float64) {
-	if !j.Active() {
-		return
-	}
-	j.DoneWork, j.DoneAt = j.TotalWork, at
-	a.stamp++
-}
-
 // KillJob is j.Kill for one of the app's jobs, moving the stamp when j was
 // active.
 func (a *App) KillJob(j *Job, now float64) {
@@ -359,26 +335,10 @@ func (a *App) KillJob(j *Job, now float64) {
 	a.stamp++
 }
 
-// SetJobWidth sets the maximum parallelism of j, one of the app's jobs (the
-// tuner's way to deprioritise a trial), moving the stamp when it changes.
-func (a *App) SetJobWidth(j *Job, width int) {
-	if j.MaxParallelism == width {
-		return
-	}
-	j.MaxParallelism = width
-	a.stamp++
-}
-
 // NewApp constructs an app with the given trials.
 func NewApp(id AppID, submit float64, profile placement.Profile, jobs []*Job) *App {
 	return &App{ID: id, SubmitTime: submit, Profile: profile, Jobs: jobs, FinishedAt: NotFinished}
 }
-
-// ActiveJobs returns the trials still needing GPUs, in index order, as a
-// fresh slice. Loops that only visit them range Jobs with the Active filter;
-// callers that need a snapshot on a hot path keep a buffer for
-// AppendActiveJobs.
-func (a *App) ActiveJobs() []*Job { return a.AppendActiveJobs(nil) }
 
 // AppendActiveJobs appends the active jobs to buf (in Jobs order) and returns
 // it.
@@ -391,7 +351,7 @@ func (a *App) AppendActiveJobs(buf []*Job) []*Job {
 	return buf
 }
 
-// NumActiveJobs returns len(ActiveJobs()) without allocating.
+// NumActiveJobs returns the number of active jobs without allocating.
 func (a *App) NumActiveJobs() int {
 	n := 0
 	for _, j := range a.Jobs {
@@ -404,17 +364,6 @@ func (a *App) NumActiveJobs() int {
 
 // Finished reports whether the app has completed.
 func (a *App) Finished() bool { return a.FinishedAt != NotFinished }
-
-// RemainingWork returns the total serial work left across active trials.
-func (a *App) RemainingWork() float64 {
-	var w float64
-	for _, j := range a.Jobs {
-		if j.Active() {
-			w += j.RemainingWork()
-		}
-	}
-	return w
-}
 
 // TotalWork returns the total serial work across all trials (including
 // already-killed ones' completed portions).
@@ -466,26 +415,6 @@ func (a *App) CompletionTime() float64 {
 		return NotFinished
 	}
 	return a.FinishedAt - a.SubmitTime
-}
-
-// BestJob returns the trial with the lowest Quality (the one that trains the
-// best model), or nil if the app has no jobs.
-func (a *App) BestJob() *Job {
-	var best *Job
-	for _, j := range a.Jobs {
-		if best == nil || j.Quality < best.Quality {
-			best = j
-		}
-	}
-	return best
-}
-
-// JobsByQuality returns the app's jobs sorted best (lowest Quality) first.
-func (a *App) JobsByQuality() []*Job {
-	out := make([]*Job, len(a.Jobs))
-	copy(out, a.Jobs)
-	sort.Slice(out, func(i, j int) bool { return out[i].Quality < out[j].Quality })
-	return out
 }
 
 // Validate checks structural invariants of the app description.

@@ -71,8 +71,8 @@ func TestJobKill(t *testing.T) {
 }
 
 // TestAppMutatorsMoveTheStamp pins when the app's job stamp moves: exactly
-// when a job stops being active or changes width, through whichever mutator
-// does it, and never for progress short of completion or for a no-op.
+// when a job stops being active, through whichever mutator does it, and never
+// for progress short of completion or for a no-op.
 func TestAppMutatorsMoveTheStamp(t *testing.T) {
 	jobs := []*Job{NewJob("a", 0, 100, 4), NewJob("a", 1, 100, 4), NewJob("a", 2, 100, 4)}
 	app := NewApp("a", 0, placement.ResNet50, jobs)
@@ -84,12 +84,8 @@ func TestAppMutatorsMoveTheStamp(t *testing.T) {
 		{"progress", func() { app.AdvanceJob(jobs[0], 0, 5, 4, 1) }, false},
 		{"completion", func() { app.AdvanceJob(jobs[0], 5, 100, 4, 1) }, true},
 		{"advancing a finished job", func() { app.AdvanceJob(jobs[0], 30, 100, 4, 1) }, false},
-		{"a width change", func() { app.SetJobWidth(jobs[1], 2) }, true},
-		{"the same width", func() { app.SetJobWidth(jobs[1], 2) }, false},
 		{"a kill", func() { app.KillJob(jobs[1], 40) }, true},
 		{"killing a killed job", func() { app.KillJob(jobs[1], 41) }, false},
-		{"a reported completion", func() { app.FinishJob(jobs[2], 50) }, true},
-		{"finishing a finished job", func() { app.FinishJob(jobs[2], 51) }, false},
 	}
 	for _, s := range steps {
 		before := app.Stamp()
@@ -98,8 +94,8 @@ func TestAppMutatorsMoveTheStamp(t *testing.T) {
 			t.Errorf("%s: stamp moved %v, want %v", s.what, moved, s.moves)
 		}
 	}
-	if jobs[1].KilledAt != 40 || jobs[2].DoneAt != 50 || jobs[2].DoneWork != jobs[2].TotalWork {
-		t.Errorf("the mutators left job state %+v, %+v", *jobs[1], *jobs[2])
+	if jobs[0].DoneAt != 25 || jobs[0].DoneWork != jobs[0].TotalWork || jobs[1].KilledAt != 40 {
+		t.Errorf("the mutators left job state %+v, %+v", *jobs[0], *jobs[1])
 	}
 }
 
@@ -109,16 +105,6 @@ func TestAppMutatorsMoveTheStamp(t *testing.T) {
 func TestJobSize(t *testing.T) {
 	if got := unsafe.Sizeof(Job{}); got != 176 {
 		t.Errorf("Job is %d bytes, want 176", got)
-	}
-}
-
-func TestJobTimeToCompletion(t *testing.T) {
-	j := NewJob("a", 0, 120, 4)
-	if got := j.TimeToCompletion(4, 1); math.Abs(got-30) > 1e-9 {
-		t.Errorf("TTC = %v, want 30", got)
-	}
-	if got := j.TimeToCompletion(0, 1); got != inf {
-		t.Errorf("TTC with 0 GPUs = %v, want inf", got)
 	}
 }
 
@@ -136,7 +122,6 @@ func TestJobProgressAndIterations(t *testing.T) {
 
 func TestAppAccounting(t *testing.T) {
 	jobs := []*Job{NewJob("a", 0, 100, 4), NewJob("a", 1, 200, 2), NewJob("a", 2, 50, 4)}
-	jobs[0].Quality, jobs[1].Quality, jobs[2].Quality = 0.5, 0.1, 0.9
 	app := NewApp("a", 30, placement.VGG16, jobs)
 	if err := app.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -147,19 +132,9 @@ func TestAppAccounting(t *testing.T) {
 	if got := app.MaxParallelism(); got != 10 {
 		t.Errorf("MaxParallelism = %v, want 10", got)
 	}
-	if app.BestJob() != jobs[1] {
-		t.Errorf("BestJob should be job 1 (lowest quality)")
-	}
-	byQ := app.JobsByQuality()
-	if byQ[0] != jobs[1] || byQ[2] != jobs[2] {
-		t.Errorf("JobsByQuality order wrong")
-	}
 	jobs[2].Kill(5)
-	if got := len(app.ActiveJobs()); got != 2 {
-		t.Errorf("ActiveJobs = %d, want 2", got)
-	}
-	if got := app.RemainingWork(); got != 300 {
-		t.Errorf("RemainingWork = %v, want 300", got)
+	if got := app.NumActiveJobs(); got != 2 {
+		t.Errorf("NumActiveJobs = %d, want 2", got)
 	}
 	if app.Finished() || app.CompletionTime() != NotFinished {
 		t.Error("app should not be finished")
