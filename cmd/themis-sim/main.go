@@ -1,5 +1,5 @@
 // Command themis-sim runs one cluster-scheduling simulation — a synthetic
-// trace, a registered scenario, or a trace file (native JSON, the compact v3
+// trace, a built-in scenario, a fitted scenario, or a trace file (native JSON, the compact v3
 // binary container, or an external Philly/Alibaba-style CSV cluster log)
 // replayed against a GPU cluster under a chosen scheduling policy — and
 // prints the fairness and efficiency metrics the paper evaluates.
@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,27 +29,45 @@ import (
 )
 
 func main() {
+	err := run(flag.CommandLine, os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "themis-sim:", err)
+		if errors.Is(err, errExclusive) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errExclusive is the one command line the flags parse but cannot run; main
+// exits 2 on it, as the flag package does on a parse error.
+var errExclusive = errors.New("-trace and -scenario are mutually exclusive")
+
+// run parses args into fs, simulates, and prints the report to w.
+func run(fs *flag.FlagSet, args []string, w io.Writer) error {
 	var (
-		clusterKind = flag.String("cluster", "sim", "cluster topology: "+strings.Join(themis.Clusters(), ", "))
-		policyName  = flag.String("policy", "themis", "scheduling policy: "+strings.Join(themis.Policies(), ", "))
-		packerName  = flag.String("packer", "", "placement engine for policy grants: "+strings.Join(themis.Packers(), ", ")+" (empty: policies place their own)")
-		numApps     = flag.Int("apps", 30, "number of apps to generate (ignored with -trace)")
-		seed        = flag.Int64("seed", 1, "workload generation seed")
-		scale       = flag.Float64("scale", 1.0, "job duration scale factor")
-		interArr    = flag.Float64("interarrival", 20, "mean app inter-arrival time (minutes)")
-		contention  = flag.Float64("contention", 1, "contention factor (scales the arrival rate)")
-		lease       = flag.Float64("lease", 20, "GPU lease duration (minutes)")
-		fairness    = flag.Float64("f", 0.8, "Themis fairness knob")
-		bidError    = flag.Float64("biderror", 0, "Themis bid valuation error θ (Figure 11)")
-		scenario    = flag.String("scenario", "", "generate the workload from a registered scenario ("+strings.Join(themis.Scenarios(), ", ")+") or from a fit-report file written by 'tracegen fit'")
-		tracePath   = flag.String("trace", "", "replay apps from a trace file instead of generating")
-		traceFormat = flag.String("trace-format", "auto", "trace file format: "+formatNames())
-		maxApps     = flag.Int("max-apps", 0, "cap the number of apps imported from -trace (0: all)")
-		model       = flag.String("model", "", "stamp apps imported from a CSV -trace with this model family: "+strings.Join(themis.ModelNames(), ", "))
-		horizon     = flag.Float64("horizon", 0, "simulation horizon in minutes (0 = unlimited)")
-		perApp      = flag.Bool("per-app", false, "also print per-app records")
+		clusterKind = fs.String("cluster", "sim", "cluster topology: "+strings.Join(themis.Clusters(), ", "))
+		policyName  = fs.String("policy", "themis", "scheduling policy: "+strings.Join(themis.Policies(), ", "))
+		packerName  = fs.String("packer", "", "placement engine for policy grants: "+strings.Join(themis.Packers(), ", ")+" (empty: policies place their own)")
+		numApps     = fs.Int("apps", 30, "number of apps to generate (ignored with -trace)")
+		seed        = fs.Int64("seed", 1, "workload generation seed")
+		scale       = fs.Float64("scale", 0, "job duration scale factor (0: the workload's default, 1)")
+		interArr    = fs.Float64("interarrival", 0, "mean app inter-arrival time in minutes (0: the workload's default, 20 unless fitted)")
+		contention  = fs.Float64("contention", 0, "contention factor scaling the arrival rate (0: the workload's default, 1)")
+		lease       = fs.Float64("lease", 20, "GPU lease duration (minutes)")
+		fairness    = fs.Float64("f", 0.8, "Themis fairness knob")
+		bidError    = fs.Float64("biderror", 0, "Themis bid valuation error θ (Figure 11)")
+		scenario    = fs.String("scenario", "", "generate the workload from a built-in scenario ("+strings.Join(themis.Scenarios(), ", ")+") or from a fit-report file written by 'tracegen fit'")
+		tracePath   = fs.String("trace", "", "replay apps from a trace file instead of generating")
+		traceFormat = fs.String("trace-format", "auto", "trace file format: "+formatNames())
+		maxApps     = fs.Int("max-apps", 0, "cap the number of apps imported from -trace (0: all)")
+		model       = fs.String("model", "", "stamp apps imported from a CSV -trace with this model family: "+strings.Join(themis.ModelNames(), ", "))
+		horizon     = fs.Float64("horizon", 0, "simulation horizon in minutes (0 = unlimited)")
+		perApp      = fs.Bool("per-app", false, "also print per-app records")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opts := []themis.Option{
 		themis.WithCluster(*clusterKind),
@@ -59,10 +79,16 @@ func main() {
 		themis.WithHorizon(*horizon),
 		themis.WithPacker(*packerName),
 	}
+	params := themis.ScenarioParams{
+		Seed:             *seed,
+		NumApps:          *numApps,
+		DurationScale:    *scale,
+		ContentionFactor: *contention,
+		MeanInterArrival: *interArr,
+	}
 	switch {
 	case *tracePath != "" && *scenario != "":
-		fmt.Fprintln(os.Stderr, "themis-sim: -trace and -scenario are mutually exclusive")
-		os.Exit(2)
+		return errExclusive
 	case *tracePath != "":
 		// The importer handles native JSON too (format auto-detection), so
 		// one flag pair covers replaying both trace files and raw cluster
@@ -72,34 +98,23 @@ func main() {
 			Model:   *model,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "themis-sim:", err)
-			os.Exit(1)
+			return err
 		}
 		opts = append(opts, themis.WithTrace(tr))
-	case *scenario != "":
-		// A fit-report file (tracegen fit output) registers as a calibrated
-		// scenario under its path, then runs through the ordinary registry:
-		// the import → fit → register → simulate loop in one invocation.
-		if _, err := themis.DescribeScenario(*scenario); err != nil {
-			if _, statErr := os.Stat(*scenario); statErr == nil {
-				rep, loadErr := themis.LoadFitReport(*scenario)
-				if loadErr != nil {
-					fmt.Fprintln(os.Stderr, "themis-sim:", loadErr)
-					os.Exit(1)
-				}
-				if regErr := themis.RegisterCalibratedScenario(*scenario, rep); regErr != nil {
-					fmt.Fprintln(os.Stderr, "themis-sim:", regErr)
-					os.Exit(1)
-				}
-			}
+	case isFitReport(*scenario):
+		// The flags set on the command line apply over the fitted config,
+		// as they do over a built-in scenario's.
+		rep, err := themis.LoadFitReport(*scenario)
+		if err != nil {
+			return err
 		}
-		opts = append(opts, themis.WithScenario(*scenario, themis.ScenarioParams{
-			Seed:             *seed,
-			NumApps:          *numApps,
-			DurationScale:    *scale,
-			ContentionFactor: *contention,
-			MeanInterArrival: *interArr,
-		}))
+		apps, err := themis.ComposeWorkload(params.Apply(rep.Config))
+		if err != nil {
+			return err
+		}
+		opts = append(opts, themis.WithApps(apps...))
+	case *scenario != "":
+		opts = append(opts, themis.WithScenario(*scenario, params))
 	default:
 		spec := themis.DefaultWorkloadSpec()
 		spec.NumApps = *numApps
@@ -110,13 +125,6 @@ func main() {
 		opts = append(opts, themis.WithWorkload(spec))
 	}
 
-	if err := run(*clusterKind, *perApp, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "themis-sim:", err)
-		os.Exit(1)
-	}
-}
-
-func run(clusterKind string, perApp bool, opts []themis.Option) error {
 	s, err := themis.NewSimulation(opts...)
 	if err != nil {
 		return err
@@ -128,39 +136,49 @@ func run(clusterKind string, perApp bool, opts []themis.Option) error {
 	sum := rep.Summary
 	topo := s.Topology()
 
-	fmt.Printf("policy               %s\n", sum.Policy)
-	fmt.Printf("cluster              %s (%d GPUs, %d machines, %d racks)\n", clusterKind, topo.TotalGPUs(), topo.NumMachines(), topo.NumRacks())
-	fmt.Printf("apps                 %d finished / %d total\n", sum.AppsFinished, sum.AppsTotal)
-	fmt.Printf("makespan             %.1f min\n", sum.Makespan)
-	fmt.Printf("peak contention      %.2fx\n", sum.PeakContention)
-	fmt.Printf("max fairness (rho)   %.3f\n", sum.MaxFairness)
-	fmt.Printf("median fairness      %.3f\n", sum.MedianFairness)
-	fmt.Printf("Jain's index         %.3f\n", sum.JainsIndex)
-	fmt.Printf("mean completion time %.1f min (p95 %.1f)\n", sum.MeanCompletionTime, sum.P95CompletionTime)
-	fmt.Printf("mean placement score %.3f\n", sum.MeanPlacementScore)
-	fmt.Printf("cluster GPU time     %.0f GPU-min\n", sum.GPUTime)
+	fmt.Fprintf(w, "policy               %s\n", sum.Policy)
+	fmt.Fprintf(w, "cluster              %s (%d GPUs, %d machines, %d racks)\n", *clusterKind, topo.TotalGPUs(), topo.NumMachines(), topo.NumRacks())
+	fmt.Fprintf(w, "apps                 %d finished / %d total\n", sum.AppsFinished, sum.AppsTotal)
+	fmt.Fprintf(w, "makespan             %.1f min\n", sum.Makespan)
+	fmt.Fprintf(w, "peak contention      %.2fx\n", sum.PeakContention)
+	fmt.Fprintf(w, "max fairness (rho)   %.3f\n", sum.MaxFairness)
+	fmt.Fprintf(w, "median fairness      %.3f\n", sum.MedianFairness)
+	fmt.Fprintf(w, "Jain's index         %.3f\n", sum.JainsIndex)
+	fmt.Fprintf(w, "mean completion time %.1f min (p95 %.1f)\n", sum.MeanCompletionTime, sum.P95CompletionTime)
+	fmt.Fprintf(w, "mean placement score %.3f\n", sum.MeanPlacementScore)
+	fmt.Fprintf(w, "cluster GPU time     %.0f GPU-min\n", sum.GPUTime)
 	fr := rep.Fragmentation
-	fmt.Printf("fragmentation        score mean %.3f / peak %.3f (free GPUs %.1f; largest blocks: machine %.1f, rack %.1f, domain %.1f)\n",
+	fmt.Fprintf(w, "fragmentation        score mean %.3f / peak %.3f (free GPUs %.1f; largest blocks: machine %.1f, rack %.1f, domain %.1f)\n",
 		fr.MeanScore, fr.PeakScore, fr.MeanFreeGPUs, fr.MeanLargestMachineBlock, fr.MeanLargestRackBlock, fr.MeanLargestDomainBlock)
 
 	if st := rep.Auction; st != nil {
-		fmt.Printf("auctions             %d (offers %d, GPUs auctioned %d, leftover %d)\n",
+		fmt.Fprintf(w, "auctions             %d (offers %d, GPUs auctioned %d, leftover %d)\n",
 			st.Auctions, st.OffersMade, st.GPUsAuctioned, st.GPUsLeftOver)
 		if st.Auctions > 0 {
-			fmt.Printf("auction latency      mean %.2f ms, max %.2f ms\n",
+			fmt.Fprintf(w, "auction latency      mean %.2f ms, max %.2f ms\n",
 				float64(st.TotalAuctionTime.Milliseconds())/float64(st.Auctions), float64(st.MaxAuctionTime.Milliseconds()))
 		}
 	}
 
-	if perApp {
-		fmt.Println()
-		fmt.Println("app\tmodel\tsubmit\tcompletion\trho\tplacement\tjobs\tkilled")
+	if *perApp {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "app\tmodel\tsubmit\tcompletion\trho\tplacement\tjobs\tkilled")
 		for _, rec := range rep.Apps {
-			fmt.Printf("%s\t%s\t%.1f\t%.1f\t%.3f\t%.2f\t%d\t%d\n",
+			fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1f\t%.3f\t%.2f\t%d\t%d\n",
 				rec.App, rec.Model, rec.SubmitTime, rec.CompletionTime, rec.FinishTimeFairness, rec.PlacementScore, rec.JobsTotal, rec.JobsKilled)
 		}
 	}
 	return nil
+}
+
+// isFitReport reports whether a -scenario value names a fit-report file
+// (tracegen fit output): an existing file that is not a built-in scenario.
+func isFitReport(scenario string) bool {
+	if _, err := themis.DescribeScenario(scenario); scenario == "" || err == nil {
+		return false
+	}
+	_, err := os.Stat(scenario)
+	return err == nil
 }
 
 // formatNames lists the -trace-format values: auto plus every registered

@@ -1,5 +1,5 @@
 // Command tracegen is the workbench for workload traces: it generates traces
-// from any registered scenario, imports external cluster logs (Philly- and
+// from any built-in scenario, imports external cluster logs (Philly- and
 // Alibaba-style CSV), calibrates scenarios against traces, validates and
 // describes trace files, and lists the scenario library.
 //
@@ -63,12 +63,12 @@ func usage(w *os.File) {
 	fmt.Fprint(w, `usage: tracegen <subcommand> [flags]
 
 subcommands:
-  generate   generate a trace from a registered scenario (default)
-  list       list the registered scenarios
+  generate   generate a trace from a built-in scenario (default)
+  list       list the built-in scenarios
   import     normalise an external cluster log (philly/alibaba CSV) into a trace
   fit        calibrate a scenario against a trace (ScenarioConfig JSON + fit report)
   validate   check trace files against the format contract
-  describe   summarise a trace file, a registered scenario or a fit report
+  describe   summarise a trace file, a built-in scenario or a fit report
 
 run "tracegen <subcommand> -h" for flags.
 `)
@@ -77,7 +77,7 @@ run "tracegen <subcommand> -h" for flags.
 func runGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
 	var (
-		scenario   = fs.String("scenario", "paper-mix", "registered scenario to generate from (see: tracegen list)")
+		scenario   = fs.String("scenario", "paper-mix", "built-in scenario to generate from (see: tracegen list)")
 		numApps    = fs.Int("apps", 0, "number of applications (0: scenario default)")
 		seed       = fs.Int64("seed", 1, "generation seed")
 		contention = fs.Float64("contention", 0, "contention factor scaling the arrival rate (0: scenario default)")
@@ -286,16 +286,12 @@ func runDescribe(args []string) error {
 	}
 	target := fs.Arg(0)
 
-	// A registered scenario name describes the scenario (calibrated entries
-	// additionally render their full fit report, so provenance is always
-	// visible); a fit-report file renders the calibration; anything else is
-	// a trace file.
+	// A built-in scenario name describes the scenario; a fit-report file
+	// renders the calibration; anything else is a trace file.
+	params := themis.ScenarioParams{Seed: *seed, NumApps: *apps}
 	if desc, err := themis.DescribeScenario(target); err == nil {
 		fmt.Printf("scenario %s: %s\n", target, desc)
-		if rep, ok := themis.ScenarioFit(target); ok {
-			fmt.Print(rep.Render())
-		}
-		generated, err := themis.GenerateScenario(target, themis.ScenarioParams{Seed: *seed, NumApps: *apps})
+		generated, err := themis.GenerateScenario(target, params)
 		if err != nil {
 			return err
 		}
@@ -305,7 +301,7 @@ func runDescribe(args []string) error {
 	if rep, err := themis.LoadFitReport(target); err == nil {
 		fmt.Printf("fit report %s\n", target)
 		fmt.Print(rep.Render())
-		generated, err := themis.ComposeWorkload(applyParams(rep.Config, *seed, *apps))
+		generated, err := themis.ComposeWorkload(params.Apply(rep.Config))
 		if err != nil {
 			return err
 		}
@@ -324,18 +320,6 @@ func runDescribe(args []string) error {
 	fmt.Printf("trace %q (version %d)\n", tr.Name, tr.Version)
 	printStats(themis.SummarizeWorkload(materialised))
 	return nil
-}
-
-// applyParams overrides a fitted config's seed and app count for describe's
-// sample generation.
-func applyParams(cfg themis.ScenarioConfig, seed int64, apps int) themis.ScenarioConfig {
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if apps != 0 {
-		cfg.NumApps = apps
-	}
-	return cfg
 }
 
 // formatNames lists the -format values: auto plus every registered format.

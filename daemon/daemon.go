@@ -16,15 +16,15 @@ import (
 	"themis/internal/telemetry"
 )
 
-// Servers and clients of the HTTP protocol. ArbiterServer exposes Handler
-// (the http.Handler to serve), RunAuction (one auction round) and a
-// pluggable Clock; AgentServer exposes Handler and the agent's current
-// allocation.
+// Servers of the HTTP protocol and the client an agent or operator uses to
+// reach the arbiter. ArbiterServer exposes Handler (the http.Handler to
+// serve), RunAuction (one auction round) and a pluggable Clock; AgentServer
+// exposes Handler and the agent's current allocation. The arbiter reaches
+// agents through its own client, behind Register's callback URL.
 type (
 	ArbiterServer = rpc.ArbiterServer
 	AgentServer   = rpc.AgentServer
 	ArbiterClient = rpc.ArbiterClient
-	AgentClient   = rpc.AgentClient
 	// ShardedArbiter is another name for ArbiterServer, kept for the
 	// benchmark driver that compiles against it.
 	ShardedArbiter = ArbiterServer
@@ -121,6 +121,3 @@ func NewAgentServer(topo *themis.Topology, app *themis.App) (*AgentServer, error
 
 // NewArbiterClient returns a client for an arbiter daemon's base URL.
 func NewArbiterClient(baseURL string) *ArbiterClient { return rpc.NewArbiterClient(baseURL) }
-
-// NewAgentClient returns a client for an agent daemon's base URL.
-func NewAgentClient(baseURL string) *AgentClient { return rpc.NewAgentClient(baseURL) }

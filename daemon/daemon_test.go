@@ -8,7 +8,10 @@ package daemon_test
 // every allocation must come back identical.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -17,7 +20,29 @@ import (
 	"themis/internal/cluster"
 	"themis/internal/core"
 	"themis/internal/hyperparam"
+	"themis/internal/rpc"
 )
+
+// postAgent sends one protocol request to an agent daemon, as the arbiter's
+// client does, and decodes the answer.
+func postAgent(t *testing.T, url string, in, out any) {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+}
 
 func e2eTopo(t *testing.T) *themis.Topology {
 	t.Helper()
@@ -95,7 +120,7 @@ func TestDaemonAuctionRoundMatchesCore(t *testing.T) {
 
 	// Register: one agentd per app, each a real HTTP server.
 	agentSrvs := make(map[string]*daemon.AgentServer)
-	agentClients := make(map[string]*daemon.AgentClient)
+	agentURLs := make(map[string]string)
 	for _, spec := range e2eApps {
 		app := e2eApp(t, spec.id, spec.nJobs, spec.work, spec.model)
 		srv, err := daemon.NewAgentServer(topo, app)
@@ -105,7 +130,7 @@ func TestDaemonAuctionRoundMatchesCore(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		agentSrvs[spec.id] = srv
-		agentClients[spec.id] = daemon.NewAgentClient(ts.URL)
+		agentURLs[spec.id] = ts.URL
 
 		resp, err := arbClient.Register(ctx, spec.id, ts.URL, app.MaxParallelism())
 		if err != nil || !resp.OK || resp.LeaseMin != 20 {
@@ -129,15 +154,15 @@ func TestDaemonAuctionRoundMatchesCore(t *testing.T) {
 		app := e2eApp(t, spec.id, spec.nJobs, spec.work, spec.model)
 		oracle := core.NewAgent(topo, app, hyperparam.ForApp(app), nil)
 
-		gotRho, err := agentClients[spec.id].ProbeRho(ctx, 0, nil)
-		if err != nil {
-			t.Fatalf("probe %s: %v", spec.id, err)
-		}
-		if wantRho := oracle.ReportRho(0, cluster.NewAlloc()); gotRho != wantRho {
+		var rho rpc.RhoResponse
+		postAgent(t, agentURLs[spec.id]+"/v1/rho", rpc.RhoRequest{Now: 0, Current: rpc.ToWireAlloc(nil)}, &rho)
+		if gotRho, wantRho := rho.Rho, oracle.ReportRho(0, cluster.NewAlloc()); gotRho != wantRho {
 			t.Errorf("%s: wire rho %v != core rho %v", spec.id, gotRho, wantRho)
 		}
 
-		gotBid, err := agentClients[spec.id].RequestBid(ctx, 0, free.Clone(), nil)
+		var bid rpc.BidResponse
+		postAgent(t, agentURLs[spec.id]+"/v1/bid", rpc.BidRequest{Now: 0, Offer: rpc.ToWireAlloc(free), Current: rpc.ToWireAlloc(nil)}, &bid)
+		gotBid, err := bid.ToBidTable()
 		if err != nil {
 			t.Fatalf("bid %s: %v", spec.id, err)
 		}

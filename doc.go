@@ -14,11 +14,12 @@
 //	if err != nil { ... }
 //	report, err := s.Run(ctx)
 //
-// returning a typed Report (fairness CDFs, JCT, GPU time, auction
-// telemetry). Policies are constructed by name through a registry —
+// returning a typed Report (fairness, JCT, GPU time, per-app records,
+// auction telemetry). The paper's policies are built in by name —
 // Policy("themis"|"gandiva"|"tiresias"|"slaq"|"resource-fair"|"strawman") —
-// extensible via RegisterPolicy. Misconfiguration surfaces as errors at
-// construction time, and Run honors context cancellation.
+// and a policy of one's own runs through WithPolicyInstance.
+// Misconfiguration surfaces as errors at construction time, and Run honors
+// context cancellation.
 //
 // Parameter studies — many policies, seeds and workloads, as in the paper's
 // §8 sweeps — run through RunSweep, which fans a grid of SweepSpecs (each a
@@ -37,12 +38,13 @@
 // The Grid type expands a Policies × Clusters × Scenarios × Seeds cross
 // product into sweep specs declaratively.
 //
-// Workloads come from a scenario library mirroring the policy registry:
+// Workloads come from a built-in scenario library:
 // GenerateScenario("paper-mix"|"diurnal"|"heavy-tailed"|"bursty"|
-// "mixed-gangs", params...) materialises a registered scenario, WithScenario
-// feeds one to a simulation, and RegisterScenario (with ScenarioFromConfig
-// over a ScenarioConfig composition of arrival pattern × job-size law ×
-// gang mix) extends the library. Real cluster logs normalise into replayable
+// "mixed-gangs", params...) materialises a scenario and WithScenario feeds
+// one to a simulation. Any other ScenarioConfig composition of arrival
+// pattern × job-size law × gang mix generates through ComposeWorkload, with
+// ScenarioParams.Apply setting its runtime knobs, and runs through WithApps.
+// Real cluster logs normalise into replayable
 // traces through ImportTrace: Philly-style and Alibaba-style CSV adapters
 // plus format auto-detection, validated by the same typed-error contract as
 // native traces (see internal/trace). The adapters stream — one bounded
@@ -55,16 +57,14 @@
 // GPU floor, machine-spread cap, fabric-domain and GPU-flavor affinities)
 // on the wire, and ToApps threads them into the simulator's placement
 // scoring, so a constrained trace replays with locality-sensitive
-// scheduling anywhere. v1 traces load unchanged (lossless upgrade-on-read;
-// SupportedTraceVersions lists both).
+// scheduling anywhere. v1 traces load unchanged (lossless upgrade-on-read).
 //
-// Clusters are hierarchical and registered like policies: Cluster builds a
-// registered topology by name ("sim", "testbed", or the three-fabric-domain
-// "sim-fabric"), RegisterCluster extends the registry, and BuildTopology
-// constructs one from a declarative TopologySpec — regions of named fabric
-// domains of racks of machine groups, the names resolving trace placement
-// blocks and job affinities (a name another domain already answers to is
-// rejected). The Topology itself is the hierarchy view: every machine knows
+// Clusters are hierarchical and built in by name like policies: Cluster
+// builds "sim", "testbed", or the three-fabric-domain "sim-fabric", and
+// TopologySpec.Build constructs any other from a declarative spec — regions
+// of named fabric domains of racks of machine groups, the names resolving
+// trace placement blocks and job affinities (a name another domain already
+// answers to is rejected) — for WithTopology. The Topology itself is the hierarchy view: every machine knows
 // its rack and domain, and DomainByName resolves names. Placement values
 // the hierarchy (slot / machine / rack / domain / cross-domain locality),
 // and WithPacker routes every policy grant through a registered placement
@@ -74,17 +74,15 @@
 // fragmented across the hierarchy during the run.
 //
 // The calibration subsystem closes the loop between real traces and
-// synthetic scenarios: FitScenario (or FitTrace) learns a full
-// ScenarioConfig from an observed workload — arrival-process fitting
-// (Poisson rate, diurnal day shape, bursty spikes), job-size law selection
-// (lognormal vs Pareto by AIC, KS distances reported) and gang-population
-// estimation — returning a FitReport with goodness-of-fit evidence and
-// provenance. RegisterCalibratedScenario installs the fitted scenario in
-// the registry, where WithScenario, Grid and RunSweep treat it like any
-// built-in while DescribeScenario and ScenarioFit keep its provenance
-// visible. cmd/tracegen is the CLI workbench for all of this
+// synthetic scenarios: FitTrace learns a full ScenarioConfig from an
+// observed workload — arrival-process fitting (Poisson rate, diurnal day
+// shape, bursty spikes), job-size law selection (lognormal vs Pareto by AIC,
+// KS distances reported) and gang-population estimation — returning a
+// FitReport with goodness-of-fit evidence and provenance. Its Config is a
+// composition like any other: ComposeWorkload generates the fitted twin.
+// cmd/tracegen is the CLI workbench for all of this
 // (generate/list/import/fit/validate/describe), and cmd/themis-sim replays
-// traces (-trace/-trace-format), registered scenarios (-scenario) and fit
+// traces (-trace/-trace-format), built-in scenarios (-scenario) and fit
 // reports (-scenario fitted.json) directly.
 //
 // The companion public packages are themis/experiments (one table per

@@ -1,4 +1,4 @@
-// Scenario-library tour: lists the registered workload scenarios, then fans
+// Scenario-library tour: lists the built-in workload scenarios, then fans
 // every scenario × {Themis, Tiresias} across the parallel sweep engine and
 // compares the schedulers' fairness and efficiency per workload family —
 // the evaluation axis the scenario subsystem opens beyond the paper's single
@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	fmt.Println("registered scenarios:")
+	fmt.Println("built-in scenarios:")
 	for _, name := range themis.Scenarios() {
 		desc, err := themis.DescribeScenario(name)
 		if err != nil {

@@ -3,11 +3,10 @@ package themis
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 )
 
-// Acceptance: FitScenario on the output of GenerateScenario must recover the
+// Acceptance: FitTrace on the output of GenerateScenario must recover the
 // arrival-pattern kind and size-law kind of every built-in scenario family,
 // with rate/shape parameters within the tolerances documented in
 // internal/fit (MLE knobs within ~15%, day-shape and burst knobs within
@@ -31,7 +30,7 @@ func TestFitRecoversBuiltinScenarioFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := FitScenario(apps)
+			rep, err := FitTrace(NewTrace(tc.scenario, apps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,55 +82,49 @@ func TestFitRecoversBuiltinScenarioFamilies(t *testing.T) {
 	}
 }
 
-// A calibrated scenario registers like any built-in: WithScenario resolves
-// it, Grid expands it, DescribeScenario renders its provenance and
-// ScenarioFit returns the full report.
-func TestRegisterCalibratedScenario(t *testing.T) {
+// A fit report is a workload source through ComposeWorkload: the report
+// survives SaveFitReport/LoadFitReport, ScenarioParams.Apply sets the app
+// count and seed, and the composed apps drive a simulation and a sweep.
+func TestFitReportComposesWorkload(t *testing.T) {
 	apps, err := GenerateScenario("heavy-tailed", ScenarioParams{Seed: 3, NumApps: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FitScenario(apps)
+	rep, err := FitTrace(NewTrace("facade-test-trace", apps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Provenance.Source = "facade-test-trace"
-	rep.Provenance.FittedAt = "2026-07-30"
-
-	const name = "calibrated-facade-test"
-	if err := RegisterCalibratedScenario(name, rep); err != nil {
+	if rep.Provenance.Source != "facade-test-trace" {
+		t.Errorf("provenance source %q, want the trace's name", rep.Provenance.Source)
+	}
+	path := t.TempDir() + "/fitted.json"
+	if err := SaveFitReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterCalibratedScenario(name, rep); err == nil {
-		t.Error("duplicate calibrated registration succeeded")
-	}
-	if err := RegisterCalibratedScenario("calibrated-nil", nil); err == nil {
-		t.Error("nil-report registration succeeded")
-	}
-
-	desc, err := DescribeScenario(name)
+	loaded, err := LoadFitReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"calibrated from", "facade-test-trace", "fitted 2026-07-30", "pareto sizes", "KS"} {
-		if !strings.Contains(desc, want) {
-			t.Errorf("DescribeScenario = %q, missing %q", desc, want)
+
+	compose := func(r *FitReport, seed int64, n int) []*App {
+		t.Helper()
+		apps, err := ComposeWorkload(ScenarioParams{Seed: seed, NumApps: n}.Apply(r.Config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(apps) != n {
+			t.Fatalf("composed %d apps, want %d", len(apps), n)
+		}
+		return apps
+	}
+	fresh, reloaded := compose(rep, 5, 8), compose(loaded, 5, 8)
+	for i := range fresh {
+		if fresh[i].SubmitTime != reloaded[i].SubmitTime || len(fresh[i].Jobs) != len(reloaded[i].Jobs) {
+			t.Fatalf("app %d differs after the report's file round trip", i)
 		}
 	}
-	if _, ok := ScenarioFit(name); !ok {
-		t.Error("ScenarioFit does not return the calibrated report")
-	}
-	if _, ok := ScenarioFit("paper-mix"); ok {
-		t.Error("ScenarioFit returned a report for a built-in")
-	}
 
-	// The calibrated entry drives a simulation through WithScenario...
-	sim, err := NewSimulation(
-		WithCluster(ClusterTestbed),
-		WithScenario(name, ScenarioParams{NumApps: 8}),
-		WithSeed(5),
-		WithHorizon(4000),
-	)
+	sim, err := NewSimulation(WithCluster(ClusterTestbed), WithApps(fresh...), WithHorizon(4000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,29 +133,20 @@ func TestRegisterCalibratedScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(repSim.Apps) != 8 {
-		t.Errorf("calibrated scenario run has %d apps, want 8", len(repSim.Apps))
+		t.Errorf("fitted workload run has %d apps, want 8", len(repSim.Apps))
 	}
 
-	// ...and expands through the Grid sweep axis like any built-in.
-	specs, err := Grid{
-		Policies:  []string{"themis"},
-		Scenarios: []string{name},
-		Seeds:     []int64{1, 2},
-		Params:    ScenarioParams{NumApps: 6},
-	}.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 2 {
-		t.Fatalf("Grid expanded to %d specs, want 2", len(specs))
+	var specs []SweepSpec
+	for _, seed := range []int64{1, 2} {
+		specs = append(specs, SweepSpec{Options: []Option{WithApps(compose(loaded, seed, 6)...), WithSeed(seed)}})
 	}
 	results, err := RunSweep(context.Background(), 2, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if res.Report == nil {
-			t.Fatalf("sweep cell %d has no report", i)
+		if res.Report == nil || res.Report.Summary.AppsTotal != 6 {
+			t.Fatalf("sweep cell %d: %+v", i, res.Report)
 		}
 	}
 }

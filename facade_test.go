@@ -29,14 +29,18 @@ func TestOptionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PolicyName(); got != "themis" {
-		t.Errorf("default policy = %q, want themis", got)
-	}
 	// The default topology is the paper's 50-GPU testbed.
 	if got := s.Topology().TotalGPUs(); got != 50 {
 		t.Errorf("default topology has %d GPUs, want 50 (testbed)", got)
 	}
-	if got := len(s.Apps()); got != 6 {
+	rep, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Summary.Policy; got != "themis" {
+		t.Errorf("default policy = %q, want themis", got)
+	}
+	if got := rep.Summary.AppsTotal; got != 6 {
 		t.Errorf("workload has %d apps, want 6", got)
 	}
 }
@@ -95,11 +99,6 @@ func TestPolicyRegistry(t *testing.T) {
 		if !found {
 			t.Errorf("built-in policy %q not registered (got %v)", want, names)
 		}
-	}
-	if err := themis.RegisterPolicy("themis", func(themis.PolicyConfig) (themis.SchedulerPolicy, error) {
-		return nil, nil
-	}); err == nil {
-		t.Error("duplicate registration succeeded, want error")
 	}
 	if _, err := themis.Policy("no-such-policy"); err == nil {
 		t.Error("Policy on unknown name succeeded, want error")
@@ -206,10 +205,6 @@ func TestSmokeEveryRegisteredPolicy(t *testing.T) {
 			} else if rep.Auction != nil {
 				t.Errorf("%s run reported Themis auction stats", name)
 			}
-			cdf := rep.FairnessCDF(10)
-			if len(cdf.Values) != 10 || len(cdf.Fractions) != 10 {
-				t.Errorf("FairnessCDF(10) has %d/%d points", len(cdf.Values), len(cdf.Fractions))
-			}
 			if got := len(rep.TimelineFor(rep.Apps[0].App)); got == 0 {
 				t.Errorf("no timeline events for %s", rep.Apps[0].App)
 			}
@@ -218,7 +213,7 @@ func TestSmokeEveryRegisteredPolicy(t *testing.T) {
 }
 
 // greedyPolicy implements SchedulerPolicy using only public names — exactly
-// what an external importer extending the registry would write.
+// what an external importer bringing a policy of its own would write.
 type greedyPolicy struct{}
 
 func (greedyPolicy) Name() string { return "greedy-test" }
@@ -246,18 +241,10 @@ func (greedyPolicy) Allocate(now float64, free themis.Alloc, view *themis.View) 
 	return out, nil
 }
 
-func TestCustomPolicyViaRegistry(t *testing.T) {
-	// The registry is process-global, so tolerate the duplicate error when
-	// the test runs more than once in one process (go test -count=2).
-	err := themis.RegisterPolicy("greedy-test", func(themis.PolicyConfig) (themis.SchedulerPolicy, error) {
-		return greedyPolicy{}, nil
-	})
-	if err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
+func TestCustomPolicyInstance(t *testing.T) {
 	s, err := themis.NewSimulation(
 		themis.WithWorkload(quickSpec()),
-		themis.WithPolicy("greedy-test"),
+		themis.WithPolicyInstance(greedyPolicy{}),
 		themis.WithHorizon(4000),
 	)
 	if err != nil {

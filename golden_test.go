@@ -26,6 +26,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"themis/internal/metrics"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden report snapshots")
@@ -230,7 +232,7 @@ func serializeReport(r *Report) string {
 			g(a.TIdeal), g(a.FinishTimeFairness), g(a.BusyGPUTime), g(a.HeldGPUTime),
 			g(a.PlacementScore), a.JobsTotal, a.JobsKilled)
 	}
-	cdf := r.FairnessCDF(8)
+	cdf := metrics.NewCDF(metrics.FairnessValues(r.result), 8)
 	for i := range cdf.Values {
 		fmt.Fprintf(&b, "fairness-cdf %s %s\n", g(cdf.Values[i]), g(cdf.Fractions[i]))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -241,7 +242,10 @@ func TestAuctionRoundAllocs(t *testing.T) {
 // process's bytes, though: a collection allocates a few of its own (48 bytes
 // in about one run in four), and on two Ps a stray background allocation
 // lands between the reads about one run in 150, so the test runs on one P
-// with the collector off.
+// with the collector off. Even so, a fresh process reads one or two objects
+// more in one batch of rounds (48 bytes on the 64-agent side in about half
+// the runs, 96 on the 512-agent side in about one in 30), so each side is the
+// least of three batches.
 func TestAuctionRoundBytesFlat(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; the byte bound is checked without -race")
@@ -271,13 +275,17 @@ func TestAuctionRoundBytesFlat(t *testing.T) {
 		for range 8 { // warm up the valuator and the Arbiter's scratch, solver instance included
 			round()
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range rounds {
-			round()
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range rounds {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, decisions
+		return least, decisions
 	}
 	base, decisions := measure(n)
 	wide, wideDecisions := measure(8 * n)

@@ -47,40 +47,6 @@ type Provenance struct {
 
 func (p *Provenance) note(msg string) { p.Notes = append(p.Notes, msg) }
 
-// Describe renders the one-line provenance summary used as a calibrated
-// scenario's registry description: source, counts, fit date, fitted pattern
-// kinds and the headline goodness-of-fit numbers.
-func (r *Report) Describe() string {
-	var b strings.Builder
-	source := r.Provenance.Source
-	if source == "" {
-		source = "workload"
-	}
-	fmt.Fprintf(&b, "calibrated from %q (%d apps, %d jobs", source, r.Provenance.Apps, r.Provenance.Jobs)
-	if r.Provenance.FittedAt != "" {
-		fmt.Fprintf(&b, "; fitted %s", r.Provenance.FittedAt)
-	}
-	fmt.Fprintf(&b, "): %s arrivals", r.Arrival.Pattern)
-	if r.Arrival.MeanInterArrival > 0 {
-		fmt.Fprintf(&b, " (mean IA %.6g min, KS %.3f)", r.Arrival.MeanInterArrival, r.Arrival.ExponentialKS)
-	}
-	fmt.Fprintf(&b, ", %s sizes", r.Size.Law)
-	if ks, ok := r.selectedSizeKS(); ok {
-		fmt.Fprintf(&b, " (KS %.3f)", ks)
-	}
-	return b.String()
-}
-
-// selectedSizeKS returns the KS distance of the selected size law.
-func (r *Report) selectedSizeKS() (float64, bool) {
-	switch r.Size.Law {
-	case workload.SizePareto:
-		return r.Size.Pareto.KS, r.Size.Pareto.OK
-	default:
-		return r.Size.Lognormal.KS, r.Size.Lognormal.OK
-	}
-}
-
 // Render produces the human-readable fit-quality report: every estimate,
 // both size-law candidates' evidence, and the degradation notes. The output
 // is deterministic for a fixed input (six significant digits), so it doubles

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"themis/internal/cluster"
-	"themis/internal/core"
 	"themis/internal/telemetry"
 )
 
@@ -141,26 +140,6 @@ func (c *AgentClient) do(req *http.Request, path string, out any) error {
 		return fmt.Errorf("rpc: decoding %s response: %w", path, err)
 	}
 	return nil
-}
-
-// ProbeRho asks the Agent for its current finish-time fairness estimate.
-func (c *AgentClient) ProbeRho(ctx context.Context, now float64, current cluster.Alloc) (float64, error) {
-	var resp RhoResponse
-	err := c.post(ctx, "/v1/rho", RhoRequest{Now: now, Current: ToWireAlloc(current)}, &resp)
-	return resp.Rho, err
-}
-
-// RequestBid offers GPUs to the Agent and returns its bid table.
-func (c *AgentClient) RequestBid(ctx context.Context, now float64, offer, current cluster.Alloc) (core.BidTable, error) {
-	var resp BidResponse
-	if err := c.post(ctx, "/v1/bid", BidRequest{Now: now, Offer: ToWireAlloc(offer), Current: ToWireAlloc(current)}, &resp); err != nil {
-		return core.BidTable{}, err
-	}
-	table, err := resp.ToBidTable()
-	if err != nil {
-		countError("/v1/bid")
-	}
-	return table, err
 }
 
 // DeliverAllocation notifies the Agent of its new total allocation and lease

@@ -15,6 +15,29 @@ import (
 	"themis/internal/workload"
 )
 
+// The tests probe and bid through the client directly; the Arbiter goes
+// through RemoteBidder, which also translates a shard's machine IDs.
+
+// ProbeRho asks the Agent for its current finish-time fairness estimate.
+func (c *AgentClient) ProbeRho(ctx context.Context, now float64, current cluster.Alloc) (float64, error) {
+	var resp RhoResponse
+	err := c.post(ctx, "/v1/rho", RhoRequest{Now: now, Current: ToWireAlloc(current)}, &resp)
+	return resp.Rho, err
+}
+
+// RequestBid offers GPUs to the Agent and returns its bid table.
+func (c *AgentClient) RequestBid(ctx context.Context, now float64, offer, current cluster.Alloc) (core.BidTable, error) {
+	var resp BidResponse
+	if err := c.post(ctx, "/v1/bid", BidRequest{Now: now, Offer: ToWireAlloc(offer), Current: ToWireAlloc(current)}, &resp); err != nil {
+		return core.BidTable{}, err
+	}
+	table, err := resp.ToBidTable()
+	if err != nil {
+		countError("/v1/bid")
+	}
+	return table, err
+}
+
 // TestStatusSurfacesServerErrors pins the fix for the silently-swallowed
 // status code: a 500 from the arbiter used to decode into a healthy-looking
 // zero StatusResponse. It must surface as an error carrying the server's

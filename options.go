@@ -43,16 +43,16 @@ func defaultSettings() *settings {
 	return &settings{
 		clusterName:     ClusterTestbed,
 		policyName:      "themis",
-		policyCfg:       DefaultPolicyConfig(),
+		policyCfg:       defaultPolicyConfig(),
 		leaseDuration:   20,
 		restartOverhead: 0.75,
 		seed:            1,
 	}
 }
 
-// WithCluster selects a registered topology by name: "testbed" (50 GPUs, the
-// default), "sim" (256 GPUs), "sim-fabric" (the same 256 GPUs across three
-// fabric domains), or anything added via RegisterCluster.
+// WithCluster selects a built-in topology by name: "testbed" (50 GPUs, the
+// default), "sim" (256 GPUs) or "sim-fabric" (the same 256 GPUs across three
+// fabric domains). Any other topology goes through WithTopology.
 func WithCluster(name string) Option {
 	return func(s *settings) error {
 		if _, err := Cluster(name); err != nil {
@@ -64,7 +64,8 @@ func WithCluster(name string) Option {
 	}
 }
 
-// WithTopology supplies a custom cluster topology (see ClusterConfig.Build).
+// WithTopology supplies a custom cluster topology (see ClusterConfig.Build
+// and TopologySpec.Build).
 func WithTopology(topo *Topology) Option {
 	return func(s *settings) error {
 		if topo == nil {
@@ -76,8 +77,8 @@ func WithTopology(topo *Topology) Option {
 }
 
 // WithApps runs the simulation over explicitly constructed apps (see NewApp
-// and NewJob). The apps' runtime state is mutated by the run; rebuild or
-// regenerate them to reuse across runs.
+// and NewJob) or composed ones (see ComposeWorkload). The apps' runtime state
+// is mutated by the run; rebuild or regenerate them to reuse across runs.
 func WithApps(apps ...*App) Option {
 	return func(s *settings) error {
 		if len(apps) == 0 {
@@ -100,8 +101,8 @@ func WithWorkload(spec WorkloadSpec) Option {
 	}
 }
 
-// WithScenario generates the workload from a registered scenario (see
-// Scenarios and RegisterScenario) at construction time. The optional params
+// WithScenario generates the workload from a built-in scenario (see
+// Scenarios) at construction time. The optional params
 // override the scenario's app count and load knobs; a zero params.Seed
 // inherits the simulation seed (WithSeed), so seeded sweeps replay
 // identically across scenarios.
@@ -113,7 +114,7 @@ func WithScenario(name string, params ...ScenarioParams) Option {
 		if len(params) > 1 {
 			return fmt.Errorf("themis: WithScenario takes at most one params, got %d", len(params))
 		}
-		if _, err := DescribeScenario(name); err != nil {
+		if _, err := scenarios.lookup(name); err != nil {
 			return err
 		}
 		s.scenarioName = name
@@ -147,7 +148,7 @@ func WithTraceFile(path string) Option {
 	}
 }
 
-// WithPolicy selects a registered scheduling policy by name (see Policies).
+// WithPolicy selects a built-in scheduling policy by name (see Policies).
 // The policy is constructed at NewSimulation time from the accumulated
 // PolicyConfig (fairness knob, lease duration, bid error).
 func WithPolicy(name string) Option {
@@ -161,10 +162,11 @@ func WithPolicy(name string) Option {
 	}
 }
 
-// WithPolicyInstance supplies a pre-built policy, bypassing the registry.
-// The instance must be fresh (policies accumulate per-run agent state) and
-// carry its own knobs: combining it with WithFairnessKnob or WithBidError is
-// an error, since those only configure registry-built policies.
+// WithPolicyInstance supplies a pre-built policy: the way in for a
+// SchedulerPolicy of one's own. The instance must be fresh (policies
+// accumulate per-run agent state) and carry its own knobs: combining it with
+// WithFairnessKnob or WithBidError is an error, since those only configure
+// the policies WithPolicy builds.
 func WithPolicyInstance(p SchedulerPolicy) Option {
 	return func(s *settings) error {
 		if p == nil {

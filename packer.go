@@ -13,36 +13,29 @@ const PackerPackToEmpty = "pack-to-empty"
 // PackerFactory builds a Packer for the topology a simulation runs on.
 type PackerFactory func(topo *Topology) Packer
 
-type packerEntry struct {
-	description string
-	factory     PackerFactory
-}
-
-var packers = newRegistry[packerEntry]("packer")
+// packers holds the built-in engine and every registered one.
+var packers = newRegistry("packer", map[string]PackerFactory{
+	PackerPackToEmpty: func(topo *Topology) Packer { return pack.New(topology.Lift(topo)) },
+})
 
 // RegisterPacker adds a named placement engine, making it available to
-// WithPacker and cmd/themis-sim's -packer flag. Registering a name twice is
-// an error.
+// WithPacker and cmd/themis-sim's -packer flag. The description documents
+// the engine at the call site; the registry keeps only the factory.
+// Registering a name twice is an error.
 func RegisterPacker(name, description string, factory PackerFactory) error {
-	return packers.register(name, packerEntry{description: description, factory: factory}, factory != nil)
+	return packers.register(name, factory, factory != nil)
 }
 
 // Packers lists the registered packer names, sorted.
 func Packers() []string { return packers.names() }
 
-// DescribePacker returns a registered packer's one-line description.
-func DescribePacker(name string) (string, error) {
-	entry, err := packers.lookup(name)
-	return entry.description, err
-}
-
 // buildPacker constructs a registered packer for a concrete topology.
 func buildPacker(name string, topo *Topology) (Packer, error) {
-	entry, err := packers.lookup(name)
+	factory, err := packers.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return entry.factory(topo), nil
+	return factory(topo), nil
 }
 
 // WithPacker routes every grant the policy makes through a registered
@@ -57,19 +50,10 @@ func WithPacker(name string) Option {
 			s.packerName = ""
 			return nil
 		}
-		if _, err := DescribePacker(name); err != nil {
+		if _, err := packers.lookup(name); err != nil {
 			return err
 		}
 		s.packerName = name
 		return nil
-	}
-}
-
-func init() {
-	if err := RegisterPacker(PackerPackToEmpty,
-		"deterministic pack-to-empty: anchor to held GPUs, best-fit domain, spill by free capacity",
-		func(topo *Topology) Packer { return pack.New(topology.Lift(topo)) },
-	); err != nil {
-		panic(err)
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"themis/internal/schedulers"
 )
 
-// PolicyConfig carries the knobs a policy factory may consume; the baseline
-// policies ignore the fields that do not apply to them. Fields are used
-// verbatim wherever their zero value is meaningful — FairnessKnob 0 really
-// means f = 0 (offer GPUs to every app), as in the paper's Figure 4a sweep —
-// so start from DefaultPolicyConfig to get the paper's settings. A zero
-// LeaseDuration (which would be invalid) defaults to 20 minutes.
+// PolicyConfig carries the knobs a policy consumes; the baseline policies
+// ignore the fields that do not apply to them. Fields are used verbatim
+// wherever their zero value is meaningful — FairnessKnob 0 really means f = 0
+// (offer GPUs to every app), as in the paper's Figure 4a sweep — so set
+// FairnessKnob to 0.8 for the paper's setting. A zero LeaseDuration (which
+// would be invalid) defaults to 20 minutes.
 type PolicyConfig struct {
 	// FairnessKnob is Themis's f ∈ [0,1]: free GPUs are offered to the worst
 	// 1−f fraction of apps by finish-time fairness.
@@ -25,9 +25,9 @@ type PolicyConfig struct {
 	ErrorSeed int64
 }
 
-// DefaultPolicyConfig returns the configuration the paper converges on
+// defaultPolicyConfig returns the configuration the paper converges on
 // (§8.2): f = 0.8 and a 20-minute lease.
-func DefaultPolicyConfig() PolicyConfig {
+func defaultPolicyConfig() PolicyConfig {
 	def := core.DefaultConfig()
 	return PolicyConfig{FairnessKnob: def.FairnessKnob, LeaseDuration: def.LeaseDuration}
 }
@@ -41,31 +41,53 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 	return c
 }
 
-// PolicyFactory builds a fresh policy instance. Policies hold per-run agent
-// state, so the registry constructs a new one for every simulation.
-type PolicyFactory func(cfg PolicyConfig) (SchedulerPolicy, error)
+// policies builds the paper's comparison set. Policies hold per-run agent
+// state, so every simulation constructs a fresh instance.
+var policies = newRegistry("policy", map[string]func(PolicyConfig) (SchedulerPolicy, error){
+	"themis": func(cfg PolicyConfig) (SchedulerPolicy, error) {
+		p, err := schedulers.NewThemis(core.Config{
+			FairnessKnob:  cfg.FairnessKnob,
+			LeaseDuration: cfg.LeaseDuration,
+		})
+		if err != nil {
+			return nil, err
+		}
+		p.BidErrorTheta = cfg.BidErrorTheta
+		p.ErrorSeed = cfg.ErrorSeed
+		return p, nil
+	},
+	"gandiva": func(PolicyConfig) (SchedulerPolicy, error) {
+		return schedulers.NewGandiva(), nil
+	},
+	"tiresias": func(PolicyConfig) (SchedulerPolicy, error) {
+		return schedulers.NewTiresias(), nil
+	},
+	"slaq": func(cfg PolicyConfig) (SchedulerPolicy, error) {
+		p := schedulers.NewSLAQ()
+		p.WindowMinutes = cfg.LeaseDuration
+		return p, nil
+	},
+	"resource-fair": func(PolicyConfig) (SchedulerPolicy, error) {
+		return schedulers.NewResourceFair(), nil
+	},
+	"strawman": func(PolicyConfig) (SchedulerPolicy, error) {
+		return schedulers.NewStrawman(), nil
+	},
+})
 
-var policies = newRegistry[PolicyFactory]("policy")
-
-// RegisterPolicy adds a named policy to the registry, making it available to
-// Policy and WithPolicy. Registering a name twice is an error.
-func RegisterPolicy(name string, factory PolicyFactory) error {
-	return policies.register(name, factory, factory != nil)
-}
-
-// Policies lists the registered policy names, sorted.
+// Policies lists the built-in policy names, sorted.
 func Policies() []string { return policies.names() }
 
-// Policy constructs a registered scheduling policy by name: "themis",
-// "gandiva", "tiresias", "slaq", "resource-fair" or "strawman" (plus
-// anything added via RegisterPolicy). The optional config carries the
-// fairness knob, lease duration and bid-error model; omitted entirely, the
-// paper's defaults (DefaultPolicyConfig) apply. A supplied config is used
-// verbatim — FairnessKnob 0 means f = 0 — except that a zero LeaseDuration
-// defaults to 20 minutes. Unknown names and invalid configurations return
-// errors.
+// Policy constructs a built-in scheduling policy by name: "themis",
+// "gandiva", "tiresias", "slaq", "resource-fair" or "strawman". A policy of
+// one's own needs no name: pass it to WithPolicyInstance. The optional config
+// carries the fairness knob, lease duration and bid-error model; omitted
+// entirely, the paper's defaults (f = 0.8, 20-minute leases) apply. A
+// supplied config is used verbatim — FairnessKnob 0 means f = 0 — except that
+// a zero LeaseDuration defaults to 20 minutes. Unknown names and invalid
+// configurations return errors.
 func Policy(name string, cfg ...PolicyConfig) (SchedulerPolicy, error) {
-	c := DefaultPolicyConfig()
+	c := defaultPolicyConfig()
 	if len(cfg) > 1 {
 		return nil, fmt.Errorf("themis: Policy takes at most one config, got %d", len(cfg))
 	}
@@ -77,42 +99,4 @@ func Policy(name string, cfg ...PolicyConfig) (SchedulerPolicy, error) {
 		return nil, err
 	}
 	return factory(c.withDefaults())
-}
-
-// The paper's comparison set ships pre-registered.
-func init() {
-	mustRegister := func(name string, f PolicyFactory) {
-		if err := RegisterPolicy(name, f); err != nil {
-			panic(err)
-		}
-	}
-	mustRegister("themis", func(cfg PolicyConfig) (SchedulerPolicy, error) {
-		p, err := schedulers.NewThemis(core.Config{
-			FairnessKnob:  cfg.FairnessKnob,
-			LeaseDuration: cfg.LeaseDuration,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.BidErrorTheta = cfg.BidErrorTheta
-		p.ErrorSeed = cfg.ErrorSeed
-		return p, nil
-	})
-	mustRegister("gandiva", func(PolicyConfig) (SchedulerPolicy, error) {
-		return schedulers.NewGandiva(), nil
-	})
-	mustRegister("tiresias", func(PolicyConfig) (SchedulerPolicy, error) {
-		return schedulers.NewTiresias(), nil
-	})
-	mustRegister("slaq", func(cfg PolicyConfig) (SchedulerPolicy, error) {
-		p := schedulers.NewSLAQ()
-		p.WindowMinutes = cfg.LeaseDuration
-		return p, nil
-	})
-	mustRegister("resource-fair", func(PolicyConfig) (SchedulerPolicy, error) {
-		return schedulers.NewResourceFair(), nil
-	})
-	mustRegister("strawman", func(PolicyConfig) (SchedulerPolicy, error) {
-		return schedulers.NewStrawman(), nil
-	})
 }

@@ -12,8 +12,10 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"themis/internal/race"
@@ -22,10 +24,8 @@ import (
 // reachAllowed lists the internal identifiers kept without a non-test
 // caller, each with the reason it stays.
 var reachAllowed = map[string]string{
-	"themis/internal/race.Enabled":               "test support by design: the allocation tests skip themselves under -race",
-	"themis/internal/placement.Satisfies":        "the reference check of a draw's constraint that placement, sim, core and pack tests compare against",
-	"themis/internal/rpc.AgentClient.ProbeRho":   "the public daemon.AgentClient's API, which daemon's tests drive",
-	"themis/internal/rpc.AgentClient.RequestBid": "the public daemon.AgentClient's API, which daemon's tests drive",
+	"themis/internal/race.Enabled":        "test support by design: the allocation tests skip themselves under -race",
+	"themis/internal/placement.Satisfies": "the reference check of a draw's constraint that placement, sim, core and pack tests compare against",
 }
 
 // TestInternalCodeHasCallers fails, naming the identifier, when a
@@ -36,20 +36,67 @@ func TestInternalCodeHasCallers(t *testing.T) {
 	if race.Enabled {
 		t.Skip("static analysis: the non-race run checks the same source")
 	}
-	dead, err := unreached([]reachRoot{{".", "themis"}, {"bench", "themis/bench"}}, "themis/internal/")
+	u, err := moduleUniverse()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAllowed(t, u.unreached(internalScope("themis/internal/"), false), reachAllowed)
+}
+
+// publicAllowed lists the exported funcs, methods and vars of the public
+// packages kept without a caller outside their own package, each with the
+// reason it stays.
+var publicAllowed = map[string]string{
+	"themis.WithFailures": "the only program path into the simulator's machine-failure injection, which ROADMAP item 3a's fault replay builds on",
+}
+
+// TestPublicCodeHasCallers fails, naming the identifier, when an exported
+// func, method or var of a public package (themis, themis/daemon,
+// themis/experiments) is named by no non-test code outside its own package:
+// cmd/, examples/, bench/ or another public package. Type aliases and
+// constants are out of scope. Delete such code, fold it into its one caller,
+// unexport it, or give it a reason in publicAllowed.
+func TestPublicCodeHasCallers(t *testing.T) {
+	if race.Enabled {
+		t.Skip("static analysis: the non-race run checks the same source")
+	}
+	u, err := moduleUniverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllowed(t, u.unreached(publicScope("themis", "themis/daemon", "themis/experiments"), true), publicAllowed)
+}
+
+// moduleUniverse type-checks, once for both checks, the trees whose non-test
+// code counts as a caller: the module itself and the bench module.
+var moduleUniverse = sync.OnceValues(func() (*reachUniverse, error) {
+	return loadUniverse([]reachRoot{{".", "themis"}, {"bench", "themis/bench"}})
+})
+
+// internalScope selects every package under prefix.
+func internalScope(prefix string) func(string) bool {
+	return func(p string) bool { return strings.HasPrefix(p, prefix) }
+}
+
+// publicScope selects exactly the named packages.
+func publicScope(paths ...string) func(string) bool {
+	return func(p string) bool { return slices.Contains(paths, p) }
+}
+
+// checkAllowed fails for every flagged identifier allowed does not list, and
+// for every listed one that is no longer flagged.
+func checkAllowed(t *testing.T, dead []deadIdent, allowed map[string]string) {
+	t.Helper()
 	found := make(map[string]bool)
 	for _, d := range dead {
 		found[d.name] = true
-		if _, ok := reachAllowed[d.name]; !ok {
+		if _, ok := allowed[d.name]; !ok {
 			t.Errorf("%s: %s has no non-test caller", d.pos, d.name)
 		}
 	}
-	for name := range reachAllowed {
+	for name := range allowed {
 		if !found[name] {
-			t.Errorf("reachAllowed lists %s, which is gone or now has a caller", name)
+			t.Errorf("%s is allow-listed, but it is gone or now has a caller", name)
 		}
 	}
 }
@@ -59,18 +106,31 @@ func TestInternalCodeHasCallers(t *testing.T) {
 // helper beside live code of every kind the check must not flag, and a second
 // tree that stands in for the bench module.
 func TestReachCheckFlagsFixture(t *testing.T) {
-	dead, err := unreached([]reachRoot{
+	checkFixture(t, internalScope("fixture/internal/"), false,
+		"fixture/internal/lib.Unused", "fixture/internal/lib.helper")
+}
+
+// TestPublicReachCheckFlagsFixture runs the public check on testdata/reach:
+// its public package holds an exported function only its own package calls
+// beside one the fixture's command calls, an alias and a constant.
+func TestPublicReachCheckFlagsFixture(t *testing.T) {
+	checkFixture(t, publicScope("fixture/pub"), true, "fixture/pub.Box.Twice", "fixture/pub.SelfOnly")
+}
+
+// checkFixture asserts the exact list the check flags on testdata/reach.
+func checkFixture(t *testing.T, inScope func(string) bool, public bool, want ...string) {
+	t.Helper()
+	u, err := loadUniverse([]reachRoot{
 		{"testdata/reach/mod", "fixture"},
 		{"testdata/reach/bench", "fixture/bench"},
-	}, "fixture/internal/")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, d := range dead {
+	for _, d := range u.unreached(inScope, public) {
 		got = append(got, d.name)
 	}
-	want := []string{"fixture/internal/lib.Unused", "fixture/internal/lib.helper"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("flagged %v, want %v", got, want)
 	}
@@ -126,10 +186,15 @@ func (l *reachLoader) Import(p string) (*types.Package, error) {
 	return rp.pkg, rp.err
 }
 
-// unreached type-checks every non-test file under roots and returns, sorted,
-// the package-level identifiers of packages whose import path starts with
-// scope that nothing outside their own declaration uses.
-func unreached(roots []reachRoot, scope string) ([]deadIdent, error) {
+// reachUniverse is every package of the roots, type-checked, with its
+// import paths sorted.
+type reachUniverse struct {
+	l     *reachLoader
+	paths []string
+}
+
+// loadUniverse type-checks every non-test file under roots.
+func loadUniverse(roots []reachRoot) (*reachUniverse, error) {
 	l := &reachLoader{fset: token.NewFileSet(), pkgs: make(map[string]*reachPkg)}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	for _, r := range roots {
@@ -147,7 +212,15 @@ func unreached(roots []reachRoot, scope string) ([]deadIdent, error) {
 			return nil, err
 		}
 	}
+	return &reachUniverse{l, paths}, nil
+}
 
+// unreached returns, sorted, the package-level identifiers of the packages
+// inScope selects that nothing outside their own declaration uses. With
+// public set, only exported funcs, methods and vars are checked, and only a
+// use from another package counts.
+func (u *reachUniverse) unreached(inScope func(string) bool, public bool) []deadIdent {
+	l, paths := u.l, u.paths
 	used := make(map[types.Object]bool)
 	var asserted []*types.Interface
 	for _, p := range paths {
@@ -158,7 +231,7 @@ func unreached(roots []reachRoot, scope string) ([]deadIdent, error) {
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.Ident:
-						if obj := origin(rp.info.Uses[n]); obj != nil && !self[obj] {
+						if obj := origin(rp.info.Uses[n]); obj != nil && !self[obj] && !(public && obj.Pkg() == rp.pkg) {
 							used[obj] = true
 						}
 					case *ast.TypeAssertExpr:
@@ -215,7 +288,7 @@ func unreached(roots []reachRoot, scope string) ([]deadIdent, error) {
 						used[iface.Method(i)] = true
 					}
 				}
-			} else if inUniverse && strings.HasPrefix(pkg.Path(), scope) {
+			} else if inUniverse && inScope(pkg.Path()) {
 				concrete = append(concrete, named)
 			}
 		}
@@ -254,12 +327,22 @@ func unreached(roots []reachRoot, scope string) ([]deadIdent, error) {
 
 	var dead []deadIdent
 	flag := func(obj types.Object, name string) {
+		if public {
+			switch obj.(type) {
+			case *types.Func, *types.Var:
+			default:
+				return
+			}
+			if !obj.Exported() {
+				return
+			}
+		}
 		if !used[obj] {
 			dead = append(dead, deadIdent{name, l.fset.Position(obj.Pos())})
 		}
 	}
 	for _, p := range paths {
-		if !strings.HasPrefix(p, scope) {
+		if !inScope(p) {
 			continue
 		}
 		scopeObjs := l.pkgs[p].pkg.Scope()
@@ -288,7 +371,7 @@ func unreached(roots []reachRoot, scope string) ([]deadIdent, error) {
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
-	return dead, nil
+	return dead
 }
 
 // parseRoot parses the non-test files that the default build context

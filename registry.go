@@ -7,17 +7,20 @@ import (
 	"sync"
 )
 
-// registry is the one body behind the facade's named registries — policies,
-// scenarios, clusters and packers: an RWMutex-guarded map with register-once,
-// sorted names and lookup. kind names the registry in its error messages.
+// registry is the one body behind the facade's named tables — policies,
+// scenarios, clusters and packers: an RWMutex-guarded map with sorted names
+// and lookup. The policy, scenario and cluster tables are built in; only
+// packers take registrations at run time. kind names the table in its error
+// messages.
 type registry[E any] struct {
 	kind    string
 	mu      sync.RWMutex
 	entries map[string]E
 }
 
-func newRegistry[E any](kind string) *registry[E] {
-	return &registry[E]{kind: kind, entries: map[string]E{}}
+// newRegistry returns a table holding the built-in entries.
+func newRegistry[E any](kind string, entries map[string]E) *registry[E] {
+	return &registry[E]{kind: kind, entries: entries}
 }
 
 // register adds an entry under a fresh name. hasFactory is whether the

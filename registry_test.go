@@ -8,8 +8,7 @@ import (
 	"time"
 )
 
-// The cluster registry: built-ins present, descriptions resolvable, built
-// topologies structurally sound, duplicates and unknowns rejected.
+// The cluster table: built-ins present, unknowns rejected by name.
 func TestClusterRegistry(t *testing.T) {
 	names := Clusters()
 	for _, want := range []string{ClusterSim, ClusterTestbed, ClusterSimFabric} {
@@ -22,18 +21,12 @@ func TestClusterRegistry(t *testing.T) {
 		if !found {
 			t.Fatalf("built-in cluster %q missing from Clusters() = %v", want, names)
 		}
-		if desc, err := DescribeCluster(want); err != nil || desc == "" {
-			t.Errorf("DescribeCluster(%q) = %q, %v", want, desc, err)
+		if _, err := Cluster(want); err != nil {
+			t.Errorf("Cluster(%q): %v", want, err)
 		}
 	}
 	if _, err := Cluster("no-such-cluster"); err == nil || !strings.Contains(err.Error(), "no-such-cluster") {
 		t.Errorf("unknown cluster error = %v, want it to name the cluster", err)
-	}
-	if err := RegisterCluster(ClusterSim, "dup", func() (*Topology, error) { return nil, nil }); err == nil {
-		t.Error("duplicate cluster registration succeeded")
-	}
-	if err := RegisterCluster("", "desc", nil); err == nil {
-		t.Error("empty cluster registration succeeded")
 	}
 }
 
@@ -59,66 +52,45 @@ func TestSimFabricMatchesSimFleet(t *testing.T) {
 	}
 }
 
-// A lookup that misses lists the registered names under the read lock it
-// already holds: taking the lock a second time would deadlock against a
-// register queued in between (sync.RWMutex forbids recursive read locking).
-// Every registry is hammered with registrations and misses at once; a
-// deadlock trips the deadline. The registries are swapped for empty ones so
-// the junk entries do not outlive the test.
+// A lookup that misses lists the names under the read lock it already
+// holds: taking the lock a second time would deadlock against a register
+// queued in between (sync.RWMutex forbids recursive read locking). The packer
+// table, the one that takes registrations, is hammered with registrations and
+// misses at once; a deadlock trips the deadline. It is swapped for an empty
+// one so the junk entries do not outlive the test.
 func TestRegistriesConcurrentRegisterAndMiss(t *testing.T) {
-	oldP, oldS, oldC, oldK := policies, scenarios, clusters, packers
-	policies = newRegistry[PolicyFactory]("policy")
-	scenarios = newRegistry[scenarioEntry]("scenario")
-	clusters = newRegistry[clusterEntry]("cluster")
-	packers = newRegistry[packerEntry]("packer")
-	t.Cleanup(func() { policies, scenarios, clusters, packers = oldP, oldS, oldC, oldK })
+	old := packers
+	packers = newRegistry("packer", map[string]PackerFactory{})
+	t.Cleanup(func() { packers = old })
 
-	register := []func(name string) error{
-		func(n string) error {
-			return RegisterPolicy(n, func(PolicyConfig) (SchedulerPolicy, error) { return nil, nil })
-		},
-		func(n string) error {
-			return RegisterScenario(n, "", func(ScenarioParams) ([]*App, error) { return nil, nil })
-		},
-		func(n string) error { return RegisterCluster(n, "", func() (*Topology, error) { return nil, nil }) },
-		func(n string) error { return RegisterPacker(n, "", func(*Topology) Packer { return nil }) },
-	}
-	miss := []func() error{
-		func() error { _, err := Policy("no-such"); return err },
-		func() error { _, err := DescribeScenario("no-such"); return err },
-		func() error { _, err := DescribeCluster("no-such"); return err },
-		func() error { _, err := DescribePacker("no-such"); return err },
-	}
 	const rounds = 300
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*len(register))
-	for k := range register {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if err := register[k](fmt.Sprintf("r%d", i)); err != nil {
-					errs <- err
-					return
-				}
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := RegisterPacker(fmt.Sprintf("r%d", i), "", func(*Topology) Packer { return nil }); err != nil {
+				errs <- err
+				return
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if err := miss[k](); err == nil || !strings.Contains(err.Error(), `"no-such"`) {
-					errs <- fmt.Errorf("miss %d returned %v", k, err)
-					return
-				}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := packers.lookup("no-such"); err == nil || !strings.Contains(err.Error(), `"no-such"`) {
+				errs <- fmt.Errorf("miss returned %v", err)
+				return
 			}
-		}()
-	}
+		}
+	}()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("registries deadlocked under concurrent register + miss")
+		t.Fatal("packer table deadlocked under concurrent register + miss")
 	}
 	close(errs)
 	for err := range errs {
@@ -140,9 +112,6 @@ func TestPackerRegistry(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("built-in packer %q missing from Packers() = %v", PackerPackToEmpty, Packers())
-	}
-	if desc, err := DescribePacker(PackerPackToEmpty); err != nil || desc == "" {
-		t.Errorf("DescribePacker(%q) = %q, %v", PackerPackToEmpty, desc, err)
 	}
 	if _, err := NewSimulation(WithApps(smokeApps(t)...), WithPacker("no-such-packer")); err == nil {
 		t.Error("unknown packer accepted by NewSimulation")
@@ -211,5 +180,8 @@ func TestGridClustersAxis(t *testing.T) {
 	}
 	if _, err := (Grid{Clusters: []string{"no-such-cluster"}}).Specs(); err == nil {
 		t.Error("unknown cluster accepted by Grid.Specs")
+	}
+	if _, err := (Grid{Policies: []string{"themis", "nope"}, Clusters: []string{ClusterSim}}).Specs(); err == nil {
+		t.Error("unknown policy accepted by Grid.Specs")
 	}
 }

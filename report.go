@@ -49,21 +49,3 @@ func (r *Report) Finished() []AppRecord { return r.result.Finished() }
 // TimelineFor returns one app's allocation timeline, in time order
 // (Figure 8's series).
 func (r *Report) TimelineFor(id AppID) []AllocationEvent { return r.result.TimelineFor(id) }
-
-// FairnessCDF is the empirical CDF of finish-time fairness ρ across finished
-// apps (Figure 5's distribution).
-func (r *Report) FairnessCDF(points int) CDF {
-	return metrics.NewCDF(metrics.FairnessValues(r.result), points)
-}
-
-// CompletionTimeCDF is the empirical CDF of app completion times in minutes
-// (Figure 6's distribution).
-func (r *Report) CompletionTimeCDF(points int) CDF {
-	return metrics.NewCDF(metrics.CompletionTimes(r.result), points)
-}
-
-// PlacementScoreCDF is the empirical CDF of time-weighted placement scores
-// (Figure 7's distribution).
-func (r *Report) PlacementScoreCDF(points int) CDF {
-	return metrics.NewCDF(metrics.PlacementScores(r.result), points)
-}

@@ -26,12 +26,6 @@ func TestScenarioRegistry(t *testing.T) {
 	if _, err := DescribeScenario("nope"); err == nil {
 		t.Error("unknown scenario should fail")
 	}
-	if err := RegisterScenario("", "x", nil); err == nil {
-		t.Error("empty registration should fail")
-	}
-	if err := RegisterScenario("paper-mix", "dup", func(ScenarioParams) ([]*App, error) { return nil, nil }); err == nil {
-		t.Error("duplicate registration should fail")
-	}
 }
 
 func TestGenerateScenarioParams(t *testing.T) {
@@ -68,22 +62,29 @@ func TestWithScenarioOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sim.Apps()) != 6 {
-		t.Fatalf("scenario workload has %d apps, want 6", len(sim.Apps()))
-	}
-	if _, err := sim.Run(context.Background()); err != nil {
+	rep, err := sim.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Summary.AppsTotal != 6 {
+		t.Fatalf("scenario workload has %d apps, want 6", rep.Summary.AppsTotal)
 	}
 	if _, err := NewSimulation(WithScenario("nope")); err == nil {
 		t.Error("unknown scenario should fail at option time")
 	}
 	// The last workload option wins, like the other sources.
-	sim2, err := NewSimulation(WithScenario("diurnal"), WithWorkload(WorkloadSpec{NumApps: 3}))
+	s := defaultSettings()
+	for _, opt := range []Option{WithScenario("diurnal"), WithWorkload(WorkloadSpec{NumApps: 3})} {
+		if err := opt(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apps, err := resolveApps(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sim2.Apps()) != 3 {
-		t.Errorf("later WithWorkload should override WithScenario: %d apps", len(sim2.Apps()))
+	if len(apps) != 3 {
+		t.Errorf("later WithWorkload should override WithScenario: %d apps", len(apps))
 	}
 }
 
@@ -106,6 +107,9 @@ func TestGridSpecs(t *testing.T) {
 	}
 	if _, err := (Grid{Scenarios: []string{"nope"}}).Specs(); err == nil {
 		t.Error("unknown scenario axis entry should fail")
+	}
+	if _, err := (Grid{Policies: []string{"nope"}}).Specs(); err == nil {
+		t.Error("unknown policy axis entry should fail")
 	}
 	// Empty axes collapse to defaults.
 	specs, err = Grid{Base: []Option{WithWorkload(WorkloadSpec{NumApps: 2})}}.Specs()

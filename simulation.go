@@ -15,15 +15,14 @@ type Simulation struct {
 	sim    *sim.Simulator
 	policy SchedulerPolicy
 	topo   *Topology
-	apps   []*App
 	ran    bool
 }
 
 // NewSimulation assembles a simulation from functional options. Unset knobs
 // default to the paper's configuration — the 50-GPU testbed topology and the
 // Themis policy with f = 0.8, 20-minute leases, 0.75-minute restarts — but a
-// workload must be supplied via WithApps, WithWorkload, WithTrace or
-// WithTraceFile. All configuration errors (unknown cluster or policy names,
+// workload must be supplied via WithApps, WithWorkload, WithScenario,
+// WithTrace or WithTraceFile. All configuration errors (unknown cluster or policy names,
 // out-of-range knobs, invalid workloads) surface here, before the run.
 func NewSimulation(opts ...Option) (*Simulation, error) {
 	s := defaultSettings()
@@ -83,7 +82,7 @@ func NewSimulation(opts ...Option) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("themis: %w", err)
 	}
-	return &Simulation{sim: simulator, policy: policy, topo: topo, apps: apps}, nil
+	return &Simulation{sim: simulator, policy: policy, topo: topo}, nil
 }
 
 // resolveApps materialises the configured workload source.
@@ -118,12 +117,6 @@ func resolveApps(s *settings) ([]*App, error) {
 
 // Topology returns the cluster the simulation schedules onto.
 func (s *Simulation) Topology() *Topology { return s.topo }
-
-// Apps returns the workload the simulation replays.
-func (s *Simulation) Apps() []*App { return s.apps }
-
-// PolicyName returns the name of the scheduling policy in use.
-func (s *Simulation) PolicyName() string { return s.policy.Name() }
 
 // Run executes the simulation to completion — every app finished, the
 // horizon reached, or no further events — and returns the collected Report.

@@ -65,8 +65,9 @@ func specName(spec SweepSpec, i int) string {
 	return fmt.Sprintf("spec %d", i)
 }
 
-// Grid declaratively spans a sweep over the registries: the cross product of
-// a policy axis, a scenario axis and a seed axis, sharing a base option list.
+// Grid declaratively spans a sweep over the built-in tables: the cross
+// product of a policy axis, a cluster axis, a scenario axis and a seed axis,
+// sharing a base option list.
 // It is the idiomatic way to fan "every scheduler × every workload family"
 // through RunSweep:
 //
@@ -80,11 +81,10 @@ func specName(spec SweepSpec, i int) string {
 type Grid struct {
 	// Policies is the policy axis; empty means just the default ("themis").
 	Policies []string
-	// Clusters is the topology axis, naming registered clusters (see
-	// Clusters and RegisterCluster); empty means the cluster comes from Base
-	// or the default.
+	// Clusters is the topology axis, naming built-in clusters (see
+	// Clusters); empty means the cluster comes from Base or the default.
 	Clusters []string
-	// Scenarios is the workload axis, naming registered scenarios; empty
+	// Scenarios is the workload axis, naming built-in scenarios; empty
 	// means the workload comes from Base (e.g. a WithTrace option).
 	Scenarios []string
 	// Seeds is the seed axis; empty means just seed 1. Each seed feeds both
@@ -101,42 +101,41 @@ type Grid struct {
 // cluster, then scenario, then seed. Spec names are
 // "policy/cluster/scenario/seed=N" with empty axes omitted.
 func (g Grid) Specs() ([]SweepSpec, error) {
-	policies := g.Policies
-	if len(policies) == 0 {
-		policies = []string{"themis"}
+	for _, p := range g.Policies {
+		if _, err := policies.lookup(p); err != nil {
+			return nil, err
+		}
 	}
-	clusters := g.Clusters
-	if len(clusters) == 0 {
-		clusters = []string{""}
+	for _, cl := range g.Clusters {
+		if _, err := clusters.lookup(cl); cl != "" && err != nil {
+			return nil, err
+		}
 	}
-	scenarios := g.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = []string{""}
+	for _, sc := range g.Scenarios {
+		if _, err := scenarios.lookup(sc); sc != "" && err != nil {
+			return nil, err
+		}
+	}
+	policyAxis := g.Policies
+	if len(policyAxis) == 0 {
+		policyAxis = []string{"themis"}
+	}
+	clusterAxis := g.Clusters
+	if len(clusterAxis) == 0 {
+		clusterAxis = []string{""}
+	}
+	scenarioAxis := g.Scenarios
+	if len(scenarioAxis) == 0 {
+		scenarioAxis = []string{""}
 	}
 	seeds := g.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
-	for _, cl := range clusters {
-		if cl == "" {
-			continue
-		}
-		if _, err := DescribeCluster(cl); err != nil {
-			return nil, err
-		}
-	}
-	for _, sc := range scenarios {
-		if sc == "" {
-			continue
-		}
-		if _, err := DescribeScenario(sc); err != nil {
-			return nil, err
-		}
-	}
-	specs := make([]SweepSpec, 0, len(policies)*len(clusters)*len(scenarios)*len(seeds))
-	for _, policy := range policies {
-		for _, cl := range clusters {
-			for _, sc := range scenarios {
+	specs := make([]SweepSpec, 0, len(policyAxis)*len(clusterAxis)*len(scenarioAxis)*len(seeds))
+	for _, policy := range policyAxis {
+		for _, cl := range clusterAxis {
+			for _, sc := range scenarioAxis {
 				for _, seed := range seeds {
 					name := policy
 					if cl != "" {

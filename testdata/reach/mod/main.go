@@ -1,10 +1,11 @@
-// Command fixture calls the live part of its internal package.
+// Command fixture calls the live part of its internal and public packages.
 package main
 
 import (
 	"fmt"
 
 	"fixture/internal/lib"
+	"fixture/pub"
 )
 
-func main() { fmt.Println(lib.IsMarked(lib.Tagged())) }
+func main() { fmt.Println(lib.IsMarked(lib.Tagged()), pub.Entry()) }

@@ -1,8 +1,6 @@
 package themis
 
 import (
-	"fmt"
-
 	"themis/internal/cluster"
 	"themis/internal/topology"
 )
@@ -19,58 +17,26 @@ const (
 	ClusterSimFabric = "sim-fabric"
 )
 
-// ClusterFactory builds a fresh topology for a registered cluster name.
-// Topologies are immutable, so the factory may return a shared instance.
-type ClusterFactory func() (*Topology, error)
+// clusters builds the paper's clusters (§8.1) and the hierarchical variant.
+var clusters = newRegistry("cluster", map[string]func() (*Topology, error){
+	ClusterSim:       func() (*Topology, error) { return cluster.SimulationCluster(), nil },
+	ClusterTestbed:   func() (*Topology, error) { return cluster.TestbedCluster(), nil },
+	ClusterSimFabric: func() (*Topology, error) { return simFabricSpec().Build() },
+})
 
-type clusterEntry struct {
-	description string
-	factory     ClusterFactory
-}
-
-var clusters = newRegistry[clusterEntry]("cluster")
-
-// RegisterCluster adds a named topology to the registry, making it available
-// to Cluster, WithCluster, the Grid's Clusters axis and cmd/themis-sim's
-// -cluster flag. The description is surfaced by DescribeCluster. Registering
-// a name twice is an error.
-func RegisterCluster(name, description string, factory ClusterFactory) error {
-	return clusters.register(name, clusterEntry{description: description, factory: factory}, factory != nil)
-}
-
-// Clusters lists the registered cluster names, sorted.
+// Clusters lists the built-in cluster names, sorted.
 func Clusters() []string { return clusters.names() }
 
-// DescribeCluster returns a registered cluster's one-line description.
-func DescribeCluster(name string) (string, error) {
-	entry, err := clusters.lookup(name)
-	return entry.description, err
-}
-
-// Cluster builds a registered topology by name: ClusterSim ("sim"),
-// ClusterTestbed ("testbed"), ClusterSimFabric ("sim-fabric") or anything
-// added via RegisterCluster. Custom one-off topologies are built with
-// ClusterConfig.Build or BuildTopology.
+// Cluster builds a built-in topology by name: ClusterSim ("sim"),
+// ClusterTestbed ("testbed") or ClusterSimFabric ("sim-fabric"). Other
+// topologies are built with ClusterConfig.Build, or with TopologySpec.Build
+// for a hierarchy of named fabric domains, and passed to WithTopology.
 func Cluster(name string) (*Topology, error) {
-	entry, err := clusters.lookup(name)
+	build, err := clusters.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return entry.factory()
-}
-
-// BuildTopology constructs a hierarchical topology from a TopologySpec —
-// regions of fabric domains of racks of machine groups. Machine, rack and
-// domain IDs are assigned densely in declaration order, so the same spec
-// always yields the same topology; domain names in the spec become the names
-// trace placement blocks and job affinities resolve against, so a name
-// another domain already answers to ("domain-<id>" included) is an error.
-func BuildTopology(spec TopologySpec) (*Topology, error) {
-	topo, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("themis: %w", err)
-	}
-	return topo, nil
+	return build()
 }
 
 // simFabricSpec lays the ClusterSim fleet out into three named fabric
@@ -94,19 +60,4 @@ func simFabricSpec() TopologySpec {
 			},
 		}},
 	}
-}
-
-// The paper's clusters (and the hierarchical variant) ship pre-registered.
-func init() {
-	mustRegister := func(name, description string, f ClusterFactory) {
-		if err := RegisterCluster(name, description, f); err != nil {
-			panic(err)
-		}
-	}
-	mustRegister(ClusterSim, "the paper's 256-GPU heterogeneous simulated cluster (§8.1)",
-		func() (*Topology, error) { return cluster.SimulationCluster(), nil })
-	mustRegister(ClusterTestbed, "the paper's 50-GPU Azure testbed: 20 K80/M60 machines (§8.1)",
-		func() (*Topology, error) { return cluster.TestbedCluster(), nil })
-	mustRegister(ClusterSimFabric, "the 256-GPU simulated fleet across three fabric domains (pods)",
-		func() (*Topology, error) { return BuildTopology(simFabricSpec()) })
 }

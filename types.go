@@ -33,9 +33,11 @@ type (
 	Alloc = cluster.Alloc
 
 	// TopologySpec declares a hierarchical cluster — regions of named
-	// fabric domains of racks of machine groups. Build one into a
-	// *Topology with BuildTopology; domain names in the spec are what
-	// trace placement blocks and job domain affinities resolve against.
+	// fabric domains of racks of machine groups. Its Build method assigns
+	// machine, rack and domain IDs densely in declaration order and returns
+	// the *Topology; domain names in the spec are what trace placement
+	// blocks and job domain affinities resolve against, so a name another
+	// domain already answers to ("domain-<id>" included) is an error.
 	TopologySpec = topology.Spec
 	// RegionSpec is one region of a TopologySpec.
 	RegionSpec = topology.RegionSpec
@@ -65,8 +67,7 @@ type (
 	WorkloadStats = workload.Stats
 	// ScenarioConfig composes a synthetic scenario: the base generator
 	// distributions plus pluggable arrival, job-size and gang-size models.
-	// Feed one to ComposeWorkload, or register it as a named scenario via
-	// ScenarioFromConfig + RegisterScenario.
+	// Feed one to ComposeWorkload.
 	ScenarioConfig = workload.ScenarioConfig
 	// ArrivalPattern names a scenario's app arrival process.
 	ArrivalPattern = workload.ArrivalPattern
@@ -102,10 +103,10 @@ type (
 	JobSpec = trace.JobSpec
 
 	// SchedulerPolicy is the cross-app scheduling discipline the simulator
-	// invokes at every decision point. Use Policy to construct a registered
+	// invokes at every decision point. Use Policy to construct a built-in
 	// implementation by name, or implement it directly — Allocate receives
 	// the free GPUs as an Alloc and the cluster/app snapshot as a *View —
-	// and plug it in with RegisterPolicy or WithPolicyInstance.
+	// and plug it in with WithPolicyInstance.
 	SchedulerPolicy = sim.Policy
 	// View is the policy-facing snapshot a SchedulerPolicy allocates
 	// against: the topology, cluster occupancy and every active app's state.
@@ -126,8 +127,6 @@ type (
 
 	// Summary is the headline metrics of one run (fairness, JCT, GPU time).
 	Summary = metrics.Summary
-	// CDF is an empirical cumulative distribution over a run's metric.
-	CDF = metrics.CDF
 	// AppRecord is the per-app outcome of a run.
 	AppRecord = sim.AppRecord
 	// AllocationEvent is one point of an app's GPU-allocation timeline.
@@ -172,14 +171,9 @@ const (
 )
 
 // TraceFormatVersion is the current native trace format version (v2: the
-// per-app placement block and per-job machine-spread constraint).
-// SupportedTraceVersions lists every version ReadTrace can replay; older
-// versions upgrade losslessly on read.
+// per-app placement block and per-job machine-spread constraint). v1 traces
+// upgrade losslessly on read.
 const TraceFormatVersion = trace.FormatVersion
-
-// SupportedTraceVersions lists the trace format versions this build replays,
-// oldest first.
-func SupportedTraceVersions() []int { return trace.SupportedVersions() }
 
 // NotFinished marks an app or job that did not complete within a run's
 // horizon (AppRecord.FinishTime and CompletionTime use it).

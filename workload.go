@@ -78,7 +78,7 @@ func SaveTrace(path string, tr Trace) error { return trace.Save(path, tr) }
 // (format v3): an interned string table plus delta-encoded varint app
 // records. The encoding is lossless — LoadTrace on the result produces the
 // same apps, byte for byte, as the JSON form — and typically several times
-// smaller and faster to decode. LoadTrace and ReadTrace auto-detect it.
+// smaller and faster to decode. LoadTrace auto-detects it.
 func SaveTraceBinary(path string, tr Trace) error { return trace.SaveBinary(path, tr) }
 
 // WriteTraceBinary encodes a trace into the binary container on a stream.
@@ -89,9 +89,6 @@ func WriteTraceBinary(w io.Writer, tr Trace) error { return tr.WriteBinary(w) }
 // declared on disk before any in-memory upgrade — the value `tracegen
 // validate` reports.
 func LoadTraceWithInfo(path string) (Trace, TraceLoadInfo, error) { return trace.LoadWithInfo(path) }
-
-// ReadTrace parses a trace from a stream.
-func ReadTrace(r io.Reader) (Trace, error) { return trace.Read(r) }
 
 // ImportTrace normalises an external cluster trace into the native Trace
 // form: TraceFormatPhilly reads Philly-style CSV job logs (jobid, submit
